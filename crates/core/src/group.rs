@@ -24,7 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use snap_shm::account::CpuAccountant;
 use snap_sim::costs;
@@ -131,7 +131,10 @@ struct Worker {
 }
 
 struct Slot {
-    engine: Box<dyn Engine>,
+    /// `None` only while [`GroupHandle::run_worker`] has the engine out
+    /// for its pass: passes run off the slot so the group is not
+    /// borrowed across [`Engine::run`].
+    engine: Option<Box<dyn Engine>>,
     worker: usize,
     /// Depth-1 deferred control work (the engine mailbox, §2.3),
     /// executed on the engine's worker at the start of its next pass.
@@ -140,6 +143,16 @@ struct Slot {
     /// When the engine last completed a run pass — the progress
     /// heartbeat sampled by the supervisor for wedge detection.
     last_pass: Nanos,
+}
+
+impl Slot {
+    fn engine(&self) -> &dyn Engine {
+        self.engine.as_deref().expect("engine is mid-pass")
+    }
+
+    fn engine_mut(&mut self) -> &mut dyn Engine {
+        self.engine.as_deref_mut().expect("engine is mid-pass")
+    }
 }
 
 /// A supervisor-facing snapshot of one engine's liveness.
@@ -256,7 +269,30 @@ pub struct GroupHandle {
     inner: Rc<RefCell<EngineGroup>>,
 }
 
+/// A [`GroupHandle`] that does not keep the group alive. Whatever the
+/// group's own engines (or the NICs they attach to) hold on to in order
+/// to wake it must be one of these: a strong handle there is an `Rc`
+/// cycle through the engine slot, and the whole host leaks on drop.
+#[derive(Clone)]
+pub struct WeakGroupHandle {
+    inner: Weak<RefCell<EngineGroup>>,
+}
+
+impl WeakGroupHandle {
+    /// The group, if anything still owns it.
+    pub fn upgrade(&self) -> Option<GroupHandle> {
+        self.inner.upgrade().map(|inner| GroupHandle { inner })
+    }
+}
+
 impl GroupHandle {
+    /// A handle to this group that does not keep it alive.
+    pub fn downgrade(&self) -> WeakGroupHandle {
+        WeakGroupHandle {
+            inner: Rc::downgrade(&self.inner),
+        }
+    }
+
     /// Creates an empty group on `machine`.
     pub fn new(cfg: GroupConfig, machine: MachineHandle, accountant: CpuAccountant) -> Self {
         GroupHandle {
@@ -346,7 +382,7 @@ impl GroupHandle {
         };
         g.workers[worker].engines.push(id);
         g.slots.push(Some(Slot {
-            engine,
+            engine: Some(engine),
             worker,
             mailbox: None,
             last_report: RunReport::default(),
@@ -412,11 +448,13 @@ impl GroupHandle {
 
     /// Returns a cloneable wake callback for an engine, safe to invoke
     /// from any simulator event (it defers through the event queue, so
-    /// calling it from inside a pass cannot re-enter the runtime).
+    /// calling it from inside a pass cannot re-enter the runtime). The
+    /// callback holds the group weakly — engines keep theirs for
+    /// self-arming timers — and does nothing once the group is gone.
     pub fn wake_handle(&self, id: EngineId) -> Rc<dyn Fn(&mut Sim)> {
-        let handle = self.clone();
+        let group = self.downgrade();
         Rc::new(move |sim: &mut Sim| {
-            let handle = handle.clone();
+            let Some(handle) = group.upgrade() else { return };
             sim.schedule_at(sim.now(), move |sim| handle.wake(sim, id));
         })
     }
@@ -473,25 +511,23 @@ impl GroupHandle {
     /// One worker scheduling pass: service mailboxes, run each assigned
     /// engine once, charge CPU, and reschedule or go idle.
     fn run_worker(&self, sim: &mut Sim, worker_idx: usize) {
-        // Collect the engines to run without holding the borrow across
-        // `Engine::run` (engines may transmit packets, which schedules
-        // fabric events; those only fire later, but they may also call
-        // wake handles which defer through the event queue).
-        let engine_ids = {
-            let g = self.inner.borrow();
-            match g.workers.get(worker_idx) {
-                Some(w) => w.engines.clone(),
-                None => return,
-            }
-        };
+        // Engines run without the group borrowed: they may transmit
+        // packets, which schedules fabric events; those only fire
+        // later, but they may also call wake handles, which defer
+        // through the event queue. Nothing reachable from a pass edits
+        // the worker's engine list, so it is walked by index.
+        if worker_idx >= self.inner.borrow().workers.len() {
+            return;
+        }
         let now = sim.now();
         let mut total_cpu = Nanos::ZERO;
         let mut any_work = false;
         let mut any_pending = false;
-        for id in &engine_ids {
+        for i in 0.. {
             // Take the engine out of the slot to run it borrow-free.
-            let taken = {
+            let (id, taken) = {
                 let mut g = self.inner.borrow_mut();
+                let Some(&id) = g.workers[worker_idx].engines.get(i) else { break };
                 if g.suspended[id.0 as usize]
                     || g.crashed[id.0 as usize]
                     || g.stalled_until[id.0 as usize] > now
@@ -499,13 +535,11 @@ impl GroupHandle {
                     continue;
                 }
                 let factor = g.slowdown[id.0 as usize];
-                g.slots[id.0 as usize].as_mut().map(|slot| {
-                    let mb = slot.mailbox.take();
-                    (std::mem::replace(
-                        &mut slot.engine,
-                        Box::new(crate::engine::CountingEngine::new("placeholder", Nanos(0))),
-                    ), mb, factor)
-                })
+                let taken = g.slots[id.0 as usize].as_mut().and_then(|slot| {
+                    let engine = slot.engine.take()?;
+                    Some((engine, slot.mailbox.take(), factor))
+                });
+                (id, taken)
             };
             let Some((mut engine, mailbox, factor)) = taken else { continue };
             if let Some(work) = mailbox {
@@ -521,12 +555,11 @@ impl GroupHandle {
             total_cpu += report.cpu;
             any_work |= report.work_done;
             any_pending |= report.pending > 0;
-            let container = engine.container().to_string();
             let mut g = self.inner.borrow_mut();
-            g.accountant.charge(&container, report.cpu.as_nanos());
+            g.accountant.charge(engine.container(), report.cpu.as_nanos());
             g.engine_cpu[id.0 as usize] += report.cpu;
             if let Some(slot) = g.slots[id.0 as usize].as_mut() {
-                slot.engine = engine;
+                slot.engine = Some(engine);
                 slot.last_report = report;
                 slot.last_pass = now;
             }
@@ -535,13 +568,15 @@ impl GroupHandle {
         // Earliest self-timer deadline across this worker's engines:
         // near deadlines are poll-waited (burning spin CPU) instead of
         // paying a block + interrupt-wake cycle per pacing gap.
-        let next_deadline = {
+        let (next_deadline, first_engine) = {
             let g = self.inner.borrow();
-            engine_ids
+            let engines = &g.workers[worker_idx].engines;
+            let deadline = engines
                 .iter()
                 .filter_map(|id| g.slots[id.0 as usize].as_ref())
                 .filter_map(|s| s.last_report.next_deadline)
-                .min()
+                .min();
+            (deadline, engines.first().copied())
         };
 
         // Charge the machine and decide what happens next.
@@ -588,7 +623,7 @@ impl GroupHandle {
                 // Far-future self-timer (pacing, shaper refill, RTO):
                 // arm a framework wake so a blocked worker resumes at
                 // the deadline (a wake of a running worker is a no-op).
-                if let (Some(d), Some(&first)) = (next_deadline, engine_ids.first()) {
+                if let (Some(d), Some(first)) = (next_deadline, first_engine) {
                     let handle = self.clone();
                     sim.schedule_at(d.max(now), move |sim| handle.wake(sim, first));
                 }
@@ -652,7 +687,7 @@ impl GroupHandle {
                 let mut worst: Option<(EngineId, Nanos)> = None;
                 for id in &w.engines {
                     if let Some(slot) = g.slots[id.0 as usize].as_ref() {
-                        let age = slot.engine.oldest_pending_age(now);
+                        let age = slot.engine().oldest_pending_age(now);
                         if age > slo && worst.map(|(_, a)| age > a).unwrap_or(true) {
                             worst = Some((*id, age));
                         }
@@ -681,13 +716,13 @@ impl GroupHandle {
                 let all_idle = w.engines.iter().all(|id| {
                     g.slots[id.0 as usize]
                         .as_ref()
-                        .map(|s| s.engine.pending_work() == 0)
+                        .map(|s| s.engine().pending_work() == 0)
                         .unwrap_or(true)
                 });
                 let primary_ok = g.workers[0].engines.iter().all(|id| {
                     g.slots[id.0 as usize]
                         .as_ref()
-                        .map(|s| s.engine.oldest_pending_age(now) < slo / 2)
+                        .map(|s| s.engine().oldest_pending_age(now) < slo / 2)
                         .unwrap_or(true)
                 });
                 if all_idle && primary_ok {
@@ -804,7 +839,7 @@ impl GroupHandle {
         let slot = g.slots[id.0 as usize]
             .as_mut()
             .expect("engine exists");
-        f(slot.engine.as_mut())
+        f(slot.engine_mut())
     }
 
     /// Fallible [`GroupHandle::with_engine`]: a missing slot or a
@@ -831,7 +866,7 @@ impl GroupHandle {
             )));
         }
         let slot = g.slots[idx].as_mut().expect("checked above");
-        Ok(f(slot.engine.as_mut()))
+        Ok(f(slot.engine_mut()))
     }
 
     /// Posts mailbox work with a retry loop: an occupied mailbox is
@@ -936,16 +971,18 @@ impl GroupHandle {
                 return;
             }
             g.suspended[id.0 as usize] = true;
-            std::mem::replace(
-                &mut g.slots[id.0 as usize].as_mut().expect("checked").engine,
-                Box::new(crate::engine::CountingEngine::new("detached", Nanos(0))),
-            )
+            g.slots[id.0 as usize]
+                .as_mut()
+                .expect("checked")
+                .engine
+                .replace(Box::new(crate::engine::CountingEngine::new("detached", Nanos(0))))
+                .expect("engine is mid-pass")
         };
         // Detach outside the borrow: the hook may drive the simulator.
         let mut engine = engine;
         engine.detach(sim);
         let mut g = self.inner.borrow_mut();
-        g.slots[id.0 as usize].as_mut().expect("checked").engine = engine;
+        g.slots[id.0 as usize].as_mut().expect("checked").engine = Some(engine);
     }
 
     /// Replaces a suspended engine with its new-version successor and
@@ -958,7 +995,7 @@ impl GroupHandle {
         {
             let mut g = self.inner.borrow_mut();
             let slot = g.slots[id.0 as usize].as_mut().expect("engine exists");
-            slot.engine = engine;
+            slot.engine = Some(engine);
             g.suspended[id.0 as usize] = false;
             g.crashed[id.0 as usize] = false;
             g.stalled_until[id.0 as usize] = Nanos::ZERO;
@@ -981,7 +1018,7 @@ impl GroupHandle {
             g.crashed[id.0 as usize] = true;
             let slot = g.slots[id.0 as usize].as_mut().expect("checked");
             // Drop the engine: a crash loses all in-memory state.
-            slot.engine = Box::new(crate::engine::CountingEngine::new("crashed", Nanos(0)));
+            slot.engine = Some(Box::new(crate::engine::CountingEngine::new("crashed", Nanos(0))));
             slot.mailbox = None;
         }
     }
@@ -1037,7 +1074,7 @@ impl GroupHandle {
             pending: if g.crashed[id.0 as usize] {
                 0
             } else {
-                slot.engine.pending_work() as u64
+                slot.engine().pending_work() as u64
             },
             last_pass: slot.last_pass,
             crashed: g.crashed[id.0 as usize],
@@ -1053,18 +1090,10 @@ impl GroupHandle {
             g.suspended[id.0 as usize],
             "taking a running engine; suspend it first"
         );
-        g.slots[id.0 as usize]
-            .take()
-            .map(|s| {
-                g.slots[id.0 as usize] = Some(Slot {
-                    engine: Box::new(crate::engine::CountingEngine::new("migrating", Nanos(0))),
-                    worker: s.worker,
-                    mailbox: None,
-                    last_report: s.last_report.clone(),
-                    last_pass: s.last_pass,
-                });
-                s.engine
-            })
+        let slot = g.slots[id.0 as usize].as_mut()?;
+        slot.mailbox = None;
+        slot.engine
+            .replace(Box::new(crate::engine::CountingEngine::new("migrating", Nanos(0))))
     }
 
     /// CPU consumption snapshot, flushing idle-spin accrual up to `now`.

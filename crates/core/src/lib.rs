@@ -44,7 +44,9 @@ pub mod virt;
 pub use engine::{Engine, EngineId, RunReport};
 pub use kernel_inject::{InjectEngine, KernelRing};
 pub use virt::{Route, VirtAddr, VirtEngine};
-pub use group::{EngineGroup, EngineHealth, GroupConfig, GroupHandle, SchedulingMode};
+pub use group::{
+    EngineGroup, EngineHealth, GroupConfig, GroupHandle, SchedulingMode, WeakGroupHandle,
+};
 pub use module::{ControlError, Module, SnapProcess};
 pub use supervisor::{RestartFactory, RestartKind, RestartRecord, Supervisor, SupervisorConfig, SupervisorReport};
 pub use upgrade::{UpgradeOrchestrator, UpgradeReport};

@@ -129,6 +129,17 @@ pub struct PonyStats {
     /// Early retransmits triggered by hedge duplicates (the hedge's
     /// actual recovery action on the wire).
     pub hedge_retransmits: u64,
+    /// Retransmissions, summed over this engine's flows.
+    pub retransmits: u64,
+    /// Duplicate packets suppressed, summed over this engine's flows.
+    pub duplicates: u64,
+}
+
+/// Adds `id` to a ready set (an ascending, duplicate-free id list).
+fn mark_ready(set: &mut Vec<u64>, id: u64) {
+    if let Err(at) = set.binary_search(&id) {
+        set.insert(at, id);
+    }
 }
 
 struct ConnState {
@@ -226,6 +237,18 @@ pub struct PonyEngine {
     /// Flow id -> (remote host, remote engine key).
     flow_peers: HashMap<u64, (HostId, u64)>,
     conns: HashMap<u64, ConnState>,
+    /// The ready sets, ascending by id: flows for which
+    /// [`Flow::is_active`] holds and connections whose `stream_queue`
+    /// is non-empty. Every per-pass walk (RTO checks, send scheduler,
+    /// packet generation, deadlines, pending work) covers these instead
+    /// of `flows`/`conns`: an id outside them is inert in all of those
+    /// walks, so a pass costs what the ready work costs however many
+    /// idle peers the engine has. Ids are added where the state changes
+    /// (`mark_ready`) and pruned at the end of the pass; between those
+    /// points each set is a superset of the truth, and after the prune
+    /// it is exact (checked against a full scan in debug builds).
+    ready_flows: Vec<u64>,
+    ready_conns: Vec<u64>,
     /// In-flight chunk tracking: flow seq -> (conn, stream, msg, offset).
     seq_chunks: HashMap<(u64, u64), (u64, u32, u64, u64)>,
     send_msgs: HashMap<(u64, u32, u64), SendMsg>,
@@ -294,6 +317,8 @@ impl PonyEngine {
             flows: HashMap::new(),
             flow_peers: HashMap::new(),
             conns: HashMap::new(),
+            ready_flows: Vec::new(),
+            ready_conns: Vec::new(),
             seq_chunks: HashMap::new(),
             send_msgs: HashMap::new(),
             recv_msgs: HashMap::new(),
@@ -412,28 +437,26 @@ impl PonyEngine {
             .collect()
     }
 
-    /// Debug: (first flow's Timely rate B/s, total retransmits, inflight).
+    /// The flow with the most RTT samples; ties go to the lowest flow
+    /// id, so the pick does not depend on hash order.
+    fn most_active_flow(&self) -> Option<&Flow> {
+        self.flows
+            .values()
+            .max_by_key(|f| (f.cc().samples, std::cmp::Reverse(f.id)))
+    }
+
+    /// Debug: (the most active flow's Timely rate B/s, RTT samples over
+    /// all flows, packets in flight over all flows).
     pub fn debug_flow_info(&self) -> (f64, u64, usize) {
-        let mut rate = 0.0;
-        let mut samples = 0;
-        let mut infl = 0;
-        let mut best = 0;
-        for f in self.flows.values() {
-            if f.cc().samples >= best {
-                best = f.cc().samples;
-                rate = f.cc().rate();
-            }
-            samples += f.cc().samples;
-            infl += f.inflight();
-        }
+        let rate = self.most_active_flow().map_or(0.0, |f| f.cc().rate());
+        let samples = self.flows.values().map(|f| f.cc().samples).sum();
+        let infl = self.flows.values().map(|f| f.inflight()).sum();
         (rate, samples, infl)
     }
 
-    /// Debug: (min RTT, last RTT) of the first flow.
+    /// Debug: (min RTT, last RTT) of the most active flow.
     pub fn debug_rtt(&self) -> (Nanos, Nanos) {
-        self.flows
-            .values()
-            .max_by_key(|f| f.cc().samples)
+        self.most_active_flow()
             .map(|f| {
                 eprintln!("  cc events (inc,grad-dec,hard-dec,loss): {:?}", f.cc().events);
                 (f.cc().min_rtt(), f.cc().last_rtt)
@@ -442,11 +465,10 @@ impl PonyEngine {
     }
 
     /// Debug: (sent, retransmits, delivered, duplicates) of the most
-    /// active flow.
+    /// active flow. [`PonyStats`] carries `retransmits` and
+    /// `duplicates` summed over all flows.
     pub fn debug_flow_stats(&self) -> (u64, u64, u64, u64) {
-        self.flows
-            .values()
-            .max_by_key(|f| f.cc().samples)
+        self.most_active_flow()
             .map(|f| {
                 let s = f.stats();
                 (s.sent, s.retransmits, s.delivered, s.duplicates)
@@ -512,6 +534,15 @@ impl PonyEngine {
             // sizing mistakes loud.
             self.stats.completions_dropped += 1;
         }
+    }
+
+    /// Queues `frame` on a flow and marks the flow ready.
+    fn enqueue(&mut self, flow_id: u64, frame: OpFrame, now: Nanos) {
+        self.flows
+            .get_mut(&flow_id)
+            .expect("a connection's or a request's flow exists")
+            .enqueue(frame, now);
+        mark_ready(&mut self.ready_flows, flow_id);
     }
 
     /// Admits a Send command, applying the memory quota (§2.5) and then
@@ -624,6 +655,7 @@ impl PonyEngine {
         if q.len() == 1 && !conn.stream_queue.contains(&stream) {
             conn.stream_queue.push_back(stream);
         }
+        mark_ready(&mut self.ready_conns, conn_id);
     }
 
     /// The send scheduler: tops up each flow's outbound queue from its
@@ -632,11 +664,11 @@ impl PonyEngine {
     /// head-of-line blocking each other (§3.3).
     fn fill_flows(&mut self, now: Nanos) {
         const OUTQ_TARGET: usize = 64;
-        // Sorted so the top-up order (and hence intra-train packet
-        // order) is identical across same-seed runs.
-        let mut conn_ids: Vec<u64> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable();
-        for conn_id in conn_ids {
+        // Ascending connection id, so the top-up order (and hence
+        // intra-train packet order) is identical across same-seed
+        // runs. Nothing in the loop adds to `ready_conns`.
+        for i in 0..self.ready_conns.len() {
+            let conn_id = self.ready_conns[i];
             while let Some(conn) = self.conns.get_mut(&conn_id) {
                 if conn.stream_queue.is_empty() {
                     break;
@@ -669,20 +701,18 @@ impl PonyEngine {
                 send.next_offset += chunk as u64;
                 let finished = send.next_offset >= send.total;
                 let total = send.total;
-                self.flows
-                    .get_mut(&flow_id)
-                    .expect("conn flow exists")
-                    .enqueue(
-                        OpFrame::MsgChunk {
-                            conn: conn_id,
-                            stream,
-                            msg,
-                            offset,
-                            total,
-                            len: chunk,
-                        },
-                        now,
-                    );
+                self.enqueue(
+                    flow_id,
+                    OpFrame::MsgChunk {
+                        conn: conn_id,
+                        stream,
+                        msg,
+                        offset,
+                        total,
+                        len: chunk,
+                    },
+                    now,
+                );
                 let conn = self.conns.get_mut(&conn_id).expect("still exists");
                 let msgs = conn.per_stream.get_mut(&stream).expect("still exists");
                 if finished {
@@ -870,9 +900,7 @@ impl PonyEngine {
                 if let Some(c) = self.conns.get_mut(&conn) {
                     c.local_posted += count;
                     let flow_id = c.flow;
-                    if let Some(flow) = self.flows.get_mut(&flow_id) {
-                        flow.enqueue(OpFrame::BufferPost { conn, count }, now);
-                    }
+                    self.enqueue(flow_id, OpFrame::BufferPost { conn, count }, now);
                 }
                 // Buffer posts complete immediately.
                 self.finish_trace(trace, now);
@@ -925,10 +953,7 @@ impl PonyEngine {
                 trace,
             },
         );
-        self.flows
-            .get_mut(&flow_id)
-            .expect("conn flow exists")
-            .enqueue(frame, now);
+        self.enqueue(flow_id, frame, now);
     }
 
     /// Executes a one-sided request against local regions, entirely in
@@ -1044,17 +1069,15 @@ impl PonyEngine {
         if let Some(ctx) = trace {
             self.resp_traces.insert(op, ctx);
         }
-        self.flows
-            .get_mut(&flow_id)
-            .expect("request came from this flow")
-            .enqueue(
-                OpFrame::OneSidedResp {
-                    op,
-                    status,
-                    data: data.into(),
-                },
-                now,
-            );
+        self.enqueue(
+            flow_id,
+            OpFrame::OneSidedResp {
+                op,
+                status,
+                data: data.into(),
+            },
+            now,
+        );
         cpu
     }
 
@@ -1242,13 +1265,12 @@ impl PonyEngine {
         let max = budget.min(slots);
         let mut batch = std::mem::take(&mut self.tx_batch);
         batch.clear();
-        // Sorted: HashMap key order varies run to run, and per-packet
-        // positions inside the staged train are observable (per-packet
-        // uplink/egress serialization stamps), even though train-level
-        // event times only depend on the max.
-        let mut flow_ids: Vec<u64> = self.flows.keys().copied().collect();
-        flow_ids.sort_unstable();
-        'outer: for fid in flow_ids {
+        // Ascending flow id: per-packet positions inside the staged
+        // train are observable (per-packet uplink/egress serialization
+        // stamps), even though train-level event times only depend on
+        // the max. Nothing in the loop adds to `ready_flows`.
+        'outer: for i in 0..self.ready_flows.len() {
+            let fid = self.ready_flows[i];
             loop {
                 if batch.len() >= max {
                     break 'outer;
@@ -1292,6 +1314,7 @@ impl PonyEngine {
                     OpFrame::BufferPost { .. } | OpFrame::AckOnly => None,
                 };
                 if is_rtx {
+                    self.stats.retransmits += 1;
                     self.stamp(pkt.trace, Stage::Retransmit, now);
                 }
                 let (remote_host, remote_engine_key) =
@@ -1335,24 +1358,81 @@ impl PonyEngine {
         (cpu, sent)
     }
 
-    /// Earliest pacing/RTO deadline across flows.
-    fn earliest_deadline(&self, now: Nanos) -> Option<Nanos> {
+    /// Closes a pass: prunes the ready sets back to exactly the active
+    /// flows and the connections with streams to schedule, and in the
+    /// same walk finds the earliest pacing/RTO deadline and the frames
+    /// that could leave right now. Returns `(deadline, sendable)`.
+    fn settle_ready(&mut self, now: Nanos) -> (Option<Nanos>, usize) {
+        let conns = &self.conns;
+        self.ready_conns
+            .retain(|id| conns.get(id).is_some_and(|c| !c.stream_queue.is_empty()));
+        let flows = &self.flows;
         let mut earliest: Option<Nanos> = None;
-        for flow in self.flows.values() {
-            if let Some(d) = flow.next_pacing_deadline(now) {
-                earliest = Some(earliest.map_or(d, |e: Nanos| e.min(d)));
+        let mut sendable = 0;
+        self.ready_flows.retain(|fid| {
+            let Some(flow) = flows.get(fid).filter(|f| f.is_active()) else {
+                return false;
+            };
+            let pacing = flow.next_pacing_deadline(now);
+            if pacing.is_some_and(|d| d <= now) {
+                sendable += flow.pending_tx();
             }
-            if let Some(d) = flow.next_rto_deadline() {
-                earliest = Some(earliest.map_or(d, |e: Nanos| e.min(d)));
+            for d in pacing.into_iter().chain(flow.next_rto_deadline()) {
+                earliest = Some(earliest.map_or(d, |e| e.min(d)));
             }
-        }
-        earliest
+            true
+        });
+        debug_assert!(self.ready_sets_match_full_scan());
+        (earliest, sendable)
     }
 
-    /// Arms a timer at the earliest pacing/RTO deadline across flows.
-    fn arm_timer(&mut self, sim: &mut Sim) {
+    /// The ready sets the slow way, by scanning every flow and
+    /// connection: `(flows, conns)`, ascending.
+    fn scan_ready(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut flows: Vec<u64> = self
+            .flows
+            .values()
+            .filter(|f| f.is_active())
+            .map(|f| f.id)
+            .collect();
+        flows.sort_unstable();
+        let mut conns: Vec<u64> = self
+            .conns
+            .values()
+            .filter(|c| !c.stream_queue.is_empty())
+            .map(|c| c.id)
+            .collect();
+        conns.sort_unstable();
+        (flows, conns)
+    }
+
+    /// The invariant behind the pass, checked the slow way: after the
+    /// end-of-pass prune the ready sets hold exactly the ids a full
+    /// scan picks, every flow's O(1) RTO deadline equals the minimum
+    /// over its in-flight packets, and the per-flow counters summed
+    /// into [`PonyStats`] equal the sums over flows.
+    fn ready_sets_match_full_scan(&self) -> bool {
+        let (flows, conns) = self.scan_ready();
+        let (mut retransmits, mut duplicates) = (0, 0);
+        for f in self.flows.values() {
+            retransmits += f.stats().retransmits;
+            duplicates += f.stats().duplicates;
+        }
+        flows == self.ready_flows
+            && conns == self.ready_conns
+            && self
+                .flows
+                .values()
+                .all(|f| f.next_rto_deadline() == f.rto_deadline_by_scan())
+            && retransmits == self.stats.retransmits
+            && duplicates == self.stats.duplicates
+    }
+
+    /// Arms a timer at `deadline`, the earliest pacing/RTO deadline
+    /// across flows, unless an earlier-or-equal one is already armed.
+    fn arm_timer(&mut self, sim: &mut Sim, deadline: Option<Nanos>) {
         let now = sim.now();
-        let Some(deadline) = self.earliest_deadline(now) else { return };
+        let Some(deadline) = deadline else { return };
         let deadline = deadline.max(now + Nanos(1));
         if let Some((at, handle)) = &self.timer {
             if *at <= deadline {
@@ -1427,7 +1507,13 @@ impl Engine for PonyEngine {
             }
             let flow = self.flows.get_mut(&flow_id).expect("just ensured");
             let ptrace = ppkt.trace;
+            let dups_before = flow.stats().duplicates;
             let (accept, acked) = flow.on_packet_tracked(&ppkt, now);
+            self.stats.duplicates += flow.stats().duplicates - dups_before;
+            // The packet may have left an ack owed.
+            if flow.is_active() {
+                mark_ready(&mut self.ready_flows, flow_id);
+            }
             self.process_acked(now, acked, flow_id);
             if let Accept::Deliver(frame) = accept {
                 // A traced packet reached this engine's poll loop: the
@@ -1441,8 +1527,8 @@ impl Engine for PonyEngine {
         // 2. Poll this engine's application command queues (bounded
         // batch). Other engines' sessions live in the same table but
         // are not ours to drain.
-        let session_ids = self.owned_sessions.clone();
-        for sid in session_ids {
+        for i in 0..self.owned_sessions.len() {
+            let sid = self.owned_sessions[i];
             self.cmd_buf.clear();
             let mut cmds = std::mem::take(&mut self.cmd_buf);
             {
@@ -1459,7 +1545,11 @@ impl Engine for PonyEngine {
         }
 
         // 3. RTO checks.
-        for flow in self.flows.values_mut() {
+        for i in 0..self.ready_flows.len() {
+            let flow = self
+                .flows
+                .get_mut(&self.ready_flows[i])
+                .expect("ready flows exist");
             if flow.check_rto(now) > 0 {
                 work = true;
             }
@@ -1472,13 +1562,13 @@ impl Engine for PonyEngine {
         work |= sent > 0;
 
         // 5. Arm pacing/RTO timers for future work.
-        self.arm_timer(sim);
+        let (next_deadline, sendable) = self.settle_ready(now);
+        self.arm_timer(sim, next_deadline);
 
         // Report only *actionable* work: frames held back by pacing or
         // RTO wait on their timers and must not busy-loop the worker
         // (the armed timer wakes us; rx/commands/sendable frames do
         // warrant an immediate next pass).
-        let now = sim.now();
         let rx = self
             .fabric
             .with_nic(self.cfg.host, |nic| nic.rx_pending(self.cfg.queue));
@@ -1490,13 +1580,6 @@ impl Engine for PonyEngine {
                 .map(|ep| ep.commands_pending())
                 .sum()
         };
-        let sendable: usize = self
-            .flows
-            .values()
-            .filter(|f| matches!(f.next_pacing_deadline(now), Some(d) if d <= now))
-            .map(|f| f.pending_tx())
-            .sum();
-        let next_deadline = self.earliest_deadline(now);
         RunReport {
             cpu,
             work_done: work,
@@ -1507,11 +1590,17 @@ impl Engine for PonyEngine {
 
     fn pending_work(&self) -> usize {
         let rx = self.fabric.with_nic(self.cfg.host, |nic| nic.rx_pending(self.cfg.queue));
-        let tx: usize = self.flows.values().map(|f| f.pending_tx()).sum();
+        // Idle flows queue nothing, and a connection with an admitted
+        // send has its stream on `stream_queue`.
+        let tx: usize = self
+            .ready_flows
+            .iter()
+            .map(|fid| self.flows[fid].pending_tx())
+            .sum();
         let sends: usize = self
-            .conns
-            .values()
-            .flat_map(|c| c.per_stream.values())
+            .ready_conns
+            .iter()
+            .flat_map(|id| self.conns[id].per_stream.values())
             .map(|q| q.len())
             .sum();
         let table = self.sessions.borrow();
@@ -1525,9 +1614,9 @@ impl Engine for PonyEngine {
     }
 
     fn oldest_pending_age(&self, now: Nanos) -> Nanos {
-        self.flows
-            .values()
-            .map(|f| f.oldest_pending_age(now))
+        self.ready_flows
+            .iter()
+            .map(|fid| self.flows[fid].oldest_pending_age(now))
             .max()
             .unwrap_or(Nanos::ZERO)
     }
@@ -1892,6 +1981,9 @@ impl PonyEngine {
             let wm = r.u64()?;
             engine.session_watermarks.insert(sid, wm);
         }
+        // Restored flows re-enter with queued frames, restored
+        // connections with streams to schedule.
+        (engine.ready_flows, engine.ready_conns) = engine.scan_ready();
         Ok(engine)
     }
 }

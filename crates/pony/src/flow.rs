@@ -62,6 +62,15 @@ pub struct Flow {
     next_seq: u64,
     /// Un-acked packets by seq.
     inflight: BTreeMap<u64, InFlight>,
+    /// `(sent_at, seq)` of every transmission, in send order. An entry
+    /// is live while `inflight[seq].sent_at == sent_at`; acked, expired
+    /// and re-sent packets leave dead entries behind, which are
+    /// discarded when they reach the front. Invariant: the front is
+    /// live (or the queue is empty), so the oldest un-acked
+    /// transmission — the only one the RTO deadline depends on — is an
+    /// O(1) read. Relies on `produce` being called with non-decreasing
+    /// `now`, which virtual time guarantees.
+    sent_order: VecDeque<(Nanos, u64)>,
     /// Frames waiting to become packets (just-in-time generation pulls
     /// from here when NIC slots and pacing allow).
     outq: VecDeque<Outbound>,
@@ -97,6 +106,7 @@ impl Flow {
             cc: Timely::new(cc_cfg),
             next_seq: 0,
             inflight: BTreeMap::new(),
+            sent_order: VecDeque::new(),
             outq: VecDeque::new(),
             rtxq: VecDeque::new(),
             rcv_cum: 0,
@@ -133,6 +143,18 @@ impl Flow {
         self.ack_dirty
     }
 
+    /// True if the flow needs anything from an engine pass: frames to
+    /// send, un-acked packets whose RTO must be watched, or an ack owed
+    /// to the peer. A flow for which this is false is inert: `produce`
+    /// returns `None`, `check_rto` returns 0 and both deadlines are
+    /// `None`, all without side effects.
+    pub fn is_active(&self) -> bool {
+        self.ack_dirty
+            || !self.outq.is_empty()
+            || !self.rtxq.is_empty()
+            || !self.inflight.is_empty()
+    }
+
     /// Congestion-control state (read-only view).
     pub fn cc(&self) -> &Timely {
         &self.cc
@@ -162,7 +184,7 @@ impl Flow {
             if self.cc.next_send_at(now) <= now {
                 let (seq, frame, rtx) = self.rtxq.pop_front().expect("front exists");
                 self.cc.pace(now, bytes);
-                self.inflight.insert(
+                self.track_sent(
                     seq,
                     InFlight {
                         frame: frame.clone(),
@@ -182,7 +204,7 @@ impl Flow {
                 self.cc.pace(now, bytes);
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                self.inflight.insert(
+                self.track_sent(
                     seq,
                     InFlight {
                         frame: out.frame.clone(),
@@ -195,6 +217,29 @@ impl Flow {
             }
         }
         self.produce_ack()
+    }
+
+    /// Records a transmission as in flight.
+    fn track_sent(&mut self, seq: u64, inf: InFlight) {
+        debug_assert!(
+            self.sent_order.back().is_none_or(|&(at, _)| at <= inf.sent_at),
+            "produce() called with time running backwards"
+        );
+        self.sent_order.push_back((inf.sent_at, seq));
+        self.inflight.insert(seq, inf);
+    }
+
+    /// Whether a `sent_order` entry still describes an un-acked packet.
+    fn sent_is_live(&self, (at, seq): (Nanos, u64)) -> bool {
+        self.inflight.get(&seq).is_some_and(|i| i.sent_at == at)
+    }
+
+    /// Restores the `sent_order` invariant after packets left
+    /// `inflight`: drops dead entries until the front is live.
+    fn discard_dead_sends(&mut self) {
+        while self.sent_order.front().is_some_and(|&e| !self.sent_is_live(e)) {
+            self.sent_order.pop_front();
+        }
     }
 
     fn produce_ack(&mut self) -> Option<PonyPacket> {
@@ -291,6 +336,9 @@ impl Flow {
                 }
             }
         }
+        if !acked.is_empty() {
+            self.discard_dead_sends();
+        }
         acked
     }
 
@@ -307,8 +355,16 @@ impl Flow {
         base.clamp(Nanos::from_micros(200), Nanos::from_millis(10))
     }
 
-    /// Earliest retransmit deadline among in-flight packets.
+    /// Earliest retransmit deadline among in-flight packets: every
+    /// packet shares one RTO, so it is the oldest transmission's.
     pub fn next_rto_deadline(&self) -> Option<Nanos> {
+        self.sent_order.front().map(|&(at, _)| at + self.rto())
+    }
+
+    /// [`Flow::next_rto_deadline`] the slow way, by scanning `inflight`:
+    /// the reference the O(1) answer is checked against in debug
+    /// builds and tests.
+    pub(crate) fn rto_deadline_by_scan(&self) -> Option<Nanos> {
         self.inflight
             .values()
             .map(|i| i.sent_at + self.rto())
@@ -316,20 +372,30 @@ impl Flow {
     }
 
     /// Moves packets whose RTO expired onto the retransmit queue
-    /// (keeping their sequence numbers); returns how many. Expiry is a
-    /// loss signal to congestion control, counted once per check.
+    /// (keeping their sequence numbers, lowest first); returns how
+    /// many. Expiry is a loss signal to congestion control, counted
+    /// once per check.
     pub fn check_rto(&mut self, now: Nanos) -> usize {
         let rto = self.rto();
-        let expired: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
-            .map(|(&s, _)| s)
-            .collect();
+        // Expired transmissions are a prefix of the send order.
+        let mut expired: Vec<u64> = Vec::new();
+        while let Some(&(at, seq)) = self.sent_order.front() {
+            let live = self.sent_is_live((at, seq));
+            if live && now.saturating_sub(at) < rto {
+                break;
+            }
+            self.sent_order.pop_front();
+            if live {
+                expired.push(seq);
+            }
+        }
         let n = expired.len();
         if n > 0 {
             self.cc.on_loss();
         }
+        // Send order differs from seq order once retransmissions are
+        // in flight; the retransmit queue is filled lowest seq first.
+        expired.sort_unstable();
         for seq in expired {
             let inf = self.inflight.remove(&seq).expect("listed above");
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
@@ -356,6 +422,7 @@ impl Flow {
         let Some(seq) = victim else { return 0 };
         if let Some(inf) = self.inflight.remove(&seq) {
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
+            self.discard_dead_sends();
             1
         } else {
             0
@@ -443,6 +510,7 @@ impl Flow {
             cc: Timely::new(cc_cfg),
             next_seq,
             inflight: BTreeMap::new(),
+            sent_order: VecDeque::new(),
             outq,
             rtxq,
             rcv_cum,
@@ -727,6 +795,85 @@ mod tests {
         let mut restored = restored;
         // The duplicate of the already-received packet is suppressed.
         assert_eq!(restored.on_packet(&pkt, Nanos(3)), Accept::Duplicate);
+    }
+
+    /// What `check_rto` must move at `now`, the slow way: a scan of
+    /// `inflight` in sequence order.
+    fn expired_by_scan(f: &Flow, now: Nanos) -> Vec<u64> {
+        let rto = f.rto();
+        f.inflight
+            .iter()
+            .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
+            .map(|(&s, _)| s)
+            .collect()
+    }
+
+    fn ack(f: &Flow, cum_ack: u64, sacks: Vec<u64>) -> PonyPacket {
+        PonyPacket {
+            version: f.version,
+            flow: f.id,
+            seq: 0,
+            cum_ack,
+            sacks,
+            trace: None,
+            frame: OpFrame::AckOnly,
+        }
+    }
+
+    proptest::proptest! {
+        /// The send-ordered queue answers exactly what a scan of
+        /// `inflight` answers — the RTO deadline after every step, and
+        /// the set and order of expiries at every check — under any
+        /// interleaving of sends, cumulative and selective acks, RTO
+        /// expiry, hedge nudges and retransmission.
+        #[test]
+        fn rto_queue_matches_scan_of_inflight(
+            ops in proptest::collection::vec((0u8..16, 0u64..1_000_000), 1..400),
+        ) {
+            let mut f = flow();
+            let mut now = Nanos::ZERO;
+            for (n, (op, arg)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        f.enqueue(msg_frame(n as u64), now);
+                        f.produce(now);
+                    }
+                    // Whatever is due: a retransmission, a fresh frame.
+                    6 => {
+                        f.produce(now);
+                    }
+                    7 => {
+                        // Cumulative ack somewhere in the sent range.
+                        let cum = arg % (f.next_seq + 1);
+                        let pkt = ack(&f, cum, vec![]);
+                        f.on_packet(&pkt, now);
+                    }
+                    8 => {
+                        // Selective ack of one in-flight packet.
+                        let pick = f.inflight.keys().nth(arg as usize % f.inflight.len().max(1));
+                        if let Some(&seq) = pick {
+                            let pkt = ack(&f, 0, vec![seq]);
+                            f.on_packet(&pkt, now);
+                        }
+                    }
+                    9 | 10 => {
+                        let want = expired_by_scan(&f, now);
+                        let queued = f.rtxq.len();
+                        proptest::prop_assert_eq!(f.check_rto(now), want.len());
+                        let got: Vec<u64> = f.rtxq.iter().skip(queued).map(|r| r.0).collect();
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    11 => {
+                        f.hedge_retransmit(now);
+                    }
+                    // Mostly small steps, so sends pile up inside one
+                    // RTO; sometimes one long enough to expire a batch.
+                    12..=14 => now += Nanos(arg % 20_000),
+                    _ => now += Nanos(100_000 + arg),
+                }
+                proptest::prop_assert_eq!(f.next_rto_deadline(), f.rto_deadline_by_scan());
+            }
+        }
     }
 
     #[test]

@@ -162,12 +162,14 @@ impl PonyModule {
         let queue_owner: Rc<RefCell<HashMap<u16, EngineId>>> =
             Rc::new(RefCell::new(HashMap::new()));
         let qmap = queue_owner.clone();
-        let wake_group = group.clone();
+        // Weak: the NIC lives in the fabric, which the group's engines
+        // hold, so a strong handle here would be a cycle.
+        let wake_group = group.downgrade();
         fabric.with_nic(host, |nic| {
             nic.set_irq_handler(Rc::new(move |sim, queue| {
                 let owner = qmap.borrow().get(&queue).copied();
-                if let Some(id) = owner {
-                    wake_group.wake(sim, id);
+                if let (Some(id), Some(group)) = (owner, wake_group.upgrade()) {
+                    group.wake(sim, id);
                 }
             }));
         });

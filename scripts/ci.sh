@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# The tier-1 gate, exactly as the roadmap defines it: release build,
-# full test suite, clippy clean across every target. Run before every
-# merge; everything is deterministic (seeded virtual time), so a green
-# run here is a green run anywhere.
+# The tier-1 gate: release build, every test of every workspace crate
+# (the root `cargo test -q` the roadmap names reaches only the umbrella
+# crate's suites; the crates' unit tests — the Flow proptests, the
+# threaded SPSC/mailbox tests — need `--workspace`), clippy clean
+# across every target, and the benchmark's correctness gate. Run before
+# every merge; everything is deterministic (seeded virtual time), so a
+# green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy
+#   ci.sh            — build + test + clippy + smokes
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -15,8 +18,8 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test =="
-cargo test -q
+echo "== tier-1: cargo test --workspace =="
+cargo test --workspace -q
 
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -33,5 +36,11 @@ cargo run --release -q -p snap-bench --bin bench_obs \
 python3 -m json.tool "$obs_tmp/BENCH_pr10.json" > /dev/null
 python3 -m json.tool "$obs_tmp/TIMELINE_pr10.json" > /dev/null
 echo "bench_obs exports parse as JSON"
+
+# Benchmark smoke: all five workloads at 5 % of their windows with the
+# correctness gate on (model digest equal across reps and attachments,
+# exactly-once, packet conservation, no failed op). Times nothing.
+echo "== tier-1: benchmark smoke =="
+python3 benchmark/run.py --smoke --out "$obs_tmp/bench-smoke"
 
 echo "tier-1 gate: OK"

@@ -753,6 +753,37 @@ mod tests {
             .any(|c| matches!(c, PonyCompletion::OpDone { .. })));
     }
 
+    /// A testbed owns its hosts: nothing inside an engine group (the
+    /// engines' self-wake callbacks, the NIC interrupt handlers) may
+    /// hold the group strongly, or every dropped testbed leaks whole.
+    #[test]
+    fn dropping_a_testbed_frees_its_groups() {
+        let mut tb = Testbed::pair();
+        let mut a = tb.pony_app(0, "alpha", |_| {});
+        let mut b = tb.pony_app(1, "beta", |_| {});
+        let conn = tb.connect(0, "alpha", 1, "beta");
+        b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 4 });
+        a.submit(
+            &mut tb.sim,
+            PonyCommand::Send {
+                conn,
+                stream: 0,
+                len: 100_000,
+            },
+        );
+        // Stop mid-transfer: pacing/RTO timers armed, packets in flight,
+        // worker passes scheduled.
+        tb.run_us(30);
+        let groups: Vec<_> = tb.hosts.iter().map(|h| h.group.downgrade()).collect();
+        assert!(groups.iter().all(|g| g.upgrade().is_some()));
+        drop(tb);
+        drop((a, b));
+        assert!(
+            groups.iter().all(|g| g.upgrade().is_none()),
+            "an Rc cycle keeps a dropped testbed's engine groups alive"
+        );
+    }
+
     #[test]
     fn cpu_accounting_flows_through() {
         let mut tb = Testbed::pair();
