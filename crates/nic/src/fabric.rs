@@ -13,22 +13,26 @@
 //!   Pony Express's reliability layer must recover from ("one-sided
 //!   operations fall back to relying on congestion control", §3.3);
 //! * **Multi-rack routing**: hosts hang off leaf (top-of-rack)
-//!   switches; cross-rack packets cross leaf → spine → leaf, with the
-//!   spine chosen by deterministic seeded ECMP flow hashing
-//!   ([`snap_topo::Topology::ecmp_spine`]) — pure hashing, so routing
-//!   never consumes an RNG draw;
+//!   switches; cross-rack packets cross leaf → spine → leaf, each next
+//!   hop answered by [`snap_topo::Topology::next_hop`] (deterministic
+//!   seeded ECMP — pure hashing, so routing never consumes an RNG
+//!   draw);
 //! * **Injectable random loss** for failure-injection tests, plus
 //!   topology-aware faults: trunk (leaf↔spine link) failures and leaf
 //!   brownouts;
 //! * **QoS classes**: the transport class may use the full egress
 //!   buffer, best-effort only a fraction; per-priority weighted dequeue
-//!   is available via [`snap_topo::QosSchedule::Wrr`] (the default
-//!   FIFO discipline reproduces the legacy single-queue model exactly).
+//!   is available via [`snap_topo::QosSchedule::Wrr`].
 //!
-//! The single-switch fabric of earlier PRs is the degenerate
-//! [`snap_topo::ClosSpec::single_rack`] instance — [`FabricHandle::new`]
-//! builds exactly that, and its behavior (RNG draw order, event
-//! schedule, modeled times) is bit-identical to the pre-topology code.
+//! There is one datapath. Packets travel as *trains*: a `Vec<Packet>`
+//! that shares one simulator event per hop. [`FabricHandle::transmit`]
+//! sends a train of one. A train leaves its host in `send_train`, then
+//! every switch on the path runs the same `hop`: wait out the link's
+//! propagation, `route` each packet to an egress `Port` (the source
+//! leaf also runs the ingress fault pipeline), `admit` it to that
+//! port's buffer and serializer, and schedule one departure per port.
+//! A departure either hops again (trunk port) or ends in
+//! `deliver_train` (host port).
 //!
 //! The fabric owns every [`VirtNic`]; all state advances on the
 //! single-threaded [`Sim`] event loop via a cloneable [`FabricHandle`].
@@ -41,7 +45,7 @@ use snap_sim::costs;
 use snap_sim::time::transmit_time;
 use snap_sim::trace::{Stage, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
-use snap_topo::{PortLanes, Topology};
+use snap_topo::{Node, PortLanes, Topology};
 // Re-exported so fabric consumers (telemetry, testbeds) can name
 // switches and topologies without a direct snap-topo dependency.
 pub use snap_topo::{ClosSpec, SwitchId};
@@ -166,18 +170,6 @@ impl DropReasons {
     }
 }
 
-/// Per-destination-host fault-injection drop counters kept by the
-/// fabric (the NIC keeps its own receive-path counters).
-#[derive(Debug, Clone, Copy, Default)]
-struct HostFaultDrops {
-    partition: u64,
-    corruption: u64,
-    lossy: u64,
-    quarantined: u64,
-    brownout: u64,
-    trunk_down: u64,
-}
-
 /// Per-directed-link (`src -> dst`) traffic and drop counters, surfaced
 /// through [`FabricHandle::link_stats`]. Directed so telemetry can tell
 /// which side of an asymmetric partition is black-holing traffic.
@@ -219,15 +211,52 @@ pub struct TrunkStats {
     pub drops: u64,
 }
 
-/// Verdict of the switch-ingress fault pipeline for one packet.
+/// Verdict of the source-leaf fault pipeline for one packet.
 struct IngressPass {
     /// The packet is taking an alternate path around a quarantined
     /// link (cross-rack: a different ECMP spine; in-rack: a relay via
     /// a third host port pair).
     rerouted: bool,
-    /// Extra delay accumulated at ingress (gray jitter, reroute hops,
-    /// brownout latency) — applied at the first serialization point.
+    /// Extra delay accumulated at ingress (gray jitter, reroute hops)
+    /// — applied at the first serialization point.
     extra: Nanos,
+}
+
+/// An egress port of the switching tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Port {
+    /// The leaf port facing host `h`.
+    Host(HostId),
+    /// The port of switch `from` on its trunk to switch `to`.
+    Trunk(SwitchId, SwitchId),
+}
+
+/// Everything the fabric keeps per host, indexed by [`HostId`] (ids
+/// are handed out densely from zero).
+struct Host {
+    nic: VirtNic,
+    /// When the host's uplink finishes serializing what it was given.
+    uplink_busy: Nanos,
+    /// The leaf's egress port facing this host.
+    egress: PortLanes,
+    /// PFC pause storm: the leaf may not serialize toward this host
+    /// before this time.
+    paused_until: Nanos,
+    /// Fault-injection drops of packets destined to this host. The
+    /// receive-path reasons (`crc_bad`, `no_buffer`) stay zero here:
+    /// the NIC counts those.
+    fault_drops: DropReasons,
+}
+
+/// The packets of a train leaving a switch by one port, and when the
+/// last of them has finished serializing.
+type Group = (Port, Nanos, Vec<Packet>);
+
+/// One directed trunk: the owning switch's egress port plus counters.
+#[derive(Default)]
+struct Trunk {
+    lanes: PortLanes,
+    stats: TrunkStats,
 }
 
 /// The fabric: NICs, uplinks, and the switching tier (one leaf per
@@ -235,20 +264,13 @@ struct IngressPass {
 pub struct Fabric {
     cfg: FabricConfig,
     topo: Topology,
-    nics: HashMap<HostId, VirtNic>,
-    uplink_busy: HashMap<HostId, Nanos>,
-    egress: HashMap<HostId, PortLanes>,
-    /// Hosts added per rack — the in-rack alternate-path census used
-    /// by quarantine rerouting.
-    hosts_in_rack: HashMap<u32, u32>,
-    /// Egress serialization state per directed trunk link.
-    trunk_ports: HashMap<(SwitchId, SwitchId), PortLanes>,
+    hosts: Vec<Host>,
+    /// Directed trunks that have seen a packet, keyed (from, to).
+    trunks: HashMap<(SwitchId, SwitchId), Trunk>,
     /// Failed trunks, keyed (leaf/rack, spine); both directions die.
     down_trunks: HashSet<(u32, u32)>,
-    /// Browned-out leaf switches: rack -> (drop prob, extra latency).
-    leaf_brownout: HashMap<u32, (f64, Nanos)>,
-    /// Per-directed-trunk traffic/drop counters.
-    trunk_stats: HashMap<(SwitchId, SwitchId), TrunkStats>,
+    /// Browned-out switches: switch -> (drop prob, extra latency).
+    brownouts: HashMap<SwitchId, (f64, Nanos)>,
     /// Egress-buffer drops broken down by switch and priority class —
     /// the per-hop attribution of `FabricStats::switch_drops`.
     switch_drops_by: BTreeMap<(SwitchId, QosClass), u64>,
@@ -261,8 +283,6 @@ pub struct Fabric {
     links: HashMap<(HostId, HostId), LinkStats>,
     /// Stalled tx queues: (host, queue) -> virtual time the stall lifts.
     queue_stalls: HashMap<(HostId, u16), Nanos>,
-    /// Fault-injection drops broken down by destination host.
-    fault_drops: HashMap<HostId, HostFaultDrops>,
     /// Gray lossy links: (src, dst) -> silent per-packet drop prob.
     lossy_links: HashMap<(HostId, HostId), f64>,
     /// Gray jittery links: (src, dst) -> (median extra delay, sigma).
@@ -271,22 +291,21 @@ pub struct Fabric {
     /// reroutes via an alternate path when one exists, and best-effort
     /// traffic is shed.
     quarantined_links: HashSet<(HostId, HostId)>,
-    /// PFC pause storms: dst host -> time the switch may serialize
-    /// toward it again.
-    paused_until: HashMap<HostId, Nanos>,
     rng: Rng,
     /// Dedicated RNG stream for gray-fault draws (per-link loss,
-    /// jitter). Separate from `rng` so attaching a gray fault to one
-    /// link never perturbs the draw order — and thus the modeled
+    /// jitter, brownout). Separate from `rng` so attaching a gray fault
+    /// to one link never perturbs the draw order — and thus the modeled
     /// outcome — of unrelated traffic, and a healthy run with the gray
     /// machinery present is bit-identical to one without it.
     gray_rng: Rng,
     stats: FabricStats,
-    next_host: HostId,
     /// Trace recorder for causal op tracing. Observation-only: stamps
     /// stage records against packets that carry a trace context but
     /// never changes timing, RNG draws, or drop decisions.
     recorder: Option<TraceRecorder>,
+    /// Scratch for the rx queues a delivered train must interrupt,
+    /// kept so a delivery allocates nothing.
+    irq_scratch: Vec<u16>,
 }
 
 fn norm_pair(a: HostId, b: HostId) -> (HostId, HostId) {
@@ -300,74 +319,82 @@ impl Fabric {
         Fabric {
             cfg,
             topo,
-            nics: HashMap::new(),
-            uplink_busy: HashMap::new(),
-            egress: HashMap::new(),
-            hosts_in_rack: HashMap::new(),
-            trunk_ports: HashMap::new(),
+            hosts: Vec::new(),
+            trunks: HashMap::new(),
             down_trunks: HashSet::new(),
-            leaf_brownout: HashMap::new(),
-            trunk_stats: HashMap::new(),
+            brownouts: HashMap::new(),
             switch_drops_by: BTreeMap::new(),
             partitions: HashSet::new(),
             oneway_partitions: HashSet::new(),
             links: HashMap::new(),
             queue_stalls: HashMap::new(),
-            fault_drops: HashMap::new(),
             lossy_links: HashMap::new(),
             jitter_links: HashMap::new(),
             quarantined_links: HashSet::new(),
-            paused_until: HashMap::new(),
             rng,
             gray_rng,
             stats: FabricStats::default(),
-            next_host: 0,
             recorder: None,
+            irq_scratch: Vec::new(),
         }
     }
 
     fn add_host(&mut self, nic_cfg: NicConfig) -> HostId {
-        let id = self.next_host;
-        self.next_host += 1;
+        let id = self.hosts.len() as u64;
         assert!(
-            u64::from(id) < self.topo.capacity(),
+            id < self.topo.capacity(),
             "host {id} exceeds topology capacity {}",
             self.topo.capacity()
         );
-        self.nics.insert(id, VirtNic::new(nic_cfg));
-        self.uplink_busy.insert(id, Nanos::ZERO);
-        self.egress.insert(id, PortLanes::default());
-        *self.hosts_in_rack.entry(self.topo.rack_of(id)).or_insert(0) += 1;
-        id
+        self.hosts.push(Host {
+            nic: VirtNic::new(nic_cfg),
+            uplink_busy: Nanos::ZERO,
+            egress: PortLanes::default(),
+            paused_until: Nanos::ZERO,
+            fault_drops: DropReasons::default(),
+        });
+        id as HostId
     }
 
-    /// The switch-ingress fault pipeline at the *source leaf*: random
-    /// loss, partition, quarantine shed/reroute, gray loss, in-flight
-    /// corruption, gray jitter, leaf brownout. Returns `None` when the
-    /// packet is dropped, otherwise the reroute verdict plus any extra
-    /// delay to fold into the first serialization point.
-    ///
-    /// Shared verbatim by the per-packet, burst, in-rack and cross-rack
-    /// paths so fault injection behaves identically packet-by-packet
-    /// inside a train (same RNG draw order, same counters).
-    fn ingress_admit(&mut self, now: Nanos, pkt: &mut Packet) -> Option<IngressPass> {
-        let src_rack = self.topo.rack_of(pkt.src);
-        let leaf = self.topo.trace_host(SwitchId::Leaf(src_rack));
-        self.stamp(pkt, Stage::SwitchArrive, leaf, now);
-        // Leaf brownout (topology fault): a sick top-of-rack switch
-        // drops a fraction of everything transiting it and delays the
-        // rest. Drawn from the gray stream so a healthy fabric's draw
-        // order is untouched.
-        let mut extra = Nanos::ZERO;
-        if let Some(&(drop_prob, bo_extra)) = self.leaf_brownout.get(&src_rack) {
-            if self.gray_rng.chance(drop_prob) {
-                self.stats.brownout_drops += 1;
-                self.fault_drops.entry(pkt.dst).or_default().brownout += 1;
-                self.stamp(pkt, Stage::WireDrop, leaf, now);
-                return None;
-            }
-            extra += bo_extra;
+    fn host(&self, id: HostId) -> Option<&Host> {
+        self.hosts.get(id as usize)
+    }
+
+    fn host_mut(&mut self, id: HostId) -> Option<&mut Host> {
+        self.hosts.get_mut(id as usize)
+    }
+
+    /// Hosts added to `rack` so far (ids are handed out rack-major) —
+    /// the in-rack alternate-path census used by quarantine rerouting.
+    fn hosts_in_rack(&self, rack: u32) -> u64 {
+        let per_rack = u64::from(self.topo.spec().hosts_per_rack);
+        (self.hosts.len() as u64)
+            .saturating_sub(u64::from(rack) * per_rack)
+            .min(per_rack)
+    }
+
+    /// Attributes a fault-injection drop to the host the packet was
+    /// for. A destination that is no host has nowhere to count it; the
+    /// fabric-wide [`FabricStats`] still do.
+    fn count_fault(&mut self, dst: HostId, count: impl FnOnce(&mut DropReasons)) {
+        if let Some(host) = self.host_mut(dst) {
+            count(&mut host.fault_drops);
         }
+    }
+
+    /// The fault pipeline every packet runs once, at its *source leaf*:
+    /// random loss, partition, quarantine shed/reroute, gray loss,
+    /// in-flight corruption, gray jitter. Returns `None` when the
+    /// packet is dropped, otherwise the reroute verdict plus any extra
+    /// delay to fold into the first serialization point. `leaf` is the
+    /// source leaf's trace host.
+    fn ingress_admit(
+        &mut self,
+        leaf: HostId,
+        now: Nanos,
+        pkt: &mut Packet,
+    ) -> Option<IngressPass> {
+        let link = (pkt.src, pkt.dst);
         // Random loss injection.
         if self.cfg.loss_prob > 0.0 && self.rng.chance(self.cfg.loss_prob) {
             self.stats.random_drops += 1;
@@ -379,11 +406,11 @@ impl Fabric {
         // one-way partition. Drops are counted per directed link so
         // telemetry can tell which direction is black-holing.
         if self.partitions.contains(&norm_pair(pkt.src, pkt.dst))
-            || self.oneway_partitions.contains(&(pkt.src, pkt.dst))
+            || self.oneway_partitions.contains(&link)
         {
             self.stats.partition_drops += 1;
-            self.fault_drops.entry(pkt.dst).or_default().partition += 1;
-            self.links.entry((pkt.src, pkt.dst)).or_default().partition_drops += 1;
+            self.count_fault(pkt.dst, |d| d.partition += 1);
+            self.links.entry(link).or_default().partition_drops += 1;
             self.stamp(pkt, Stage::WireDrop, leaf, now);
             return None;
         }
@@ -397,34 +424,34 @@ impl Fabric {
         // split). With no alternate — a two-host rack, a single spine —
         // transport traffic soldiers on over the sick link.
         let same_rack = self.topo.same_rack(pkt.src, pkt.dst);
-        let quarantined = self.quarantined_links.contains(&(pkt.src, pkt.dst));
+        let quarantined = self.quarantined_links.contains(&link);
         if quarantined && pkt.qos == QosClass::BestEffort {
             self.stats.quarantine_sheds += 1;
-            self.fault_drops.entry(pkt.dst).or_default().quarantined += 1;
-            self.links.entry((pkt.src, pkt.dst)).or_default().quarantine_sheds += 1;
+            self.count_fault(pkt.dst, |d| d.quarantined += 1);
+            self.links.entry(link).or_default().quarantine_sheds += 1;
             self.stamp(pkt, Stage::WireDrop, leaf, now);
             return None;
         }
         let rerouted = quarantined
             && if same_rack {
-                self.hosts_in_rack.get(&src_rack).copied().unwrap_or(0) > 2
+                self.hosts_in_rack(self.topo.rack_of(pkt.src)) > 2
             } else {
                 self.topo.spines() > 1
             };
         if rerouted {
             self.stats.rerouted += 1;
-            self.links.entry((pkt.src, pkt.dst)).or_default().rerouted += 1;
+            self.links.entry(link).or_default().rerouted += 1;
         }
         // Gray loss: the link silently eats the packet — no CRC
         // evidence ever reaches the receiver, unlike corruption below.
         // Drawn from the dedicated gray RNG stream so healthy links'
         // draw order is untouched.
         if !rerouted {
-            if let Some(&prob) = self.lossy_links.get(&(pkt.src, pkt.dst)) {
+            if let Some(&prob) = self.lossy_links.get(&link) {
                 if self.gray_rng.chance(prob) {
                     self.stats.lossy_drops += 1;
-                    self.fault_drops.entry(pkt.dst).or_default().lossy += 1;
-                    self.links.entry((pkt.src, pkt.dst)).or_default().lossy_drops += 1;
+                    self.count_fault(pkt.dst, |d| d.lossy += 1);
+                    self.links.entry(link).or_default().lossy_drops += 1;
                     self.stamp(pkt, Stage::WireDrop, leaf, now);
                     return None;
                 }
@@ -441,15 +468,16 @@ impl Fabric {
             let bit = self.rng.below(8) as u8;
             pkt.corrupt(byte, bit);
             self.stats.corrupted += 1;
-            self.fault_drops.entry(pkt.dst).or_default().corruption += 1;
-            self.links.entry((pkt.src, pkt.dst)).or_default().corrupted += 1;
+            self.count_fault(pkt.dst, |d| d.corruption += 1);
+            self.links.entry(link).or_default().corrupted += 1;
             self.stamp(pkt, Stage::WireCorrupt, leaf, now);
         }
         // Gray jitter: a misbehaving port delays rather than drops.
         // The extra delay is log-normal (median/sigma from the fault),
         // drawn from the gray stream, and attributed per link.
+        let mut extra = Nanos::ZERO;
         if !rerouted {
-            if let Some(&(median, sigma)) = self.jitter_links.get(&(pkt.src, pkt.dst)) {
+            if let Some(&(median, sigma)) = self.jitter_links.get(&link) {
                 if !median.is_zero() {
                     let d = snap_sim::dist::log_normal(
                         &mut self.gray_rng,
@@ -457,7 +485,7 @@ impl Fabric {
                         sigma,
                     ) as u64;
                     extra += Nanos(d);
-                    let link = self.links.entry((pkt.src, pkt.dst)).or_default();
+                    let link = self.links.entry(link).or_default();
                     link.jittered += 1;
                     link.jitter_ns += d;
                 }
@@ -473,112 +501,172 @@ impl Fabric {
         Some(IngressPass { rerouted, extra })
     }
 
-    /// Egress buffer admission + serialization at the destination's
-    /// leaf host-facing port. Returns the egress departure time, or
-    /// `None` on a tail drop.
-    fn local_egress_admit(&mut self, now: Nanos, pkt: &Packet, extra: Nanos) -> Option<Nanos> {
-        let dst_leaf = SwitchId::Leaf(self.topo.rack_of(pkt.dst));
-        let leaf = self.topo.trace_host(dst_leaf);
-        let limit = match pkt.qos {
-            QosClass::Transport => self.cfg.switch_buffer_bytes,
-            QosClass::BestEffort => {
-                (self.cfg.switch_buffer_bytes as f64 * self.cfg.best_effort_buffer_fraction)
-                    as u64
+    /// Decides which egress port of switch `at` the packet leaves by,
+    /// or `None` when it dies here: a browned-out switch drops a
+    /// fraction of everything transiting it and delays the rest, the
+    /// packet's source leaf runs the ingress fault pipeline, and the
+    /// topology names the next hop among the live trunks. Returns the
+    /// port plus the extra delay to fold into its serialization.
+    fn route(&mut self, at: SwitchId, now: Nanos, pkt: &mut Packet) -> Option<(Port, Nanos)> {
+        let here = self.topo.trace_host(at);
+        self.stamp(pkt, Stage::SwitchArrive, here, now);
+        // Brownout draws come from the gray stream so a healthy
+        // fabric's draw order is untouched.
+        let mut extra = Nanos::ZERO;
+        if let Some(&(drop_prob, slow)) = self.brownouts.get(&at) {
+            if self.gray_rng.chance(drop_prob) {
+                self.stats.brownout_drops += 1;
+                self.count_fault(pkt.dst, |d| d.brownout += 1);
+                self.stamp(pkt, Stage::WireDrop, here, now);
+                return None;
             }
-        };
-        let switch_latency = self.cfg.switch_latency;
-        let schedule = self.topo.spec().schedule;
-        let Some(egress_gbps) = self.nics.get(&pkt.dst).map(|n| n.config().gbps) else {
-            // Destination host does not exist; treat as routed to a
-            // black hole.
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((dst_leaf, pkt.qos)).or_insert(0) += 1;
-            self.stamp(pkt, Stage::WireDrop, leaf, now);
-            return None;
-        };
-        let port = self
-            .egress
-            .get_mut(&pkt.dst)
-            .expect("nic implies egress port");
-        if port.queued_bytes + pkt.wire_size as u64 > limit {
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((dst_leaf, pkt.qos)).or_insert(0) += 1;
-            self.stamp(pkt, Stage::WireDrop, leaf, now);
-            return None;
+            extra += slow;
         }
-        port.queued_bytes += pkt.wire_size as u64;
-        // A PFC pause storm against the destination holds egress
-        // serialization until the storm passes; admitted packets keep
-        // occupying the buffer meanwhile, so sustained load during a
-        // storm spills into buffer-full drops — the §5.4 pathology.
-        let paused = self
-            .paused_until
-            .get(&pkt.dst)
-            .copied()
-            .unwrap_or(Nanos::ZERO);
-        let earliest = (now + switch_latency).max(paused);
-        let ser = transmit_time(pkt.wire_size as u64, egress_gbps) + extra;
-        let dep = schedule.depart(port, prio(pkt.qos), earliest, ser);
-        self.stamp(pkt, Stage::SwitchDepart, leaf, dep);
-        Some(dep)
+        // A reroute verdict re-hashes ECMP with a salt to land on a
+        // different equal-cost spine.
+        let mut salt = 0;
+        if at == self.topo.leaf_of(pkt.src) {
+            let pass = self.ingress_admit(here, now, pkt)?;
+            extra += pass.extra;
+            salt = u64::from(pass.rerouted);
+        }
+        let down = &self.down_trunks;
+        let next = self
+            .topo
+            .next_hop(at, pkt.src, pkt.dst, pkt.rss_hash, salt, |l, s| down.contains(&(l, s)));
+        match next {
+            Some(Node::Host(h)) => Some((Port::Host(h), extra)),
+            Some(Node::Switch(to)) => Some((Port::Trunk(at, to), extra)),
+            None => {
+                // No live trunk leads on from here.
+                self.stats.trunk_down_drops += 1;
+                self.count_fault(pkt.dst, |d| d.trunk_down += 1);
+                self.stamp(pkt, Stage::WireDrop, here, now);
+                None
+            }
+        }
     }
 
-    /// The legacy single-switch pipeline for in-rack traffic: ingress
-    /// faults then egress admission, bit-identical to the pre-topology
-    /// `switch_admit` on the degenerate topology.
-    fn switch_admit(&mut self, now: Nanos, pkt: &mut Packet) -> Option<Nanos> {
-        let pass = self.ingress_admit(now, pkt)?;
-        self.local_egress_admit(now, pkt, pass.extra)
-    }
-
-    /// Buffer admission + serialization at a directed trunk's egress
-    /// port (`from` owns the port). Returns the departure time, or
-    /// `None` on a tail drop. Trunk drops count into
-    /// [`FabricStats::switch_drops`], attributed to `from`.
-    fn trunk_admit(
+    /// Buffer admission + serialization at egress `port` of switch
+    /// `at`. Returns the departure time, or `None` on a tail drop (or
+    /// at a host port with no host behind it — a black hole). Drops
+    /// count into [`FabricStats::switch_drops`], attributed to `at`.
+    fn admit(
         &mut self,
-        from: SwitchId,
-        to: SwitchId,
+        at: SwitchId,
+        port: Port,
         now: Nanos,
         pkt: &Packet,
         extra: Nanos,
     ) -> Option<Nanos> {
         let spec = self.topo.spec();
-        let limit = match pkt.qos {
-            QosClass::Transport => spec.trunk_buffer_bytes,
-            QosClass::BestEffort => {
-                (spec.trunk_buffer_bytes as f64 * self.cfg.best_effort_buffer_fraction) as u64
+        let (schedule, trunk_gbps, trunk_buffer) =
+            (spec.schedule, spec.trunk_gbps, spec.trunk_buffer_bytes);
+        let (host_buffer, best_effort, switch_latency) = (
+            self.cfg.switch_buffer_bytes,
+            self.cfg.best_effort_buffer_fraction,
+            self.cfg.switch_latency,
+        );
+        let wire = u64::from(pkt.wire_size);
+        let fits = |lanes: &PortLanes, buffer: u64| {
+            let limit = match pkt.qos {
+                QosClass::Transport => buffer,
+                QosClass::BestEffort => (buffer as f64 * best_effort) as u64,
+            };
+            lanes.queued_bytes + wire <= limit
+        };
+        let serialize = |lanes: &mut PortLanes, gbps: f64, not_before: Nanos| {
+            lanes.queued_bytes += wire;
+            let earliest = (now + switch_latency).max(not_before);
+            let ser = transmit_time(wire, gbps) + extra;
+            schedule.depart(lanes, prio(pkt.qos), earliest, ser)
+        };
+        let departure = match port {
+            // A PFC pause storm against the destination holds egress
+            // serialization until the storm passes; admitted packets
+            // keep occupying the buffer meanwhile, so sustained load
+            // during a storm spills into buffer-full drops — the §5.4
+            // pathology.
+            Port::Host(h) => match self.host_mut(h) {
+                Some(host) if fits(&host.egress, host_buffer) => {
+                    let gbps = host.nic.config().gbps;
+                    Some(serialize(&mut host.egress, gbps, host.paused_until))
+                }
+                _ => None,
+            },
+            Port::Trunk(from, to) => {
+                let trunk = self.trunks.entry((from, to)).or_default();
+                if fits(&trunk.lanes, trunk_buffer) {
+                    trunk.stats.bytes += wire;
+                    trunk.stats.forwarded += 1;
+                    Some(serialize(&mut trunk.lanes, trunk_gbps, Nanos::ZERO))
+                } else {
+                    trunk.stats.drops += 1;
+                    None
+                }
             }
         };
-        let (schedule, trunk_gbps) = (spec.schedule, spec.trunk_gbps);
-        let switch_latency = self.cfg.switch_latency;
-        let trace = self.topo.trace_host(from);
-        let port = self.trunk_ports.entry((from, to)).or_default();
-        if port.queued_bytes + pkt.wire_size as u64 > limit {
-            self.stats.switch_drops += 1;
-            *self.switch_drops_by.entry((from, pkt.qos)).or_insert(0) += 1;
-            self.trunk_stats.entry((from, to)).or_default().drops += 1;
-            self.stamp(pkt, Stage::WireDrop, trace, now);
-            return None;
+        let here = self.topo.trace_host(at);
+        match departure {
+            Some(dep) => self.stamp(pkt, Stage::SwitchDepart, here, dep),
+            None => {
+                self.stats.switch_drops += 1;
+                *self.switch_drops_by.entry((at, pkt.qos)).or_insert(0) += 1;
+                self.stamp(pkt, Stage::WireDrop, here, now);
+            }
         }
-        port.queued_bytes += pkt.wire_size as u64;
-        let earliest = now + switch_latency;
-        let ser = transmit_time(pkt.wire_size as u64, trunk_gbps) + extra;
-        let dep = schedule.depart(port, prio(pkt.qos), earliest, ser);
-        let stats = self.trunk_stats.entry((from, to)).or_default();
-        stats.bytes += pkt.wire_size as u64;
-        stats.forwarded += 1;
-        self.stamp(pkt, Stage::SwitchDepart, trace, dep);
-        Some(dep)
+        departure
     }
 
-    /// Counts a cross-rack packet dropped for want of any live trunk
-    /// path between its leaves.
-    fn drop_trunk_down(&mut self, now: Nanos, pkt: &Packet) {
-        let leaf = self.topo.trace_host(SwitchId::Leaf(self.topo.rack_of(pkt.src)));
-        self.stats.trunk_down_drops += 1;
-        self.fault_drops.entry(pkt.dst).or_default().trunk_down += 1;
-        self.stamp(pkt, Stage::WireDrop, leaf, now);
+    /// Routes and admits every packet of a train standing at switch
+    /// `at`, in order, and splits the survivors by egress port: each
+    /// group leaves when its last packet finishes serializing. Returns
+    /// the first survivor's group, which keeps the train's buffer (a
+    /// train with one destination allocates nothing), then the other
+    /// groups in first-packet order.
+    fn forward(
+        &mut self,
+        at: SwitchId,
+        now: Nanos,
+        mut train: Vec<Packet>,
+    ) -> (Option<Group>, Vec<Group>) {
+        let mut lead: Option<(Port, Nanos)> = None;
+        let mut rest: Vec<Group> = Vec::new();
+        train.retain_mut(|pkt| {
+            let Some((port, extra)) = self.route(at, now, pkt) else {
+                return false;
+            };
+            let Some(dep) = self.admit(at, port, now, pkt, extra) else {
+                return false;
+            };
+            match &mut lead {
+                None => lead = Some((port, dep)),
+                Some((p, last)) if *p == port => *last = (*last).max(dep),
+                Some(_) => {
+                    match rest.iter_mut().find(|(p, ..)| *p == port) {
+                        Some((_, last, group)) => {
+                            *last = (*last).max(dep);
+                            group.push(pkt.clone());
+                        }
+                        None => rest.push((port, dep, vec![pkt.clone()])),
+                    }
+                    return false;
+                }
+            }
+            true
+        });
+        (lead.map(|(port, dep)| (port, dep, train)), rest)
+    }
+
+    /// The serializer state of a port that has admitted a packet.
+    fn lanes(&mut self, port: Port) -> &mut PortLanes {
+        match port {
+            Port::Host(h) => &mut self.hosts[h as usize].egress,
+            Port::Trunk(from, to) => {
+                let trunk = self.trunks.get_mut(&(from, to));
+                &mut trunk.expect("admitting created the trunk").lanes
+            }
+        }
     }
 
     /// Stamps one stage record against the packet's trace context, if
@@ -603,9 +691,8 @@ pub struct FabricHandle {
 pub struct TxBusy(pub Packet);
 
 impl FabricHandle {
-    /// Creates an empty single-switch fabric — the degenerate
-    /// [`ClosSpec::single_rack`] topology every pre-topology experiment
-    /// ran on.
+    /// Creates an empty single-switch fabric: the
+    /// [`ClosSpec::single_rack`] topology.
     pub fn new(cfg: FabricConfig) -> Self {
         FabricHandle::with_topology(cfg, ClosSpec::single_rack())
     }
@@ -651,12 +738,11 @@ impl FabricHandle {
     /// untouched.
     pub fn set_leaf_brownout(&self, rack: u32, drop_prob: f64, extra: Nanos) {
         let mut fabric = self.inner.borrow_mut();
+        let leaf = SwitchId::Leaf(rack);
         if drop_prob > 0.0 || !extra.is_zero() {
-            fabric
-                .leaf_brownout
-                .insert(rack, (drop_prob.clamp(0.0, 1.0), extra));
+            fabric.brownouts.insert(leaf, (drop_prob.clamp(0.0, 1.0), extra));
         } else {
-            fabric.leaf_brownout.remove(&rack);
+            fabric.brownouts.remove(&leaf);
         }
     }
 
@@ -665,9 +751,9 @@ impl FabricHandle {
     pub fn trunk_stats(&self, from: SwitchId, to: SwitchId) -> TrunkStats {
         self.inner
             .borrow()
-            .trunk_stats
+            .trunks
             .get(&(from, to))
-            .copied()
+            .map(|t| t.stats)
             .unwrap_or_default()
     }
 
@@ -675,7 +761,7 @@ impl FabricHandle {
     /// iteration, with its counters.
     pub fn trunks(&self) -> Vec<((SwitchId, SwitchId), TrunkStats)> {
         let fabric = self.inner.borrow();
-        let mut out: Vec<_> = fabric.trunk_stats.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut out: Vec<_> = fabric.trunks.iter().map(|(&k, t)| (k, t.stats)).collect();
         out.sort_by_key(|&(k, _)| k);
         out
     }
@@ -699,7 +785,7 @@ impl FabricHandle {
 
     /// Number of hosts on the fabric.
     pub fn num_hosts(&self) -> usize {
-        self.inner.borrow().nics.len()
+        self.inner.borrow().hosts.len()
     }
 
     /// Fabric counters snapshot.
@@ -794,8 +880,9 @@ impl FabricHandle {
     /// existing pause.
     pub fn pause_host(&self, host: HostId, until: Nanos) {
         let mut fabric = self.inner.borrow_mut();
-        let entry = fabric.paused_until.entry(host).or_insert(Nanos::ZERO);
-        *entry = (*entry).max(until);
+        if let Some(host) = fabric.host_mut(host) {
+            host.paused_until = host.paused_until.max(until);
+        }
         fabric.stats.pauses += 1;
     }
 
@@ -841,7 +928,7 @@ impl FabricHandle {
     /// Line rate (Gbps) of a host's NIC, if the host exists — the
     /// denominator for link-utilization gauges.
     pub fn host_gbps(&self, host: HostId) -> Option<f64> {
-        self.inner.borrow().nics.get(&host).map(|n| n.config().gbps)
+        self.inner.borrow().host(host).map(|h| h.nic.config().gbps)
     }
 
     /// Stalls a host's tx queue until absolute time `until` (models a
@@ -857,21 +944,13 @@ impl FabricHandle {
     /// destination NIC's own receive-path drop counters.
     pub fn drop_reasons(&self, host: HostId) -> DropReasons {
         let fabric = self.inner.borrow();
-        let fault = fabric.fault_drops.get(&host).copied().unwrap_or_default();
-        let (crc_bad, no_buffer) = fabric
-            .nics
-            .get(&host)
-            .map(|n| (n.stats().rx_crc_drops, n.stats().rx_overflow_drops))
-            .unwrap_or((0, 0));
+        let Some(host) = fabric.host(host) else {
+            return DropReasons::default();
+        };
         DropReasons {
-            crc_bad,
-            partition: fault.partition,
-            corruption: fault.corruption,
-            no_buffer,
-            lossy: fault.lossy,
-            quarantined: fault.quarantined,
-            brownout: fault.brownout,
-            trunk_down: fault.trunk_down,
+            crc_bad: host.nic.stats().rx_crc_drops,
+            no_buffer: host.nic.stats().rx_overflow_drops,
+            ..host.fault_drops
         }
     }
 
@@ -883,26 +962,77 @@ impl FabricHandle {
     /// from within another fabric borrow.
     pub fn with_nic<R>(&self, host: HostId, f: impl FnOnce(&mut VirtNic) -> R) -> R {
         let mut fabric = self.inner.borrow_mut();
-        let nic = fabric.nics.get_mut(&host).expect("unknown host");
-        f(nic)
+        f(&mut fabric.host_mut(host).expect("unknown host").nic)
     }
 
-    /// Transmits a packet from its `src` host on the given tx queue.
+    /// Transmits a packet from its `src` host on the given tx queue: a
+    /// train of one.
     ///
     /// Fails with [`TxBusy`] when no tx descriptor slot is free. On
     /// success the packet is fully simulated: uplink serialization,
     /// switch queueing (or drop), egress serialization, delivery into
     /// the destination NIC's rx ring, and interrupt delivery if armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source host does not exist.
     pub fn transmit(&self, sim: &mut Sim, queue: u16, pkt: Packet) -> Result<(), TxBusy> {
-        let (depart_uplink, src, wire) = {
+        let took_slot = self.with_nic(pkt.src, |nic| nic.take_tx_slot(queue));
+        if !took_slot {
+            return Err(TxBusy(pkt));
+        }
+        self.send_train(sim, queue, vec![pkt]);
+        Ok(())
+    }
+
+    /// Transmits a packet train from one host on one tx queue. ONE
+    /// scheduled event covers the whole train at each hop (uplink
+    /// completion, arrival at each switch, one egress departure per
+    /// port the train splits over, and delivery), and the receiving
+    /// NIC raises at most one interrupt per rx queue per train.
+    /// Everything else is per packet, in train order: tx descriptor
+    /// slots, uplink serialization occupancy, random loss, partitions,
+    /// corruption and egress buffer admission.
+    ///
+    /// Packets are accepted until tx slots run out; the accepted count
+    /// is returned and unaccepted packets stay in `pkts`
+    /// (front-aligned), for the caller to regenerate later.
+    ///
+    /// The whole train becomes visible at the switch when its *last*
+    /// packet finishes uplink serialization (and at the destination
+    /// when its sub-train finishes egress serialization), so a packet's
+    /// arrival can shift later by at most one train serialization time
+    /// relative to sending it alone — bound the train with
+    /// [`costs::FABRIC_BURST_MAX`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packets do not all share the same source host, or
+    /// if that host does not exist.
+    pub fn transmit_burst(&self, sim: &mut Sim, queue: u16, pkts: &mut Vec<Packet>) -> usize {
+        let Some(first) = pkts.first() else { return 0 };
+        let src = first.src;
+        let taken = self.with_nic(src, |nic| {
+            pkts.iter()
+                .take_while(|pkt| {
+                    assert_eq!(pkt.src, src, "burst mixes source hosts");
+                    nic.take_tx_slot(queue)
+                })
+                .count()
+        });
+        if taken > 0 {
+            self.send_train(sim, queue, pkts.drain(..taken).collect());
+        }
+        taken
+    }
+
+    /// Puts a train, every packet of which holds a tx slot of `queue`,
+    /// on its host's uplink. One event retires every tx descriptor and
+    /// forwards the train when the last packet clears the uplink.
+    fn send_train(&self, sim: &mut Sim, queue: u16, train: Vec<Packet>) {
+        let src = train[0].src;
+        let (depart, leaf, prop) = {
             let mut fabric = self.inner.borrow_mut();
-            let src = pkt.src;
-            let nic = fabric.nics.get_mut(&src).expect("unknown source host");
-            if !nic.take_tx_slot(queue) {
-                return Err(TxBusy(pkt));
-            }
-            let gbps = nic.config().gbps;
-            let wire = pkt.wire_size;
             // Tx-side DMA: descriptor fetch + payload read from host
             // memory before bits hit the wire.
             let dma_ready = sim.now() + fabric.cfg.nic_dma;
@@ -915,355 +1045,65 @@ impl FabricHandle {
                 .copied()
                 .filter(|&until| until > sim.now())
                 .unwrap_or(Nanos::ZERO);
-            let ser = transmit_time(wire as u64, gbps);
-            let busy = fabric.uplink_busy.get_mut(&src).expect("uplink exists");
-            let start = (*busy).max(dma_ready);
-            let end = start + ser;
-            *busy = end;
-            let depart = end.max(stall + ser);
-            fabric.stamp(&pkt, Stage::NicTx, src, depart);
-            (depart, src, wire)
-        };
-
-        // Tx descriptor completes when serialization finishes.
-        let handle = self.clone();
-        sim.schedule_at(depart_uplink, move |sim| {
-            handle.with_nic(src, |nic| nic.complete_tx(queue, wire));
-            handle.arrive_at_switch(sim, pkt);
-        });
-        Ok(())
-    }
-
-    /// Packet reaches the source leaf ingress; apply loss, buffer and
-    /// egress-port serialization, then forward toward the destination.
-    /// Cross-rack packets ride the train pipeline as a one-packet train
-    /// (timing-identical — pinned by the burst-of-one test).
-    fn arrive_at_switch(&self, sim: &mut Sim, pkt: Packet) {
-        let cross = {
-            let fabric = self.inner.borrow();
-            !fabric.topo.same_rack(pkt.src, pkt.dst)
-        };
-        if cross {
-            self.arrive_at_switch_burst(sim, vec![pkt]);
-            return;
-        }
-        let ingress = sim.now() + self.inner.borrow().cfg.prop_delay;
-        let handle = self.clone();
-        sim.schedule_at(ingress, move |sim| {
-            let mut pkt = pkt;
-            let departure = {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                match fabric.switch_admit(now, &mut pkt) {
-                    Some(dep) => dep,
-                    None => return,
-                }
-            };
-            let handle2 = handle.clone();
-            sim.schedule_at(departure, move |sim| {
-                {
-                    let mut fabric = handle2.inner.borrow_mut();
-                    if let Some(port) = fabric.egress.get_mut(&pkt.dst) {
-                        port.queued_bytes -= pkt.wire_size as u64;
-                    }
-                }
-                handle2.deliver(sim, pkt);
-            });
-        });
-    }
-
-    /// Transmits a packet train from one host on one tx queue,
-    /// coalescing fixed simulation work: ONE scheduled event covers the
-    /// whole train at each hop (uplink completion, switch ingress, and
-    /// one egress departure + delivery per destination sub-train), and
-    /// the receiving NIC raises at most one interrupt per rx queue per
-    /// burst. Per-packet *semantics* are unchanged: tx descriptor
-    /// slots, uplink serialization occupancy, random loss, partitions,
-    /// corruption and egress buffer admission are all applied packet by
-    /// packet in train order, through the same code as [`Self::transmit`].
-    ///
-    /// Packets are accepted until tx slots run out; the accepted count
-    /// is returned and unaccepted packets stay in `pkts`
-    /// (front-aligned), for the caller to regenerate later.
-    ///
-    /// The whole train becomes visible at the switch when its *last*
-    /// packet finishes uplink serialization (and at the destination
-    /// when its sub-train finishes egress serialization), so a packet's
-    /// arrival can shift later by at most one train serialization time
-    /// relative to per-packet transmission — bound the train with
-    /// [`costs::FABRIC_BURST_MAX`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packets do not all share the same source host, or
-    /// if that host does not exist.
-    pub fn transmit_burst(&self, sim: &mut Sim, queue: u16, pkts: &mut Vec<Packet>) -> usize {
-        let Some(first) = pkts.first() else { return 0 };
-        let src = first.src;
-        let (depart_uplink, accepted) = {
-            let mut fabric = self.inner.borrow_mut();
-            let dma_ready = sim.now() + fabric.cfg.nic_dma;
-            let stall = fabric
-                .queue_stalls
-                .get(&(src, queue))
-                .copied()
-                .filter(|&until| until > sim.now())
-                .unwrap_or(Nanos::ZERO);
-            let nic = fabric.nics.get_mut(&src).expect("unknown source host");
-            let gbps = nic.config().gbps;
-            let mut taken = 0;
-            for pkt in pkts.iter() {
-                assert_eq!(pkt.src, src, "burst mixes source hosts");
-                if !nic.take_tx_slot(queue) {
-                    break;
-                }
-                taken += 1;
-            }
-            let mut busy = *fabric.uplink_busy.get(&src).expect("uplink exists");
+            let host = &fabric.hosts[src as usize];
+            let (gbps, mut busy) = (host.nic.config().gbps, host.uplink_busy);
             let mut depart = Nanos::ZERO;
-            for pkt in &pkts[..taken] {
+            for pkt in &train {
                 let ser = transmit_time(pkt.wire_size as u64, gbps);
-                let start = busy.max(dma_ready);
-                let end = start + ser;
-                busy = end;
+                busy = busy.max(dma_ready) + ser;
                 // Each packet clears the uplink at its own serialization
                 // end, even though one event forwards the whole train.
-                fabric.stamp(pkt, Stage::NicTx, src, end.max(stall + ser));
-                depart = depart.max(end.max(stall + ser));
+                let cleared = busy.max(stall + ser);
+                fabric.stamp(pkt, Stage::NicTx, src, cleared);
+                depart = depart.max(cleared);
             }
-            *fabric.uplink_busy.get_mut(&src).expect("uplink exists") = busy;
-            (depart, pkts.drain(..taken).collect::<Vec<Packet>>())
+            fabric.hosts[src as usize].uplink_busy = busy;
+            (depart, fabric.topo.leaf_of(src), fabric.cfg.prop_delay)
         };
-        let n = accepted.len();
-        if n == 0 {
-            return 0;
-        }
-        // One event retires every tx descriptor and forwards the train
-        // when the last packet clears the uplink.
         let handle = self.clone();
-        sim.schedule_at(depart_uplink, move |sim| {
+        sim.schedule_at(depart, move |sim| {
             handle.with_nic(src, |nic| {
-                for pkt in &accepted {
+                for pkt in &train {
                     nic.complete_tx(queue, pkt.wire_size);
                 }
             });
-            handle.arrive_at_switch_burst(sim, accepted);
+            handle.hop(sim, leaf, prop, train);
         });
-        n
     }
 
-    /// Train reaches the source leaf ingress: run the per-packet
-    /// pipeline on every packet (in order). In-rack survivors go
-    /// straight to the leaf's host-facing egress, exactly as the legacy
-    /// single-switch code did; cross-rack survivors pick an ECMP spine
-    /// and queue on the leaf→spine trunk port. One departure event is
-    /// scheduled per destination sub-train (in-rack) and per spine
-    /// sub-train (cross-rack), at that sub-train's last egress
-    /// departure.
-    fn arrive_at_switch_burst(&self, sim: &mut Sim, pkts: Vec<Packet>) {
-        let ingress = sim.now() + self.inner.borrow().cfg.prop_delay;
+    /// One switch hop, the same at every tier: the train reaches switch
+    /// `at` after the link's `propagation`; every packet is routed to
+    /// an egress port and admitted to it (in order, packet by packet);
+    /// and one departure event per port releases that port's buffer and
+    /// sends its group on — over a trunk to the next switch's `hop`, or
+    /// down a host port to [`Self::deliver_train`].
+    fn hop(&self, sim: &mut Sim, at: SwitchId, propagation: Nanos, train: Vec<Packet>) {
         let handle = self.clone();
-        sim.schedule_at(ingress, move |sim| {
-            // (dst, sub-train departure, sub-train packets), in
-            // first-packet order per destination.
-            let mut trains: Vec<(HostId, Nanos, Vec<Packet>)> = Vec::new();
-            // (spine, sub-train departure, packets) for cross-rack.
-            let mut uplinks: Vec<(u32, Nanos, Vec<Packet>)> = Vec::new();
-            let mut src_rack = 0;
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                for mut pkt in pkts {
-                    let Some(pass) = fabric.ingress_admit(now, &mut pkt) else {
-                        continue;
-                    };
-                    if fabric.topo.same_rack(pkt.src, pkt.dst) {
-                        let Some(dep) = fabric.local_egress_admit(now, &pkt, pass.extra) else {
-                            continue;
-                        };
-                        match trains.iter_mut().find(|(dst, ..)| *dst == pkt.dst) {
-                            Some((_, train_dep, train)) => {
-                                *train_dep = (*train_dep).max(dep);
-                                train.push(pkt);
-                            }
-                            None => trains.push((pkt.dst, dep, vec![pkt])),
-                        }
-                        continue;
-                    }
-                    // Cross-rack: deterministic ECMP spine pick. A
-                    // reroute verdict re-hashes with a salt to land on
-                    // a different equal-cost spine.
-                    src_rack = fabric.topo.rack_of(pkt.src);
-                    let salt = u64::from(pass.rerouted);
-                    let spine = {
-                        let down = &fabric.down_trunks;
-                        fabric.topo.ecmp_spine(pkt.src, pkt.dst, pkt.rss_hash, salt, |l, s| {
-                            down.contains(&(l, s))
-                        })
-                    };
-                    let Some(spine) = spine else {
-                        fabric.drop_trunk_down(now, &pkt);
-                        continue;
-                    };
-                    let from = SwitchId::Leaf(src_rack);
-                    let to = SwitchId::Spine(spine);
-                    let Some(dep) = fabric.trunk_admit(from, to, now, &pkt, pass.extra) else {
-                        continue;
-                    };
-                    match uplinks.iter_mut().find(|(s, ..)| *s == spine) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => uplinks.push((spine, dep, vec![pkt])),
-                    }
-                }
-            }
-            for (dst, departure, train) in trains {
-                let handle2 = handle.clone();
+        sim.schedule_at(sim.now() + propagation, move |sim| {
+            let (lead, rest) = handle.inner.borrow_mut().forward(at, sim.now(), train);
+            for (port, departure, group) in lead.into_iter().chain(rest) {
+                let handle = handle.clone();
                 sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        if let Some(port) = fabric.egress.get_mut(&dst) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
+                    let trunk_prop = {
+                        let mut fabric = handle.inner.borrow_mut();
+                        let bytes: u64 = group.iter().map(|pkt| u64::from(pkt.wire_size)).sum();
+                        fabric.lanes(port).queued_bytes -= bytes;
+                        fabric.topo.spec().trunk_prop
+                    };
+                    match port {
+                        Port::Host(dst) => handle.deliver_train(sim, dst, group),
+                        Port::Trunk(_, next) => handle.hop(sim, next, trunk_prop, group),
                     }
-                    handle2.deliver_train(sim, train);
-                });
-            }
-            for (spine, departure, train) in uplinks {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        let key = (SwitchId::Leaf(src_rack), SwitchId::Spine(spine));
-                        if let Some(port) = fabric.trunk_ports.get_mut(&key) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.arrive_at_spine(sim, spine, train);
                 });
             }
         });
     }
 
-    /// Cross-rack train reaches a spine after trunk propagation: pay
-    /// the spine's forwarding latency via admission onto the
-    /// spine→destination-leaf trunk port, grouped per destination rack.
-    /// A trunk that failed after the flow committed to this spine drops
-    /// the packets here.
-    fn arrive_at_spine(&self, sim: &mut Sim, spine: u32, pkts: Vec<Packet>) {
-        let at = sim.now() + self.inner.borrow().topo.spec().trunk_prop;
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| {
-            // (dst rack, sub-train departure, packets).
-            let mut downlinks: Vec<(u32, Nanos, Vec<Packet>)> = Vec::new();
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                let from = SwitchId::Spine(spine);
-                let trace = fabric.topo.trace_host(from);
-                for pkt in pkts {
-                    fabric.stamp(&pkt, Stage::SwitchArrive, trace, now);
-                    let rack = fabric.topo.rack_of(pkt.dst);
-                    if fabric.down_trunks.contains(&(rack, spine)) {
-                        fabric.drop_trunk_down(now, &pkt);
-                        continue;
-                    }
-                    let Some(dep) =
-                        fabric.trunk_admit(from, SwitchId::Leaf(rack), now, &pkt, Nanos::ZERO)
-                    else {
-                        continue;
-                    };
-                    match downlinks.iter_mut().find(|(r, ..)| *r == rack) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => downlinks.push((rack, dep, vec![pkt])),
-                    }
-                }
-            }
-            for (rack, departure, train) in downlinks {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        let key = (SwitchId::Spine(spine), SwitchId::Leaf(rack));
-                        if let Some(port) = fabric.trunk_ports.get_mut(&key) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.arrive_at_dst_leaf(sim, rack, train);
-                });
-            }
-        });
-    }
-
-    /// Cross-rack train reaches the destination leaf after trunk
-    /// propagation: leaf brownout check, then the same host-facing
-    /// egress admission in-rack traffic gets, grouped per destination
-    /// host.
-    fn arrive_at_dst_leaf(&self, sim: &mut Sim, rack: u32, pkts: Vec<Packet>) {
-        let at = sim.now() + self.inner.borrow().topo.spec().trunk_prop;
-        let handle = self.clone();
-        sim.schedule_at(at, move |sim| {
-            let mut trains: Vec<(HostId, Nanos, Vec<Packet>)> = Vec::new();
-            {
-                let mut fabric = handle.inner.borrow_mut();
-                let now = sim.now();
-                let trace = fabric.topo.trace_host(SwitchId::Leaf(rack));
-                for pkt in pkts {
-                    fabric.stamp(&pkt, Stage::SwitchArrive, trace, now);
-                    let mut extra = Nanos::ZERO;
-                    if let Some(&(drop_prob, bo_extra)) = fabric.leaf_brownout.get(&rack) {
-                        if fabric.gray_rng.chance(drop_prob) {
-                            fabric.stats.brownout_drops += 1;
-                            fabric.fault_drops.entry(pkt.dst).or_default().brownout += 1;
-                            fabric.stamp(&pkt, Stage::WireDrop, trace, now);
-                            continue;
-                        }
-                        extra = bo_extra;
-                    }
-                    let Some(dep) = fabric.local_egress_admit(now, &pkt, extra) else {
-                        continue;
-                    };
-                    match trains.iter_mut().find(|(dst, ..)| *dst == pkt.dst) {
-                        Some((_, train_dep, train)) => {
-                            *train_dep = (*train_dep).max(dep);
-                            train.push(pkt);
-                        }
-                        None => trains.push((pkt.dst, dep, vec![pkt])),
-                    }
-                }
-            }
-            for (dst, departure, train) in trains {
-                let handle2 = handle.clone();
-                sim.schedule_at(departure, move |sim| {
-                    {
-                        let mut fabric = handle2.inner.borrow_mut();
-                        if let Some(port) = fabric.egress.get_mut(&dst) {
-                            for pkt in &train {
-                                port.queued_bytes -= pkt.wire_size as u64;
-                            }
-                        }
-                    }
-                    handle2.deliver_train(sim, train);
-                });
-            }
-        });
-    }
-
-    /// Final hop for a sub-train: propagation + rx DMA, then the whole
-    /// train into the destination NIC's rx rings in one event, with at
-    /// most one interrupt per armed rx queue.
-    fn deliver_train(&self, sim: &mut Sim, pkts: Vec<Packet>) {
+    /// Final hop for a train that left a leaf by `dst`'s port:
+    /// propagation + rx DMA, then the whole train into the NIC's rx
+    /// rings in one event, with at most one interrupt per armed rx
+    /// queue.
+    fn deliver_train(&self, sim: &mut Sim, dst: HostId, train: Vec<Packet>) {
         let (prop, dma) = {
             let fabric = self.inner.borrow();
             (fabric.cfg.prop_delay, fabric.cfg.nic_dma)
@@ -1272,78 +1112,29 @@ impl FabricHandle {
         sim.schedule_at(sim.now() + prop + dma, move |sim| {
             let (irqs, handler) = {
                 let mut fabric = handle.inner.borrow_mut();
-                let Some(dst) = pkts.first().map(|p| p.dst) else {
-                    return;
-                };
-                let n = pkts.len() as u64;
-                if fabric.nics.contains_key(&dst) {
-                    let now = sim.now();
-                    for pkt in &pkts {
-                        let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
-                        link.bytes += pkt.wire_size as u64;
-                        link.delivered += 1;
-                        fabric.stamp(pkt, Stage::NicDeliver, pkt.dst, now);
-                    }
+                let now = sim.now();
+                for pkt in &train {
+                    let link = fabric.links.entry((pkt.src, dst)).or_default();
+                    link.bytes += pkt.wire_size as u64;
+                    link.delivered += 1;
+                    fabric.stamp(pkt, Stage::NicDeliver, dst, now);
                 }
-                let Some(nic) = fabric.nics.get_mut(&dst) else {
-                    return;
-                };
-                let irqs = nic.deliver_burst(pkts);
-                let handler = nic.irq_handler();
-                // Counted per packet reaching the NIC, as the
-                // per-packet path does (NIC-side drops have their own
-                // counters).
-                fabric.stats.delivered += n;
-                (irqs, handler)
+                // Counted per packet reaching the NIC; NIC-side drops
+                // have their own counters.
+                fabric.stats.delivered += train.len() as u64;
+                let mut irqs = std::mem::take(&mut fabric.irq_scratch);
+                let nic = &mut fabric.hosts[dst as usize].nic;
+                nic.deliver_burst(train, &mut irqs);
+                (irqs, nic.irq_handler())
             };
             // Invoke interrupts outside the fabric borrow so handlers
             // can freely poll the NIC.
             if let Some(handler) = handler {
-                for queue in irqs {
+                for &queue in &irqs {
                     handler(sim, queue);
                 }
             }
-        });
-    }
-
-    /// Final hop: propagation + rx DMA, then into the NIC rx ring.
-    fn deliver(&self, sim: &mut Sim, pkt: Packet) {
-        let (prop, dma) = {
-            let fabric = self.inner.borrow();
-            (fabric.cfg.prop_delay, fabric.cfg.nic_dma)
-        };
-        let handle = self.clone();
-        sim.schedule_at(sim.now() + prop + dma, move |sim| {
-            let (irq, handler) = {
-                let mut fabric = handle.inner.borrow_mut();
-                let dst = pkt.dst;
-                if !fabric.nics.contains_key(&dst) {
-                    return;
-                }
-                let link = fabric.links.entry((pkt.src, pkt.dst)).or_default();
-                link.bytes += pkt.wire_size as u64;
-                link.delivered += 1;
-                fabric.stamp(&pkt, Stage::NicDeliver, dst, sim.now());
-                let Some(nic) = fabric.nics.get_mut(&dst) else {
-                    return;
-                };
-                let irq = nic.deliver(pkt);
-                let handler = nic.irq_handler();
-                if irq.is_some() {
-                    fabric.stats.delivered += 1;
-                } else {
-                    // Delivery without interrupt still counts if the
-                    // packet landed in a ring (check stats delta is
-                    // overkill; deliver() already counted drops).
-                    fabric.stats.delivered += 1;
-                }
-                (irq, handler)
-            };
-            // Invoke the interrupt outside the fabric borrow so the
-            // handler can freely poll the NIC.
-            if let (Some(queue), Some(handler)) = (irq, handler) {
-                handler(sim, queue);
-            }
+            handle.inner.borrow_mut().irq_scratch = irqs;
         });
     }
 }
@@ -1707,43 +1498,91 @@ mod tests {
         assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 2);
         assert_eq!(fabric.with_nic(c, |n| n.rx_pending_total()), 2);
         assert_eq!(fabric.stats().delivered, 4);
+
+        // One train carrying in-rack, cross-rack and doomed packets
+        // (one partitioned, one for a host beyond the topology).
+        let mut sim = Sim::new();
+        let (fabric, h) = two_racks(2);
+        fabric.partition(h[0], h[3]);
+        let irqs = Rc::new(RefCell::new(Vec::new()));
+        for &host in &h {
+            let irqs = irqs.clone();
+            fabric.with_nic(host, |nic| {
+                nic.set_irq_handler(Rc::new(move |_sim: &mut Sim, q| {
+                    irqs.borrow_mut().push((host, q));
+                }));
+                nic.arm_irq(0, true);
+                nic.arm_irq(1, true);
+            });
+        }
+        // (destination, rx queue); the payload carries the position.
+        let plan = [(h[1], 0), (h[2], 0), (h[3], 0), (h[1], 1), (h[2], 0), (99, 0), (h[1], 0)];
+        let mut train: Vec<Packet> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(dst, q))| {
+                Packet::new(h[0], dst, Bytes::from(vec![i as u8; 200])).with_rss_hash(q)
+            })
+            .collect();
+        assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), plan.len());
+        sim.run();
+        let polled = |host: HostId, queue: u16| {
+            let mut out = Vec::new();
+            fabric.with_nic(host, |n| n.poll_rx(queue, usize::MAX, &mut out));
+            out.iter().map(|p| p.payload[0]).collect::<Vec<u8>>()
+        };
+        assert_eq!(polled(h[1], 0), vec![0, 6], "in-rack, in train order");
+        assert_eq!(polled(h[1], 1), vec![3]);
+        assert_eq!(polled(h[2], 0), vec![1, 4], "cross-rack, in train order");
+        assert_eq!(polled(h[3], 0), Vec::<u8>::new());
+        let mut irqs = irqs.borrow().clone();
+        irqs.sort_unstable();
+        assert_eq!(irqs, vec![(h[1], 0), (h[1], 1), (h[2], 0)], "one irq per rx queue");
+        let s = fabric.stats();
+        assert_eq!((s.delivered, s.partition_drops, s.switch_drops), (5, 1, 1));
+        assert_eq!(
+            fabric.with_nic(h[0], |n| n.stats().tx_packets),
+            s.delivered + s.partition_drops + s.switch_drops
+        );
+    }
+
+    /// Virtual time of the first interrupt `dst` takes on rx queue 0
+    /// after `send` has put traffic on the fabric.
+    fn first_irq_at(fabric: &FabricHandle, dst: HostId, send: impl FnOnce(&mut Sim)) -> Nanos {
+        let mut sim = Sim::new();
+        let at = Rc::new(Cell::new(Nanos::ZERO));
+        let at2 = at.clone();
+        fabric.with_nic(dst, |nic| {
+            nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+                if at2.get().is_zero() {
+                    at2.set(sim.now());
+                }
+            }));
+            nic.arm_irq(0, true);
+        });
+        send(&mut sim);
+        sim.run();
+        at.get()
     }
 
     #[test]
-    fn burst_of_one_matches_single_transmit_timing() {
-        // A burst of one packet must arrive at exactly the same virtual
-        // time as the same packet sent through `transmit`.
-        let t_single = {
-            let mut sim = Sim::new();
+    fn in_rack_delivery_time_is_pinned() {
+        // 1 042 wire bytes at 50 Gbps serialize in 167 ns: tx DMA 1 300
+        // + uplink 167 + link 150 + switch 300 + egress 167 + link 150
+        // + rx DMA 1 300. A packet sent alone and a train of one are
+        // the same thing.
+        for as_train in [false, true] {
             let (fabric, a, b) = two_hosts(0.0);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(b, |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
+            let pkt = packet(a, b, 1000).with_rss_hash(0);
+            let at = first_irq_at(&fabric, b, |sim| {
+                if as_train {
+                    assert_eq!(fabric.transmit_burst(sim, 0, &mut vec![pkt]), 1);
+                } else {
+                    fabric.transmit(sim, 0, pkt).unwrap();
+                }
             });
-            fabric
-                .transmit(&mut sim, 0, packet(a, b, 1000).with_rss_hash(0))
-                .unwrap();
-            sim.run();
-            at.get()
-        };
-        let t_burst = {
-            let mut sim = Sim::new();
-            let (fabric, a, b) = two_hosts(0.0);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(b, |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
-            });
-            let mut train = vec![packet(a, b, 1000).with_rss_hash(0)];
-            fabric.transmit_burst(&mut sim, 0, &mut train);
-            sim.run();
-            at.get()
-        };
-        assert!(t_single > Nanos::ZERO);
-        assert_eq!(t_single, t_burst);
+            assert_eq!(at, Nanos(3_534), "as_train {as_train}");
+        }
     }
 
     #[test]
@@ -2001,29 +1840,22 @@ mod tests {
     }
 
     #[test]
-    fn burst_of_one_matches_single_transmit_cross_rack() {
-        let deliver_at = |burst: bool| {
-            let mut sim = Sim::new();
+    fn cross_rack_delivery_time_is_pinned() {
+        // As in-rack up to the source leaf (1 617), then two 100 Gbps
+        // trunk hops of switch 300 + 84 serialization + 500 propagation
+        // each, then the destination leaf and host link as in-rack.
+        for as_train in [false, true] {
             let (fabric, h) = two_racks(1);
-            let at = Rc::new(Cell::new(Nanos::ZERO));
-            let at2 = at.clone();
-            fabric.with_nic(h[2], |nic| {
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-                nic.arm_irq(0, true);
+            let pkt = packet(h[0], h[2], 1000).with_rss_hash(0);
+            let at = first_irq_at(&fabric, h[2], |sim| {
+                if as_train {
+                    assert_eq!(fabric.transmit_burst(sim, 0, &mut vec![pkt]), 1);
+                } else {
+                    fabric.transmit(sim, 0, pkt).unwrap();
+                }
             });
-            let p = packet(h[0], h[2], 1000).with_rss_hash(0);
-            if burst {
-                let mut train = vec![p];
-                fabric.transmit_burst(&mut sim, 0, &mut train);
-            } else {
-                fabric.transmit(&mut sim, 0, p).unwrap();
-            }
-            sim.run();
-            at.get()
-        };
-        let single = deliver_at(false);
-        assert!(single > Nanos::ZERO);
-        assert_eq!(single, deliver_at(true));
+            assert_eq!(at, Nanos(5_302), "as_train {as_train}");
+        }
     }
 
     #[test]
@@ -2043,6 +1875,44 @@ mod tests {
         fabric.transmit(&mut sim, 0, packet(h[0], h[2], 500)).unwrap();
         sim.run();
         assert_eq!(fabric.stats().delivered, 2);
+    }
+
+    #[test]
+    fn trunk_down_drop_is_stamped_where_the_packet_died() {
+        let mut sim = Sim::new();
+        let (fabric, h) = two_racks(1);
+        let topo = fabric.topology();
+        let rec = TraceRecorder::new(1, snap_sim::trace::TRACE_SAMPLE_SCALE, 16);
+        fabric.set_recorder(rec.clone());
+        let send_traced = |sim: &mut Sim| {
+            let ctx = rec.begin(sim.now(), h[0]).expect("tracing is on");
+            let mut pkt = packet(h[0], h[2], 500);
+            pkt.trace = Some(ctx);
+            fabric.transmit(sim, 0, pkt).unwrap();
+            ctx
+        };
+        let dropped_at = |sim: &mut Sim, ctx| {
+            rec.finalize(ctx, sim.now(), h[0]);
+            let trace = rec.get(ctx.trace_id).expect("faulted traces are retained");
+            let drop = trace.records.iter().find(|r| r.stage == Stage::WireDrop);
+            drop.expect("the packet was dropped").host
+        };
+        // No live spine: the packet never leaves its source leaf.
+        fabric.fail_trunk(0, 0);
+        let ctx = send_traced(&mut sim);
+        sim.run();
+        assert_eq!(dropped_at(&mut sim, ctx), topo.trace_host(SwitchId::Leaf(0)));
+        fabric.restore_trunk(0, 0);
+        // The far trunk fails once ECMP has committed the packet to
+        // the spine: it dies there.
+        let ctx = send_traced(&mut sim);
+        while fabric.trunk_stats(SwitchId::Leaf(0), SwitchId::Spine(0)).forwarded == 0 {
+            assert!(sim.step(), "the packet reaches its leaf");
+        }
+        fabric.fail_trunk(1, 0);
+        sim.run();
+        assert_eq!(fabric.stats().trunk_down_drops, 2);
+        assert_eq!(dropped_at(&mut sim, ctx), topo.trace_host(SwitchId::Spine(0)));
     }
 
     #[test]

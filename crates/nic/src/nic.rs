@@ -218,10 +218,15 @@ impl VirtNic {
     /// ring-depth admission — still runs packet by packet, so fault
     /// injection inside a burst behaves exactly as per-packet delivery.
     ///
-    /// Returns the queues that should raise an interrupt, deduplicated
-    /// in first-hit order.
-    pub fn deliver_burst(&mut self, pkts: impl IntoIterator<Item = Packet>) -> Vec<u16> {
-        let mut irqs: Vec<u16> = Vec::new();
+    /// Leaves in `irqs` (cleared first) the queues that should raise an
+    /// interrupt, deduplicated in first-hit order. The caller owns the
+    /// buffer so that a delivery allocates nothing.
+    pub fn deliver_burst(
+        &mut self,
+        pkts: impl IntoIterator<Item = Packet>,
+        irqs: &mut Vec<u16>,
+    ) {
+        irqs.clear();
         for pkt in pkts {
             if let Some(q) = self.deliver(pkt) {
                 if !irqs.contains(&q) {
@@ -229,7 +234,6 @@ impl VirtNic {
                 }
             }
         }
-        irqs
     }
 
     /// The interrupt handler, for the fabric to invoke after delivery
@@ -360,7 +364,8 @@ mod tests {
         let mut bad = pkt(0);
         bad.corrupt(2, 2);
         // Burst mixing: two to queue 0, one corrupt, one to queue 1.
-        let irqs = n.deliver_burst(vec![pkt(0), pkt(2), bad, pkt(1)]);
+        let mut irqs = vec![7];
+        n.deliver_burst(vec![pkt(0), pkt(2), bad, pkt(1)], &mut irqs);
         assert_eq!(irqs, vec![0, 1], "one irq per queue per burst");
         assert_eq!(n.stats().rx_crc_drops, 1, "CRC still checked per packet");
         assert_eq!(n.rx_pending(0), 2);

@@ -4,8 +4,9 @@
 //! per rack, a spine count, and per-trunk link parameters. Compiling it
 //! (`ClosSpec::compile`) validates the shape and yields a [`Topology`]
 //! answering the questions the fabric asks per packet: which leaf does
-//! a host hang off, is a pair of hosts rack-local, and which spine does
-//! a flow's ECMP hash pick (optionally excluding failed trunks).
+//! a host hang off, is a pair of hosts rack-local, which spine does a
+//! flow's ECMP hash pick (optionally excluding failed trunks), and
+//! where a packet standing at a switch goes next.
 //!
 //! ECMP is **deterministic and seeded**: the spine index is a pure
 //! splitmix-style hash of `(src, dst, flow label, seed)` — no RNG
@@ -283,6 +284,35 @@ impl Topology {
         Some(available[(h % available.len() as u64) as usize])
     }
 
+    /// Where a `src -> dst` packet standing at switch `at` goes next —
+    /// the one place that knows the fabric's shape. A leaf hands a
+    /// packet for one of its own hosts to that host and sends any other
+    /// up to the flow's [`Topology::ecmp_spine`]; a spine sends it down
+    /// to the destination's leaf. `None` when no live trunk leads on:
+    /// every candidate spine is unreachable, or the spine's trunk to
+    /// the destination leaf is down (a failure after ECMP committed the
+    /// flow to this spine).
+    pub fn next_hop(
+        &self,
+        at: SwitchId,
+        src: u32,
+        dst: u32,
+        flow: u64,
+        salt: u64,
+        mut trunk_down: impl FnMut(u32, u32) -> bool,
+    ) -> Option<Node> {
+        let dst_rack = self.rack_of(dst);
+        match at {
+            SwitchId::Leaf(rack) if rack == dst_rack => Some(Node::Host(dst)),
+            SwitchId::Leaf(_) => self
+                .ecmp_spine(src, dst, flow, salt, trunk_down)
+                .map(|spine| Node::Switch(SwitchId::Spine(spine))),
+            SwitchId::Spine(spine) => {
+                (!trunk_down(dst_rack, spine)).then_some(Node::Switch(SwitchId::Leaf(dst_rack)))
+            }
+        }
+    }
+
     /// Number of switch hops a `src -> dst` packet crosses (1 in-rack,
     /// 3 cross-rack: leaf, spine, leaf).
     pub fn hop_count(&self, src: u32, dst: u32) -> u32 {
@@ -401,6 +431,28 @@ mod tests {
         assert_eq!(topo.ecmp_spine(0, 3, 7, 0, |_, _| true), None);
         // Rack-local traffic never consults the spine layer.
         assert_eq!(topo.ecmp_spine(0, 1, 7, 0, |_, _| true), None);
+    }
+
+    #[test]
+    fn next_hop_walks_leaf_spine_leaf() {
+        let topo = ClosSpec::clos(2, 2, 3).compile().unwrap();
+        let up = |_: u32, _: u32| false;
+        // In-rack: the leaf hands the packet straight to the host.
+        assert_eq!(topo.next_hop(SwitchId::Leaf(0), 0, 1, 7, 0, up), Some(Node::Host(1)));
+        // Cross-rack: up to the ECMP spine, down to the far leaf, out.
+        let spine = topo.ecmp_spine(0, 3, 7, 0, up).unwrap();
+        let at_spine = SwitchId::Spine(spine);
+        assert_eq!(topo.next_hop(SwitchId::Leaf(0), 0, 3, 7, 0, up), Some(Node::Switch(at_spine)));
+        assert_eq!(topo.next_hop(at_spine, 0, 3, 7, 0, up), Some(Node::Switch(SwitchId::Leaf(1))));
+        assert_eq!(topo.next_hop(SwitchId::Leaf(1), 0, 3, 7, 0, up), Some(Node::Host(3)));
+        // A trunk that fails after ECMP committed strands the packet at
+        // the spine; with every trunk down it never leaves its leaf.
+        let far_side_down = |leaf: u32, s: u32| leaf == 1 && s == spine;
+        assert_eq!(topo.next_hop(at_spine, 0, 3, 7, 0, far_side_down), None);
+        assert_eq!(topo.next_hop(SwitchId::Leaf(0), 0, 3, 7, 0, |_, _| true), None);
+        // The one-rack topology has only the first case.
+        let one = ClosSpec::single_rack().compile().unwrap();
+        assert_eq!(one.next_hop(SwitchId::Leaf(0), 0, 99, 7, 0, up), Some(Node::Host(99)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy + smokes
+#   ci.sh            — build + test + clippy + smokes + pinned smoke digests
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -42,5 +42,17 @@ echo "bench_obs exports parse as JSON"
 # exactly-once, packet conservation, no failed op). Times nothing.
 echo "== tier-1: benchmark smoke =="
 python3 benchmark/run.py --smoke --out "$obs_tmp/bench-smoke"
+
+# Model drift is a red build: the smoke runs' digests are pinned.
+echo "== tier-1: smoke model digests =="
+grep -v '^#' scripts/smoke_digests.txt | while read -r workload want; do
+    got="$(awk '$1 == "model_digest" { print $2 }' "$obs_tmp/bench-smoke/$workload.seed42.run1.txt")"
+    if [ "$got" != "$want" ]; then
+        echo "model drift: $workload smoke digest $got, pinned $want" \
+             "(re-pin scripts/smoke_digests.txt only if you meant to change the model)"
+        exit 1
+    fi
+done
+echo "smoke model digests match"
 
 echo "tier-1 gate: OK"
