@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
-use snap_shm::account::CpuAccountant;
+use snap_shm::account::{CpuAccountant, CpuSlot};
 use snap_sim::costs;
 use snap_sim::stats::Histogram;
 use snap_sim::{Nanos, Sim};
@@ -135,6 +135,9 @@ struct Slot {
     /// for its pass: passes run off the slot so the group is not
     /// borrowed across [`Engine::run`].
     engine: Option<Box<dyn Engine>>,
+    /// The CPU counter of the engine's container, resolved when the
+    /// engine is installed so that a pass charges it without a lookup.
+    cpu: CpuSlot,
     worker: usize,
     /// Depth-1 deferred control work (the engine mailbox, §2.3),
     /// executed on the engine's worker at the start of its next pass.
@@ -381,8 +384,10 @@ impl GroupHandle {
             }
         };
         g.workers[worker].engines.push(id);
+        let cpu = g.accountant.slot(engine.container());
         g.slots.push(Some(Slot {
             engine: Some(engine),
+            cpu,
             worker,
             mailbox: None,
             last_report: RunReport::default(),
@@ -556,9 +561,9 @@ impl GroupHandle {
             any_work |= report.work_done;
             any_pending |= report.pending > 0;
             let mut g = self.inner.borrow_mut();
-            g.accountant.charge(engine.container(), report.cpu.as_nanos());
             g.engine_cpu[id.0 as usize] += report.cpu;
             if let Some(slot) = g.slots[id.0 as usize].as_mut() {
+                slot.cpu.charge(report.cpu.as_nanos());
                 slot.engine = Some(engine);
                 slot.last_report = report;
                 slot.last_pass = now;
@@ -994,7 +999,10 @@ impl GroupHandle {
         engine.attach(sim);
         {
             let mut g = self.inner.borrow_mut();
+            // The successor may run on behalf of another container.
+            let cpu = g.accountant.slot(engine.container());
             let slot = g.slots[id.0 as usize].as_mut().expect("engine exists");
+            slot.cpu = cpu;
             slot.engine = Some(engine);
             g.suspended[id.0 as usize] = false;
             g.crashed[id.0 as usize] = false;

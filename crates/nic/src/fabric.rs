@@ -38,10 +38,11 @@
 //! single-threaded [`Sim`] event loop via a cloneable [`FabricHandle`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_sim::costs;
+use snap_sim::hash::{IntMap, IntSet};
 use snap_sim::time::transmit_time;
 use snap_sim::trace::{Stage, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
@@ -266,31 +267,31 @@ pub struct Fabric {
     topo: Topology,
     hosts: Vec<Host>,
     /// Directed trunks that have seen a packet, keyed (from, to).
-    trunks: HashMap<(SwitchId, SwitchId), Trunk>,
+    trunks: IntMap<(SwitchId, SwitchId), Trunk>,
     /// Failed trunks, keyed (leaf/rack, spine); both directions die.
-    down_trunks: HashSet<(u32, u32)>,
+    down_trunks: IntSet<(u32, u32)>,
     /// Browned-out switches: switch -> (drop prob, extra latency).
-    brownouts: HashMap<SwitchId, (f64, Nanos)>,
+    brownouts: IntMap<SwitchId, (f64, Nanos)>,
     /// Egress-buffer drops broken down by switch and priority class —
     /// the per-hop attribution of `FabricStats::switch_drops`.
     switch_drops_by: BTreeMap<(SwitchId, QosClass), u64>,
     /// Partitioned host pairs, stored normalized (min, max).
-    partitions: HashSet<(HostId, HostId)>,
+    partitions: IntSet<(HostId, HostId)>,
     /// One-way partitions, stored directed (from, to): only packets
     /// `from -> to` are dropped.
-    oneway_partitions: HashSet<(HostId, HostId)>,
+    oneway_partitions: IntSet<(HostId, HostId)>,
     /// Per-directed-link traffic/drop counters, keyed (src, dst).
-    links: HashMap<(HostId, HostId), LinkStats>,
+    links: IntMap<(HostId, HostId), LinkStats>,
     /// Stalled tx queues: (host, queue) -> virtual time the stall lifts.
-    queue_stalls: HashMap<(HostId, u16), Nanos>,
+    queue_stalls: IntMap<(HostId, u16), Nanos>,
     /// Gray lossy links: (src, dst) -> silent per-packet drop prob.
-    lossy_links: HashMap<(HostId, HostId), f64>,
+    lossy_links: IntMap<(HostId, HostId), f64>,
     /// Gray jittery links: (src, dst) -> (median extra delay, sigma).
-    jitter_links: HashMap<(HostId, HostId), (Nanos, f64)>,
+    jitter_links: IntMap<(HostId, HostId), (Nanos, f64)>,
     /// Quarantined directed links (health-detector verdicts): traffic
     /// reroutes via an alternate path when one exists, and best-effort
     /// traffic is shed.
-    quarantined_links: HashSet<(HostId, HostId)>,
+    quarantined_links: IntSet<(HostId, HostId)>,
     rng: Rng,
     /// Dedicated RNG stream for gray-fault draws (per-link loss,
     /// jitter, brownout). Separate from `rng` so attaching a gray fault
@@ -306,6 +307,13 @@ pub struct Fabric {
     /// Scratch for the rx queues a delivered train must interrupt,
     /// kept so a delivery allocates nothing.
     irq_scratch: Vec<u16>,
+    /// Emptied train buffers. A train's `Vec` travels with it from
+    /// transmit to delivery inside the scheduled events; delivery
+    /// hands it back here and the next train (or the next group a
+    /// train splits into) takes it, so in steady state a train
+    /// allocates no buffer. Holds at most as many as were ever in the
+    /// fabric at once.
+    spare_trains: Vec<Vec<Packet>>,
 }
 
 fn norm_pair(a: HostId, b: HostId) -> (HostId, HostId) {
@@ -320,23 +328,29 @@ impl Fabric {
             cfg,
             topo,
             hosts: Vec::new(),
-            trunks: HashMap::new(),
-            down_trunks: HashSet::new(),
-            brownouts: HashMap::new(),
+            trunks: IntMap::default(),
+            down_trunks: IntSet::default(),
+            brownouts: IntMap::default(),
             switch_drops_by: BTreeMap::new(),
-            partitions: HashSet::new(),
-            oneway_partitions: HashSet::new(),
-            links: HashMap::new(),
-            queue_stalls: HashMap::new(),
-            lossy_links: HashMap::new(),
-            jitter_links: HashMap::new(),
-            quarantined_links: HashSet::new(),
+            partitions: IntSet::default(),
+            oneway_partitions: IntSet::default(),
+            links: IntMap::default(),
+            queue_stalls: IntMap::default(),
+            lossy_links: IntMap::default(),
+            jitter_links: IntMap::default(),
+            quarantined_links: IntSet::default(),
             rng,
             gray_rng,
             stats: FabricStats::default(),
             recorder: None,
             irq_scratch: Vec::new(),
+            spare_trains: Vec::new(),
         }
+    }
+
+    /// An empty train buffer: a recycled one if any is spare.
+    fn empty_train(&mut self) -> Vec<Packet> {
+        self.spare_trains.pop().unwrap_or_default()
     }
 
     fn add_host(&mut self, nic_cfg: NicConfig) -> HostId {
@@ -648,7 +662,11 @@ impl Fabric {
                             *last = (*last).max(dep);
                             group.push(pkt.clone());
                         }
-                        None => rest.push((port, dep, vec![pkt.clone()])),
+                        None => {
+                            let mut group = self.empty_train();
+                            group.push(pkt.clone());
+                            rest.push((port, dep, group));
+                        }
                     }
                     return false;
                 }
@@ -981,7 +999,9 @@ impl FabricHandle {
         if !took_slot {
             return Err(TxBusy(pkt));
         }
-        self.send_train(sim, queue, vec![pkt]);
+        let mut train = self.inner.borrow_mut().empty_train();
+        train.push(pkt);
+        self.send_train(sim, queue, train);
         Ok(())
     }
 
@@ -1021,7 +1041,9 @@ impl FabricHandle {
                 .count()
         });
         if taken > 0 {
-            self.send_train(sim, queue, pkts.drain(..taken).collect());
+            let mut train = self.inner.borrow_mut().empty_train();
+            train.extend(pkts.drain(..taken));
+            self.send_train(sim, queue, train);
         }
         taken
     }
@@ -1103,7 +1125,7 @@ impl FabricHandle {
     /// propagation + rx DMA, then the whole train into the NIC's rx
     /// rings in one event, with at most one interrupt per armed rx
     /// queue.
-    fn deliver_train(&self, sim: &mut Sim, dst: HostId, train: Vec<Packet>) {
+    fn deliver_train(&self, sim: &mut Sim, dst: HostId, mut train: Vec<Packet>) {
         let (prop, dma) = {
             let fabric = self.inner.borrow();
             (fabric.cfg.prop_delay, fabric.cfg.nic_dma)
@@ -1124,8 +1146,10 @@ impl FabricHandle {
                 fabric.stats.delivered += train.len() as u64;
                 let mut irqs = std::mem::take(&mut fabric.irq_scratch);
                 let nic = &mut fabric.hosts[dst as usize].nic;
-                nic.deliver_burst(train, &mut irqs);
-                (irqs, nic.irq_handler())
+                nic.deliver_burst(train.drain(..), &mut irqs);
+                let handler = nic.irq_handler();
+                fabric.spare_trains.push(train);
+                (irqs, handler)
             };
             // Invoke interrupts outside the fabric borrow so handlers
             // can freely poll the NIC.

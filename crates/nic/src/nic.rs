@@ -16,9 +16,10 @@
 //!   engine scheduler ("blocks on interrupt notification when idle",
 //!   §2.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
+use snap_sim::hash::IntMap;
 use snap_sim::Sim;
 
 use crate::packet::Packet;
@@ -80,7 +81,7 @@ pub struct VirtNic {
     /// replenished when serialization completes.
     tx_slots: Vec<usize>,
     /// Exact-match steering filters: steer key -> rx queue.
-    filters: HashMap<u64, u16>,
+    filters: IntMap<u64, u16>,
     /// Per-queue interrupt arming; disarmed queues are silently polled.
     irq_armed: Vec<bool>,
     irq_handler: Option<IrqHandler>,
@@ -99,7 +100,7 @@ impl VirtNic {
         VirtNic {
             rx_queues: (0..cfg.num_queues).map(|_| VecDeque::new()).collect(),
             tx_slots: vec![cfg.tx_queue_depth; cfg.num_queues as usize],
-            filters: HashMap::new(),
+            filters: IntMap::default(),
             irq_armed: vec![false; cfg.num_queues as usize],
             irq_handler: None,
             stats: NicStats::default(),

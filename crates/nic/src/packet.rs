@@ -66,17 +66,7 @@ impl Packet {
     /// size of payload length + [`Packet::HEADER_OVERHEAD`].
     pub fn new(src: HostId, dst: HostId, payload: Bytes) -> Packet {
         let crc = crc32c(&payload);
-        Packet {
-            src,
-            dst,
-            steer_key: None,
-            rss_hash: 0,
-            qos: QosClass::BestEffort,
-            wire_size: payload.len() as u32 + Self::HEADER_OVERHEAD,
-            payload,
-            crc,
-            trace: None,
-        }
+        Packet::with_precomputed_crc(src, dst, payload, crc)
     }
 
     /// Builds a packet from a payload whose CRC32C the caller already

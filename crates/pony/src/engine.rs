@@ -22,7 +22,7 @@
 //! shared memory in brownout and state in blackout (§4).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -35,11 +35,12 @@ use snap_shm::queue_pair::EngineEndpoint;
 use snap_shm::region::{RegionError, RegionRegistry};
 use snap_sim::codec::{DecodeError, Reader, Writer};
 use snap_sim::costs;
+use snap_sim::hash::IntMap;
 use snap_sim::trace::{Stage, TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Sim};
 
 use crate::client::{OpStatus, PonyCommand, PonyCommandTuple, PonyCompletion};
-use crate::flow::{Accept, Flow, FlowMapper};
+use crate::flow::{Accept, AckedChunk, Flow, FlowMapper};
 use crate::timely::TimelyConfig;
 use crate::wire::{OpFrame, PonyPacket};
 
@@ -55,7 +56,7 @@ pub const INITIAL_CREDITS: u32 = 64;
 /// hand the same sessions to the successor engine — the analogue of
 /// transferring fds over the control channel during brownout.
 pub type SessionTable =
-    Rc<RefCell<HashMap<u64, EngineEndpoint<PonyCommandTuple, PonyCompletion>>>>;
+    Rc<RefCell<IntMap<u64, EngineEndpoint<PonyCommandTuple, PonyCompletion>>>>;
 
 /// Callback that re-schedules an engine pass — used by self-arming
 /// pacing/RTO timers.
@@ -135,11 +136,43 @@ pub struct PonyStats {
     pub duplicates: u64,
 }
 
-/// Adds `id` to a ready set (an ascending, duplicate-free id list).
-fn mark_ready(set: &mut Vec<u64>, id: u64) {
-    if let Err(at) = set.binary_search(&id) {
-        set.insert(at, id);
+/// Adds `id` to an ascending, duplicate-free list — a ready set, or
+/// the chunk offsets of one message (which mostly arrive in order, so
+/// the common insert is a push). Returns whether `id` was absent.
+fn insert_sorted(set: &mut Vec<u64>, id: u64) -> bool {
+    if set.last().is_none_or(|&last| last < id) {
+        set.push(id);
+        return true;
     }
+    match set.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, id);
+            true
+        }
+    }
+}
+
+/// [`PonyEngine::stamp`] over the two fields it reads, for callers that
+/// hold another part of the engine borrowed.
+fn stamp_on(
+    recorder: Option<&TraceRecorder>,
+    host: HostId,
+    trace: Option<TraceContext>,
+    stage: Stage,
+    at: Nanos,
+) {
+    if let (Some(ctx), Some(rec)) = (trace, recorder) {
+        rec.record(ctx, stage, host, at);
+    }
+}
+
+/// A flow and the peer it leads to.
+struct PeerFlow {
+    flow: Flow,
+    remote_host: HostId,
+    /// The peer's engine key: what its NIC steers this flow's packets by.
+    remote_engine: u64,
 }
 
 struct ConnState {
@@ -164,13 +197,13 @@ struct ConnState {
     stream_queue: VecDeque<u32>,
     /// Per-stream FIFO of admitted message ids (messages within one
     /// stream are ordered, so they proceed strictly in order).
-    per_stream: HashMap<u32, VecDeque<u64>>,
+    per_stream: IntMap<u32, VecDeque<u64>>,
     /// Next message id per stream (sender side).
-    next_msg: HashMap<u32, u64>,
+    next_msg: IntMap<u32, u64>,
     /// Next message to deliver per stream (receiver side, in-order).
-    next_deliver: HashMap<u32, u64>,
+    next_deliver: IntMap<u32, u64>,
     /// Completed but not yet deliverable messages: (stream, msg) -> len.
-    ready: HashMap<(u32, u64), u64>,
+    ready: IntMap<(u32, u64), u64>,
 }
 
 struct SendMsg {
@@ -178,7 +211,11 @@ struct SendMsg {
     session: Option<u64>,
     total: u64,
     chunks: u32,
-    acked_offsets: HashSet<u64>,
+    /// Offsets of the chunks the peer has acknowledged, ascending. The
+    /// send is done when there are `chunks` of them. Keyed by offset,
+    /// not by seq: a chunk re-queued across an upgrade goes out again
+    /// under a new seq, and both copies may be acked.
+    acked_offsets: Vec<u64>,
     issued_at: Nanos,
     /// Next chunk offset to enqueue; the send scheduler advances this
     /// one chunk at a time, interleaving streams.
@@ -191,7 +228,9 @@ struct SendMsg {
 struct RecvMsg {
     total: u64,
     received: u64,
-    offsets: HashSet<u64>,
+    /// Offsets of the chunks received, ascending; a retransmitted chunk
+    /// whose first copy arrived is recognised by its offset.
+    offsets: Vec<u64>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -233,10 +272,8 @@ pub struct PonyEngine {
     regions: RegionRegistry,
     sessions: SessionTable,
     mapper: FlowMapper,
-    flows: HashMap<u64, Flow>,
-    /// Flow id -> (remote host, remote engine key).
-    flow_peers: HashMap<u64, (HostId, u64)>,
-    conns: HashMap<u64, ConnState>,
+    flows: IntMap<u64, PeerFlow>,
+    conns: IntMap<u64, ConnState>,
     /// The ready sets, ascending by id: flows for which
     /// [`Flow::is_active`] holds and connections whose `stream_queue`
     /// is non-empty. Every per-pass walk (RTO checks, send scheduler,
@@ -249,11 +286,9 @@ pub struct PonyEngine {
     /// it is exact (checked against a full scan in debug builds).
     ready_flows: Vec<u64>,
     ready_conns: Vec<u64>,
-    /// In-flight chunk tracking: flow seq -> (conn, stream, msg, offset).
-    seq_chunks: HashMap<(u64, u64), (u64, u32, u64, u64)>,
-    send_msgs: HashMap<(u64, u32, u64), SendMsg>,
-    recv_msgs: HashMap<(u64, u32, u64), RecvMsg>,
-    pending_ops: HashMap<u64, PendingOp>,
+    send_msgs: IntMap<(u64, u32, u64), SendMsg>,
+    recv_msgs: IntMap<(u64, u32, u64), RecvMsg>,
+    pending_ops: IntMap<u64, PendingOp>,
     /// Sessions bootstrapped against THIS engine; the shared table may
     /// hold other engines' sessions too.
     owned_sessions: Vec<u64>,
@@ -262,7 +297,7 @@ pub struct PonyEngine {
     /// only be a hedge resubmit: it is absorbed without re-execution,
     /// preserving exactly-once under hedging. Checkpointed so the
     /// guarantee survives a restart with hedges still in flight.
-    session_watermarks: HashMap<u64, u64>,
+    session_watermarks: IntMap<u64, u64>,
     stats: PonyStats,
     /// Wake callback for self-arming timers (pacing/RTO); set by the
     /// module after registration.
@@ -282,9 +317,12 @@ pub struct PonyEngine {
     /// op id -> the request's context, consumed when the response
     /// packet is first generated (a retransmitted response travels
     /// untraced, which only truncates that op's span tree).
-    resp_traces: HashMap<u64, TraceContext>,
+    resp_traces: IntMap<u64, TraceContext>,
     rx_buf: Vec<Packet>,
     cmd_buf: Vec<PonyCommandTuple>,
+    /// Chunks acknowledged by the packet being received: filled by the
+    /// flow, drained by `process_acked`, capacity kept.
+    acked_buf: Vec<AckedChunk>,
     /// Reusable wire-encode scratch: frames encode into this buffer
     /// (capacity persists across packets) and CRC32C is computed over
     /// it before the payload is materialized, so the tx path does no
@@ -314,26 +352,25 @@ impl PonyEngine {
             fabric,
             regions,
             sessions,
-            flows: HashMap::new(),
-            flow_peers: HashMap::new(),
-            conns: HashMap::new(),
+            flows: IntMap::default(),
+            conns: IntMap::default(),
             ready_flows: Vec::new(),
             ready_conns: Vec::new(),
-            seq_chunks: HashMap::new(),
-            send_msgs: HashMap::new(),
-            recv_msgs: HashMap::new(),
-            pending_ops: HashMap::new(),
+            send_msgs: IntMap::default(),
+            recv_msgs: IntMap::default(),
+            pending_ops: IntMap::default(),
             owned_sessions: Vec::new(),
-            session_watermarks: HashMap::new(),
+            session_watermarks: IntMap::default(),
             stats: PonyStats::default(),
             wake: None,
             timer: None,
             admission: None,
             charged_bytes: 0,
             recorder: None,
-            resp_traces: HashMap::new(),
+            resp_traces: IntMap::default(),
             rx_buf: Vec::new(),
             cmd_buf: Vec::new(),
+            acked_buf: Vec::new(),
             tx_scratch: Writer::new(),
             tx_batch: Vec::new(),
             detached: false,
@@ -389,9 +426,7 @@ impl PonyEngine {
     /// Stamps one stage record, if the op is traced and a recorder is
     /// installed. Pure observation.
     fn stamp(&self, trace: Option<TraceContext>, stage: Stage, at: Nanos) {
-        if let (Some(ctx), Some(rec)) = (trace, self.recorder.as_ref()) {
-            rec.record(ctx, stage, self.cfg.host, at);
-        }
+        stamp_on(self.recorder.as_ref(), self.cfg.host, trace, stage, at);
     }
 
     /// Finalizes a traced op: appends the Complete record and assembles
@@ -442,6 +477,7 @@ impl PonyEngine {
     fn most_active_flow(&self) -> Option<&Flow> {
         self.flows
             .values()
+            .map(|p| &p.flow)
             .max_by_key(|f| (f.cc().samples, std::cmp::Reverse(f.id)))
     }
 
@@ -449,8 +485,8 @@ impl PonyEngine {
     /// all flows, packets in flight over all flows).
     pub fn debug_flow_info(&self) -> (f64, u64, usize) {
         let rate = self.most_active_flow().map_or(0.0, |f| f.cc().rate());
-        let samples = self.flows.values().map(|f| f.cc().samples).sum();
-        let infl = self.flows.values().map(|f| f.inflight()).sum();
+        let samples = self.flows.values().map(|p| p.flow.cc().samples).sum();
+        let infl = self.flows.values().map(|p| p.flow.inflight()).sum();
         (rate, samples, infl)
     }
 
@@ -493,9 +529,14 @@ impl PonyEngine {
     ) {
         let (flow, fresh) = self.mapper.flow_for(remote_host, remote_engine);
         if fresh {
-            self.flows
-                .insert(flow, Flow::new(flow, version, self.cfg.cc.clone()));
-            self.flow_peers.insert(flow, (remote_host, remote_engine));
+            self.flows.insert(
+                flow,
+                PeerFlow {
+                    flow: Flow::new(flow, version, self.cfg.cc.clone()),
+                    remote_host,
+                    remote_engine,
+                },
+            );
         }
         self.conns.insert(
             conn,
@@ -510,10 +551,10 @@ impl PonyEngine {
                 small_credits: INITIAL_CREDITS,
                 held: VecDeque::new(),
                 stream_queue: VecDeque::new(),
-                per_stream: HashMap::new(),
-                next_msg: HashMap::new(),
-                next_deliver: HashMap::new(),
-                ready: HashMap::new(),
+                per_stream: IntMap::default(),
+                next_msg: IntMap::default(),
+                next_deliver: IntMap::default(),
+                ready: IntMap::default(),
             },
         );
     }
@@ -541,8 +582,9 @@ impl PonyEngine {
         self.flows
             .get_mut(&flow_id)
             .expect("a connection's or a request's flow exists")
+            .flow
             .enqueue(frame, now);
-        mark_ready(&mut self.ready_flows, flow_id);
+        insert_sorted(&mut self.ready_flows, flow_id);
     }
 
     /// Admits a Send command, applying the memory quota (§2.5) and then
@@ -642,7 +684,7 @@ impl PonyEngine {
                 session,
                 total: len,
                 chunks,
-                acked_offsets: HashSet::new(),
+                acked_offsets: Vec::new(),
                 issued_at: now,
                 next_offset: 0,
                 trace,
@@ -655,7 +697,7 @@ impl PonyEngine {
         if q.len() == 1 && !conn.stream_queue.contains(&stream) {
             conn.stream_queue.push_back(stream);
         }
-        mark_ready(&mut self.ready_conns, conn_id);
+        insert_sorted(&mut self.ready_conns, conn_id);
     }
 
     /// The send scheduler: tops up each flow's outbound queue from its
@@ -664,31 +706,24 @@ impl PonyEngine {
     /// head-of-line blocking each other (§3.3).
     fn fill_flows(&mut self, now: Nanos) {
         const OUTQ_TARGET: usize = 64;
+        let mtu = self.cfg.mtu as u64;
         // Ascending connection id, so the top-up order (and hence
         // intra-train packet order) is identical across same-seed
         // runs. Nothing in the loop adds to `ready_conns`.
         for i in 0..self.ready_conns.len() {
             let conn_id = self.ready_conns[i];
-            while let Some(conn) = self.conns.get_mut(&conn_id) {
-                if conn.stream_queue.is_empty() {
-                    break;
-                }
-                let flow_id = conn.flow;
-                if self
-                    .flows
-                    .get(&flow_id)
-                    .map(|f| f.pending_tx() >= OUTQ_TARGET)
-                    .unwrap_or(true)
-                {
-                    break;
-                }
-                let stream = conn.stream_queue.pop_front().expect("non-empty");
+            // The connection and its flow are resolved once per pass,
+            // the stream's FIFO and the send once per chunk.
+            let Some(conn) = self.conns.get_mut(&conn_id) else { continue };
+            let Some(peer) = self.flows.get_mut(&conn.flow) else { continue };
+            let queued_before = peer.flow.pending_tx();
+            while peer.flow.pending_tx() < OUTQ_TARGET {
+                let Some(stream) = conn.stream_queue.pop_front() else { break };
                 let Some(msgs) = conn.per_stream.get_mut(&stream) else { continue };
                 let Some(&msg) = msgs.front() else {
                     conn.per_stream.remove(&stream);
                     continue;
                 };
-                let mtu = self.cfg.mtu as u64;
                 let Some(send) = self.send_msgs.get_mut(&(conn_id, stream, msg)) else {
                     msgs.pop_front();
                     if !msgs.is_empty() {
@@ -699,23 +734,18 @@ impl PonyEngine {
                 let offset = send.next_offset;
                 let chunk = (send.total - offset).min(mtu) as u32;
                 send.next_offset += chunk as u64;
-                let finished = send.next_offset >= send.total;
-                let total = send.total;
-                self.enqueue(
-                    flow_id,
+                peer.flow.enqueue(
                     OpFrame::MsgChunk {
                         conn: conn_id,
                         stream,
                         msg,
                         offset,
-                        total,
+                        total: send.total,
                         len: chunk,
                     },
                     now,
                 );
-                let conn = self.conns.get_mut(&conn_id).expect("still exists");
-                let msgs = conn.per_stream.get_mut(&stream).expect("still exists");
-                if finished {
+                if send.next_offset >= send.total {
                     msgs.pop_front();
                 }
                 if msgs.is_empty() {
@@ -724,6 +754,9 @@ impl PonyEngine {
                     // Back of the round-robin: other streams get a turn.
                     conn.stream_queue.push_back(stream);
                 }
+            }
+            if peer.flow.pending_tx() > queued_before {
+                insert_sorted(&mut self.ready_flows, conn.flow);
             }
         }
     }
@@ -777,8 +810,8 @@ impl PonyEngine {
             self.stats.hedge_dups += 1;
             self.finish_trace(trace, now);
             let flow_id = self.conns.get(&cmd_conn(&cmd)).map(|c| c.flow);
-            if let Some(flow) = flow_id.and_then(|fid| self.flows.get_mut(&fid)) {
-                self.stats.hedge_retransmits += flow.hedge_retransmit(now) as u64;
+            if let Some(peer) = flow_id.and_then(|fid| self.flows.get_mut(&fid)) {
+                self.stats.hedge_retransmits += peer.flow.hedge_retransmit(now) as u64;
             }
             return Nanos(costs::PONY_PER_OP_NS);
         }
@@ -1122,9 +1155,9 @@ impl PonyEngine {
                     .or_insert(RecvMsg {
                         total,
                         received: 0,
-                        offsets: HashSet::new(),
+                        offsets: Vec::new(),
                     });
-                if entry.offsets.insert(offset) {
+                if insert_sorted(&mut entry.offsets, offset) {
                     entry.received += len as u64;
                 }
                 if entry.received >= entry.total {
@@ -1205,18 +1238,16 @@ impl PonyEngine {
         }
     }
 
-    /// Processes seqs newly acked by the peer: completes sends whose
-    /// chunks are all acknowledged, returning small-message credits.
-    fn process_acked(&mut self, now: Nanos, acked: Vec<u64>, flow_id: u64) {
-        for seq in acked {
-            let Some((conn, stream, msg, offset)) = self.seq_chunks.remove(&(flow_id, seq))
-            else {
-                continue;
-            };
+    /// Processes the chunks the peer newly acked (`acked_buf`, as the
+    /// flow left them): completes sends whose chunks are all
+    /// acknowledged, returning small-message credits.
+    fn process_acked(&mut self, now: Nanos) {
+        let mut acked = std::mem::take(&mut self.acked_buf);
+        for AckedChunk { conn, stream, msg, offset } in acked.drain(..) {
             let Some(send) = self.send_msgs.get_mut(&(conn, stream, msg)) else {
                 continue;
             };
-            send.acked_offsets.insert(offset);
+            insert_sorted(&mut send.acked_offsets, offset);
             if send.next_offset >= send.total && send.acked_offsets.len() as u32 >= send.chunks {
                 let send = self
                     .send_msgs
@@ -1250,6 +1281,7 @@ impl PonyEngine {
                 );
             }
         }
+        self.acked_buf = acked;
     }
 
     /// Just-in-time packet generation: drain flows while tx descriptor
@@ -1271,28 +1303,16 @@ impl PonyEngine {
         // the max. Nothing in the loop adds to `ready_flows`.
         'outer: for i in 0..self.ready_flows.len() {
             let fid = self.ready_flows[i];
+            let peer = self.flows.get_mut(&fid).expect("listed");
             loop {
                 if batch.len() >= max {
                     break 'outer;
                 }
-                let flow = self.flows.get_mut(&fid).expect("listed");
-                let rtx_before = flow.stats().retransmits;
-                let Some(mut pkt) = flow.produce(now) else { break };
+                let rtx_before = peer.flow.stats().retransmits;
+                let Some(mut pkt) = peer.flow.produce(now) else { break };
                 // A retransmit counter bump during this produce() call
                 // means THIS packet is the retransmission.
-                let is_rtx = flow.stats().retransmits > rtx_before;
-                // Track chunk seqs for send-completion accounting.
-                if let OpFrame::MsgChunk {
-                    conn,
-                    stream,
-                    msg,
-                    offset,
-                    ..
-                } = pkt.frame
-                {
-                    self.seq_chunks
-                        .insert((fid, pkt.seq), (conn, stream, msg, offset));
-                }
+                let is_rtx = peer.flow.stats().retransmits > rtx_before;
                 // Attribute the packet to the op it carries and stamp
                 // the context into the wire header (v6 flows only).
                 pkt.trace = match &pkt.frame {
@@ -1315,10 +1335,14 @@ impl PonyEngine {
                 };
                 if is_rtx {
                     self.stats.retransmits += 1;
-                    self.stamp(pkt.trace, Stage::Retransmit, now);
+                    stamp_on(
+                        self.recorder.as_ref(),
+                        self.cfg.host,
+                        pkt.trace,
+                        Stage::Retransmit,
+                        now,
+                    );
                 }
-                let (remote_host, remote_engine_key) =
-                    *self.flow_peers.get(&fid).expect("flow has peer");
                 // Encode into the engine scratch (no growth reallocs
                 // once warm) and CRC the encoded bytes right here, so
                 // Packet construction skips its own CRC pass.
@@ -1327,14 +1351,16 @@ impl PonyEngine {
                 let crc = snap_nic::crc::crc32c(self.tx_scratch.as_slice());
                 let payload = Bytes::copy_from_slice(self.tx_scratch.as_slice());
                 let mut nic_pkt =
-                    Packet::with_precomputed_crc(self.cfg.host, remote_host, payload, crc);
+                    Packet::with_precomputed_crc(self.cfg.host, peer.remote_host, payload, crc);
                 nic_pkt.wire_size = pkt.wire_size() + Packet::HEADER_OVERHEAD;
                 // The fabric stamps its hop records against this.
                 nic_pkt.trace = pkt.trace;
+                // Encoded: the ack list goes back for the next packet.
+                peer.flow.reclaim_sacks(pkt.sacks);
                 batch.push(
                     nic_pkt
                         .with_qos(QosClass::Transport)
-                        .with_steer_key(remote_engine_key)
+                        .with_steer_key(peer.remote_engine)
                         .with_rss_hash(fid),
                 );
             }
@@ -1370,7 +1396,7 @@ impl PonyEngine {
         let mut earliest: Option<Nanos> = None;
         let mut sendable = 0;
         self.ready_flows.retain(|fid| {
-            let Some(flow) = flows.get(fid).filter(|f| f.is_active()) else {
+            let Some(flow) = flows.get(fid).map(|p| &p.flow).filter(|f| f.is_active()) else {
                 return false;
             };
             let pacing = flow.next_pacing_deadline(now);
@@ -1392,8 +1418,8 @@ impl PonyEngine {
         let mut flows: Vec<u64> = self
             .flows
             .values()
-            .filter(|f| f.is_active())
-            .map(|f| f.id)
+            .filter(|p| p.flow.is_active())
+            .map(|p| p.flow.id)
             .collect();
         flows.sort_unstable();
         let mut conns: Vec<u64> = self
@@ -1414,16 +1440,16 @@ impl PonyEngine {
     fn ready_sets_match_full_scan(&self) -> bool {
         let (flows, conns) = self.scan_ready();
         let (mut retransmits, mut duplicates) = (0, 0);
-        for f in self.flows.values() {
-            retransmits += f.stats().retransmits;
-            duplicates += f.stats().duplicates;
+        for p in self.flows.values() {
+            retransmits += p.flow.stats().retransmits;
+            duplicates += p.flow.stats().duplicates;
         }
         flows == self.ready_flows
             && conns == self.ready_conns
             && self
                 .flows
                 .values()
-                .all(|f| f.next_rto_deadline() == f.rto_deadline_by_scan())
+                .all(|p| p.flow.next_rto_deadline() == p.flow.rto_deadline_by_scan())
             && retransmits == self.stats.retransmits
             && duplicates == self.stats.duplicates
     }
@@ -1493,28 +1519,28 @@ impl Engine for PonyEngine {
                 continue;
             };
             let flow_id = ppkt.flow;
-            // Remote-initiated flows materialize on first packet; the
-            // peer's engine key is recoverable from the steering info.
-            if !self.flows.contains_key(&flow_id) {
-                self.flows.insert(
-                    flow_id,
-                    Flow::new(flow_id, ppkt.version, self.cfg.cc.clone()),
-                );
-                // The reverse path steers by the *source* engine key,
-                // which the wire protocol encodes in the flow id's high
-                // bits (FlowMapper layout).
-                self.flow_peers.insert(flow_id, (pkt.src, flow_id >> 32));
-            }
-            let flow = self.flows.get_mut(&flow_id).expect("just ensured");
+            // Remote-initiated flows materialize on first packet. The
+            // reverse path steers by the *source* engine key, which the
+            // wire protocol encodes in the flow id's high bits
+            // (FlowMapper layout).
+            let flow = &mut self
+                .flows
+                .entry(flow_id)
+                .or_insert_with(|| PeerFlow {
+                    flow: Flow::new(flow_id, ppkt.version, self.cfg.cc.clone()),
+                    remote_host: pkt.src,
+                    remote_engine: flow_id >> 32,
+                })
+                .flow;
             let ptrace = ppkt.trace;
             let dups_before = flow.stats().duplicates;
-            let (accept, acked) = flow.on_packet_tracked(&ppkt, now);
+            let accept = flow.on_packet_tracked(&ppkt, now, &mut self.acked_buf);
             self.stats.duplicates += flow.stats().duplicates - dups_before;
             // The packet may have left an ack owed.
             if flow.is_active() {
-                mark_ready(&mut self.ready_flows, flow_id);
+                insert_sorted(&mut self.ready_flows, flow_id);
             }
-            self.process_acked(now, acked, flow_id);
+            self.process_acked(now);
             if let Accept::Deliver(frame) = accept {
                 // A traced packet reached this engine's poll loop: the
                 // remote-dequeue stamp (NIC delivery -> engine pickup).
@@ -1546,11 +1572,11 @@ impl Engine for PonyEngine {
 
         // 3. RTO checks.
         for i in 0..self.ready_flows.len() {
-            let flow = self
+            let peer = self
                 .flows
                 .get_mut(&self.ready_flows[i])
                 .expect("ready flows exist");
-            if flow.check_rto(now) > 0 {
+            if peer.flow.check_rto(now) > 0 {
                 work = true;
             }
         }
@@ -1595,7 +1621,7 @@ impl Engine for PonyEngine {
         let tx: usize = self
             .ready_flows
             .iter()
-            .map(|fid| self.flows[fid].pending_tx())
+            .map(|fid| self.flows[fid].flow.pending_tx())
             .sum();
         let sends: usize = self
             .ready_conns
@@ -1616,7 +1642,7 @@ impl Engine for PonyEngine {
     fn oldest_pending_age(&self, now: Nanos) -> Nanos {
         self.ready_flows
             .iter()
-            .map(|fid| self.flows[fid].oldest_pending_age(now))
+            .map(|fid| self.flows[fid].flow.oldest_pending_age(now))
             .max()
             .unwrap_or(Nanos::ZERO)
     }
@@ -1688,9 +1714,9 @@ impl Engine for PonyEngine {
         let mut flow_ids: Vec<u64> = self.flows.keys().copied().collect();
         flow_ids.sort_unstable();
         for fid in flow_ids {
-            let (host, key) = self.flow_peers[&fid];
-            w.u32(host).u64(key);
-            w.bytes(&self.flows[&fid].serialize());
+            let peer = &self.flows[&fid];
+            w.u32(peer.remote_host).u64(peer.remote_engine);
+            w.bytes(&peer.flow.serialize());
         }
         // Send-message state.
         w.u32(self.send_msgs.len() as u32);
@@ -1707,9 +1733,7 @@ impl Engine for PonyEngine {
                 .u64(s.issued_at.as_nanos())
                 .u64(s.next_offset);
             w.u32(s.acked_offsets.len() as u32);
-            let mut offs: Vec<u64> = s.acked_offsets.iter().copied().collect();
-            offs.sort_unstable();
-            for o in offs {
+            for &o in &s.acked_offsets {
                 w.u64(o);
             }
         }
@@ -1721,9 +1745,7 @@ impl Engine for PonyEngine {
             let r = &self.recv_msgs[&(conn, stream, msg)];
             w.u64(conn).u32(stream).u64(msg).u64(r.total);
             w.u32(r.offsets.len() as u32);
-            let mut offs: Vec<u64> = r.offsets.iter().copied().collect();
-            offs.sort_unstable();
-            for o in offs {
+            for &o in &r.offsets {
                 w.u64(o);
             }
         }
@@ -1833,7 +1855,7 @@ impl PonyEngine {
                     None,
                 ));
             }
-            let mut per_stream: HashMap<u32, VecDeque<u64>> = HashMap::new();
+            let mut per_stream: IntMap<u32, VecDeque<u64>> = IntMap::default();
             let mut stream_queue = VecDeque::new();
             for _ in 0..r.u32()? {
                 let stream = r.u32()?;
@@ -1844,19 +1866,19 @@ impl PonyEngine {
                     stream_queue.push_back(stream);
                 }
             }
-            let mut next_msg = HashMap::new();
+            let mut next_msg = IntMap::default();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
                 next_msg.insert(s, m);
             }
-            let mut next_deliver = HashMap::new();
+            let mut next_deliver = IntMap::default();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
                 next_deliver.insert(s, m);
             }
-            let mut ready = HashMap::new();
+            let mut ready = IntMap::default();
             for _ in 0..r.u32()? {
                 let s = r.u32()?;
                 let m = r.u64()?;
@@ -1889,10 +1911,16 @@ impl PonyEngine {
             let key = r.u64()?;
             let body = r.bytes()?;
             let flow = Flow::deserialize(body, engine.cfg.cc.clone(), now)?;
-            engine.flow_peers.insert(flow.id, (host, key));
             // Rebuild the mapper so future conns reuse these flows.
             engine.mapper.flow_for(host, key);
-            engine.flows.insert(flow.id, flow);
+            engine.flows.insert(
+                flow.id,
+                PeerFlow {
+                    flow,
+                    remote_host: host,
+                    remote_engine: key,
+                },
+            );
         }
         let nsend = r.u32()?;
         for _ in 0..nsend {
@@ -1906,9 +1934,9 @@ impl PonyEngine {
             let chunks = r.u32()?;
             let issued_at = Nanos(r.u64()?);
             let next_offset = r.u64()?;
-            let mut acked_offsets = HashSet::new();
+            let mut acked_offsets = Vec::new();
             for _ in 0..r.u32()? {
-                acked_offsets.insert(r.u64()?);
+                insert_sorted(&mut acked_offsets, r.u64()?);
             }
             engine.send_msgs.insert(
                 (conn, stream, msg),
@@ -1930,11 +1958,10 @@ impl PonyEngine {
             let stream = r.u32()?;
             let msg = r.u64()?;
             let total = r.u64()?;
-            let mut offsets = HashSet::new();
+            let mut offsets = Vec::new();
             let mut received = 0u64;
-            let n = r.u32()?;
-            for _ in 0..n {
-                offsets.insert(r.u64()?);
+            for _ in 0..r.u32()? {
+                insert_sorted(&mut offsets, r.u64()?);
             }
             // Reconstruct received byte count from offsets and the MTU
             // chunking rule.

@@ -15,8 +15,9 @@
 //! layer's job), retransmits unacked packets after an RTO derived from
 //! Timely's RTT estimate, and paces transmission at the Timely rate.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
+use snap_sim::hash::IntMap;
 use snap_sim::Nanos;
 
 use crate::timely::{Timely, TimelyConfig};
@@ -52,6 +53,113 @@ pub struct FlowStats {
     pub duplicates: u64,
 }
 
+/// A two-sided message chunk whose packet the peer has just
+/// acknowledged: what the upper layer needs to credit the send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AckedChunk {
+    /// Application connection id.
+    pub conn: u64,
+    /// Stream within the connection.
+    pub stream: u32,
+    /// Message id within the stream.
+    pub msg: u64,
+    /// Chunk offset within the message.
+    pub offset: u64,
+}
+
+/// Bound on the span of sequence numbers a [`SeqWindow`] is asked to
+/// cover: how far above the cumulative point a received seq is
+/// tracked, and how far below `next_seq` a checkpointed un-acked seq
+/// may lie. A sender's un-acked window is a few thousand packets (a
+/// full RTO at line rate is under 100 000); a seq further out came off
+/// the wire or out of a checkpoint damaged, and the ring is sized by
+/// the span it covers.
+const MAX_SEQ_WINDOW: u64 = 1 << 20;
+
+/// A map from sequence number to `T` for keys that cluster in a moving
+/// window: slot `i` of the ring holds sequence `base + i`. The front
+/// and back slots are occupied whenever the window is non-empty, so
+/// `base` is the lowest sequence present and the ring spans exactly
+/// lowest..=highest. Lookups index; nothing is hashed or rebalanced,
+/// and a steady window reuses the ring's buffer.
+#[derive(Debug)]
+struct SeqWindow<T> {
+    base: u64,
+    slots: VecDeque<Option<T>>,
+    len: usize,
+}
+
+impl<T> SeqWindow<T> {
+    fn new() -> Self {
+        SeqWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Lowest sequence present.
+    fn first(&self) -> Option<u64> {
+        (!self.slots.is_empty()).then_some(self.base)
+    }
+
+    fn get(&self, seq: u64) -> Option<&T> {
+        let at = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get(at)?.as_ref()
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        self.get(seq).is_some()
+    }
+
+    /// Inserts, returning whether `seq` was absent.
+    fn insert(&mut self, seq: u64, value: T) -> bool {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let at = (seq - self.base) as usize;
+        while self.slots.len() <= at {
+            self.slots.push_back(None);
+        }
+        let fresh = self.slots[at].replace(value).is_none();
+        self.len += fresh as usize;
+        fresh
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<T> {
+        let at = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        let value = self.slots.get_mut(at)?.take()?;
+        self.len -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(value)
+    }
+
+    /// Entries in ascending sequence order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        let seqs = self.base..;
+        seqs.zip(&self.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)))
+    }
+}
+
 /// A reliable, congestion-controlled flow to one remote engine.
 pub struct Flow {
     /// Flow id carried on the wire.
@@ -61,7 +169,7 @@ pub struct Flow {
     cc: Timely,
     next_seq: u64,
     /// Un-acked packets by seq.
-    inflight: BTreeMap<u64, InFlight>,
+    inflight: SeqWindow<InFlight>,
     /// `(sent_at, seq)` of every transmission, in send order. An entry
     /// is live while `inflight[seq].sent_at == sent_at`; acked, expired
     /// and re-sent packets leave dead entries behind, which are
@@ -82,9 +190,13 @@ pub struct Flow {
     /// All seqs below this have been received.
     rcv_cum: u64,
     /// Received seqs above `rcv_cum` (bounded by the reorder window).
-    rcv_sacks: BTreeSet<u64>,
+    rcv_sacks: SeqWindow<()>,
     /// Latest acks to piggyback/emit.
     ack_dirty: bool,
+    /// The selective-ack list of the next packet: [`Flow::reclaim_sacks`]
+    /// hands a sent packet's list back, so building one allocates only
+    /// until the first has come home.
+    sack_buf: Vec<u64>,
     stats: FlowStats,
 }
 
@@ -105,13 +217,14 @@ impl Flow {
             version,
             cc: Timely::new(cc_cfg),
             next_seq: 0,
-            inflight: BTreeMap::new(),
+            inflight: SeqWindow::new(),
             sent_order: VecDeque::new(),
             outq: VecDeque::new(),
             rtxq: VecDeque::new(),
             rcv_cum: 0,
-            rcv_sacks: BTreeSet::new(),
+            rcv_sacks: SeqWindow::new(),
             ack_dirty: false,
+            sack_buf: Vec::new(),
             stats: FlowStats::default(),
         }
     }
@@ -231,7 +344,7 @@ impl Flow {
 
     /// Whether a `sent_order` entry still describes an un-acked packet.
     fn sent_is_live(&self, (at, seq): (Nanos, u64)) -> bool {
-        self.inflight.get(&seq).is_some_and(|i| i.sent_at == at)
+        self.inflight.get(seq).is_some_and(|i| i.sent_at == at)
     }
 
     /// Restores the `sent_order` invariant after packets left
@@ -246,36 +359,35 @@ impl Flow {
         if self.ack_dirty {
             // Pure ack: unsequenced (AckOnly frames are not themselves
             // acked). Uses the current seq without consuming it.
-            self.ack_dirty = false;
             let seq = self.next_seq;
-            return Some(self.packet_unreliable(seq, OpFrame::AckOnly));
+            return Some(self.packet(seq, OpFrame::AckOnly));
         }
         None
     }
 
+    /// Wraps `frame` in this flow's header. Every packet carries the
+    /// current cumulative ack and the lowest selective acks, so once
+    /// one is built no ack is owed.
     fn packet(&mut self, seq: u64, frame: OpFrame) -> PonyPacket {
         self.ack_dirty = false;
+        let mut sacks = std::mem::take(&mut self.sack_buf);
+        sacks.clear();
+        sacks.extend(self.rcv_sacks.iter().take(16).map(|(seq, ())| seq));
         PonyPacket {
             version: self.version,
             flow: self.id,
             seq,
             cum_ack: self.rcv_cum,
-            sacks: self.rcv_sacks.iter().take(16).copied().collect(),
+            sacks,
             trace: None,
             frame,
         }
     }
 
-    fn packet_unreliable(&mut self, seq: u64, frame: OpFrame) -> PonyPacket {
-        PonyPacket {
-            version: self.version,
-            flow: self.id,
-            seq,
-            cum_ack: self.rcv_cum,
-            sacks: self.rcv_sacks.iter().take(16).copied().collect(),
-            trace: None,
-            frame,
-        }
+    /// Takes back the selective-ack list of a packet this flow
+    /// produced, once the packet has been encoded, for the next one.
+    pub fn reclaim_sacks(&mut self, sacks: Vec<u64>) {
+        self.sack_buf = sacks;
     }
 
     /// When pacing next allows a data send (now if idle/unpaced).
@@ -289,57 +401,95 @@ impl Flow {
     /// Processes an inbound packet's *reliability* fields and returns
     /// whether its frame is fresh (deliver) or a duplicate.
     pub fn on_packet(&mut self, pkt: &PonyPacket, now: Nanos) -> Accept {
-        self.on_packet_tracked(pkt, now).0
+        self.receive(pkt, now, None)
     }
 
-    /// Like [`Flow::on_packet`], additionally returning the sequence
-    /// numbers newly acknowledged by this packet (the upper layer uses
-    /// them to complete send operations and return credits).
-    pub fn on_packet_tracked(&mut self, pkt: &PonyPacket, now: Nanos) -> (Accept, Vec<u64>) {
+    /// Like [`Flow::on_packet`], additionally appending to `acked` the
+    /// message chunks this packet newly acknowledged, in ack order (the
+    /// upper layer uses them to complete send operations and return
+    /// credits). The caller owns the buffer so a packet allocates
+    /// nothing for it.
+    pub fn on_packet_tracked(
+        &mut self,
+        pkt: &PonyPacket,
+        now: Nanos,
+        acked: &mut Vec<AckedChunk>,
+    ) -> Accept {
+        self.receive(pkt, now, Some(acked))
+    }
+
+    fn receive(
+        &mut self,
+        pkt: &PonyPacket,
+        now: Nanos,
+        acked: Option<&mut Vec<AckedChunk>>,
+    ) -> Accept {
         // Ack processing (every packet carries acks).
-        let acked = self.apply_acks(pkt.cum_ack, &pkt.sacks, now);
+        self.apply_acks(pkt.cum_ack, &pkt.sacks, now, acked);
 
         if matches!(pkt.frame, OpFrame::AckOnly) {
-            return (Accept::Duplicate, acked); // nothing to deliver
+            return Accept::Duplicate; // nothing to deliver
         }
 
         // Receive-side dedup.
         let seq = pkt.seq;
-        if seq < self.rcv_cum || self.rcv_sacks.contains(&seq) {
+        if seq < self.rcv_cum || self.rcv_sacks.contains(seq) {
             self.stats.duplicates += 1;
             // Re-ack: our previous ack may have been lost.
             self.ack_dirty = true;
-            return (Accept::Duplicate, acked);
+            return Accept::Duplicate;
         }
-        self.rcv_sacks.insert(seq);
+        if seq - self.rcv_cum >= MAX_SEQ_WINDOW {
+            // Not tracked, so not acked: to the sender it was lost.
+            return Accept::Duplicate;
+        }
+        self.rcv_sacks.insert(seq, ());
         // Advance the cumulative point.
-        while self.rcv_sacks.remove(&self.rcv_cum) {
+        while self.rcv_sacks.remove(self.rcv_cum).is_some() {
             self.rcv_cum += 1;
         }
         self.ack_dirty = true;
         self.stats.delivered += 1;
-        (Accept::Deliver(pkt.frame.clone()), acked)
+        Accept::Deliver(pkt.frame.clone())
     }
 
-    fn apply_acks(&mut self, cum: u64, sacks: &[u64], now: Nanos) -> Vec<u64> {
-        let mut acked: Vec<u64> = self
-            .inflight
-            .range(..cum)
-            .map(|(&s, _)| s)
-            .collect();
-        acked.extend(sacks.iter().copied().filter(|s| self.inflight.contains_key(s)));
-        for seq in &acked {
-            if let Some(inf) = self.inflight.remove(seq) {
-                // Only first-transmission RTTs feed Timely (Karn's rule).
-                if inf.retransmits == 0 {
-                    self.cc.on_rtt_sample(now.saturating_sub(inf.sent_at));
-                }
-            }
+    /// Retires the in-flight packets the peer acknowledged: everything
+    /// below `cum`, lowest first, then `sacks` as listed.
+    fn apply_acks(
+        &mut self,
+        cum: u64,
+        sacks: &[u64],
+        now: Nanos,
+        mut acked: Option<&mut Vec<AckedChunk>>,
+    ) {
+        let mut any = false;
+        while let Some(seq) = self.inflight.first().filter(|&first| first < cum) {
+            any |= self.retire(seq, now, &mut acked);
         }
-        if !acked.is_empty() {
+        for &seq in sacks {
+            any |= self.retire(seq, now, &mut acked);
+        }
+        if any {
             self.discard_dead_sends();
         }
-        acked
+    }
+
+    /// Takes `seq` out of flight if it is there: feeds its RTT to
+    /// congestion control and reports a message chunk upward.
+    fn retire(&mut self, seq: u64, now: Nanos, acked: &mut Option<&mut Vec<AckedChunk>>) -> bool {
+        let Some(inf) = self.inflight.remove(seq) else {
+            return false;
+        };
+        // Only first-transmission RTTs feed Timely (Karn's rule).
+        if inf.retransmits == 0 {
+            self.cc.on_rtt_sample(now.saturating_sub(inf.sent_at));
+        }
+        if let (Some(acked), OpFrame::MsgChunk { conn, stream, msg, offset, .. }) =
+            (acked, inf.frame)
+        {
+            acked.push(AckedChunk { conn, stream, msg, offset });
+        }
+        true
     }
 
     /// The RTO: a multiple of the *smoothed* RTT (so receive-side
@@ -366,8 +516,8 @@ impl Flow {
     /// builds and tests.
     pub(crate) fn rto_deadline_by_scan(&self) -> Option<Nanos> {
         self.inflight
-            .values()
-            .map(|i| i.sent_at + self.rto())
+            .iter()
+            .map(|(_, i)| i.sent_at + self.rto())
             .min()
     }
 
@@ -397,7 +547,7 @@ impl Flow {
         // in flight; the retransmit queue is filled lowest seq first.
         expired.sort_unstable();
         for seq in expired {
-            let inf = self.inflight.remove(&seq).expect("listed above");
+            let inf = self.inflight.remove(seq).expect("listed above");
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
         }
         n
@@ -418,9 +568,9 @@ impl Flow {
             .inflight
             .iter()
             .find(|(_, i)| now.saturating_sub(i.sent_at) >= min_age)
-            .map(|(&s, _)| s);
+            .map(|(s, _)| s);
         let Some(seq) = victim else { return 0 };
-        if let Some(inf) = self.inflight.remove(&seq) {
+        if let Some(inf) = self.inflight.remove(seq) {
             self.rtxq.push_back((seq, inf.frame, inf.retransmits));
             self.discard_dead_sends();
             1
@@ -441,8 +591,8 @@ impl Flow {
         w.u64(self.next_seq);
         w.u64(self.rcv_cum);
         w.u32(self.rcv_sacks.len() as u32);
-        for s in &self.rcv_sacks {
-            w.u64(*s);
+        for (s, ()) in self.rcv_sacks.iter() {
+            w.u64(s);
         }
         // Unacked packets keep their sequence numbers across the
         // upgrade (they re-enter the retransmit queue); fresh frames
@@ -450,7 +600,7 @@ impl Flow {
         let unacked: Vec<(u64, &OpFrame)> = self
             .inflight
             .iter()
-            .map(|(&s, i)| (s, &i.frame))
+            .map(|(s, i)| (s, &i.frame))
             .chain(self.rtxq.iter().map(|(s, f, _)| (*s, f)))
             .collect();
         w.u32(unacked.len() as u32);
@@ -482,14 +632,22 @@ impl Flow {
         let next_seq = r.u64()?;
         let rcv_cum = r.u64()?;
         let nsack = r.u32()?;
-        let mut rcv_sacks = BTreeSet::new();
+        let mut rcv_sacks = SeqWindow::new();
         for _ in 0..nsack {
-            rcv_sacks.insert(r.u64()?);
+            let seq = r.u64()?;
+            // The same bound `receive` applies to a seq off the wire.
+            if seq.checked_sub(rcv_cum).is_none_or(|ahead| ahead >= MAX_SEQ_WINDOW) {
+                return Err(snap_sim::codec::DecodeError);
+            }
+            rcv_sacks.insert(seq, ());
         }
         let nunacked = r.u32()?;
         let mut rtxq = VecDeque::new();
         for _ in 0..nunacked {
             let seq = r.u64()?;
+            if next_seq.checked_sub(seq).is_none_or(|behind| behind == 0 || behind > MAX_SEQ_WINDOW) {
+                return Err(snap_sim::codec::DecodeError);
+            }
             let body = r.bytes()?;
             let pkt = PonyPacket::decode(body)?;
             rtxq.push_back((seq, pkt.frame, 0));
@@ -509,13 +667,14 @@ impl Flow {
             version,
             cc: Timely::new(cc_cfg),
             next_seq,
-            inflight: BTreeMap::new(),
+            inflight: SeqWindow::new(),
             sent_order: VecDeque::new(),
             outq,
             rtxq,
             rcv_cum,
             rcv_sacks,
             ack_dirty: false,
+            sack_buf: Vec::new(),
             stats: FlowStats::default(),
         })
     }
@@ -540,7 +699,7 @@ impl Flow {
 #[derive(Debug, Default)]
 pub struct FlowMapper {
     /// (remote host, remote engine key) -> flow id.
-    map: std::collections::HashMap<(u32, u64), u64>,
+    map: IntMap<(u32, u64), u64>,
     next_flow: u64,
 }
 
@@ -804,7 +963,7 @@ mod tests {
         f.inflight
             .iter()
             .filter(|(_, i)| now.saturating_sub(i.sent_at) >= rto)
-            .map(|(&s, _)| s)
+            .map(|(s, _)| s)
             .collect()
     }
 
@@ -850,8 +1009,8 @@ mod tests {
                     }
                     8 => {
                         // Selective ack of one in-flight packet.
-                        let pick = f.inflight.keys().nth(arg as usize % f.inflight.len().max(1));
-                        if let Some(&seq) = pick {
+                        let pick = f.inflight.iter().nth(arg as usize % f.inflight.len().max(1));
+                        if let Some((seq, _)) = pick {
                             let pkt = ack(&f, 0, vec![seq]);
                             f.on_packet(&pkt, now);
                         }
@@ -874,6 +1033,70 @@ mod tests {
                 proptest::prop_assert_eq!(f.next_rto_deadline(), f.rto_deadline_by_scan());
             }
         }
+    }
+
+    proptest::proptest! {
+        /// The ring answers what an ordered map answers, under inserts
+        /// above, inside and below the window and removals anywhere,
+        /// and never spans more than lowest..=highest.
+        #[test]
+        fn seq_window_matches_an_ordered_map(
+            ops in proptest::collection::vec((0u8..8, 0u64..48), 1..300),
+        ) {
+            let mut ring: SeqWindow<u64> = SeqWindow::new();
+            let mut map = std::collections::BTreeMap::new();
+            for (n, (op, key)) in ops.into_iter().enumerate() {
+                // Keys wander upward, like sequence numbers.
+                let seq = 1000 + n as u64 / 4 + key;
+                if op < 5 {
+                    let fresh = ring.insert(seq, n as u64);
+                    proptest::prop_assert_eq!(fresh, map.insert(seq, n as u64).is_none());
+                } else {
+                    proptest::prop_assert_eq!(ring.remove(seq), map.remove(&seq));
+                }
+                proptest::prop_assert_eq!(ring.len(), map.len());
+                proptest::prop_assert_eq!(ring.is_empty(), map.is_empty());
+                proptest::prop_assert_eq!(ring.first(), map.keys().next().copied());
+                proptest::prop_assert_eq!(ring.get(seq), map.get(&seq));
+                proptest::prop_assert_eq!(ring.contains(seq + 1), map.contains_key(&(seq + 1)));
+                let got: Vec<(u64, u64)> = ring.iter().map(|(s, v)| (s, *v)).collect();
+                let want: Vec<(u64, u64)> = map.iter().map(|(s, v)| (*s, *v)).collect();
+                proptest::prop_assert_eq!(got, want);
+                let span = map.keys().next_back().zip(map.keys().next()).map_or(0, |(hi, lo)| hi - lo + 1);
+                proptest::prop_assert_eq!(ring.slots.len() as u64, span);
+            }
+        }
+    }
+
+    #[test]
+    fn receiver_ignores_a_seq_beyond_the_window() {
+        let mut tx = flow();
+        let mut rx = Flow::new(1, 5, TimelyConfig::default());
+        tx.enqueue(msg_frame(1), Nanos::ZERO);
+        let mut pkt = tx.produce(Nanos::ZERO).unwrap();
+        pkt.seq = MAX_SEQ_WINDOW;
+        assert_eq!(rx.on_packet(&pkt, Nanos(1)), Accept::Duplicate);
+        assert!(!rx.wants_ack(), "an untracked packet is not acked");
+        assert_eq!(rx.rcv_sacks.len(), 0);
+        pkt.seq = MAX_SEQ_WINDOW - 1;
+        assert!(matches!(rx.on_packet(&pkt, Nanos(2)), Accept::Deliver(_)));
+    }
+
+    #[test]
+    fn acked_chunks_are_reported_in_ack_order_once() {
+        let mut tx = flow();
+        for n in 0..4 {
+            tx.enqueue(msg_frame(n), Nanos::ZERO);
+            tx.produce(Nanos::from_millis(n)).unwrap();
+        }
+        // Cumulative ack over seqs 0 and 1; selective acks list 3, then
+        // 1 again (already covered) and 3 again (a repeat).
+        let pkt = ack(&tx, 2, vec![3, 1, 3]);
+        let mut acked = Vec::new();
+        tx.on_packet_tracked(&pkt, Nanos::from_millis(10), &mut acked);
+        let msgs: Vec<u64> = acked.iter().map(|a| a.msg).collect();
+        assert_eq!(msgs, vec![0, 1, 3]);
+        assert_eq!(tx.inflight(), 1);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use snap_nic::packet::HostId;
 use snap_shm::queue_pair::QueuePair;
 use snap_shm::region::RegionRegistry;
 use snap_sim::codec::{Reader, Writer};
+use snap_sim::hash::IntMap;
 use snap_sim::trace::TraceRecorder;
 use snap_sim::Sim;
 
@@ -133,7 +134,9 @@ pub struct PonyModule {
     /// re-injects only its own sessions, never the whole host's.
     sessions_by_engine: Rc<RefCell<HashMap<EngineId, Vec<u64>>>>,
     engines: HashMap<String, EngineId>,
-    queue_owner: Rc<RefCell<HashMap<u16, EngineId>>>,
+    /// Which engine polls each NIC rx queue; the interrupt handler
+    /// reads it on every interrupt.
+    queue_owner: Rc<RefCell<IntMap<u16, EngineId>>>,
     /// Host-wide admission controller (§2.5). When set, every engine
     /// this module creates — including restart/upgrade successors — is
     /// gated by it.
@@ -158,9 +161,8 @@ impl PonyModule {
         group: GroupHandle,
         net: PonyNetHandle,
     ) -> Self {
-        let sessions: SessionTable = Rc::new(RefCell::new(HashMap::new()));
-        let queue_owner: Rc<RefCell<HashMap<u16, EngineId>>> =
-            Rc::new(RefCell::new(HashMap::new()));
+        let sessions = SessionTable::default();
+        let queue_owner: Rc<RefCell<IntMap<u16, EngineId>>> = Rc::default();
         let qmap = queue_owner.clone();
         // Weak: the NIC lives in the fabric, which the group's engines
         // hold, so a strong handle here would be a cycle.

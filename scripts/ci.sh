@@ -7,7 +7,7 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy + smokes + pinned smoke digests
+#   ci.sh            — build + test + clippy + smokes + pinned smoke digests (seeds 42 and 7)
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -37,18 +37,19 @@ python3 -m json.tool "$obs_tmp/BENCH_pr10.json" > /dev/null
 python3 -m json.tool "$obs_tmp/TIMELINE_pr10.json" > /dev/null
 echo "bench_obs exports parse as JSON"
 
-# Benchmark smoke: all five workloads at 5 % of their windows with the
-# correctness gate on (model digest equal across reps and attachments,
-# exactly-once, packet conservation, no failed op). Times nothing.
+# Benchmark smoke: all five workloads at 5 % of their windows, on the
+# working seed and the verification seed, with the correctness gate on
+# (model digest equal across reps and attachments, exactly-once, packet
+# conservation, no failed op). Times nothing.
 echo "== tier-1: benchmark smoke =="
-python3 benchmark/run.py --smoke --out "$obs_tmp/bench-smoke"
+python3 benchmark/run.py --smoke --seed 42 --seed 7 --out "$obs_tmp/bench-smoke"
 
 # Model drift is a red build: the smoke runs' digests are pinned.
 echo "== tier-1: smoke model digests =="
-grep -v '^#' scripts/smoke_digests.txt | while read -r workload want; do
-    got="$(awk '$1 == "model_digest" { print $2 }' "$obs_tmp/bench-smoke/$workload.seed42.run1.txt")"
+grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
+    got="$(awk '$1 == "model_digest" { print $2 }' "$obs_tmp/bench-smoke/$workload.seed$seed.run1.txt")"
     if [ "$got" != "$want" ]; then
-        echo "model drift: $workload smoke digest $got, pinned $want" \
+        echo "model drift: $workload seed $seed smoke digest $got, pinned $want" \
              "(re-pin scripts/smoke_digests.txt only if you meant to change the model)"
         exit 1
     fi

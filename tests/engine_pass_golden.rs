@@ -14,6 +14,7 @@ use std::collections::{HashMap, VecDeque};
 use snap_repro::core::group::SchedulingMode;
 use snap_repro::pony::client::{OpStatus, PonyClient, PonyCommand, PonyCompletion};
 use snap_repro::pony::engine::{PonyEngine, PonyStats};
+use snap_repro::sim::codec::{DecodeError, Reader};
 use snap_repro::sim::{Nanos, Rng};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 use snap_repro::topo::ClosSpec;
@@ -444,6 +445,247 @@ fn lossy_two_host_stream_is_pinned() {
             [2_709_298, 1_710_660_062, 0],
             [2_115_915, 1_711_149_205, 0],
         ],
+    };
+    assert_eq!(got, want);
+}
+
+/// FNV-1a, 64 bit: the pin on checkpoint bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What a `PonyEngine::serialize_state` checkpoint holds, read back
+/// with the codec the engine wrote it with.
+#[derive(Debug, Default, PartialEq)]
+struct Checkpoint {
+    /// Received seqs above the cumulative point, over all flows.
+    rcv_sacks: usize,
+    /// Un-acked packets: in flight plus on the retransmit queue.
+    unacked: usize,
+    /// Frames queued and not yet sent.
+    outq: usize,
+    /// Per send in progress: (chunks, chunk offsets acked).
+    sends: Vec<(u32, usize)>,
+    /// Per message being reassembled: (total bytes, chunk offsets held).
+    recvs: Vec<(u64, usize)>,
+}
+
+fn read_checkpoint(state: &[u8]) -> Result<Checkpoint, DecodeError> {
+    let mut r = Reader::new(state);
+    let mut c = Checkpoint::default();
+    r.string()?;
+    for _ in 0..r.u32()? {
+        r.u64()?;
+    }
+    for _ in 0..r.u32()? {
+        // id, flow, remote host, remote engine, session, posted x2, credits.
+        let _ = (r.u64()?, r.u64()?, r.u32()?, r.u64()?, r.bool()?, r.u64()?);
+        let _ = (r.u32()?, r.u32()?, r.u32()?);
+        for _ in 0..r.u32()? {
+            let _ = (r.u64()?, r.u32()?, r.u64()?); // held sends
+        }
+        // Pending (stream, msg), next_msg and next_deliver share a shape.
+        for _ in 0..3 {
+            for _ in 0..r.u32()? {
+                let _ = (r.u32()?, r.u64()?);
+            }
+        }
+        for _ in 0..r.u32()? {
+            let _ = (r.u32()?, r.u64()?, r.u64()?); // reassembled, not yet deliverable
+        }
+    }
+    for _ in 0..r.u32()? {
+        let _ = (r.u32()?, r.u64()?); // peer
+        let mut f = Reader::new(r.bytes()?);
+        // id, version, next_seq, rcv_cum.
+        let _ = (f.u64()?, f.u16()?, f.u64()?, f.u64()?);
+        let sacks = f.u32()?;
+        for _ in 0..sacks {
+            f.u64()?;
+        }
+        c.rcv_sacks += sacks as usize;
+        let unacked = f.u32()?;
+        for _ in 0..unacked {
+            let _ = (f.u64()?, f.bytes()?);
+        }
+        c.unacked += unacked as usize;
+        let outq = f.u32()?;
+        for _ in 0..outq {
+            f.bytes()?;
+        }
+        c.outq += outq as usize;
+        assert!(f.is_exhausted(), "flow checkpoint has trailing bytes");
+    }
+    for _ in 0..r.u32()? {
+        // (conn, stream, msg), op, session, total.
+        let _ = (r.u64()?, r.u32()?, r.u64()?, r.u64()?, r.bool()?, r.u64()?, r.u64()?);
+        let chunks = r.u32()?;
+        let _ = (r.u64()?, r.u64()?); // issued_at, next_offset
+        let acked = r.u32()?;
+        for _ in 0..acked {
+            r.u64()?;
+        }
+        c.sends.push((chunks, acked as usize));
+    }
+    for _ in 0..r.u32()? {
+        let _ = (r.u64()?, r.u32()?, r.u64()?);
+        let total = r.u64()?;
+        let held = r.u32()?;
+        for _ in 0..held {
+            r.u64()?;
+        }
+        c.recvs.push((total, held as usize));
+    }
+    Ok(c)
+}
+
+#[derive(Debug, PartialEq)]
+struct RestoreGolden {
+    /// FNV-1a of each engine's checkpoint bytes, sender then receiver.
+    state_fnv1a: [u64; 2],
+    state_len: [usize; 2],
+    /// Packets in flight at the sender when the checkpoint was taken.
+    tx_in_flight: usize,
+    checkpoint: [Checkpoint; 2],
+    finished_at_ns: u64,
+    fabric_delivered: u64,
+    pony_tx_packets: [u64; 2],
+    pony_rx_packets: [u64; 2],
+}
+
+/// The lossy stream again, with 500 KB messages, checkpointed on both
+/// hosts while the first send is partly acked, the first two messages
+/// are partly reassembled across holes, and the sender has packets in
+/// flight, on the retransmit queue and not yet sent. Both engines are
+/// then rebuilt from exactly those bytes (the upgrade path) and the
+/// stream runs to the end.
+fn checkpointed_stream() -> RestoreGolden {
+    const MSGS: u64 = 6;
+    const IN_FLIGHT: u64 = 4;
+    const MSG_BYTES: u64 = 500_000;
+
+    let mut tb = Testbed::new(TestbedConfig {
+        loss: 0.01,
+        seed: 5,
+        ..TestbedConfig::default()
+    });
+    let mut tx = tb.pony_app(0, "tx", |_| {});
+    let mut rx = tb.pony_app(1, "rx", |_| {});
+    let conn = tb.connect(0, "tx", 1, "rx");
+    rx.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 64 });
+    tb.run_us(50);
+    rx.take_completions();
+
+    let t0 = tb.sim.now();
+    let send = PonyCommand::Send {
+        conn,
+        stream: 0,
+        len: MSG_BYTES,
+    };
+    let mut ops: Vec<u64> = (0..IN_FLIGHT)
+        .map(|_| tx.submit(&mut tb.sim, send.clone()))
+        .collect();
+    // The first RTO has just fired: part of the window is back in
+    // flight, the rest waits on the retransmit queue.
+    tb.run_us(830);
+
+    let apps = [(0usize, "tx"), (1usize, "rx")];
+    let engine_of = |tb: &Testbed, (h, app): (usize, &str)| {
+        tb.hosts[h].module.engine_for(app).expect("app has an engine")
+    };
+    let states = apps.map(|at| {
+        tb.hosts[at.0]
+            .group
+            .with_engine(engine_of(&tb, at), |e| e.serialize_state())
+    });
+    let tx_in_flight = tb.hosts[0].group.with_engine(engine_of(&tb, apps[0]), |e| {
+        let engine = e.as_any().downcast_mut::<PonyEngine>().expect("pony engine");
+        engine.debug_flow_info().2
+    });
+    for (at, state) in apps.iter().zip(&states) {
+        let id = engine_of(&tb, *at);
+        let host = &tb.hosts[at.0];
+        let factory = host.module.upgrade_factory(at.1).expect("app has an engine");
+        let group = host.group.clone();
+        group.suspend_engine(&mut tb.sim, id);
+        let engine = factory(state.clone(), &mut tb.sim).expect("checkpoint restores");
+        group.resume_engine(&mut tb.sim, id, engine);
+    }
+
+    // Exactly once: every op completes Ok one time, every message is
+    // delivered one time and in stream order.
+    let mut done: Vec<u64> = Vec::new();
+    let mut delivered: Vec<u64> = Vec::new();
+    let deadline = t0 + Nanos::from_millis(4_000);
+    while (done.len() as u64) < MSGS && tb.sim.now() < deadline {
+        tb.run_us(1);
+        for c in rx.take_completions() {
+            if let PonyCompletion::RecvMsg { msg, len, .. } = c {
+                assert_eq!(len, MSG_BYTES);
+                delivered.push(msg);
+                rx.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 1 });
+            }
+        }
+        for c in tx.take_completions() {
+            if let PonyCompletion::OpDone { op, status, .. } = c {
+                assert_eq!(status, OpStatus::Ok);
+                done.push(op);
+                if (ops.len() as u64) < MSGS {
+                    ops.push(tx.submit(&mut tb.sim, send.clone()));
+                }
+            }
+        }
+    }
+    let finished_at_ns = (tb.sim.now() - t0).as_nanos();
+    tb.run_ms(20);
+    assert!(tx.take_completions().is_empty(), "an op completed twice");
+    assert!(rx.take_completions().is_empty(), "a message was delivered twice");
+    assert_eq!(done, ops, "each op completes once, in order");
+    assert_eq!(delivered, (0..MSGS).collect::<Vec<u64>>());
+
+    let stats = [engine_stats(&tb, 0), engine_stats(&tb, 1)];
+    RestoreGolden {
+        state_fnv1a: [fnv1a(&states[0]), fnv1a(&states[1])],
+        state_len: [states[0].len(), states[1].len()],
+        tx_in_flight,
+        checkpoint: [&states[0], &states[1]]
+            .map(|s| read_checkpoint(s).expect("checkpoint reads back")),
+        finished_at_ns,
+        fabric_delivered: tb.fabric.stats().delivered,
+        pony_tx_packets: [stats[0].tx_packets, stats[1].tx_packets],
+        pony_rx_packets: [stats[0].rx_packets, stats[1].rx_packets],
+    }
+}
+
+#[test]
+fn mid_stream_checkpoint_is_pinned_and_restores_exactly_once() {
+    let got = checkpointed_stream();
+    let want = RestoreGolden {
+        state_fnv1a: [0x467b5b495f28febf, 0x4d3ce2f1023119a1],
+        state_len: [39_744, 8_482],
+        tx_in_flight: 231,
+        checkpoint: [
+            Checkpoint {
+                rcv_sacks: 0,
+                unacked: 406,
+                outq: 64,
+                sends: vec![(334, 204), (334, 0), (334, 0), (334, 0)],
+                recvs: vec![],
+            },
+            Checkpoint {
+                rcv_sacks: 417,
+                unacked: 0,
+                outq: 0,
+                sends: vec![],
+                recvs: vec![(500_000, 331), (500_000, 274)],
+            },
+        ],
+        finished_at_ns: 1_083_000_000,
+        fabric_delivered: 5450,
+        pony_tx_packets: [2531, 2046],
+        pony_rx_packets: [2032, 2500],
     };
     assert_eq!(got, want);
 }

@@ -421,8 +421,7 @@ proptest! {
         let regions = snap_repro::shm::region::RegionRegistry::new(
             snap_repro::shm::account::MemoryAccountant::new(),
         );
-        let sessions: snap_repro::pony::engine::SessionTable =
-            std::rc::Rc::new(std::cell::RefCell::new(std::collections::HashMap::new()));
+        let sessions = snap_repro::pony::engine::SessionTable::default();
         let mk_cfg = || PonyEngineConfig::new("prop", host, 99);
         let mut engine =
             PonyEngine::new(mk_cfg(), fabric.clone(), regions.clone(), sessions.clone());

@@ -172,9 +172,7 @@ proptest! {
                 if dropped {
                     continue;
                 }
-                if let (Accept::Deliver(OpFrame::MsgChunk { msg, .. }), _) =
-                    rx.on_packet_tracked(&pkt, now)
-                {
+                if let Accept::Deliver(OpFrame::MsgChunk { msg, .. }) = rx.on_packet(&pkt, now) {
                     delivered.insert(msg);
                 }
             }
