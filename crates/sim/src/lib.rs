@@ -29,6 +29,10 @@
 //! assert_eq!(sim.now(), Nanos::from_micros(5));
 //! ```
 
+// The crate's only `unsafe` is the event slot (`event::Slot`); every
+// block of it states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod codec;
 pub mod costs;
 pub mod dist;

@@ -13,7 +13,153 @@ use snap_repro::shm::account::MemoryAccountant;
 use snap_repro::shm::pool::BufferPool;
 use snap_repro::shm::spsc::SpscRing;
 use snap_repro::sim::codec::{Reader, Writer};
-use snap_repro::sim::{Histogram, Nanos};
+use snap_repro::sim::{EventHandle, Histogram, Nanos, Sim};
+
+/// The event-order property's two sides run one script: top-level ops
+/// schedule, cancel and run; each event, when it fires, logs itself and
+/// then acts out a behaviour drawn from `pool` by its id (ids count
+/// `schedule` calls): it schedules `children` events `delta` ns on
+/// (0 = this very instant), every second one cancellable, and cancels
+/// the handle numbered `cancel`. Events three generations deep stop
+/// having children, so a chain of zero delays ends.
+type Behaviour = (u8, u8, u8);
+const MAX_DEPTH: u8 = 2;
+
+/// One firing: the event's id, `now()` and `pending()` inside it.
+type Fired = (u32, u64, usize);
+
+/// The script's world on the simulator's side, shared by its closures.
+struct EventWorld {
+    pool: Vec<Behaviour>,
+    next_id: std::cell::Cell<u32>,
+    handles: std::cell::RefCell<Vec<EventHandle>>,
+    log: std::cell::RefCell<Vec<Fired>>,
+}
+
+impl EventWorld {
+    fn schedule(self: &std::rc::Rc<Self>, sim: &mut Sim, at: Nanos, cancellable: bool, depth: u8) {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        let world = self.clone();
+        let fire = move |sim: &mut Sim| {
+            let fired = (id, sim.now().as_nanos(), sim.pending());
+            world.log.borrow_mut().push(fired);
+            let (children, delta, cancel) = world.pool[id as usize % world.pool.len()];
+            if depth < MAX_DEPTH {
+                for child in 0..children {
+                    let at = sim.now() + Nanos(u64::from(delta));
+                    world.schedule(sim, at, child % 2 == 1, depth + 1);
+                }
+            }
+            world.cancel(cancel);
+        };
+        if cancellable {
+            let handle = sim.schedule_cancellable_at(at, fire);
+            self.handles.borrow_mut().push(handle);
+        } else {
+            sim.schedule_at(at, fire);
+        }
+    }
+
+    fn cancel(&self, k: u8) {
+        let handles = self.handles.borrow();
+        if !handles.is_empty() {
+            handles[k as usize % handles.len()].cancel();
+        }
+    }
+}
+
+struct ModelEvent {
+    at: u64,
+    seq: u64,
+    id: u32,
+    depth: u8,
+    cancelled: bool,
+}
+
+/// The reference: every pending event in a `Vec` kept sorted by
+/// `(at, seq)`; cancellation marks the entry, which is skipped when it
+/// reaches the head.
+struct EventModel {
+    pool: Vec<Behaviour>,
+    now: u64,
+    seq: u64,
+    executed: u64,
+    queue: Vec<ModelEvent>,
+    /// Handle number -> id of the event it was issued for.
+    handles: Vec<u32>,
+    next_id: u32,
+    log: Vec<Fired>,
+}
+
+impl EventModel {
+    fn schedule(&mut self, at: u64, cancellable: bool, depth: u8) {
+        let (id, seq) = (self.next_id, self.seq);
+        self.next_id += 1;
+        self.seq += 1;
+        self.queue.push(ModelEvent {
+            at,
+            seq,
+            id,
+            depth,
+            cancelled: false,
+        });
+        self.queue.sort_by_key(|e| (e.at, e.seq));
+        if cancellable {
+            self.handles.push(id);
+        }
+    }
+
+    /// A handle whose event has fired or been skipped finds nothing.
+    fn cancel(&mut self, k: u8) {
+        if !self.handles.is_empty() {
+            let id = self.handles[k as usize % self.handles.len()];
+            if let Some(e) = self.queue.iter_mut().find(|e| e.id == id) {
+                e.cancelled = true;
+            }
+        }
+    }
+
+    fn skip_cancelled_head(&mut self) {
+        while self.queue.first().is_some_and(|e| e.cancelled) {
+            self.queue.remove(0);
+        }
+    }
+
+    fn fire_head(&mut self) {
+        let e = self.queue.remove(0);
+        self.now = e.at;
+        self.executed += 1;
+        self.log.push((e.id, self.now, self.queue.len()));
+        let (children, delta, cancel) = self.pool[e.id as usize % self.pool.len()];
+        if e.depth < MAX_DEPTH {
+            for child in 0..children {
+                self.schedule(self.now + u64::from(delta), child % 2 == 1, e.depth + 1);
+            }
+        }
+        self.cancel(cancel);
+    }
+
+    fn step(&mut self) -> bool {
+        self.skip_cancelled_head();
+        if self.queue.is_empty() {
+            return false;
+        }
+        self.fire_head();
+        true
+    }
+
+    fn run_until(&mut self, deadline: u64) {
+        loop {
+            self.skip_cancelled_head();
+            match self.queue.first() {
+                Some(e) if e.at <= deadline => self.fire_head(),
+                _ => break,
+            }
+        }
+        self.now = self.now.max(deadline);
+    }
+}
 
 proptest! {
     /// The SPSC ring behaves exactly like a bounded FIFO queue.
@@ -338,5 +484,67 @@ proptest! {
             prop_assert_eq!(adm.usage(name), usage[c], "usage diverged from model");
         }
         prop_assert_eq!(adm.accounting_errors(), 0);
+    }
+
+    /// The event store fires in exactly `(at, seq)` order: random
+    /// scripts of plain and cancellable scheduling, cancels (of live,
+    /// fired and already-cancelled events), `step`, `run_until` and
+    /// scheduling from inside events, with delays of 0-3 ns so most
+    /// events tie with others, against a sorted `Vec`. Firing order,
+    /// `now()`, `events_executed()` and `pending()` agree after every
+    /// op and inside every event.
+    #[test]
+    fn event_order_matches_sorted_vec_model(
+        ops in proptest::collection::vec((0u8..7, 0u8..4, any::<u8>()), 1..120),
+        pool in proptest::collection::vec((0u8..4, 0u8..3, any::<u8>()), 1..12)
+    ) {
+        let mut sim = Sim::new();
+        let world = std::rc::Rc::new(EventWorld {
+            pool: pool.clone(),
+            next_id: Default::default(),
+            handles: Default::default(),
+            log: Default::default(),
+        });
+        let mut model = EventModel {
+            pool,
+            now: 0,
+            seq: 0,
+            executed: 0,
+            queue: Vec::new(),
+            handles: Vec::new(),
+            next_id: 0,
+            log: Vec::new(),
+        };
+        for (kind, delta, k) in ops {
+            let at = model.now + u64::from(delta);
+            match kind {
+                0..=2 => {
+                    world.schedule(&mut sim, Nanos(at), kind == 2, 0);
+                    model.schedule(at, kind == 2, 0);
+                }
+                3 => {
+                    world.cancel(k);
+                    model.cancel(k);
+                }
+                4 => {
+                    prop_assert_eq!(sim.step(), model.step(), "step's verdict");
+                }
+                _ => {
+                    sim.run_until(Nanos(at));
+                    model.run_until(at);
+                }
+            }
+            prop_assert_eq!(&*world.log.borrow(), &model.log, "firing order");
+            prop_assert_eq!(sim.now().as_nanos(), model.now);
+            prop_assert_eq!(sim.events_executed(), model.executed);
+            prop_assert_eq!(sim.pending(), model.queue.len());
+        }
+        sim.run();
+        while model.step() {}
+        prop_assert_eq!(&*world.log.borrow(), &model.log, "firing order of the drain");
+        prop_assert_eq!(sim.now().as_nanos(), model.now);
+        prop_assert_eq!(sim.events_executed(), model.executed);
+        prop_assert_eq!(sim.pending(), 0);
+        prop_assert_eq!(sim.boxed_events(), 0);
     }
 }
