@@ -1,14 +1,33 @@
-//! Benchmark harness for the Snap reproduction.
+//! Benchmark harness for the Snap reproduction: everything here runs
+//! on the **sim clock**. Host-clock claims (packets per host second,
+//! attach overheads, peak RSS) belong to `benchmark/`
+//! (`python3 benchmark/run.py`), the one instrument that repeats,
+//! alternates and bounds them.
 //!
 //! Every table and figure in the paper's evaluation (§5) has a
-//! corresponding `[[bench]]` target in this crate (see `DESIGN.md` for
-//! the index). The figure benches are plain `harness = false` binaries
-//! that drive the simulator and print paper-style rows; `micro` is a
-//! Criterion suite over the real lock-free data structures.
+//! corresponding `[[bench]]` target in this crate (see `DESIGN.md` §4
+//! for the index). The figure benches are plain `harness = false`
+//! binaries that drive the simulator and print paper-style rows;
+//! `micro` is a Criterion suite over the real lock-free data
+//! structures.
+//!
+//! Beside the figures sit three **scenarios** the paper does not have,
+//! same convention (one file, `cargo bench -p snap-bench --bench
+//! <name>`), whose printed tables are pinned as golden text under
+//! `tests/golden/scenarios/` and diffed by `scripts/ci.sh`:
+//!
+//! * `hedging` — hedged retries cutting the p99 on a 5%-lossy link;
+//! * `apps_dag` — one microservice DAG over kernel TCP vs Pony, with
+//!   the queue / service / transport critical-path split;
+//! * `clos_scenarios` — N:1 incast sweep, 1:1 vs 4:1 oversubscription
+//!   and the diurnal mixed fleet on a spine/leaf Clos.
 //!
 //! [`rack`] implements the §5.2 all-to-all RPC rack used by
 //! Fig. 6(b)/(c)/(d) and Fig. 7, for both Snap/Pony and the kernel-TCP
 //! baseline.
+
+use snap_repro::apps::dag::{DagSpec, ServiceSpec, ServiceTime};
+use snap_repro::sim::Nanos;
 
 pub mod rack;
 
@@ -16,4 +35,39 @@ pub mod rack;
 pub fn header(title: &str) {
     println!();
     println!("=== {title} ===");
+}
+
+/// The scenarios' microservice DAG: a frontend fans out to two mid
+/// tiers with heavy-tailed service times, both feed a shared leaf —
+/// fan-in at the leaf and at the root. `hosts` places frontend, mid-a,
+/// mid-b and leaf, in that order.
+pub fn diamond_dag(hosts: [usize; 4]) -> DagSpec {
+    let service = |i: usize, name: &str, time, concurrency, children| ServiceSpec {
+        name: name.into(),
+        host: hosts[i],
+        time,
+        concurrency,
+        children,
+    };
+    let exponential = |mean_us| ServiceTime::Exponential { mean_us };
+    let heavy_tail = ServiceTime::LogNormal {
+        median_us: 10.0,
+        sigma: 0.7,
+    };
+    DagSpec {
+        services: vec![
+            service(
+                0,
+                "frontend",
+                ServiceTime::Constant(Nanos::from_micros(4)),
+                16,
+                vec![1, 2],
+            ),
+            service(1, "mid-a", exponential(12.0), 8, vec![3]),
+            service(2, "mid-b", heavy_tail, 8, vec![3]),
+            service(3, "leaf", exponential(6.0), 16, vec![]),
+        ],
+        request_bytes: 512,
+        reply_bytes: 256,
+    }
 }

@@ -28,8 +28,10 @@
 //!
 //! Determinism contract: everything here *reads* modeled state and
 //! writes only its own side registry — attaching a recorder to a run
-//! never changes modeled time (pinned by `bench_obs`). All JSON output
-//! is hand-rolled with sorted keys: same seed ⇒ byte-identical files.
+//! never changes modeled time (pinned by the repo benchmark's
+//! `obs.attach_pct` digest gate; the alert and timeline behaviour by
+//! `tests/obs.rs`). All JSON output is hand-rolled with sorted keys:
+//! same seed ⇒ byte-identical files.
 
 // Observability is control-plane code: degrade into typed errors or
 // defaults, never panic.

@@ -321,15 +321,24 @@ impl Sim {
         self.boxed
     }
 
-    /// Queues a key for a new event and returns the vacant slot the
-    /// key names, which the caller fills at once. Not generic, so one
-    /// copy serves every closure type.
-    fn reserve(&mut self, at: Nanos, timer: u32) -> &mut Slot {
+    /// Checked with nothing taken yet, so a panic here leaves no slot,
+    /// key or timer entry behind. Not generic, and kept out of the
+    /// generic `schedule_at`: a copy of the check and its panic path in
+    /// every closure type's instance cost `stream_tcp` 6 % of its
+    /// packets per host second.
+    fn assert_not_past(&self, at: Nanos) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
+    }
+
+    /// Queues a key for a new event and returns the vacant slot the
+    /// key names, which the caller fills at once. Not generic, so one
+    /// copy serves every closure type.
+    fn reserve(&mut self, at: Nanos, timer: u32) -> &mut Slot {
+        self.assert_not_past(at);
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
@@ -377,13 +386,17 @@ impl Sim {
     }
 
     /// Schedules a cancellable event at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
     pub fn schedule_cancellable_at<F: FnOnce(&mut Sim) + 'static>(
         &mut self,
         at: Nanos,
         f: F,
     ) -> EventHandle {
-        // Should `at` lie in the past, `push` panics with this entry
-        // taken and never released: eight bytes, on a caller's bug.
+        // `reserve` checks again, but only after the entry is taken.
+        self.assert_not_past(at);
         let (idx, gen) = self.timers.borrow_mut().arm();
         self.push(at, idx, f);
         EventHandle {
@@ -575,6 +588,32 @@ mod tests {
             sim.schedule_at(Nanos(5), |_| {});
         });
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn scheduling_a_timer_into_past_panics() {
+        let mut sim = Sim::new();
+        sim.run_until(Nanos(10));
+        sim.schedule_cancellable_at(Nanos(5), |_| {});
+    }
+
+    #[test]
+    fn timer_into_past_takes_no_table_entry() {
+        let mut sim = Sim::new();
+        sim.run_until(Nanos(10));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            sim.schedule_cancellable_at(Nanos(5), |_| {});
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(sim.pending(), 0);
+        let next = sim.schedule_cancellable_at(Nanos(10), |_| {});
+        assert_eq!(
+            (next.idx, next.gen),
+            (0, 0),
+            "the first entry was never taken"
+        );
+        assert_eq!(sim.timers.borrow().entries.len(), 1);
     }
 
     #[test]

@@ -191,14 +191,18 @@ impl TcpHost {
             })),
         };
         // Kernel TCP receives via interrupts: arm every queue and
-        // process in softirq context from the handler.
-        let handler = this.clone();
+        // process in softirq context from the handler. Weak: the NIC
+        // lives in the fabric, which the stack holds, so a strong
+        // handle here would be a cycle.
+        let handler = Rc::downgrade(&this.inner);
         fabric.with_nic(host, |nic| {
             for q in 0..nic.config().num_queues {
                 nic.arm_irq(q, true);
             }
             nic.set_irq_handler(Rc::new(move |sim, queue| {
-                handler.softirq(sim, queue);
+                if let Some(inner) = handler.upgrade() {
+                    TcpHost { inner }.softirq(sim, queue);
+                }
             }));
         });
         this

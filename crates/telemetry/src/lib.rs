@@ -26,8 +26,9 @@
 //! The datapath itself stays uninstrumented: engines keep their plain
 //! `u64` counters, and all telemetry cost is concentrated in the
 //! periodic control-plane poll, so instrumentation is measurably
-//! near-free when snapshots are not taken (bench-verified by
-//! `bench_telemetry`, `BENCH_pr3.json`).
+//! near-free when snapshots are not taken (the repo benchmark's
+//! `telemetry.attach_pct` measures the poll's wall cost, and its digest
+//! gate asserts an attached run models identically to a bare one).
 //!
 //! ## Metric naming scheme
 //!

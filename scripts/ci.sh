@@ -7,7 +7,8 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy + smokes + pinned smoke digests (seeds 42 and 7)
+#   ci.sh            — build + test + clippy + timeline export + pinned scenario tables
+#                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -24,30 +25,44 @@ cargo test --workspace -q
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Observability smoke: the recorder bench must keep the modeled run
-# identical (asserted inside the bin) and both exports must be valid
-# JSON — the timeline in particular must stay loadable by Chrome
-# tracing / Perfetto, which json.tool approximates structurally.
-echo "== tier-1: bench_obs smoke + export validation =="
-obs_tmp="$(mktemp -d)"
-trap 'rm -rf "$obs_tmp"' EXIT
-cargo run --release -q -p snap-bench --bin bench_obs \
-    "$obs_tmp/BENCH_pr10.json" "$obs_tmp/TIMELINE_pr10.json"
-python3 -m json.tool "$obs_tmp/BENCH_pr10.json" > /dev/null
-python3 -m json.tool "$obs_tmp/TIMELINE_pr10.json" > /dev/null
-echo "bench_obs exports parse as JSON"
+# Timeline export: the fault-injection example asserts its own
+# invariants and writes a Chrome-trace file, which must stay loadable
+# by Chrome tracing / Perfetto; parsing it approximates that
+# structurally (json.load, not json.tool: pretty-printing 13 MB costs
+# seven times the parse).
+echo "== tier-1: fault_injection example + timeline export validation =="
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+repo="$PWD"
+(cd "$tmp" && cargo run --release -q --manifest-path "$repo/Cargo.toml" --example fault_injection > /dev/null)
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$tmp/TIMELINE_fault_injection.json"
+echo "timeline export parses as JSON"
+
+# Sim-clock scenarios: each asserts its own invariants (same-seed rerun
+# equality, hedged p99 < unhedged p99, incast drops at the victim ToR)
+# and prints virtual-time tables that are pinned as golden text.
+echo "== tier-1: scenario tables =="
+for scenario in hedging apps_dag clos_scenarios; do
+    cargo bench -q -p snap-bench --bench "$scenario" > "$tmp/$scenario.txt"
+    if ! diff -u "tests/golden/scenarios/$scenario.txt" "$tmp/$scenario.txt"; then
+        echo "model drift: scenario $scenario no longer prints its pinned table" \
+             "(re-pin tests/golden/scenarios/$scenario.txt only if you meant to change the model)"
+        exit 1
+    fi
+done
+echo "scenario tables match"
 
 # Benchmark smoke: all five workloads at 5 % of their windows, on the
 # working seed and the verification seed, with the correctness gate on
 # (model digest equal across reps and attachments, exactly-once, packet
 # conservation, no failed op). Times nothing.
 echo "== tier-1: benchmark smoke =="
-python3 benchmark/run.py --smoke --seed 42 --seed 7 --out "$obs_tmp/bench-smoke"
+python3 benchmark/run.py --smoke --seed 42 --seed 7 --out "$tmp/bench-smoke"
 
 # Model drift is a red build: the smoke runs' digests are pinned.
 echo "== tier-1: smoke model digests =="
 grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
-    got="$(awk '$1 == "model_digest" { print $2 }' "$obs_tmp/bench-smoke/$workload.seed$seed.run1.txt")"
+    got="$(awk '$1 == "model_digest" { print $2 }' "$tmp/bench-smoke/$workload.seed$seed.run1.txt")"
     if [ "$got" != "$want" ]; then
         echo "model drift: $workload seed $seed smoke digest $got, pinned $want" \
              "(re-pin scripts/smoke_digests.txt only if you meant to change the model)"

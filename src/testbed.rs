@@ -784,6 +784,28 @@ mod tests {
         );
     }
 
+    /// Likewise for the kernel-TCP baseline: the stack holds the fabric
+    /// and its host's machine, so the NIC interrupt handler it installs
+    /// must not hold the stack.
+    #[test]
+    fn dropping_a_tcp_testbed_frees_its_stacks() {
+        let mut tb = Testbed::pair();
+        let a = tb.tcp_host(0, TcpConfig::default());
+        let b = tb.tcp_host(1, TcpConfig::default());
+        let conn = a.connect(tb.hosts[1].id);
+        a.send(&mut tb.sim, conn, 1, 100_000);
+        // Stop mid-transfer: segments in flight, softirqs pending.
+        tb.run_us(30);
+        assert!(a.stats().segs_sent > 0 && b.stats().msgs_delivered == 0);
+        let machines: Vec<_> = tb.hosts.iter().map(|h| Rc::downgrade(&h.machine)).collect();
+        drop(tb);
+        drop((a, b));
+        assert!(
+            machines.iter().all(|m| m.upgrade().is_none()),
+            "an Rc cycle keeps a dropped testbed's TCP stacks alive"
+        );
+    }
+
     #[test]
     fn cpu_accounting_flows_through() {
         let mut tb = Testbed::pair();

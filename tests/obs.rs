@@ -1,19 +1,22 @@
 //! Flight-recorder integration (PR 10): reset-aware sampling across
 //! crash/restart and live-upgrade churn, byte-identical determinism,
-//! and the per-core CPU attribution invariant under property-driven
-//! workloads.
+//! the per-core CPU attribution invariant under property-driven
+//! workloads, and the gray-failure alert + timeline export.
 
 use proptest::prelude::*;
 
 use snap_repro::core::group::SchedulingMode;
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
-use snap_repro::obs::{FlightRecorder, PointValue, RecorderConfig};
+use snap_repro::obs::{
+    AlertState, FlightRecorder, Objective, PointValue, RecorderConfig, SloEngine, SloSpec, Timeline,
+};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
 use snap_repro::telemetry::StatsConfig;
 use snap_repro::testbed::{Testbed, TestbedConfig};
+use snap_repro::topo::ClosSpec;
 
 /// Sums a rate series and checks its timestamps strictly increase.
 fn rate_series_sum(rec: &FlightRecorder, name: &str) -> u64 {
@@ -240,4 +243,93 @@ proptest! {
             prop_assert_eq!(engine_sum, total.engine.as_nanos());
         }
     }
+}
+
+/// A 2-rack Clos runs a cross-rack closed loop while a lossy-link gray
+/// failure comes (5 ms) and goes (12 ms): the SLO burn-rate alert must
+/// fire during the failure and resolve after the heal, and the
+/// exported timeline must carry causal spans, CPU counter lanes and
+/// the fault/alert instants on one virtual-time axis.
+#[test]
+fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
+    let fault_at = Nanos::from_millis(5);
+    let heal_at = Nanos::from_millis(12);
+    let lossy = |prob| FaultEvent::LinkLossy { from: 0, to: 2, prob };
+
+    let mut tb = Testbed::new(TestbedConfig {
+        hosts: 4,
+        cores_per_host: 4,
+        topology: Some(ClosSpec::clos(2, 2, 2)),
+        trace_sample_ppm: 20_000,
+        ..TestbedConfig::default()
+    });
+    let mut a = tb.pony_app(0, "src", |_| {});
+    let mut b = tb.pony_app(2, "sink", |_| {});
+    let conn = tb.connect(0, "src", 2, "sink");
+    let rec = tb.flight_recorder(RecorderConfig {
+        cadence: Nanos::from_micros(100),
+        capacity: 1024,
+    });
+    rec.start(&mut tb.sim);
+    let mut slo = SloEngine::new();
+    slo.add(SloSpec {
+        name: "xrack-latency".to_string(),
+        objective: Objective::LatencyBelow {
+            series: "workload.latency_ns".to_string(),
+            threshold_ns: 150_000,
+        },
+        target: 0.99,
+        short_window: Nanos::from_micros(500),
+        long_window: Nanos::from_millis(2),
+        burn_threshold: 5.0,
+    });
+    tb.install_fault_plan(&FaultPlan::new().at(fault_at, lossy(0.25)).at(heal_at, lossy(0.0)));
+
+    // One op in flight; each completion records its latency into the
+    // series the SLO watches and submits the next.
+    let latency = rec.registry().histogram("workload.latency_ns");
+    let send = PonyCommand::Send { conn, stream: 0, len: 2048 };
+    a.submit(&mut tb.sim, send.clone());
+    let mut sent_at = tb.sim.now();
+    while tb.sim.now() < Nanos::from_millis(30) {
+        tb.run_us(20);
+        for _ in b.take_completions() {}
+        for c in a.take_completions_at(tb.sim.now()) {
+            if let PonyCompletion::OpDone { .. } = c {
+                latency.record(tb.sim.now().saturating_sub(sent_at).as_nanos());
+                a.submit(&mut tb.sim, send.clone());
+                sent_at = tb.sim.now();
+            }
+        }
+        slo.evaluate(&rec, tb.sim.now());
+    }
+    rec.stop();
+
+    let transitions: Vec<_> = slo.events().iter().map(|e| (e.state, e.at)).collect();
+    let fired = transitions.iter().find(|(s, _)| *s == AlertState::Firing);
+    let (_, fired_at) = fired.expect("gray failure never fired the burn-rate alert");
+    assert!(
+        (fault_at..heal_at).contains(fired_at),
+        "alert fired at {fired_at}, outside the fault window"
+    );
+    let resolved = transitions
+        .iter()
+        .find(|(s, at)| *s == AlertState::Ok && at > fired_at);
+    let (_, resolved_at) = resolved.expect("healed link never resolved the alert");
+    assert!(*resolved_at >= heal_at, "alert resolved at {resolved_at}, before the heal");
+
+    let mut tl = Timeline::new();
+    tl.add_traces(&tb.recorder.as_ref().expect("tracing enabled").completed());
+    tl.add_series_under(&rec, "cpu.h0.core");
+    tl.add_series_under(&rec, "cpu.h2.core");
+    tl.add_series(&rec, "workload.latency_ns");
+    tl.add_alerts(&slo);
+    tl.add_instant(fault_at, "fault: link 0->2 lossy 25%");
+    tl.add_instant(heal_at, "fault: link 0->2 healed");
+    let json = tl.to_json();
+    assert!(json.contains("\"ph\": \"X\""), "timeline lost its causal spans");
+    assert!(json.contains("\"ph\": \"C\""), "timeline lost its CPU counter lanes");
+    assert!(json.contains("\"ph\": \"i\""), "timeline lost its fault/alert instants");
+    assert!(json.contains("cpu.h0.core"), "timeline lost host 0's cpu lanes");
+    assert!(json.contains("xrack-latency"), "timeline lost the alert instants");
 }

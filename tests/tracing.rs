@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use snap_repro::isolation::QuotaPolicy;
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
+use snap_repro::pony::engine::PonyEngine;
 use snap_repro::sim::trace::{Stage, TraceRecorder, TRACE_SAMPLE_SCALE};
 use snap_repro::telemetry::render_trace;
 use snap_repro::testbed::{Testbed, TestbedConfig};
@@ -13,12 +14,30 @@ use snap_repro::testbed::{Testbed, TestbedConfig};
 /// Runs a mixed read/send workload on a fully-traced pair and returns
 /// the testbed (recorder inside).
 fn traced_workload(seed: u64, loss: f64, msgs: usize, len: u64) -> Testbed {
+    workload(Some(TRACE_SAMPLE_SCALE), seed, loss, msgs, len).0
+}
+
+/// The workload at any tracing setting — `None` untraced, `Some(0)` a
+/// recorder attached with sampling off (which `TestbedConfig` cannot
+/// say: its zero means no recorder) — plus everything the model
+/// decided, rendered as one string: both clients' completions (status,
+/// data, issue time), both engines', both NICs' (wire bytes) and the
+/// fabric's counters, each host's CPU ledger and the end time.
+fn workload(sample_ppm: Option<u32>, seed: u64, loss: f64, msgs: usize, len: u64) -> (Testbed, String) {
     let mut tb = Testbed::new(TestbedConfig {
         loss,
         seed,
-        trace_sample_ppm: TRACE_SAMPLE_SCALE,
+        trace_sample_ppm: sample_ppm.unwrap_or(0),
         ..TestbedConfig::default()
     });
+    if sample_ppm == Some(0) {
+        let rec = TraceRecorder::new(seed, 0, 4096);
+        tb.fabric.set_recorder(rec.clone());
+        for host in &mut tb.hosts {
+            host.module.set_recorder(rec.clone());
+        }
+        tb.recorder = Some(rec);
+    }
     let mut a = tb.pony_app(0, "client", |_| {});
     let mut b = tb.pony_app(1, "server", |_| {});
     let conn = tb.connect(0, "client", 1, "server");
@@ -37,9 +56,17 @@ fn traced_workload(seed: u64, loss: f64, msgs: usize, len: u64) -> Testbed {
         tb.run_us(200);
     }
     tb.run_ms(100);
-    let _ = a.take_completions();
-    let _ = b.take_completions();
-    tb
+    let mut modeled = format!("{:?}\n{:?}\n", a.take_completions(), b.take_completions());
+    for (h, app) in ["client", "server"].into_iter().enumerate() {
+        let id = tb.hosts[h].module.engine_for(app).expect("app exists");
+        let stats = tb.hosts[h].group.with_engine(id, |e| {
+            e.as_any().downcast_mut::<PonyEngine>().expect("pony engine").stats().clone()
+        });
+        let nic = tb.fabric.with_nic(tb.hosts[h].id, |nic| nic.stats().clone());
+        modeled += &format!("{stats:?}\n{nic:?}\n{:?}\n", tb.host_cpu(h));
+    }
+    modeled += &format!("{:?}\nend {}\n", tb.fabric.stats(), tb.sim.now());
+    (tb, modeled)
 }
 
 /// Renders every completed trace, sorted by trace id — the full span
@@ -66,6 +93,40 @@ fn same_seed_assembles_byte_identical_span_trees() {
     let c = traced_workload(8, 0.02, 10, 20_000);
     let text_c = render_all(c.recorder.as_ref().expect("tracing enabled"));
     assert_ne!(text_a, text_c, "different seed should differ somewhere");
+}
+
+/// Off is free: a recorder attached at rate zero allocates no contexts
+/// and puts no bytes on the wire, so the model cannot tell it from an
+/// untraced run. Zero delta, not "within a budget".
+#[test]
+fn recorder_at_zero_ppm_is_modeled_identical_to_untraced() {
+    let (_, untraced) = workload(None, 42, 0.02, 12, 20_000);
+    let (tb, off) = workload(Some(0), 42, 0.02, 12, 20_000);
+    assert_eq!(off, untraced, "0 ppm sampling steered the model");
+    let rec = tb.recorder.as_ref().expect("recorder attached");
+    assert_eq!(rec.finalized(), 0, "0 ppm sampling must allocate no traces");
+}
+
+/// The rate never steers the model: at any nonzero rate every op
+/// carries a context (the head verdict only decides retention, and
+/// tail-biased retention needs unsampled ops stamped too), so 1% and
+/// 100% put the same header bytes on the wire.
+#[test]
+fn sampling_rate_never_steers_the_modeled_schedule() {
+    let (one_pct, modeled_one_pct) = workload(Some(TRACE_SAMPLE_SCALE / 100), 42, 0.02, 12, 20_000);
+    let (full, modeled_full) = workload(Some(TRACE_SAMPLE_SCALE), 42, 0.02, 12, 20_000);
+    assert_eq!(modeled_one_pct, modeled_full, "the sampling rate steered the model");
+    // Nonzero tracing is not modeled as free — the context rides the
+    // Pony wire header — so the comparison above can tell runs apart.
+    let (_, untraced) = workload(None, 42, 0.02, 12, 20_000);
+    assert_ne!(modeled_full, untraced, "trace contexts cost wire bytes");
+    let (one_pct, full) = (
+        one_pct.recorder.as_ref().expect("tracing enabled"),
+        full.recorder.as_ref().expect("tracing enabled"),
+    );
+    assert!(full.finalized() > 0, "100% sampling finalized traces");
+    assert_eq!(one_pct.finalized(), full.finalized(), "every op is stamped at any rate");
+    assert!(full.retained() > one_pct.retained(), "100% must retain more traces than 1%");
 }
 
 #[test]
