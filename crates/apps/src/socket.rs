@@ -128,7 +128,13 @@ impl SockState {
 struct HostInner {
     backend: Backend,
     transport: Box<dyn Transport>,
-    socks: HashMap<u64, SockState>,
+    /// Keyed in ascending connection id: the order `pump` serves them
+    /// in, and so the order their chunks reach the transport. Boxed
+    /// because a B-tree node stores eleven values inline with its
+    /// length behind them: among `SockState`s (184 B) every lookup
+    /// would touch three far-apart cache lines, which `incast_clos`
+    /// measures as 13 % of its packet rate.
+    socks: BTreeMap<u64, Box<SockState>>,
     accept_q: VecDeque<u64>,
     stats: SocketStats,
     scratch: Vec<TransportEvent>,
@@ -252,7 +258,7 @@ impl SocketHost {
             inner: Rc::new(RefCell::new(HostInner {
                 backend,
                 transport,
-                socks: HashMap::new(),
+                socks: BTreeMap::new(),
                 accept_q: VecDeque::new(),
                 stats: SocketStats::default(),
                 scratch: Vec::new(),
@@ -441,12 +447,12 @@ pub fn wire(a: &SocketHost, b: &SocketHost, conn: u64) -> Result<SnapSocket, Soc
     {
         let mut ia = a.inner.borrow_mut();
         ia.socks
-            .insert(conn, SockState::new(ab.clone(), ba.clone()));
+            .insert(conn, Box::new(SockState::new(ab.clone(), ba.clone())));
         ia.transport.register_conn(conn);
     }
     {
         let mut ib = b.inner.borrow_mut();
-        ib.socks.insert(conn, SockState::new(ba, ab));
+        ib.socks.insert(conn, Box::new(SockState::new(ba, ab)));
         ib.transport.register_conn(conn);
         ib.accept_q.push_back(conn);
     }
@@ -454,4 +460,73 @@ pub fn wire(a: &SocketHost, b: &SocketHost, conn: u64) -> Result<SnapSocket, Soc
         inner: a.inner.clone(),
         conn,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Chunks in the order a transport was handed them: (conn, seq).
+    type Handed = Rc<RefCell<Vec<(u64, u64)>>>;
+
+    /// A transport that logs every chunk it is handed and acknowledges
+    /// each one at the next poll.
+    struct Recording {
+        handed: Handed,
+        unacked: Vec<(u64, u64)>,
+    }
+
+    impl Transport for Recording {
+        fn backend(&self) -> Backend {
+            Backend::Pony
+        }
+        fn register_conn(&mut self, _conn: u64) {}
+        fn send_chunk(&mut self, _sim: &mut Sim, conn: u64, seq: u64, _len: u64) {
+            self.handed.borrow_mut().push((conn, seq));
+            self.unacked.push((conn, seq));
+        }
+        fn poll(&mut self, _now: Nanos, out: &mut Vec<TransportEvent>) {
+            let acks = self.unacked.drain(..);
+            out.extend(acks.map(|(conn, seq)| TransportEvent::SendDone { conn, seq }));
+        }
+    }
+
+    fn recording_host() -> (SocketHost, Handed) {
+        let handed = Handed::default();
+        let transport = Recording {
+            handed: handed.clone(),
+            unacked: Vec::new(),
+        };
+        (SocketHost::new(Box::new(transport)), handed)
+    }
+
+    /// Five connections, dialed in no particular order, each with a
+    /// full window and two more chunks waiting behind it; returns what
+    /// one pump — which frees every window — hands the transport.
+    fn chunks_handed_by_one_pump() -> Vec<(u64, u64)> {
+        let mut sim = Sim::new();
+        let (a, handed) = recording_host();
+        let (b, _) = recording_host();
+        let backlog = vec![0u8; (WINDOW_CHUNKS + 2) * CHUNK_BYTES];
+        for conn in [907, 13, 512, 64, 7001] {
+            let sock = wire(&a, &b, conn).expect("same backend");
+            sock.send(&mut sim, &backlog).expect("connected");
+        }
+        assert_eq!(handed.borrow().len(), 5 * WINDOW_CHUNKS, "windows are full");
+        handed.borrow_mut().clear();
+        a.poll(&mut sim);
+        let out = handed.borrow().clone();
+        out
+    }
+
+    #[test]
+    fn pump_serves_connections_in_ascending_id_order() {
+        let first = chunks_handed_by_one_pump();
+        let conns: Vec<u64> = first.iter().map(|&(conn, _)| conn).collect();
+        assert_eq!(conns, [13, 13, 64, 64, 512, 512, 907, 907, 7001, 7001]);
+        // Every build draws a fresh hash key; none may show.
+        for _ in 0..7 {
+            assert_eq!(chunks_handed_by_one_pump(), first);
+        }
+    }
 }

@@ -85,11 +85,11 @@ fn main() {
             connections,
             Box::new(move |state, _| {
                 let bytes = u64::from_le_bytes(state.try_into().expect("8-byte snapshot"));
-                Box::new(CellEngine {
+                Ok(Box::new(CellEngine {
                     name: format!("engine{i}-v2"),
                     state_bytes: bytes,
                     connections,
-                })
+                }))
             }),
         );
     }

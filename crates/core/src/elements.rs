@@ -171,16 +171,6 @@ impl TokenBucket {
             self.last_refill = now;
         }
     }
-
-    /// Time at which the bucket will have `bytes` tokens.
-    pub fn next_release(&self, bytes: f64) -> Option<Nanos> {
-        if self.tokens >= bytes {
-            return Some(self.last_refill);
-        }
-        let need = bytes - self.tokens;
-        let secs = need / self.rate_bytes_per_sec;
-        Some(self.last_refill + Nanos::from_secs_f64(secs))
-    }
 }
 
 impl Element for TokenBucket {

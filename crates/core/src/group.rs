@@ -23,7 +23,6 @@
 //! [`snap_sched::Machine`] and metered for the Fig. 6(b) CPU curves.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
 use snap_shm::account::{CpuAccountant, CpuSlot};
@@ -43,10 +42,6 @@ pub type MachineHandle = Rc<RefCell<Machine>>;
 /// Depth-1 control work executed on an engine's worker before its next
 /// pass (the engine mailbox, §2.3).
 pub type MailboxWork = Box<dyn FnOnce(&mut dyn Engine)>;
-
-/// Completion callback of a backoff-retried mailbox RPC; fires exactly
-/// once with the post outcome.
-pub type PostResult = Box<dyn FnOnce(&mut Sim, Result<(), ControlError>)>;
 
 /// The scheduling mode of an engine group (§2.4, Fig. 3).
 #[derive(Debug, Clone)]
@@ -130,11 +125,69 @@ struct Worker {
     idle_block_event: Option<snap_sim::EventHandle>,
 }
 
+impl Worker {
+    /// A worker that spin-polls `core` (a dedicated core; the
+    /// compacting primary). The caller reserves the core on the machine.
+    fn spinning(core: CoreId, budget: Option<MicroQuantaBudget>) -> Worker {
+        Worker {
+            engines: Vec::new(),
+            state: WorkerState::SpinningIdle { since: Nanos::ZERO },
+            core,
+            spins: true,
+            budget,
+            idle_block_event: None,
+        }
+    }
+
+    /// A MicroQuanta worker parked on interrupt notification (one per
+    /// spreading engine; a compacting scale-out target). `core` is only
+    /// where it last ran: every wake picks one anew.
+    fn blocked(core: CoreId) -> Worker {
+        Worker {
+            engines: Vec::new(),
+            state: WorkerState::Blocked,
+            core,
+            spins: false,
+            budget: Some(MicroQuantaBudget::default_engine()),
+            idle_block_event: None,
+        }
+    }
+}
+
+/// Where an engine is in its life. Only a `Running` engine is woken,
+/// scheduled and reachable through [`GroupHandle::try_with_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lifecycle {
+    /// On its worker's list and run whenever the worker passes.
+    Running,
+    /// Detached and off the schedule: an upgrade or a supervisor
+    /// restart owns the slot until [`GroupHandle::resume_engine`].
+    /// `crashed` records a kill that landed before or during the
+    /// suspension (the successor dying mid-install), which the owner —
+    /// not the supervisor's liveness loop — has to answer.
+    Suspended { crashed: bool },
+    /// Destroyed by [`GroupHandle::kill_engine`]: its state is gone.
+    Crashed,
+}
+
+impl Lifecycle {
+    fn suspended(self) -> bool {
+        matches!(self, Lifecycle::Suspended { .. })
+    }
+
+    fn crashed(self) -> bool {
+        matches!(self, Lifecycle::Crashed | Lifecycle::Suspended { crashed: true })
+    }
+}
+
+/// Everything the group knows about one engine.
 struct Slot {
-    /// `None` only while [`GroupHandle::run_worker`] has the engine out
-    /// for its pass: passes run off the slot so the group is not
-    /// borrowed across [`Engine::run`].
+    /// `None` while [`GroupHandle::run_worker`] has the engine out for
+    /// its pass (passes run off the slot so the group is not borrowed
+    /// across [`Engine::run`]), after [`GroupHandle::take_engine`], and
+    /// once the engine crashed.
     engine: Option<Box<dyn Engine>>,
+    state: Lifecycle,
     /// The CPU counter of the engine's container, resolved when the
     /// engine is installed so that a pass charges it without a lookup.
     cpu: CpuSlot,
@@ -146,15 +199,34 @@ struct Slot {
     /// When the engine last completed a run pass — the progress
     /// heartbeat sampled by the supervisor for wedge detection.
     last_pass: Nanos,
+    /// A wedged engine makes no progress until this virtual time.
+    stalled_until: Nanos,
+    /// CPU inflation factor (gray-failure model: a slow-degrading
+    /// engine burns `slowdown`× CPU per pass, stretching its dequeue
+    /// latency without ever crashing). 1.0 = healthy.
+    slowdown: f64,
+    /// Cumulative engine-pass CPU (slowdown-inflated), written by
+    /// [`EngineGroup::charge`] only.
+    pass_cpu: Nanos,
 }
 
 impl Slot {
-    fn engine(&self) -> &dyn Engine {
-        self.engine.as_deref().expect("engine is mid-pass")
-    }
-
     fn engine_mut(&mut self) -> &mut dyn Engine {
         self.engine.as_deref_mut().expect("engine is mid-pass")
+    }
+
+    /// Items the engine holds pending; none once its state has left
+    /// the slot (crashed, or taken for migration).
+    fn pending_work(&self) -> usize {
+        self.engine.as_deref().map_or(0, |e| e.pending_work())
+    }
+
+    /// Queueing-delay estimate the rebalancer polls; see
+    /// [`Slot::pending_work`] for an engine that is not in the slot.
+    fn oldest_pending_age(&self, now: Nanos) -> Nanos {
+        self.engine
+            .as_deref()
+            .map_or(Nanos::ZERO, |e| e.oldest_pending_age(now))
     }
 }
 
@@ -192,8 +264,8 @@ impl GroupCpu {
 
 /// CPU this group consumed on one core, split by category — the
 /// per-core attribution behind the paper's Table 1 / Fig. 5 efficiency
-/// comparison. Every nanosecond in [`GroupCpu`] is simultaneously
-/// charged to exactly one core, so summing [`CoreCpu::total`] across
+/// comparison. The per-core table is the group's only CPU ledger:
+/// [`GroupCpu`] is its column sums, so summing [`CoreCpu::total`] across
 /// [`GroupHandle::core_cpu`] reproduces [`GroupCpu::total`] exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreCpu {
@@ -212,41 +284,32 @@ impl CoreCpu {
     }
 }
 
+/// What a span of CPU was burned on; see [`EngineGroup::charge`].
+enum Burn {
+    /// One engine's run pass.
+    Pass(EngineId),
+    /// Idle spin-polling or a poll-wait.
+    Spin,
+    /// Interrupt + context switch of a blocked worker's wakeup.
+    Wake,
+}
+
 /// An engine group plus its scheduling runtime state.
 pub struct EngineGroup {
     name: String,
     mode: SchedulingMode,
     class_override: Option<SchedClass>,
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Slot>,
     workers: Vec<Worker>,
     machine: MachineHandle,
-    cpu: GroupCpu,
-    /// Per-core split of `cpu`: every accrual lands in both, keyed by
-    /// the core it was charged on (deterministic iteration).
-    core_cpu: BTreeMap<CoreId, CoreCpu>,
-    /// Cumulative engine-pass CPU per engine slot (slowdown-inflated,
-    /// like the group totals). Sums to `cpu.engine`.
-    engine_cpu: Vec<Nanos>,
+    /// The group's CPU ledger, one row per core of the machine.
+    core_cpu: Vec<CoreCpu>,
     accountant: CpuAccountant,
     next_core: usize,
     started: bool,
     /// Set by [`GroupHandle::stop`]; ends the rebalancer loop so a
     /// drained simulation can terminate.
     stopped: bool,
-    /// Engines currently detached for upgrade are not scheduled.
-    suspended: Vec<bool>,
-    /// Engines destroyed by fault injection ([`GroupHandle::kill_engine`]).
-    crashed: Vec<bool>,
-    /// Wedged engines make no progress until this virtual time.
-    stalled_until: Vec<Nanos>,
-    /// Per-engine CPU inflation factor (gray-failure model: a
-    /// slow-degrading engine burns `factor`× CPU per pass, stretching
-    /// its dequeue latency without ever crashing). 1.0 = healthy.
-    slowdown: Vec<f64>,
-    /// Seeded jitter stream for mailbox-retry backoff, so concurrent
-    /// retriers against the same busy mailbox don't synchronize into
-    /// waves (they'd otherwise collide forever at identical delays).
-    retry_rng: snap_sim::Rng,
     /// Scheduling delay of every wake that had to schedule a worker:
     /// spin pickup for a spinning worker, interrupt wake latency for a
     /// blocked one. The per-mode distribution behind the trace layer's
@@ -262,6 +325,39 @@ impl EngineGroup {
         match self.mode {
             SchedulingMode::Dedicated { .. } => SchedClass::Fifo,
             _ => SchedClass::microquanta_default(),
+        }
+    }
+
+    /// The one place the group's CPU books are written: `ns` burned on
+    /// `core`, and for a pass also on the engine's own counter. Every
+    /// view ([`GroupHandle::cpu`], [`GroupHandle::core_cpu`],
+    /// [`GroupHandle::engine_cpu`]) is read off these two, so they agree
+    /// by construction. The container's [`CpuSlot`] and the machine's
+    /// slices are other parties' ledgers, charged where a pass ends.
+    fn charge(&mut self, core: CoreId, burn: Burn, ns: Nanos) {
+        let row = &mut self.core_cpu[core];
+        match burn {
+            Burn::Pass(id) => {
+                row.busy += ns;
+                self.slots[id.0 as usize].pass_cpu += ns;
+            }
+            Burn::Spin => row.spin += ns,
+            Burn::Wake => row.wake_overhead += ns,
+        }
+    }
+
+    /// Books what every idle-spinning worker has burned up to `now`,
+    /// so that a reading of the ledger is current.
+    fn flush_idle_spin(&mut self, now: Nanos) {
+        for wi in 0..self.workers.len() {
+            let w = &mut self.workers[wi];
+            if let WorkerState::SpinningIdle { since } = w.state {
+                if now > since {
+                    w.state = WorkerState::SpinningIdle { since: now };
+                    let core = w.core;
+                    self.charge(core, Burn::Spin, now - since);
+                }
+            }
         }
     }
 }
@@ -288,6 +384,10 @@ impl WeakGroupHandle {
     }
 }
 
+fn unavailable(id: EngineId, why: &str) -> ControlError {
+    ControlError::Unavailable(format!("engine {} {why}", id.0))
+}
+
 impl GroupHandle {
     /// A handle to this group that does not keep it alive.
     pub fn downgrade(&self) -> WeakGroupHandle {
@@ -298,6 +398,7 @@ impl GroupHandle {
 
     /// Creates an empty group on `machine`.
     pub fn new(cfg: GroupConfig, machine: MachineHandle, accountant: CpuAccountant) -> Self {
+        let core_cpu = vec![CoreCpu::default(); machine.borrow().num_cores()];
         GroupHandle {
             inner: Rc::new(RefCell::new(EngineGroup {
                 name: cfg.name,
@@ -306,18 +407,11 @@ impl GroupHandle {
                 slots: Vec::new(),
                 workers: Vec::new(),
                 machine,
-                cpu: GroupCpu::default(),
-                core_cpu: BTreeMap::new(),
-                engine_cpu: Vec::new(),
+                core_cpu,
                 accountant,
                 next_core: 0,
                 started: false,
                 stopped: false,
-                suspended: Vec::new(),
-                crashed: Vec::new(),
-                stalled_until: Vec::new(),
-                slowdown: Vec::new(),
-                retry_rng: snap_sim::Rng::new(0x6261_636b).stream(0x6f_6666),
                 sched_delay: Histogram::new(),
             })),
         }
@@ -341,14 +435,7 @@ impl GroupHandle {
                 if g.workers.len() <= wi {
                     let core = cores.get(wi).copied().unwrap_or(0);
                     g.machine.borrow_mut().set_spinning(core, true);
-                    g.workers.push(Worker {
-                        engines: Vec::new(),
-                        state: WorkerState::SpinningIdle { since: Nanos::ZERO },
-                        core,
-                        spins: true,
-                        budget: None,
-                        idle_block_event: None,
-                    });
+                    g.workers.push(Worker::spinning(core, None));
                 }
                 wi
             }
@@ -357,76 +444,56 @@ impl GroupHandle {
                 let core = g.next_core;
                 let num_cores = g.machine.borrow().num_cores();
                 g.next_core = (g.next_core + 1) % num_cores;
-                g.workers.push(Worker {
-                    engines: Vec::new(),
-                    state: WorkerState::Blocked,
-                    core,
-                    spins: false,
-                    budget: Some(MicroQuantaBudget::default_engine()),
-                    idle_block_event: None,
-                });
+                g.workers.push(Worker::blocked(core));
                 g.workers.len() - 1
             }
             SchedulingMode::Compacting { .. } => {
                 // All engines start on the primary spinning worker.
                 if g.workers.is_empty() {
                     g.machine.borrow_mut().set_spinning(0, true);
-                    g.workers.push(Worker {
-                        engines: Vec::new(),
-                        state: WorkerState::SpinningIdle { since: Nanos::ZERO },
-                        core: 0,
-                        spins: true,
-                        budget: Some(MicroQuantaBudget::default_engine()),
-                        idle_block_event: None,
-                    });
+                    let budget = MicroQuantaBudget::default_engine();
+                    g.workers.push(Worker::spinning(0, Some(budget)));
                 }
                 0
             }
         };
         g.workers[worker].engines.push(id);
         let cpu = g.accountant.slot(engine.container());
-        g.slots.push(Some(Slot {
+        g.slots.push(Slot {
             engine: Some(engine),
+            state: Lifecycle::Running,
             cpu,
             worker,
             mailbox: None,
             last_report: RunReport::default(),
             last_pass: Nanos::ZERO,
-        }));
-        g.suspended.push(false);
-        g.crashed.push(false);
-        g.stalled_until.push(Nanos::ZERO);
-        g.slowdown.push(1.0);
-        g.engine_cpu.push(Nanos::ZERO);
+            stalled_until: Nanos::ZERO,
+            slowdown: 1.0,
+            pass_cpu: Nanos::ZERO,
+        });
         id
     }
 
     /// Starts the group runtime (rebalancer for compacting mode).
     pub fn start(&self, sim: &mut Sim) {
-        let (rebalance, started) = {
+        let poll = {
             let mut g = self.inner.borrow_mut();
-            let started = g.started;
-            g.started = true;
+            if std::mem::replace(&mut g.started, true) {
+                return;
+            }
             match g.mode {
-                SchedulingMode::Compacting { rebalance_poll, .. } => {
-                    (Some(rebalance_poll), started)
-                }
-                _ => (None, started),
+                SchedulingMode::Compacting { rebalance_poll, .. } => rebalance_poll,
+                _ => return,
             }
         };
-        if started {
-            return;
-        }
-        if let Some(poll) = rebalance {
-            let handle = self.clone();
-            snap_sim::event::every(sim, sim.now() + poll, poll, move |sim| {
-                if handle.inner.borrow().stopped {
-                    return false;
-                }
-                handle.rebalance(sim);
-                true
-            });
-        }
+        let handle = self.clone();
+        snap_sim::event::every(sim, sim.now() + poll, poll, move |sim| {
+            if handle.inner.borrow().stopped {
+                return false;
+            }
+            handle.rebalance(sim);
+            true
+        });
     }
 
     /// Overrides the kernel scheduling class for this group's workers
@@ -440,15 +507,6 @@ impl GroupHandle {
     /// their work.
     pub fn stop(&self) {
         self.inner.borrow_mut().stopped = true;
-    }
-
-    /// Engine ids currently in the group.
-    pub fn engine_ids(&self) -> Vec<EngineId> {
-        let g = self.inner.borrow();
-        (0..g.slots.len() as u32)
-            .map(EngineId)
-            .filter(|id| g.slots[id.0 as usize].is_some())
-            .collect()
     }
 
     /// Returns a cloneable wake callback for an engine, safe to invoke
@@ -465,18 +523,17 @@ impl GroupHandle {
     }
 
     /// Signals that an engine has new work (packet arrival, command
-    /// submission, timer). Schedules its worker if necessary.
+    /// submission, timer). Schedules its worker if necessary; a
+    /// suspended or crashed engine is not woken.
     pub fn wake(&self, sim: &mut Sim, id: EngineId) {
         let now = sim.now();
         let (worker_idx, action) = {
             let mut g = self.inner.borrow_mut();
-            if g.suspended[id.0 as usize]
-                || g.crashed[id.0 as usize]
-                || g.slots[id.0 as usize].is_none()
-            {
+            let slot = &g.slots[id.0 as usize];
+            if slot.state != Lifecycle::Running {
                 return;
             }
-            let wi = g.slots[id.0 as usize].as_ref().expect("checked above").worker;
+            let wi = slot.worker;
             let class = g.sched_class();
             let w = &mut g.workers[wi];
             match w.state {
@@ -487,9 +544,7 @@ impl GroupHandle {
                     }
                     w.state = WorkerState::Scheduled;
                     let core = w.core;
-                    let accrued = now.saturating_sub(since);
-                    g.cpu.spin += accrued;
-                    g.core_cpu.entry(core).or_default().spin += accrued;
+                    g.charge(core, Burn::Spin, now.saturating_sub(since));
                     (wi, Some(Nanos(costs::SPIN_PICKUP_NS)))
                 }
                 WorkerState::Blocked => {
@@ -497,11 +552,9 @@ impl GroupHandle {
                     let core_hint = Some(wi as u64);
                     let (core, lat) =
                         g.machine.borrow_mut().interrupt_wakeup(now, class, core_hint);
-                    let w = &mut g.workers[wi];
-                    w.core = core;
+                    g.workers[wi].core = core;
                     let overhead = Nanos(costs::INTERRUPT_NS + costs::CONTEXT_SWITCH_NS);
-                    g.cpu.wake_overhead += overhead;
-                    g.core_cpu.entry(core).or_default().wake_overhead += overhead;
+                    g.charge(core, Burn::Wake, overhead);
                     (wi, Some(lat))
                 }
             }
@@ -514,39 +567,34 @@ impl GroupHandle {
     }
 
     /// One worker scheduling pass: service mailboxes, run each assigned
-    /// engine once, charge CPU, and reschedule or go idle.
+    /// engine that is running and not stalled once, charge CPU, and
+    /// reschedule or go idle.
     fn run_worker(&self, sim: &mut Sim, worker_idx: usize) {
         // Engines run without the group borrowed: they may transmit
         // packets, which schedules fabric events; those only fire
         // later, but they may also call wake handles, which defer
         // through the event queue. Nothing reachable from a pass edits
-        // the worker's engine list, so it is walked by index.
-        if worker_idx >= self.inner.borrow().workers.len() {
+        // the worker's engine list or moves it to another core, so the
+        // list is walked by index and the core read once.
+        let Some(core) = self.inner.borrow().workers.get(worker_idx).map(|w| w.core) else {
             return;
-        }
+        };
         let now = sim.now();
         let mut total_cpu = Nanos::ZERO;
         let mut any_work = false;
         let mut any_pending = false;
         for i in 0.. {
             // Take the engine out of the slot to run it borrow-free.
-            let (id, taken) = {
+            let (id, mut engine, mailbox, factor) = {
                 let mut g = self.inner.borrow_mut();
                 let Some(&id) = g.workers[worker_idx].engines.get(i) else { break };
-                if g.suspended[id.0 as usize]
-                    || g.crashed[id.0 as usize]
-                    || g.stalled_until[id.0 as usize] > now
-                {
+                let slot = &mut g.slots[id.0 as usize];
+                if slot.state != Lifecycle::Running || slot.stalled_until > now {
                     continue;
                 }
-                let factor = g.slowdown[id.0 as usize];
-                let taken = g.slots[id.0 as usize].as_mut().and_then(|slot| {
-                    let engine = slot.engine.take()?;
-                    Some((engine, slot.mailbox.take(), factor))
-                });
-                (id, taken)
+                let Some(engine) = slot.engine.take() else { continue };
+                (id, engine, slot.mailbox.take(), slot.slowdown)
             };
-            let Some((mut engine, mailbox, factor)) = taken else { continue };
             if let Some(work) = mailbox {
                 work(engine.as_mut());
             }
@@ -561,43 +609,36 @@ impl GroupHandle {
             any_work |= report.work_done;
             any_pending |= report.pending > 0;
             let mut g = self.inner.borrow_mut();
-            g.engine_cpu[id.0 as usize] += report.cpu;
-            if let Some(slot) = g.slots[id.0 as usize].as_mut() {
-                slot.cpu.charge(report.cpu.as_nanos());
-                slot.engine = Some(engine);
-                slot.last_report = report;
-                slot.last_pass = now;
-            }
+            g.charge(core, Burn::Pass(id), report.cpu);
+            let slot = &mut g.slots[id.0 as usize];
+            slot.cpu.charge(report.cpu.as_nanos());
+            slot.engine = Some(engine);
+            slot.last_report = report;
+            slot.last_pass = now;
         }
 
-        // Earliest self-timer deadline across this worker's engines:
-        // near deadlines are poll-waited (burning spin CPU) instead of
-        // paying a block + interrupt-wake cycle per pacing gap.
-        let (next_deadline, first_engine) = {
-            let g = self.inner.borrow();
-            let engines = &g.workers[worker_idx].engines;
-            let deadline = engines
-                .iter()
-                .filter_map(|id| g.slots[id.0 as usize].as_ref())
-                .filter_map(|s| s.last_report.next_deadline)
-                .min();
-            (deadline, engines.first().copied())
-        };
-
         // Charge the machine and decide what happens next.
-        let next = {
+        let (next, next_deadline, first_engine) = {
             let mut g = self.inner.borrow_mut();
-            g.cpu.engine += total_cpu;
+            // Earliest self-timer deadline across this worker's
+            // engines: near deadlines are poll-waited (burning spin
+            // CPU) instead of paying a block + interrupt-wake cycle per
+            // pacing gap.
+            let engines = &g.workers[worker_idx].engines;
+            let next_deadline = engines
+                .iter()
+                .filter_map(|id| g.slots[id.0 as usize].last_report.next_deadline)
+                .min();
+            let first_engine = engines.first().copied();
             let w = &mut g.workers[worker_idx];
-            let core = w.core;
             let throttle_start = match w.budget.as_mut() {
                 Some(b) if !total_cpu.is_zero() => b.request(now, total_cpu),
                 _ => now,
             };
             g.machine.borrow_mut().run_slice(core, throttle_start, total_cpu);
-            g.core_cpu.entry(core).or_default().busy += total_cpu;
             let w = &mut g.workers[worker_idx];
-            if any_work || any_pending {
+            debug_assert_eq!(w.core, core, "a worker moved cores mid-pass");
+            let next = if any_work || any_pending {
                 w.state = WorkerState::Scheduled;
                 Some(throttle_start + total_cpu)
             } else if let Some(d) = next_deadline.filter(|&d| {
@@ -606,8 +647,7 @@ impl GroupHandle {
                 // Poll-wait: stay runnable and burn the gap as spin.
                 let resume = d.max(now + Nanos(1));
                 w.state = WorkerState::Scheduled;
-                g.cpu.spin += resume - now;
-                g.core_cpu.entry(core).or_default().spin += resume - now;
+                g.charge(core, Burn::Spin, resume - now);
                 Some(resume)
             } else {
                 if w.spins {
@@ -616,7 +656,8 @@ impl GroupHandle {
                     w.state = WorkerState::Blocked;
                 }
                 None
-            }
+            };
+            (next, next_deadline, first_engine)
         };
 
         match next {
@@ -661,8 +702,7 @@ impl GroupHandle {
                 w.spins = false;
                 let core = w.core;
                 g.machine.borrow_mut().set_spinning(core, false);
-                g.cpu.spin += now.saturating_sub(since);
-                g.core_cpu.entry(core).or_default().spin += now.saturating_sub(since);
+                g.charge(core, Burn::Spin, now.saturating_sub(since));
             }
         });
         self.inner.borrow_mut().workers[worker_idx].idle_block_event = Some(ev);
@@ -691,11 +731,9 @@ impl GroupHandle {
                 }
                 let mut worst: Option<(EngineId, Nanos)> = None;
                 for id in &w.engines {
-                    if let Some(slot) = g.slots[id.0 as usize].as_ref() {
-                        let age = slot.engine().oldest_pending_age(now);
-                        if age > slo && worst.map(|(_, a)| age > a).unwrap_or(true) {
-                            worst = Some((*id, age));
-                        }
+                    let age = g.slots[id.0 as usize].oldest_pending_age(now);
+                    if age > slo && worst.map(|(_, a)| age > a).unwrap_or(true) {
+                        worst = Some((*id, age));
                     }
                 }
                 if let Some((id, _)) = worst {
@@ -718,18 +756,14 @@ impl GroupHandle {
                 if w.engines.is_empty() {
                     continue;
                 }
-                let all_idle = w.engines.iter().all(|id| {
-                    g.slots[id.0 as usize]
-                        .as_ref()
-                        .map(|s| s.engine().pending_work() == 0)
-                        .unwrap_or(true)
-                });
-                let primary_ok = g.workers[0].engines.iter().all(|id| {
-                    g.slots[id.0 as usize]
-                        .as_ref()
-                        .map(|s| s.engine().oldest_pending_age(now) < slo / 2)
-                        .unwrap_or(true)
-                });
+                let all_idle = w
+                    .engines
+                    .iter()
+                    .all(|id| g.slots[id.0 as usize].pending_work() == 0);
+                let primary_ok = g.workers[0]
+                    .engines
+                    .iter()
+                    .all(|id| g.slots[id.0 as usize].oldest_pending_age(now) < slo / 2);
                 if all_idle && primary_ok {
                     merge_plan = Some(wi);
                     break;
@@ -740,9 +774,7 @@ impl GroupHandle {
             let mut g = self.inner.borrow_mut();
             let engines = std::mem::take(&mut g.workers[wi].engines);
             for id in &engines {
-                if let Some(slot) = g.slots[id.0 as usize].as_mut() {
-                    slot.worker = 0;
-                }
+                g.slots[id.0 as usize].worker = 0;
             }
             g.workers[0].engines.extend(engines);
             let w = &mut g.workers[wi];
@@ -753,8 +785,7 @@ impl GroupHandle {
             let core = w.core;
             w.state = WorkerState::Blocked;
             w.spins = false;
-            g.cpu.spin += spin_accrued;
-            g.core_cpu.entry(core).or_default().spin += spin_accrued;
+            g.charge(core, Burn::Spin, spin_accrued);
             g.machine.borrow_mut().set_spinning(core, false);
         }
     }
@@ -777,21 +808,12 @@ impl GroupHandle {
                     let cores = g.machine.borrow().num_cores();
                     let core = g.next_core % cores;
                     g.next_core += 1;
-                    g.workers.push(Worker {
-                        engines: Vec::new(),
-                        state: WorkerState::Blocked,
-                        core,
-                        spins: false,
-                        budget: Some(MicroQuantaBudget::default_engine()),
-                        idle_block_event: None,
-                    });
+                    g.workers.push(Worker::blocked(core));
                     g.workers.len() - 1
                 }
             };
             g.workers[ti].engines.push(id);
-            if let Some(slot) = g.slots[id.0 as usize].as_mut() {
-                slot.worker = ti;
-            }
+            g.slots[id.0 as usize].worker = ti;
         }
         self.wake(sim, id);
     }
@@ -799,7 +821,10 @@ impl GroupHandle {
     /// Posts depth-1 control work to run on the engine's worker before
     /// its next pass (the engine mailbox, §2.3). Fails with
     /// [`ControlError::Busy`] if work is already pending and
-    /// [`ControlError::Unavailable`] if the engine slot is gone.
+    /// [`ControlError::Unavailable`] if the group has no such engine.
+    /// Work posted to a suspended or crashed engine waits for its
+    /// successor's first pass, unless a kill or
+    /// [`GroupHandle::take_engine`] empties the mailbox first.
     pub fn post_to_engine(
         &self,
         sim: &mut Sim,
@@ -811,10 +836,7 @@ impl GroupHandle {
             let slot = g
                 .slots
                 .get_mut(id.0 as usize)
-                .and_then(|s| s.as_mut())
-                .ok_or_else(|| {
-                    ControlError::Unavailable(format!("engine {} removed", id.0))
-                })?;
+                .ok_or_else(|| unavailable(id, "removed"))?;
             if slot.mailbox.is_some() {
                 return Err(ControlError::Busy(format!(
                     "engine {} mailbox occupied",
@@ -839,131 +861,46 @@ impl GroupHandle {
     /// this is a mailbox call that blocks the *control* thread only; in
     /// the simulator the control plane and engines share one thread, so
     /// it executes immediately.
+    ///
+    /// The engine need not be running, only present: a suspended engine
+    /// that has not been taken is detached but its state is intact
+    /// (this is how a checkpoint is read out of one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has no such engine or there is nothing to
+    /// run `f` against — the engine crashed, or was taken for
+    /// migration. A caller that can race a fault or an upgrade uses
+    /// [`GroupHandle::try_with_engine`].
     pub fn with_engine<R>(&self, id: EngineId, f: impl FnOnce(&mut dyn Engine) -> R) -> R {
         let mut g = self.inner.borrow_mut();
-        let slot = g.slots[id.0 as usize]
-            .as_mut()
-            .expect("engine exists");
-        f(slot.engine_mut())
+        let slot = &mut g.slots[id.0 as usize];
+        let state = slot.state;
+        let Some(engine) = slot.engine.as_deref_mut() else {
+            panic!("engine {} is not in its slot ({state:?})", id.0);
+        };
+        f(engine)
     }
 
-    /// Fallible [`GroupHandle::with_engine`]: a missing slot or a
-    /// crashed/suspended engine becomes [`ControlError::Unavailable`]
-    /// instead of a panic, so control RPCs racing a fault or an
-    /// in-flight upgrade get a typed error the caller can retry on.
+    /// Fallible [`GroupHandle::with_engine`] that also insists the
+    /// engine is running: an unknown id or a crashed/suspended engine
+    /// becomes a [`ControlError::Unavailable`] naming the state, so
+    /// control RPCs racing a fault or an in-flight upgrade get a typed
+    /// error the caller can retry on.
     pub fn try_with_engine<R>(
         &self,
         id: EngineId,
         f: impl FnOnce(&mut dyn Engine) -> R,
     ) -> Result<R, ControlError> {
         let mut g = self.inner.borrow_mut();
-        let idx = id.0 as usize;
-        if g.slots.get(idx).is_none_or(|s| s.is_none()) {
-            return Err(ControlError::Unavailable(format!("engine {} removed", id.0)));
-        }
-        if g.crashed[idx] {
-            return Err(ControlError::Unavailable(format!("engine {} crashed", id.0)));
-        }
-        if g.suspended[idx] {
-            return Err(ControlError::Unavailable(format!(
-                "engine {} suspended for upgrade",
-                id.0
-            )));
-        }
-        let slot = g.slots[idx].as_mut().expect("checked above");
-        Ok(f(slot.engine_mut()))
-    }
-
-    /// Posts mailbox work with a retry loop: an occupied mailbox is
-    /// retried with capped exponential backoff
-    /// ([`costs::CONTROL_RETRY_BASE_NS`] doubling up to
-    /// [`costs::CONTROL_RETRY_CAP_NS`]) until it lands or the
-    /// [`costs::CONTROL_RPC_TIMEOUT_NS`] budget runs out. `on_result`
-    /// fires exactly once with the outcome; `Ok` means the work is
-    /// queued (it runs before the engine's next pass, which for a
-    /// crashed engine is after the supervisor restarts it).
-    pub fn post_with_backoff(
-        &self,
-        sim: &mut Sim,
-        id: EngineId,
-        work: MailboxWork,
-        on_result: PostResult,
-    ) {
-        let deadline = sim.now() + Nanos(costs::CONTROL_RPC_TIMEOUT_NS);
-        self.post_attempt(
-            sim,
-            id,
-            work,
-            on_result,
-            deadline,
-            Nanos(costs::CONTROL_RETRY_BASE_NS),
-        );
-    }
-
-    fn post_attempt(
-        &self,
-        sim: &mut Sim,
-        id: EngineId,
-        work: MailboxWork,
-        on_result: PostResult,
-        deadline: Nanos,
-        delay: Nanos,
-    ) {
-        enum Post {
-            Gone,
-            Busy,
-            Landed,
-        }
-        let mut work = Some(work);
-        let status = {
-            let mut g = self.inner.borrow_mut();
-            match g.slots.get_mut(id.0 as usize).and_then(|s| s.as_mut()) {
-                None => Post::Gone,
-                Some(slot) if slot.mailbox.is_some() => Post::Busy,
-                Some(slot) => {
-                    slot.mailbox = work.take();
-                    Post::Landed
-                }
-            }
-        };
-        match status {
-            Post::Gone => on_result(
-                sim,
-                Err(ControlError::Unavailable(format!("engine {} removed", id.0))),
-            ),
-            Post::Landed => {
-                self.wake(sim, id);
-                on_result(sim, Ok(()));
-            }
-            Post::Busy => {
-                // Equal jitter on the backoff step: sleep a seeded
-                // uniform draw from [delay/2, delay] so concurrent
-                // retriers against the same busy mailbox decorrelate
-                // instead of colliding in lockstep waves. The draw
-                // comes from the group's own deterministic stream, so
-                // runs stay bit-reproducible.
-                let half = Nanos(delay.as_nanos() / 2);
-                let jittered = {
-                    let mut g = self.inner.borrow_mut();
-                    half + Nanos(g.retry_rng.below(half.as_nanos() + 1))
-                };
-                if sim.now() + jittered > deadline {
-                    on_result(
-                        sim,
-                        Err(ControlError::Timeout(format!(
-                            "mailbox for engine {} still busy",
-                            id.0
-                        ))),
-                    );
-                    return;
-                }
-                let handle = self.clone();
-                let Some(work) = work.take() else { return };
-                let next_delay = (delay * 2).min(Nanos(costs::CONTROL_RETRY_CAP_NS));
-                sim.schedule_in(jittered, move |sim| {
-                    handle.post_attempt(sim, id, work, on_result, deadline, next_delay);
-                });
-            }
+        let slot = g
+            .slots
+            .get_mut(id.0 as usize)
+            .ok_or_else(|| unavailable(id, "removed"))?;
+        match slot.state {
+            Lifecycle::Running => Ok(f(slot.engine_mut())),
+            state if state.crashed() => Err(unavailable(id, "crashed")),
+            _ => Err(unavailable(id, "suspended for upgrade")),
         }
     }
 
@@ -972,27 +909,24 @@ impl GroupHandle {
     pub fn suspend_engine(&self, sim: &mut Sim, id: EngineId) {
         let engine = {
             let mut g = self.inner.borrow_mut();
-            if g.slots[id.0 as usize].is_none() {
-                return;
-            }
-            g.suspended[id.0 as usize] = true;
-            g.slots[id.0 as usize]
-                .as_mut()
-                .expect("checked")
-                .engine
-                .replace(Box::new(crate::engine::CountingEngine::new("detached", Nanos(0))))
-                .expect("engine is mid-pass")
+            let slot = &mut g.slots[id.0 as usize];
+            slot.state = Lifecycle::Suspended {
+                crashed: slot.state.crashed(),
+            };
+            slot.engine.take()
         };
         // Detach outside the borrow: the hook may drive the simulator.
-        let mut engine = engine;
-        engine.detach(sim);
-        let mut g = self.inner.borrow_mut();
-        g.slots[id.0 as usize].as_mut().expect("checked").engine = Some(engine);
+        if let Some(mut engine) = engine {
+            engine.detach(sim);
+            self.inner.borrow_mut().slots[id.0 as usize].engine = Some(engine);
+        }
     }
 
-    /// Replaces a suspended engine with its new-version successor and
-    /// resumes scheduling (upgrade blackout end). Also clears any crash
-    /// or stall flag, so the same path serves supervisor recovery.
+    /// Installs `engine` — a new-version successor, a rebuild from a
+    /// checkpoint, or the predecessor on rollback — and resumes
+    /// scheduling (upgrade blackout end). Whatever state the slot was
+    /// in, it is running and healthy afterwards, so the same path
+    /// serves supervisor recovery.
     pub fn resume_engine(&self, sim: &mut Sim, id: EngineId, engine: Box<dyn Engine>) {
         let mut engine = engine;
         // Re-attach outside the borrow: the hook may drive the NIC.
@@ -1001,32 +935,32 @@ impl GroupHandle {
             let mut g = self.inner.borrow_mut();
             // The successor may run on behalf of another container.
             let cpu = g.accountant.slot(engine.container());
-            let slot = g.slots[id.0 as usize].as_mut().expect("engine exists");
+            let slot = &mut g.slots[id.0 as usize];
             slot.cpu = cpu;
             slot.engine = Some(engine);
-            g.suspended[id.0 as usize] = false;
-            g.crashed[id.0 as usize] = false;
-            g.stalled_until[id.0 as usize] = Nanos::ZERO;
+            slot.state = Lifecycle::Running;
+            slot.stalled_until = Nanos::ZERO;
             // A restart replaces the degraded process: healthy again.
-            g.slowdown[id.0 as usize] = 1.0;
+            slot.slowdown = 1.0;
         }
         self.wake(sim, id);
     }
 
     /// Destroys an engine in place — the fault-injection model of an
     /// engine panicking or its worker thread dying. Its in-memory state
-    /// is lost (the slot holds a dead placeholder) and it is never
-    /// scheduled again until [`GroupHandle::resume_engine`] installs a
-    /// successor rebuilt from a checkpoint.
+    /// and mailbox are lost and it is never scheduled again until
+    /// [`GroupHandle::resume_engine`] installs a successor rebuilt from
+    /// a checkpoint. Ids that were never allocated are a no-op, so
+    /// over-approximate (e.g. randomized) fault plans can't panic the
+    /// group.
     pub fn kill_engine(&self, id: EngineId) {
         let mut g = self.inner.borrow_mut();
-        // Ids that were never allocated are a no-op, so over-approximate
-        // (e.g. randomized) fault plans can't panic the group.
-        if g.slots.get(id.0 as usize).is_some_and(|s| s.is_some()) {
-            g.crashed[id.0 as usize] = true;
-            let slot = g.slots[id.0 as usize].as_mut().expect("checked");
-            // Drop the engine: a crash loses all in-memory state.
-            slot.engine = Some(Box::new(crate::engine::CountingEngine::new("crashed", Nanos(0))));
+        if let Some(slot) = g.slots.get_mut(id.0 as usize) {
+            slot.state = match slot.state {
+                Lifecycle::Suspended { .. } => Lifecycle::Suspended { crashed: true },
+                _ => Lifecycle::Crashed,
+            };
+            slot.engine = None;
             slot.mailbox = None;
         }
     }
@@ -1040,101 +974,85 @@ impl GroupHandle {
     /// Unknown ids are a no-op so over-approximate fault plans can't
     /// panic the group.
     pub fn slow_engine(&self, id: EngineId, factor: f64) {
-        let mut g = self.inner.borrow_mut();
-        if let Some(f) = g.slowdown.get_mut(id.0 as usize) {
-            *f = factor.max(1.0);
+        if let Some(slot) = self.inner.borrow_mut().slots.get_mut(id.0 as usize) {
+            slot.slowdown = factor.max(1.0);
         }
     }
 
     /// The engine's current slowdown factor (1.0 = healthy), or `None`
     /// for an unknown id.
     pub fn slowdown_factor(&self, id: EngineId) -> Option<f64> {
-        self.inner.borrow().slowdown.get(id.0 as usize).copied()
+        self.inner.borrow().slots.get(id.0 as usize).map(|s| s.slowdown)
     }
 
     /// Wedges an engine for `duration`: it stays resident but makes no
     /// progress (models a livelock or a stuck syscall). Pending work
     /// accumulates and its heartbeat stops, which is what supervisor
     /// wedge detection keys on. The engine resumes by itself when the
-    /// stall lifts unless the supervisor restarts it first.
+    /// stall lifts unless the supervisor restarts it first. Unknown ids
+    /// are a no-op.
     pub fn stall_engine(&self, sim: &mut Sim, id: EngineId, duration: Nanos) {
         let until = sim.now() + duration;
         {
             let mut g = self.inner.borrow_mut();
-            if g.slots.get(id.0 as usize).is_none_or(|s| s.is_none()) {
-                return;
-            }
-            let slot = &mut g.stalled_until[id.0 as usize];
-            *slot = (*slot).max(until);
+            let Some(slot) = g.slots.get_mut(id.0 as usize) else { return };
+            slot.stalled_until = slot.stalled_until.max(until);
         }
         // Self-resume once the wedge clears (a real livelock may break).
         let handle = self.clone();
         sim.schedule_at(until, move |sim| handle.wake(sim, id));
     }
 
-    /// A liveness snapshot of one engine, or `None` if the slot was
-    /// removed. Crashed engines report zero pending work because their
-    /// state is gone; the `crashed` flag is the signal.
+    /// A liveness snapshot of one engine, or `None` for an unknown id.
+    /// Crashed engines report zero pending work because their state is
+    /// gone; the `crashed` flag is the signal.
     pub fn engine_health(&self, id: EngineId) -> Option<EngineHealth> {
         let g = self.inner.borrow();
-        let slot = g.slots.get(id.0 as usize)?.as_ref()?;
+        let slot = g.slots.get(id.0 as usize)?;
         Some(EngineHealth {
-            pending: if g.crashed[id.0 as usize] {
-                0
-            } else {
-                slot.engine().pending_work() as u64
-            },
+            pending: slot.pending_work() as u64,
             last_pass: slot.last_pass,
-            crashed: g.crashed[id.0 as usize],
-            suspended: g.suspended[id.0 as usize],
+            crashed: slot.state.crashed(),
+            suspended: slot.state.suspended(),
         })
     }
 
     /// Takes a suspended engine out entirely (for state serialization
-    /// by the upgrade orchestrator). The slot stays reserved.
+    /// by the upgrade orchestrator), emptying its mailbox. The slot
+    /// stays reserved. `None` if the engine crashed or was taken
+    /// already.
     pub fn take_engine(&self, id: EngineId) -> Option<Box<dyn Engine>> {
         let mut g = self.inner.borrow_mut();
+        let slot = &mut g.slots[id.0 as usize];
         assert!(
-            g.suspended[id.0 as usize],
+            slot.state.suspended(),
             "taking a running engine; suspend it first"
         );
-        let slot = g.slots[id.0 as usize].as_mut()?;
         slot.mailbox = None;
-        slot.engine
-            .replace(Box::new(crate::engine::CountingEngine::new("migrating", Nanos(0))))
+        slot.engine.take()
     }
 
-    /// CPU consumption snapshot, flushing idle-spin accrual up to `now`.
+    /// CPU consumption snapshot up to `now`: the column sums of the
+    /// per-core ledger, idle-spin accrual flushed into it first.
     pub fn cpu(&self, now: Nanos) -> GroupCpu {
-        let inner = &mut *self.inner.borrow_mut();
-        let core_cpu = &mut inner.core_cpu;
-        let mut accrued = Nanos::ZERO;
-        for w in &mut inner.workers {
-            if let WorkerState::SpinningIdle { since } = w.state {
-                if now > since {
-                    accrued += now - since;
-                    core_cpu.entry(w.core).or_default().spin += now - since;
-                    w.state = WorkerState::SpinningIdle { since: now };
-                }
-            }
+        let mut g = self.inner.borrow_mut();
+        g.flush_idle_spin(now);
+        let mut total = GroupCpu::default();
+        for row in &g.core_cpu {
+            total.engine += row.busy;
+            total.spin += row.spin;
+            total.wake_overhead += row.wake_overhead;
         }
-        inner.cpu.spin += accrued;
-        inner.cpu
+        total
     }
 
-    /// Per-core CPU split (busy / spin / wake) up to `now`, flushing
-    /// idle-spin accrual first. Deterministic order (ascending core id).
-    /// Invariant: summing [`CoreCpu::total`] over the result equals
-    /// [`GroupHandle::cpu`]`.total()` exactly — every nanosecond the
-    /// group burns is charged to exactly one core.
+    /// Per-core CPU split (busy / spin / wake) up to `now`, one row per
+    /// core of the machine in ascending core id, idle-spin accrual
+    /// flushed into the ledger first.
     pub fn core_cpu(&self, now: Nanos) -> Vec<(CoreId, CoreCpu)> {
-        let _ = self.cpu(now); // flush spin accrual into the per-core map
-        self.inner
-            .borrow()
-            .core_cpu
-            .iter()
-            .map(|(&c, &v)| (c, v))
-            .collect()
+        let mut g = self.inner.borrow_mut();
+        g.flush_idle_spin(now);
+        g.core_cpu.iter().copied().enumerate().collect()
     }
 
     /// Cumulative engine-pass CPU per engine slot (slowdown-inflated,
@@ -1142,10 +1060,10 @@ impl GroupHandle {
     pub fn engine_cpu(&self) -> Vec<(EngineId, Nanos)> {
         self.inner
             .borrow()
-            .engine_cpu
+            .slots
             .iter()
             .enumerate()
-            .map(|(i, &ns)| (EngineId(i as u32), ns))
+            .map(|(i, slot)| (EngineId(i as u32), slot.pass_cpu))
             .collect()
     }
 
@@ -1491,114 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_mailbox_rpc_retries_until_it_lands() {
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        // Occupy the mailbox before the group runs, then start the
-        // group a while later: the backoff RPC must keep retrying until
-        // the first post drains, then land.
-        g.post_to_engine(&mut sim, id, Box::new(|_| {})).unwrap();
-        let result: Rc<RefCell<Option<Result<(), ControlError>>>> =
-            Rc::new(RefCell::new(None));
-        let slot = result.clone();
-        g.post_with_backoff(
-            &mut sim,
-            id,
-            Box::new(|e: &mut dyn Engine| {
-                e.as_any()
-                    .downcast_mut::<CountingEngine>()
-                    .expect("tests only build CountingEngine")
-                    .inject(Nanos::ZERO);
-            }),
-            Box::new(move |_sim, r| {
-                *slot.borrow_mut() = Some(r);
-            }),
-        );
-        assert!(result.borrow().is_none(), "first attempt finds mailbox busy");
-        let g2 = g.clone();
-        sim.schedule_in(Nanos::from_micros(100), move |sim| g2.start(sim));
-        sim.run();
-        assert_eq!(*result.borrow(), Some(Ok(())));
-        assert_eq!(processed(&g, id), 1, "retried post ran on the engine");
-    }
-
-    #[test]
-    fn mailbox_rpc_times_out_against_wedged_mailbox() {
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        g.start(&mut sim);
-        // A crashed engine never services its mailbox: the first post
-        // wedges it and the second must give up with a typed timeout.
-        g.kill_engine(id);
-        g.post_to_engine(&mut sim, id, Box::new(|_| {})).unwrap();
-        let result: Rc<RefCell<Option<Result<(), ControlError>>>> =
-            Rc::new(RefCell::new(None));
-        let slot = result.clone();
-        g.post_with_backoff(
-            &mut sim,
-            id,
-            Box::new(|_| {}),
-            Box::new(move |_sim, r| {
-                *slot.borrow_mut() = Some(r);
-            }),
-        );
-        sim.run();
-        assert!(
-            matches!(*result.borrow(), Some(Err(ControlError::Timeout(_)))),
-            "expected timeout, got {:?}",
-            result.borrow()
-        );
-        // Backoff is capped: the whole retry loop fits in the RPC
-        // budget plus one capped delay.
-        assert!(
-            sim.now()
-                <= Nanos(costs::CONTROL_RPC_TIMEOUT_NS) + Nanos(costs::CONTROL_RETRY_CAP_NS),
-            "retries ran past the budget: {}",
-            sim.now()
-        );
-    }
-
-    #[test]
-    fn backoff_retries_are_jittered_and_deterministic() {
-        fn giveup_times() -> (Nanos, Nanos) {
-            let mut sim = Sim::new();
-            let (g, id) = counting_group(SchedulingMode::Spreading);
-            g.start(&mut sim);
-            // A crashed engine never drains its mailbox: both RPCs
-            // retry against permanent Busy until the budget expires.
-            g.kill_engine(id);
-            g.post_to_engine(&mut sim, id, Box::new(|_| {})).unwrap();
-            let t1 = Rc::new(RefCell::new(Nanos::ZERO));
-            let t2 = Rc::new(RefCell::new(Nanos::ZERO));
-            let (s1, s2) = (t1.clone(), t2.clone());
-            g.post_with_backoff(
-                &mut sim,
-                id,
-                Box::new(|_| {}),
-                Box::new(move |sim, _| *s1.borrow_mut() = sim.now()),
-            );
-            g.post_with_backoff(
-                &mut sim,
-                id,
-                Box::new(|_| {}),
-                Box::new(move |sim, _| *s2.borrow_mut() = sim.now()),
-            );
-            sim.run();
-            let out = (*t1.borrow(), *t2.borrow());
-            out
-        }
-        let (a1, a2) = giveup_times();
-        assert!(!a1.is_zero() && !a2.is_zero(), "both RPCs must conclude");
-        // Without jitter two concurrent retriers launched at the same
-        // instant walk the identical backoff ladder and give up at the
-        // exact same time — the synchronized-wave pathology. Seeded
-        // jitter decorrelates them...
-        assert_ne!(a1, a2, "jitter must desynchronize concurrent retriers");
-        // ...while staying deterministic: a rerun is bit-identical.
-        assert_eq!((a1, a2), giveup_times());
-    }
-
-    #[test]
     fn slowed_engine_burns_scaled_cpu_and_restart_heals() {
         fn engine_cpu(factor: Option<f64>) -> Nanos {
             let mut sim = Sim::new();
@@ -1636,24 +1446,29 @@ mod tests {
     }
 
     #[test]
-    fn try_with_engine_reports_crashed_and_suspended() {
+    fn try_with_engine_names_each_non_running_state() {
+        fn refusal(g: &GroupHandle, id: EngineId) -> String {
+            match g.try_with_engine(id, |_| ()) {
+                Err(ControlError::Unavailable(why)) => why,
+                other => panic!("expected Unavailable, got {other:?}"),
+            }
+        }
         let mut sim = Sim::new();
         let (g, id) = counting_group(SchedulingMode::Spreading);
         g.start(&mut sim);
         assert!(g.try_with_engine(id, |e| e.name().to_string()).is_ok());
         g.suspend_engine(&mut sim, id);
-        assert!(matches!(
-            g.try_with_engine(id, |_| ()),
-            Err(ControlError::Unavailable(_))
-        ));
+        assert_eq!(refusal(&g, id), "engine 0 suspended for upgrade");
         let old = g.take_engine(id).expect("suspended");
+        assert_eq!(refusal(&g, id), "engine 0 suspended for upgrade");
+        // A kill that lands mid-blackout outranks the suspension.
+        g.kill_engine(id);
+        assert_eq!(refusal(&g, id), "engine 0 crashed");
         g.resume_engine(&mut sim, id, old);
         assert!(g.try_with_engine(id, |_| ()).is_ok());
         g.kill_engine(id);
-        assert!(matches!(
-            g.try_with_engine(id, |_| ()),
-            Err(ControlError::Unavailable(_))
-        ));
+        assert_eq!(refusal(&g, id), "engine 0 crashed");
+        assert_eq!(refusal(&g, EngineId(7)), "engine 7 removed");
     }
 
     #[test]
@@ -1715,7 +1530,8 @@ mod tests {
         // Work and wakes against the corpse do nothing.
         g.wake(&mut sim, id);
         sim.run();
-        assert_eq!(processed(&g, id), 0, "crashed engine lost its state");
+        let health = g.engine_health(id).expect("slot kept");
+        assert_eq!(health.pending, 0, "crashed engine lost its state");
         // Supervisor-style revival: install a successor and resume.
         let mut revived = CountingEngine::new("e0-r", Nanos(500));
         revived.inject(sim.now());

@@ -39,10 +39,8 @@ pub enum ControlError {
     /// The target engine is crashed, suspended, or gone; the caller
     /// should retry after the supervisor restarts it.
     Unavailable(String),
-    /// The engine mailbox is occupied; retry with backoff.
+    /// The engine mailbox is occupied; retry later.
     Busy(String),
-    /// A mailbox RPC exhausted its retry budget.
-    Timeout(String),
 }
 
 impl std::fmt::Display for ControlError {
@@ -54,7 +52,6 @@ impl std::fmt::Display for ControlError {
             ControlError::Invalid(msg) => write!(f, "invalid request: {msg}"),
             ControlError::Unavailable(what) => write!(f, "engine unavailable: {what}"),
             ControlError::Busy(what) => write!(f, "mailbox busy: {what}"),
-            ControlError::Timeout(what) => write!(f, "control rpc timed out: {what}"),
         }
     }
 }
@@ -191,16 +188,6 @@ impl SnapProcess {
     /// The shared-memory region registry.
     pub fn regions(&self) -> &RegionRegistry {
         &self.regions
-    }
-
-    /// Memory accountant.
-    pub fn memory_accountant(&self) -> &MemoryAccountant {
-        &self.memory
-    }
-
-    /// CPU accountant.
-    pub fn cpu_accountant(&self) -> &CpuAccountant {
-        &self.cpu
     }
 
     /// Authenticates an application, producing a session (the Unix

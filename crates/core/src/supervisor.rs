@@ -183,15 +183,11 @@ impl Supervisor {
 
     /// Starts the checkpoint and health-poll loops. Idempotent.
     pub fn start(&self, sim: &mut Sim) {
-        {
+        let (ckpt, poll) = {
             let mut inner = self.inner.borrow_mut();
-            if inner.started {
+            if std::mem::replace(&mut inner.started, true) {
                 return;
             }
-            inner.started = true;
-        }
-        let (ckpt, poll) = {
-            let inner = self.inner.borrow();
             (inner.cfg.checkpoint_interval, inner.cfg.health_poll)
         };
         let handle = self.clone();

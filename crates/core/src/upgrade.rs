@@ -19,6 +19,10 @@
 //!    handed to the new instance, deserialized, filters re-attach, and
 //!    the successor engine resumes.
 //!
+//! An engine that is not running when its turn comes (crashed, or
+//! suspended by a supervisor restart) is passed over: there is no state
+//! to migrate and nothing to roll back to.
+//!
 //! Blackout duration is dominated by state size (serialize +
 //! deserialize at [`snap_sim::costs::UPGRADE_SERIALIZE_BYTES_PER_NS`])
 //! plus a fixed detach/re-attach cost — which is exactly why Fig. 9's
@@ -34,12 +38,9 @@ use crate::engine::{Engine, EngineId};
 use crate::group::GroupHandle;
 
 /// Builds the new-version engine from the old engine's serialized
-/// state.
-pub type EngineFactory = Box<dyn FnOnce(Vec<u8>, &mut Sim) -> Box<dyn Engine>>;
-
-/// A factory that may fail: bad serialized state or a successor that
-/// cannot come up. Failure triggers rollback to the predecessor.
-pub type FallibleEngineFactory =
+/// state. It may fail — bad serialized state, or a successor that
+/// cannot come up — which triggers rollback to the predecessor.
+pub type UpgradeFactory =
     Box<dyn FnOnce(Vec<u8>, &mut Sim) -> Result<Box<dyn Engine>, UpgradeError>>;
 
 /// Why a migration could not complete.
@@ -121,7 +122,7 @@ struct UpgradeItem {
     id: EngineId,
     /// Control-plane connections to transfer in brownout.
     connections: u32,
-    factory: FallibleEngineFactory,
+    factory: UpgradeFactory,
 }
 
 /// Orchestrates a transparent upgrade of a set of engines, one at a
@@ -141,33 +142,16 @@ impl UpgradeOrchestrator {
     /// control-plane connections (each costs
     /// [`snap_sim::costs::UPGRADE_PER_CONN_NS`] of brownout transfer);
     /// `factory` constructs the new-version engine from serialized
-    /// state.
+    /// state. If it fails (corrupt state, incompatible version) the
+    /// predecessor engine — kept alive through the blackout — is
+    /// resumed in place, bounding the extra outage to one more fixed
+    /// re-attach cost.
     pub fn add_engine(
         &mut self,
         group: GroupHandle,
         id: EngineId,
         connections: u32,
-        factory: EngineFactory,
-    ) {
-        self.add_engine_fallible(
-            group,
-            id,
-            connections,
-            Box::new(move |state, sim| Ok(factory(state, sim))),
-        );
-    }
-
-    /// Like [`UpgradeOrchestrator::add_engine`], but the factory may
-    /// fail (corrupt state, incompatible version). On failure the
-    /// predecessor engine — kept alive through the blackout — is
-    /// resumed in place, bounding the extra outage to one more fixed
-    /// re-attach cost.
-    pub fn add_engine_fallible(
-        &mut self,
-        group: GroupHandle,
-        id: EngineId,
-        connections: u32,
-        factory: FallibleEngineFactory,
+        factory: UpgradeFactory,
     ) {
         self.items.push(UpgradeItem {
             group,
@@ -216,6 +200,15 @@ impl UpgradeOrchestrator {
         // shared-memory handles while the engine keeps running.
         let brownout = Nanos(costs::UPGRADE_PER_CONN_NS) * item.connections as u64;
         sim.schedule_in(brownout, move |sim| {
+            // Only a running engine has state to migrate and can serve
+            // as its own rollback target. One that crashed, or that a
+            // supervisor restart has suspended, belongs to whoever is
+            // rebuilding it: the upgrade passes it by, unrecorded.
+            let health = item.group.engine_health(item.id);
+            if !health.is_some_and(|h| !h.crashed && !h.suspended) {
+                Self::migrate_next(sim, items, report, started, result);
+                return;
+            }
             // Blackout begins: suspend, detach, serialize.
             let blackout_start = sim.now();
             item.group.suspend_engine(sim, item.id);
@@ -337,7 +330,7 @@ mod tests {
                 let restored = u64::from_le_bytes(state.try_into().unwrap());
                 let mut e = CountingEngine::new("pony0-v2", Nanos(100));
                 e.processed = restored;
-                Box::new(e)
+                Ok(Box::new(e))
             }),
         );
         assert_eq!(orch.len(), 1);
@@ -375,7 +368,7 @@ mod tests {
                 g.clone(),
                 *id,
                 1,
-                Box::new(|_, _| Box::new(CountingEngine::new("v2", Nanos(10)))),
+                Box::new(|_, _| Ok(Box::new(CountingEngine::new("v2", Nanos(10))))),
             );
         }
         let result = orch.start(&mut sim);
@@ -430,7 +423,7 @@ mod tests {
                 g.clone(),
                 id,
                 0,
-                Box::new(|state, _| Box::new(FatEngine { bytes: state.len() })),
+                Box::new(|state, _| Ok(Box::new(FatEngine { bytes: state.len() }))),
             );
         }
         let result = orch.start(&mut sim);
@@ -463,7 +456,7 @@ mod tests {
         sim.run();
 
         let mut orch = UpgradeOrchestrator::new();
-        orch.add_engine_fallible(
+        orch.add_engine(
             g.clone(),
             id,
             2,
@@ -524,7 +517,7 @@ mod tests {
                 let restored = u64::from_le_bytes(state.try_into().unwrap());
                 let mut e = CountingEngine::new("pony0-v2", Nanos(100));
                 e.processed = restored;
-                Box::new(e)
+                Ok(Box::new(e))
             }),
         );
         let result = orch.start(&mut sim);
@@ -548,6 +541,36 @@ mod tests {
             }),
             3
         );
+    }
+
+    #[test]
+    fn crashed_engine_is_passed_over_and_left_to_the_supervisor() {
+        let mut sim = Sim::new();
+        let g = group();
+        let dead = g.add_engine(Box::new(CountingEngine::new("dead", Nanos(100))));
+        let live = g.add_engine(Box::new(CountingEngine::new("live", Nanos(100))));
+        g.start(&mut sim);
+        g.kill_engine(dead);
+        let mut orch = UpgradeOrchestrator::new();
+        for id in [dead, live] {
+            orch.add_engine(
+                g.clone(),
+                id,
+                1,
+                Box::new(|_, _| Ok(Box::new(CountingEngine::new("v2", Nanos(100))))),
+            );
+        }
+        let result = orch.start(&mut sim);
+        sim.run();
+        let report = result.borrow().clone().expect("upgrade finished");
+        // No state to migrate, no predecessor to roll back to: the slot
+        // is neither suspended nor filled, so a supervisor still sees
+        // the crash.
+        let health = g.engine_health(dead).expect("slot kept");
+        assert!(health.crashed && !health.suspended);
+        assert_eq!(report.engines.len(), 1);
+        assert_eq!(report.engines[0].engine, "live");
+        assert_eq!(g.with_engine(live, |e| e.name().to_string()), "v2");
     }
 
     #[test]

@@ -267,15 +267,6 @@ impl HealthMonitor {
         self.targets.get(&target).map(|t| t.latched).unwrap_or(false)
     }
 
-    /// Targets a sweep has reported so far, in deterministic order.
-    pub fn latched_targets(&self) -> Vec<Target> {
-        self.targets
-            .iter()
-            .filter(|(_, t)| t.latched)
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
     /// Forgets everything learned about `target` and re-arms detection
     /// — used after the repair action (restart, reroute) replaces the
     /// degraded component, whose old baseline no longer applies.

@@ -26,7 +26,7 @@ pub mod module;
 
 pub use module::QuotaModule;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -175,7 +175,9 @@ struct ContainerState {
 
 #[derive(Default)]
 struct Inner {
-    containers: HashMap<String, ContainerState>,
+    /// By name, ascending: the order `snapshot` refreshes them in, and
+    /// so the order simultaneous transitions take their `seq`.
+    containers: BTreeMap<String, ContainerState>,
     transitions: VecDeque<PressureTransition>,
     next_seq: u64,
 }
@@ -262,9 +264,7 @@ impl AdmissionController {
 
     /// Known container names, sorted.
     pub fn containers(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.lock().containers.keys().cloned().collect();
-        v.sort();
-        v
+        self.inner.lock().containers.keys().cloned().collect()
     }
 
     /// Attempts to charge `bytes` to `container`, refusing (and
@@ -411,7 +411,6 @@ impl AdmissionController {
                 sheds: state.sheds,
             });
         }
-        out.sort_by(|a, b| a.container.cmp(&b.container));
         out
     }
 
@@ -541,6 +540,33 @@ mod tests {
         assert_eq!(c.usage("job"), 200, "refused charge never lands");
         c.release("job", 150);
         assert_eq!(c.pressure("job"), PressureState::Ok);
+    }
+
+    /// Three containers cross their soft limit behind the controller's
+    /// back (charged on the accountant directly, as shared-memory
+    /// regions are), so that one `snapshot` notices all three; returns
+    /// the transitions it logged.
+    fn transitions_of_one_snapshot() -> Vec<(u64, String)> {
+        let c = ctl();
+        for name in ["zeta", "alpha", "mid"] {
+            c.set_policy(name, QuotaPolicy::with_mem(100, 200));
+            c.memory().charge(name, 150);
+        }
+        assert!(c.transitions().is_empty(), "nothing has looked yet");
+        c.snapshot();
+        let logged = c.transitions().into_iter();
+        logged.map(|t| (t.seq, t.container)).collect()
+    }
+
+    #[test]
+    fn snapshot_logs_simultaneous_transitions_in_name_order() {
+        let first = transitions_of_one_snapshot();
+        let want = [(0, "alpha"), (1, "mid"), (2, "zeta")];
+        assert_eq!(first, want.map(|(seq, name)| (seq, name.to_string())));
+        // Every build draws a fresh hash key; none may show.
+        for _ in 0..7 {
+            assert_eq!(transitions_of_one_snapshot(), first);
+        }
     }
 
     #[test]

@@ -104,11 +104,8 @@ impl CpuSampler {
                 });
             }
             for (core, counters) in host.cores.iter().enumerate() {
-                let split = per_core
-                    .iter()
-                    .find(|(c, _)| *c == core)
-                    .map(|(_, v)| *v)
-                    .unwrap_or_default();
+                // One row per core, in core order.
+                let split = per_core.get(core).map(|(_, v)| *v).unwrap_or_default();
                 bump_to(&counters.busy, split.busy.as_nanos());
                 bump_to(&counters.spin, split.spin.as_nanos());
                 bump_to(&counters.wake, split.wake_overhead.as_nanos());

@@ -303,16 +303,6 @@ impl FlightRecorder {
             .unwrap_or(0)
     }
 
-    /// Total points retained across all series.
-    pub fn retained_points(&self) -> usize {
-        self.inner
-            .borrow()
-            .series
-            .values()
-            .map(|s| s.points.len())
-            .sum()
-    }
-
     /// Deterministic JSON dump: sorted series names, fixed-precision
     /// floats — same seed ⇒ byte-identical output.
     pub fn to_json(&self) -> String {

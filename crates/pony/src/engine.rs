@@ -490,16 +490,6 @@ impl PonyEngine {
         (rate, samples, infl)
     }
 
-    /// Debug: (min RTT, last RTT) of the most active flow.
-    pub fn debug_rtt(&self) -> (Nanos, Nanos) {
-        self.most_active_flow()
-            .map(|f| {
-                eprintln!("  cc events (inc,grad-dec,hard-dec,loss): {:?}", f.cc().events);
-                (f.cc().min_rtt(), f.cc().last_rtt)
-            })
-            .unwrap_or((Nanos::ZERO, Nanos::ZERO))
-    }
-
     /// Debug: (sent, retransmits, delivered, duplicates) of the most
     /// active flow. [`PonyStats`] carries `retransmits` and
     /// `duplicates` summed over all flows.
@@ -510,11 +500,6 @@ impl PonyEngine {
                 (s.sent, s.retransmits, s.delivered, s.duplicates)
             })
             .unwrap_or((0, 0, 0, 0))
-    }
-
-    /// Connection count (diagnostics).
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
     }
 
     /// Establishes a connection created by the control plane (the Pony

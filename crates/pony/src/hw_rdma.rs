@@ -44,15 +44,6 @@ impl RdmaStats {
             self.hits as f64 / self.ops as f64
         }
     }
-
-    /// Achieved operation rate for a workload that ran `wall` long.
-    pub fn achieved_rate(&self, wall: Nanos) -> f64 {
-        if wall.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / wall.as_secs_f64()
-        }
-    }
 }
 
 /// Configuration for the modeled NIC.

@@ -25,16 +25,16 @@ use snap_core::engine::EngineId;
 use snap_core::group::GroupHandle;
 use snap_core::module::{ControlCx, ControlError, Module};
 use snap_core::supervisor::RestartFactory;
-use snap_core::upgrade::{FallibleEngineFactory, UpgradeError};
+use snap_core::upgrade::{UpgradeError, UpgradeFactory};
 use snap_isolation::AdmissionController;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::HostId;
 use snap_shm::queue_pair::QueuePair;
 use snap_shm::region::RegionRegistry;
-use snap_sim::codec::{Reader, Writer};
+use snap_sim::codec::{DecodeError, Reader, Writer};
 use snap_sim::hash::IntMap;
 use snap_sim::trace::TraceRecorder;
-use snap_sim::Sim;
+use snap_sim::{Nanos, Sim};
 
 use crate::client::PonyClient;
 use crate::engine::{PonyEngine, PonyEngineConfig, SessionTable};
@@ -120,14 +120,68 @@ fn with_pony_engine<R>(
 
 impl std::error::Error for PonyError {}
 
+/// What every Pony engine of one host is built from and attached to.
+/// The upgrade and restart factories keep a copy, so a successor gets
+/// the attachments that were installed when its factory was made.
+#[derive(Clone)]
+struct EngineKit {
+    fabric: FabricHandle,
+    regions: RegionRegistry,
+    sessions: SessionTable,
+    group: GroupHandle,
+    /// Host-wide admission controller (§2.5), if one was installed.
+    admission: Option<AdmissionController>,
+    /// Host-wide trace recorder, if one was installed.
+    recorder: Option<TraceRecorder>,
+}
+
+impl EngineKit {
+    /// A new, unattached engine.
+    fn fresh(&self, cfg: PonyEngineConfig) -> PonyEngine {
+        PonyEngine::new(cfg, self.fabric.clone(), self.regions.clone(), self.sessions.clone())
+    }
+
+    /// Attaches `engine`, which is (or is about to be) engine `id` of
+    /// the group: its wake handle for pacing/RTO timers, the admission
+    /// controller, the trace recorder. Every new or rebuilt engine
+    /// passes through here, so the next attachment is added here only.
+    fn wire(&self, id: EngineId, engine: &mut PonyEngine) {
+        engine.set_wake(self.group.wake_handle(id));
+        if let Some(adm) = &self.admission {
+            engine.set_admission(adm.clone());
+        }
+        if let Some(rec) = &self.recorder {
+            engine.set_recorder(rec.clone());
+        }
+    }
+
+    /// Rebuilds engine `id` from serialized state plus re-injected
+    /// runtime handles (§4), attached.
+    fn restore(
+        &self,
+        id: EngineId,
+        cfg: PonyEngineConfig,
+        state: &[u8],
+        now: Nanos,
+    ) -> Result<PonyEngine, DecodeError> {
+        let (fabric, regions, sessions) =
+            (self.fabric.clone(), self.regions.clone(), self.sessions.clone());
+        let mut engine = PonyEngine::restore(state, cfg, fabric, regions, sessions, now)?;
+        self.wire(id, &mut engine);
+        Ok(engine)
+    }
+}
+
 /// The per-host Pony control module.
 pub struct PonyModule {
     host: HostId,
-    fabric: FabricHandle,
-    regions: RegionRegistry,
+    /// Engines created by this module — and their restart/upgrade
+    /// successors — are gated by the kit's admission controller and
+    /// stamp trace stage records into its recorder; clients
+    /// bootstrapped by [`PonyModule::open_session`] allocate trace
+    /// contexts at submit.
+    kit: EngineKit,
     net: PonyNetHandle,
-    group: GroupHandle,
-    sessions: SessionTable,
     /// Which engine owns each bootstrapped session — the control-plane
     /// record of per-engine session ownership. Restart factories close
     /// over it so a *shared* engine rebuilt from a corrupt checkpoint
@@ -137,15 +191,6 @@ pub struct PonyModule {
     /// Which engine polls each NIC rx queue; the interrupt handler
     /// reads it on every interrupt.
     queue_owner: Rc<RefCell<IntMap<u16, EngineId>>>,
-    /// Host-wide admission controller (§2.5). When set, every engine
-    /// this module creates — including restart/upgrade successors — is
-    /// gated by it.
-    admission: Option<AdmissionController>,
-    /// Host-wide trace recorder. When set, engines created by this
-    /// module (and restart/upgrade successors) stamp trace stage
-    /// records, and clients bootstrapped by [`PonyModule::open_session`]
-    /// allocate trace contexts at submit.
-    recorder: Option<TraceRecorder>,
     next_session: u64,
     next_key: u64,
     next_queue: u16,
@@ -161,7 +206,6 @@ impl PonyModule {
         group: GroupHandle,
         net: PonyNetHandle,
     ) -> Self {
-        let sessions = SessionTable::default();
         let queue_owner: Rc<RefCell<IntMap<u16, EngineId>>> = Rc::default();
         let qmap = queue_owner.clone();
         // Weak: the NIC lives in the fabric, which the group's engines
@@ -177,16 +221,18 @@ impl PonyModule {
         });
         PonyModule {
             host,
-            fabric,
-            regions,
+            kit: EngineKit {
+                fabric,
+                regions,
+                sessions: SessionTable::default(),
+                group,
+                admission: None,
+                recorder: None,
+            },
             net,
-            group,
-            sessions,
             sessions_by_engine: Rc::new(RefCell::new(HashMap::new())),
             engines: HashMap::new(),
             queue_owner,
-            admission: None,
-            recorder: None,
             next_session: 1,
             next_key: (host as u64) << 16 | 1,
             next_queue: 0,
@@ -200,7 +246,7 @@ impl PonyModule {
 
     /// The session table shared with this host's engines.
     pub fn sessions(&self) -> SessionTable {
-        self.sessions.clone()
+        self.kit.sessions.clone()
     }
 
     /// Installs the host-wide admission controller. Engines created
@@ -210,14 +256,14 @@ impl PonyModule {
     pub fn set_admission(&mut self, admission: AdmissionController) {
         for &id in self.engines.values() {
             let adm = admission.clone();
-            let _ = with_pony_engine(&self.group, id, move |e| e.set_admission(adm));
+            let _ = with_pony_engine(&self.kit.group, id, move |e| e.set_admission(adm));
         }
-        self.admission = Some(admission);
+        self.kit.admission = Some(admission);
     }
 
     /// The host-wide admission controller, if one was installed.
     pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
+        self.kit.admission.as_ref()
     }
 
     /// Installs the host-wide trace recorder. Engines created afterwards
@@ -228,14 +274,14 @@ impl PonyModule {
     pub fn set_recorder(&mut self, recorder: TraceRecorder) {
         for &id in self.engines.values() {
             let rec = recorder.clone();
-            let _ = with_pony_engine(&self.group, id, move |e| e.set_recorder(rec));
+            let _ = with_pony_engine(&self.kit.group, id, move |e| e.set_recorder(rec));
         }
-        self.recorder = Some(recorder);
+        self.kit.recorder = Some(recorder);
     }
 
     /// The host-wide trace recorder, if one was installed.
     pub fn recorder(&self) -> Option<&TraceRecorder> {
-        self.recorder.as_ref()
+        self.kit.recorder.as_ref()
     }
 
     /// Creates an application-exclusive engine (§3.1: "applications
@@ -244,34 +290,17 @@ impl PonyModule {
     pub fn create_engine(&mut self, app: &str, configure: impl FnOnce(&mut PonyEngineConfig)) -> EngineId {
         let key = self.next_key;
         self.next_key += 1;
-        let queues = self.fabric.with_nic(self.host, |nic| nic.config().num_queues);
+        let queues = self.kit.fabric.with_nic(self.host, |nic| nic.config().num_queues);
         let queue = self.next_queue % queues;
         self.next_queue += 1;
         let mut cfg = PonyEngineConfig::new(format!("pony-{}-{app}", self.host), self.host, key);
         cfg.queue = queue;
         cfg.container = app.to_string();
         configure(&mut cfg);
-        let engine = PonyEngine::new(
-            cfg,
-            self.fabric.clone(),
-            self.regions.clone(),
-            self.sessions.clone(),
-        );
-        let id = self.group.add_engine(Box::new(engine));
-        // Give the engine its wake handle for pacing/RTO timers. The
-        // engine was just added, so this cannot miss.
-        let wake = self.group.wake_handle(id);
-        let admission = self.admission.clone();
-        let recorder = self.recorder.clone();
-        let _ = with_pony_engine(&self.group, id, |e| {
-            e.set_wake(wake.clone());
-            if let Some(adm) = admission {
-                e.set_admission(adm);
-            }
-            if let Some(rec) = recorder {
-                e.set_recorder(rec);
-            }
-        });
+        let id = self.kit.group.add_engine(Box::new(self.kit.fresh(cfg)));
+        // Its id is known only now. The engine was just added, so this
+        // cannot miss.
+        let _ = with_pony_engine(&self.kit.group, id, |e| self.kit.wire(id, e));
         self.queue_owner.borrow_mut().insert(queue, id);
         self.engines.insert(app.to_string(), id);
         self.net.borrow_mut().entries.insert(
@@ -279,7 +308,7 @@ impl PonyModule {
             DirectoryEntry {
                 host: self.host,
                 engine_key: key,
-                group: self.group.clone(),
+                group: self.kit.group.clone(),
                 engine_id: id,
                 session: None,
                 versions: (MIN_WIRE_VERSION, MAX_WIRE_VERSION),
@@ -335,10 +364,10 @@ impl PonyModule {
         let sid = self.next_session;
         self.next_session += 1;
         let (app_ep, engine_ep) = QueuePair::create(depth);
-        self.sessions.borrow_mut().insert(sid, engine_ep);
-        if let Err(e) = with_pony_engine(&self.group, engine_id, |e| e.add_session(sid)) {
+        self.kit.sessions.borrow_mut().insert(sid, engine_ep);
+        if let Err(e) = with_pony_engine(&self.kit.group, engine_id, |e| e.add_session(sid)) {
             // Undo the half-open session so a retry starts clean.
-            self.sessions.borrow_mut().remove(&sid);
+            self.kit.sessions.borrow_mut().remove(&sid);
             return Err(e);
         }
         self.sessions_by_engine
@@ -354,9 +383,9 @@ impl PonyModule {
         {
             entry.session = Some(sid);
         }
-        let wake = self.group.wake_handle(engine_id);
+        let wake = self.kit.group.wake_handle(engine_id);
         let mut client = PonyClient::new(app_ep, wake);
-        if let Some(rec) = &self.recorder {
+        if let Some(rec) = &self.kit.recorder {
             client.set_trace(rec.clone(), self.host);
         }
         Ok(client)
@@ -427,26 +456,13 @@ impl PonyModule {
     /// runtime handles (§4). A corrupt snapshot surfaces as
     /// [`UpgradeError::BadState`], which makes the orchestrator roll
     /// back to the still-live predecessor.
-    pub fn upgrade_factory(&self, app: &str) -> Result<FallibleEngineFactory, PonyError> {
+    pub fn upgrade_factory(&self, app: &str) -> Result<UpgradeFactory, PonyError> {
         let (engine_id, cfg) = self.rebuild_parts(app)?;
-        let fabric = self.fabric.clone();
-        let regions = self.regions.clone();
-        let sessions = self.sessions.clone();
-        let group = self.group.clone();
-        let admission = self.admission.clone();
-        let recorder = self.recorder.clone();
+        let kit = self.kit.clone();
         Ok(Box::new(move |state, sim| {
-            let now = sim.now();
-            let mut engine =
-                PonyEngine::restore(&state, cfg, fabric, regions, sessions, now)
-                    .map_err(|e| UpgradeError::BadState(e.to_string()))?;
-            engine.set_wake(group.wake_handle(engine_id));
-            if let Some(adm) = admission {
-                engine.set_admission(adm);
-            }
-            if let Some(rec) = recorder {
-                engine.set_recorder(rec);
-            }
+            let engine = kit
+                .restore(engine_id, cfg, &state, sim.now())
+                .map_err(|e| UpgradeError::BadState(e.to_string()))?;
             Ok(Box::new(engine))
         }))
     }
@@ -462,47 +478,20 @@ impl PonyModule {
     /// and peers recover via their own SACK/RTO machinery.
     pub fn restart_factory(&self, app: &str) -> Result<RestartFactory, PonyError> {
         let (engine_id, cfg) = self.rebuild_parts(app)?;
-        let fabric = self.fabric.clone();
-        let regions = self.regions.clone();
-        let sessions = self.sessions.clone();
+        let kit = self.kit.clone();
         let owned = self.sessions_by_engine.clone();
-        let group = self.group.clone();
-        let admission = self.admission.clone();
-        let recorder = self.recorder.clone();
         Ok(Rc::new(move |state: Vec<u8>, sim: &mut Sim| {
-            let now = sim.now();
-            let mut engine = match PonyEngine::restore(
-                &state,
-                cfg.clone(),
-                fabric.clone(),
-                regions.clone(),
-                sessions.clone(),
-                now,
-            ) {
-                Ok(engine) => engine,
-                Err(_) => {
-                    let mut fresh = PonyEngine::new(
-                        cfg.clone(),
-                        fabric.clone(),
-                        regions.clone(),
-                        sessions.clone(),
-                    );
-                    if let Some(sids) = owned.borrow().get(&engine_id) {
-                        for sid in sids {
-                            fresh.add_session(*sid);
-                        }
+            let restored = kit.restore(engine_id, cfg.clone(), &state, sim.now());
+            Box::new(restored.unwrap_or_else(|_| {
+                let mut fresh = kit.fresh(cfg.clone());
+                if let Some(sids) = owned.borrow().get(&engine_id) {
+                    for sid in sids {
+                        fresh.add_session(*sid);
                     }
-                    fresh
                 }
-            };
-            engine.set_wake(group.wake_handle(engine_id));
-            if let Some(adm) = admission.clone() {
-                engine.set_admission(adm);
-            }
-            if let Some(rec) = recorder.clone() {
-                engine.set_recorder(rec);
-            }
-            Box::new(engine)
+                kit.wire(engine_id, &mut fresh);
+                fresh
+            }))
         }))
     }
 
@@ -1094,7 +1083,7 @@ mod tests {
         let server_engine = w.modules[1].engine_for("server").unwrap();
         let factory = w.modules[1].upgrade_factory("server").unwrap();
         let mut orch = UpgradeOrchestrator::new();
-        orch.add_engine_fallible(w.groups[1].clone(), server_engine, 2, factory);
+        orch.add_engine(w.groups[1].clone(), server_engine, 2, factory);
         let result = orch.start(&mut w.sim);
         drain(&mut w, 200);
         assert!(result.borrow().is_some(), "upgrade completed");

@@ -292,20 +292,6 @@ pub const UPGRADE_FIXED_BLACKOUT_NS: u64 = 25_000_000;
 pub const UPGRADE_PER_CONN_NS: u64 = 80_000;
 
 // ---------------------------------------------------------------------------
-// Control-plane mailbox RPCs (§2.3)
-// ---------------------------------------------------------------------------
-
-/// First retry delay when an engine mailbox is occupied.
-pub const CONTROL_RETRY_BASE_NS: u64 = 10_000;
-
-/// Retry delays double per attempt up to this cap.
-pub const CONTROL_RETRY_CAP_NS: u64 = 1_000_000;
-
-/// Total time a mailbox RPC keeps retrying before reporting a timeout
-/// (covers a full supervisor restart of the target engine).
-pub const CONTROL_RPC_TIMEOUT_NS: u64 = 100_000_000;
-
-// ---------------------------------------------------------------------------
 // Hardware RDMA comparison model (§5.4)
 // ---------------------------------------------------------------------------
 

@@ -76,11 +76,6 @@ impl Nanos {
         self.0 as f64 / 1e3
     }
 
-    /// Returns the value in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction; clamps at zero instead of wrapping.
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))

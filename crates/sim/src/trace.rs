@@ -20,9 +20,10 @@
 //! to an untraced run.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use crate::hash::IntMap;
 use crate::stats::Histogram;
 use crate::time::Nanos;
 
@@ -191,7 +192,7 @@ impl CompletedTrace {
     /// Stages appear in [`Stage::ALL`] order; absent stages are
     /// omitted, zero-duration stages that occurred are kept.
     pub fn breakdown(&self) -> Vec<(Stage, Nanos)> {
-        let mut sums: HashMap<Stage, Nanos> = HashMap::new();
+        let mut sums: BTreeMap<Stage, Nanos> = BTreeMap::new();
         for pair in self.records.windows(2) {
             let gap = pair[1].at.saturating_sub(pair[0].at);
             *sums.entry(pair[1].stage).or_insert(Nanos::ZERO) += gap;
@@ -227,13 +228,13 @@ struct RecInner {
     capacity: usize,
     next_trace: u64,
     next_seq: u64,
-    pending: HashMap<u64, Pending>,
+    pending: IntMap<u64, Pending>,
     done: VecDeque<CompletedTrace>,
     evicted: u64,
     finalized: u64,
     retained: u64,
     tail_retained: u64,
-    stage_stats: HashMap<Stage, Histogram>,
+    stage_stats: BTreeMap<Stage, Histogram>,
 }
 
 /// The shared trace recorder. Cloning shares state; one recorder spans
@@ -266,13 +267,13 @@ impl TraceRecorder {
                 capacity,
                 next_trace: 1,
                 next_seq: 0,
-                pending: HashMap::new(),
+                pending: IntMap::default(),
                 done: VecDeque::new(),
                 evicted: 0,
                 finalized: 0,
                 retained: 0,
                 tail_retained: 0,
-                stage_stats: HashMap::new(),
+                stage_stats: BTreeMap::new(),
             })),
         }
     }
@@ -340,15 +341,6 @@ impl TraceRecorder {
             if stage.is_fault() {
                 p.tail = true;
             }
-        }
-    }
-
-    /// Marks an op for tail-biased retention without stamping a record
-    /// (used where the fault time is already stamped elsewhere).
-    pub fn mark_tail(&self, ctx: TraceContext) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(p) = inner.pending.get_mut(&ctx.trace_id) {
-            p.tail = true;
         }
     }
 

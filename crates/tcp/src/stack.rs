@@ -8,13 +8,14 @@
 //! enough to survive congestion drops on the shared fabric.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet, QosClass};
 use snap_sim::codec::{Reader, Writer};
+use snap_sim::hash::{IntMap, IntSet};
 use snap_sim::costs;
 use snap_sim::stats::CpuMeter;
 use snap_sim::{Nanos, Sim};
@@ -75,7 +76,7 @@ const KIND_ACK: u8 = 1;
 struct MsgRecv {
     total: u64,
     received: u64,
-    offsets: std::collections::HashSet<u64>,
+    offsets: IntSet<u64>,
 }
 
 struct Connection {
@@ -94,11 +95,11 @@ struct Connection {
     /// An RTO check is already scheduled.
     rto_scheduled: bool,
     /// Reassembly state per message.
-    recv: HashMap<u64, MsgRecv>,
+    recv: IntMap<u64, MsgRecv>,
     /// Messages already delivered to the app. A retransmit that lands
     /// after completion (its ACK was lost) must be re-ACKed but not
     /// re-delivered. Unbounded, which is fine for simulation.
-    delivered: std::collections::HashSet<u64>,
+    delivered: IntSet<u64>,
 }
 
 impl Connection {
@@ -111,8 +112,8 @@ impl Connection {
             inflight_bytes: 0,
             tx_scheduled: false,
             rto_scheduled: false,
-            recv: HashMap::new(),
-            delivered: std::collections::HashSet::new(),
+            recv: IntMap::default(),
+            delivered: IntSet::default(),
         }
     }
 
@@ -129,7 +130,7 @@ struct Inner {
     fabric: FabricHandle,
     machine: MachineHandle,
     cfg: TcpConfig,
-    conns: HashMap<ConnKey, Connection>,
+    conns: IntMap<ConnKey, Connection>,
     on_message: Option<OnMessage>,
     cpu: CpuMeter,
     stats: TcpStats,
@@ -183,7 +184,7 @@ impl TcpHost {
                 fabric: fabric.clone(),
                 machine,
                 cfg,
-                conns: HashMap::new(),
+                conns: IntMap::default(),
                 on_message: None,
                 cpu: CpuMeter::new(),
                 stats: TcpStats::default(),

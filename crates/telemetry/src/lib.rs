@@ -3,7 +3,7 @@
 //! Snap's evaluation is driven by production dashboards: per-engine
 //! op-rate time series (Fig. 8), tail-latency breakdowns (Fig. 6/7),
 //! and an upgrade-blackout distribution (Fig. 9). This crate is the
-//! first-class observability layer those dashboards imply, in three
+//! first-class observability layer those dashboards imply, in two
 //! pieces:
 //!
 //! * **[`registry`]** — hierarchical [`Counter`]/[`Gauge`]/
@@ -12,10 +12,6 @@
 //!   `fabric.link.<a>-><b>.drops.partition`), with cheap per-scope
 //!   views and point-in-time [`Snapshot`]s that diff (`delta`) and
 //!   export to JSON or a human-readable table.
-//! * **[`span`]** — tracing spans measured on *simulated* time
-//!   ([`snap_sim::Nanos`]): enter/exit pairs feed per-op latency
-//!   histograms plus an optional bounded ring-buffer event log for
-//!   debugging fault tests.
 //! * **[`module`]** — [`StatsModule`], a control-plane module (same
 //!   no-panic lint wall as the other Snap modules) that polls engines
 //!   through their mailboxes on a configurable period and folds engine
@@ -45,18 +41,14 @@
 //! | `fabric.link.<a>-><b>.util_pct` | egress utilization over the last poll window |
 //! | `upgrade.{blackout,brownout}` | per-engine upgrade histograms (ns) |
 //! | `upgrade.{engines,rollbacks}` | upgrade outcome counters |
-//! | `span.<scope>.<op>` | span latency histograms (ns) |
 //! | `sched.<label>.<mode>.delay` | engine-group scheduling-delay histogram (ns) |
-//! | `telemetry.<label>.trace_drops` | trace ring-buffer evictions |
 
 pub mod export;
 pub mod module;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
 pub use export::{Metric, Snapshot};
 pub use module::{StatsConfig, StatsModule};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry, ScopedRegistry};
-pub use span::{Span, TraceEvent, TraceLog, Tracer};
 pub use trace::{render_trace, TraceModule};

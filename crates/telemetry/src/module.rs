@@ -50,7 +50,6 @@ use snap_sim::stats::Histogram;
 
 use crate::export::Snapshot;
 use crate::registry::Registry;
-use crate::span::TraceLog;
 
 /// Stats-export tuning.
 #[derive(Debug, Clone, Copy)]
@@ -125,12 +124,6 @@ struct GroupWatch {
     last: Histogram,
 }
 
-struct TraceLogWatch {
-    label: String,
-    log: TraceLog,
-    last_dropped: u64,
-}
-
 struct HealthWatch {
     label: String,
     monitor: Rc<RefCell<HealthMonitor>>,
@@ -144,7 +137,6 @@ struct Inner {
     upgrades: Vec<UpgradeWatch>,
     admissions: Vec<AdmissionWatch>,
     groups: Vec<GroupWatch>,
-    trace_logs: Vec<TraceLogWatch>,
     healths: Vec<HealthWatch>,
     running: bool,
 }
@@ -170,14 +162,13 @@ impl StatsModule {
                 upgrades: Vec::new(),
                 admissions: Vec::new(),
                 groups: Vec::new(),
-                trace_logs: Vec::new(),
                 healths: Vec::new(),
                 running: false,
             })),
         }
     }
 
-    /// The backing registry (for spans or ad-hoc app metrics).
+    /// The backing registry (for ad-hoc app metrics).
     pub fn registry(&self) -> Registry {
         self.registry.clone()
     }
@@ -264,17 +255,6 @@ impl StatsModule {
         });
     }
 
-    /// Watches a trace ring buffer (a span [`TraceLog`] or the causal
-    /// trace recorder's retained ring via an adapter): eviction counts
-    /// surface as `telemetry.<label>.trace_drops`.
-    pub fn watch_trace_log(&self, label: &str, log: TraceLog) {
-        self.inner.borrow_mut().trace_logs.push(TraceLogWatch {
-            label: label.to_string(),
-            log,
-            last_dropped: 0,
-        });
-    }
-
     /// Watches a gray-failure health monitor: each poll publishes
     /// per-target gauges under `health.<label>.<target>.*` — `phi_m`
     /// (phi × 1000), `loss_m` (loss ratio × 1000), `degradation_m`
@@ -342,9 +322,6 @@ impl StatsModule {
         }
         for w in &mut inner.groups {
             poll_group(&self.registry, w);
-        }
-        for w in &mut inner.trace_logs {
-            poll_trace_log(&self.registry, w);
         }
         for w in &inner.healths {
             poll_health(&self.registry, w, sim.now());
@@ -678,14 +655,6 @@ fn poll_group(registry: &Registry, w: &mut GroupWatch) {
         registry.histogram(&name).merge_from(&window);
     }
     w.last = cur;
-}
-
-fn poll_trace_log(registry: &Registry, w: &mut TraceLogWatch) {
-    let dropped = w.log.dropped();
-    registry
-        .counter(&format!("telemetry.{}.trace_drops", w.label))
-        .add(dropped.saturating_sub(w.last_dropped));
-    w.last_dropped = dropped;
 }
 
 impl Module for StatsModule {

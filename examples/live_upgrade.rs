@@ -49,7 +49,7 @@ fn main() {
     let engine = tb.hosts[1].module.engine_for("service").expect("engine exists");
     let factory = tb.hosts[1].module.upgrade_factory("service").expect("factory");
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[1].group.clone(), engine, 8, factory);
+    orch.add_engine(tb.hosts[1].group.clone(), engine, 8, factory);
     let report_slot = orch.start(&mut tb.sim);
     stats.watch_upgrade(report_slot.clone());
     println!("upgrade started at t={}", tb.sim.now());

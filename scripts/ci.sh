@@ -7,8 +7,9 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy + timeline export + pinned scenario tables
+#   ci.sh            — build + test + clippy + timeline export + pinned sim-clock tables
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
+#                      + the size table (printed, not gated)
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -38,19 +39,22 @@ repo="$PWD"
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$tmp/TIMELINE_fault_injection.json"
 echo "timeline export parses as JSON"
 
-# Sim-clock scenarios: each asserts its own invariants (same-seed rerun
-# equality, hedged p99 < unhedged p99, incast drops at the victim ToR)
-# and prints virtual-time tables that are pinned as golden text.
-echo "== tier-1: scenario tables =="
-for scenario in hedging apps_dag clos_scenarios; do
-    cargo bench -q -p snap-bench --bench "$scenario" > "$tmp/$scenario.txt"
-    if ! diff -u "tests/golden/scenarios/$scenario.txt" "$tmp/$scenario.txt"; then
-        echo "model drift: scenario $scenario no longer prints its pinned table" \
-             "(re-pin tests/golden/scenarios/$scenario.txt only if you meant to change the model)"
+# Sim-clock benches: the scenarios assert their own invariants
+# (same-seed rerun equality, hedged p99 < unhedged p99, incast drops at
+# the victim ToR); Fig 9 is the one run of the upgrade orchestrator at
+# scale (160 engines). Each prints virtual-time tables that are pinned
+# as golden text.
+echo "== tier-1: pinned sim-clock tables =="
+for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios experiments/fig9_upgrade; do
+    bench="${pinned#*/}"
+    cargo bench -q -p snap-bench --bench "$bench" > "$tmp/$bench.txt"
+    if ! diff -u "tests/golden/$pinned.txt" "$tmp/$bench.txt"; then
+        echo "model drift: bench $bench no longer prints its pinned table" \
+             "(re-pin tests/golden/$pinned.txt only if you meant to change the model)"
         exit 1
     fi
 done
-echo "scenario tables match"
+echo "pinned tables match"
 
 # Benchmark smoke: all five workloads at 5 % of their windows, on the
 # working seed and the verification seed, with the correctness gate on
@@ -70,5 +74,9 @@ grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
     fi
 done
 echo "smoke model digests match"
+
+# Size of what ships, for ROADMAP item 6; informational.
+echo "== size: non-test code lines and pub items =="
+scripts/loc.sh
 
 echo "tier-1 gate: OK"

@@ -213,15 +213,6 @@ impl Testbed {
         }
     }
 
-    /// A two-host testbed tracing every op — the quickest start for
-    /// trace experiments.
-    pub fn traced_pair() -> Self {
-        Self::new(TestbedConfig {
-            trace_sample_ppm: snap_sim::trace::TRACE_SAMPLE_SCALE,
-            ..TestbedConfig::default()
-        })
-    }
-
     /// A [`TraceModule`] over the rack's trace recorder.
     ///
     /// # Panics

@@ -238,7 +238,7 @@ fn successor_crash_mid_upgrade_rolls_back_within_blackout_budget() {
     let server_engine = tb.hosts[1].module.engine_for("server").unwrap();
     let factory = tb.hosts[1].module.upgrade_factory("server").unwrap();
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[1].group.clone(), server_engine, 0, factory);
+    orch.add_engine(tb.hosts[1].group.clone(), server_engine, 0, factory);
     let crash_at = tb.sim.now() + Nanos::from_millis(1);
     let plan = FaultPlan::new().at(crash_at, FaultEvent::EngineCrash { host: 1, engine: 0 });
     tb.install_fault_plan(&plan);

@@ -105,7 +105,7 @@ fn churn_run() -> (String, u64, u64) {
     let id = tb.hosts[1].module.engine_for("server").unwrap();
     let factory = tb.hosts[1].module.upgrade_factory("server").unwrap();
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[1].group.clone(), id, 3, factory);
+    orch.add_engine(tb.hosts[1].group.clone(), id, 3, factory);
     let report = orch.start(&mut tb.sim);
     for _ in 0..10 {
         a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 8_000 });

@@ -3,12 +3,16 @@
 
 use proptest::prelude::*;
 
+use snap_repro::core::engine::{CountingEngine, Engine, EngineId};
+use snap_repro::core::group::{GroupConfig, GroupHandle, SchedulingMode};
+use snap_repro::core::module::ControlError;
 use snap_repro::isolation::{AdmissionController, QuotaPolicy};
 use snap_repro::nic::crc::{crc32c, crc32c_append};
 use snap_repro::shm::account::CpuAccountant;
 use snap_repro::pony::flow::{Accept, Flow};
 use snap_repro::pony::timely::{Timely, TimelyConfig};
 use snap_repro::pony::wire::{OpFrame, PonyPacket};
+use snap_repro::sched::machine::Machine;
 use snap_repro::shm::account::MemoryAccountant;
 use snap_repro::shm::pool::BufferPool;
 use snap_repro::shm::spsc::SpscRing;
@@ -159,6 +163,195 @@ impl EventModel {
         }
         self.now = self.now.max(deadline);
     }
+}
+
+/// Engines in the lifecycle property's group; op targets above this
+/// are ids the group never allocated.
+const LIFECYCLE_ENGINES: u32 = 3;
+
+/// What the lifecycle property believes about one engine.
+#[derive(Default)]
+struct EngineModel {
+    suspended: bool,
+    /// The engine's state is gone: nothing in the slot can be read.
+    crashed: bool,
+    stalled_until: Nanos,
+    /// Items injected into the engine instance now in the slot.
+    injected: u64,
+    /// Set by a successful post, cleared by the posted work itself (or
+    /// by a kill, which empties the mailbox).
+    mailbox: std::rc::Rc<std::cell::Cell<bool>>,
+}
+
+fn counting(e: &mut dyn Engine) -> &mut CountingEngine {
+    e.as_any()
+        .downcast_mut::<CountingEngine>()
+        .expect("the property only builds CountingEngines")
+}
+
+/// One observation per op: virtual time, the group's CPU books, and per
+/// engine its cumulative CPU, its health flags and `processed` (while
+/// there is an engine to ask).
+type LifecycleObs = (u64, [u64; 3], Vec<(u64, bool, bool, Option<u64>)>);
+
+/// Runs one script of lifecycle ops against a fresh group, checking the
+/// ledger and liveness invariants after every op; returns the
+/// observations so that two runs can be compared.
+fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, String> {
+    let mode = match mode {
+        0 => SchedulingMode::Dedicated { cores: vec![0, 1] },
+        1 => SchedulingMode::Spreading,
+        _ => SchedulingMode::Compacting {
+            slo: Nanos::from_micros(5),
+            rebalance_poll: Nanos::from_micros(10),
+            idle_block: Nanos::from_micros(100),
+        },
+    };
+    let mut sim = Sim::new();
+    let machine = std::rc::Rc::new(std::cell::RefCell::new(Machine::new(8, 1)));
+    let g = GroupHandle::new(GroupConfig::new("lifecycle", mode), machine, CpuAccountant::new());
+    for i in 0..LIFECYCLE_ENGINES {
+        g.add_engine(Box::new(CountingEngine::new(format!("e{i}"), Nanos(700))));
+    }
+    g.start(&mut sim);
+    let mut model: Vec<EngineModel> = (0..LIFECYCLE_ENGINES)
+        .map(|_| EngineModel::default())
+        .collect();
+    let observe = |g: &GroupHandle,
+                   model: &[EngineModel],
+                   now: Nanos|
+     -> Result<LifecycleObs, String> {
+        let cpu = g.cpu(now);
+        let per_core = g.core_cpu(now);
+        let core_sum = per_core.iter().fold(Nanos::ZERO, |a, (_, c)| a + c.total());
+        prop_assert_eq!(core_sum, cpu.total(), "per-core books must sum to the group's");
+        let engine_cpu = g.engine_cpu();
+        let engine_sum = engine_cpu.iter().fold(Nanos::ZERO, |a, (_, ns)| a + *ns);
+        prop_assert_eq!(engine_sum, cpu.engine, "per-engine books must sum to GroupCpu::engine");
+        prop_assert_eq!(engine_cpu.len(), model.len());
+        let mut engines = Vec::new();
+        for (i, m) in model.iter().enumerate() {
+            let id = EngineId(i as u32);
+            let health = g.engine_health(id).expect("allocated id");
+            let flags = (health.suspended, health.crashed);
+            prop_assert_eq!(flags, (m.suspended, m.crashed), "engine {i} flags");
+            let reachable = g.try_with_engine(id, |_| ()).is_ok();
+            prop_assert_eq!(reachable, !m.suspended && !m.crashed, "engine {i} try_with_engine");
+            let processed = (!m.crashed).then(|| g.with_engine(id, |e| counting(e).processed));
+            engines.push((engine_cpu[i].1.as_nanos(), m.suspended, m.crashed, processed));
+        }
+        let books = [cpu.engine.as_nanos(), cpu.spin.as_nanos(), cpu.wake_overhead.as_nanos()];
+        Ok((now.as_nanos(), books, engines))
+    };
+
+    let mut trace = vec![observe(&g, &model, sim.now())?];
+    for &(kind, target, arg) in ops {
+        let id = EngineId(u32::from(target));
+        let known = u32::from(target) < LIFECYCLE_ENGINES;
+        let now = sim.now();
+        match kind {
+            0 if known => {
+                let m = &mut model[target as usize];
+                if !m.crashed {
+                    let n = u64::from(arg % 8) + 1;
+                    g.with_engine(id, |e| (0..n).for_each(|_| counting(e).inject(now)));
+                    m.injected += n;
+                }
+                g.wake(&mut sim, id);
+            }
+            1 => {
+                g.kill_engine(id);
+                if let Some(m) = model.get_mut(target as usize) {
+                    m.crashed = true;
+                    m.mailbox.set(false);
+                }
+            }
+            2 => {
+                let duration = Nanos::from_micros(u64::from(arg) * 2);
+                g.stall_engine(&mut sim, id, duration);
+                if let Some(m) = model.get_mut(target as usize) {
+                    m.stalled_until = m.stalled_until.max(now + duration);
+                }
+            }
+            3 => {
+                let factor = f64::from(arg % 4) * 0.75 + 0.5;
+                g.slow_engine(id, factor);
+                prop_assert_eq!(g.slowdown_factor(id), known.then_some(factor.max(1.0)));
+            }
+            4 if known => {
+                g.suspend_engine(&mut sim, id);
+                model[target as usize].suspended = true;
+            }
+            5 if known => {
+                let mut fresh = CountingEngine::new(format!("e{target}-r"), Nanos(700));
+                let n = u64::from(arg % 5);
+                (0..n).for_each(|_| fresh.inject(now));
+                g.resume_engine(&mut sim, id, Box::new(fresh));
+                let m = &mut model[target as usize];
+                (m.suspended, m.crashed) = (false, false);
+                (m.stalled_until, m.injected) = (Nanos::ZERO, n);
+                prop_assert_eq!(g.slowdown_factor(id), Some(1.0), "a successor is healthy");
+            }
+            6 => {
+                let flag = model.get(target as usize).map(|m| m.mailbox.clone());
+                let done = flag.clone();
+                let work = move |_: &mut dyn Engine| {
+                    done.expect("only an allocated engine runs mailbox work").set(false)
+                };
+                let posted = g.post_to_engine(&mut sim, id, Box::new(work));
+                match flag {
+                    None => {
+                        let refused = matches!(posted, Err(ControlError::Unavailable(_)));
+                        prop_assert!(refused, "{posted:?}");
+                    }
+                    Some(flag) if flag.get() => {
+                        prop_assert!(matches!(posted, Err(ControlError::Busy(_))), "{posted:?}")
+                    }
+                    Some(flag) => {
+                        prop_assert_eq!(posted, Ok(()));
+                        flag.set(true);
+                    }
+                }
+            }
+            7 | 8 => {
+                let until = now + Nanos::from_micros(u64::from(arg));
+                sim.run_until(until);
+                let before = trace.last().expect("seeded");
+                let after = observe(&g, &model, sim.now())?;
+                for (i, m) in model.iter().enumerate() {
+                    if m.suspended || m.crashed || m.stalled_until > until {
+                        prop_assert_eq!(&after.2[i], &before.2[i], "engine {i} ran while stopped");
+                    }
+                }
+            }
+            // Wake, suspend and resume take allocated ids only.
+            _ => {}
+        }
+        trace.push(observe(&g, &model, sim.now())?);
+    }
+
+    // Every engine comes back, whatever state the script left it in,
+    // and drains what its current instance was given.
+    for (i, m) in model.iter_mut().enumerate() {
+        let id = EngineId(i as u32);
+        if m.suspended || m.crashed {
+            let mut fresh = CountingEngine::new(format!("e{i}-final"), Nanos(700));
+            fresh.inject(sim.now());
+            g.resume_engine(&mut sim, id, Box::new(fresh));
+            (m.suspended, m.crashed, m.injected) = (false, false, 1);
+        } else {
+            g.wake(&mut sim, id);
+        }
+    }
+    g.stop();
+    sim.run();
+    let end = observe(&g, &model, sim.now())?;
+    for (i, m) in model.iter().enumerate() {
+        prop_assert_eq!(end.2[i].3, Some(m.injected), "engine {i} did not drain");
+        prop_assert!(!m.mailbox.get(), "engine {i} never ran its mailbox work");
+    }
+    trace.push(end);
+    Ok(trace)
 }
 
 proptest! {
@@ -546,5 +739,23 @@ proptest! {
         prop_assert_eq!(sim.events_executed(), model.executed);
         prop_assert_eq!(sim.pending(), 0);
         prop_assert_eq!(sim.boxed_events(), 0);
+    }
+
+    /// The engine lifecycle under random operator, fault-plan and
+    /// supervisor moves, in all three scheduling modes: nothing
+    /// panics, the CPU books agree after every op (per-core and
+    /// per-engine both sum to the group's), an engine that is
+    /// suspended, crashed or stalled neither runs nor is charged,
+    /// mailbox posts are accepted exactly when the depth-1 mailbox is
+    /// free, ids the group never allocated are absorbed, every engine
+    /// can be revived and then drains, and the same script gives the
+    /// same observations twice.
+    #[test]
+    fn engine_lifecycle_keeps_books_and_liveness(
+        mode in 0u8..3,
+        ops in proptest::collection::vec((0u8..9, 0u8..5, any::<u8>()), 1..80)
+    ) {
+        let first = lifecycle_case(mode, &ops)?;
+        prop_assert_eq!(first, lifecycle_case(mode, &ops)?, "rerun diverged");
     }
 }

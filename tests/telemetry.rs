@@ -185,7 +185,7 @@ fn live_upgrade_never_double_counts_and_folds_report_once() {
     let id = tb.hosts[0].module.engine_for("client").expect("engine");
     let factory = tb.hosts[0].module.upgrade_factory("client").expect("factory");
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[0].group.clone(), id, 2, factory);
+    orch.add_engine(tb.hosts[0].group.clone(), id, 2, factory);
     let report = orch.start(&mut tb.sim);
     stats.watch_upgrade(report.clone());
 

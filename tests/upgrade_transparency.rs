@@ -38,7 +38,7 @@ fn upgrade_preserves_messaging_and_ordering() {
     for (host, app) in [(0usize, "a"), (1usize, "b")] {
         let id = tb.hosts[host].module.engine_for(app).unwrap();
         let factory = tb.hosts[host].module.upgrade_factory(app).unwrap();
-        orch.add_engine_fallible(tb.hosts[host].group.clone(), id, 3, factory);
+        orch.add_engine(tb.hosts[host].group.clone(), id, 3, factory);
     }
     let report = orch.start(&mut tb.sim);
 
@@ -88,7 +88,7 @@ fn upgrade_preserves_pending_one_sided_ops() {
     let id = tb.hosts[0].module.engine_for("client").unwrap();
     let factory = tb.hosts[0].module.upgrade_factory("client").unwrap();
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[0].group.clone(), id, 1, factory);
+    orch.add_engine(tb.hosts[0].group.clone(), id, 1, factory);
     let report = orch.start(&mut tb.sim);
     tb.run_ms(1500);
     assert!(report.borrow().is_some());
@@ -118,7 +118,7 @@ fn blackout_drops_packets_but_transport_recovers() {
     let id = tb.hosts[1].module.engine_for("b").unwrap();
     let factory = tb.hosts[1].module.upgrade_factory("b").unwrap();
     let mut orch = UpgradeOrchestrator::new();
-    orch.add_engine_fallible(tb.hosts[1].group.clone(), id, 2, factory);
+    orch.add_engine(tb.hosts[1].group.clone(), id, 2, factory);
     orch.start(&mut tb.sim);
 
     tb.run_ms(3000);
@@ -157,7 +157,7 @@ fn weekly_release_cycle_two_upgrades_back_to_back() {
         let id = tb.hosts[1].module.engine_for("b").unwrap();
         let factory = tb.hosts[1].module.upgrade_factory("b").unwrap();
         let mut orch = UpgradeOrchestrator::new();
-        orch.add_engine_fallible(tb.hosts[1].group.clone(), id, 2, factory);
+        orch.add_engine(tb.hosts[1].group.clone(), id, 2, factory);
         let r = orch.start(&mut tb.sim);
         tb.run_ms(500);
         assert!(r.borrow().is_some(), "release {release} completed");
@@ -240,7 +240,7 @@ fn virt_engine_flow_table_survives_upgrade_under_traffic() {
                 guest_tx2.clone(),
                 snap_repro::core::kernel_inject::KernelRing::new(128),
             );
-            Box::new(v2)
+            Ok(Box::new(v2))
         }),
     );
     let report = orch.start(&mut tb.sim);
