@@ -6,27 +6,38 @@
 //! partial frames wait for more bytes — exactly the reassembly an app
 //! would do over a real socket.
 
+use snap_sim::codec::Writer;
 use snap_sim::Sim;
 
 use crate::socket::{SnapSocket, SocketError};
 
+/// Starts a wire frame whose body will be `body_len` bytes: a writer
+/// that holds the length prefix and has room for the body, so a caller
+/// that knows its size up front builds the frame in one buffer.
+pub fn begin_frame(body_len: usize) -> Writer {
+    let mut w = Writer::with_capacity(4 + body_len);
+    w.u32(body_len as u32);
+    w
+}
+
 /// Wraps `body` into a wire frame, padding the body with zeros up to
 /// `pad_to` bytes so a workload can model request/reply sizes larger
 /// than their headers (readers ignore the padding).
-pub fn frame(mut body: Vec<u8>, pad_to: usize) -> Vec<u8> {
-    if body.len() < pad_to {
-        body.resize(pad_to, 0);
-    }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+pub fn frame(body: Vec<u8>, pad_to: usize) -> Vec<u8> {
+    let body_len = body.len().max(pad_to);
+    let mut out = begin_frame(body_len).finish();
     out.extend_from_slice(&body);
+    out.resize(4 + body_len, 0);
     out
 }
 
-/// Reassembles frames from a facade byte stream.
+/// Reassembles frames from a facade byte stream. Holds no more than
+/// the frames not yet taken plus one partial frame: what
+/// [`FrameBuf::next_frame`] has handed out is dropped at the next pull.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    /// `buf[..off]` has been handed out.
     off: usize,
 }
 
@@ -38,38 +49,20 @@ impl FrameBuf {
 
     /// Drains every byte currently available on `sock` into the buffer.
     pub fn pull(&mut self, sim: &mut Sim, sock: &SnapSocket) -> Result<(), SocketError> {
-        let mut scratch = [0u8; 2048];
-        loop {
-            let n = sock.try_recv(sim, &mut scratch)?;
-            if n == 0 {
-                return Ok(());
-            }
-            self.buf.extend_from_slice(&scratch[..n]);
-        }
+        // What moves is the head of a frame that arrived behind the
+        // tail of the last one taken: at most one pull's worth per
+        // frame, and each byte at most once.
+        self.buf.drain(..self.off);
+        self.off = 0;
+        sock.recv_all(sim, |part| self.buf.extend_from_slice(part))
     }
 
     /// Takes the next complete frame body, if one has fully arrived.
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
-        let avail = self.buf.len() - self.off;
-        if avail < 4 {
-            return None;
-        }
-        let len = u32::from_le_bytes([
-            self.buf[self.off],
-            self.buf[self.off + 1],
-            self.buf[self.off + 2],
-            self.buf[self.off + 3],
-        ]) as usize;
-        if avail < 4 + len {
-            return None;
-        }
-        let start = self.off + 4;
-        let body = self.buf[start..start + len].to_vec();
-        self.off = start + len;
-        if self.off == self.buf.len() {
-            self.buf.clear();
-            self.off = 0;
-        }
+        let unread = &self.buf[self.off..];
+        let (prefix, rest) = unread.split_first_chunk::<4>()?;
+        let body = rest.get(..u32::from_le_bytes(*prefix) as usize)?.to_vec();
+        self.off += 4 + body.len();
         Some(body)
     }
 }

@@ -13,14 +13,15 @@
 //! tails compare on identical workloads.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use snap_sim::codec::{Reader, Writer};
+use snap_sim::codec::Reader;
+use snap_sim::hash::IntMap;
 use snap_sim::stats::Histogram;
 use snap_sim::{Nanos, Rng, Sim};
 
 use crate::dag::ServiceTime;
-use crate::framing::{frame, FrameBuf};
+use crate::framing::{begin_frame, FrameBuf};
 use crate::socket::{SnapSocket, SocketError};
 use crate::SimPump;
 
@@ -102,7 +103,7 @@ struct ClientState {
     /// Earliest time a freed slot may send again (think time).
     ready_at: Nanos,
     /// Send timestamps of in-flight requests by rid.
-    sent_at: HashMap<u64, Nanos>,
+    sent_at: IntMap<u64, Nanos>,
 }
 
 /// N closed-loop clients against one echo server, each client on its
@@ -134,7 +135,7 @@ impl ClientPool {
                 got: 0,
                 inflight: 0,
                 ready_at: Nanos::ZERO,
-                sent_at: HashMap::new(),
+                sent_at: IntMap::default(),
             });
             server.push((s, FrameBuf::new()));
         }
@@ -185,10 +186,8 @@ impl ClientPool {
             {
                 // rid is per-client; the connection disambiguates.
                 let rid = c.sent;
-                let mut w = Writer::with_capacity(16 + self.spec.request_bytes);
-                w.u8(KIND_REQ).u64(rid);
-                w.bytes(&payload(i as u64, rid, self.spec.request_bytes));
-                c.sock.send(sim, &frame(w.finish(), 0))?;
+                let request = message(KIND_REQ, i, rid, self.spec.request_bytes);
+                c.sock.send(sim, &request)?;
                 c.sent_at.insert(rid, now);
                 c.sent += 1;
                 c.inflight += 1;
@@ -215,10 +214,8 @@ impl ClientPool {
                 break;
             }
             self.pending.pop();
-            let mut w = Writer::with_capacity(16 + self.spec.reply_bytes);
-            w.u8(KIND_REP).u64(rid);
-            w.bytes(&payload(i as u64, rid, self.spec.reply_bytes));
-            self.server[i].0.send(sim, &frame(w.finish(), 0))?;
+            let reply = message(KIND_REP, i, rid, self.spec.reply_bytes);
+            self.server[i].0.send(sim, &reply)?;
         }
         // Clients: collect replies, free window slots.
         for c in &mut self.clients {
@@ -278,9 +275,41 @@ impl ClientPool {
     }
 }
 
-/// Deterministic filler bytes for client `c`'s request `rid`.
-fn payload(c: u64, rid: u64, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|k| (c.wrapping_mul(131).wrapping_add(rid).wrapping_add(k as u64) & 0xff) as u8)
-        .collect()
+/// The wire frame of client `c`'s request `rid` or of its reply: kind,
+/// rid, then `len` length-prefixed bytes of deterministic filler (byte
+/// `k` is the low byte of `131 c + rid + k`), built in one buffer.
+fn message(kind: u8, c: usize, rid: u64, len: usize) -> Vec<u8> {
+    let mut w = begin_frame(1 + 8 + 4 + len);
+    w.u8(kind).u64(rid).u32(len as u32);
+    let mut out = w.finish();
+    let first = (c as u64).wrapping_mul(131).wrapping_add(rid) as u8;
+    out.extend((0..len).map(|k| first.wrapping_add(k as u8)));
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framing::frame;
+    use snap_sim::codec::Writer;
+
+    /// `message` lays down in one buffer what the codec, a filler
+    /// `Vec` and `frame` build in three.
+    #[test]
+    fn message_is_the_framed_codec_encoding() {
+        for (c, rid, len) in [
+            (0, 0, 0),
+            (3, 7, 1),
+            (11, 299, 65_536),
+            (200, u64::MAX, 300),
+        ] {
+            let first = (c as u64).wrapping_mul(131).wrapping_add(rid);
+            let filler: Vec<u8> = (0..len as u64)
+                .map(|k| (first.wrapping_add(k) & 0xff) as u8)
+                .collect();
+            let mut w = Writer::new();
+            w.u8(KIND_REP).u64(rid).bytes(&filler);
+            assert_eq!(message(KIND_REP, c, rid, len), frame(w.finish(), 0));
+        }
+    }
 }

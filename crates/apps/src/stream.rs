@@ -109,20 +109,14 @@ impl StreamWorkload {
             self.sent += 1;
             self.next_arrival = Some(at + dist::poisson_gap(&mut self.rng, self.spec.rate_per_sec));
         }
-        let mut scratch = [0u8; 2048];
-        loop {
-            let n = self.rx.try_recv(sim, &mut scratch)?;
-            if n == 0 {
-                break;
-            }
-            for (i, &b) in scratch[..n].iter().enumerate() {
-                let off = self.received_bytes + i as u64;
-                if b != expected_byte(off, self.spec.record_bytes) {
+        self.rx.recv_all(sim, |part| {
+            for &b in part {
+                if b != expected_byte(self.received_bytes, self.spec.record_bytes) {
                     self.corrupt_bytes += 1;
                 }
+                self.received_bytes += 1;
             }
-            self.received_bytes += n as u64;
-        }
+        })?;
         Ok(())
     }
 

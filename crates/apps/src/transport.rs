@@ -30,10 +30,10 @@
 )]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use snap_pony::client::{OpStatus, PonyClient, PonyCommand, PonyCompletion};
+use snap_sim::hash::IntMap;
 use snap_sim::{Nanos, Sim};
 use snap_tcp::stack::TcpHost;
 
@@ -115,7 +115,7 @@ pub trait Transport {
 pub struct PonyTransport {
     client: PonyClient,
     /// Outstanding send ops: op id -> (conn, chunk seq).
-    ops: HashMap<u64, (u64, u64)>,
+    ops: IntMap<u64, (u64, u64)>,
 }
 
 impl PonyTransport {
@@ -124,7 +124,7 @@ impl PonyTransport {
     pub fn new(client: PonyClient) -> Self {
         PonyTransport {
             client,
-            ops: HashMap::new(),
+            ops: IntMap::default(),
         }
     }
 }
@@ -183,13 +183,13 @@ type Sink = Rc<RefCell<Vec<TransportEvent>>>;
 #[derive(Clone)]
 pub struct TcpRouter {
     tcp: TcpHost,
-    sinks: Rc<RefCell<HashMap<u64, Sink>>>,
+    sinks: Rc<RefCell<IntMap<u64, Sink>>>,
 }
 
 impl TcpRouter {
     /// Wraps `tcp` and takes over its delivery callback.
     pub fn new(tcp: TcpHost) -> Self {
-        let sinks: Rc<RefCell<HashMap<u64, Sink>>> = Rc::new(RefCell::new(HashMap::new()));
+        let sinks: Rc<RefCell<IntMap<u64, Sink>>> = Rc::default();
         let by_conn = sinks.clone();
         tcp.on_message(Rc::new(move |_sim, conn, msg_id, _len| {
             if let Some(sink) = by_conn.borrow().get(&conn) {

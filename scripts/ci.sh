@@ -7,7 +7,8 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + clippy + timeline export + pinned sim-clock tables
+#   ci.sh            — build + test + release budgets + clippy + timeline export
+#                      + pinned sim-clock tables
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
 #                      + the size table (printed, not gated)
 #
@@ -22,6 +23,12 @@ cargo build --release
 
 echo "== tier-1: cargo test --workspace =="
 cargo test --workspace -q
+
+# The allocation budgets have a release figure and a looser debug one
+# (`cfg!(debug_assertions)`); the workspace run above is a debug build,
+# so only this run holds the code to the figures the benchmark sees.
+echo "== tier-1: release budgets =="
+cargo test --release -q --test datapath_budget --test sockets_budget
 
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -691,8 +691,7 @@ impl SimPump for Testbed {
         // Every facade app's event loop runs each slice: retries fire
         // and acks drain even for apps no one is actively receiving
         // on. Deterministic (BTreeMap) order keeps runs reproducible.
-        let apps: Vec<SocketHost> = self.apps.values().cloned().collect();
-        for app in apps {
+        for app in self.apps.values() {
             app.poll(&mut self.sim);
         }
     }
