@@ -20,17 +20,18 @@
 //! the identical spec runs unmodified over kernel TCP or Pony.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::dist::{self, DiurnalLoad};
+use snap_sim::hash::IntMap;
 use snap_sim::stats::Histogram;
 use snap_sim::trace::{Stage, TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
 
 use crate::framing::{frame, FrameBuf};
 use crate::socket::{SnapSocket, SocketError};
-use crate::SimPump;
+use crate::workload::{Workload, WorkloadError};
 
 /// Per-stage service-time distribution, sampled from `snap_sim::dist`.
 #[derive(Debug, Clone, Copy)]
@@ -95,8 +96,9 @@ pub struct DagSpec {
     pub reply_bytes: usize,
 }
 
-/// Spec or execution errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What is wrong with a spec or its wiring ([`DagSpec::validate`],
+/// [`DagRuntime::new`]); a run fails with a [`WorkloadError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagError {
     /// The spec has no services.
     Empty,
@@ -114,22 +116,6 @@ pub enum DagError {
     },
     /// The wired edges don't match the spec's edge list.
     EdgeMismatch,
-    /// A facade socket failed.
-    Socket(SocketError),
-    /// The run's virtual-time budget expired before every request
-    /// completed.
-    Incomplete {
-        /// Requests that did complete.
-        completed: u64,
-        /// Requests injected.
-        expected: u64,
-    },
-}
-
-impl From<SocketError> for DagError {
-    fn from(e: SocketError) -> Self {
-        DagError::Socket(e)
-    }
 }
 
 impl DagSpec {
@@ -281,29 +267,6 @@ pub struct DagReport {
     pub transport: Nanos,
 }
 
-impl DagReport {
-    /// Aggregates per-request results (for harnesses that drive
-    /// [`DagRuntime::tick`] themselves instead of using `run`).
-    pub fn from_results(results: Vec<DagRequestResult>) -> Self {
-        let mut hist = Histogram::new();
-        let (mut q, mut s, mut t) = (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
-        for r in &results {
-            hist.record_nanos(r.total());
-            q += r.queue;
-            s += r.service;
-            t += r.transport;
-        }
-        DagReport {
-            results,
-            p50: Nanos(hist.median()),
-            p99: Nanos(hist.p99()),
-            queue: q,
-            service: s,
-            transport: t,
-        }
-    }
-}
-
 const KIND_REQ: u8 = 0;
 const KIND_REP: u8 = 1;
 
@@ -313,7 +276,7 @@ pub struct DagRuntime {
     edges: Vec<EdgeState>,
     /// Service index -> outbound edge indices, in spec order.
     children_of: Vec<Vec<usize>>,
-    insts: HashMap<u64, Inst>,
+    insts: IntMap<u64, Inst>,
     next_inst: u64,
     queues: Vec<VecDeque<u64>>,
     busy: Vec<u32>,
@@ -367,7 +330,7 @@ impl DagRuntime {
         let root = Rng::new(seed ^ 0xda6_0001);
         Ok(DagRuntime {
             children_of,
-            insts: HashMap::new(),
+            insts: IntMap::default(),
             next_inst: 1,
             queues: vec![VecDeque::new(); n],
             busy: vec![0; n],
@@ -392,6 +355,7 @@ impl DagRuntime {
         self.shape = load.shape;
         self.target = load.requests;
         self.injected = 0;
+        self.results.clear();
         let gap = self.arrival_gap(now);
         self.next_arrival = Some(now + gap);
     }
@@ -407,77 +371,30 @@ impl DagRuntime {
         dist::poisson_gap(&mut self.rng_arrival, rate)
     }
 
-    /// True once every injected request has completed at the root.
-    pub fn done(&self) -> bool {
-        self.results.len() as u64 == self.target
-    }
-
-    /// Completed-request results so far, in completion order.
-    pub fn results(&self) -> &[DagRequestResult] {
-        &self.results
+    /// The report over every request completed so far.
+    pub fn report(&self) -> DagReport {
+        let mut hist = Histogram::new();
+        let (mut q, mut s, mut t) = (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
+        for r in &self.results {
+            hist.record_nanos(r.total());
+            q += r.queue;
+            s += r.service;
+            t += r.transport;
+        }
+        DagReport {
+            results: self.results.clone(),
+            p50: Nanos(hist.median()),
+            p99: Nanos(hist.p99()),
+            queue: q,
+            service: s,
+            transport: t,
+        }
     }
 
     fn stamp(&self, ctx: Option<TraceContext>, stage: Stage, host: u32, at: Nanos) {
         if let (Some(rec), Some(ctx)) = (&self.recorder, ctx) {
             rec.record(ctx, stage, host, at);
         }
-    }
-
-    /// One cooperative step: injects due arrivals, drains edge frames,
-    /// fires due service completions, grants queued requests slots.
-    /// Composable — a fleet driver interleaves `tick`s of several
-    /// workloads under one pump.
-    pub fn tick(&mut self, sim: &mut Sim) -> Result<(), DagError> {
-        let now = sim.now();
-        // Open-loop arrivals (rate never adapts to completion — that's
-        // the point of open loop).
-        while self.injected < self.target {
-            let Some(at) = self.next_arrival else { break };
-            if at > now {
-                break;
-            }
-            self.spawn_root(at);
-            self.injected += 1;
-            let gap = self.arrival_gap(at);
-            self.next_arrival = Some(at + gap);
-        }
-        // Frames: requests land on child sockets, replies on parent
-        // sockets. Collected first, processed after, so edge iteration
-        // order (not arrival interleaving within a slice) is the only
-        // tiebreak — deterministic.
-        let mut inbound: Vec<(usize, u8, Vec<u8>)> = Vec::new();
-        for (i, e) in self.edges.iter_mut().enumerate() {
-            e.child_rx.pull(sim, &e.child_sock)?;
-            while let Some(f) = e.child_rx.next_frame() {
-                inbound.push((i, KIND_REQ, f));
-            }
-            e.parent_rx.pull(sim, &e.parent_sock)?;
-            while let Some(f) = e.parent_rx.next_frame() {
-                inbound.push((i, KIND_REP, f));
-            }
-        }
-        for (edge, side, body) in inbound {
-            let mut r = Reader::new(&body);
-            let Ok(kind) = r.u8() else { continue };
-            if kind != side {
-                continue;
-            }
-            match kind {
-                KIND_REQ => self.on_request(sim, edge, &mut r)?,
-                KIND_REP => self.on_reply(sim, edge, &mut r)?,
-                _ => {}
-            }
-        }
-        // Service completions due by now.
-        while let Some(&Reverse((at, inst))) = self.timers.peek() {
-            if at > now {
-                break;
-            }
-            self.timers.pop();
-            self.on_service_done(sim, inst)?;
-        }
-        self.try_start(sim);
-        Ok(())
     }
 
     fn spawn_root(&mut self, arrived: Nanos) {
@@ -527,7 +444,7 @@ impl DagRuntime {
         }
     }
 
-    fn on_service_done(&mut self, sim: &mut Sim, id: u64) -> Result<(), DagError> {
+    fn on_service_done(&mut self, sim: &mut Sim, id: u64) -> Result<(), SocketError> {
         let now = sim.now();
         let Some(inst) = self.insts.get_mut(&id) else {
             return Ok(());
@@ -564,17 +481,11 @@ impl DagRuntime {
         Ok(())
     }
 
-    fn on_request(
-        &mut self,
-        sim: &mut Sim,
-        edge: usize,
-        r: &mut Reader<'_>,
-    ) -> Result<(), DagError> {
-        let now = sim.now();
+    fn on_request(&mut self, now: Nanos, edge: usize, r: &mut Reader<'_>) {
         let (Ok(rid), Ok(parent_inst), Ok(trace_id), Ok(parent_span), Ok(sampled)) =
             (r.u64(), r.u64(), r.u64(), r.u32(), r.bool())
         else {
-            return Ok(());
+            return;
         };
         let svc = self.edges[edge].child;
         let host = self.spec.services[svc].host as u32;
@@ -604,11 +515,14 @@ impl DagRuntime {
             },
         );
         self.queues[svc].push_back(id);
-        let _ = sim;
-        Ok(())
     }
 
-    fn on_reply(&mut self, sim: &mut Sim, edge: usize, r: &mut Reader<'_>) -> Result<(), DagError> {
+    fn on_reply(
+        &mut self,
+        sim: &mut Sim,
+        edge: usize,
+        r: &mut Reader<'_>,
+    ) -> Result<(), SocketError> {
         let now = sim.now();
         let (Ok(_rid), Ok(parent_inst), Ok(q), Ok(s), Ok(t)) =
             (r.u64(), r.u64(), r.u64(), r.u64(), r.u64())
@@ -637,7 +551,7 @@ impl DagRuntime {
 
     /// Completes an instance's visit: accounts the critical path,
     /// replies upward or (at the root) records the result.
-    fn finish(&mut self, sim: &mut Sim, id: u64) -> Result<(), DagError> {
+    fn finish(&mut self, sim: &mut Sim, id: u64) -> Result<(), SocketError> {
         let now = sim.now();
         let Some(inst) = self.insts.remove(&id) else {
             return Ok(());
@@ -684,32 +598,70 @@ impl DagRuntime {
         }
         Ok(())
     }
+}
 
-    /// Runs the workload to completion under `load`: injects, ticks
-    /// and pumps until every request finishes or `budget` of virtual
-    /// time elapses (then [`DagError::Incomplete`]).
-    pub fn run(
-        &mut self,
-        pump: &mut dyn SimPump,
-        load: OpenLoop,
-        budget: Nanos,
-    ) -> Result<DagReport, DagError> {
-        let start = pump.sim_mut().now();
-        self.begin(start, load);
-        let deadline = start + budget;
-        loop {
-            self.tick(pump.sim_mut())?;
-            if self.done() {
+impl Workload for DagRuntime {
+    fn name(&self) -> &'static str {
+        "dag"
+    }
+
+    /// Injects due arrivals, drains edge frames, fires due service
+    /// completions, grants queued requests slots.
+    fn tick(&mut self, sim: &mut Sim) -> Result<(), WorkloadError> {
+        let now = sim.now();
+        // Open-loop arrivals (rate never adapts to completion — that's
+        // the point of open loop).
+        while self.injected < self.target {
+            let Some(at) = self.next_arrival else { break };
+            if at > now {
                 break;
             }
-            if pump.sim_mut().now() >= deadline {
-                return Err(DagError::Incomplete {
-                    completed: self.results.len() as u64,
-                    expected: self.target,
-                });
-            }
-            pump.pump_us(5);
+            self.spawn_root(at);
+            self.injected += 1;
+            let gap = self.arrival_gap(at);
+            self.next_arrival = Some(at + gap);
         }
-        Ok(DagReport::from_results(std::mem::take(&mut self.results)))
+        // Frames: requests land on child sockets, replies on parent
+        // sockets. Collected first, processed after, so edge iteration
+        // order (not arrival interleaving within a slice) is the only
+        // tiebreak — deterministic.
+        let mut inbound: Vec<(usize, u8, Vec<u8>)> = Vec::new();
+        for (i, e) in self.edges.iter_mut().enumerate() {
+            e.child_rx.pull(sim, &e.child_sock)?;
+            while let Some(f) = e.child_rx.next_frame() {
+                inbound.push((i, KIND_REQ, f));
+            }
+            e.parent_rx.pull(sim, &e.parent_sock)?;
+            while let Some(f) = e.parent_rx.next_frame() {
+                inbound.push((i, KIND_REP, f));
+            }
+        }
+        for (edge, side, body) in inbound {
+            let mut r = Reader::new(&body);
+            let Ok(kind) = r.u8() else { continue };
+            if kind != side {
+                continue;
+            }
+            match kind {
+                KIND_REQ => self.on_request(now, edge, &mut r),
+                KIND_REP => self.on_reply(sim, edge, &mut r)?,
+                _ => {}
+            }
+        }
+        // Service completions due by now.
+        while let Some(&Reverse((at, inst))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            self.on_service_done(sim, inst)?;
+        }
+        self.try_start(sim);
+        Ok(())
+    }
+
+    /// Requests completed at the root, of the requests to inject.
+    fn progress(&self) -> (u64, u64) {
+        (self.results.len() as u64, self.target)
     }
 }

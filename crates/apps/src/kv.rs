@@ -10,17 +10,18 @@
 //! client, shared by the `kv_store` example and tests.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::dist::{self, Zipf};
+use snap_sim::hash::IntMap;
 use snap_sim::stats::Histogram;
 use snap_sim::{Nanos, Rng, Sim};
 
 use crate::dag::ServiceTime;
 use crate::framing::{frame, FrameBuf};
-use crate::socket::{SnapSocket, SocketError};
-use crate::SimPump;
+use crate::socket::SnapSocket;
+use crate::workload::{Workload, WorkloadError};
 
 /// Deterministic value bytes for `key` — lets any reader verify
 /// payload integrity without shared state.
@@ -45,31 +46,6 @@ pub struct KvSpec {
     pub rate_per_sec: f64,
     /// Total GETs to issue.
     pub requests: u64,
-}
-
-/// KV run failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvError {
-    /// A facade socket failed.
-    Socket(SocketError),
-    /// The virtual-time budget expired before every GET was answered.
-    Incomplete {
-        /// GETs answered.
-        answered: u64,
-        /// GETs expected.
-        expected: u64,
-    },
-    /// A returned value failed byte verification.
-    Corrupt {
-        /// The offending key.
-        key: u64,
-    },
-}
-
-impl From<SocketError> for KvError {
-    fn from(e: SocketError) -> Self {
-        KvError::Socket(e)
-    }
 }
 
 /// Aggregated KV outcome.
@@ -101,12 +77,11 @@ pub struct KvWorkload {
     svc_rng: Rng,
     /// Server lookups in flight: (ready at, rid, key).
     lookups: BinaryHeap<Reverse<(Nanos, u64, u64)>>,
-    sent_at: HashMap<u64, Nanos>,
-    key_counts: HashMap<u64, u64>,
+    sent_at: IntMap<u64, Nanos>,
+    key_counts: IntMap<u64, u64>,
     next_arrival: Option<Nanos>,
     injected: u64,
     verified: u64,
-    corrupt: Option<u64>,
     latency: Histogram,
 }
 
@@ -125,12 +100,11 @@ impl KvWorkload {
             rng: root.stream(0),
             svc_rng: root.stream(1),
             lookups: BinaryHeap::new(),
-            sent_at: HashMap::new(),
-            key_counts: HashMap::new(),
+            sent_at: IntMap::default(),
+            key_counts: IntMap::default(),
             next_arrival: None,
             injected: 0,
             verified: 0,
-            corrupt: None,
             latency: Histogram::new(),
         }
     }
@@ -140,13 +114,24 @@ impl KvWorkload {
         self.next_arrival = Some(now + dist::poisson_gap(&mut self.rng, self.spec.rate_per_sec));
     }
 
-    /// True once every GET was answered.
-    pub fn done(&self) -> bool {
-        self.verified == self.spec.requests || self.corrupt.is_some()
+    /// The report over everything answered so far.
+    pub fn summary(&self) -> KvReport {
+        let hottest = self.key_counts.values().copied().max().unwrap_or(0);
+        KvReport {
+            verified: self.verified,
+            p50: Nanos(self.latency.median()),
+            p99: Nanos(self.latency.p99()),
+            hottest_frac: hottest as f64 / self.injected.max(1) as f64,
+        }
+    }
+}
+
+impl Workload for KvWorkload {
+    fn name(&self) -> &'static str {
+        "kv"
     }
 
-    /// One cooperative step (composable under a fleet driver).
-    pub fn tick(&mut self, sim: &mut Sim) -> Result<(), KvError> {
+    fn tick(&mut self, sim: &mut Sim) -> Result<(), WorkloadError> {
         let now = sim.now();
         // Client arrivals: Zipf-skewed GETs.
         while self.injected < self.spec.requests {
@@ -198,15 +183,11 @@ impl KvWorkload {
             if kind != KIND_VAL {
                 continue;
             }
-            let ok = r
-                .bytes()
-                .map(|v| v == value_for(key, self.spec.value_bytes))
-                .unwrap_or(false);
-            if ok {
-                self.verified += 1;
-            } else {
-                self.corrupt = Some(key);
+            let value = value_for(key, self.spec.value_bytes);
+            if r.bytes().ok() != Some(&value[..]) {
+                return Err(WorkloadError::Corrupt { key });
             }
+            self.verified += 1;
             if let Some(t0) = self.sent_at.remove(&rid) {
                 self.latency.record_nanos(now.saturating_sub(t0));
             }
@@ -214,41 +195,9 @@ impl KvWorkload {
         Ok(())
     }
 
-    /// The report over everything answered so far (for harnesses that
-    /// drive [`KvWorkload::tick`] themselves).
-    pub fn summary(&self) -> KvReport {
-        let hottest = self.key_counts.values().copied().max().unwrap_or(0);
-        KvReport {
-            verified: self.verified,
-            p50: Nanos(self.latency.median()),
-            p99: Nanos(self.latency.p99()),
-            hottest_frac: hottest as f64 / self.injected.max(1) as f64,
-        }
-    }
-
-    /// Runs to completion or fails when `budget` of virtual time
-    /// elapses first.
-    pub fn run(&mut self, pump: &mut dyn SimPump, budget: Nanos) -> Result<KvReport, KvError> {
-        let start = pump.sim_mut().now();
-        self.begin(start);
-        let deadline = start + budget;
-        loop {
-            self.tick(pump.sim_mut())?;
-            if let Some(key) = self.corrupt {
-                return Err(KvError::Corrupt { key });
-            }
-            if self.done() {
-                break;
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(KvError::Incomplete {
-                    answered: self.verified,
-                    expected: self.spec.requests,
-                });
-            }
-            pump.pump_us(5);
-        }
-        Ok(self.summary())
+    /// GETs answered and verified, of the GETs to issue.
+    fn progress(&self) -> (u64, u64) {
+        (self.verified, self.spec.requests)
     }
 }
 
@@ -260,7 +209,11 @@ pub mod onesided {
     use snap_shm::region::{AccessMode, RegionRegistry};
     use snap_sim::Nanos;
 
+    use crate::workload::poll_until;
     use crate::SimPump;
+
+    /// Virtual-time slice between two looks at the completion queue.
+    const COMPLETION_POLL_US: u64 = 50;
 
     /// The server-side data layout handles.
     #[derive(Debug, Clone, Copy)]
@@ -322,26 +275,19 @@ pub mod onesided {
         op: u64,
         budget: Nanos,
     ) -> Result<(OpStatus, Vec<u8>), LookupError> {
-        let deadline = pump.sim_mut().now() + budget;
-        loop {
-            for c in client.take_completions() {
-                if let PonyCompletion::OpDone {
+        poll_until(pump, COMPLETION_POLL_US, budget, |_| {
+            let done = client.take_completions().into_iter().find_map(|c| match c {
+                PonyCompletion::OpDone {
                     op: o,
                     status,
                     data,
                     ..
-                } = c
-                {
-                    if o == op {
-                        return Ok((status, data));
-                    }
-                }
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(LookupError::Timeout);
-            }
-            pump.pump_us(50);
-        }
+                } if o == op => Some((status, data)),
+                _ => None,
+            });
+            Ok::<_, LookupError>(done)
+        })?
+        .ok_or(LookupError::Timeout)
     }
 
     /// Strategy 1 — pointer chase: two plain remote reads (pointer,
@@ -463,7 +409,7 @@ pub mod onesided {
                 );
                 outstanding += 1;
             }
-            pump.pump_us(50);
+            pump.pump_us(COMPLETION_POLL_US);
             for c in client.take_completions() {
                 if let PonyCompletion::OpDone { data, .. } = c {
                     debug_assert_eq!(data.len(), (batch * layout.value_len as u64) as usize);

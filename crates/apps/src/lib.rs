@@ -14,13 +14,16 @@
 //! RPC DAGs with fan-out/fan-in and per-stage service-time
 //! distributions, a KV cache with Zipf hot-key skew, an open-loop
 //! record streamer, and a closed-loop N:1 client pool (the incast
-//! driver) — composable into mixed-fleet scenarios on shared hosts.
+//! driver) — each a [`workload::Workload`], so any mix of them runs
+//! under one [`workload::drive`] on shared hosts and fails with one
+//! [`workload::WorkloadError`].
 //!
 //! Everything is driven by the discrete-event simulator: deadlines,
 //! backoffs and service times are virtual [`snap_sim::Nanos`], never
-//! wall time. The [`SimPump`] trait abstracts "advance virtual time"
-//! so blocking-style calls (`recv_deadline`, workload `run`s) work
-//! against any harness that owns a [`snap_sim::Sim`].
+//! wall time. The [`SimPump`] trait abstracts "advance virtual time";
+//! [`workload::poll_until`] is the one loop that alternates a step
+//! with it, under every blocking-style call (`recv_deadline`, the
+//! one-sided lookups, `drive`).
 
 pub mod dag;
 pub mod framing;
@@ -30,15 +33,15 @@ pub mod rpc;
 pub mod socket;
 pub mod stream;
 pub mod transport;
+pub mod workload;
 
 use snap_sim::Sim;
 
 /// Advances the simulation on behalf of a blocking-style facade call.
 ///
 /// Implemented by harnesses that own the [`Sim`] (the root crate's
-/// `Testbed` implements it); workload `run` loops and socket deadline
-/// receives alternate polling with `pump_us` so every timeout is
-/// virtual time.
+/// `Testbed` implements it); [`workload::poll_until`] alternates
+/// polling with `pump_us` so every timeout is virtual time.
 pub trait SimPump {
     /// The simulator being driven.
     fn sim_mut(&mut self) -> &mut Sim;

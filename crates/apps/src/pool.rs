@@ -22,8 +22,8 @@ use snap_sim::{Nanos, Rng, Sim};
 
 use crate::dag::ServiceTime;
 use crate::framing::{begin_frame, FrameBuf};
-use crate::socket::{SnapSocket, SocketError};
-use crate::SimPump;
+use crate::socket::SnapSocket;
+use crate::workload::{Workload, WorkloadError};
 
 /// Closed-loop pool description.
 #[derive(Debug, Clone)]
@@ -41,26 +41,6 @@ pub struct PoolSpec {
     pub service: ServiceTime,
     /// Requests each client must complete.
     pub requests_per_client: u64,
-}
-
-/// Pool run failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// A facade socket failed.
-    Socket(SocketError),
-    /// The virtual-time budget expired first.
-    Incomplete {
-        /// Replies received across all clients.
-        completed: u64,
-        /// Replies expected.
-        expected: u64,
-    },
-}
-
-impl From<SocketError> for PoolError {
-    fn from(e: SocketError) -> Self {
-        PoolError::Socket(e)
-    }
 }
 
 /// Aggregated pool outcome.
@@ -157,7 +137,7 @@ impl ClientPool {
     }
 
     /// Replies received across all clients so far.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         self.clients.iter().map(|c| c.got).sum()
     }
 
@@ -168,15 +148,15 @@ impl ClientPool {
 
     /// True once every client got every reply.
     pub fn done(&self) -> bool {
-        self.clients
-            .iter()
-            .all(|c| c.got == self.spec.requests_per_client)
+        self.completed() == self.expected()
     }
 
     /// One cooperative step: fills client windows, schedules and
-    /// answers server work, collects replies. Composable under a fleet
-    /// driver alongside other workloads.
-    pub fn tick(&mut self, sim: &mut Sim) -> Result<(), PoolError> {
+    /// answers server work, collects replies. Inherent, like `done`
+    /// and `expected`, so a harness that times each step itself
+    /// (`benchmark/`) needs no trait in scope; [`Workload`] forwards
+    /// here.
+    pub fn tick(&mut self, sim: &mut Sim) -> Result<(), WorkloadError> {
         let now = sim.now();
         // Clients: keep the window full (the closed loop).
         for (i, c) in self.clients.iter_mut().enumerate() {
@@ -250,28 +230,20 @@ impl ClientPool {
             elapsed: now.saturating_sub(self.started.unwrap_or(now)),
         }
     }
+}
 
-    /// Runs to completion or fails when `budget` of virtual time
-    /// elapses first.
-    pub fn run(&mut self, pump: &mut dyn SimPump, budget: Nanos) -> Result<PoolReport, PoolError> {
-        let start = pump.sim_mut().now();
-        self.begin(start);
-        let deadline = start + budget;
-        loop {
-            self.tick(pump.sim_mut())?;
-            if self.done() {
-                break;
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(PoolError::Incomplete {
-                    completed: self.completed(),
-                    expected: self.expected(),
-                });
-            }
-            pump.pump_us(5);
-        }
-        let now = pump.sim_mut().now();
-        Ok(self.summary(now))
+impl Workload for ClientPool {
+    fn name(&self) -> &'static str {
+        "pool"
+    }
+
+    fn tick(&mut self, sim: &mut Sim) -> Result<(), WorkloadError> {
+        ClientPool::tick(self, sim)
+    }
+
+    /// Replies received, of the replies every client must get.
+    fn progress(&self) -> (u64, u64) {
+        (self.completed(), self.expected())
     }
 }
 

@@ -28,6 +28,7 @@ use snap_sim::hash::IntMap;
 use snap_sim::{Nanos, Sim};
 
 use crate::transport::{Backend, Transport, TransportEvent, CHUNK_BYTES};
+use crate::workload::{poll_until, POLL_SLICE_US};
 use crate::SimPump;
 
 /// Max chunks a socket keeps in flight before further stream bytes
@@ -37,9 +38,6 @@ const WINDOW_CHUNKS: usize = 32;
 
 /// Backoff before resubmitting a Busy-rejected chunk.
 const BUSY_BACKOFF: Nanos = Nanos(20_000);
-
-/// Virtual-time slice used by deadline receives between polls.
-const POLL_SLICE_US: u64 = 5;
 
 /// Facade errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,17 +419,11 @@ impl SnapSocket {
         buf: &mut [u8],
         timeout: Nanos,
     ) -> Result<usize, SocketError> {
-        let deadline = pump.sim_mut().now() + timeout;
-        loop {
-            let n = self.try_recv(pump.sim_mut(), buf)?;
-            if n > 0 {
-                return Ok(n);
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(SocketError::TimedOut);
-            }
-            pump.pump_us(POLL_SLICE_US);
-        }
+        poll_until(pump, POLL_SLICE_US, timeout, |sim| {
+            let n = self.try_recv(sim, buf)?;
+            Ok((n > 0).then_some(n))
+        })?
+        .ok_or(SocketError::TimedOut)
     }
 
     /// Receives exactly `buf.len()` bytes or fails with `TimedOut`
@@ -442,20 +434,16 @@ impl SnapSocket {
         buf: &mut [u8],
         timeout: Nanos,
     ) -> Result<(), SocketError> {
-        let deadline = pump.sim_mut().now() + timeout;
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = self.try_recv(pump.sim_mut(), &mut buf[filled..])?;
-            filled += n;
-            if filled >= buf.len() {
-                break;
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(SocketError::TimedOut);
-            }
-            pump.pump_us(POLL_SLICE_US);
+        // Nothing to wait for, so not even one poll of the endpoint.
+        if buf.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let mut filled = 0;
+        poll_until(pump, POLL_SLICE_US, timeout, |sim| {
+            filled += self.try_recv(sim, &mut buf[filled..])?;
+            Ok((filled == buf.len()).then_some(()))
+        })?
+        .ok_or(SocketError::TimedOut)
     }
 }
 

@@ -7,8 +7,8 @@
 use snap_sim::dist;
 use snap_sim::{Nanos, Rng, Sim};
 
-use crate::socket::{SnapSocket, SocketError};
-use crate::SimPump;
+use crate::socket::SnapSocket;
+use crate::workload::{Workload, WorkloadError};
 
 /// The expected fill byte at absolute stream offset `off` for
 /// `record_bytes`-sized records: every record is filled with its own
@@ -26,26 +26,6 @@ pub struct StreamSpec {
     pub rate_per_sec: f64,
     /// Total records to stream.
     pub records: u64,
-}
-
-/// Streaming run failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// A facade socket failed.
-    Socket(SocketError),
-    /// The virtual-time budget expired before the stream drained.
-    Incomplete {
-        /// Bytes received.
-        received: u64,
-        /// Bytes expected.
-        expected: u64,
-    },
-}
-
-impl From<SocketError> for StreamError {
-    fn from(e: SocketError) -> Self {
-        StreamError::Socket(e)
-    }
 }
 
 /// Aggregated streaming outcome.
@@ -91,13 +71,22 @@ impl StreamWorkload {
         self.next_arrival = Some(now + dist::poisson_gap(&mut self.rng, self.spec.rate_per_sec));
     }
 
-    /// True once every record's bytes have arrived.
-    pub fn done(&self) -> bool {
-        self.received_bytes >= self.spec.records * self.spec.record_bytes as u64
+    /// The report over everything received so far.
+    pub fn summary(&self) -> StreamReport {
+        StreamReport {
+            records: self.received_bytes / self.spec.record_bytes.max(1) as u64,
+            bytes: self.received_bytes,
+            corrupt_bytes: self.corrupt_bytes,
+        }
+    }
+}
+
+impl Workload for StreamWorkload {
+    fn name(&self) -> &'static str {
+        "stream"
     }
 
-    /// One cooperative step (composable under a fleet driver).
-    pub fn tick(&mut self, sim: &mut Sim) -> Result<(), StreamError> {
+    fn tick(&mut self, sim: &mut Sim) -> Result<(), WorkloadError> {
         let now = sim.now();
         while self.sent < self.spec.records {
             let Some(at) = self.next_arrival else { break };
@@ -120,39 +109,11 @@ impl StreamWorkload {
         Ok(())
     }
 
-    /// The report over everything received so far (for harnesses that
-    /// drive [`StreamWorkload::tick`] themselves).
-    pub fn summary(&self) -> StreamReport {
-        StreamReport {
-            records: self.received_bytes / self.spec.record_bytes.max(1) as u64,
-            bytes: self.received_bytes,
-            corrupt_bytes: self.corrupt_bytes,
-        }
-    }
-
-    /// Runs to completion or fails when `budget` of virtual time
-    /// elapses first.
-    pub fn run(
-        &mut self,
-        pump: &mut dyn SimPump,
-        budget: Nanos,
-    ) -> Result<StreamReport, StreamError> {
-        let start = pump.sim_mut().now();
-        self.begin(start);
-        let deadline = start + budget;
-        loop {
-            self.tick(pump.sim_mut())?;
-            if self.done() {
-                break;
-            }
-            if pump.sim_mut().now() >= deadline {
-                return Err(StreamError::Incomplete {
-                    received: self.received_bytes,
-                    expected: self.spec.records * self.spec.record_bytes as u64,
-                });
-            }
-            pump.pump_us(5);
-        }
-        Ok(self.summary())
+    /// Bytes received, of the bytes of every record.
+    fn progress(&self) -> (u64, u64) {
+        (
+            self.received_bytes,
+            self.spec.records * self.spec.record_bytes as u64,
+        )
     }
 }

@@ -18,6 +18,7 @@
 
 use snap_repro::apps::dag::OpenLoop;
 use snap_repro::apps::transport::Backend;
+use snap_repro::apps::workload::drive;
 use snap_repro::sim::trace::{Stage, TRACE_SAMPLE_SCALE};
 use snap_repro::sim::Nanos;
 use snap_repro::testbed::{Testbed, TestbedConfig};
@@ -48,13 +49,9 @@ fn run(backend: Backend) -> RunResult {
     let mut dag = tb
         .dag("bench", &snap_bench::diamond_dag([0, 1, 1, 0]), backend)
         .expect("spec wires");
-    let report = dag
-        .run(
-            tb.as_pump(),
-            OpenLoop::constant(RATE_PER_SEC, REQUESTS),
-            Nanos::from_millis(500),
-        )
-        .expect("all requests complete");
+    dag.begin(tb.sim.now(), OpenLoop::constant(RATE_PER_SEC, REQUESTS));
+    drive(tb.as_pump(), &mut [&mut dag], Nanos::from_millis(500)).expect("all requests complete");
+    let report = dag.report();
 
     let n = report.results.len().max(1) as u64;
     let app_stages = [Stage::AppSched, Stage::AppService, Stage::AppTransport];

@@ -28,6 +28,7 @@ use snap_repro::apps::kv::KvSpec;
 use snap_repro::apps::pool::{ClientPool, PoolSpec};
 use snap_repro::apps::stream::StreamSpec;
 use snap_repro::apps::transport::Backend;
+use snap_repro::apps::workload::drive;
 use snap_repro::fleet::{run_mixed_fleet, FleetSpec};
 use snap_repro::nic::fabric::SwitchId;
 use snap_repro::sim::dist::DiurnalLoad;
@@ -104,9 +105,9 @@ fn pool_run(
         pairs,
         SEED,
     );
-    let report = pool
-        .run(tb.as_pump(), budget)
-        .expect("pool completes within budget");
+    pool.begin(tb.sim.now());
+    drive(tb.as_pump(), &mut [&mut pool], budget).expect("pool completes within budget");
+    let report = pool.summary(tb.sim.now());
     assert_eq!(report.completed, fan_in as u64 * REQUESTS_PER_CLIENT);
 
     let mut dst_leaf_drops = 0u64;

@@ -208,13 +208,10 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
         }
     }
     // Post generous response buffers everywhere (both directions).
-    for ((h, j, h2), &c) in &conns {
+    // The server's small requests ride credits; its 1 MB responses land
+    // in the buffers the client posts here.
+    for ((h, j, _), &c) in &conns {
         clients[*h][*j].submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn: c, count: 8192 });
-        let _ = (j, h2);
-        // The remote side (server) also receives our small requests on
-        // credits; it must post buffers for its 1MB responses' acks?
-        // Responses are sent BY the server; the client posted above.
-        let _ = h2;
     }
 
     let mut rng = Rng::new(params.seed).stream(0xBEEF);
@@ -226,8 +223,6 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
     let mut prober_hist = Histogram::new();
     let mut delivered_bytes = 0u64;
     let mut rpcs = 0u64;
-    let rpc_gap = 1e9 * params.jobs_per_host as f64 / params.rpc_per_sec_per_host;
-    let _ = rpc_gap;
 
     let start = tb.sim.now();
     let deadline = start + params.duration;
@@ -318,21 +313,8 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
 
     let wall = (tb.sim.now() - start).as_secs_f64();
     let mut cpu_total = 0.0;
-    let mut split = (0.0, 0.0, 0.0);
     for h in 0..params.hosts {
-        let cpu = tb.host_cpu(h);
-        cpu_total += cpu.total().as_secs_f64();
-        split.0 += cpu.engine.as_secs_f64();
-        split.1 += cpu.spin.as_secs_f64();
-        split.2 += cpu.wake_overhead.as_secs_f64();
-    }
-    if std::env::var("RACK_DEBUG").is_ok() {
-        eprintln!(
-            "rack cpu split per host: engine {:.3} spin {:.3} wake {:.3}",
-            split.0 / wall / params.hosts as f64,
-            split.1 / wall / params.hosts as f64,
-            split.2 / wall / params.hosts as f64
-        );
+        cpu_total += tb.host_cpu(h).total().as_secs_f64();
     }
     RackResult {
         cpu_per_host: cpu_total / wall / params.hosts as f64,

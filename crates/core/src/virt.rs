@@ -1,5 +1,5 @@
 //! Network-virtualization engine — the Andromeda-style engine family
-//! (§1, §2.1, §3: "packet processing for network virtualization [19]",
+//! (§1, §2.1, §3: "packet processing for network virtualization \[19\]",
 //! one of the four production Snap engine types alongside shaping,
 //! edge switching and Pony Express).
 //!

@@ -497,7 +497,7 @@ impl AdmissionController {
     }
 }
 
-/// The enforcing gate: pools and credit pools allocated through an
+/// The enforcing gate: buffer pools allocated through an
 /// [`AdmissionController`] become fallible under quota.
 impl MemoryGate for AdmissionController {
     fn try_charge(&self, container: &str, bytes: u64) -> Result<(), ChargeError> {

@@ -2,7 +2,7 @@
 //!
 //! "Pony Express exploits stateless offloads, including the Intel I/OAT
 //! DMA device to offload memory copy operations. ... the asynchronous
-//! interactions around DMA [are] a natural fit for Snap, with its
+//! interactions around DMA \[are\] a natural fit for Snap, with its
 //! continuously-executing packet processing pipelines."
 //!
 //! The model charges the engine only the descriptor setup cost

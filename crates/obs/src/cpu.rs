@@ -106,14 +106,15 @@ impl CpuSampler {
             for (core, counters) in host.cores.iter().enumerate() {
                 // One row per core, in core order.
                 let split = per_core.get(core).map(|(_, v)| *v).unwrap_or_default();
-                bump_to(&counters.busy, split.busy.as_nanos());
-                bump_to(&counters.spin, split.spin.as_nanos());
-                bump_to(&counters.wake, split.wake_overhead.as_nanos());
-                bump_to(
-                    &counters.idle,
-                    now.as_nanos().saturating_sub(split.total().as_nanos()),
-                );
-                bump_to(&counters.machine_busy, machine.core_busy_total(core).as_nanos());
+                counters.busy.raise_to(split.busy.as_nanos());
+                counters.spin.raise_to(split.spin.as_nanos());
+                counters.wake.raise_to(split.wake_overhead.as_nanos());
+                counters
+                    .idle
+                    .raise_to(now.as_nanos().saturating_sub(split.total().as_nanos()));
+                counters
+                    .machine_busy
+                    .raise_to(machine.core_busy_total(core).as_nanos());
             }
             drop(machine);
             let engine_cpu = host.group.engine_cpu();
@@ -125,17 +126,12 @@ impl CpuSampler {
                 )));
             }
             for ((_, busy), counter) in engine_cpu.iter().zip(&host.engines) {
-                bump_to(counter, busy.as_nanos());
+                counter.raise_to(busy.as_nanos());
             }
-            bump_to(&host.throttled, host.group.throttled_total().as_nanos());
+            host.throttled
+                .raise_to(host.group.throttled_total().as_nanos());
         }
     }
-}
-
-/// Raises a counter to a cumulative value (saturating delta, so the
-/// counter stays monotone even if the ledger briefly runs ahead).
-fn bump_to(c: &Counter, cumulative: u64) {
-    c.add(cumulative.saturating_sub(c.get()));
 }
 
 #[cfg(test)]

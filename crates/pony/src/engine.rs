@@ -136,6 +136,45 @@ pub struct PonyStats {
     pub duplicates: u64,
 }
 
+impl PonyStats {
+    /// Every counter under its name, in declaration order: the one
+    /// table a consumer walks (telemetry publishes each row). The
+    /// pattern names every field, so a counter added to the struct does
+    /// not compile until it has a row here.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        let PonyStats {
+            rx_packets,
+            tx_packets,
+            commands,
+            onesided_served,
+            msgs_delivered,
+            ops_completed,
+            completions_dropped,
+            ops_shed,
+            busy_rejected,
+            hedge_dups,
+            hedge_retransmits,
+            retransmits,
+            duplicates,
+        } = *self;
+        [
+            ("rx_packets", rx_packets),
+            ("tx_packets", tx_packets),
+            ("commands", commands),
+            ("onesided_served", onesided_served),
+            ("msgs_delivered", msgs_delivered),
+            ("ops_completed", ops_completed),
+            ("completions_dropped", completions_dropped),
+            ("ops_shed", ops_shed),
+            ("busy_rejected", busy_rejected),
+            ("hedge_dups", hedge_dups),
+            ("hedge_retransmits", hedge_retransmits),
+            ("retransmits", retransmits),
+            ("duplicates", duplicates),
+        ]
+    }
+}
+
 /// Adds `id` to an ascending, duplicate-free list — a ready set, or
 /// the chunk offsets of one message (which mostly arrive in order, so
 /// the common insert is a push). Returns whether `id` was absent.

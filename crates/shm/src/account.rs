@@ -8,8 +8,8 @@
 //!
 //! Accounting is **observation**; enforcement lives one layer up in
 //! `snap-isolation`, which implements the [`MemoryGate`] trait defined
-//! here so pool and credit allocations can be made fallible under a
-//! quota without this crate depending on the policy layer.
+//! here so pool allocations can be made fallible under a quota without
+//! this crate depending on the policy layer.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +51,8 @@ impl std::fmt::Display for ChargeError {
 ///
 /// [`MemoryAccountant`] implements this by always admitting (observe
 /// only); `snap-isolation`'s `AdmissionController` implements it by
-/// enforcing per-container quotas. Allocation sites (buffer pools,
-/// credit pools) take a gate so callers choose the policy.
+/// enforcing per-container quotas. Allocation sites (buffer pools)
+/// take a gate so callers choose the policy.
 pub trait MemoryGate {
     /// Attempts to charge `bytes` to `container`. Implementations must
     /// make the check-and-charge atomic with respect to concurrent

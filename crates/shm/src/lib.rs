@@ -18,8 +18,6 @@
 //!   allocation, as used by Pony Express's custom allocators (§3.1).
 //! * [`region::RegionRegistry`] — registered application memory regions
 //!   that one-sided operations execute against (§3.2).
-//! * [`credit::CreditPool`] — the shared credit pool used for
-//!   small-message flow control (§3.3).
 //! * [`account::MemoryAccountant`] — per-container memory accounting
 //!   (§2.5).
 //!
@@ -28,7 +26,6 @@
 //! share this one implementation.
 
 pub mod account;
-pub mod credit;
 pub mod mailbox;
 pub mod pool;
 pub mod queue_pair;
@@ -36,7 +33,6 @@ pub mod region;
 pub mod spsc;
 
 pub use account::MemoryAccountant;
-pub use credit::CreditPool;
 pub use mailbox::Mailbox;
 pub use pool::BufferPool;
 pub use queue_pair::QueuePair;

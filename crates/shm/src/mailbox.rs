@@ -8,8 +8,8 @@
 //!
 //! [`Mailbox::post`] fails (rather than blocks) while a previous work
 //! item is pending, keeping the control plane lock-free; the engine
-//! calls [`Mailbox::service`] once per scheduling pass, which is
-//! non-blocking. A [`Mailbox::call`] helper spins the *control* side
+//! calls [`MailboxReceiver::service`] once per scheduling pass, which
+//! is non-blocking. A [`Mailbox::call`] helper spins the *control* side
 //! until its work item executes, mirroring the synchronous semantics
 //! control operations have in the paper, without ever blocking the
 //! engine.

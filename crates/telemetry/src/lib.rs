@@ -30,7 +30,7 @@
 //!
 //! | prefix | meaning |
 //! |---|---|
-//! | `engine.<label>.<counter>` | PonyEngine op counters (rx/tx/commands/…) |
+//! | `engine.<label>.<counter>` | every `PonyStats::counters` row (rx/tx/commands/retransmits/…) |
 //! | `engine.<label>.restarts.{crash,wedge}` | supervisor restarts |
 //! | `engine.<label>.blackout` | restart blackout histogram (ns) |
 //! | `shm.<label>.s<sid>.cmd_depth` | per-session SPSC command-queue depth gauge |

@@ -40,7 +40,7 @@ use snap_core::upgrade::UpgradeReport;
 use snap_core::{Engine, EngineId};
 use snap_health::{HealthMonitor, Target, Verdict};
 use snap_isolation::AdmissionController;
-use snap_nic::fabric::{DropReasons, FabricHandle, FabricStats, LinkStats, SwitchId, TrunkStats};
+use snap_nic::fabric::FabricHandle;
 use snap_nic::{HostId, QosClass};
 use snap_pony::engine::PonyStats;
 use snap_pony::PonyEngine;
@@ -49,7 +49,7 @@ use snap_sim::{event, Nanos, Sim};
 use snap_sim::stats::Histogram;
 
 use crate::export::Snapshot;
-use crate::registry::Registry;
+use crate::registry::{Registry, ScopedRegistry};
 
 /// Stats-export tuning.
 #[derive(Debug, Clone, Copy)]
@@ -86,11 +86,6 @@ struct EngineWatch {
 
 struct FabricWatch {
     fabric: FabricHandle,
-    last_stats: FabricStats,
-    last_drops: HashMap<HostId, DropReasons>,
-    last_links: HashMap<(HostId, HostId), LinkStats>,
-    last_trunks: HashMap<(SwitchId, SwitchId), TrunkStats>,
-    last_switch_drops: HashMap<(SwitchId, QosClass), u64>,
     last_at: Option<Nanos>,
 }
 
@@ -110,9 +105,6 @@ struct UpgradeWatch {
 struct AdmissionWatch {
     label: String,
     adm: AdmissionController,
-    /// Last absolute (denials, sheds) per container, for deltas.
-    last: HashMap<String, (u64, u64)>,
-    last_errors: u64,
     /// Cursor into the admission controller's transition log.
     next_seq: u64,
 }
@@ -193,11 +185,6 @@ impl StatsModule {
     pub fn watch_fabric(&self, fabric: FabricHandle) {
         self.inner.borrow_mut().fabrics.push(FabricWatch {
             fabric,
-            last_stats: FabricStats::default(),
-            last_drops: HashMap::new(),
-            last_links: HashMap::new(),
-            last_trunks: HashMap::new(),
-            last_switch_drops: HashMap::new(),
             last_at: None,
         });
     }
@@ -236,8 +223,6 @@ impl StatsModule {
         self.inner.borrow_mut().admissions.push(AdmissionWatch {
             label: label.to_string(),
             adm,
-            last: HashMap::new(),
-            last_errors: 0,
             next_seq: 0,
         });
     }
@@ -356,33 +341,9 @@ fn ingest_engine(registry: &Registry, w: &mut EngineWatch) {
         return;
     };
     let scope = registry.scoped(&format!("engine.{}", w.label));
-    let s = &sample.stats;
-    let l = &w.last;
-    scope.counter("rx_packets").add(delta(s.rx_packets, l.rx_packets));
-    scope.counter("tx_packets").add(delta(s.tx_packets, l.tx_packets));
-    scope.counter("commands").add(delta(s.commands, l.commands));
-    scope
-        .counter("onesided_served")
-        .add(delta(s.onesided_served, l.onesided_served));
-    scope
-        .counter("msgs_delivered")
-        .add(delta(s.msgs_delivered, l.msgs_delivered));
-    scope
-        .counter("ops_completed")
-        .add(delta(s.ops_completed, l.ops_completed));
-    scope
-        .counter("completions_dropped")
-        .add(delta(s.completions_dropped, l.completions_dropped));
-    scope.counter("ops_shed").add(delta(s.ops_shed, l.ops_shed));
-    scope
-        .counter("busy_rejected")
-        .add(delta(s.busy_rejected, l.busy_rejected));
-    scope
-        .counter("hedge_dups")
-        .add(delta(s.hedge_dups, l.hedge_dups));
-    scope
-        .counter("hedge_retransmits")
-        .add(delta(s.hedge_retransmits, l.hedge_retransmits));
+    for ((name, now), (_, last)) in sample.stats.counters().into_iter().zip(w.last.counters()) {
+        scope.counter(name).add(delta(now, last));
+    }
     w.last = sample.stats;
 
     let shm = registry.scoped(&format!("shm.{}", w.label));
@@ -415,72 +376,52 @@ fn request_engine_sample(sim: &mut Sim, w: &mut EngineWatch) {
     let _ = w.group.post_to_engine(sim, w.id, work);
 }
 
+/// The fabric's counters only grow, so each poll raises the published
+/// counter to the fabric's total; a link's utilization is the growth of
+/// its byte counter over the poll window.
 fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
     let stats = w.fabric.stats();
     let fab = registry.scoped("fabric");
-    fab.counter("delivered")
-        .add(stats.delivered.saturating_sub(w.last_stats.delivered));
-    fab.counter("switch_drops")
-        .add(stats.switch_drops.saturating_sub(w.last_stats.switch_drops));
-    fab.counter("random_drops")
-        .add(stats.random_drops.saturating_sub(w.last_stats.random_drops));
-    fab.counter("partition_drops").add(
-        stats
-            .partition_drops
-            .saturating_sub(w.last_stats.partition_drops),
-    );
-    fab.counter("corrupted")
-        .add(stats.corrupted.saturating_sub(w.last_stats.corrupted));
-    w.last_stats = stats;
+    fab.counter("delivered").raise_to(stats.delivered);
+    fab.counter("switch_drops").raise_to(stats.switch_drops);
+    fab.counter("random_drops").raise_to(stats.random_drops);
+    fab.counter("partition_drops")
+        .raise_to(stats.partition_drops);
+    fab.counter("corrupted").raise_to(stats.corrupted);
 
     for h in 0..w.fabric.num_hosts() as HostId {
         let drops = w.fabric.drop_reasons(h);
-        let last = w.last_drops.get(&h).copied().unwrap_or_default();
         let scope = registry.scoped(&format!("fabric.host{h}.drops"));
-        scope
-            .counter("crc_bad")
-            .add(drops.crc_bad.saturating_sub(last.crc_bad));
-        scope
-            .counter("partition")
-            .add(drops.partition.saturating_sub(last.partition));
-        scope
-            .counter("corruption")
-            .add(drops.corruption.saturating_sub(last.corruption));
-        scope
-            .counter("no_buffer")
-            .add(drops.no_buffer.saturating_sub(last.no_buffer));
-        w.last_drops.insert(h, drops);
+        scope.counter("crc_bad").raise_to(drops.crc_bad);
+        scope.counter("partition").raise_to(drops.partition);
+        scope.counter("corruption").raise_to(drops.corruption);
+        scope.counter("no_buffer").raise_to(drops.no_buffer);
     }
 
     let window = w
         .last_at
         .map(|t| now.as_nanos().saturating_sub(t.as_nanos()))
         .unwrap_or(0);
+    // Publishes a link's bytes and, over a non-empty window, its
+    // utilization against `gbps` (bits per nanosecond, so utilization
+    // is bits / (rate * window)).
+    let publish_bytes = |scope: &ScopedRegistry, bytes: u64, gbps: f64| {
+        let counter = scope.counter("bytes");
+        let d_bytes = bytes.saturating_sub(counter.get());
+        counter.raise_to(bytes);
+        if window > 0 && gbps > 0.0 {
+            let pct = (d_bytes as f64 * 8.0) / (gbps * window as f64) * 100.0;
+            scope.gauge("util_pct").set(pct.round() as i64);
+        }
+    };
     for ((from, to), link) in w.fabric.links() {
-        let last = w.last_links.get(&(from, to)).copied().unwrap_or_default();
         let scope = registry.scoped(&format!("fabric.link.{from}->{to}"));
-        let d_bytes = link.bytes.saturating_sub(last.bytes);
-        scope.counter("bytes").add(d_bytes);
-        scope
-            .counter("delivered")
-            .add(link.delivered.saturating_sub(last.delivered));
+        publish_bytes(&scope, link.bytes, w.fabric.host_gbps(from).unwrap_or(0.0));
+        scope.counter("delivered").raise_to(link.delivered);
         scope
             .counter("drops.partition")
-            .add(link.partition_drops.saturating_sub(last.partition_drops));
-        scope
-            .counter("drops.corruption")
-            .add(link.corrupted.saturating_sub(last.corrupted));
-        if window > 0 {
-            if let Some(gbps) = w.fabric.host_gbps(from) {
-                if gbps > 0.0 {
-                    // gbps == bits per nanosecond, so utilization over
-                    // the window is bits / (rate * window).
-                    let pct = (d_bytes as f64 * 8.0) / (gbps * window as f64) * 100.0;
-                    scope.gauge("util_pct").set(pct.round() as i64);
-                }
-            }
-        }
-        w.last_links.insert((from, to), link);
+            .raise_to(link.partition_drops);
+        scope.counter("drops.corruption").raise_to(link.corrupted);
     }
 
     // Trunk links (multi-rack topologies only; the degenerate 1-rack
@@ -488,27 +429,15 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
     // not the host NIC rate.
     let trunk_gbps = w.fabric.topology().spec().trunk_gbps;
     for ((from, to), trunk) in w.fabric.trunks() {
-        let last = w.last_trunks.get(&(from, to)).copied().unwrap_or_default();
         let scope = registry.scoped(&format!("fabric.trunk.{from}->{to}"));
-        let d_bytes = trunk.bytes.saturating_sub(last.bytes);
-        scope.counter("bytes").add(d_bytes);
-        scope
-            .counter("forwarded")
-            .add(trunk.forwarded.saturating_sub(last.forwarded));
-        scope
-            .counter("drops")
-            .add(trunk.drops.saturating_sub(last.drops));
-        if window > 0 && trunk_gbps > 0.0 {
-            let pct = (d_bytes as f64 * 8.0) / (trunk_gbps * window as f64) * 100.0;
-            scope.gauge("util_pct").set(pct.round() as i64);
-        }
-        w.last_trunks.insert((from, to), trunk);
+        publish_bytes(&scope, trunk.bytes, trunk_gbps);
+        scope.counter("forwarded").raise_to(trunk.forwarded);
+        scope.counter("drops").raise_to(trunk.drops);
     }
 
     // Per-switch, per-priority egress drop attribution (sums to the
     // rack-wide `fabric.switch_drops`).
     for ((sw, qos), total) in w.fabric.switch_drop_breakdown() {
-        let last = w.last_switch_drops.get(&(sw, qos)).copied().unwrap_or(0);
         let class = match qos {
             QosClass::Transport => "transport",
             QosClass::BestEffort => "best_effort",
@@ -516,8 +445,7 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
         registry
             .scoped(&format!("fabric.switch.{sw}.drops"))
             .counter(class)
-            .add(total.saturating_sub(last));
-        w.last_switch_drops.insert((sw, qos), total);
+            .raise_to(total);
     }
     w.last_at = Some(now);
 }
@@ -621,16 +549,8 @@ fn poll_admission(registry: &Registry, w: &mut AdmissionWatch) {
         scope
             .gauge("usage_bytes")
             .set(i64::try_from(snap.usage_bytes).unwrap_or(i64::MAX));
-        let (last_denials, last_sheds) =
-            w.last.get(&snap.container).copied().unwrap_or((0, 0));
-        scope
-            .counter("denials")
-            .add(snap.denials.saturating_sub(last_denials));
-        scope
-            .counter("sheds")
-            .add(snap.sheds.saturating_sub(last_sheds));
-        w.last
-            .insert(snap.container.clone(), (snap.denials, snap.sheds));
+        scope.counter("denials").raise_to(snap.denials);
+        scope.counter("sheds").raise_to(snap.sheds);
     }
     let scope = registry.scoped(&format!("isolation.{}", w.label));
     let (transitions, next_seq) = w.adm.transitions_since(w.next_seq);
@@ -640,11 +560,9 @@ fn poll_admission(registry: &Registry, w: &mut AdmissionWatch) {
             .add(transitions.len() as u64);
     }
     w.next_seq = next_seq;
-    let errors = w.adm.accounting_errors();
     scope
         .counter("accounting_errors")
-        .add(errors.saturating_sub(w.last_errors));
-    w.last_errors = errors;
+        .raise_to(w.adm.accounting_errors());
 }
 
 fn poll_group(registry: &Registry, w: &mut GroupWatch) {

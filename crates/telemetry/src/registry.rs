@@ -38,6 +38,14 @@ impl Counter {
         self.0.set(self.0.get().saturating_add(n));
     }
 
+    /// Raises the counter to `total`, the cumulative count of a source
+    /// that only grows; a lower `total` leaves it alone, so the counter
+    /// stays monotone. (A source that restarts from zero needs a
+    /// reset-aware delta instead.)
+    pub fn raise_to(&self, total: u64) {
+        self.0.set(self.0.get().max(total));
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.get()
@@ -224,6 +232,19 @@ mod tests {
         r.counter("y").inc();
         assert_eq!(r.counter("y").get(), 1);
         assert_eq!(r.counter("x").get(), 3);
+    }
+
+    #[test]
+    fn raise_to_publishes_a_total_and_never_lowers() {
+        let r = Registry::new();
+        let c = r.counter("bytes");
+        c.raise_to(40);
+        c.raise_to(40);
+        assert_eq!(c.get(), 40, "the same total twice is counted once");
+        c.raise_to(25);
+        assert_eq!(c.get(), 40, "a lower total leaves the counter alone");
+        c.raise_to(100);
+        assert_eq!(r.counter("bytes").get(), 100);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + release budgets + clippy + timeline export
+#   ci.sh            — build + test + release budgets + clippy + rustdoc links
+#                      + timeline export
 #                      + pinned sim-clock tables
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
 #                      + the size table (printed, not gated)
@@ -32,6 +33,11 @@ cargo test --release -q --test datapath_budget --test sockets_budget
 
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs name items by intra-doc link; a link to something renamed or
+# deleted is a rustdoc warning, denied here.
+echo "== tier-1: cargo doc, broken links denied =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Timeline export: the fault-injection example asserts its own
 # invariants and writes a Chrome-trace file, which must stay loadable

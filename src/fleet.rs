@@ -6,12 +6,11 @@
 //! driver interleaves their ticks against one simulator, so the
 //! contention (engine CPU, NIC, credits, quotas) is real.
 
-use snap_apps::dag::{DagError, DagReport, DagSpec, OpenLoop};
-use snap_apps::kv::{KvError, KvReport, KvSpec, KvWorkload};
-use snap_apps::socket::SocketError;
-use snap_apps::stream::{StreamError, StreamReport, StreamSpec, StreamWorkload};
+use snap_apps::dag::{DagReport, DagSpec, OpenLoop};
+use snap_apps::kv::{KvReport, KvSpec, KvWorkload};
+use snap_apps::stream::{StreamReport, StreamSpec, StreamWorkload};
 use snap_apps::transport::Backend;
-use snap_apps::SimPump;
+use snap_apps::workload::{drive, WorkloadError};
 use snap_isolation::QuotaPolicy;
 use snap_sim::Nanos;
 
@@ -40,40 +39,6 @@ pub struct FleetSpec {
     pub budget: Nanos,
 }
 
-/// What broke, if anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetError {
-    /// DAG workload failure.
-    Dag(DagError),
-    /// KV workload failure.
-    Kv(KvError),
-    /// Streaming workload failure.
-    Stream(StreamError),
-    /// Facade wiring failure.
-    Socket(SocketError),
-}
-
-impl From<DagError> for FleetError {
-    fn from(e: DagError) -> Self {
-        FleetError::Dag(e)
-    }
-}
-impl From<KvError> for FleetError {
-    fn from(e: KvError) -> Self {
-        FleetError::Kv(e)
-    }
-}
-impl From<StreamError> for FleetError {
-    fn from(e: StreamError) -> Self {
-        FleetError::Stream(e)
-    }
-}
-impl From<SocketError> for FleetError {
-    fn from(e: SocketError) -> Self {
-        FleetError::Socket(e)
-    }
-}
-
 /// Per-workload outcomes of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -89,29 +54,31 @@ pub struct FleetReport {
 /// a Pony engine container; if the testbed was built with admission
 /// enabled, `spec.mem_quota` is applied to each one, so the streamer's
 /// buffers and the DAG's bursts contend under real quota enforcement.
-pub fn run_mixed_fleet(tb: &mut Testbed, spec: &FleetSpec) -> Result<FleetReport, FleetError> {
+/// On a timeout the error names the workload that stalled (the DAG
+/// before the KV cache before the streamer).
+pub fn run_mixed_fleet(tb: &mut Testbed, spec: &FleetSpec) -> Result<FleetReport, WorkloadError> {
     // Wire the DAG first (apps fleet-dag-s0..), then KV and streamer.
     let mut dag = tb.dag("fleet-dag", &spec.dag, Backend::Pony)?;
 
     let (kv_ch, kv_sh) = spec.kv_hosts;
-    tb.app(kv_ch, "fleet-kv-client", Backend::Pony);
-    let kv_server_host = tb.app(kv_sh, "fleet-kv-server", Backend::Pony);
-    let kv_client_sock = tb.app_connect(kv_ch, "fleet-kv-client", kv_sh, "fleet-kv-server")?;
-    let kv_server_sock = kv_server_host
-        .listener()
-        .accept()
-        .ok_or(FleetError::Socket(SocketError::NotConnected))?;
+    let (kv_client, kv_server) = tb.app_pair(
+        kv_ch,
+        "fleet-kv-client",
+        kv_sh,
+        "fleet-kv-server",
+        Backend::Pony,
+    )?;
     let seed = 0xf1ee7 ^ spec.dag_load.requests;
-    let mut kv = KvWorkload::new(spec.kv.clone(), kv_client_sock, kv_server_sock, seed);
+    let mut kv = KvWorkload::new(spec.kv.clone(), kv_client, kv_server, seed);
 
     let (st_ph, st_ch) = spec.stream_hosts;
-    tb.app(st_ph, "fleet-streamer", Backend::Pony);
-    let st_consumer_host = tb.app(st_ch, "fleet-stream-sink", Backend::Pony);
-    let st_tx = tb.app_connect(st_ph, "fleet-streamer", st_ch, "fleet-stream-sink")?;
-    let st_rx = st_consumer_host
-        .listener()
-        .accept()
-        .ok_or(FleetError::Socket(SocketError::NotConnected))?;
+    let (st_tx, st_rx) = tb.app_pair(
+        st_ph,
+        "fleet-streamer",
+        st_ch,
+        "fleet-stream-sink",
+        Backend::Pony,
+    )?;
     let mut stream = StreamWorkload::new(spec.stream.clone(), st_tx, st_rx, seed ^ 1);
 
     // Quota every fleet container (no-op unless the testbed enforces
@@ -129,45 +96,13 @@ pub fn run_mixed_fleet(tb: &mut Testbed, spec: &FleetSpec) -> Result<FleetReport
 
     // Interleave all three workloads against one simulator.
     let start = tb.sim.now();
-    let deadline = start + spec.budget;
     dag.begin(start, spec.dag_load);
     kv.begin(start);
     stream.begin(start);
-    loop {
-        dag.tick(&mut tb.sim)?;
-        kv.tick(&mut tb.sim)?;
-        stream.tick(&mut tb.sim)?;
-        if dag.done() && kv.done() && stream.done() {
-            break;
-        }
-        if tb.sim.now() >= deadline {
-            // Name the workload that actually stalled.
-            if !dag.done() {
-                return Err(FleetError::Dag(DagError::Incomplete {
-                    completed: dag.results().len() as u64,
-                    expected: spec.dag_load.requests,
-                }));
-            }
-            if !kv.done() {
-                let answered = kv.summary().verified;
-                return Err(FleetError::Kv(KvError::Incomplete {
-                    answered,
-                    expected: spec.kv.requests,
-                }));
-            }
-            let received = stream.summary().bytes;
-            return Err(FleetError::Stream(StreamError::Incomplete {
-                received,
-                expected: spec.stream.records * spec.stream.record_bytes as u64,
-            }));
-        }
-        // pump_us (not run_us): every facade event loop must be polled
-        // each slice or send-side window/retry events never fire.
-        tb.pump_us(5);
-    }
+    drive(tb, &mut [&mut dag, &mut kv, &mut stream], spec.budget)?;
 
     Ok(FleetReport {
-        dag: DagReport::from_results(dag.results().to_vec()),
+        dag: dag.report(),
         kv: kv.summary(),
         stream: stream.summary(),
     })

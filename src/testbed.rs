@@ -10,9 +10,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use snap_apps::dag::{DagEdge, DagError, DagRuntime, DagSpec};
+use snap_apps::dag::{DagEdge, DagRuntime, DagSpec};
 use snap_apps::socket::{wire, SnapSocket, SocketError, SocketHost};
 use snap_apps::transport::{Backend, PonyTransport, TcpRouter, TcpTransport, Transport};
+use snap_apps::workload::WorkloadError;
 use snap_apps::SimPump;
 
 use snap_core::engine::EngineId;
@@ -355,6 +356,25 @@ impl Testbed {
         wire(&a, &b, conn)
     }
 
+    /// The whole wiring of one facade connection: creates `app_a` on
+    /// `host_a` and `app_b` on `host_b` over `backend` (or finds them,
+    /// as [`Testbed::app`] does), dials a → b and accepts at b.
+    /// Returns the (dialing, accepted) sockets.
+    pub fn app_pair(
+        &mut self,
+        host_a: usize,
+        app_a: &str,
+        host_b: usize,
+        app_b: &str,
+        backend: Backend,
+    ) -> Result<(SnapSocket, SnapSocket), SocketError> {
+        self.app(host_a, app_a, backend);
+        let b = self.app(host_b, app_b, backend);
+        let dialed = self.app_connect(host_a, app_a, host_b, app_b)?;
+        let accepted = b.listener().accept().ok_or(SocketError::NotConnected)?;
+        Ok((dialed, accepted))
+    }
+
     /// Builds and wires a [`DagRuntime`] over `backend`: one facade app
     /// per service (named `{prefix}-s{i}`, pinned to the spec's host),
     /// one facade connection per edge. The identical spec runs
@@ -364,31 +384,28 @@ impl Testbed {
         prefix: &str,
         spec: &DagSpec,
         backend: Backend,
-    ) -> Result<DagRuntime, DagError> {
-        spec.validate()?;
-        let names: Vec<String> = (0..spec.services.len())
-            .map(|i| format!("{prefix}-s{i}"))
+    ) -> Result<DagRuntime, WorkloadError> {
+        spec.validate().map_err(WorkloadError::Spec)?;
+        // Apps in service order, whatever order the edges name them in.
+        let apps: Vec<(usize, String)> = (0..spec.services.len())
+            .map(|i| (spec.services[i].host, format!("{prefix}-s{i}")))
             .collect();
-        let svc_hosts: Vec<usize> = spec.services.iter().map(|s| s.host).collect();
-        for (i, name) in names.iter().enumerate() {
-            self.app(svc_hosts[i], name, backend);
+        for (host, name) in &apps {
+            self.app(*host, name, backend);
         }
         let mut edges = Vec::new();
-        for (p, c) in spec.edge_list() {
-            let parent_sock = self.app_connect(svc_hosts[p], &names[p], svc_hosts[c], &names[c])?;
-            let child_sock = self
-                .apps
-                .get(&(svc_hosts[c], names[c].clone()))
-                .and_then(|sh| sh.listener().accept())
-                .ok_or(DagError::Socket(SocketError::NotConnected))?;
+        for (parent, child) in spec.edge_list() {
+            let (p, c) = (&apps[parent], &apps[child]);
+            let (parent_sock, child_sock) = self.app_pair(p.0, &p.1, c.0, &c.1, backend)?;
             edges.push(DagEdge {
-                parent: p,
-                child: c,
+                parent,
+                child,
                 parent_sock,
                 child_sock,
             });
         }
         DagRuntime::new(spec.clone(), edges, self.cfg.seed, self.recorder.clone())
+            .map_err(WorkloadError::Spec)
     }
 
     /// Runs the simulation for `ms` more milliseconds of virtual time.
@@ -403,9 +420,9 @@ impl Testbed {
         self.sim.run_until(deadline);
     }
 
-    /// Drives blocking-style facade calls (`recv_deadline`, workload
-    /// `run`s): every timeout they observe is virtual time on this
-    /// testbed's simulator, never wall time.
+    /// Drives blocking-style facade calls (`recv_deadline`, `drive`):
+    /// every timeout they observe is virtual time on this testbed's
+    /// simulator, never wall time.
     pub fn as_pump(&mut self) -> &mut dyn SimPump {
         self
     }

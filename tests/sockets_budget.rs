@@ -19,6 +19,7 @@ use snap_repro::apps::framing::{frame, FrameBuf};
 use snap_repro::apps::pool::{ClientPool, PoolSpec};
 use snap_repro::apps::socket::{wire, SocketHost};
 use snap_repro::apps::transport::{Backend, Transport, TransportEvent};
+use snap_repro::apps::workload::drive;
 use snap_repro::sim::{Nanos, Sim};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
@@ -122,9 +123,9 @@ fn pool_run(requests_per_client: u64) -> (usize, usize) {
     );
     let (live0, requested0) = (live(), REQUESTED.with(Cell::get));
     PEAK.with(|p| p.set(live0));
-    let report = pool
-        .run(tb.as_pump(), Nanos::from_millis(2_000))
-        .expect("pool completes");
+    pool.begin(tb.sim.now());
+    drive(tb.as_pump(), &mut [&mut pool], Nanos::from_millis(2_000)).expect("pool completes");
+    let report = pool.summary(tb.sim.now());
     assert_eq!(report.completed, 2 * requests_per_client);
     (
         PEAK.with(Cell::get) - live0,

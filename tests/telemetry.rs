@@ -17,7 +17,7 @@ use snap_repro::pony::client::{PonyCommand, PonyCompletion};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
 use snap_repro::telemetry::StatsConfig;
-use snap_repro::testbed::Testbed;
+use snap_repro::testbed::{Testbed, TestbedConfig};
 
 fn recv_msgs(client: &mut snap_repro::pony::PonyClient, out: &mut Vec<u64>) {
     for c in client.take_completions() {
@@ -303,4 +303,80 @@ fn polling_survives_an_unsupervised_crash() {
         snap.counter("stats.polls").unwrap_or(0) > 50,
         "poll loop kept running across the dead engine"
     );
+}
+
+/// Every [`snap_repro::pony::engine::PonyStats`] counter is published,
+/// the per-flow sums included: on a 5 %-lossy fabric the client's
+/// retransmissions and the server's suppressed duplicates reach the
+/// registry, and a crash + restart of the client engine (whose own
+/// counters start again from zero) neither loses nor double-counts
+/// them.
+#[test]
+fn lossy_fabric_retransmits_are_published_exactly_once_across_a_restart() {
+    let mut tb = Testbed::new(TestbedConfig {
+        loss: 0.05,
+        ..TestbedConfig::default()
+    });
+    let mut a = tb.pony_app(0, "client", |_| {});
+    let mut b = tb.pony_app(1, "server", |_| {});
+    let conn = tb.connect(0, "client", 1, "server");
+    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 32 });
+    let client_id = tb.hosts[0].module.engine_for("client").expect("engine");
+    let server_id = tb.hosts[1].module.engine_for("server").expect("engine");
+    let _supervisor = tb.supervise_app(
+        0,
+        "client",
+        SupervisorConfig {
+            checkpoint_interval: Nanos::from_millis(1),
+            ..SupervisorConfig::default()
+        },
+    );
+    let stats = tb.stats_module(fast_stats());
+    stats.start(&mut tb.sim);
+    // (retransmits, duplicates) straight from an engine's own books.
+    let books = |tb: &Testbed, host: usize, id: EngineId| {
+        tb.hosts[host].group.with_engine(id, |e| {
+            let pe = e
+                .as_any()
+                .downcast_mut::<snap_repro::pony::PonyEngine>()
+                .expect("a Pony engine");
+            (pe.stats().retransmits, pe.stats().duplicates)
+        })
+    };
+
+    let mut got = Vec::new();
+    let mut epoch = |tb: &mut Testbed, until: Nanos| {
+        for _ in 0..10 {
+            a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 32 * 1024 });
+            tb.run_ms(2);
+            recv_msgs(&mut b, &mut got);
+        }
+        // Quiesce, so the last poll has seen the epoch's final counts.
+        while tb.sim.now() < until {
+            tb.run_ms(5);
+            recv_msgs(&mut b, &mut got);
+        }
+    };
+    epoch(&mut tb, Nanos::from_millis(60));
+    let (before_crash, _) = books(&tb, 0, client_id);
+    assert!(before_crash > 0, "5 % loss forces retransmissions");
+    tb.hosts[0].group.kill_engine(client_id);
+    while tb.sim.now() < Nanos::from_millis(160) {
+        tb.run_ms(5);
+    }
+    epoch(&mut tb, Nanos::from_millis(400));
+    stats.stop();
+
+    assert_eq!(got, (0..20).collect::<Vec<u64>>(), "exactly-once across loss and the crash");
+    let (after_restart, _) = books(&tb, 0, client_id);
+    assert!(after_restart > 0, "the restarted engine retransmits too");
+    let (_, server_dups) = books(&tb, 1, server_id);
+    let snap = stats.snapshot(tb.sim.now());
+    assert_eq!(
+        snap.counter("engine.h0.client.retransmits"),
+        Some(before_crash + after_restart),
+        "both engine lifetimes, each counted once"
+    );
+    assert!(server_dups > 0, "a lost ack makes the retransmission a duplicate");
+    assert_eq!(snap.counter("engine.h1.server.duplicates"), Some(server_dups));
 }
