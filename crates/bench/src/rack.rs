@@ -13,7 +13,7 @@
 //! protocol: a small request message answered by a `rpc_bytes` response.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use snap_repro::core::group::SchedulingMode;
@@ -153,11 +153,6 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
         ..TestbedConfig::default()
     });
     if let Some(class) = class {
-        // Class override is part of GroupConfig; rebuild is avoidable
-        // by setting it through a fresh group — instead the testbed's
-        // groups expose it via GroupHandle? Simplest honest route: the
-        // override only affects wakeup class, which GroupHandle reads
-        // from config at wake time; we patch it here.
         for h in 0..params.hosts {
             tb.hosts[h].group.set_class_override(class);
         }
@@ -186,8 +181,9 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
 
     // Full mesh of job connections (client side h,j -> server side
     // h2,j2). To bound setup cost, each job connects to ONE job on
-    // every other host (j2 = j).
-    let mut conns: HashMap<(usize, usize, usize), u64> = HashMap::new();
+    // every other host (j2 = j). Ordered: the buffer posts below walk
+    // it, and the order they are submitted in is a modeled order.
+    let mut conns: BTreeMap<(usize, usize, usize), u64> = BTreeMap::new();
     for h in 0..params.hosts {
         for j in 0..params.jobs_per_host {
             for h2 in 0..params.hosts {
@@ -198,7 +194,7 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
             }
         }
     }
-    let mut prober_conns: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut prober_conns: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     for h in 0..params.hosts {
         for h2 in 0..params.hosts {
             if h2 != h {
@@ -217,8 +213,9 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
     let mut rng = Rng::new(params.seed).stream(0xBEEF);
     let mut next_rpc: Vec<Nanos> = (0..params.hosts).map(|_| Nanos::ZERO).collect();
     let mut next_probe: Vec<Nanos> = (0..params.hosts).map(|_| Nanos::ZERO).collect();
-    // Prober bookkeeping: submit times FIFO per (host, target).
-    let mut probe_outstanding: HashMap<(usize, usize), VecDeque<Nanos>> = HashMap::new();
+    // Prober bookkeeping: submit times, FIFO per prober connection (a
+    // reply comes back on the connection its probe went out on).
+    let mut probe_outstanding: BTreeMap<u64, VecDeque<Nanos>> = BTreeMap::new();
 
     let mut prober_hist = Histogram::new();
     let mut delivered_bytes = 0u64;
@@ -254,7 +251,7 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
                 }
                 let conn = prober_conns[&(h, h2)];
                 probers[h].submit(&mut tb.sim, PonyCommand::Send { conn, stream: 1, len: 128 });
-                probe_outstanding.entry((h, h2)).or_default().push_back(now);
+                probe_outstanding.entry(conn).or_default().push_back(now);
             }
         }
 
@@ -291,18 +288,10 @@ fn run_pony(params: &RackParams, mode: SchedulingMode, class: Option<SchedClass>
                         );
                     }
                     PonyCompletion::RecvMsg { conn, stream: 0, .. } => {
-                        // Match to the oldest outstanding probe on the
-                        // reverse conn.
-                        let from = prober_conns
-                            .iter()
-                            .find(|(_, &c2)| c2 == conn)
-                            .map(|((a, b), _)| (*a, *b));
-                        if let Some(key) = from {
-                            if let Some(t0) =
-                                probe_outstanding.get_mut(&key).and_then(|q| q.pop_front())
-                            {
-                                prober_hist.record_nanos(now.saturating_sub(t0));
-                            }
+                        // The oldest outstanding probe on this conn.
+                        let sent = probe_outstanding.get_mut(&conn);
+                        if let Some(t0) = sent.and_then(|q| q.pop_front()) {
+                            prober_hist.record_nanos(now.saturating_sub(t0));
                         }
                     }
                     _ => {}
@@ -345,8 +334,7 @@ fn run_tcp(params: &RackParams) -> RackResult {
     // response.
     let delivered = Rc::new(RefCell::new((0u64, 0u64))); // (bytes, rpcs)
     let prober_hist = Rc::new(RefCell::new(Histogram::new()));
-    let probe_sent: Rc<RefCell<HashMap<u64, VecDeque<Nanos>>>> =
-        Rc::new(RefCell::new(HashMap::new()));
+    let probe_sent: Rc<RefCell<BTreeMap<u64, VecDeque<Nanos>>>> = Rc::default();
 
     for stack in &stacks {
         let me = stack.clone();
@@ -373,8 +361,8 @@ fn run_tcp(params: &RackParams) -> RackResult {
     }
 
     // Connections: job conns (one per host pair) and prober conns.
-    let mut conns: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut pconns: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut conns: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    let mut pconns: BTreeMap<(usize, usize), u64> = BTreeMap::new();
     for (h, stack) in stacks.iter().enumerate() {
         for h2 in 0..params.hosts {
             if h2 != h {

@@ -12,11 +12,12 @@
 //! packet-level or byte-streaming sockets interface."
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use snap_nic::packet::QosClass;
 use snap_shm::queue_pair::AppEndpoint;
+use snap_sim::hash::IntMap;
 use snap_sim::trace::{TraceContext, TraceRecorder};
 use snap_sim::{Nanos, Rng, Sim};
 
@@ -213,7 +214,7 @@ struct HedgeState {
     /// Sliding window of completed-op latencies (ns) feeding the
     /// quantile estimate.
     window: VecDeque<u64>,
-    outstanding: HashMap<u64, Outstanding>,
+    outstanding: IntMap<u64, Outstanding>,
     stats: HedgeStats,
 }
 
@@ -403,7 +404,7 @@ impl PonyClient {
             cfg,
             rng,
             window: VecDeque::new(),
-            outstanding: HashMap::new(),
+            outstanding: IntMap::default(),
             stats: HedgeStats::default(),
         });
     }
@@ -456,17 +457,19 @@ impl PonyClient {
             // Allocate the trace context at submit time — the client
             // enqueue stamp is the root of the op's span tree.
             let trace = c.recorder.as_ref().and_then(|r| r.begin(now, c.host));
+            // The command moves into the queue; only a hedging client
+            // keeps a copy, the one its hedge would resubmit.
+            let kept = c.hedge.is_some().then(|| cmd.clone());
             c.endpoint
-                .submit((op, class, trace, cmd.clone()))
+                .submit((op, class, trace, cmd))
                 .unwrap_or_else(|_| panic!("command queue full (op {op})"));
             let mut hedge_at = None;
             let mut deadline_at = None;
-            if let Some(h) = c.hedge.as_mut() {
+            if let (Some(h), Some(cmd)) = (c.hedge.as_mut(), kept) {
+                deadline_at = h.cfg.deadline.map(|d| now + d);
                 // Buffer posts are tracked (so dedup stays uniform)
                 // but never hedged: duplicating them wins nothing.
-                let hedgeable = !matches!(cmd, PonyCommand::PostRecvBuffers { .. });
-                deadline_at = h.cfg.deadline.map(|d| now + d);
-                if hedgeable {
+                if !matches!(cmd, PonyCommand::PostRecvBuffers { .. }) {
                     hedge_at = Some(now + h.hedge_delay());
                 }
                 h.outstanding.insert(
@@ -630,7 +633,7 @@ mod tests {
                 },
                 rng: Rng::new(1),
                 window: VecDeque::new(),
-                outstanding: HashMap::new(),
+                outstanding: IntMap::default(),
                 stats: HedgeStats::default(),
             };
             for i in 0..(HEDGE_MIN_SAMPLES as u64 * 2) {

@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 
+use snap_sim::codec::{DecodeError, Reader, Writer};
 use snap_sim::hash::IntMap;
 use snap_sim::Nanos;
 
@@ -584,83 +585,64 @@ impl Flow {
     /// the outq in the new version — retransmission semantics make
     /// duplicates safe).
     pub fn serialize(&self) -> Vec<u8> {
-        use snap_sim::codec::Writer;
         let mut w = Writer::with_capacity(256);
-        w.u64(self.id);
-        w.u16(self.version);
-        w.u64(self.next_seq);
-        w.u64(self.rcv_cum);
-        w.u32(self.rcv_sacks.len() as u32);
-        for (s, ()) in self.rcv_sacks.iter() {
-            w.u64(s);
-        }
+        w.u64(self.id)
+            .u16(self.version)
+            .u64(self.next_seq)
+            .u64(self.rcv_cum);
+        w.seq(self.rcv_sacks.iter(), |w, (seq, ())| {
+            w.u64(seq);
+        });
         // Unacked packets keep their sequence numbers across the
         // upgrade (they re-enter the retransmit queue); fresh frames
         // keep only their content.
-        let unacked: Vec<(u64, &OpFrame)> = self
-            .inflight
-            .iter()
-            .map(|(s, i)| (s, &i.frame))
-            .chain(self.rtxq.iter().map(|(s, f, _)| (*s, f)))
-            .collect();
-        w.u32(unacked.len() as u32);
-        for (seq, f) in unacked {
-            w.u64(seq);
-            w.bytes(&self.encode_frame(f));
-        }
-        w.u32(self.outq.len() as u32);
-        for o in &self.outq {
-            w.bytes(&self.encode_frame(&o.frame));
-        }
+        let in_flight = self.inflight.iter().map(|(seq, i)| (seq, &i.frame));
+        let expired = self.rtxq.iter().map(|(seq, frame, _)| (*seq, frame));
+        w.seq(in_flight.chain(expired), |w, (seq, frame)| {
+            w.u64(seq).bytes(&self.encode_frame(frame));
+        });
+        w.seq(&self.outq, |w, out| {
+            w.bytes(&self.encode_frame(&out.frame));
+        });
         w.finish()
     }
 
     /// Restores a flow from [`Flow::serialize`] output.
     ///
-    /// Returns an error — never panics — on a truncated or corrupt
-    /// snapshot, so a bad checkpoint surfaces as a typed failure the
+    /// Returns an error — never panics — on a snapshot that is
+    /// truncated, runs past its last field, holds a frame the wire
+    /// decoder rejects, or names a sequence number outside the window
+    /// its counters allow (a received seq not within `MAX_SEQ_WINDOW`
+    /// above the cumulative point, an un-acked one not within it below
+    /// `next_seq`), so a bad checkpoint surfaces as a typed failure the
     /// upgrade rollback and supervisor paths can act on.
-    pub fn deserialize(
-        buf: &[u8],
-        cc_cfg: TimelyConfig,
-        now: Nanos,
-    ) -> Result<Flow, snap_sim::codec::DecodeError> {
-        use snap_sim::codec::Reader;
+    pub fn deserialize(buf: &[u8], cc_cfg: TimelyConfig, now: Nanos) -> Result<Flow, DecodeError> {
         let mut r = Reader::new(buf);
-        let id = r.u64()?;
-        let version = r.u16()?;
-        let next_seq = r.u64()?;
-        let rcv_cum = r.u64()?;
-        let nsack = r.u32()?;
+        let (id, version, next_seq, rcv_cum) = (r.u64()?, r.u16()?, r.u64()?, r.u64()?);
         let mut rcv_sacks = SeqWindow::new();
-        for _ in 0..nsack {
-            let seq = r.u64()?;
+        for seq in r.seq::<_, Vec<u64>>(Reader::u64)? {
             // The same bound `receive` applies to a seq off the wire.
             if seq.checked_sub(rcv_cum).is_none_or(|ahead| ahead >= MAX_SEQ_WINDOW) {
-                return Err(snap_sim::codec::DecodeError);
+                return Err(DecodeError);
             }
             rcv_sacks.insert(seq, ());
         }
-        let nunacked = r.u32()?;
-        let mut rtxq = VecDeque::new();
-        for _ in 0..nunacked {
+        let frame = |r: &mut Reader| Ok(PonyPacket::decode(r.bytes()?)?.frame);
+        let rtxq = r.seq(|r| {
             let seq = r.u64()?;
             if next_seq.checked_sub(seq).is_none_or(|behind| behind == 0 || behind > MAX_SEQ_WINDOW) {
-                return Err(snap_sim::codec::DecodeError);
+                return Err(DecodeError);
             }
-            let body = r.bytes()?;
-            let pkt = PonyPacket::decode(body)?;
-            rtxq.push_back((seq, pkt.frame, 0));
-        }
-        let nframes = r.u32()?;
-        let mut outq = VecDeque::new();
-        for _ in 0..nframes {
-            let body = r.bytes()?;
-            let pkt = PonyPacket::decode(body)?;
-            outq.push_back(Outbound {
-                frame: pkt.frame,
+            Ok((seq, frame(r)?, 0))
+        })?;
+        let outq = r.seq(|r| {
+            Ok(Outbound {
+                frame: frame(r)?,
                 enqueued: now,
-            });
+            })
+        })?;
+        if !r.is_exhausted() {
+            return Err(DecodeError);
         }
         Ok(Flow {
             id,
@@ -725,14 +707,21 @@ impl FlowMapper {
         (f, true)
     }
 
-    /// Number of mapped flows.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no flows are mapped.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// The mapper of engine `engine_uid` as a checkpoint implies it,
+    /// from `(flow id, remote host, remote engine)` of every flow the
+    /// engine holds. Its own flows — the ones with its uid in their
+    /// high 32 bits — keep the ids they had; a peer's flow was named by
+    /// the peer and maps nothing here. The next id handed out is one
+    /// past the highest of its own.
+    pub(crate) fn rebuilt(engine_uid: u32, flows: impl Iterator<Item = (u64, u32, u64)>) -> Self {
+        let mut mapper = FlowMapper::new(engine_uid);
+        for (id, remote_host, remote_engine) in flows {
+            if id >> 32 == u64::from(engine_uid) {
+                mapper.map.insert((remote_host, remote_engine), id);
+                mapper.next_flow = mapper.next_flow.max(id.saturating_add(1));
+            }
+        }
+        mapper
     }
 }
 
@@ -1109,8 +1098,37 @@ mod tests {
         assert!(!new2);
         assert_eq!(f1, f2);
         assert_ne!(f1, f3);
-        assert_eq!(m.len(), 2);
         // Engine uid in the high bits keeps ids globally unique.
         assert_eq!(f1 >> 32, 3);
+    }
+
+    #[test]
+    fn rebuilt_mapper_recovers_its_own_ids_and_skips_peer_flows() {
+        // Engine 3 dialled three peers; engines 2 and 5 (one of them a
+        // peer it also dialled) opened flows towards it. Sorted by id,
+        // as a checkpoint lists them, own and peer flows interleave.
+        let mut before = FlowMapper::new(3);
+        let own: Vec<(u64, u32, u64)> = [(10, 77), (11, 5), (12, 2)]
+            .map(|(host, engine)| (before.flow_for(host, engine).0, host, engine))
+            .to_vec();
+        let mut held = own.clone();
+        held.extend([(2 << 32, 12, 2), (5 << 32 | 1, 11, 5)]);
+        held.sort_unstable();
+
+        let mut after = FlowMapper::rebuilt(3, held.iter().copied());
+        for &(id, host, engine) in &own {
+            assert_eq!(after.flow_for(host, engine), (id, false));
+        }
+        let (next, fresh) = after.flow_for(13, 9);
+        assert!(fresh);
+        assert_eq!(
+            next,
+            before.flow_for(13, 9).0,
+            "continues where the old mapper would"
+        );
+        assert!(
+            held.iter().all(|&(id, ..)| id != next),
+            "an id nothing holds"
+        );
     }
 }

@@ -13,9 +13,8 @@
 //! operational mitigations (static cap, per-client credits) the paper
 //! says Snap/Pony made unnecessary.
 
-use std::collections::HashMap;
-
 use snap_sim::costs;
+use snap_sim::hash::IntMap;
 use snap_sim::Nanos;
 
 /// Counters from a served workload.
@@ -77,7 +76,7 @@ impl Default for RdmaNicConfig {
 pub struct RdmaNic {
     cfg: RdmaNicConfig,
     /// Connection id -> last-use tick (simple exact LRU).
-    cache: HashMap<u64, u64>,
+    cache: IntMap<u64, u64>,
     tick: u64,
     /// Sliding miss counter driving pause emission.
     recent_misses: u32,
@@ -94,7 +93,7 @@ impl RdmaNic {
     pub fn new(cfg: RdmaNicConfig) -> Self {
         RdmaNic {
             cfg,
-            cache: HashMap::new(),
+            cache: IntMap::default(),
             tick: 0,
             recent_misses: 0,
             stats: RdmaStats::default(),

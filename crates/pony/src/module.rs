@@ -18,7 +18,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_core::engine::EngineId;
@@ -62,7 +62,7 @@ pub struct DirectoryEntry {
 /// wire versions.
 #[derive(Default)]
 pub struct PonyNet {
-    entries: HashMap<(HostId, String), DirectoryEntry>,
+    entries: BTreeMap<(HostId, String), DirectoryEntry>,
     next_conn: u64,
 }
 
@@ -186,8 +186,9 @@ pub struct PonyModule {
     /// record of per-engine session ownership. Restart factories close
     /// over it so a *shared* engine rebuilt from a corrupt checkpoint
     /// re-injects only its own sessions, never the whole host's.
-    sessions_by_engine: Rc<RefCell<HashMap<EngineId, Vec<u64>>>>,
-    engines: HashMap<String, EngineId>,
+    sessions_by_engine: Rc<RefCell<IntMap<EngineId, Vec<u64>>>>,
+    /// By app name, so every walk over the engines is in name order.
+    engines: BTreeMap<String, EngineId>,
     /// Which engine polls each NIC rx queue; the interrupt handler
     /// reads it on every interrupt.
     queue_owner: Rc<RefCell<IntMap<u16, EngineId>>>,
@@ -230,23 +231,13 @@ impl PonyModule {
                 recorder: None,
             },
             net,
-            sessions_by_engine: Rc::new(RefCell::new(HashMap::new())),
-            engines: HashMap::new(),
+            sessions_by_engine: Rc::default(),
+            engines: BTreeMap::new(),
             queue_owner,
             next_session: 1,
             next_key: (host as u64) << 16 | 1,
             next_queue: 0,
         }
-    }
-
-    /// The host this module manages.
-    pub fn host(&self) -> HostId {
-        self.host
-    }
-
-    /// The session table shared with this host's engines.
-    pub fn sessions(&self) -> SessionTable {
-        self.kit.sessions.clone()
     }
 
     /// Installs the host-wide admission controller. Engines created
@@ -261,11 +252,6 @@ impl PonyModule {
         self.kit.admission = Some(admission);
     }
 
-    /// The host-wide admission controller, if one was installed.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.kit.admission.as_ref()
-    }
-
     /// Installs the host-wide trace recorder. Engines created afterwards
     /// (and their restart/upgrade successors) stamp stage records into
     /// it; engines already running are wired retroactively. Clients
@@ -277,11 +263,6 @@ impl PonyModule {
             let _ = with_pony_engine(&self.kit.group, id, move |e| e.set_recorder(rec));
         }
         self.kit.recorder = Some(recorder);
-    }
-
-    /// The host-wide trace recorder, if one was installed.
-    pub fn recorder(&self) -> Option<&TraceRecorder> {
-        self.kit.recorder.as_ref()
     }
 
     /// Creates an application-exclusive engine (§3.1: "applications
@@ -500,17 +481,14 @@ impl PonyModule {
         self.engines.get(app).copied()
     }
 
-    /// Every registered (app, engine) pair, sorted by app name for
-    /// deterministic iteration. Shared engines appear once per attached
-    /// app — callers watching engines should dedupe on the id.
+    /// Every registered (app, engine) pair, in app-name order. Shared
+    /// engines appear once per attached app — callers watching engines
+    /// should dedupe on the id.
     pub fn apps(&self) -> Vec<(String, EngineId)> {
-        let mut out: Vec<(String, EngineId)> = self
-            .engines
+        self.engines
             .iter()
             .map(|(app, &id)| (app.clone(), id))
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// Sessions owned by `app`'s engine, in open order (control-plane
@@ -926,7 +904,7 @@ mod tests {
             }
         }
         drain(&mut w, 50);
-        let mut per_stream: HashMap<u32, Vec<u64>> = HashMap::new();
+        let mut per_stream: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for c in server.take_completions() {
             if let PonyCompletion::RecvMsg { stream, msg, .. } = c {
                 per_stream.entry(stream).or_default().push(msg);

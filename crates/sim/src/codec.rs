@@ -66,6 +66,31 @@ impl Writer {
         self.bytes(v.as_bytes())
     }
 
+    /// Appends an optional u64 at one width: a presence byte, then the
+    /// value (zero when absent).
+    pub fn opt_u64(&mut self, v: Option<u64>) -> &mut Self {
+        self.bool(v.is_some()).u64(v.unwrap_or(0))
+    }
+
+    /// Appends a sequence: a u32 count, then every item as `item`
+    /// writes it. The count is filled in after the walk, so any
+    /// iterator will do.
+    pub fn seq<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut item: impl FnMut(&mut Self, T),
+    ) -> &mut Self {
+        let count_at = self.buf.len();
+        self.u32(0);
+        let mut count = 0u32;
+        for it in items {
+            item(self, it);
+            count += 1;
+        }
+        self.buf[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        self
+    }
+
     /// Finishes, returning the encoded buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -164,6 +189,24 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.bytes()?.to_vec()).map_err(|_| DecodeError)
     }
 
+    /// Reads what [`Writer::opt_u64`] wrote.
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, DecodeError> {
+        let (present, v) = (self.bool()?, self.u64()?);
+        Ok(present.then_some(v))
+    }
+
+    /// Reads what [`Writer::seq`] wrote, into any collection: the u32
+    /// count, then that many items as `item` reads them. Nothing is
+    /// reserved from the count, so a damaged one runs into the end of
+    /// the buffer before it costs memory.
+    pub fn seq<T, C: FromIterator<T>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<C, DecodeError> {
+        let count = self.u32()?;
+        (0..count).map(|_| item(self)).collect()
+    }
+
     /// Bytes remaining.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -206,6 +249,38 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.string().unwrap(), "name");
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn seq_and_opt_roundtrip_in_the_hand_written_layout() {
+        let mut w = Writer::new();
+        w.seq([(1u32, 10u64), (2, 20)], |w, (a, b)| {
+            w.u32(a).u64(b);
+        })
+        .opt_u64(Some(7))
+        .opt_u64(None);
+        let buf = w.finish();
+        // The layout the callers used to write by hand.
+        let mut by_hand = Writer::new();
+        by_hand.u32(2).u32(1).u64(10).u32(2).u64(20);
+        by_hand.bool(true).u64(7).bool(false).u64(0);
+        assert_eq!(buf, by_hand.finish());
+
+        let mut r = Reader::new(&buf);
+        let pairs: Vec<(u32, u64)> = r.seq(|r| Ok((r.u32()?, r.u64()?))).unwrap();
+        assert_eq!(pairs, vec![(1, 10), (2, 20)]);
+        assert_eq!(r.opt_u64(), Ok(Some(7)));
+        assert_eq!(r.opt_u64(), Ok(None));
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn seq_with_a_damaged_count_errors_without_reserving() {
+        let mut w = Writer::new();
+        w.u32(u32::MAX).u64(1);
+        let buf = w.finish();
+        let got: Result<Vec<u64>, _> = Reader::new(&buf).seq(Reader::u64);
+        assert_eq!(got, Err(DecodeError));
     }
 
     #[test]

@@ -55,10 +55,12 @@ echo "timeline export parses as JSON"
 # Sim-clock benches: the scenarios assert their own invariants
 # (same-seed rerun equality, hedged p99 < unhedged p99, incast drops at
 # the victim ToR); Fig 9 is the one run of the upgrade orchestrator at
-# scale (160 engines). Each prints virtual-time tables that are pinned
-# as golden text.
+# scale (160 engines); Fig 6(b,c) is the §5.2 rack sweep over TCP and
+# both dynamic engine schedulers (4 s). Each prints virtual-time tables
+# that are pinned as golden text.
 echo "== tier-1: pinned sim-clock tables =="
-for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios experiments/fig9_upgrade; do
+for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios \
+    experiments/fig9_upgrade experiments/fig6bc_rack; do
     bench="${pinned#*/}"
     cargo bench -q -p snap-bench --bench "$bench" > "$tmp/$bench.txt"
     if ! diff -u "tests/golden/$pinned.txt" "$tmp/$bench.txt"; then

@@ -6,17 +6,26 @@
 //! faults are fatal without supervision, and a separate scenario drives
 //! the upgrade-rollback path by crashing the successor mid-migration.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
+use snap_repro::nic::fabric::{FabricConfig, FabricHandle};
+use snap_repro::nic::nic::NicConfig;
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
-use snap_repro::pony::engine::{PonyEngine, PonyEngineConfig};
+use snap_repro::pony::engine::{PonyEngine, PonyEngineConfig, SessionTable};
 use snap_repro::pony::flow::Flow;
 use snap_repro::pony::timely::TimelyConfig;
+use snap_repro::shm::account::MemoryAccountant;
+use snap_repro::shm::region::RegionRegistry;
+use snap_repro::sim::codec::DecodeError;
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
-use snap_repro::testbed::Testbed;
+use snap_repro::testbed::{Testbed, TestbedConfig};
+
+mod common;
 
 fn recv_msgs(client: &mut snap_repro::pony::PonyClient, out: &mut Vec<u64>) {
     for c in client.take_completions() {
@@ -214,6 +223,28 @@ fn without_supervision_the_same_crash_is_fatal() {
     );
 }
 
+/// A supervisor restart rebuilds the engine from its checkpoint the
+/// same way an upgrade does; connections made afterwards must reach
+/// their own peer.
+#[test]
+fn new_connection_after_supervisor_restart_reaches_its_peer() {
+    common::new_connection_after_rebuild_reaches_its_peer(|tb| {
+        let id = tb.hosts[1].module.engine_for("b").unwrap();
+        let sup = tb.supervise_app(
+            1,
+            "b",
+            SupervisorConfig {
+                checkpoint_interval: Nanos::from_millis(1),
+                ..SupervisorConfig::default()
+            },
+        );
+        tb.run_ms(5);
+        tb.hosts[1].group.kill_engine(id);
+        tb.run_ms(60);
+        assert_eq!(sup.report().crash_restarts, 1, "b's engine was restarted");
+    });
+}
+
 /// A successor crash injected mid-blackout makes the upgrade roll back
 /// to the still-live predecessor; the extra outage is bounded (well
 /// under the paper's 250 ms envelope) and traffic continues on the
@@ -368,91 +399,219 @@ proptest! {
         prop_assert_eq!(sup.report().quarantine_restarts, 1);
     }
 
-    /// Truncating or bit-flipping a serialized flow snapshot must
-    /// produce `Err` (or a benign `Ok`), never a panic.
+    /// Damage to a populated flow checkpoint — a truncation, one flipped
+    /// bit — is an `Err` (or, for a flip, a clean `Ok`), never a panic.
     #[test]
     fn corrupt_flow_checkpoints_never_panic(
-        msgs in 1usize..5,
-        cut in 0usize..400,
-        flip_byte in 0usize..400,
+        cut in any::<usize>(),
+        flip_byte in any::<usize>(),
         flip_bit in 0u8..8,
     ) {
-        let mut f = Flow::new(7, 5, TimelyConfig::default());
-        for i in 0..msgs {
-            f.enqueue(
-                snap_repro::pony::wire::OpFrame::MsgChunk {
-                    conn: 1,
-                    stream: 0,
-                    msg: i as u64,
-                    offset: 0,
-                    total: 64,
-                    len: 64,
-                },
-                Nanos::ZERO,
-            );
-        }
-        let _ = f.produce(Nanos::ZERO);
-        let snapshot = f.serialize();
+        let snapshot = populated_flow().serialize();
+        let restore = |bytes: &[u8]| Flow::deserialize(bytes, TimelyConfig::default(), Nanos(1));
+        prop_assert!(restore(&snapshot).is_ok());
 
-        // Truncation at every possible point is an error or a clean parse.
-        let cut = cut.min(snapshot.len());
-        let _ = Flow::deserialize(&snapshot[..cut], TimelyConfig::default(), Nanos(1));
+        let cut = cut % snapshot.len();
+        prop_assert!(restore(&snapshot[..cut]).is_err(), "truncated at {cut} of {}", snapshot.len());
 
-        // A single bit flip anywhere must also be handled.
         let mut flipped = snapshot.clone();
-        let idx = flip_byte % flipped.len();
-        flipped[idx] ^= 1 << flip_bit;
-        let _ = Flow::deserialize(&flipped, TimelyConfig::default(), Nanos(1));
+        flipped[flip_byte % snapshot.len()] ^= 1 << flip_bit;
+        let _ = restore(&flipped);
     }
 
-    /// The same property for a full engine checkpoint through
-    /// [`PonyEngine::restore`]: corrupt input yields `Err`, not a panic.
+    /// The same property for full engine checkpoints through
+    /// [`PonyEngine::restore`], drawn from [`populated_checkpoints`].
     #[test]
     fn corrupt_engine_checkpoints_never_panic(
-        cut in 0usize..600,
-        flip_byte in 0usize..600,
+        which in 0usize..3,
+        cut in any::<usize>(),
+        flip_byte in any::<usize>(),
         flip_bit in 0u8..8,
     ) {
-        use snap_repro::core::engine::Engine;
-        let fabric = snap_repro::nic::fabric::FabricHandle::new(
-            snap_repro::nic::fabric::FabricConfig::default(),
-        );
-        let host = fabric.add_host(snap_repro::nic::nic::NicConfig::default());
-        let regions = snap_repro::shm::region::RegionRegistry::new(
-            snap_repro::shm::account::MemoryAccountant::new(),
-        );
-        let sessions = snap_repro::pony::engine::SessionTable::default();
-        let mk_cfg = || PonyEngineConfig::new("prop", host, 99);
-        let mut engine =
-            PonyEngine::new(mk_cfg(), fabric.clone(), regions.clone(), sessions.clone());
-        engine.add_session(3);
-        let snapshot = engine.serialize_state();
+        let (engine_key, snapshot) = &populated_checkpoints()[which];
+        prop_assert!(restore_engine(*engine_key, snapshot).is_ok());
 
-        let cut = cut.min(snapshot.len());
-        let truncated = PonyEngine::restore(
-            &snapshot[..cut],
-            mk_cfg(),
-            fabric.clone(),
-            regions.clone(),
-            sessions.clone(),
-            Nanos(1),
+        let cut = cut % snapshot.len();
+        prop_assert!(
+            restore_engine(*engine_key, &snapshot[..cut]).is_err(),
+            "checkpoint {which} truncated at {cut} of {}",
+            snapshot.len()
         );
-        if cut < snapshot.len() {
-            prop_assert!(truncated.is_err(), "truncated checkpoint must not parse");
-        }
 
         let mut flipped = snapshot.clone();
-        let idx = flip_byte % flipped.len();
-        flipped[idx] ^= 1 << flip_bit;
-        let _ = PonyEngine::restore(
-            &flipped,
-            mk_cfg(),
-            fabric,
-            regions,
-            sessions,
-            Nanos(1),
+        flipped[flip_byte % snapshot.len()] ^= 1 << flip_bit;
+        let _ = restore_engine(*engine_key, &flipped);
+    }
+}
+
+/// A flow with every part of its checkpoint populated: packets in
+/// flight, others expired onto the retransmit queue, frames not yet
+/// sent, and a receive window with holes above the cumulative point.
+fn populated_flow() -> Flow {
+    let chunk = |msg| snap_repro::pony::wire::OpFrame::MsgChunk {
+        conn: 1,
+        stream: 0,
+        msg,
+        offset: 0,
+        total: 64,
+        len: 64,
+    };
+    let mut flow = Flow::new(7, 5, TimelyConfig::default());
+    let mut peer = Flow::new(7, 5, TimelyConfig::default());
+    for msg in 0..12 {
+        flow.enqueue(chunk(msg), Nanos::ZERO);
+        peer.enqueue(chunk(msg), Nanos::ZERO);
+    }
+    // Six packets leave and expire; two of them leave again.
+    let mut now = Nanos::ZERO;
+    for _ in 0..6 {
+        now += Nanos::from_millis(1);
+        flow.produce(now).expect("paced out by now");
+    }
+    now += Nanos::from_millis(100);
+    assert_eq!(flow.check_rto(now), 6);
+    for _ in 0..2 {
+        now += Nanos::from_millis(1);
+        flow.produce(now).expect("a retransmission");
+    }
+    assert_eq!((flow.inflight(), flow.pending_tx()), (2, 4 + 6));
+    // Of the peer's first seven packets, seqs 1, 4 and 5 are lost.
+    for seq in 0..7 {
+        now += Nanos::from_millis(1);
+        let pkt = peer.produce(now).expect("paced out by now");
+        if ![1, 4, 5].contains(&seq) {
+            flow.on_packet(&pkt, now);
+        }
+    }
+    flow
+}
+
+/// Restores `state` as the engine with `engine_key` on a fresh fabric.
+fn restore_engine(engine_key: u64, state: &[u8]) -> Result<PonyEngine, DecodeError> {
+    let fabric = FabricHandle::new(FabricConfig::default());
+    let host = fabric.add_host(NicConfig::default());
+    PonyEngine::restore(
+        state,
+        PonyEngineConfig::new("prop", host, engine_key),
+        fabric,
+        RegionRegistry::new(MemoryAccountant::new()),
+        SessionTable::default(),
+        Nanos(1),
+    )
+}
+
+/// The checkpoint of `app`'s engine on `host`, and the engine's key.
+fn checkpoint_of(tb: &Testbed, host: usize, app: &str) -> (u64, Vec<u8>) {
+    let id = tb.hosts[host]
+        .module
+        .engine_for(app)
+        .expect("app has an engine");
+    let state = tb.hosts[host]
+        .group
+        .with_engine(id, |e| e.serialize_state());
+    // `PonyModule` numbers a host's engines from `host << 16 | 1`.
+    ((host as u64) << 16 | 1, state)
+}
+
+/// Engine checkpoints with every record populated, as `(engine key,
+/// bytes)`, built once: the sender and the receiver of
+/// `tests/engine_pass_golden.rs`'s checkpointed lossy stream (partly
+/// acked sends, packets in flight, on the retransmit queue and unsent;
+/// two messages partly reassembled across holes, a SACK window), and an
+/// engine with a send held back by flow control, a one-sided op
+/// awaiting its response and a hedge watermark.
+fn populated_checkpoints() -> &'static [(u64, Vec<u8>); 3] {
+    static BUILT: OnceLock<[(u64, Vec<u8>); 3]> = OnceLock::new();
+    BUILT.get_or_init(|| {
+        let mut tb = Testbed::new(TestbedConfig {
+            loss: 0.01,
+            seed: 5,
+            ..TestbedConfig::default()
+        });
+        let mut tx = tb.pony_app(0, "tx", |_| {});
+        let mut rx = tb.pony_app(1, "rx", |_| {});
+        let conn = tb.connect(0, "tx", 1, "rx");
+        rx.submit(
+            &mut tb.sim,
+            PonyCommand::PostRecvBuffers { conn, count: 64 },
+        );
+        tb.run_us(50);
+        for _ in 0..4 {
+            tx.submit(
+                &mut tb.sim,
+                PonyCommand::Send {
+                    conn,
+                    stream: 0,
+                    len: 500_000,
+                },
+            );
+        }
+        tb.run_us(830);
+        let sender = checkpoint_of(&tb, 0, "tx");
+        let receiver = checkpoint_of(&tb, 1, "rx");
+        assert!(
+            sender.1.len() > 30_000 && receiver.1.len() > 8_000,
+            "the stream is mid-transfer on both sides"
+        );
+
+        // No buffer is posted for the large send, and the partition
+        // keeps the read's response away.
+        let mut tb = Testbed::pair();
+        let mut app = tb.pony_app(0, "app", |_| {});
+        let _peer = tb.pony_app(1, "peer", |_| {});
+        let conn = tb.connect(0, "app", 1, "peer");
+        tb.install_fault_plan(&FaultPlan::new().at(Nanos(1), FaultEvent::Partition { a: 0, b: 1 }));
+        app.submit(
+            &mut tb.sim,
+            PonyCommand::Send {
+                conn,
+                stream: 0,
+                len: 1_000_000,
+            },
+        );
+        app.submit(
+            &mut tb.sim,
+            PonyCommand::Read {
+                conn,
+                region: 1,
+                offset: 0,
+                len: 8,
+            },
+        );
+        tb.run_us(100);
+        [sender, receiver, checkpoint_of(&tb, 0, "app")]
+    })
+}
+
+/// Framing the random draws would rarely hit: bytes after the end of a
+/// checkpoint (of the engine's, or of a flow's nested in it) and an
+/// op-kind byte no version wrote are errors, not ignored.
+#[test]
+fn checkpoints_reject_trailing_bytes_and_unknown_op_kinds() {
+    for (engine_key, snapshot) in populated_checkpoints() {
+        let mut longer = snapshot.clone();
+        longer.push(0);
+        assert!(
+            restore_engine(*engine_key, &longer).is_err(),
+            "a byte past the end"
         );
     }
+    let mut longer = populated_flow().serialize();
+    longer.push(0);
+    assert!(Flow::deserialize(&longer, TimelyConfig::default(), Nanos(1)).is_err());
+
+    // The third checkpoint ends: one pending op (op id, kind byte, conn,
+    // session as bool + u64, issued_at), then one watermark (count,
+    // session, op id).
+    let (engine_key, snapshot) = &populated_checkpoints()[2];
+    let kind_at = snapshot.len() - (4 + 8 + 8) - (8 + 1 + 8 + 8) - 1;
+    assert_eq!(snapshot[kind_at], 1, "the pending op is a Read");
+    let mut unknown = snapshot.clone();
+    unknown[kind_at] = 5;
+    assert!(
+        restore_engine(*engine_key, &unknown).is_err(),
+        "kind byte 5"
+    );
 }
 
 /// Negative control for gray-failure detection: a healthy rack under

@@ -8,6 +8,8 @@ use snap_repro::shm::region::AccessMode;
 use snap_repro::sim::Nanos;
 use snap_repro::testbed::Testbed;
 
+mod common;
+
 #[test]
 fn upgrade_preserves_messaging_and_ordering() {
     let mut tb = Testbed::pair();
@@ -101,6 +103,23 @@ fn upgrade_preserves_pending_one_sided_ops() {
         ));
         assert!(ok, "op {op} must complete across the upgrade");
     }
+}
+
+/// The flow mapper is derived state: a successor must map each peer to
+/// the flow the predecessor used, or a connection made after the
+/// upgrade rides another peer's flow.
+#[test]
+fn new_connection_after_upgrade_reaches_its_peer() {
+    common::new_connection_after_rebuild_reaches_its_peer(|tb| {
+        let host = &tb.hosts[1];
+        let id = host.module.engine_for("b").unwrap();
+        let factory = host.module.upgrade_factory("b").unwrap();
+        let group = host.group.clone();
+        let state = group.with_engine(id, |e| e.serialize_state());
+        group.suspend_engine(&mut tb.sim, id);
+        let engine = factory(state, &mut tb.sim).expect("checkpoint restores");
+        group.resume_engine(&mut tb.sim, id, engine);
+    });
 }
 
 #[test]
