@@ -31,17 +31,31 @@
 //! | prefix | meaning |
 //! |---|---|
 //! | `engine.<label>.<counter>` | every `PonyStats::counters` row (rx/tx/commands/retransmits/…) |
-//! | `engine.<label>.restarts.{crash,wedge}` | supervisor restarts |
+//! | `engine.<label>.restarts.{crash,wedge,quarantine}` | supervisor restarts, by cause |
 //! | `engine.<label>.blackout` | restart blackout histogram (ns) |
 //! | `shm.<label>.s<sid>.cmd_depth` | per-session SPSC command-queue depth gauge |
-//! | `fabric.{delivered,switch_drops,random_drops,partition_drops,corrupted}` | fabric totals |
-//! | `fabric.host<h>.drops.{crc_bad,partition,corruption,no_buffer}` | per-dest-host drop reasons |
-//! | `fabric.link.<a>-><b>.{bytes,delivered}` | per-directed-link traffic |
-//! | `fabric.link.<a>-><b>.drops.{partition,corruption}` | directed drop reasons |
-//! | `fabric.link.<a>-><b>.util_pct` | egress utilization over the last poll window |
+//! | `fabric.{delivered,switch_drops,random_drops,partition_drops,corrupted,lossy_drops,pauses,rerouted,quarantine_sheds,brownout_drops,trunk_down_drops}` | fabric totals: every `FabricStats::counters` row |
+//! | `fabric.host<h>.drops.{crc_bad,partition,corruption,no_buffer,lossy,quarantined,brownout,trunk_down}` | per-dest-host drop reasons: every `DropReasons::counters` row |
+//! | `fabric.host<h>.egress.queue_bytes` | bytes standing in the leaf's egress buffer toward host `h` (gauge) |
+//! | `fabric.link.<a>-><b>.{bytes,delivered,drops.partition,drops.corruption,drops.lossy,jittered,jitter_ns,rerouted,drops.quarantine}` | per-directed-link traffic and faults: every `LinkStats::counters` row |
+//! | `fabric.link.<a>-><b>.util_pct` | egress utilization over the last poll window (gauge) |
+//! | `fabric.trunk.<a>-><b>.{bytes,forwarded,drops}` | per-directed-trunk traffic: every `TrunkStats::counters` row |
+//! | `fabric.trunk.<a>-><b>.{util_pct,queue_bytes}` | trunk utilization and bytes standing in its egress buffer (gauges) |
+//! | `fabric.switch.<sw>.drops.{transport,best_effort}` | egress-buffer drops by switch and class (sum to `fabric.switch_drops`) |
 //! | `upgrade.{blackout,brownout}` | per-engine upgrade histograms (ns) |
 //! | `upgrade.{engines,rollbacks}` | upgrade outcome counters |
 //! | `sched.<label>.<mode>.delay` | engine-group scheduling-delay histogram (ns) |
+//! | `isolation.<label>.<container>.{pressure,usage_bytes}` | admission pressure level and charged bytes (gauges) |
+//! | `isolation.<label>.<container>.{denials,sheds}` | admission outcomes per container |
+//! | `isolation.<label>.{pressure_transitions,accounting_errors}` | admission-controller totals |
+//! | `health.<label>.<target>.{phi_m,loss_m,degradation_m,verdict}` | gray-failure scores × 1000 and verdict (gauges) |
+//! | `health.<label>.latched` | targets a sweep has quarantined (gauge) |
+//! | `stats.polls` | poll passes completed |
+//!
+//! A fabric counter is registered when it first leaves zero, so a
+//! healthy rack publishes no fault names; read one with
+//! `Snapshot::counter(..).unwrap_or(0)`. The four fabric rows are
+//! checked against the code's tables by a unit test.
 
 pub mod export;
 pub mod module;

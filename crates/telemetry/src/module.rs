@@ -30,7 +30,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_core::group::{GroupHandle, MailboxWork};
@@ -91,7 +91,7 @@ struct FabricWatch {
 
 struct SupervisorWatch {
     sup: Supervisor,
-    labels: HashMap<EngineId, String>,
+    labels: BTreeMap<EngineId, String>,
     /// Restart-log indices already folded in (records complete out of
     /// order: `resumed` is stamped after the blackout ends).
     ingested: Vec<bool>,
@@ -124,6 +124,9 @@ struct HealthWatch {
 struct Inner {
     cfg: StatsConfig,
     engines: Vec<EngineWatch>,
+    /// Every watched engine's label, for supervisor records that name
+    /// an engine by id only.
+    engine_labels: BTreeMap<EngineId, String>,
     fabrics: Vec<FabricWatch>,
     supervisors: Vec<SupervisorWatch>,
     upgrades: Vec<UpgradeWatch>,
@@ -149,6 +152,7 @@ impl StatsModule {
             inner: Rc::new(RefCell::new(Inner {
                 cfg,
                 engines: Vec::new(),
+                engine_labels: BTreeMap::new(),
                 fabrics: Vec::new(),
                 supervisors: Vec::new(),
                 upgrades: Vec::new(),
@@ -169,7 +173,9 @@ impl StatsModule {
     /// `engine.<label>.*` and its per-session command-queue depths
     /// under `shm.<label>.s<sid>.cmd_depth`.
     pub fn watch_engine(&self, label: &str, group: GroupHandle, id: EngineId) {
-        self.inner.borrow_mut().engines.push(EngineWatch {
+        let mut inner = self.inner.borrow_mut();
+        inner.engine_labels.insert(id, label.to_string());
+        inner.engines.push(EngineWatch {
             label: label.to_string(),
             group,
             id,
@@ -283,12 +289,6 @@ impl StatsModule {
     pub fn poll_once(&self, sim: &mut Sim) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        // Engine labels for supervisor records, gathered up front.
-        let engine_labels: HashMap<EngineId, String> = inner
-            .engines
-            .iter()
-            .map(|w| (w.id, w.label.clone()))
-            .collect();
         for w in &mut inner.engines {
             ingest_engine(&self.registry, w);
             request_engine_sample(sim, w);
@@ -297,7 +297,7 @@ impl StatsModule {
             poll_fabric(&self.registry, w, sim.now());
         }
         for w in &mut inner.supervisors {
-            poll_supervisor(&self.registry, w, &engine_labels);
+            poll_supervisor(&self.registry, w, &inner.engine_labels);
         }
         for w in &mut inner.upgrades {
             poll_upgrade(&self.registry, w);
@@ -349,7 +349,7 @@ fn ingest_engine(registry: &Registry, w: &mut EngineWatch) {
     let shm = registry.scoped(&format!("shm.{}", w.label));
     for (sid, depth) in &sample.depths {
         shm.gauge(&format!("s{sid}.cmd_depth"))
-            .set(i64::try_from(*depth).unwrap_or(i64::MAX));
+            .set(as_gauge(*depth as u64));
     }
     // Zero gauges for sessions that disappeared, so a closed session
     // doesn't leave a stale depth on the dashboard.
@@ -376,52 +376,48 @@ fn request_engine_sample(sim: &mut Sim, w: &mut EngineWatch) {
     let _ = w.group.post_to_engine(sim, w.id, work);
 }
 
-/// The fabric's counters only grow, so each poll raises the published
-/// counter to the fabric's total; a link's utilization is the growth of
-/// its byte counter over the poll window.
-fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
-    let stats = w.fabric.stats();
-    let fab = registry.scoped("fabric");
-    fab.counter("delivered").raise_to(stats.delivered);
-    fab.counter("switch_drops").raise_to(stats.switch_drops);
-    fab.counter("random_drops").raise_to(stats.random_drops);
-    fab.counter("partition_drops")
-        .raise_to(stats.partition_drops);
-    fab.counter("corrupted").raise_to(stats.corrupted);
+/// Raises every counter of a table to its source's total. The fabric's
+/// counters only grow, so the total is the value; a row still at zero
+/// registers nothing, so a healthy fabric publishes no fault names.
+fn raise_all(scope: &ScopedRegistry, counters: &[(&'static str, u64)]) {
+    for &(name, total) in counters.iter().filter(|&&(_, total)| total > 0) {
+        scope.counter(name).raise_to(total);
+    }
+}
 
+/// A count as a gauge reading, saturating.
+fn as_gauge(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
+/// Publishes each of the fabric's `counters()` tables under its scope;
+/// a link's utilization is the growth of its byte counter over the
+/// poll window, an egress port's queue depth a plain gauge.
+fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
+    raise_all(&registry.scoped("fabric"), &w.fabric.stats().counters());
     for h in 0..w.fabric.num_hosts() as HostId {
-        let drops = w.fabric.drop_reasons(h);
         let scope = registry.scoped(&format!("fabric.host{h}.drops"));
-        scope.counter("crc_bad").raise_to(drops.crc_bad);
-        scope.counter("partition").raise_to(drops.partition);
-        scope.counter("corruption").raise_to(drops.corruption);
-        scope.counter("no_buffer").raise_to(drops.no_buffer);
+        raise_all(&scope, &w.fabric.drop_reasons(h).counters());
     }
 
     let window = w
         .last_at
         .map(|t| now.as_nanos().saturating_sub(t.as_nanos()))
         .unwrap_or(0);
-    // Publishes a link's bytes and, over a non-empty window, its
-    // utilization against `gbps` (bits per nanosecond, so utilization
-    // is bits / (rate * window)).
-    let publish_bytes = |scope: &ScopedRegistry, bytes: u64, gbps: f64| {
-        let counter = scope.counter("bytes");
-        let d_bytes = bytes.saturating_sub(counter.get());
-        counter.raise_to(bytes);
-        if window > 0 && gbps > 0.0 {
+    // A link's utilization against `gbps` (bits per nanosecond, so
+    // utilization is bits / (rate * window)), from what its published
+    // byte counter has yet to see. Runs before the fold raises it.
+    let publish_util = |scope: &ScopedRegistry, bytes: u64, gbps: f64| {
+        if bytes > 0 && window > 0 && gbps > 0.0 {
+            let d_bytes = bytes.saturating_sub(scope.counter("bytes").get());
             let pct = (d_bytes as f64 * 8.0) / (gbps * window as f64) * 100.0;
             scope.gauge("util_pct").set(pct.round() as i64);
         }
     };
     for ((from, to), link) in w.fabric.links() {
         let scope = registry.scoped(&format!("fabric.link.{from}->{to}"));
-        publish_bytes(&scope, link.bytes, w.fabric.host_gbps(from).unwrap_or(0.0));
-        scope.counter("delivered").raise_to(link.delivered);
-        scope
-            .counter("drops.partition")
-            .raise_to(link.partition_drops);
-        scope.counter("drops.corruption").raise_to(link.corrupted);
+        publish_util(&scope, link.bytes, w.fabric.host_gbps(from).unwrap_or(0.0));
+        raise_all(&scope, &link.counters());
     }
 
     // Trunk links (multi-rack topologies only; the degenerate 1-rack
@@ -430,9 +426,19 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
     let trunk_gbps = w.fabric.topology().spec().trunk_gbps;
     for ((from, to), trunk) in w.fabric.trunks() {
         let scope = registry.scoped(&format!("fabric.trunk.{from}->{to}"));
-        publish_bytes(&scope, trunk.bytes, trunk_gbps);
-        scope.counter("forwarded").raise_to(trunk.forwarded);
-        scope.counter("drops").raise_to(trunk.drops);
+        publish_util(&scope, trunk.bytes, trunk_gbps);
+        raise_all(&scope, &trunk.counters());
+    }
+
+    // Bytes standing in each egress buffer that has ever held one.
+    let (host_queues, trunk_queues) = w.fabric.egress_queues();
+    for (h, queued) in host_queues {
+        let name = format!("fabric.host{h}.egress.queue_bytes");
+        registry.gauge(&name).set(as_gauge(queued));
+    }
+    for ((from, to), queued) in trunk_queues {
+        let name = format!("fabric.trunk.{from}->{to}.queue_bytes");
+        registry.gauge(&name).set(as_gauge(queued));
     }
 
     // Per-switch, per-priority egress drop attribution (sums to the
@@ -453,7 +459,7 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
 fn poll_supervisor(
     registry: &Registry,
     w: &mut SupervisorWatch,
-    engine_labels: &HashMap<EngineId, String>,
+    engine_labels: &BTreeMap<EngineId, String>,
 ) {
     let log = w.sup.restart_log();
     if w.ingested.len() < log.len() {
@@ -546,9 +552,7 @@ fn poll_admission(registry: &Registry, w: &mut AdmissionWatch) {
     for snap in w.adm.snapshot() {
         let scope = registry.scoped(&format!("isolation.{}.{}", w.label, snap.container));
         scope.gauge("pressure").set(i64::from(snap.pressure.as_u8()));
-        scope
-            .gauge("usage_bytes")
-            .set(i64::try_from(snap.usage_bytes).unwrap_or(i64::MAX));
+        scope.gauge("usage_bytes").set(as_gauge(snap.usage_bytes));
         scope.counter("denials").raise_to(snap.denials);
         scope.counter("sheds").raise_to(snap.sheds);
     }
@@ -610,6 +614,26 @@ mod tests {
         // Counter went backwards: the engine restarted; its new value
         // is the whole delta.
         assert_eq!(delta(3, 100), 3);
+    }
+
+    /// The doc cannot list five fabric counters while the code
+    /// publishes eleven: each `counters()` table is one row of the
+    /// metric-naming table in `lib.rs`, name for name.
+    #[test]
+    fn naming_table_lists_every_fabric_counter() {
+        use snap_nic::fabric::{DropReasons, FabricStats, LinkStats, TrunkStats};
+        let doc = include_str!("lib.rs");
+        let tables: [(&str, &[(&str, u64)]); 4] = [
+            ("fabric", &FabricStats::default().counters()),
+            ("fabric.host<h>.drops", &DropReasons::default().counters()),
+            ("fabric.link.<a>-><b>", &LinkStats::default().counters()),
+            ("fabric.trunk.<a>-><b>", &TrunkStats::default().counters()),
+        ];
+        for (scope, counters) in tables {
+            let names: Vec<&str> = counters.iter().map(|&(name, _)| name).collect();
+            let row = format!("//! | `{scope}.{{{}}}` |", names.join(","));
+            assert!(doc.contains(&row), "lib.rs naming table lacks {row}");
+        }
     }
 
     #[test]

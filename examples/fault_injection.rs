@@ -253,6 +253,12 @@ fn main() {
     assert_eq!(got, (0..40).collect::<Vec<u64>>());
     assert_eq!(snap.counter("engine.h0.frontend.restarts.crash"), Some(1));
     assert!(snap.counter("fabric.host1.drops.corruption").unwrap_or(0) > 0);
+    // The gray episode's silent drops are on the dashboard too, on the
+    // one direction that was lossy.
+    let gray_drops = snap.counter("fabric.lossy_drops").unwrap_or(0);
+    assert!(gray_drops > 0, "the lossy link dropped packets");
+    assert_eq!(snap.counter("fabric.link.0->1.drops.lossy"), Some(gray_drops));
+    assert_eq!(snap.counter("fabric.link.1->0.drops.lossy"), None);
     let adm = quota.admission();
     assert!(
         adm.snapshot().iter().any(|s| s.container == "frontend" && s.sheds >= 1),

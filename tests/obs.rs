@@ -333,3 +333,81 @@ fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
     assert!(json.contains("cpu.h0.core"), "timeline lost host 0's cpu lanes");
     assert!(json.contains("xrack-latency"), "timeline lost the alert instants");
 }
+
+/// Four hosts of rack 1 stream into one host of rack 0 over trunks
+/// oversubscribed `ratio`:1, a stats module polling the fabric and a
+/// recorder folding its registry every 50 us. Returns the peak the
+/// recorder saw on the deepest trunk egress queue, in bytes.
+fn incast_peak_trunk_queue(ratio: f64) -> i64 {
+    let mut tb = Testbed::new(TestbedConfig {
+        hosts: 8,
+        topology: Some(ClosSpec::clos(2, 4, 2).with_oversubscription(ratio, 50.0)),
+        ..TestbedConfig::default()
+    });
+    let mut sink = tb.pony_app(0, "sink", |_| {});
+    let mut sources = Vec::new();
+    for h in 4..8 {
+        let src = tb.pony_app(h, "src", |_| {});
+        let conn = tb.connect(h, "src", 0, "sink");
+        sink.submit(
+            &mut tb.sim,
+            PonyCommand::PostRecvBuffers { conn, count: 64 },
+        );
+        sources.push((src, conn));
+    }
+    let cadence = Nanos::from_micros(50);
+    let stats = tb.stats_module(StatsConfig {
+        poll_period: cadence,
+    });
+    stats.start(&mut tb.sim);
+    let rec = FlightRecorder::new(
+        RecorderConfig {
+            cadence,
+            capacity: 4096,
+        },
+        stats.registry(),
+    );
+    rec.start(&mut tb.sim);
+    for (src, conn) in &mut sources {
+        for _ in 0..8 {
+            src.submit(
+                &mut tb.sim,
+                PonyCommand::Send {
+                    conn: *conn,
+                    stream: 0,
+                    len: 256 * 1024,
+                },
+            );
+        }
+    }
+    tb.run_ms(20);
+    let arrived = |c: &PonyCompletion| matches!(c, PonyCompletion::RecvMsg { .. });
+    let delivered = sink.take_completions().into_iter().filter(arrived).count();
+    assert_eq!(delivered, 32, "every message of the incast arrived");
+    let trunk_queues = rec
+        .series_names()
+        .into_iter()
+        .filter(|name| name.starts_with("fabric.trunk.") && name.ends_with(".queue_bytes"));
+    let levels = trunk_queues
+        .flat_map(|name| rec.series(&name))
+        .map(|(_, v)| match v {
+            PointValue::Level(bytes) => bytes,
+            other => panic!("a queue depth is a gauge: {other:?}"),
+        });
+    levels
+        .max()
+        .expect("the trunks the incast crossed publish a queue gauge")
+}
+
+/// The per-hop queue-depth series says where an incast queues: with
+/// the trunk tier oversubscribed 4:1 the deepest trunk queue the
+/// recorder saw is deeper than on the same workload at 1:1, where the
+/// sink's own port is the bottleneck.
+#[test]
+fn trunk_queue_gauge_shows_oversubscription_queueing_in_the_fabric() {
+    let (at_1, at_4) = (incast_peak_trunk_queue(1.0), incast_peak_trunk_queue(4.0));
+    assert!(
+        at_4 > at_1,
+        "peak trunk queue {at_4} B at 4:1, {at_1} B at 1:1"
+    );
+}

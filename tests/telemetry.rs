@@ -9,14 +9,17 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
+
 use snap_repro::core::module::{ControlCx, Module};
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
 use snap_repro::core::EngineId;
+use snap_repro::nic::packet::{Packet, QosClass};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
-use snap_repro::telemetry::StatsConfig;
+use snap_repro::telemetry::{Snapshot, StatsConfig};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
 fn recv_msgs(client: &mut snap_repro::pony::PonyClient, out: &mut Vec<u64>) {
@@ -379,4 +382,271 @@ fn lossy_fabric_retransmits_are_published_exactly_once_across_a_restart() {
     );
     assert!(server_dups > 0, "a lost ack makes the retransmission a duplicate");
     assert_eq!(snap.counter("engine.h1.server.duplicates"), Some(server_dups));
+}
+
+// ---------------------------------------------------------------------
+// The fabric's books: every counter it keeps reaches the registry, and
+// the counters tile the packets its hosts sent.
+// ---------------------------------------------------------------------
+
+/// Sends `n` raw packets `src -> dst` of class `qos`, one at a time.
+fn send_raw(tb: &mut Testbed, src: u32, dst: u32, qos: QosClass, n: u64) {
+    for i in 0..n {
+        let pkt = Packet::new(src, dst, Bytes::from(vec![0u8; 1000]))
+            .with_rss_hash(i)
+            .with_qos(qos);
+        tb.fabric
+            .transmit(&mut tb.sim, 0, pkt)
+            .expect("free tx slot");
+    }
+}
+
+/// A tour of the fabric's fault arms over 2 racks x 3 hosts x 2 spines
+/// (hosts 0-2 in rack 0, 3-5 in rack 1) with raw packets of both
+/// classes; `after` runs once each phase's traffic has drained.
+fn fabric_fault_tour(mut after: impl FnMut(&mut Testbed, &str)) -> Testbed {
+    use QosClass::{BestEffort as BE, Transport as TP};
+    let mut tb = Testbed::clos(2, 3, 2);
+    let mut end_phase = |tb: &mut Testbed, name: &str| {
+        tb.run_ms(2);
+        after(tb, name);
+    };
+
+    send_raw(&mut tb, 0, 1, TP, 5);
+    send_raw(&mut tb, 0, 1, BE, 5);
+    send_raw(&mut tb, 0, 4, TP, 5);
+    send_raw(&mut tb, 4, 0, BE, 5);
+    end_phase(&mut tb, "healthy");
+
+    tb.fabric.set_link_loss(0, 1, 0.5);
+    send_raw(&mut tb, 0, 1, TP, 20);
+    end_phase(&mut tb, "lossy link");
+    tb.fabric.set_link_loss(0, 1, 0.0);
+
+    tb.fabric.set_link_jitter(0, 4, Nanos::from_micros(20), 0.5);
+    send_raw(&mut tb, 0, 4, TP, 5);
+    end_phase(&mut tb, "jittery link");
+    tb.fabric.set_link_jitter(0, 4, Nanos::ZERO, 0.0);
+
+    // Rack 0 has a third host and there are two spines, so transport
+    // reroutes in-rack and cross-rack; best-effort is shed.
+    tb.fabric.quarantine_link(0, 1);
+    tb.fabric.quarantine_link(0, 4);
+    send_raw(&mut tb, 0, 1, TP, 4);
+    send_raw(&mut tb, 0, 1, BE, 3);
+    send_raw(&mut tb, 0, 4, TP, 2);
+    end_phase(&mut tb, "quarantine");
+    tb.fabric.clear_quarantine(0, 1);
+    tb.fabric.clear_quarantine(0, 4);
+
+    let storm = tb.sim.now() + Nanos::from_micros(100);
+    tb.fabric.pause_host(1, storm);
+    send_raw(&mut tb, 0, 1, TP, 3);
+    end_phase(&mut tb, "pause storm");
+
+    tb.fabric.set_leaf_brownout(1, 0.5, Nanos::from_micros(2));
+    send_raw(&mut tb, 0, 4, TP, 20);
+    send_raw(&mut tb, 4, 5, BE, 10);
+    end_phase(&mut tb, "leaf brownout");
+    tb.fabric.set_leaf_brownout(1, 0.0, Nanos::ZERO);
+
+    tb.fabric.fail_trunk(0, 0);
+    tb.fabric.fail_trunk(0, 1);
+    send_raw(&mut tb, 0, 4, TP, 3);
+    send_raw(&mut tb, 0, 2, BE, 2);
+    end_phase(&mut tb, "trunks down");
+    tb.fabric.restore_trunk(0, 0);
+    tb.fabric.restore_trunk(0, 1);
+
+    tb.fabric.partition(1, 3);
+    tb.fabric.partition_oneway(2, 0);
+    send_raw(&mut tb, 1, 3, TP, 2);
+    send_raw(&mut tb, 3, 1, BE, 2);
+    send_raw(&mut tb, 2, 0, TP, 2);
+    send_raw(&mut tb, 0, 2, TP, 2);
+    end_phase(&mut tb, "partitions");
+    tb.fabric.heal(1, 3);
+    tb.fabric.heal_oneway(2, 0);
+
+    tb.fabric.set_loss_prob(0.3);
+    tb.fabric.set_corrupt_prob(0.3);
+    send_raw(&mut tb, 5, 2, TP, 20);
+    send_raw(&mut tb, 2, 1, BE, 20);
+    end_phase(&mut tb, "loss and corruption");
+    tb.fabric.set_loss_prob(0.0);
+    tb.fabric.set_corrupt_prob(0.0);
+
+    // A host beyond the topology: dropped at the egress port it lacks.
+    send_raw(&mut tb, 0, 99, TP, 2);
+    end_phase(&mut tb, "black hole");
+    tb
+}
+
+/// The tour, then one poll: the rack and its registry snapshot.
+fn toured_and_polled() -> (Testbed, Snapshot) {
+    let mut tb = fabric_fault_tour(|_, _| {});
+    let stats = tb.stats_module(fast_stats());
+    stats.poll_once(&mut tb.sim);
+    let snap = stats.snapshot(tb.sim.now());
+    (tb, snap)
+}
+
+/// Every gray-failure and topology-fault counter the fabric keeps —
+/// fabric-wide, per destination host and per directed link — is on the
+/// dashboard under its name with the fabric's own value, the per-link
+/// and per-host shares of a reason sum to its fabric total, and a
+/// healthy link publishes no drop name at all.
+#[test]
+fn fault_tour_puts_every_fabric_fault_counter_on_the_dashboard() {
+    let (tb, snap) = toured_and_polled();
+    let s = tb.fabric.stats();
+    for (name, want) in [
+        ("fabric.lossy_drops", s.lossy_drops),
+        ("fabric.quarantine_sheds", s.quarantine_sheds),
+        ("fabric.rerouted", s.rerouted),
+        ("fabric.brownout_drops", s.brownout_drops),
+        ("fabric.trunk_down_drops", s.trunk_down_drops),
+        ("fabric.pauses", s.pauses),
+    ] {
+        assert!(want > 0, "the tour must move {name}");
+        assert_eq!(snap.counter(name), Some(want), "{name}");
+    }
+
+    let published = |name: String| snap.counter(&name).unwrap_or(0);
+    let mut by_host = [0u64; 4];
+    for h in 0..tb.hosts.len() as u32 {
+        let d = tb.fabric.drop_reasons(h);
+        let rows = [
+            ("lossy", d.lossy),
+            ("quarantined", d.quarantined),
+            ("brownout", d.brownout),
+            ("trunk_down", d.trunk_down),
+        ];
+        for (sum, (reason, want)) in by_host.iter_mut().zip(rows) {
+            assert_eq!(
+                published(format!("fabric.host{h}.drops.{reason}")),
+                want,
+                "host {h} {reason}"
+            );
+            *sum += want;
+        }
+    }
+    let totals = [
+        s.lossy_drops,
+        s.quarantine_sheds,
+        s.brownout_drops,
+        s.trunk_down_drops,
+    ];
+    assert_eq!(by_host, totals, "per-host shares sum to the fabric totals");
+
+    let mut by_link = [0u64; 3];
+    let mut jittered = 0;
+    for ((a, b), l) in tb.fabric.links() {
+        let rows = [
+            ("drops.lossy", l.lossy_drops),
+            ("drops.quarantine", l.quarantine_sheds),
+            ("rerouted", l.rerouted),
+            ("jittered", l.jittered),
+            ("jitter_ns", l.jitter_ns),
+        ];
+        for (row, want) in rows {
+            assert_eq!(
+                published(format!("fabric.link.{a}->{b}.{row}")),
+                want,
+                "link {a}->{b} {row}"
+            );
+        }
+        for (sum, (_, want)) in by_link.iter_mut().zip(rows) {
+            *sum += want;
+        }
+        jittered += l.jittered;
+    }
+    assert_eq!(
+        by_link,
+        [s.lossy_drops, s.quarantine_sheds, s.rerouted],
+        "per-link shares sum to the fabric totals"
+    );
+    assert_eq!(jittered, 5, "every packet of the jitter phase was delayed");
+
+    let healthy: Vec<&str> = snap.names_under("fabric.link.4->0.").collect();
+    assert!(
+        healthy.contains(&"fabric.link.4->0.delivered"),
+        "{healthy:?}"
+    );
+    assert!(
+        !healthy.iter().any(|n| n.contains(".drops.")),
+        "a link that dropped nothing publishes no drop name: {healthy:?}"
+    );
+}
+
+/// The stats contract: whatever rows a fabric stats struct's
+/// `counters()` lists, a poll publishes under that struct's scope with
+/// that value (a row at zero is absent, which reads as zero).
+#[test]
+fn every_row_of_every_fabric_counters_table_is_published() {
+    let (tb, snap) = toured_and_polled();
+    let check = |scope: String, counters: &[(&'static str, u64)]| {
+        for &(name, want) in counters {
+            let full = format!("{scope}.{name}");
+            assert_eq!(snap.counter(&full).unwrap_or(0), want, "{full}");
+            assert_eq!(
+                snap.counter(&full).is_some(),
+                want > 0,
+                "{full} registered iff moved"
+            );
+        }
+    };
+    check("fabric".to_string(), &tb.fabric.stats().counters());
+    for h in 0..tb.hosts.len() as u32 {
+        check(
+            format!("fabric.host{h}.drops"),
+            &tb.fabric.drop_reasons(h).counters(),
+        );
+    }
+    let links = tb.fabric.links();
+    let trunks = tb.fabric.trunks();
+    assert!(
+        links.len() >= 10 && trunks.len() >= 8,
+        "{} links, {} trunks",
+        links.len(),
+        trunks.len()
+    );
+    for ((a, b), link) in links {
+        check(format!("fabric.link.{a}->{b}"), &link.counters());
+    }
+    for ((a, b), trunk) in trunks {
+        check(format!("fabric.trunk.{a}->{b}"), &trunk.counters());
+    }
+}
+
+/// Packet conservation (ROADMAP 4(a)'s first invariant), checked after
+/// every phase of the tour has drained: each packet a NIC handed to
+/// the fabric was delivered or is in exactly one drop counter, and the
+/// per-link delivery counts tile the fabric's.
+#[test]
+fn fabric_books_balance_after_every_fault_phase() {
+    // Rows of `FabricStats::counters` that do not count a lost packet:
+    // a corrupted packet is still delivered, a reroute or a pause
+    // loses nothing.
+    const NOT_DROPS: [&str; 4] = ["delivered", "corrupted", "pauses", "rerouted"];
+    let mut phases = 0;
+    fabric_fault_tour(|tb, phase| {
+        let sent: u64 = (0..tb.hosts.len() as u32)
+            .map(|h| tb.fabric.with_nic(h, |nic| nic.stats().tx_packets))
+            .sum();
+        let s = tb.fabric.stats();
+        let counters = s.counters();
+        let drops = counters
+            .iter()
+            .filter(|(name, _)| !NOT_DROPS.contains(name));
+        let dropped: u64 = drops.map(|&(_, n)| n).sum();
+        assert_eq!(sent, s.delivered + dropped, "after {phase}: {s:?}");
+        let by_link: u64 = tb.fabric.links().iter().map(|(_, l)| l.delivered).sum();
+        assert_eq!(
+            by_link, s.delivered,
+            "after {phase}: links tile the deliveries"
+        );
+        phases += 1;
+    });
+    assert_eq!(phases, 10);
 }
