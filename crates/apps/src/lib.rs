@@ -29,7 +29,6 @@ pub mod dag;
 pub mod framing;
 pub mod kv;
 pub mod pool;
-pub mod rpc;
 pub mod socket;
 pub mod stream;
 pub mod transport;

@@ -7,9 +7,9 @@
 //!
 //! Run: `cargo bench -p snap-bench --bench ablations`
 
-use snap_bench::rack::{run, Antagonist, RackParams, Stack};
 use snap_repro::core::group::SchedulingMode;
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
+use snap_repro::rack::{run, Antagonist, RackParams, Stack};
 use snap_repro::sim::Nanos;
 use snap_repro::testbed::Testbed;
 
@@ -52,7 +52,10 @@ fn batch_sweep() {
 /// Compacting-scheduler SLO sweep: tail latency vs CPU.
 fn slo_sweep() {
     println!("\n--- Compacting scheduler queueing-delay SLO ---");
-    println!("{:>10} {:>12} {:>12} {:>10}", "SLO", "p99 prober", "CPU/host", "RPCs");
+    println!(
+        "{:>10} {:>12} {:>6} {:>12} {:>10}",
+        "SLO", "p99 prober", "n", "CPU/host", "RPCs"
+    );
     for slo_us in [10u64, 50, 200, 1_000] {
         let params = RackParams {
             hosts: 4,
@@ -73,9 +76,10 @@ fn slo_sweep() {
         };
         let r = run(&params);
         println!(
-            "{:>8}us {:>9.1}us {:>12.3} {:>10}",
+            "{:>8}us {:>9.1}us {:>6} {:>12.3} {:>10}",
             slo_us,
             r.prober.p99() as f64 / 1e3,
+            r.prober.count(),
             r.cpu_per_host,
             r.rpcs
         );

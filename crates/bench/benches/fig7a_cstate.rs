@@ -13,8 +13,8 @@
 //!
 //! Run: `cargo bench -p snap-bench --bench fig7a_cstate`
 
-use snap_bench::rack::{run, Antagonist, RackParams, Stack};
 use snap_repro::core::group::SchedulingMode;
+use snap_repro::rack::{run, Antagonist, RackParams, Stack};
 use snap_repro::sim::Nanos;
 
 fn main() {
@@ -41,10 +41,10 @@ fn main() {
             // Prober only: no background RPC load.
             rpc_per_sec_per_host: 0.001,
             prober_qps: 1_000.0,
-            duration: Nanos::from_millis(120),
+            // 1 000/s x 4 hosts x 0.3 s = 1 200 probes: ten beyond the p99.
+            duration: Nanos::from_millis(300),
             antagonist: Antagonist::None,
             cstates: true,
-            step: Nanos::from_micros(1),
             ..RackParams::default()
         };
         let r = run(&params);

@@ -22,14 +22,15 @@
 //! * `clos_scenarios` — N:1 incast sweep, 1:1 vs 4:1 oversubscription
 //!   and the diurnal mixed fleet on a spine/leaf Clos.
 //!
-//! [`rack`] implements the §5.2 all-to-all RPC rack used by
-//! Fig. 6(b)/(c)/(d) and Fig. 7, for both Snap/Pony and the kernel-TCP
-//! baseline.
+//! The §5.2 all-to-all RPC rack behind Fig. 6(b)/(c)/(d), Fig. 7 and
+//! the ablations' SLO sweep is `snap_repro::rack` (`src/rack.rs`): one
+//! driver for Snap/Pony and the kernel-TCP baseline, reachable from
+//! here, from `examples/` and from the tier-1 `tests/`. Those five
+//! benches' tables and Fig. 9's are pinned under
+//! `tests/golden/experiments/`.
 
 use snap_repro::apps::dag::{DagSpec, ServiceSpec, ServiceTime};
 use snap_repro::sim::Nanos;
-
-pub mod rack;
 
 /// Prints a bench header in a consistent format.
 pub fn header(title: &str) {

@@ -134,6 +134,8 @@ struct Inner {
     on_message: Option<OnMessage>,
     cpu: CpuMeter,
     stats: TcpStats,
+    /// What `TcpHost::stream_seg_sum` reports.
+    stream_seg_sum: u64,
     next_conn: u32,
 }
 
@@ -150,9 +152,9 @@ impl Inner {
 
     /// Serial CPU cost of moving one `seg_len`-byte segment through the
     /// kernel path on one side (protocol + one copy), with the
-    /// stream-scaling factor applied.
-    fn side_cost(&self, seg_len: u32) -> Nanos {
-        let factor = costs::tcp_stream_cost_factor(self.active_streams());
+    /// stream-scaling factor of `streams` active streams applied.
+    fn side_cost(streams: u32, seg_len: u32) -> Nanos {
+        let factor = costs::tcp_stream_cost_factor(streams);
         let base = costs::TCP_PER_PACKET_NS / 2 + costs::copy_cost(seg_len as u64).as_nanos();
         Nanos((base as f64 * factor) as u64)
     }
@@ -160,8 +162,8 @@ impl Inner {
     /// Pacing interval between segments at the sender: the full-path
     /// serial cost divided by the path parallelism (app + softirq
     /// overlap), matching the Table 1 calibration.
-    fn pacing(&self, seg_len: u32) -> Nanos {
-        let factor = costs::tcp_stream_cost_factor(self.active_streams());
+    fn pacing(streams: u32, seg_len: u32) -> Nanos {
+        let factor = costs::tcp_stream_cost_factor(streams);
         let serial = costs::TCP_PER_PACKET_NS as f64
             + (costs::TCP_COPIES * costs::copy_cost(seg_len as u64).as_nanos()) as f64;
         Nanos((serial * factor / costs::TCP_PATH_PARALLELISM) as u64)
@@ -188,6 +190,7 @@ impl TcpHost {
                 on_message: None,
                 cpu: CpuMeter::new(),
                 stats: TcpStats::default(),
+                stream_seg_sum: 0,
                 next_conn: 1,
             })),
         };
@@ -272,6 +275,15 @@ impl TcpHost {
         self.inner.borrow().stats.clone()
     }
 
+    /// Sum, over the segments counted in [`TcpStats::segs_sent`], of the
+    /// active-stream count each was charged at: divided by `segs_sent`,
+    /// the mean argument of `costs::tcp_stream_cost_factor` on the send
+    /// side. (Beside [`TcpStats`], not in it: that struct's `Debug` form
+    /// is pinned in `tests/golden/fabric_tcp_streams.txt`.)
+    pub fn stream_seg_sum(&self) -> u64 {
+        self.inner.borrow().stream_seg_sum
+    }
+
     fn schedule_tx(&self, sim: &mut Sim, conn: ConnKey, delay: Nanos) {
         {
             let mut inner = self.inner.borrow_mut();
@@ -321,10 +333,11 @@ impl TcpHost {
             } else {
                 c.current = Some((msg_id, msg_len, next_off));
             }
+            let streams = inner.active_streams();
             inner.stats.segs_sent += 1;
+            inner.stream_seg_sum += streams as u64;
             // Charge the sender-side serial cost (stack + tx copy).
-            let cost = inner.side_cost(seg_len);
-            inner.cpu.add(cost);
+            inner.cpu.add(Inner::side_cost(streams, seg_len));
 
             let mut w = Writer::with_capacity(64);
             w.u8(KIND_DATA)
@@ -336,7 +349,7 @@ impl TcpHost {
             let mut pkt = Packet::new(host, peer, Bytes::from(w.finish()));
             pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
             pkt = pkt.with_rss_hash(conn).with_qos(QosClass::BestEffort);
-            (pkt, inner.pacing(seg_len))
+            (pkt, Inner::pacing(streams, seg_len))
         };
         // Fire-and-forget; loss is recovered by RTO.
         let queue = (conn % 4) as u16;
@@ -401,9 +414,10 @@ impl TcpHost {
             let (pkt, queue) = {
                 let mut inner = self.inner.borrow_mut();
                 inner.stats.retransmits += 1;
+                let streams = inner.active_streams();
                 inner.stats.segs_sent += 1;
-                let cost = inner.side_cost(seg_len);
-                inner.cpu.add(cost);
+                inner.stream_seg_sum += streams as u64;
+                inner.cpu.add(Inner::side_cost(streams, seg_len));
                 let host = inner.host;
                 let Some(c) = inner.conns.get(&conn) else {
                     return;
@@ -470,7 +484,7 @@ impl TcpHost {
         let completed = {
             let mut inner = self.inner.borrow_mut();
             // Receiver-side serial cost: softirq protocol + rx copy.
-            let cost = inner.side_cost(seg_len);
+            let cost = Inner::side_cost(inner.active_streams(), seg_len);
             inner.cpu.add(cost);
             let c = inner
                 .conns
@@ -696,6 +710,8 @@ mod tests {
         assert!(p.b.cpu_busy() > Nanos::ZERO);
         // ~24 segments, each costing ~500-900ns per side.
         assert!(p.a.cpu_busy() > Nanos::from_micros(10));
+        // One stream: every segment is charged at a count of one.
+        assert_eq!(p.a.stream_seg_sum(), p.a.stats().segs_sent);
     }
 
     #[test]
@@ -712,6 +728,9 @@ mod tests {
         }
         p.sim.run_until(Nanos::from_millis(50));
         assert_eq!(p.b.stats().msgs_delivered, 50);
+        // The 50 streams pace side by side and finish together: every
+        // segment is charged at a count of 50.
+        assert_eq!(p.a.stream_seg_sum(), 50 * p.a.stats().segs_sent);
     }
 
     #[test]

@@ -1,82 +1,66 @@
 //! A miniature version of the paper's all-to-all RPC benchmark (§5.2):
 //! several hosts exchange 1 MB RPCs at a Poisson offered load while a
-//! latency prober measures small-RPC tails. Tracing samples 1% of ops
-//! and the run ends by printing the three slowest traced RPCs with
-//! their per-stage critical-path breakdowns. The drive loop lives in
-//! `snap_apps::rpc`; this example wires the mesh and prints the report.
+//! latency prober measures small-RPC tails. Every op is traced and the
+//! run ends by printing the three slowest traced RPCs with their
+//! per-stage critical-path breakdowns. The workload and its driver are
+//! `snap_repro::rack`, the one the Fig 6/7 benches run; this example
+//! hands it a traced testbed and prints the report.
 //!
 //! ```sh
 //! cargo run --release --example rpc_benchmark
 //! ```
 
-use snap_repro::apps::rpc::{post_recv_buffers, run_all_to_all, AllToAllSpec};
 use snap_repro::core::group::SchedulingMode;
+use snap_repro::rack::{run_on, RackParams, Stack};
 use snap_repro::sim::Nanos;
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
-const HOSTS: usize = 4;
-const RPC_BYTES: u64 = 1_000_000;
-const DURATION_MS: u64 = 80;
-
 fn main() {
+    let mode = SchedulingMode::compacting_default();
+    let params = RackParams {
+        hosts: 4,
+        jobs_per_host: 1,
+        rpc_per_sec_per_host: 125.0,
+        stack: Stack::Pony(mode.clone(), None),
+        duration: Nanos::from_millis(80),
+        seed: 7,
+        ..RackParams::default()
+    };
     let mut tb = Testbed::new(TestbedConfig {
-        hosts: HOSTS,
-        mode: SchedulingMode::compacting_default(),
+        hosts: params.hosts,
+        mode,
         // Sample every op: an 80 ms run issues only dozens of 1 MB
         // RPCs, so full tracing is cheap and the top-K report is
         // ranked over the complete population.
         trace_sample_ppm: snap_repro::sim::trace::TRACE_SAMPLE_SCALE,
         ..TestbedConfig::default()
     });
+    let r = run_on(&mut tb, &params);
 
-    // One job per host; every job talks to every other job.
-    let mut clients = Vec::new();
-    for h in 0..HOSTS {
-        clients.push(tb.pony_app(h, &format!("job{h}"), |_| {}));
-    }
-    let mut conns = vec![vec![0u64; HOSTS]; HOSTS];
-    for (a, row) in conns.iter_mut().enumerate() {
-        for (b, conn) in row.iter_mut().enumerate() {
-            if a != b {
-                *conn = tb.connect(a, &format!("job{a}"), b, &format!("job{b}"));
-            }
-        }
-    }
-    // Generous receive buffers for the 1 MB RPCs: conns[a][b] carries
-    // a's sends toward b, so *b* (the receiver) posts the buffers.
-    post_recv_buffers(&mut tb.sim, &mut clients, &conns, 4096);
-
-    let report = run_all_to_all(
-        tb.as_pump(),
-        &mut clients,
-        &conns,
-        AllToAllSpec {
-            rpc_bytes: RPC_BYTES,
-            per_job_rate: 120.0, // RPCs/sec per job
-            duration: Nanos::from_millis(DURATION_MS),
-            seed: 7,
-        },
-    );
-
-    let wall = report.elapsed.as_secs_f64();
-    println!("== all-to-all RPC benchmark ({HOSTS} hosts, 1MB RPCs, compacting engines) ==");
     println!(
-        "offered: {} RPC/s/job   delivered: {:.2} Gbps aggregate",
-        120.0,
-        report.gbps()
+        "== all-to-all RPC benchmark ({} hosts, 1MB RPCs, compacting engines) ==",
+        params.hosts
     );
     println!(
-        "send-completion latency: {}",
-        report.latency.latency_summary()
+        "offered: {} RPC/s/host   delivered: {:.2} Gbps aggregate at {:.3} cores/host   ({} of {} RPCs answered)",
+        params.rpc_per_sec_per_host, r.delivered_gbps, r.cpu_per_host, r.rpcs, r.bulk_issued
     );
-    for h in 0..HOSTS {
+    println!(
+        "prober RTT: {}   ({} of {} probes unanswered)",
+        r.prober.latency_summary(),
+        r.probes_unanswered,
+        r.probes_issued
+    );
+    // Whole-run CPU by kind (the report's cores/host is the window's).
+    let wall = tb.sim.now().as_secs_f64();
+    for h in 0..params.hosts {
         let cpu = tb.host_cpu(h);
         println!(
             "host {h}: engine {:.3} cores, spin {:.3}, wake {:.3} (total {:.3})",
-            cpu.engine.as_nanos() as f64 / wall / 1e9,
-            cpu.spin.as_nanos() as f64 / wall / 1e9,
-            cpu.wake_overhead.as_nanos() as f64 / wall / 1e9,
-            cpu.total().as_nanos() as f64 / wall / 1e9,
+            cpu.engine.as_secs_f64() / wall,
+            cpu.spin.as_secs_f64() / wall,
+            cpu.wake_overhead.as_secs_f64() / wall,
+            cpu.total().as_secs_f64() / wall,
         );
     }
     // Where did the slow ops spend their time? The trace module ranks

@@ -9,7 +9,7 @@
 #
 #   ci.sh            — build + test + release budgets + clippy + rustdoc links
 #                      + timeline export
-#                      + pinned sim-clock tables
+#                      + pinned sim-clock tables + the bench-name guard
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
 #                      + the size table (printed, not gated)
 #
@@ -56,11 +56,14 @@ echo "timeline export parses as JSON"
 # (same-seed rerun equality, hedged p99 < unhedged p99, incast drops at
 # the victim ToR); Fig 9 is the one run of the upgrade orchestrator at
 # scale (160 engines); Fig 6(b,c) is the §5.2 rack sweep over TCP and
-# both dynamic engine schedulers (4 s). Each prints virtual-time tables
-# that are pinned as golden text.
+# both dynamic engine schedulers (4 s), and Fig 6(d), Fig 7(a), Fig 7(b)
+# and the ablations run the same rack driver (`src/rack.rs`) under
+# antagonists, C-states and the SLO sweep (4 s together). Each prints
+# virtual-time tables that are pinned as golden text.
 echo "== tier-1: pinned sim-clock tables =="
 for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios \
-    experiments/fig9_upgrade experiments/fig6bc_rack; do
+    experiments/fig9_upgrade experiments/fig6bc_rack experiments/fig6d_antagonist \
+    experiments/fig7a_cstate experiments/fig7b_mmap_antagonist experiments/ablations; do
     bench="${pinned#*/}"
     cargo bench -q -p snap-bench --bench "$bench" > "$tmp/$bench.txt"
     if ! diff -u "tests/golden/$pinned.txt" "$tmp/$bench.txt"; then
@@ -70,6 +73,19 @@ for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios \
     fi
 done
 echo "pinned tables match"
+
+# Every `--bench <name>` the documents quote is a bench that exists: a
+# renamed or merged bench may not leave its old name behind in prose.
+echo "== tier-1: quoted bench names exist =="
+grep -ohE -e '--bench [a-z0-9_]+' DESIGN.md EXPERIMENTS.md README.md crates/bench/src/lib.rs \
+    | sort -u | while read -r _ bench; do
+    if ! grep -qx "name = \"$bench\"" crates/bench/Cargo.toml; then
+        echo "stale bench name: '--bench $bench' is quoted in the docs but is no [[bench]]" \
+             "in crates/bench/Cargo.toml"
+        exit 1
+    fi
+done
+echo "quoted bench names exist"
 
 # Benchmark smoke: all five workloads at 5 % of their windows, on the
 # working seed and the verification seed, with the correctness gate on

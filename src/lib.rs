@@ -29,4 +29,5 @@ pub use snap_obs as obs;
 
 pub mod fleet;
 pub mod health_rig;
+pub mod rack;
 pub mod testbed;
