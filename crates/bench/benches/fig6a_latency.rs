@@ -1,204 +1,43 @@
 //! **Fig. 6(a)** (§5.1): mean round-trip latency of a small message
-//! between two machines under the same ToR switch.
-//!
-//! Paper values: TCP 23 µs; TCP busy-poll 18 µs; Snap/Pony (app
-//! notified) 18 µs; Snap/Pony (app spins) <10 µs; Snap/Pony one-sided
-//! 8.8 µs. The Pony engine always spins; the variants differ in how the
-//! *application thread* learns of completions.
+//! between two machines under the same ToR switch —
+//! `snap_repro::pair::pingpong`, one row per parameter list, the
+//! paper's mean and our signed error beside each. The Pony engine
+//! always spins; the variants differ in how the *application thread*
+//! learns of completions.
 //!
 //! Run: `cargo bench -p snap-bench --bench fig6a_latency`
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use snap_repro::pony::client::{PonyCommand, PonyCompletion};
-use snap_repro::sched::classes::SchedClass;
-use snap_repro::shm::region::AccessMode;
-use snap_repro::sim::{Histogram, Nanos};
-use snap_repro::tcp::stack::TcpConfig;
-use snap_repro::testbed::{Testbed, TestbedConfig};
-
-const PINGS: usize = 400;
-
-fn tcp_rtt(busy_poll: bool) -> Histogram {
-    let mut tb = Testbed::new(TestbedConfig {
-        nic_gbps: 100.0,
-        ..TestbedConfig::default()
-    });
-    let cfg = TcpConfig {
-        busy_poll,
-        ..TcpConfig::default()
-    };
-    let a = tb.tcp_host(0, cfg.clone());
-    let b = tb.tcp_host(1, cfg);
-    let b2 = b.clone();
-    b.on_message(Rc::new(move |sim, conn, msg, _len| {
-        b2.send(sim, conn, msg + (1 << 40), 64);
-    }));
-    let hist = Rc::new(RefCell::new(Histogram::new()));
-    let sent_at = Rc::new(Cell::new(Nanos::ZERO));
-    let a2 = a.clone();
-    let conn = a.connect(tb.hosts[1].id);
-    let h = hist.clone();
-    let s = sent_at.clone();
-    let remaining = Rc::new(Cell::new(PINGS));
-    let r = remaining.clone();
-    a.on_message(Rc::new(move |sim, _c, _m, _l| {
-        h.borrow_mut().record_nanos(sim.now() - s.get());
-        if r.get() > 1 {
-            r.set(r.get() - 1);
-            s.set(sim.now());
-            a2.send(sim, conn, r.get() as u64, 64);
-        } else {
-            r.set(0);
-        }
-    }));
-    sent_at.set(tb.sim.now());
-    a.send(&mut tb.sim, conn, 0, 64);
-    tb.run_ms(200);
-    assert_eq!(remaining.get(), 0, "ping-pong completed");
-    let out = hist.borrow().clone();
-    out
-}
-
-enum PonyMode {
-    TwoSidedNotify,
-    TwoSidedSpin,
-    OneSidedSpin,
-}
-
-fn pony_rtt(mode: PonyMode) -> Histogram {
-    let mut tb = Testbed::new(TestbedConfig {
-        nic_gbps: 100.0,
-        ..TestbedConfig::default()
-    });
-    let mut a = tb.pony_app(0, "client", |_| {});
-    let mut b = tb.pony_app(1, "server", |_| {});
-    let conn = tb.connect(0, "client", 1, "server");
-    let region = tb.hosts[1]
-        .regions
-        .register_with("server", vec![7u8; 256], AccessMode::ReadOnly);
-    tb.run_ms(1);
-
-    let mut hist = Histogram::new();
-    let step = Nanos(200);
-    // Pending server replies delayed by the app-thread wake latency
-    // (notify mode only).
-    let mut reply_due: Vec<(Nanos, u64)> = Vec::new();
-
-    for _ in 0..PINGS {
-        let t0 = tb.sim.now();
-        match mode {
-            PonyMode::OneSidedSpin => {
-                a.submit(
-                    &mut tb.sim,
-                    PonyCommand::Read { conn, region: region.0, offset: 0, len: 64 },
-                );
-            }
-            _ => {
-                a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 1, len: 64 });
-            }
-        }
-        // Drive until the client sees the completion/reply.
-        let rtt = loop {
-            let now = tb.sim.now() + step;
-            tb.sim.run_until(now);
-            // Server side (two-sided modes): respond to requests.
-            for c in b.take_completions() {
-                if let PonyCompletion::RecvMsg { conn, stream: 1, .. } = c {
-                    match mode {
-                        PonyMode::TwoSidedSpin => {
-                            // Spinning app notices within the step.
-                            b.submit(
-                                &mut tb.sim,
-                                PonyCommand::Send { conn, stream: 0, len: 64 },
-                            );
-                        }
-                        PonyMode::TwoSidedNotify => {
-                            // App thread must first be woken (CFS on an
-                            // otherwise idle, awake machine).
-                            let (_, wake) = tb.hosts[1].machine.borrow_mut().interrupt_wakeup(
-                                tb.sim.now(),
-                                SchedClass::Cfs { nice: 0 },
-                                Some(1),
-                            );
-                            reply_due.push((tb.sim.now() + wake, conn));
-                        }
-                        PonyMode::OneSidedSpin => unreachable!("no server messages"),
-                    }
-                }
-            }
-            let now = tb.sim.now();
-            reply_due.retain(|&(due, conn)| {
-                if due <= now {
-                    b.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 64 });
-                    false
-                } else {
-                    true
-                }
-            });
-            // Client side: completion observed?
-            let mut done = None;
-            for c in a.take_completions() {
-                match (&mode, c) {
-                    (PonyMode::OneSidedSpin, PonyCompletion::OpDone { .. }) => {
-                        done = Some(tb.sim.now() - t0);
-                    }
-                    (_, PonyCompletion::RecvMsg { stream: 0, .. }) => {
-                        done = Some(tb.sim.now() - t0);
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(rtt) = done {
-                break rtt;
-            }
-            assert!(
-                tb.sim.now() - t0 < Nanos::from_millis(10),
-                "ping lost in {:?} mode",
-                std::any::type_name::<PonyMode>()
-            );
-        };
-        // The client app's own completion pickup: spinning costs the
-        // cache-miss pickup; notified costs a thread wake.
-        let pickup = match mode {
-            PonyMode::TwoSidedNotify => {
-                tb.hosts[0]
-                    .machine
-                    .borrow_mut()
-                    .interrupt_wakeup(tb.sim.now(), SchedClass::Cfs { nice: 0 }, Some(0))
-                    .1
-            }
-            _ => tb.hosts[0].machine.borrow().spin_pickup(),
-        };
-        hist.record_nanos(rtt + pickup);
-        // Idle gap between pings.
-        let next = tb.sim.now() + Nanos::from_micros(30);
-        tb.sim.run_until(next);
-    }
-    hist
-}
-
-fn row(label: &str, h: &Histogram, paper: &str) {
-    println!(
-        "{:<28} mean {:>7.1} us   p99 {:>7.1} us   (paper mean {})",
-        label,
-        h.mean() / 1e3,
-        h.p99() as f64 / 1e3,
-        paper
-    );
-}
+use snap_repro::pair::{pingpong, Learn, Op, Stack};
 
 fn main() {
-    snap_bench::header("Fig 6(a): two-machine small-message round-trip latency");
-    let h = tcp_rtt(false);
-    row("Linux TCP", &h, "23 us");
-    let h = tcp_rtt(true);
-    row("Linux TCP busy-poll", &h, "18 us");
-    let h = pony_rtt(PonyMode::TwoSidedNotify);
-    row("Snap/Pony (app notified)", &h, "18 us");
-    let h = pony_rtt(PonyMode::TwoSidedSpin);
-    row("Snap/Pony (app spins)", &h, "<10 us");
-    let h = pony_rtt(PonyMode::OneSidedSpin);
-    row("Snap/Pony one-sided", &h, "8.8 us");
+    snap_bench::header("Fig 6(a): two-machine small-message round-trip latency, us");
+    println!(
+        "{:<28} {:>11} {:>6} {:>7} {:>7}",
+        "configuration", "mean: paper", "ours", "err %", "p99"
+    );
+    let pony = Stack::Pony(Rc::new(|_| {}));
+    // The paper gives "<10 us" for the spinning application: its error
+    // is against that bound.
+    #[rustfmt::skip]
+    let rows = [
+        ("Linux TCP", &Stack::Tcp, Learn::Notified, Op::Message, 23.0),
+        ("Linux TCP busy-poll", &Stack::Tcp, Learn::Spin, Op::Message, 18.0),
+        ("Snap/Pony (app notified)", &pony, Learn::Notified, Op::Message, 18.0),
+        ("Snap/Pony (app spins)", &pony, Learn::Spin, Op::Message, 10.0),
+        ("Snap/Pony one-sided", &pony, Learn::Spin, Op::Read, 8.8),
+    ];
+    for (label, stack, learn, op, paper) in rows {
+        let rtts = pingpong(stack, 100.0, learn, op);
+        let mean = rtts.mean() / 1e3;
+        println!(
+            "{:<28} {:>11.1} {:>6.2} {:>+7.1} {:>7.2}",
+            label,
+            paper,
+            mean,
+            snap_bench::error_pct(paper, mean),
+            rtts.p99() as f64 / 1e3
+        );
+    }
 }

@@ -22,6 +22,12 @@ use snap_repro::testbed::Testbed;
 
 const BUCKETS: u64 = 4096;
 const VALUE_LEN: u32 = 64;
+/// The analytics client batches its submits: it tops its window of 64
+/// outstanding ops up, and reaps its completions, every 20 µs. Part of
+/// the workload, not a look period to refine away — topped up every
+/// 1 µs the sweep reads 1.41 M / 1.19 M ops/s for the plain and indirect
+/// read and 5.17 M accesses/s batched, against 1.48 M / 1.21 M / 4.93 M.
+const REFILL: Nanos = Nanos::from_micros(20);
 
 struct KvWorld {
     tb: Testbed,
@@ -74,7 +80,7 @@ fn peak_rate(make_cmd: impl Fn(&KvWorld, &mut Rng) -> (PonyCommand, u64)) -> (f6
             w.client.submit(&mut w.tb.sim, cmd);
             outstanding += 1;
         }
-        let next = w.tb.sim.now() + Nanos::from_micros(20);
+        let next = w.tb.sim.now() + REFILL;
         w.tb.sim.run_until(next);
         let now = w.tb.sim.now();
         for c in w.client.take_completions() {

@@ -1,162 +1,70 @@
 //! **Table 1** (§5.1): single-machine-pair throughput and CPU for
 //! kernel TCP vs Snap/Pony across stream counts, MTUs, and I/OAT
-//! receive-copy offload.
-//!
-//! Paper values: TCP 22.0/12.4 Gbps (1/200 streams) at ~1.17 CPU;
-//! Pony 38.5/39.1 Gbps at 1.05 CPU; 67.5/65.7 with 5 kB MTU;
-//! 82.2/80.5 with 5 kB MTU + I/OAT.
+//! receive-copy offload — `snap_repro::pair::stream`, one row per
+//! parameter list, the paper's value and our signed error beside each.
 //!
 //! Run: `cargo bench -p snap-bench --bench table1`
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use snap_repro::pony::client::{PonyCommand, PonyCompletion};
-use snap_repro::pony::timely::TimelyConfig;
+use snap_repro::pair::{stream, Stack};
 use snap_repro::sim::{costs, Nanos};
-use snap_repro::tcp::stack::TcpConfig;
-use snap_repro::testbed::{Testbed, TestbedConfig};
-
-const TRANSFER_BYTES: u64 = 30_000_000;
-
-/// Saturating one-way kernel-TCP transfer; returns (Gbps, cores).
-fn tcp_row(streams: u32) -> (f64, f64) {
-    let mut tb = Testbed::new(TestbedConfig {
-        nic_gbps: 100.0,
-        ..TestbedConfig::default()
-    });
-    let a = tb.tcp_host(0, TcpConfig::default());
-    let b = tb.tcp_host(1, TcpConfig::default());
-    let done = Rc::new(Cell::new((0u64, Nanos::ZERO)));
-    let d = done.clone();
-    b.on_message(Rc::new(move |sim, _c, _m, len| {
-        let (bytes, _) = d.get();
-        d.set((bytes + len, sim.now()));
-    }));
-    let conns: Vec<u64> = (0..streams).map(|_| a.connect(tb.hosts[1].id)).collect();
-    let per_stream = TRANSFER_BYTES / streams as u64;
-    for (i, &c) in conns.iter().enumerate() {
-        // Queue the stream's data as 1MB messages.
-        let mut left = per_stream;
-        let mut m = (i as u64) << 32;
-        while left > 0 {
-            let chunk = left.min(1_000_000);
-            a.send(&mut tb.sim, c, m, chunk);
-            m += 1;
-            left -= chunk;
-        }
-    }
-    tb.run_ms(3_000);
-    let (bytes, at) = done.get();
-    assert!(bytes >= TRANSFER_BYTES * 9 / 10, "transfer incomplete: {bytes}");
-    let wall = at.as_secs_f64();
-    let gbps = bytes as f64 * 8.0 / wall / 1e9;
-    let cores = (a.cpu_busy() + b.cpu_busy()).as_secs_f64() / wall / 2.0;
-    // Per-machine CPU: the busier (sending) side defines the paper's
-    // single-machine number; report the max of the two sides.
-    let cores_max = a.cpu_busy().as_secs_f64().max(b.cpu_busy().as_secs_f64()) / wall;
-    let _ = cores;
-    (gbps, cores_max)
-}
-
-/// Saturating one-way Pony transfer; returns (Gbps, engine cores).
-fn pony_row(streams: u32, mtu: u32, ioat: bool) -> (f64, f64) {
-    let mut tb = Testbed::new(TestbedConfig {
-        nic_gbps: 100.0,
-        ..TestbedConfig::default()
-    });
-    let configure = move |cfg: &mut snap_repro::pony::PonyEngineConfig| {
-        cfg.mtu = mtu;
-        cfg.use_ioat = ioat;
-        cfg.cc = TimelyConfig {
-            max_rate: 12.5e9, // 100 Gbps line rate
-            ..TimelyConfig::default()
-        };
-    };
-    let mut a = tb.pony_app(0, "sender", configure);
-    let mut b = tb.pony_app(1, "receiver", configure);
-    let conn = tb.connect(0, "sender", 1, "receiver");
-    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 16384 });
-    tb.run_ms(1);
-
-    // Helper: send `total` spread over the streams and drive until it
-    // is fully delivered; returns (bytes, wall).
-    let transfer = |tb: &mut Testbed,
-                        a: &mut snap_repro::pony::PonyClient,
-                        b: &mut snap_repro::pony::PonyClient,
-                        total: u64| {
-        let start = tb.sim.now();
-        let per_stream = total / streams as u64;
-        for s in 0..streams {
-            let mut left = per_stream;
-            while left > 0 {
-                let chunk = left.min(1_000_000);
-                a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: s, len: chunk });
-                left -= chunk;
-            }
-        }
-        let goal = per_stream * streams as u64;
-        let mut bytes = 0u64;
-        let mut done_at = start;
-        while bytes < goal {
-            tb.run_us(100);
-            for c in b.take_completions() {
-                if let PonyCompletion::RecvMsg { len, .. } = c {
-                    bytes += len;
-                    done_at = tb.sim.now();
-                }
-            }
-            assert!(
-                tb.sim.now() < start + Nanos::from_secs(10),
-                "transfer stalled at {bytes}/{goal}"
-            );
-        }
-        (bytes, done_at - start)
-    };
-
-    // Warm-up phase: let congestion control converge.
-    transfer(&mut tb, &mut a, &mut b, TRANSFER_BYTES / 3);
-    // Measured phase.
-    let cpu0 = {
-        let e0 = tb.host_cpu(0).engine;
-        let e1 = tb.host_cpu(1).engine;
-        (e0, e1)
-    };
-    let (bytes, wall) = transfer(&mut tb, &mut a, &mut b, TRANSFER_BYTES);
-    let wall = wall.as_secs_f64();
-    let gbps = bytes as f64 * 8.0 / wall / 1e9;
-    // The engine is the bottleneck lane: busy fraction of the busier
-    // engine + the paper's ~0.05 app cores.
-    let cpu_a = (tb.host_cpu(0).engine - cpu0.0).as_secs_f64();
-    let cpu_b = (tb.host_cpu(1).engine - cpu0.1).as_secs_f64();
-    let cores = cpu_a.max(cpu_b) / wall + costs::PONY_APP_CORES;
-    (gbps, cores)
-}
 
 fn main() {
-    snap_bench::header("Table 1: throughput and CPU (paper values in parentheses)");
+    snap_bench::header("Table 1: throughput and CPU of a 100 Gbps pair, 40 ms window");
     println!(
-        "{:<28} {:>9} {:>9}  paper (CPU, Gbps)",
-        "configuration", "CPU/sec", "Gbps"
+        "{:<28} {:>14} {:>6} {:>7}   {:>11} {:>6} {:>7}",
+        "configuration", "CPU/sec: paper", "ours", "err %", "Gbps: paper", "ours", "err %"
     );
-
-    let (g, c) = tcp_row(1);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.17, 22.0)", "Linux TCP, 1 stream", c, g);
-    let (g, c) = tcp_row(200);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.15, 12.4)", "Linux TCP, 200 streams", c, g);
-
-    let (g, c) = pony_row(1, costs::PONY_DEFAULT_MTU, false);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 38.5)", "Snap/Pony, 1 stream", c, g);
-    let (g, c) = pony_row(200, costs::PONY_DEFAULT_MTU, false);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 39.1)", "Snap/Pony, 200 streams", c, g);
-
-    let (g, c) = pony_row(1, costs::PONY_LARGE_MTU, false);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 67.5)", "Snap/Pony 5k MTU, 1 stream", c, g);
-    let (g, c) = pony_row(200, costs::PONY_LARGE_MTU, false);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 65.7)", "Snap/Pony 5k MTU, 200 str", c, g);
-
-    let (g, c) = pony_row(1, costs::PONY_LARGE_MTU, true);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 82.2)", "Snap/Pony 5k+I/OAT, 1 str", c, g);
-    let (g, c) = pony_row(200, costs::PONY_LARGE_MTU, true);
-    println!("{:<28} {:>9.2} {:>9.1}  (1.05, 80.5)", "Snap/Pony 5k+I/OAT, 200", c, g);
+    let pony = |mtu: u32, ioat: bool| {
+        Stack::Pony(Rc::new(move |cfg| {
+            cfg.mtu = mtu;
+            cfg.use_ioat = ioat;
+        }))
+    };
+    let (small, large) = (costs::PONY_DEFAULT_MTU, costs::PONY_LARGE_MTU);
+    // The model meters no application thread: Pony rows add the paper's
+    // ≈ 0.05 cores of command issue to the busier engine, kernel rows
+    // have their syscalls and copies in the stack's own books.
+    let app = costs::PONY_APP_CORES;
+    #[rustfmt::skip]
+    let rows = [
+        ("Linux TCP, 1 stream", Stack::Tcp, 1, 0.0, 1.17, 22.0),
+        ("Linux TCP, 200 streams", Stack::Tcp, 200, 0.0, 1.15, 12.4),
+        ("Snap/Pony, 1 stream", pony(small, false), 1, app, 1.05, 38.5),
+        ("Snap/Pony, 200 streams", pony(small, false), 200, app, 1.05, 39.1),
+        ("Snap/Pony 5k MTU, 1 stream", pony(large, false), 1, app, 1.05, 67.5),
+        ("Snap/Pony 5k MTU, 200 str", pony(large, false), 200, app, 1.05, 65.7),
+        ("Snap/Pony 5k+I/OAT, 1 str", pony(large, true), 1, app, 1.05, 82.2),
+        ("Snap/Pony 5k+I/OAT, 200", pony(large, true), 200, app, 1.05, 80.5),
+    ];
+    for (label, stack, streams, app_cores, paper_cpu, paper_gbps) in rows {
+        if matches!(stack, Stack::Tcp) && streams > 1 {
+            println!(
+                "{label:<28} {paper_cpu:>14.2} {0:>6} {0:>7}   {paper_gbps:>11.1} {0:>6} {0:>7}",
+                "-"
+            );
+            continue;
+        }
+        let r = stream(&stack, 100.0, streams, Nanos::from_millis(40));
+        // Per machine: the busier side is the paper's number.
+        let cpu = r.cores[0].max(r.cores[1]) + app_cores;
+        println!(
+            "{:<28} {:>14.2} {:>6.2} {:>+7.1}   {:>11.1} {:>6.1} {:>+7.1}",
+            label,
+            paper_cpu,
+            cpu,
+            snap_bench::error_pct(paper_cpu, cpu),
+            paper_gbps,
+            r.gbps,
+            snap_bench::error_pct(paper_gbps, r.gbps)
+        );
+    }
+    println!(
+        "(Linux TCP, 200 streams is not measured: the modeled kernel paces every connection as if"
+    );
+    println!(
+        " on a core of its own, so 200 busy ones fill the link on nine cores; the paper's row is"
+    );
+    println!(" one thread's. ROADMAP item 2: a host-wide transmit pacer.)");
 }

@@ -23,11 +23,14 @@
 //!   and the diurnal mixed fleet on a spine/leaf Clos.
 //!
 //! The §5.2 all-to-all RPC rack behind Fig. 6(b)/(c)/(d), Fig. 7 and
-//! the ablations' SLO sweep is `snap_repro::rack` (`src/rack.rs`): one
-//! driver for Snap/Pony and the kernel-TCP baseline, reachable from
-//! here, from `examples/` and from the tier-1 `tests/`. Those five
-//! benches' tables and Fig. 9's are pinned under
-//! `tests/golden/experiments/`.
+//! the ablations' SLO sweep is `snap_repro::rack` (`src/rack.rs`), and
+//! the §5.1 two-host stream and ping-pong behind Table 1, Fig. 6(a) and
+//! the ablations' batch sweep is `snap_repro::pair` (`src/pair.rs`):
+//! one driver each for Snap/Pony and the kernel-TCP baseline, over one
+//! message-level contract (`src/stack.rs`), reachable from here, from
+//! `examples/` and from the tier-1 `tests/`. Every figure bench's table
+//! is pinned under `tests/golden/experiments/`, and `scripts/ci.sh`
+//! fails on a `[[bench]]` other than `micro` that has no golden.
 
 use snap_repro::apps::dag::{DagSpec, ServiceSpec, ServiceTime};
 use snap_repro::sim::Nanos;
@@ -36,6 +39,13 @@ use snap_repro::sim::Nanos;
 pub fn header(title: &str) {
     println!();
     println!("=== {title} ===");
+}
+
+/// Our signed error against a value the paper states, in percent to
+/// the tenth the §5.1 tables print in their gap column (so a zero has
+/// one sign).
+pub fn error_pct(paper: f64, ours: f64) -> f64 {
+    ((ours / paper - 1.0) * 1000.0).round() / 10.0 + 0.0
 }
 
 /// The scenarios' microservice DAG: a frontend fans out to two mid

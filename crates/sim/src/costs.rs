@@ -179,17 +179,6 @@ pub fn tcp_stream_cost_factor(streams: u32) -> f64 {
     }
 }
 
-/// Snap/Pony keeps per-packet cost essentially flat in stream count
-/// (Table 1: 38.5 → 39.1 Gbps); we charge a tiny flow-lookup factor.
-pub fn pony_stream_cost_factor(streams: u32) -> f64 {
-    const K: f64 = 0.002;
-    if streams <= 1 {
-        1.0
-    } else {
-        1.0 + K * (streams as f64).ln()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scheduling and wakeup costs
 // ---------------------------------------------------------------------------
@@ -401,7 +390,6 @@ mod tests {
     fn stream_factors_are_monotone() {
         assert_eq!(tcp_stream_cost_factor(1), 1.0);
         assert!(tcp_stream_cost_factor(200) > tcp_stream_cost_factor(10));
-        assert!(pony_stream_cost_factor(200) < 1.02);
     }
 
     #[test]

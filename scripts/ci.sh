@@ -9,7 +9,8 @@
 #
 #   ci.sh            — build + test + release budgets + clippy + rustdoc links
 #                      + timeline export
-#                      + pinned sim-clock tables + the bench-name guard
+#                      + pinned sim-clock tables + the golden-per-bench and
+#                        bench-name guards + EXPERIMENTS.md against its goldens
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
 #                      + the size table (printed, not gated)
 #
@@ -27,9 +28,11 @@ cargo test --workspace -q
 
 # The allocation budgets have a release figure and a looser debug one
 # (`cfg!(debug_assertions)`); the workspace run above is a debug build,
-# so only this run holds the code to the figures the benchmark sees.
+# so only this run holds the code to the figures the benchmark sees. The
+# §5.1 pair's window-doubling test simulates 1.4 GB of transfer: minutes
+# in a debug build, where it is ignored, seconds here.
 echo "== tier-1: release budgets =="
-cargo test --release -q --test datapath_budget --test sockets_budget
+cargo test --release -q --test datapath_budget --test sockets_budget --test pair
 
 echo "== tier-1: cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -55,24 +58,41 @@ echo "timeline export parses as JSON"
 # Sim-clock benches: the scenarios assert their own invariants
 # (same-seed rerun equality, hedged p99 < unhedged p99, incast drops at
 # the victim ToR); Fig 9 is the one run of the upgrade orchestrator at
-# scale (160 engines); Fig 6(b,c) is the §5.2 rack sweep over TCP and
-# both dynamic engine schedulers (4 s), and Fig 6(d), Fig 7(a), Fig 7(b)
-# and the ablations run the same rack driver (`src/rack.rs`) under
-# antagonists, C-states and the SLO sweep (4 s together). Each prints
-# virtual-time tables that are pinned as golden text.
+# scale (160 engines); Fig 6(b,c), 6(d), 7(a), 7(b) and the ablations'
+# SLO sweep run the §5.2 rack driver (`src/rack.rs`, 8 s together);
+# Table 1, Fig 6(a) and the ablations' batch sweep the §5.1 pair driver
+# (`src/pair.rs`, 2 s); Fig 8 and §5.4 their own loops (7 s). Each
+# prints virtual-time tables that are pinned as golden text: a golden is
+# the list entry, so a bench is gated by having one.
 echo "== tier-1: pinned sim-clock tables =="
-for pinned in scenarios/hedging scenarios/apps_dag scenarios/clos_scenarios \
-    experiments/fig9_upgrade experiments/fig6bc_rack experiments/fig6d_antagonist \
-    experiments/fig7a_cstate experiments/fig7b_mmap_antagonist experiments/ablations; do
-    bench="${pinned#*/}"
+for golden in tests/golden/scenarios/*.txt tests/golden/experiments/*.txt; do
+    bench="$(basename "$golden" .txt)"
     cargo bench -q -p snap-bench --bench "$bench" > "$tmp/$bench.txt"
-    if ! diff -u "tests/golden/$pinned.txt" "$tmp/$bench.txt"; then
+    if ! diff -u "$golden" "$tmp/$bench.txt"; then
         echo "model drift: bench $bench no longer prints its pinned table" \
-             "(re-pin tests/golden/$pinned.txt only if you meant to change the model)"
+             "(re-pin $golden only if you meant to change the model)"
         exit 1
     fi
 done
 echo "pinned tables match"
+
+# The marker proof (RFC-0006): every `[[bench]]` but `micro` (Criterion,
+# host clock) has a golden, so a bench dropped from the loop above, or
+# added without a pin, is a red build, not a silently skipped table.
+echo "== tier-1: every sim-clock bench has a golden =="
+sed -n 's/^name = "\(.*\)"$/\1/p' crates/bench/Cargo.toml | grep -vx -e snap-bench -e micro \
+    | while read -r bench; do
+    if ! ls tests/golden/*/"$bench.txt" > /dev/null 2>&1; then
+        echo "unpinned bench: [[bench]] $bench has no tests/golden/{scenarios,experiments}/$bench.txt"
+        exit 1
+    fi
+done
+echo "every sim-clock bench has a golden"
+
+# EXPERIMENTS.md carries each golden verbatim between markers; a number
+# cannot change under the prose that quotes it.
+echo "== tier-1: EXPERIMENTS.md against its goldens =="
+scripts/experiments.sh --check
 
 # Every `--bench <name>` the documents quote is a bench that exists: a
 # renamed or merged bench may not leave its old name behind in prose.

@@ -29,5 +29,7 @@ pub use snap_obs as obs;
 
 pub mod fleet;
 pub mod health_rig;
+pub mod pair;
 pub mod rack;
+mod stack;
 pub mod testbed;

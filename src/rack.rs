@@ -14,33 +14,23 @@
 //! pair; a request is answered with `rpc_bytes`, a probe with a reply;
 //! the application is a thread that polls every 1 µs, on both stacks;
 //! and goodput, CPU and prober RTTs are taken over one window. The two
-//! stacks differ only behind `MessageStack`, a message-level contract
-//! (not the sockets facade's `Transport`: that one spends Pony's stream
-//! id on its chunk sequence and cuts at 4 kB, and §5.2 measures the
-//! engine, not the byte-stream facade).
+//! stacks differ only behind the message-level contract of
+//! `src/stack.rs`, which §5.1's pair ([`crate::pair`]) runs on too.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
-use std::rc::Rc;
 
 use snap_apps::workload::poll_until;
 use snap_core::group::SchedulingMode;
-use snap_pony::client::{PonyClient, PonyCommand, PonyCompletion};
 use snap_pony::PonyEngineConfig;
 use snap_sched::antagonist::{ComputeAntagonist, MmapAntagonist};
 use snap_sched::classes::SchedClass;
 use snap_sim::{costs, Histogram, Nanos, Rng, Sim};
-use snap_tcp::stack::{TcpConfig, TcpHost};
+use snap_tcp::stack::TcpConfig;
 
+use crate::stack::{Message, MessageStack, PonyStack, TcpStack, POLL_US, SETTLE};
 use crate::testbed::{Testbed, TestbedConfig};
 
-/// The application thread's poll period, µs: it spins, as the paper's
-/// prober does, and sees a completion within 1 µs of it.
-const POLL_US: u64 = 1;
-/// Setup (connections, receive-buffer posts) settles for this long
-/// before the window opens, so its CPU is not the window's.
-const SETTLE: Nanos = Nanos::from_micros(50);
 /// After the window, replies and responses are collected for at most
 /// this long: beyond a kernel RTO and the longest non-preemptible
 /// section, so the slowest probes are counted, not censored.
@@ -190,8 +180,7 @@ pub fn schedule(params: &RackParams, from: Nanos) -> Vec<Arrival> {
     out
 }
 
-/// What a message is, carried by the stack beside its length: Pony's
-/// stream id, the low bits of kernel TCP's message id.
+/// What a message is: the tag the stack carries beside its length.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Response = 0,
@@ -201,152 +190,8 @@ enum Kind {
 }
 
 impl Kind {
-    fn from_bits(bits: u64) -> Kind {
-        [Kind::Response, Kind::Request, Kind::Reply, Kind::Probe][(bits & 3) as usize]
-    }
-}
-
-/// A message an application received: `(host, conn, kind, len)`.
-type Message = (usize, u64, Kind, u64);
-
-/// What the driver needs of a stack. An application is `(host, app)`:
-/// apps `0..jobs_per_host` are the jobs, app `jobs_per_host` the prober.
-trait MessageStack {
-    /// Connects two applications; the id is valid at both ends.
-    fn connect(&mut self, tb: &mut Testbed, from: (usize, usize), to: (usize, usize)) -> u64;
-    /// Sends a `len`-byte message of `kind` on `conn` from its end on
-    /// `host`.
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, kind: Kind, len: u64);
-    /// Appends what arrived since the last call.
-    fn drain(&mut self, out: &mut Vec<Message>);
-    /// So far, over all hosts: the CPU the stack consumed and, where
-    /// it counts them (kernel TCP), the segments it sent and their
-    /// `TcpHost::stream_seg_sum`.
-    fn usage(&mut self, tb: &mut Testbed) -> (Nanos, u64, u64);
-}
-
-/// Snap/Pony: one engine and client per application, message ops.
-struct PonyRack {
-    /// Applications per host.
-    apps: usize,
-    /// Host `h`'s application `a` is client `h * apps + a`.
-    clients: Vec<PonyClient>,
-    /// `(host, conn)` → the client holding that end.
-    owner: BTreeMap<(usize, u64), usize>,
-}
-
-impl PonyRack {
-    fn new(tb: &mut Testbed, params: &RackParams) -> Self {
-        let apps = params.jobs_per_host + 1;
-        // "The MTU size for Snap/Pony is 5000B. For TCP, it is 4096B"
-        // (§5.2) — the deployed rack configuration.
-        let large_mtu = |cfg: &mut PonyEngineConfig| cfg.mtu = costs::PONY_LARGE_MTU;
-        let clients = (0..params.hosts * apps)
-            .map(|i| tb.pony_app(i / apps, &format!("app{}", i % apps), large_mtu))
-            .collect();
-        PonyRack {
-            apps,
-            clients,
-            owner: BTreeMap::new(),
-        }
-    }
-}
-
-impl MessageStack for PonyRack {
-    fn connect(&mut self, tb: &mut Testbed, from: (usize, usize), to: (usize, usize)) -> u64 {
-        let name = |end: (usize, usize)| format!("app{}", end.1);
-        let conn = tb.connect(from.0, &name(from), to.0, &name(to));
-        for end in [from, to] {
-            self.owner.insert((end.0, conn), end.0 * self.apps + end.1);
-        }
-        // Receive buffers, posted once: the dialing end is where the
-        // large responses land; small messages ride credits.
-        let post = PonyCommand::PostRecvBuffers { conn, count: 8192 };
-        self.clients[from.0 * self.apps + from.1].submit(&mut tb.sim, post);
-        conn
-    }
-
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, kind: Kind, len: u64) {
-        let stream = kind as u32;
-        self.clients[self.owner[&(host, conn)]]
-            .submit(sim, PonyCommand::Send { conn, stream, len });
-    }
-
-    fn drain(&mut self, out: &mut Vec<Message>) {
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            for c in client.take_completions() {
-                if let PonyCompletion::RecvMsg {
-                    conn, stream, len, ..
-                } = c
-                {
-                    out.push((i / self.apps, conn, Kind::from_bits(stream as u64), len));
-                }
-            }
-        }
-    }
-
-    fn usage(&mut self, tb: &mut Testbed) -> (Nanos, u64, u64) {
-        let cpu = (0..tb.hosts.len()).map(|h| tb.host_cpu(h).total());
-        (cpu.fold(Nanos::ZERO, |sum, host| sum + host), 0, 0)
-    }
-}
-
-/// Kernel TCP: one stack per host, every application's connections on
-/// it; delivered messages land in one inbox the applications poll.
-struct TcpRack {
-    hosts: Vec<TcpHost>,
-    inbox: Rc<RefCell<Vec<Message>>>,
-    /// Message ids must be unique per connection and direction.
-    next_msg: u64,
-}
-
-impl TcpRack {
-    fn new(tb: &mut Testbed, params: &RackParams) -> Self {
-        let inbox: Rc<RefCell<Vec<Message>>> = Rc::default();
-        let hosts = (0..params.hosts)
-            .map(|host| {
-                let stack = tb.tcp_host(host, TcpConfig::default());
-                let inbox = inbox.clone();
-                stack.on_message(Rc::new(move |_sim, conn, msg, len| {
-                    inbox
-                        .borrow_mut()
-                        .push((host, conn, Kind::from_bits(msg), len));
-                }));
-                stack
-            })
-            .collect();
-        TcpRack {
-            hosts,
-            inbox,
-            next_msg: 0,
-        }
-    }
-}
-
-impl MessageStack for TcpRack {
-    fn connect(&mut self, tb: &mut Testbed, from: (usize, usize), to: (usize, usize)) -> u64 {
-        // The passive end materializes on the first packet, and only
-        // ever answers.
-        self.hosts[from.0].connect(tb.hosts[to.0].id)
-    }
-
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, kind: Kind, len: u64) {
-        self.next_msg += 1;
-        self.hosts[host].send(sim, conn, self.next_msg << 2 | kind as u64, len);
-    }
-
-    fn drain(&mut self, out: &mut Vec<Message>) {
-        out.append(&mut self.inbox.borrow_mut());
-    }
-
-    fn usage(&mut self, _tb: &mut Testbed) -> (Nanos, u64, u64) {
-        let mut total = (Nanos::ZERO, 0, 0);
-        for stack in &self.hosts {
-            total.0 += stack.cpu_busy();
-            total.1 += stack.stats().segs_sent;
-            total.2 += stack.stream_seg_sum();
-        }
-        total
+    fn from_tag(tag: u32) -> Kind {
+        [Kind::Response, Kind::Request, Kind::Reply, Kind::Probe][(tag & 3) as usize]
     }
 }
 
@@ -370,6 +215,16 @@ struct Apps<'a> {
 }
 
 impl Apps<'_> {
+    /// So far, over all hosts: the CPU the stack consumed and, where it
+    /// counts them (kernel TCP), the segments it sent and their
+    /// `TcpHost::stream_seg_sum`.
+    fn usage(&mut self, tb: &mut Testbed) -> (Nanos, u64, u64) {
+        (0..self.params.hosts).fold((Nanos::ZERO, 0, 0), |sum, host| {
+            let (cpu, segs, streams) = self.stack.usage(tb, host);
+            (sum.0 + cpu.total(), sum.1 + segs, sum.2 + streams)
+        })
+    }
+
     /// One poll at `sim.now()`: issue what is due, answer what arrived.
     /// Yields once nothing is left to issue or wait for.
     fn poll(&mut self, sim: &mut Sim) -> Option<()> {
@@ -378,29 +233,28 @@ impl Apps<'_> {
             let conn = self.mesh[a.host][a.peer][a.job.unwrap_or(self.params.jobs_per_host)];
             if a.job.is_some() {
                 self.bulk_issued += 1;
-                self.stack
-                    .send(sim, a.host, conn, Kind::Request, REQUEST_BYTES);
+                let request = Kind::Request as u32;
+                self.stack.send(sim, a.host, conn, request, REQUEST_BYTES);
             } else {
                 self.probes_issued += 1;
                 self.probes_out
                     .entry((a.host, conn))
                     .or_default()
                     .push_back(a.due);
-                self.stack.send(sim, a.host, conn, Kind::Probe, PROBE_BYTES);
+                let probe = Kind::Probe as u32;
+                self.stack.send(sim, a.host, conn, probe, PROBE_BYTES);
             }
         }
         self.stack.drain(&mut self.inbox);
-        for (host, conn, kind, len) in self.inbox.drain(..) {
-            match kind {
-                Kind::Request => {
-                    self.stack
-                        .send(sim, host, conn, Kind::Response, self.params.rpc_bytes)
-                }
+        for (host, conn, tag, len) in self.inbox.drain(..) {
+            let mut answer = |kind: Kind, len| self.stack.send(sim, host, conn, kind as u32, len);
+            match Kind::from_tag(tag) {
+                Kind::Request => answer(Kind::Response, self.params.rpc_bytes),
                 Kind::Response => {
                     self.rpcs += 1;
                     self.response_bytes += len;
                 }
-                Kind::Probe => self.stack.send(sim, host, conn, Kind::Reply, PROBE_BYTES),
+                Kind::Probe => answer(Kind::Reply, PROBE_BYTES),
                 Kind::Reply => {
                     let sent = self.probes_out.get_mut(&(host, conn));
                     if let Some(due) = sent.and_then(VecDeque::pop_front) {
@@ -455,11 +309,20 @@ pub fn run_on(tb: &mut Testbed, params: &RackParams) -> RackResult {
         }
     }
 
+    // Apps `0..jobs_per_host` of a host are its jobs, app
+    // `jobs_per_host` its prober.
     let mut stack: Box<dyn MessageStack> = match params.stack {
-        Stack::Tcp => Box::new(TcpRack::new(tb, params)),
-        Stack::Pony(..) => Box::new(PonyRack::new(tb, params)),
+        Stack::Tcp => Box::new(TcpStack::new(tb, TcpConfig::default())),
+        // "The MTU size for Snap/Pony is 5000B. For TCP, it is 4096B"
+        // (§5.2) — the deployed rack configuration.
+        Stack::Pony(..) => {
+            let large_mtu = |cfg: &mut PonyEngineConfig| cfg.mtu = costs::PONY_LARGE_MTU;
+            let apps = params.jobs_per_host + 1;
+            Box::new(PonyStack::new(tb, apps, large_mtu))
+        }
     };
-    // Job j dials job j, the prober the prober, on every other host.
+    // Job j dials job j, the prober the prober, on every other host:
+    // the dialing end is where the large responses land.
     let mut mesh = vec![vec![Vec::new(); params.hosts]; params.hosts];
     let mut job_conns = 0;
     for (h, row) in mesh.iter_mut().enumerate() {
@@ -486,14 +349,14 @@ pub fn run_on(tb: &mut Testbed, params: &RackParams) -> RackResult {
         rpcs: 0,
         response_bytes: 0,
     };
-    let (cpu0, segs0, streams0) = apps.stack.usage(tb);
+    let (cpu0, segs0, streams0) = apps.usage(tb);
     // The window: the poll at its end still belongs to it, and yields
     // nothing, so the loop runs the full duration.
     let _ = poll_until(tb, POLL_US, params.duration, |sim| {
         apps.poll(sim);
         Ok::<Option<()>, Infallible>(None)
     });
-    let (cpu1, segs1, streams1) = apps.stack.usage(tb);
+    let (cpu1, segs1, streams1) = apps.usage(tb);
     let window_bytes = apps.response_bytes;
     // The drain: nothing new is due; ends early once all is answered.
     let _ = poll_until(tb, POLL_US, DRAIN, |sim| {

@@ -1,14 +1,13 @@
 //! CPU/memory accounting (§2.5) and the kernel-TCP baseline compared
 //! against Pony Express (§5.1's headline efficiency claim).
 
-use std::cell::Cell;
 use std::rc::Rc;
 
-use snap_repro::pony::client::{PonyCommand, PonyCompletion};
+use snap_repro::pair::{pingpong, stream, Learn, Op, Stack, Stream};
+use snap_repro::pony::client::PonyCommand;
 use snap_repro::shm::region::AccessMode;
 use snap_repro::sim::costs;
 use snap_repro::sim::Nanos;
-use snap_repro::tcp::stack::TcpConfig;
 use snap_repro::testbed::Testbed;
 
 #[test]
@@ -40,62 +39,23 @@ fn region_memory_charged_and_released() {
     assert_eq!(tb.hosts[1].memory.usage("kv"), before);
 }
 
-/// Runs a saturating one-way bulk transfer over kernel TCP and over
-/// Snap/Pony on identical fabrics, and compares Gbps per CPU-second —
-/// the paper's "3x better transport processing efficiency" claim.
+/// Runs the saturating stream of Table 1 over kernel TCP and over
+/// Snap/Pony on identical 50 Gbps pairs, and compares Gbps per
+/// CPU-second — the paper's "3x better transport processing efficiency"
+/// claim.
 #[test]
 fn pony_beats_tcp_on_gbps_per_core() {
-    const BYTES: u64 = 40_000_000;
-
-    // Kernel TCP.
-    let mut tb = Testbed::pair();
-    let tcp_a = tb.tcp_host(0, TcpConfig::default());
-    let tcp_b = tb.tcp_host(1, TcpConfig::default());
-    let done = Rc::new(Cell::new((0u64, Nanos::ZERO)));
-    let d = done.clone();
-    tcp_b.on_message(Rc::new(move |sim, _c, _m, len| {
-        let (bytes, _) = d.get();
-        d.set((bytes + len, sim.now()));
-    }));
-    let conn = tcp_a.connect(tb.hosts[1].id);
-    for m in 0..(BYTES / 1_000_000) {
-        tcp_a.send(&mut tb.sim, conn, m, 1_000_000);
-    }
-    tb.run_ms(1_000);
-    let (tcp_bytes, tcp_done) = done.get();
-    assert_eq!(tcp_bytes, BYTES, "TCP transfer completed");
-    let tcp_gbps = tcp_bytes as f64 * 8.0 / tcp_done.as_secs_f64() / 1e9;
-    let tcp_cpu = (tcp_a.cpu_busy() + tcp_b.cpu_busy()).as_secs_f64();
-    let tcp_eff = tcp_bytes as f64 * 8.0 / 1e9 / tcp_cpu; // Gbit per cpu-sec
-
+    let window = Nanos::from_millis(2);
+    let tcp = stream(&Stack::Tcp, 50.0, 1, window);
     // Snap/Pony, large MTU (the deployed configuration of §5.2).
-    let mut tb = Testbed::pair();
-    let mut a = tb.pony_app(0, "a", |cfg| cfg.mtu = costs::PONY_LARGE_MTU);
-    let mut b = tb.pony_app(1, "b", |cfg| cfg.mtu = costs::PONY_LARGE_MTU);
-    let conn = tb.connect(0, "a", 1, "b");
-    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 4096 });
-    for _ in 0..(BYTES / 1_000_000) {
-        a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 1_000_000 });
-    }
-    let mut pony_bytes = 0u64;
-    let mut pony_done = Nanos::ZERO;
-    while pony_bytes < BYTES {
-        tb.run_ms(10);
-        for c in b.take_completions() {
-            if let PonyCompletion::RecvMsg { len, .. } = c {
-                pony_bytes += len;
-                pony_done = tb.sim.now();
-            }
-        }
-        assert!(tb.sim.now() < Nanos::from_secs(5), "pony transfer stalled");
-    }
-    let pony_gbps = pony_bytes as f64 * 8.0 / pony_done.as_secs_f64() / 1e9;
-    // Engine CPU only (spin time excluded to measure transport
-    // processing efficiency, as Table 1 does for the busy engine).
-    let cpu0 = tb.host_cpu(0);
-    let cpu1 = tb.host_cpu(1);
-    let pony_cpu = (cpu0.engine + cpu1.engine).as_secs_f64();
-    let pony_eff = pony_bytes as f64 * 8.0 / 1e9 / pony_cpu;
+    let large_mtu = Stack::Pony(Rc::new(|cfg| cfg.mtu = costs::PONY_LARGE_MTU));
+    let pony = stream(&large_mtu, 50.0, 1, window);
+    // Both machines' transport CPU; for Pony the engines' busy passes
+    // only (spin time excluded to measure transport processing
+    // efficiency, as Table 1 does for the busy engine).
+    let eff = |r: &Stream| r.gbps / (r.cores[0] + r.cores[1]); // Gbit per cpu-sec
+    let (tcp_eff, pony_eff) = (eff(&tcp), eff(&pony));
+    let (tcp_gbps, pony_gbps) = (tcp.gbps, pony.gbps);
 
     assert!(
         pony_eff > 2.0 * tcp_eff,
@@ -111,31 +71,13 @@ fn pony_beats_tcp_on_gbps_per_core() {
 #[test]
 fn tcp_busy_poll_reduces_latency() {
     // Fig. 6(a): busy-polling sockets cut TCP RTT from ~23us to ~18us.
-    fn tcp_rtt(busy_poll: bool) -> f64 {
-        let mut tb = Testbed::pair();
-        let cfg = TcpConfig {
-            busy_poll,
-            ..TcpConfig::default()
-        };
-        let a = tb.tcp_host(0, cfg.clone());
-        let b = tb.tcp_host(1, cfg);
-        // Echo server: reply on the same connection (the receive side
-        // materialized its state from the first packet).
-        let b2 = b.clone();
-        b.on_message(Rc::new(move |sim, conn_key, msg, _len| {
-            b2.send(sim, conn_key, msg + 1_000, 64);
-        }));
-        let rtt = Rc::new(Cell::new(Nanos::ZERO));
-        let r = rtt.clone();
-        a.on_message(Rc::new(move |sim, _c, _m, _l| r.set(sim.now())));
-        let conn = a.connect(tb.hosts[1].id);
-        a.send(&mut tb.sim, conn, 1, 64);
-        tb.run_ms(10);
-        rtt.get().as_micros_f64()
-    }
-    let normal = tcp_rtt(false);
-    let polled = tcp_rtt(true);
-    assert!(normal > 0.0 && polled > 0.0, "echo completed");
+    let mean_rtt_us = |learn| {
+        let rtts = pingpong(&Stack::Tcp, 50.0, learn, Op::Message);
+        assert!(rtts.count() > 0, "echo completed");
+        rtts.mean() / 1e3
+    };
+    let normal = mean_rtt_us(Learn::Notified);
+    let polled = mean_rtt_us(Learn::Spin);
     assert!(
         polled < normal,
         "busy-poll RTT {polled:.1}us should beat {normal:.1}us"
