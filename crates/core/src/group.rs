@@ -294,6 +294,29 @@ enum Burn {
     Wake,
 }
 
+/// The compacting rebalancer's clock. Ticks fall on the grid
+/// `start + k · poll` and are events only while
+/// [`rebalance_could_act`] holds, so a group that cannot be rebalanced
+/// costs the simulator nothing.
+struct RebalanceTick {
+    /// When [`GroupHandle::start`] ran: the grid's origin.
+    start: Nanos,
+    poll: Nanos,
+    /// A tick event is pending.
+    armed: bool,
+}
+
+/// Whether [`GroupHandle::rebalance`] could do anything: scale-out needs
+/// a worker holding more than one engine, a merge needs a worker other
+/// than the primary holding any. Where this is false a rebalance returns
+/// without acting, which is what lets its tick be skipped.
+fn rebalance_could_act(workers: &[Worker]) -> bool {
+    workers
+        .iter()
+        .enumerate()
+        .any(|(wi, w)| w.engines.len() > usize::from(wi == 0))
+}
+
 /// An engine group plus its scheduling runtime state.
 pub struct EngineGroup {
     name: String,
@@ -306,9 +329,9 @@ pub struct EngineGroup {
     core_cpu: Vec<CoreCpu>,
     accountant: CpuAccountant,
     next_core: usize,
-    started: bool,
-    /// Set by [`GroupHandle::stop`]; ends the rebalancer loop so a
-    /// drained simulation can terminate.
+    /// `Some` once a compacting group has been started.
+    tick: Option<RebalanceTick>,
+    /// Set by [`GroupHandle::stop`]; ends the rebalancer for good.
     stopped: bool,
     /// Scheduling delay of every wake that had to schedule a worker:
     /// spin pickup for a spinning worker, interrupt wake latency for a
@@ -344,6 +367,19 @@ impl EngineGroup {
             Burn::Spin => row.spin += ns,
             Burn::Wake => row.wake_overhead += ns,
         }
+    }
+
+    /// If the rebalancer should be ticking and is not, marks it armed
+    /// and returns the instant of its next tick: the first grid instant
+    /// after `now`, so a rebalancer that resumes keeps the instants it
+    /// would have had ticking throughout.
+    fn rebalance_due(&mut self, now: Nanos) -> Option<Nanos> {
+        let tick = self.tick.as_mut()?;
+        if tick.armed || self.stopped || !rebalance_could_act(&self.workers) {
+            return None;
+        }
+        tick.armed = true;
+        Some(now + tick.poll - (now - tick.start) % tick.poll)
     }
 
     /// Books what every idle-spinning worker has burned up to `now`,
@@ -382,6 +418,15 @@ impl WeakGroupHandle {
     pub fn upgrade(&self) -> Option<GroupHandle> {
         self.inner.upgrade().map(|inner| GroupHandle { inner })
     }
+
+    /// [`GroupHandle::wake`], if anything still owns the group. Not to
+    /// be called from inside an engine pass: see
+    /// [`GroupHandle::wake_handle`].
+    pub fn wake(&self, sim: &mut Sim, id: EngineId) {
+        if let Some(group) = self.upgrade() {
+            group.wake(sim, id);
+        }
+    }
 }
 
 fn unavailable(id: EngineId, why: &str) -> ControlError {
@@ -410,7 +455,7 @@ impl GroupHandle {
                 core_cpu,
                 accountant,
                 next_core: 0,
-                started: false,
+                tick: None,
                 stopped: false,
                 sched_delay: Histogram::new(),
             })),
@@ -476,23 +521,40 @@ impl GroupHandle {
 
     /// Starts the group runtime (rebalancer for compacting mode).
     pub fn start(&self, sim: &mut Sim) {
-        let poll = {
+        {
             let mut g = self.inner.borrow_mut();
-            if std::mem::replace(&mut g.started, true) {
+            let SchedulingMode::Compacting { rebalance_poll, .. } = g.mode else { return };
+            if g.tick.is_some() {
                 return;
             }
-            match g.mode {
-                SchedulingMode::Compacting { rebalance_poll, .. } => rebalance_poll,
-                _ => return,
-            }
-        };
+            assert!(!rebalance_poll.is_zero(), "rebalancer with zero period");
+            g.tick = Some(RebalanceTick {
+                start: sim.now(),
+                poll: rebalance_poll,
+                armed: false,
+            });
+        }
+        self.arm_rebalancer(sim);
+    }
+
+    /// Schedules the rebalancer's next tick if one is due and none is
+    /// pending. A group's engines change hands only in
+    /// [`GroupHandle::add_engine`], which has no simulator to schedule
+    /// on, and inside a tick, so this hangs off the calls that follow an
+    /// added engine: [`GroupHandle::start`], [`GroupHandle::wake`], the
+    /// end of a worker pass.
+    fn arm_rebalancer(&self, sim: &mut Sim) {
+        let Some(at) = self.inner.borrow_mut().rebalance_due(sim.now()) else { return };
         let handle = self.clone();
-        snap_sim::event::every(sim, sim.now() + poll, poll, move |sim| {
+        sim.schedule_at(at, move |sim| {
             if handle.inner.borrow().stopped {
-                return false;
+                return;
             }
             handle.rebalance(sim);
-            true
+            if let Some(tick) = handle.inner.borrow_mut().tick.as_mut() {
+                tick.armed = false;
+            }
+            handle.arm_rebalancer(sim);
         });
     }
 
@@ -502,18 +564,31 @@ impl GroupHandle {
         self.inner.borrow_mut().class_override = Some(class);
     }
 
-    /// Stops the group's background rebalancer (compacting mode); the
-    /// simulation can then drain. Engines already scheduled finish
-    /// their work.
+    /// Stops the group's background rebalancer (compacting mode) for
+    /// good: a pending tick does nothing and none is armed again.
+    /// Engines already scheduled finish their work. A simulation drains
+    /// without this once no worker but the primary holds an engine and
+    /// the primary holds one; with engines to rebalance the tick goes on
+    /// until this is called.
     pub fn stop(&self) {
         self.inner.borrow_mut().stopped = true;
     }
 
-    /// Returns a cloneable wake callback for an engine, safe to invoke
-    /// from any simulator event (it defers through the event queue, so
-    /// calling it from inside a pass cannot re-enter the runtime). The
-    /// callback holds the group weakly — engines keep theirs for
-    /// self-arming timers — and does nothing once the group is gone.
+    /// Returns a cloneable wake callback for an engine that defers
+    /// through the event queue: it schedules an event at `now` that calls
+    /// [`GroupHandle::wake`]. Anything that can be invoked from inside a
+    /// pass must wake this way — an application's doorbell, an interrupt
+    /// handler that an engine's own transmit can raise — because `wake`
+    /// run from inside a pass would re-enter the runtime. A caller that
+    /// is never inside a pass (a timer event, the fabric's delivery
+    /// event) may call `wake` itself and save the event; an engine's own
+    /// timers do, through the [`WeakGroupHandle`] they are given. The
+    /// deferral is modeled behaviour, not only a guard: the deferred wake
+    /// runs after every event already queued for `now`, and waking the
+    /// doorbells directly instead moves Fig 6(d)'s "snap spreading +
+    /// CFS −20" maximum from 8 030.9 to 6 904.2 µs (a tie with an
+    /// antagonist event falls the other way). The callback holds the
+    /// group weakly and does nothing once the group is gone.
     pub fn wake_handle(&self, id: EngineId) -> Rc<dyn Fn(&mut Sim)> {
         let group = self.downgrade();
         Rc::new(move |sim: &mut Sim| {
@@ -559,6 +634,7 @@ impl GroupHandle {
                 }
             }
         };
+        self.arm_rebalancer(sim);
         if let Some(delay) = action {
             self.inner.borrow_mut().sched_delay.record_nanos(delay);
             let handle = self.clone();
@@ -618,18 +694,23 @@ impl GroupHandle {
         }
 
         // Charge the machine and decide what happens next.
-        let (next, next_deadline, first_engine) = {
+        let (next, next_deadline, awake) = {
             let mut g = self.inner.borrow_mut();
-            // Earliest self-timer deadline across this worker's
-            // engines: near deadlines are poll-waited (burning spin
+            // Earliest self-timer deadline across the engines this
+            // worker runs: near deadlines are poll-waited (burning spin
             // CPU) instead of paying a block + interrupt-wake cycle per
-            // pacing gap.
-            let engines = &g.workers[worker_idx].engines;
-            let next_deadline = engines
+            // pacing gap. A suspended or crashed engine is not run, so
+            // the deadline it last reported is nobody's to wait for and
+            // a framework wake is addressed to a running neighbour.
+            let running = g.workers[worker_idx]
+                .engines
                 .iter()
-                .filter_map(|id| g.slots[id.0 as usize].last_report.next_deadline)
+                .map(|id| (*id, &g.slots[id.0 as usize]))
+                .filter(|(_, slot)| slot.state == Lifecycle::Running);
+            let awake = running.clone().next().map(|(id, _)| id);
+            let next_deadline = running
+                .filter_map(|(_, slot)| slot.last_report.next_deadline)
                 .min();
-            let first_engine = engines.first().copied();
             let w = &mut g.workers[worker_idx];
             let throttle_start = match w.budget.as_mut() {
                 Some(b) if !total_cpu.is_zero() => b.request(now, total_cpu),
@@ -657,9 +738,10 @@ impl GroupHandle {
                 }
                 None
             };
-            (next, next_deadline, first_engine)
+            (next, next_deadline, awake)
         };
 
+        self.arm_rebalancer(sim);
         match next {
             Some(at) => {
                 let handle = self.clone();
@@ -669,9 +751,9 @@ impl GroupHandle {
                 // Far-future self-timer (pacing, shaper refill, RTO):
                 // arm a framework wake so a blocked worker resumes at
                 // the deadline (a wake of a running worker is a no-op).
-                if let (Some(d), Some(first)) = (next_deadline, first_engine) {
+                if let (Some(d), Some(id)) = (next_deadline, awake) {
                     let handle = self.clone();
-                    sim.schedule_at(d.max(now), move |sim| handle.wake(sim, first));
+                    sim.schedule_at(d.max(now), move |sim| handle.wake(sim, id));
                 }
                 self.maybe_arm_idle_block(sim, worker_idx);
             }
@@ -1219,29 +1301,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compacting_starts_on_one_worker_and_scales_out() {
-        let mut sim = Sim::new();
-        let g = GroupHandle::new(
-            GroupConfig {
-                name: "compact".into(),
-                mode: SchedulingMode::Compacting {
-                    slo: Nanos::from_micros(5),
+    fn compacting_group(slo: Nanos, idle_block: Nanos) -> GroupHandle {
+        GroupHandle::new(
+            GroupConfig::new(
+                "compact",
+                SchedulingMode::Compacting {
+                    slo,
                     rebalance_poll: Nanos::from_micros(10),
-                    idle_block: Nanos::from_millis(50),
+                    idle_block,
                 },
-                class: None,
-            },
+            ),
             machine(),
             CpuAccountant::new(),
-        );
-        // Two heavy engines on the primary: per-item cost is large so
-        // queueing delay blows through the SLO.
+        )
+    }
+
+    /// Two heavy engines under sustained load on a 5 us SLO: per-item
+    /// cost is large, so queueing delay blows through the SLO. Returns
+    /// the group, the engines and the instant of the first scale-out.
+    /// `start_first` is the `Testbed` order: the group is started empty
+    /// and populated afterwards.
+    fn scale_out_under_load(start_first: bool) -> (GroupHandle, [EngineId; 2], Nanos) {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(5), Nanos::from_millis(50));
+        if start_first {
+            g.start(&mut sim);
+        }
         let a = g.add_engine(Box::new(CountingEngine::new("a", Nanos::from_micros(20))));
         let b = g.add_engine(Box::new(CountingEngine::new("b", Nanos::from_micros(20))));
         assert_eq!(g.worker_count(), 1);
         g.start(&mut sim);
-        // Sustained load on both engines.
         for round in 0..50u64 {
             let at = Nanos::from_micros(round * 20);
             let (g2, a2, b2) = (g.clone(), a, b);
@@ -1252,30 +1341,130 @@ mod tests {
                 g2.wake(sim, b2);
             });
         }
+        while g.worker_count() == 1 && sim.step() {}
+        let scaled_out_at = sim.now();
         sim.run_until(Nanos::from_millis(10));
         g.stop();
         sim.run();
+        (g, [a, b], scaled_out_at)
+    }
+
+    /// When [`scale_out_under_load`] first scales out.
+    const SCALED_OUT_AT: Nanos = Nanos::from_micros(30);
+
+    #[test]
+    fn compacting_starts_on_one_worker_and_scales_out() {
+        let (g, [a, b], _) = scale_out_under_load(false);
         assert!(g.worker_count() >= 2, "rebalancer should have scaled out");
         assert_eq!(processed(&g, a), 400);
         assert_eq!(processed(&g, b), 400);
     }
 
     #[test]
+    fn a_group_started_empty_scales_out_like_one_started_full() {
+        // The rebalancer of a group started empty has nothing to do and
+        // is not ticking; the engines' first wake arms it on the grid
+        // that `start` laid down. The instant and the worker count are
+        // what the always-ticking rebalancer of the parent commit gave.
+        let (full, _, full_at) = scale_out_under_load(false);
+        let (empty, [a, b], empty_at) = scale_out_under_load(true);
+        assert_eq!((full_at, full.worker_count()), (SCALED_OUT_AT, 2));
+        assert_eq!((empty_at, empty.worker_count()), (SCALED_OUT_AT, 2));
+        assert_eq!(processed(&empty, a), 400);
+        assert_eq!(processed(&empty, b), 400);
+    }
+
+    /// Adds, at `join`, an engine whose backlog will be past a 1 us SLO
+    /// at the next rebalance, and wakes it.
+    fn second_engine_joins(sim: &mut Sim, g: &GroupHandle, join: Nanos) -> EngineId {
+        let b = g.add_engine(Box::new(CountingEngine::new("late", Nanos::from_micros(20))));
+        // More than a batch, so that a pass leaves a backlog behind.
+        inject(g, b, join, 40);
+        g.wake(sim, b);
+        b
+    }
+
+    fn worker_of(g: &GroupHandle, id: EngineId) -> usize {
+        g.inner.borrow().slots[id.0 as usize].worker
+    }
+
+    #[test]
+    fn a_one_engine_group_does_not_tick_and_a_second_engine_resumes_the_grid() {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(1), Nanos::from_millis(50));
+        g.add_engine(Box::new(CountingEngine::new("first", Nanos(500))));
+        g.start(&mut sim);
+        sim.run();
+        assert_eq!(sim.events_executed(), 0, "nothing to rebalance, no tick");
+
+        // The second engine arrives 37 us after `start`: its first
+        // rebalance is the grid's tick at 40 us, not one poll later.
+        sim.run_until(Nanos::from_micros(37));
+        let b = second_engine_joins(&mut sim, &g, Nanos::from_micros(37));
+        sim.run_until(Nanos::from_micros(40) - Nanos(1));
+        assert_eq!(g.worker_count(), 1);
+        sim.run_until(Nanos::from_micros(40));
+        assert_eq!(g.worker_count(), 2, "scaled out by the tick at 40 us");
+        assert_eq!(worker_of(&g, b), 1);
+    }
+
+    #[test]
+    fn the_tick_stops_after_a_merge_leaves_one_engine_and_restarts_on_the_grid() {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(1), Nanos::from_millis(50));
+        let a = g.add_engine(Box::new(CountingEngine::new("a", Nanos(500))));
+        g.start(&mut sim);
+        // An engine alone on a secondary worker: what a scale-out and
+        // the removal of the primary's other engine would leave. The
+        // group has no removal yet, so the state is built by hand.
+        {
+            let mut inner = g.inner.borrow_mut();
+            inner.workers[0].engines.clear();
+            inner.workers.push(Worker::blocked(1));
+            inner.workers[1].engines.push(a);
+            inner.slots[a.0 as usize].worker = 1;
+        }
+        sim.run_until(Nanos::from_micros(3));
+        g.wake(&mut sim, a);
+        // The tick at 10 us merges the idle secondary into the primary;
+        // with one engine on the primary nothing is left to rebalance,
+        // and the simulation drains without `stop()`.
+        sim.run();
+        assert_eq!(worker_of(&g, a), 0);
+        assert!(sim.now() < Nanos::from_micros(20), "drained at {}", sim.now());
+
+        sim.run_until(Nanos::from_micros(123));
+        let b = second_engine_joins(&mut sim, &g, Nanos::from_micros(123));
+        sim.run_until(Nanos::from_micros(130) - Nanos(1));
+        assert_eq!(worker_of(&g, b), 0);
+        sim.run_until(Nanos::from_micros(130));
+        assert_eq!(worker_of(&g, b), 1, "scaled out by the tick at 130 us");
+    }
+
+    #[test]
+    fn stop_ends_the_rebalancer_for_good() {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(1), Nanos::from_millis(50));
+        g.add_engine(Box::new(CountingEngine::new("a", Nanos(500))));
+        g.add_engine(Box::new(CountingEngine::new("b", Nanos(500))));
+        g.start(&mut sim);
+        sim.run_until(Nanos::from_micros(25));
+        assert_eq!(sim.events_executed(), 2, "two engines: ticks at 10 and 20 us");
+        g.stop();
+        sim.run();
+        // Nothing re-arms it: an engine that the rebalancer would move
+        // stays on the primary and the simulation still drains.
+        let c = second_engine_joins(&mut sim, &g, Nanos::from_micros(30));
+        sim.run();
+        assert_eq!(worker_of(&g, c), 0);
+        assert_eq!(g.worker_count(), 1);
+        assert_eq!(processed(&g, c), 40);
+    }
+
+    #[test]
     fn compacting_blocks_after_idle_and_rewakes() {
         let mut sim = Sim::new();
-        let g = GroupHandle::new(
-            GroupConfig {
-                name: "idle".into(),
-                mode: SchedulingMode::Compacting {
-                    slo: Nanos::from_micros(50),
-                    rebalance_poll: Nanos::from_micros(10),
-                    idle_block: Nanos::from_micros(100),
-                },
-                class: None,
-            },
-            machine(),
-            CpuAccountant::new(),
-        );
+        let g = compacting_group(Nanos::from_micros(50), Nanos::from_micros(100));
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(500))));
         g.start(&mut sim);
         inject(&g, id, Nanos::ZERO, 1);
@@ -1564,6 +1753,142 @@ mod tests {
         sim.run();
         assert_eq!(processed(&g, id), 6);
         assert!(g.engine_health(id).expect("slot").last_pass > passed_at);
+    }
+
+    /// An engine with nothing to do before `deadline` and no timer of
+    /// its own: it relies on [`RunReport::next_deadline`].
+    struct DeadlineEngine {
+        deadline: Nanos,
+        passes: Rc<RefCell<Vec<Nanos>>>,
+    }
+
+    impl Engine for DeadlineEngine {
+        fn name(&self) -> &str {
+            "deadline"
+        }
+
+        fn run(&mut self, sim: &mut Sim) -> RunReport {
+            self.passes.borrow_mut().push(sim.now());
+            RunReport {
+                next_deadline: Some(self.deadline).filter(|d| *d > sim.now()),
+                ..RunReport::idle(Nanos(costs::ENGINE_POLL_PASS_NS))
+            }
+        }
+
+        fn pending_work(&self) -> usize {
+            0
+        }
+
+        fn oldest_pending_age(&self, _now: Nanos) -> Nanos {
+            Nanos::ZERO
+        }
+
+        fn serialize_state(&mut self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn detach(&mut self, _sim: &mut Sim) {}
+
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_deadline_is_kept_while_the_workers_first_engine_is_suspended() {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(50), Nanos::from_micros(100));
+        let first = g.add_engine(Box::new(CountingEngine::new("upgrading", Nanos(500))));
+        let deadline = Nanos::from_millis(1);
+        let passes = Rc::new(RefCell::new(Vec::new()));
+        let second = g.add_engine(Box::new(DeadlineEngine {
+            deadline,
+            passes: passes.clone(),
+        }));
+        g.start(&mut sim);
+        g.suspend_engine(&mut sim, first);
+        g.wake(&mut sim, second);
+        sim.run_until(Nanos::from_millis(2));
+        g.stop();
+        sim.run();
+        // One pass at the wake, one at the deadline (the worker has
+        // blocked by then, so it is an interrupt wake-up late).
+        let passes = passes.borrow();
+        assert_eq!(passes.len(), 2, "passes at {passes:?}");
+        assert!(
+            passes[1] >= deadline && passes[1] < deadline + Nanos::from_micros(100),
+            "second pass at {}, deadline {deadline}",
+            passes[1]
+        );
+    }
+
+    #[test]
+    fn a_suspended_engines_deadline_is_not_waited_for() {
+        let mut sim = Sim::new();
+        let g = GroupHandle::new(
+            GroupConfig::new("shared", SchedulingMode::Dedicated { cores: vec![0] }),
+            machine(),
+            CpuAccountant::new(),
+        );
+        g.add_engine(Box::new(CountingEngine::new("neighbour", Nanos(500))));
+        let deadline = Nanos::from_millis(1);
+        let passes = Rc::new(RefCell::new(Vec::new()));
+        let upgrading = g.add_engine(Box::new(DeadlineEngine {
+            deadline,
+            passes: passes.clone(),
+        }));
+        assert_eq!(g.worker_count(), 1, "both on the one core");
+        g.wake(&mut sim, upgrading);
+        sim.run_until(Nanos::from_micros(10));
+        g.suspend_engine(&mut sim, upgrading);
+        // The deadline passes mid-upgrade. The worker wakes for it, has
+        // nobody to run it for, and goes back to idle: it does not
+        // poll-wait on a deadline that no pass of its own can clear.
+        sim.run_until(deadline + Nanos::from_micros(10));
+        assert_eq!(*passes.borrow(), [Nanos(costs::SPIN_PICKUP_NS)]);
+        assert!(sim.events_executed() < 10, "{} events", sim.events_executed());
+    }
+
+    #[test]
+    fn a_timer_event_wakes_directly() {
+        // What an engine's own timer does: an event at `t` that calls
+        // `WeakGroupHandle::wake`. The worker's pass is scheduled from
+        // that event, one event fewer than through `wake_handle`.
+        fn events(defer: bool) -> u64 {
+            let mut sim = Sim::new();
+            let (g, id) = counting_group(SchedulingMode::Spreading);
+            g.start(&mut sim);
+            inject(&g, id, sim.now(), 1);
+            let (weak, deferred) = (g.downgrade(), g.wake_handle(id));
+            sim.schedule_at(Nanos::from_micros(5), move |sim| {
+                if defer {
+                    deferred(sim);
+                } else {
+                    weak.wake(sim, id);
+                    assert_eq!(sim.pending(), 1, "the pass, scheduled from the timer event");
+                }
+            });
+            sim.run();
+            assert_eq!(processed(&g, id), 1);
+            sim.events_executed()
+        }
+        assert_eq!(events(false) + 1, events(true));
+
+        // A timer that fires on a worker already scheduled changes
+        // nothing, and one that outlives its group does nothing.
+        let mut sim = Sim::new();
+        let (g, id) = counting_group(SchedulingMode::Spreading);
+        g.start(&mut sim);
+        g.wake(&mut sim, id);
+        let cpu = g.cpu(sim.now()).total();
+        let weak = g.downgrade();
+        weak.wake(&mut sim, id);
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(g.cpu(sim.now()).total(), cpu, "no second wake-up charged");
+        drop(g);
+        sim.run();
+        weak.wake(&mut sim, id);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

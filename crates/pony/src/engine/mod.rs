@@ -46,7 +46,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use snap_core::engine::{Engine, RunReport};
+use snap_core::engine::{Engine, EngineId, RunReport};
+use snap_core::group::WeakGroupHandle;
 use snap_isolation::AdmissionController;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet};
@@ -77,10 +78,6 @@ pub const INITIAL_CREDITS: u32 = 64;
 pub type SessionTable = Rc<RefCell<SessionMap>>;
 
 type SessionMap = IntMap<u64, EngineEndpoint<PonyCommandTuple, PonyCompletion>>;
-
-/// Callback that re-schedules an engine pass — used by self-arming
-/// pacing/RTO timers.
-pub type WakeFn = Rc<dyn Fn(&mut Sim)>;
 
 /// Static engine configuration.
 #[derive(Debug, Clone)]
@@ -360,9 +357,9 @@ pub struct PonyEngine {
     /// guarantee survives a restart with hedges still in flight.
     session_watermarks: IntMap<u64, u64>,
     stats: PonyStats,
-    /// Wake callback for self-arming timers (pacing/RTO); set by the
-    /// module after registration.
-    wake: Option<WakeFn>,
+    /// Whom a self-armed timer (pacing/RTO) wakes: this engine's group
+    /// and its id there; set by the module after registration.
+    wake: Option<(WeakGroupHandle, EngineId)>,
     timer: Option<(Nanos, snap_sim::EventHandle)>,
     /// Admission controller enforcing this container's memory quota on
     /// the datapath; `None` keeps the quota-free fast path.
@@ -435,9 +432,13 @@ impl PonyEngine {
         }
     }
 
-    /// Installs the wake callback used for pacing/RTO timers.
-    pub fn set_wake(&mut self, wake: WakeFn) {
-        self.wake = Some(wake);
+    /// Tells the engine whom its pacing/RTO timers wake: itself, as
+    /// engine `id` of `group`. A timer event is never inside a pass, so
+    /// it calls [`GroupHandle::wake`](snap_core::group::GroupHandle::wake)
+    /// itself instead of deferring through
+    /// [`GroupHandle::wake_handle`](snap_core::group::GroupHandle::wake_handle).
+    pub fn set_wake(&mut self, group: WeakGroupHandle, id: EngineId) {
+        self.wake = Some((group, id));
     }
 
     /// Installs the trace recorder this engine stamps stage records
@@ -647,10 +648,10 @@ impl PonyEngine {
             }
             handle.cancel();
         }
-        let Some(wake) = self.wake.clone() else {
+        let Some((group, id)) = self.wake.clone() else {
             return;
         };
-        let handle = sim.schedule_cancellable_at(deadline, move |sim| wake(sim));
+        let handle = sim.schedule_cancellable_at(deadline, move |sim| group.wake(sim, id));
         self.timer = Some((deadline, handle));
     }
 }

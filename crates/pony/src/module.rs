@@ -142,11 +142,11 @@ impl EngineKit {
     }
 
     /// Attaches `engine`, which is (or is about to be) engine `id` of
-    /// the group: its wake handle for pacing/RTO timers, the admission
+    /// the group: whom its pacing/RTO timers wake, the admission
     /// controller, the trace recorder. Every new or rebuilt engine
     /// passes through here, so the next attachment is added here only.
     fn wire(&self, id: EngineId, engine: &mut PonyEngine) {
-        engine.set_wake(self.group.wake_handle(id));
+        engine.set_wake(self.group.downgrade(), id);
         if let Some(adm) = &self.admission {
             engine.set_admission(adm.clone());
         }
@@ -214,9 +214,8 @@ impl PonyModule {
         let wake_group = group.downgrade();
         fabric.with_nic(host, |nic| {
             nic.set_irq_handler(Rc::new(move |sim, queue| {
-                let owner = qmap.borrow().get(&queue).copied();
-                if let (Some(id), Some(group)) = (owner, wake_group.upgrade()) {
-                    group.wake(sim, id);
+                if let Some(id) = qmap.borrow().get(&queue).copied() {
+                    wake_group.wake(sim, id);
                 }
             }));
         });

@@ -428,7 +428,8 @@ impl Testbed {
     }
 
     /// Stops group rebalancers (needed before a draining `sim.run()` on
-    /// compacting-mode testbeds).
+    /// a compacting-mode testbed with a host of more than one engine: a
+    /// rebalancer with nothing to rebalance is not ticking).
     pub fn stop_groups(&self) {
         for h in &self.hosts {
             h.group.stop();
