@@ -1,36 +1,11 @@
 //! What the fabric counts: four structs of plain `u64` counters. Each
-//! is declared through `counter_table!`, which also gives it the one
-//! `counters()` table a consumer (telemetry, a conservation check)
-//! walks instead of naming fields — so a counter added to a struct is
-//! published from the line that declares it, under the field's own name
-//! unless that line says otherwise.
+//! is declared through [`snap_sim::counter_table!`], which also gives it
+//! the one `counters()` table a consumer (telemetry, a conservation
+//! check) walks instead of naming fields — so a counter added to a
+//! struct is published from the line that declares it, under the
+//! field's own name unless that line says otherwise.
 
-/// Declares a struct whose every field is a `pub u64` counter, plus
-/// `counters()`: every field under its published name — the field's
-/// name, or the literal after `=` — in declaration order.
-macro_rules! counter_table {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$doc:meta])* pub $field:ident: u64 $(= $published:literal)?,)*
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $($(#[$doc])* pub $field: u64,)*
-        }
-
-        impl $name {
-            /// Every counter under its published name, in declaration
-            /// order.
-            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
-                [$((counter_table!(@name $field $($published)?), self.$field)),*]
-            }
-        }
-    };
-    (@name $field:ident) => { stringify!($field) };
-    (@name $field:ident $published:literal) => { $published };
-}
+use snap_sim::counter_table;
 
 counter_table! {
     /// Fabric counters, published as `fabric.<name>`. Every row but

@@ -7,17 +7,17 @@
 //! (PR 3) and causal tracer (PR 5) are point-in-time; this crate
 //! records *trajectories*:
 //!
-//! * [`recorder::FlightRecorder`] — samples a telemetry
-//!   [`snap_telemetry::Registry`] on a deterministic sim-time cadence
-//!   into bounded ring-buffered time series: counters become per-tick
-//!   rates (reset-aware, like the PR-3 deltas), gauges keep their last
-//!   reading, histograms reduce to per-window quantile digests.
-//! * [`cpu::CpuSampler`] — publishes the engine groups' per-core
-//!   busy/spin/wake/idle split and per-engine CPU (`cpu.<host>.*`
-//!   series) so dedicated-vs-spreading-vs-compacting sweeps reproduce
-//!   the paper's efficiency comparison. Ground truth comes from
-//!   [`snap_core::group::GroupHandle::core_cpu`], whose per-core sums
-//!   equal the group totals exactly.
+//! * [`recorder::FlightRecorder`] — the last stage of the telemetry
+//!   pipeline (sources → registry → recorder): on a deterministic
+//!   sim-time cadence it polls a [`snap_telemetry::StatsModule`]'s
+//!   sources and folds the window since the last tick
+//!   ([`snap_telemetry::Snapshot::delta`]) into bounded ring-buffered
+//!   time series: counters become per-tick rates, gauges keep their
+//!   last reading, histograms reduce to per-window quantile digests.
+//!   `Testbed::flight_recorder` samples a module watching every host's
+//!   engine group, so the per-core busy/spin/wake/idle split and
+//!   per-engine CPU (`cpu.<host>.*`, named in `snap_telemetry`'s table)
+//!   are series from the first tick.
 //! * [`slo::SloEngine`] — declarative objectives (success ratio,
 //!   latency-below-threshold) evaluated over recorded series into
 //!   multi-window burn-rate alerts, pushed to
@@ -27,23 +27,21 @@
 //!   fault/alert instants onto one virtual-time axis.
 //!
 //! Determinism contract: everything here *reads* modeled state and
-//! writes only its own side registry — attaching a recorder to a run
-//! never changes modeled time (pinned by the repo benchmark's
-//! `obs.attach_pct` digest gate; the alert and timeline behaviour by
-//! `tests/obs.rs`). All JSON output is hand-rolled with sorted keys:
-//! same seed ⇒ byte-identical files.
+//! writes only its own registry — attaching a recorder over pure-read
+//! sources to a run never changes modeled time (pinned by the repo
+//! benchmark's `obs.attach_pct` digest gate; the alert and timeline
+//! behaviour by `tests/obs.rs`). All JSON output is hand-rolled with
+//! sorted keys: same seed ⇒ byte-identical files.
 
 // Observability is control-plane code: degrade into typed errors or
 // defaults, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub mod cpu;
 pub mod module;
 pub mod recorder;
 pub mod slo;
 pub mod timeline;
 
-pub use cpu::CpuSampler;
 pub use module::ObsModule;
 pub use recorder::{FlightRecorder, PointValue, QuantileDigest, RecorderConfig};
 pub use slo::{AlertEvent, AlertState, Objective, SloEngine, SloSpec};

@@ -92,13 +92,16 @@ mod tests {
     use snap_shm::account::{CpuAccountant, MemoryAccountant};
     use snap_shm::region::RegionRegistry;
     use snap_sim::{Nanos, Sim};
-    use snap_telemetry::Registry;
+    use snap_telemetry::{StatsConfig, StatsModule};
     use std::collections::HashMap;
 
     #[test]
     fn rpc_surface_samples_and_dumps() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         registry.counter("ops").add(10);
         let mut slo = SloEngine::new();
         slo.add(SloSpec {

@@ -1,33 +1,36 @@
-//! The flight recorder: registry snapshots on a cadence, reduced into
-//! bounded ring-buffered time series.
+//! The flight recorder: a stats module's registry sampled on a cadence,
+//! reduced into bounded ring-buffered time series.
 //!
-//! Each tick takes a [`Registry::snapshot`] and folds it against the
-//! previous one:
+//! Each tick polls the [`StatsModule`]'s sources, takes a snapshot and
+//! folds the window since the previous tick — [`Snapshot::delta`], the
+//! one window rule — into the rings:
 //!
-//! * **counters** → per-tick deltas, reset-aware like the PR-3
-//!   `StatsModule` discipline: a counter that went *backwards* means
-//!   the producer restarted, so the new absolute value *is* the delta —
-//!   never a double count, never a lost window.
+//! * **counters** → the tick's increment (a registry counter only grows;
+//!   sources that restart from zero are folded reset-aware before they
+//!   reach it).
 //! * **gauges** → the last reading.
-//! * **histograms** → the window's recordings via [`Histogram::diff`]
-//!   (saturating per bucket, so a reset degrades to "everything since
-//!   the reset"), reduced to a fixed [`QuantileDigest`].
+//! * **histograms** → the window's recordings via [`Histogram::diff`],
+//!   reduced to a fixed [`QuantileDigest`].
 //!
-//! Every series is a bounded ring: at capacity the oldest point is
-//! evicted and counted, so a long soak run records the recent past at
-//! full resolution with constant memory — the paper's always-on
-//! monitoring posture. Ticks run on *virtual* time and only read
-//! state, so an attached recorder never perturbs the modeled schedule.
+//! The tick is the only clock: the recorder drives the module's poll,
+//! so a caller starts, stops and flushes one loop, never two. Every
+//! series is a bounded ring: at capacity the oldest point is evicted
+//! and counted, so a long soak run records the recent past at full
+//! resolution with constant memory — the paper's always-on monitoring
+//! posture. Ticks run on *virtual* time and the sources only read
+//! state, so a recorder over pure-read sources (engine groups, the
+//! fabric) never perturbs the modeled schedule.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use snap_sim::event::Ticker;
 use snap_sim::stats::Histogram;
-use snap_sim::{event, Nanos, Sim};
+use snap_sim::{Nanos, Sim};
 use snap_telemetry::export::{Metric, Snapshot};
-use snap_telemetry::Registry;
+use snap_telemetry::{Registry, StatsModule};
 
 /// Recorder tuning.
 #[derive(Debug, Clone, Copy)]
@@ -128,7 +131,7 @@ impl QuantileDigest {
 /// One recorded point's value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PointValue {
-    /// Counter increment over the tick (reset-aware).
+    /// Counter increment over the tick.
     Rate(u64),
     /// Gauge reading at the tick.
     Level(i64),
@@ -141,120 +144,74 @@ struct Series {
     evicted: u64,
 }
 
-/// A sampling hook run just before each snapshot (CPU publication,
-/// a `StatsModule::poll_once`, …). Hooks only read modeled state and
-/// write the obs registry.
-pub type SampleHook = Box<dyn FnMut(&mut Sim)>;
-
 struct Inner {
     cfg: RecorderConfig,
-    last: Option<Snapshot>,
+    last: Snapshot,
     series: BTreeMap<String, Series>,
-    hooks: Vec<SampleHook>,
     ticks: u64,
-    running: bool,
 }
 
 /// The flight recorder; cloning shares state. See the [module
 /// docs](self) for the reduction rules.
 #[derive(Clone)]
 pub struct FlightRecorder {
-    registry: Registry,
+    stats: StatsModule,
+    clock: Ticker,
     inner: Rc<RefCell<Inner>>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder sampling `registry`.
-    pub fn new(cfg: RecorderConfig, registry: Registry) -> Self {
+    /// Creates a recorder sampling `stats`: each tick polls its sources.
+    /// Start this recorder's loop, not the module's.
+    pub fn new(cfg: RecorderConfig, stats: StatsModule) -> Self {
         FlightRecorder {
-            registry,
+            stats,
+            clock: Ticker::default(),
             inner: Rc::new(RefCell::new(Inner {
                 cfg,
-                last: None,
+                last: Snapshot::default(),
                 series: BTreeMap::new(),
-                hooks: Vec::new(),
                 ticks: 0,
-                running: false,
             })),
         }
     }
 
     /// The sampled registry (for producers registering metrics).
     pub fn registry(&self) -> Registry {
-        self.registry.clone()
-    }
-
-    /// Registers a hook to run before every sample (e.g. a
-    /// [`crate::CpuSampler`] publish pass).
-    pub fn add_pre_sample(&self, hook: SampleHook) {
-        self.inner.borrow_mut().hooks.push(hook);
+        self.stats.registry()
     }
 
     /// Starts the sampling loop (first tick one cadence from now).
+    /// Idempotent while the loop is live, a restart after
+    /// [`stop`](Self::stop) included: there is only ever one loop.
     pub fn start(&self, sim: &mut Sim) {
-        let cadence = {
-            let mut inner = self.inner.borrow_mut();
-            inner.running = true;
-            inner.cfg.cadence
-        };
         let this = self.clone();
-        let start = sim.now() + cadence;
-        event::every(sim, start, cadence, move |sim| {
-            if !this.inner.borrow().running {
-                return false;
-            }
-            this.sample_once(sim);
-            true
-        });
+        let cadence = self.inner.borrow().cfg.cadence;
+        self.clock
+            .start(sim, cadence, move |sim| this.sample_once(sim));
     }
 
-    /// Stops the loop (the pending tick unschedules itself).
+    /// Stops the loop (the pending tick lapses).
     pub fn stop(&self) {
-        self.inner.borrow_mut().running = false;
+        self.clock.stop();
     }
 
-    /// Takes one sample now: run hooks, snapshot, fold against the
-    /// previous snapshot, push one point per metric.
+    /// Takes one sample now: poll the sources, snapshot, push one point
+    /// per metric for the window since the previous sample.
     pub fn sample_once(&self, sim: &mut Sim) {
-        // Hooks run outside the inner borrow (they may call back into
-        // producers that hold clones of this recorder's registry).
-        let mut hooks = std::mem::take(&mut self.inner.borrow_mut().hooks);
-        for hook in &mut hooks {
-            hook(sim);
-        }
-        let mut inner = self.inner.borrow_mut();
-        // Hooks registered *during* a hook run land behind the
-        // originals; both sets survive.
-        let mut late = std::mem::take(&mut inner.hooks);
-        hooks.append(&mut late);
-        inner.hooks = hooks;
-
+        self.stats.poll_once(sim);
         let now = sim.now();
-        let snap = self.registry.snapshot(now);
+        let snap = self.stats.snapshot(now);
+        let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let capacity = inner.cfg.capacity.max(1);
-        for (name, metric) in &snap.metrics {
+        for (name, metric) in snap.delta(&inner.last).metrics {
             let value = match metric {
-                Metric::Counter(v) => {
-                    let prev = inner
-                        .last
-                        .as_ref()
-                        .and_then(|s| s.counter(name))
-                        .unwrap_or_default();
-                    // Reset-aware: backwards means the producer
-                    // restarted; its new absolute value is the delta.
-                    PointValue::Rate(if *v >= prev { *v - prev } else { *v })
-                }
-                Metric::Gauge(v) => PointValue::Level(*v),
-                Metric::Histogram(h) => {
-                    let window = match inner.last.as_ref().and_then(|s| s.histogram(name)) {
-                        Some(prev) => h.diff(prev),
-                        None => h.clone(),
-                    };
-                    PointValue::Digest(QuantileDigest::of(&window))
-                }
+                Metric::Counter(n) => PointValue::Rate(n),
+                Metric::Gauge(v) => PointValue::Level(v),
+                Metric::Histogram(h) => PointValue::Digest(QuantileDigest::of(&h)),
             };
-            let series = inner.series.entry(name.clone()).or_insert_with(|| Series {
+            let series = inner.series.entry(name).or_insert_with(|| Series {
                 points: VecDeque::with_capacity(capacity.min(1024)),
                 evicted: 0,
             });
@@ -264,18 +221,13 @@ impl FlightRecorder {
             }
             series.points.push_back((now, value));
         }
-        inner.last = Some(snap);
+        inner.last = snap;
         inner.ticks += 1;
     }
 
     /// Number of samples taken so far.
     pub fn ticks(&self) -> u64 {
         self.inner.borrow().ticks
-    }
-
-    /// Sampling cadence.
-    pub fn cadence(&self) -> Nanos {
-        self.inner.borrow().cfg.cadence
     }
 
     /// Recorded series names, sorted.
@@ -374,6 +326,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_telemetry::StatsConfig;
 
     fn tick(rec: &FlightRecorder, sim: &mut Sim, at: Nanos) {
         sim.schedule_at(at, |_| {});
@@ -382,9 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_become_reset_aware_rates() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+    fn counters_become_window_increments() {
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         let c = registry.counter("ops");
         let mut sim = Sim::new();
         c.add(10);
@@ -398,8 +354,11 @@ mod tests {
 
     #[test]
     fn histograms_become_window_digests() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         let h = registry.histogram("lat");
         let mut sim = Sim::new();
         h.record(100);
@@ -421,15 +380,14 @@ mod tests {
 
     #[test]
     fn ring_bounds_memory_and_counts_evictions() {
-        let registry = Registry::new();
         let rec = FlightRecorder::new(
             RecorderConfig {
                 cadence: Nanos(1_000),
                 capacity: 4,
             },
-            registry.clone(),
+            StatsModule::new(StatsConfig::default()),
         );
-        let c = registry.counter("x");
+        let c = rec.registry().counter("x");
         let mut sim = Sim::new();
         for i in 1..=10u64 {
             c.add(i);
@@ -462,8 +420,11 @@ mod tests {
     #[test]
     fn json_is_deterministic() {
         let build = || {
-            let registry = Registry::new();
-            let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+            let rec = FlightRecorder::new(
+                RecorderConfig::default(),
+                StatsModule::new(StatsConfig::default()),
+            );
+            let registry = rec.registry();
             let c = registry.counter("a");
             let g = registry.gauge("b");
             let h = registry.histogram("c");

@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use crate::recorder::RecorderConfig;
     use snap_sim::Sim;
-    use snap_telemetry::Registry;
+    use snap_telemetry::{StatsConfig, StatsModule};
 
     fn tick(rec: &FlightRecorder, sim: &mut Sim, at: Nanos) {
         sim.schedule_at(at, |_| {});
@@ -299,8 +299,11 @@ mod tests {
 
     #[test]
     fn burn_rate_fires_and_resolves_on_both_windows() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         let ok = registry.counter("ok");
         let all = registry.counter("all");
         let mut engine = SloEngine::new();
@@ -353,8 +356,11 @@ mod tests {
 
     #[test]
     fn latency_objective_reads_digest_series() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         let lat = registry.histogram("lat");
         let mut engine = SloEngine::new();
         engine.add(SloSpec {
@@ -394,8 +400,10 @@ mod tests {
 
     #[test]
     fn empty_windows_do_not_fire() {
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry);
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
         let mut engine = SloEngine::new();
         engine.add(success_slo());
         assert!(engine.evaluate(&rec, Nanos(1_000)).is_empty());

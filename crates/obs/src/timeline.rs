@@ -228,7 +228,7 @@ mod tests {
     use crate::recorder::RecorderConfig;
     use snap_sim::Sim;
     use snap_sim::trace::{Stage, TraceRecorder, TRACE_SAMPLE_SCALE};
-    use snap_telemetry::Registry;
+    use snap_telemetry::{StatsConfig, StatsModule};
 
     #[test]
     fn traces_series_and_instants_share_one_axis() {
@@ -243,8 +243,11 @@ mod tests {
         let traces = tracer.completed();
         assert_eq!(traces.len(), 1);
 
-        let registry = Registry::new();
-        let rec = FlightRecorder::new(RecorderConfig::default(), registry.clone());
+        let rec = FlightRecorder::new(
+            RecorderConfig::default(),
+            StatsModule::new(StatsConfig::default()),
+        );
+        let registry = rec.registry();
         registry.counter("cpu.h0.core0.busy_ns").add(500);
         let mut sim = Sim::new();
         sim.schedule_at(Nanos(4_000), |_| {});

@@ -125,76 +125,39 @@ impl PonyEngineConfig {
     }
 }
 
-/// Engine counters.
-#[derive(Debug, Clone, Default)]
-pub struct PonyStats {
-    /// Packets received and processed.
-    pub rx_packets: u64,
-    /// Packets transmitted (incl. retransmits and acks).
-    pub tx_packets: u64,
-    /// Application commands admitted.
-    pub commands: u64,
-    /// One-sided operations served for remote initiators.
-    pub onesided_served: u64,
-    /// Two-sided messages fully delivered to local applications.
-    pub msgs_delivered: u64,
-    /// Operations completed for local initiators.
-    pub ops_completed: u64,
-    /// Completions dropped because a session queue was full or gone.
-    pub completions_dropped: u64,
-    /// Best-effort ops shed under Soft/Hard memory pressure (§2.5).
-    pub ops_shed: u64,
-    /// Transport-class ops refused with `Busy` under Hard pressure or a
-    /// denied per-send quota charge (back-pressure, never silent drop).
-    pub busy_rejected: u64,
-    /// Hedge duplicates recognized by the per-session op watermark and
-    /// absorbed without re-execution (exactly-once).
-    pub hedge_dups: u64,
-    /// Early retransmits triggered by hedge duplicates (the hedge's
-    /// actual recovery action on the wire).
-    pub hedge_retransmits: u64,
-    /// Retransmissions, summed over this engine's flows.
-    pub retransmits: u64,
-    /// Duplicate packets suppressed, summed over this engine's flows.
-    pub duplicates: u64,
-}
-
-impl PonyStats {
-    /// Every counter under its name, in declaration order: the one
-    /// table a consumer walks (telemetry publishes each row). The
-    /// pattern names every field, so a counter added to the struct does
-    /// not compile until it has a row here.
-    pub fn counters(&self) -> [(&'static str, u64); 13] {
-        let PonyStats {
-            rx_packets,
-            tx_packets,
-            commands,
-            onesided_served,
-            msgs_delivered,
-            ops_completed,
-            completions_dropped,
-            ops_shed,
-            busy_rejected,
-            hedge_dups,
-            hedge_retransmits,
-            retransmits,
-            duplicates,
-        } = *self;
-        [
-            ("rx_packets", rx_packets),
-            ("tx_packets", tx_packets),
-            ("commands", commands),
-            ("onesided_served", onesided_served),
-            ("msgs_delivered", msgs_delivered),
-            ("ops_completed", ops_completed),
-            ("completions_dropped", completions_dropped),
-            ("ops_shed", ops_shed),
-            ("busy_rejected", busy_rejected),
-            ("hedge_dups", hedge_dups),
-            ("hedge_retransmits", hedge_retransmits),
-            ("retransmits", retransmits),
-            ("duplicates", duplicates),
-        ]
+snap_sim::counter_table! {
+    /// Engine counters, published as `engine.<label>.<name>`.
+    #[derive(Debug, Clone, Default)]
+    pub struct PonyStats {
+        /// Packets received and processed.
+        pub rx_packets: u64,
+        /// Packets transmitted (incl. retransmits and acks).
+        pub tx_packets: u64,
+        /// Application commands admitted.
+        pub commands: u64,
+        /// One-sided operations served for remote initiators.
+        pub onesided_served: u64,
+        /// Two-sided messages fully delivered to local applications.
+        pub msgs_delivered: u64,
+        /// Operations completed for local initiators.
+        pub ops_completed: u64,
+        /// Completions dropped because a session queue was full or gone.
+        pub completions_dropped: u64,
+        /// Best-effort ops shed under Soft/Hard memory pressure (§2.5).
+        pub ops_shed: u64,
+        /// Transport-class ops refused with `Busy` under Hard pressure or a
+        /// denied per-send quota charge (back-pressure, never silent drop).
+        pub busy_rejected: u64,
+        /// Hedge duplicates recognized by the per-session op watermark and
+        /// absorbed without re-execution (exactly-once).
+        pub hedge_dups: u64,
+        /// Early retransmits triggered by hedge duplicates (the hedge's
+        /// actual recovery action on the wire).
+        pub hedge_retransmits: u64,
+        /// Retransmissions, summed over this engine's flows.
+        pub retransmits: u64,
+        /// Duplicate packets suppressed, summed over this engine's flows.
+        pub duplicates: u64,
     }
 }
 

@@ -32,7 +32,7 @@
 //! leaves nothing behind. Dropping the `Sim` drops every closure still
 //! pending, once.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
@@ -493,6 +493,52 @@ where
     sim.schedule_at(start, move |sim| tick(sim, period, f));
 }
 
+/// A periodic loop that is never doubled, over [`every`]. `start` while
+/// a loop is live only marks it running again, so `start(); start();`
+/// and `stop(); start();` before the pending tick fires both leave one
+/// loop on its original grid. `stop` lets the pending tick lapse, which
+/// ends the loop; a `start` after that begins a new one a period out.
+/// Clones share the loop.
+#[derive(Clone, Default)]
+pub struct Ticker(Rc<Cell<TickerState>>);
+
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum TickerState {
+    /// No tick pending.
+    #[default]
+    Idle,
+    /// A tick is pending and will run.
+    Running,
+    /// A tick is pending and will lapse.
+    Stopping,
+}
+
+impl Ticker {
+    /// Runs `tick` every `period`, the first one a period from now,
+    /// unless a loop is live; see the [type docs](Ticker).
+    pub fn start(&self, sim: &mut Sim, period: Nanos, mut tick: impl FnMut(&mut Sim) + 'static) {
+        if self.0.replace(TickerState::Running) != TickerState::Idle {
+            return;
+        }
+        let state = self.0.clone();
+        every(sim, sim.now() + period, period, move |sim| {
+            if state.get() == TickerState::Stopping {
+                state.set(TickerState::Idle);
+                return false;
+            }
+            tick(sim);
+            true
+        });
+    }
+
+    /// Stops the loop: its pending tick lapses.
+    pub fn stop(&self) {
+        if self.0.get() == TickerState::Running {
+            self.0.set(TickerState::Stopping);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,6 +674,30 @@ mod tests {
         sim.run();
         assert_eq!(count.get(), 4);
         assert_eq!(sim.now(), Nanos(30));
+    }
+
+    #[test]
+    fn ticker_keeps_one_loop_however_it_is_started() {
+        let mut sim = Sim::new();
+        let ticker = Ticker::default();
+        let count = Rc::new(Cell::new(0));
+        let start = |sim: &mut Sim| {
+            let c = count.clone();
+            ticker.start(sim, Nanos(10), move |_| c.set(c.get() + 1));
+        };
+        start(&mut sim);
+        start(&mut sim);
+        ticker.stop();
+        start(&mut sim);
+        sim.run_until(Nanos(50));
+        assert_eq!(count.get(), 5, "one loop, on its first grid");
+        ticker.stop();
+        sim.run();
+        assert_eq!(count.get(), 5, "the pending tick lapsed");
+        assert_eq!(sim.now(), Nanos(60));
+        start(&mut sim);
+        sim.run_until(Nanos(85));
+        assert_eq!(count.get(), 7, "a new loop, a period out: 70, 80");
     }
 
     #[test]

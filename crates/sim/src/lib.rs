@@ -49,3 +49,34 @@ pub use rng::Rng;
 pub use stats::Histogram;
 pub use time::Nanos;
 pub use trace::{TraceContext, TraceRecorder};
+
+/// Declares a struct whose every field is a `pub u64` counter, plus
+/// `counters()`: every field under its published name — the field's
+/// name, or the literal after `=` — in declaration order. That table is
+/// what a consumer (telemetry, a conservation check) walks instead of
+/// naming fields, so a counter added to the struct is published from
+/// the line that declares it.
+#[macro_export]
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* pub $field:ident: u64 $(= $published:literal)?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Every counter under its published name, in declaration
+            /// order.
+            pub fn counters(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$(($crate::counter_table!(@name $field $($published)?), self.$field)),*]
+            }
+        }
+    };
+    (@name $field:ident) => { stringify!($field) };
+    (@name $field:ident $published:literal) => { $published };
+}

@@ -26,7 +26,7 @@ pub enum Metric {
 }
 
 /// A point-in-time copy of a registry's metrics.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Snapshot {
     /// Virtual time the snapshot was taken.
     pub at: Nanos,

@@ -1,23 +1,24 @@
-//! Observability for the Snap reproduction (PR 3).
+//! Observability for the Snap reproduction: the first stage of the
+//! telemetry pipeline (sources → registry → flight recorder).
 //!
 //! Snap's evaluation is driven by production dashboards: per-engine
 //! op-rate time series (Fig. 8), tail-latency breakdowns (Fig. 6/7),
-//! and an upgrade-blackout distribution (Fig. 9). This crate is the
-//! first-class observability layer those dashboards imply, in two
-//! pieces:
+//! and an upgrade-blackout distribution (Fig. 9). This crate holds the
+//! machine-level numbers those dashboards are drawn from:
 //!
 //! * **[`registry`]** — hierarchical [`Counter`]/[`Gauge`]/
 //!   [`Histogram`](snap_sim::stats::Histogram) handles under dotted
 //!   names (`engine.<app>.tx_packets`, `shm.<app>.s<sid>.cmd_depth`,
 //!   `fabric.link.<a>-><b>.drops.partition`), with cheap per-scope
-//!   views and point-in-time [`Snapshot`]s that diff (`delta`) and
-//!   export to JSON or a human-readable table.
+//!   views and point-in-time [`Snapshot`]s that diff (`delta`, the one
+//!   window rule) and export to JSON or a human-readable table.
 //! * **[`module`]** — [`StatsModule`], a control-plane module (same
-//!   no-panic lint wall as the other Snap modules) that polls engines
-//!   through their mailboxes on a configurable period and folds engine
-//!   counters, SPSC queue depths, fabric link utilization and
-//!   drop-reason counters, supervisor restarts and upgrade blackouts
-//!   into one machine-level registry — the repro's dashboard exporter.
+//!   no-panic lint wall as the other Snap modules) holding one list of
+//!   sources — engines through their mailboxes, the fabric, supervisors,
+//!   upgrade reports, admission controllers, engine groups — that one
+//!   poll walks into the registry. Its own loop ([`StatsModule::start`])
+//!   or a flight recorder's clock (`snap_obs::FlightRecorder`) drives
+//!   the poll; never both.
 //!
 //! The datapath itself stays uninstrumented: engines keep their plain
 //! `u64` counters, and all telemetry cost is concentrated in the
@@ -30,7 +31,7 @@
 //!
 //! | prefix | meaning |
 //! |---|---|
-//! | `engine.<label>.<counter>` | every `PonyStats::counters` row (rx/tx/commands/retransmits/…) |
+//! | `engine.<label>.{rx_packets,tx_packets,commands,onesided_served,msgs_delivered,ops_completed,completions_dropped,ops_shed,busy_rejected,hedge_dups,hedge_retransmits,retransmits,duplicates}` | Pony engine op counters: every `PonyStats::counters` row |
 //! | `engine.<label>.restarts.{crash,wedge,quarantine}` | supervisor restarts, by cause |
 //! | `engine.<label>.blackout` | restart blackout histogram (ns) |
 //! | `shm.<label>.s<sid>.cmd_depth` | per-session SPSC command-queue depth gauge |
@@ -45,17 +46,20 @@
 //! | `upgrade.{blackout,brownout}` | per-engine upgrade histograms (ns) |
 //! | `upgrade.{engines,rollbacks}` | upgrade outcome counters |
 //! | `sched.<label>.<mode>.delay` | engine-group scheduling-delay histogram (ns) |
+//! | `cpu.<label>.core<c>.{busy_ns,spin_ns,wake_ns}` | the group's CPU on core `c`: engine passes, spin-polling, interrupt + context-switch overhead (sum to the group total) |
+//! | `cpu.<label>.core<c>.idle_ns` | core `c`'s elapsed virtual time minus the three above |
+//! | `cpu.<label>.core<c>.machine_busy_ns` | the machine's view of core `c` (includes non-group work, e.g. antagonists) |
+//! | `cpu.<label>.engine.e<id>.busy_ns` | engine-pass CPU per engine (sums to the group's engine CPU) |
+//! | `cpu.<label>.throttled_ns` | CPU the MicroQuanta budgets deferred |
 //! | `isolation.<label>.<container>.{pressure,usage_bytes}` | admission pressure level and charged bytes (gauges) |
 //! | `isolation.<label>.<container>.{denials,sheds}` | admission outcomes per container |
 //! | `isolation.<label>.{pressure_transitions,accounting_errors}` | admission-controller totals |
-//! | `health.<label>.<target>.{phi_m,loss_m,degradation_m,verdict}` | gray-failure scores × 1000 and verdict (gauges) |
-//! | `health.<label>.latched` | targets a sweep has quarantined (gauge) |
 //! | `stats.polls` | poll passes completed |
 //!
 //! A fabric counter is registered when it first leaves zero, so a
 //! healthy rack publishes no fault names; read one with
-//! `Snapshot::counter(..).unwrap_or(0)`. The four fabric rows are
-//! checked against the code's tables by a unit test.
+//! `Snapshot::counter(..).unwrap_or(0)`. The engine row and the four
+//! fabric rows are checked against the code's tables by a unit test.
 
 pub mod export;
 pub mod module;

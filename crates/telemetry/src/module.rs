@@ -3,16 +3,18 @@
 //! Snap's dashboards are fed by a control-plane component that walks
 //! engines and devices on a period and publishes machine-level
 //! counters; this module reproduces that shape. It keeps a
-//! [`Registry`] and a list of watch targets:
+//! [`Registry`] and one list of *sources*: each `watch_*` call pushes
+//! one, which owns whatever it keeps between polls, and
+//! [`StatsModule::poll_once`] runs every source in watch order.
 //!
 //! * **Engines** are sampled through their *mailboxes* — the same
 //!   depth-1 control channel every other module uses — so a sample is
 //!   always a coherent view taken between engine passes, never a torn
 //!   read of a running engine. Polling is *ingest-then-request*: each
-//!   tick first ingests whatever sample the previously-posted mailbox
+//!   poll first ingests whatever sample the previously-posted mailbox
 //!   closure deposited, then posts a new request. A `Busy` or
 //!   `Unavailable` mailbox (engine crashed, mid-upgrade) just skips a
-//!   tick.
+//!   poll.
 //! * Engine counters are folded in as **reset-aware deltas**: the
 //!   watched counter going *backwards* means the engine restarted (or
 //!   was replaced by an upgrade) and reset to zero, so the new absolute
@@ -20,11 +22,14 @@
 //!   double-count and never lose ops across a crash+restart or a live
 //!   upgrade.
 //! * **Fabric** link/host/total counters, **supervisor** restart
-//!   records (blackout histograms), and a pending **upgrade report**
-//!   slot are read directly — they live on the control plane already.
+//!   records (blackout histograms), a pending **upgrade report** slot,
+//!   **admission** state and an engine **group**'s scheduling delays and
+//!   per-core CPU ledger are read directly — they live on the control
+//!   plane already.
 //!
 //! The datapath is untouched: engines keep their plain `u64` counters
-//! and all cost is concentrated here, in the periodic poll.
+//! and all cost is concentrated here, in the periodic poll — driven by
+//! [`StatsModule::start`], or by a flight recorder's own clock.
 
 // Control-plane code must degrade into typed errors, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -33,28 +38,27 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use snap_core::group::{GroupHandle, MailboxWork};
+use snap_core::group::{GroupHandle, MachineHandle, MailboxWork};
 use snap_core::module::{ControlCx, ControlError, Module};
 use snap_core::supervisor::{RestartKind, Supervisor};
 use snap_core::upgrade::UpgradeReport;
 use snap_core::{Engine, EngineId};
-use snap_health::{HealthMonitor, Target, Verdict};
 use snap_isolation::AdmissionController;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::{HostId, QosClass};
 use snap_pony::engine::PonyStats;
 use snap_pony::PonyEngine;
-use snap_sim::{event, Nanos, Sim};
-
+use snap_sim::event::Ticker;
 use snap_sim::stats::Histogram;
+use snap_sim::{Nanos, Sim};
 
 use crate::export::Snapshot;
-use crate::registry::{Registry, ScopedRegistry};
+use crate::registry::{Counter, Registry, ScopedRegistry};
 
 /// Stats-export tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct StatsConfig {
-    /// How often the module polls its watch targets.
+    /// How often [`StatsModule::start`]'s loop polls the sources.
     pub poll_period: Nanos,
 }
 
@@ -66,101 +70,48 @@ impl Default for StatsConfig {
     }
 }
 
-/// What one mailbox round-trip brings back from a Pony engine.
-struct EngineSample {
-    stats: PonyStats,
-    depths: Vec<(u64, usize)>,
-}
-
-struct EngineWatch {
-    label: String,
-    group: GroupHandle,
-    id: EngineId,
-    /// Filled by the mailbox closure, drained on the next tick.
-    slot: Rc<RefCell<Option<EngineSample>>>,
-    /// Last absolute counters seen, for reset-aware deltas.
-    last: PonyStats,
-    /// Sessions we have published a depth gauge for (zeroed when gone).
-    known_sessions: Vec<u64>,
-}
-
-struct FabricWatch {
-    fabric: FabricHandle,
-    last_at: Option<Nanos>,
-}
-
-struct SupervisorWatch {
-    sup: Supervisor,
-    labels: BTreeMap<EngineId, String>,
-    /// Restart-log indices already folded in (records complete out of
-    /// order: `resumed` is stamped after the blackout ends).
-    ingested: Vec<bool>,
-}
-
-struct UpgradeWatch {
-    slot: Rc<RefCell<Option<UpgradeReport>>>,
-    ingested: bool,
-}
-
-struct AdmissionWatch {
-    label: String,
-    adm: AdmissionController,
-    /// Cursor into the admission controller's transition log.
-    next_seq: u64,
-}
-
-struct GroupWatch {
-    label: String,
-    group: GroupHandle,
-    /// Last cumulative scheduling-delay histogram, for interval diffs.
-    last: Histogram,
-}
-
-struct HealthWatch {
-    label: String,
-    monitor: Rc<RefCell<HealthMonitor>>,
-}
-
-struct Inner {
-    cfg: StatsConfig,
-    engines: Vec<EngineWatch>,
+/// What a source reads and writes on one poll.
+struct Cx<'a> {
+    sim: &'a mut Sim,
+    registry: &'a Registry,
     /// Every watched engine's label, for supervisor records that name
     /// an engine by id only.
+    engine_labels: &'a BTreeMap<EngineId, String>,
+}
+
+/// One watched thing, with its state between polls.
+type Source = Box<dyn FnMut(&mut Cx<'_>)>;
+
+#[derive(Default)]
+struct Inner {
+    sources: Vec<Source>,
     engine_labels: BTreeMap<EngineId, String>,
-    fabrics: Vec<FabricWatch>,
-    supervisors: Vec<SupervisorWatch>,
-    upgrades: Vec<UpgradeWatch>,
-    admissions: Vec<AdmissionWatch>,
-    groups: Vec<GroupWatch>,
-    healths: Vec<HealthWatch>,
-    running: bool,
 }
 
 /// The stats-export control-plane module. Cloning shares state; see
 /// the [module docs](self) for the polling and delta discipline.
 #[derive(Clone)]
 pub struct StatsModule {
+    cfg: StatsConfig,
     registry: Registry,
+    clock: Ticker,
     inner: Rc<RefCell<Inner>>,
+}
+
+/// What one mailbox round-trip brings back from a Pony engine.
+struct EngineSample {
+    stats: PonyStats,
+    depths: Vec<(u64, usize)>,
 }
 
 impl StatsModule {
     /// Creates a stats module with its own empty registry.
     pub fn new(cfg: StatsConfig) -> Self {
         StatsModule {
+            cfg,
             registry: Registry::new(),
-            inner: Rc::new(RefCell::new(Inner {
-                cfg,
-                engines: Vec::new(),
-                engine_labels: BTreeMap::new(),
-                fabrics: Vec::new(),
-                supervisors: Vec::new(),
-                upgrades: Vec::new(),
-                admissions: Vec::new(),
-                groups: Vec::new(),
-                healths: Vec::new(),
-                running: false,
-            })),
+            clock: Ticker::default(),
+            inner: Rc::default(),
         }
     }
 
@@ -169,19 +120,58 @@ impl StatsModule {
         self.registry.clone()
     }
 
+    fn push(&self, source: impl FnMut(&mut Cx<'_>) + 'static) {
+        self.inner.borrow_mut().sources.push(Box::new(source));
+    }
+
     /// Watches a Pony engine: its op counters land under
     /// `engine.<label>.*` and its per-session command-queue depths
     /// under `shm.<label>.s<sid>.cmd_depth`.
     pub fn watch_engine(&self, label: &str, group: GroupHandle, id: EngineId) {
-        let mut inner = self.inner.borrow_mut();
-        inner.engine_labels.insert(id, label.to_string());
-        inner.engines.push(EngineWatch {
-            label: label.to_string(),
-            group,
-            id,
-            slot: Rc::new(RefCell::new(None)),
-            last: PonyStats::default(),
-            known_sessions: Vec::new(),
+        self.inner
+            .borrow_mut()
+            .engine_labels
+            .insert(id, label.to_string());
+        let engine = self.registry.scoped(&format!("engine.{label}"));
+        let shm = self.registry.scoped(&format!("shm.{label}"));
+        // Filled by the mailbox closure, drained on the next poll.
+        let slot: Rc<RefCell<Option<EngineSample>>> = Rc::default();
+        let mut last = PonyStats::default();
+        // Sessions with a published depth gauge (zeroed when gone).
+        let mut known_sessions: Vec<u64> = Vec::new();
+        self.push(move |cx| {
+            let sample = slot.borrow_mut().take();
+            if let Some(sample) = sample {
+                let counters = sample.stats.counters().into_iter();
+                for ((name, now), (_, then)) in counters.zip(last.counters()) {
+                    engine.counter(name).add(delta(now, then));
+                }
+                last = sample.stats;
+                for (sid, depth) in &sample.depths {
+                    shm.gauge(&format!("s{sid}.cmd_depth"))
+                        .set(as_gauge(*depth as u64));
+                }
+                // A closed session leaves no stale depth on the dashboard.
+                for sid in &known_sessions {
+                    if !sample.depths.iter().any(|(s, _)| s == sid) {
+                        shm.gauge(&format!("s{sid}.cmd_depth")).set(0);
+                    }
+                }
+                known_sessions = sample.depths.iter().map(|(s, _)| *s).collect();
+            }
+            let slot = slot.clone();
+            let work: MailboxWork = Box::new(move |e: &mut dyn Engine| {
+                if let Some(p) = e.as_any().downcast_mut::<PonyEngine>() {
+                    *slot.borrow_mut() = Some(EngineSample {
+                        stats: p.stats().clone(),
+                        depths: p.session_depths(),
+                    });
+                }
+            });
+            // Busy (previous request still pending) or Unavailable
+            // (crashed / mid-upgrade) just means this poll goes without
+            // a sample.
+            let _ = group.post_to_engine(cx.sim, id, work);
         });
     }
 
@@ -189,22 +179,49 @@ impl StatsModule {
     /// drop reasons under `fabric.host<h>.drops.*`, per-directed-link
     /// traffic/drops/utilization under `fabric.link.<a>-><b>.*`.
     pub fn watch_fabric(&self, fabric: FabricHandle) {
-        self.inner.borrow_mut().fabrics.push(FabricWatch {
-            fabric,
-            last_at: None,
+        let mut last_at: Option<Nanos> = None;
+        self.push(move |cx| {
+            let now = cx.sim.now();
+            let window = last_at.map_or(0, |t| now.as_nanos().saturating_sub(t.as_nanos()));
+            publish_fabric(cx.registry, &fabric, window);
+            last_at = Some(now);
         });
     }
 
     /// Watches a supervisor: completed restarts become
-    /// `engine.<label>.restarts.{crash,wedge}` counters and an
+    /// `engine.<label>.restarts.{crash,wedge,quarantine}` counters and an
     /// `engine.<label>.blackout` histogram. `labels` maps the
     /// supervisor's engine ids to telemetry labels; unlisted ids fall
-    /// back to `engine<id>`.
+    /// back to a watched engine's label, then to `engine<id>`.
     pub fn watch_supervisor(&self, sup: Supervisor, labels: &[(EngineId, String)]) {
-        self.inner.borrow_mut().supervisors.push(SupervisorWatch {
-            sup,
-            labels: labels.iter().cloned().collect(),
-            ingested: Vec::new(),
+        let labels: BTreeMap<EngineId, String> = labels.iter().cloned().collect();
+        // Restart-log indices already folded in (records complete out
+        // of order: `resumed` is stamped after the blackout ends).
+        let mut ingested: Vec<bool> = Vec::new();
+        self.push(move |cx| {
+            let log = sup.restart_log();
+            ingested.resize(log.len().max(ingested.len()), false);
+            for (rec, done) in log.iter().zip(&mut ingested) {
+                // Only a completed restart has a blackout to report; a
+                // record still mid-restart stays pending for a later poll.
+                let Some(blackout) = rec.blackout().filter(|_| !*done) else {
+                    continue;
+                };
+                let label = labels
+                    .get(&rec.id)
+                    .or_else(|| cx.engine_labels.get(&rec.id))
+                    .cloned()
+                    .unwrap_or_else(|| format!("engine{}", rec.id.0));
+                let scope = cx.registry.scoped(&format!("engine.{label}"));
+                let cause = match rec.kind {
+                    RestartKind::Crash => "restarts.crash",
+                    RestartKind::Wedge => "restarts.wedge",
+                    RestartKind::Quarantine => "restarts.quarantine",
+                };
+                scope.counter(cause).inc();
+                scope.histogram("blackout").record_nanos(blackout);
+                *done = true;
+            }
         });
     }
 
@@ -213,103 +230,146 @@ impl StatsModule {
     /// folded once into `upgrade.{blackout,brownout}` histograms and
     /// `upgrade.{engines,rollbacks}` counters.
     pub fn watch_upgrade(&self, slot: Rc<RefCell<Option<UpgradeReport>>>) {
-        self.inner.borrow_mut().upgrades.push(UpgradeWatch {
-            slot,
-            ingested: false,
+        let mut ingested = false;
+        self.push(move |cx| {
+            let slot = slot.borrow();
+            let Some(report) = slot.as_ref().filter(|_| !ingested) else {
+                return;
+            };
+            let scope = cx.registry.scoped("upgrade");
+            for eu in &report.engines {
+                scope.histogram("blackout").record_nanos(eu.blackout);
+                scope.histogram("brownout").record_nanos(eu.brownout);
+                scope.counter("engines").inc();
+                if eu.rolled_back {
+                    scope.counter("rollbacks").inc();
+                }
+            }
+            ingested = true;
         });
     }
 
     /// Watches an admission controller: per-container pressure and
     /// usage gauges under `isolation.<label>.<container>.*`, plus
-    /// denial/shed counter deltas, and label-level
+    /// denial/shed counters, and label-level
     /// `isolation.<label>.{pressure_transitions,accounting_errors}`
     /// counters. Admission state is control-plane shared state (no
     /// mailbox round-trip needed), so each poll reads it directly.
     pub fn watch_admission(&self, label: &str, adm: AdmissionController) {
-        self.inner.borrow_mut().admissions.push(AdmissionWatch {
-            label: label.to_string(),
-            adm,
-            next_seq: 0,
-        });
-    }
-
-    /// Watches an engine group's scheduling-delay distribution: each
-    /// poll folds the window's wake delays into
-    /// `sched.<label>.<mode>.delay` (mode is the group's scheduling
-    /// mode — `dedicated`, `spreading` or `compacting` — so Fig. 3's
-    /// latency/CPU trade-off reads directly off the metric name).
-    pub fn watch_group(&self, label: &str, group: GroupHandle) {
-        self.inner.borrow_mut().groups.push(GroupWatch {
-            label: label.to_string(),
-            group,
-            last: Histogram::new(),
-        });
-    }
-
-    /// Watches a gray-failure health monitor: each poll publishes
-    /// per-target gauges under `health.<label>.<target>.*` — `phi_m`
-    /// (phi × 1000), `loss_m` (loss ratio × 1000), `degradation_m`
-    /// (latency over baseline × 1000) and `verdict` (0 healthy /
-    /// 1 degraded / 2 failed) — plus a `health.<label>.latched` gauge
-    /// counting targets a sweep has quarantined. Link targets label as
-    /// `link.<from>-<to>`, engines as `engine.h<host>.e<id>`.
-    pub fn watch_health(&self, label: &str, monitor: Rc<RefCell<HealthMonitor>>) {
-        self.inner.borrow_mut().healths.push(HealthWatch {
-            label: label.to_string(),
-            monitor,
-        });
-    }
-
-    /// Starts the periodic poll loop (first tick one period from now).
-    pub fn start(&self, sim: &mut Sim) {
-        let period = {
-            let mut inner = self.inner.borrow_mut();
-            inner.running = true;
-            inner.cfg.poll_period
-        };
-        let this = self.clone();
-        let start = sim.now() + period;
-        event::every(sim, start, period, move |sim| {
-            if !this.inner.borrow().running {
-                return false;
+        let label = label.to_string();
+        // Cursor into the admission controller's transition log.
+        let mut next_seq = 0;
+        self.push(move |cx| {
+            for snap in adm.snapshot() {
+                let scope = cx
+                    .registry
+                    .scoped(&format!("isolation.{label}.{}", snap.container));
+                scope
+                    .gauge("pressure")
+                    .set(i64::from(snap.pressure.as_u8()));
+                scope.gauge("usage_bytes").set(as_gauge(snap.usage_bytes));
+                scope.counter("denials").raise_to(snap.denials);
+                scope.counter("sheds").raise_to(snap.sheds);
             }
-            this.poll_once(sim);
-            true
+            let scope = cx.registry.scoped(&format!("isolation.{label}"));
+            let (transitions, next) = adm.transitions_since(next_seq);
+            if !transitions.is_empty() {
+                scope
+                    .counter("pressure_transitions")
+                    .add(transitions.len() as u64);
+            }
+            next_seq = next;
+            scope
+                .counter("accounting_errors")
+                .raise_to(adm.accounting_errors());
         });
     }
 
-    /// Stops the poll loop (the pending tick unschedules itself).
-    pub fn stop(&self) {
-        self.inner.borrow_mut().running = false;
+    /// Watches an engine group on its machine. Each poll folds the
+    /// window's wake delays into `sched.<label>.<mode>.delay` (mode is
+    /// the group's scheduling mode — `dedicated`, `spreading` or
+    /// `compacting` — so Fig. 3's latency/CPU trade-off reads directly
+    /// off the metric name) and publishes the group's CPU ledger under
+    /// `cpu.<label>.*`: per core `busy`/`spin`/`wake` (summing exactly to
+    /// the group's total), `idle` (elapsed minus those three) and
+    /// `machine_busy` (the machine's view, antagonists included), per
+    /// engine `busy`, and what the MicroQuanta budgets deferred.
+    pub fn watch_group(&self, label: &str, group: GroupHandle, machine: MachineHandle) {
+        let delay = format!("sched.{label}.{}.delay", group.mode_label());
+        let mut last = Histogram::new();
+        let cpu = self.registry.scoped(&format!("cpu.{label}"));
+        let throttled = cpu.counter("throttled_ns");
+        // Counter handles, built on first sight of a core or engine so a
+        // poll formats no names.
+        let mut cores: Vec<[Counter; 5]> = Vec::new();
+        let mut engines: Vec<Counter> = Vec::new();
+        self.push(move |cx| {
+            let cur = group.sched_delay_histogram();
+            let window = cur.diff(&last);
+            if !window.is_empty() {
+                cx.registry.histogram(&delay).merge_from(&window);
+            }
+            last = cur;
+
+            // The ledger only grows: each counter is raised to its total
+            // (a core's busy ledger may briefly run ahead of virtual time,
+            // as slices are charged at request time).
+            let now = cx.sim.now();
+            let machine = machine.borrow();
+            let rows = group.core_cpu(now).into_iter().zip(machine.busy_totals());
+            for ((core, split), machine_busy) in rows {
+                if cores.len() <= core {
+                    let scope = cpu.scoped(&format!("core{core}"));
+                    let names = ["busy", "spin", "wake", "idle", "machine_busy"];
+                    cores.push(names.map(|name| scope.counter(&format!("{name}_ns"))));
+                }
+                let [busy, spin, wake, idle, on_machine] = &cores[core];
+                busy.raise_to(split.busy.as_nanos());
+                spin.raise_to(split.spin.as_nanos());
+                wake.raise_to(split.wake_overhead.as_nanos());
+                idle.raise_to(now.as_nanos().saturating_sub(split.total().as_nanos()));
+                on_machine.raise_to(machine_busy.as_nanos());
+            }
+            for (i, (id, busy)) in group.engine_cpu().into_iter().enumerate() {
+                if engines.len() <= i {
+                    engines.push(cpu.counter(&format!("engine.e{}.busy_ns", id.0)));
+                }
+                engines[i].raise_to(busy.as_nanos());
+            }
+            throttled.raise_to(group.throttled_total().as_nanos());
+        });
     }
 
-    /// One poll pass over every watch target. Driven by
-    /// [`start`](Self::start), but callable directly for a final
-    /// flush before reading a snapshot.
+    /// Starts the periodic poll loop (first poll one period from now).
+    /// Idempotent while the loop is live, a restart after
+    /// [`stop`](Self::stop) included: there is only ever one loop.
+    pub fn start(&self, sim: &mut Sim) {
+        let this = self.clone();
+        self.clock
+            .start(sim, self.cfg.poll_period, move |sim| this.poll_once(sim));
+    }
+
+    /// Stops the poll loop (the pending poll lapses).
+    pub fn stop(&self) {
+        self.clock.stop();
+    }
+
+    /// One poll pass over every source, in watch order. Driven by
+    /// [`start`](Self::start) or a flight recorder, but callable
+    /// directly for a final flush before reading a snapshot.
     pub fn poll_once(&self, sim: &mut Sim) {
         let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        for w in &mut inner.engines {
-            ingest_engine(&self.registry, w);
-            request_engine_sample(sim, w);
-        }
-        for w in &mut inner.fabrics {
-            poll_fabric(&self.registry, w, sim.now());
-        }
-        for w in &mut inner.supervisors {
-            poll_supervisor(&self.registry, w, &inner.engine_labels);
-        }
-        for w in &mut inner.upgrades {
-            poll_upgrade(&self.registry, w);
-        }
-        for w in &mut inner.admissions {
-            poll_admission(&self.registry, w);
-        }
-        for w in &mut inner.groups {
-            poll_group(&self.registry, w);
-        }
-        for w in &inner.healths {
-            poll_health(&self.registry, w, sim.now());
+        let Inner {
+            sources,
+            engine_labels,
+        } = &mut *inner;
+        let mut cx = Cx {
+            sim,
+            registry: &self.registry,
+            engine_labels,
+        };
+        for source in sources {
+            source(&mut cx);
         }
         self.registry.counter("stats.polls").inc();
     }
@@ -317,11 +377,6 @@ impl StatsModule {
     /// A point-in-time snapshot of the machine-level registry.
     pub fn snapshot(&self, at: Nanos) -> Snapshot {
         self.registry.snapshot(at)
-    }
-
-    /// The human-readable table of the current snapshot.
-    pub fn table(&self, at: Nanos) -> String {
-        self.snapshot(at).to_table()
     }
 }
 
@@ -334,46 +389,6 @@ fn delta(now: u64, last: u64) -> u64 {
     } else {
         now
     }
-}
-
-fn ingest_engine(registry: &Registry, w: &mut EngineWatch) {
-    let Some(sample) = w.slot.borrow_mut().take() else {
-        return;
-    };
-    let scope = registry.scoped(&format!("engine.{}", w.label));
-    for ((name, now), (_, last)) in sample.stats.counters().into_iter().zip(w.last.counters()) {
-        scope.counter(name).add(delta(now, last));
-    }
-    w.last = sample.stats;
-
-    let shm = registry.scoped(&format!("shm.{}", w.label));
-    for (sid, depth) in &sample.depths {
-        shm.gauge(&format!("s{sid}.cmd_depth"))
-            .set(as_gauge(*depth as u64));
-    }
-    // Zero gauges for sessions that disappeared, so a closed session
-    // doesn't leave a stale depth on the dashboard.
-    for sid in &w.known_sessions {
-        if !sample.depths.iter().any(|(s, _)| s == sid) {
-            shm.gauge(&format!("s{sid}.cmd_depth")).set(0);
-        }
-    }
-    w.known_sessions = sample.depths.iter().map(|(s, _)| *s).collect();
-}
-
-fn request_engine_sample(sim: &mut Sim, w: &mut EngineWatch) {
-    let slot = w.slot.clone();
-    let work: MailboxWork = Box::new(move |e: &mut dyn Engine| {
-        if let Some(p) = e.as_any().downcast_mut::<PonyEngine>() {
-            *slot.borrow_mut() = Some(EngineSample {
-                stats: p.stats().clone(),
-                depths: p.session_depths(),
-            });
-        }
-    });
-    // Busy (previous request still pending) or Unavailable (crashed /
-    // mid-upgrade) just means this tick goes without a sample.
-    let _ = w.group.post_to_engine(sim, w.id, work);
 }
 
 /// Raises every counter of a table to its source's total. The fabric's
@@ -392,18 +407,15 @@ fn as_gauge(v: u64) -> i64 {
 
 /// Publishes each of the fabric's `counters()` tables under its scope;
 /// a link's utilization is the growth of its byte counter over the
-/// poll window, an egress port's queue depth a plain gauge.
-fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
-    raise_all(&registry.scoped("fabric"), &w.fabric.stats().counters());
-    for h in 0..w.fabric.num_hosts() as HostId {
+/// `window` (ns) since the last poll, an egress port's queue depth a
+/// plain gauge.
+fn publish_fabric(registry: &Registry, fabric: &FabricHandle, window: u64) {
+    raise_all(&registry.scoped("fabric"), &fabric.stats().counters());
+    for h in 0..fabric.num_hosts() as HostId {
         let scope = registry.scoped(&format!("fabric.host{h}.drops"));
-        raise_all(&scope, &w.fabric.drop_reasons(h).counters());
+        raise_all(&scope, &fabric.drop_reasons(h).counters());
     }
 
-    let window = w
-        .last_at
-        .map(|t| now.as_nanos().saturating_sub(t.as_nanos()))
-        .unwrap_or(0);
     // A link's utilization against `gbps` (bits per nanosecond, so
     // utilization is bits / (rate * window)), from what its published
     // byte counter has yet to see. Runs before the fold raises it.
@@ -414,24 +426,24 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
             scope.gauge("util_pct").set(pct.round() as i64);
         }
     };
-    for ((from, to), link) in w.fabric.links() {
+    for ((from, to), link) in fabric.links() {
         let scope = registry.scoped(&format!("fabric.link.{from}->{to}"));
-        publish_util(&scope, link.bytes, w.fabric.host_gbps(from).unwrap_or(0.0));
+        publish_util(&scope, link.bytes, fabric.host_gbps(from).unwrap_or(0.0));
         raise_all(&scope, &link.counters());
     }
 
     // Trunk links (multi-rack topologies only; the degenerate 1-rack
     // fabric has none). Utilization is against the trunk line rate,
     // not the host NIC rate.
-    let trunk_gbps = w.fabric.topology().spec().trunk_gbps;
-    for ((from, to), trunk) in w.fabric.trunks() {
+    let trunk_gbps = fabric.topology().spec().trunk_gbps;
+    for ((from, to), trunk) in fabric.trunks() {
         let scope = registry.scoped(&format!("fabric.trunk.{from}->{to}"));
         publish_util(&scope, trunk.bytes, trunk_gbps);
         raise_all(&scope, &trunk.counters());
     }
 
     // Bytes standing in each egress buffer that has ever held one.
-    let (host_queues, trunk_queues) = w.fabric.egress_queues();
+    let (host_queues, trunk_queues) = fabric.egress_queues();
     for (h, queued) in host_queues {
         let name = format!("fabric.host{h}.egress.queue_bytes");
         registry.gauge(&name).set(as_gauge(queued));
@@ -443,7 +455,7 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
 
     // Per-switch, per-priority egress drop attribution (sums to the
     // rack-wide `fabric.switch_drops`).
-    for ((sw, qos), total) in w.fabric.switch_drop_breakdown() {
+    for ((sw, qos), total) in fabric.switch_drop_breakdown() {
         let class = match qos {
             QosClass::Transport => "transport",
             QosClass::BestEffort => "best_effort",
@@ -453,130 +465,6 @@ fn poll_fabric(registry: &Registry, w: &mut FabricWatch, now: Nanos) {
             .counter(class)
             .raise_to(total);
     }
-    w.last_at = Some(now);
-}
-
-fn poll_supervisor(
-    registry: &Registry,
-    w: &mut SupervisorWatch,
-    engine_labels: &BTreeMap<EngineId, String>,
-) {
-    let log = w.sup.restart_log();
-    if w.ingested.len() < log.len() {
-        w.ingested.resize(log.len(), false);
-    }
-    for (i, rec) in log.iter().enumerate() {
-        let done = w.ingested.get(i).copied().unwrap_or(true);
-        if done {
-            continue;
-        }
-        // Only a completed restart has a blackout to report; a record
-        // still mid-restart stays pending for a later tick.
-        let Some(blackout) = rec.blackout() else {
-            continue;
-        };
-        let label = w
-            .labels
-            .get(&rec.id)
-            .or_else(|| engine_labels.get(&rec.id))
-            .cloned()
-            .unwrap_or_else(|| format!("engine{}", rec.id.0));
-        let scope = registry.scoped(&format!("engine.{label}"));
-        match rec.kind {
-            RestartKind::Crash => scope.counter("restarts.crash").inc(),
-            RestartKind::Wedge => scope.counter("restarts.wedge").inc(),
-            RestartKind::Quarantine => scope.counter("restarts.quarantine").inc(),
-        }
-        scope.histogram("blackout").record_nanos(blackout);
-        if let Some(slot) = w.ingested.get_mut(i) {
-            *slot = true;
-        }
-    }
-}
-
-fn target_label(t: Target) -> String {
-    match t {
-        Target::Link { from, to } => format!("link.{from}-{to}"),
-        Target::Engine { host, engine } => format!("engine.h{host}.e{engine}"),
-    }
-}
-
-fn poll_health(registry: &Registry, w: &HealthWatch, now: Nanos) {
-    let monitor = w.monitor.borrow();
-    let mut latched = 0i64;
-    for target in monitor.targets() {
-        let Some(score) = monitor.score(target, now) else {
-            continue;
-        };
-        let scope = registry.scoped(&format!("health.{}.{}", w.label, target_label(target)));
-        let milli = |v: f64| (v * 1000.0).clamp(0.0, i64::MAX as f64) as i64;
-        scope.gauge("phi_m").set(milli(score.phi));
-        scope.gauge("loss_m").set(milli(score.loss_ratio));
-        scope.gauge("degradation_m").set(milli(score.degradation));
-        scope.gauge("verdict").set(match score.verdict {
-            Verdict::Healthy => 0,
-            Verdict::Degraded => 1,
-            Verdict::Failed => 2,
-        });
-        if monitor.latched(target) {
-            latched += 1;
-        }
-    }
-    registry
-        .gauge(&format!("health.{}.latched", w.label))
-        .set(latched);
-}
-
-fn poll_upgrade(registry: &Registry, w: &mut UpgradeWatch) {
-    if w.ingested {
-        return;
-    }
-    let slot = w.slot.borrow();
-    let Some(report) = slot.as_ref() else {
-        return;
-    };
-    let scope = registry.scoped("upgrade");
-    for eu in &report.engines {
-        scope.histogram("blackout").record_nanos(eu.blackout);
-        scope.histogram("brownout").record_nanos(eu.brownout);
-        scope.counter("engines").inc();
-        if eu.rolled_back {
-            scope.counter("rollbacks").inc();
-        }
-    }
-    drop(slot);
-    w.ingested = true;
-}
-
-fn poll_admission(registry: &Registry, w: &mut AdmissionWatch) {
-    for snap in w.adm.snapshot() {
-        let scope = registry.scoped(&format!("isolation.{}.{}", w.label, snap.container));
-        scope.gauge("pressure").set(i64::from(snap.pressure.as_u8()));
-        scope.gauge("usage_bytes").set(as_gauge(snap.usage_bytes));
-        scope.counter("denials").raise_to(snap.denials);
-        scope.counter("sheds").raise_to(snap.sheds);
-    }
-    let scope = registry.scoped(&format!("isolation.{}", w.label));
-    let (transitions, next_seq) = w.adm.transitions_since(w.next_seq);
-    if !transitions.is_empty() {
-        scope
-            .counter("pressure_transitions")
-            .add(transitions.len() as u64);
-    }
-    w.next_seq = next_seq;
-    scope
-        .counter("accounting_errors")
-        .raise_to(w.adm.accounting_errors());
-}
-
-fn poll_group(registry: &Registry, w: &mut GroupWatch) {
-    let cur = w.group.sched_delay_histogram();
-    let window = cur.diff(&w.last);
-    if !window.is_empty() {
-        let name = format!("sched.{}.{}.delay", w.label, w.group.mode_label());
-        registry.histogram(&name).merge_from(&window);
-    }
-    w.last = cur;
 }
 
 impl Module for StatsModule {
@@ -597,7 +485,7 @@ impl Module for StatsModule {
                 Ok(Vec::new())
             }
             "snapshot" => Ok(self.snapshot(cx.sim.now()).to_json().into_bytes()),
-            "table" => Ok(self.table(cx.sim.now()).into_bytes()),
+            "table" => Ok(self.snapshot(cx.sim.now()).to_table().into_bytes()),
             other => Err(ControlError::UnknownMethod(other.to_string())),
         }
     }
@@ -616,14 +504,16 @@ mod tests {
         assert_eq!(delta(3, 100), 3);
     }
 
-    /// The doc cannot list five fabric counters while the code
-    /// publishes eleven: each `counters()` table is one row of the
-    /// metric-naming table in `lib.rs`, name for name.
+    /// The doc cannot list five counters while the code publishes
+    /// eleven: each `counters()` table — the Pony engine's and the
+    /// fabric's four — is one row of the metric-naming table in
+    /// `lib.rs`, name for name.
     #[test]
-    fn naming_table_lists_every_fabric_counter() {
+    fn naming_table_lists_every_engine_and_fabric_counter() {
         use snap_nic::fabric::{DropReasons, FabricStats, LinkStats, TrunkStats};
         let doc = include_str!("lib.rs");
-        let tables: [(&str, &[(&str, u64)]); 4] = [
+        let tables: [(&str, &[(&str, u64)]); 5] = [
+            ("engine.<label>", &PonyStats::default().counters()),
             ("fabric", &FabricStats::default().counters()),
             ("fabric.host<h>.drops", &DropReasons::default().counters()),
             ("fabric.link.<a>-><b>", &LinkStats::default().counters()),
@@ -638,14 +528,13 @@ mod tests {
 
     #[test]
     fn upgrade_report_is_folded_once() {
-        let registry = Registry::new();
+        let stats = StatsModule::new(StatsConfig::default());
         let slot = Rc::new(RefCell::new(None));
-        let mut w = UpgradeWatch {
-            slot: slot.clone(),
-            ingested: false,
-        };
-        poll_upgrade(&registry, &mut w);
-        assert!(!w.ingested, "no report yet");
+        stats.watch_upgrade(slot.clone());
+        let mut sim = Sim::new();
+        stats.poll_once(&mut sim);
+        let snap = stats.snapshot(Nanos(1));
+        assert_eq!(snap.counter("upgrade.engines"), None, "no report yet");
         let mut report = UpgradeReport::default();
         report.engines.push(snap_core::upgrade::EngineUpgrade {
             engine: "svc".to_string(),
@@ -655,14 +544,77 @@ mod tests {
             rolled_back: false,
         });
         *slot.borrow_mut() = Some(report);
-        poll_upgrade(&registry, &mut w);
-        poll_upgrade(&registry, &mut w);
-        let snap = registry.snapshot(Nanos(1));
-        assert_eq!(snap.counter("upgrade.engines"), Some(1), "folded exactly once");
+        stats.poll_once(&mut sim);
+        stats.poll_once(&mut sim);
+        let snap = stats.snapshot(Nanos(1));
+        let engines = snap.counter("upgrade.engines");
+        assert_eq!(engines, Some(1), "folded exactly once");
         assert_eq!(
             snap.histogram("upgrade.blackout").map(|h| h.count()),
             Some(1)
         );
         assert_eq!(snap.counter("upgrade.rollbacks"), None);
+    }
+
+    #[test]
+    fn published_core_series_sum_to_group_total() {
+        use snap_core::engine::CountingEngine;
+        use snap_core::group::{GroupConfig, SchedulingMode};
+        use snap_sched::machine::Machine;
+        use snap_shm::account::CpuAccountant;
+
+        let mut sim = Sim::new();
+        let machine: MachineHandle = Rc::new(RefCell::new(Machine::new(4, 1)));
+        let group = GroupHandle::new(
+            GroupConfig {
+                name: "stats-test".into(),
+                mode: SchedulingMode::Spreading,
+                class: None,
+            },
+            machine.clone(),
+            CpuAccountant::new(),
+        );
+        let id = group.add_engine(Box::new(CountingEngine::new("e0", Nanos(500))));
+        group.start(&mut sim);
+        group.with_engine(id, |e| {
+            let e = e
+                .as_any()
+                .downcast_mut::<CountingEngine>()
+                .expect("counting engine");
+            for _ in 0..20 {
+                e.inject(Nanos::ZERO);
+            }
+        });
+        group.wake(&mut sim, id);
+        sim.run();
+        let now = sim.now();
+
+        let stats = StatsModule::new(StatsConfig::default());
+        stats.watch_group("h0", group.clone(), machine);
+        stats.poll_once(&mut sim);
+        // Polling twice must not double-count (counters are raised to
+        // the ledger's totals).
+        stats.poll_once(&mut sim);
+
+        let total = group.cpu(now);
+        let snap = stats.snapshot(now);
+        let mut sum = 0u64;
+        let mut engine_sum = 0u64;
+        for name in snap.names_under("cpu.h0.core") {
+            if name.ends_with(".busy_ns") || name.ends_with(".spin_ns") || name.ends_with(".wake_ns")
+            {
+                sum += snap.counter(name).unwrap_or(0);
+            }
+        }
+        for name in snap.names_under("cpu.h0.engine.") {
+            engine_sum += snap.counter(name).unwrap_or(0);
+        }
+        assert_eq!(sum, total.total().as_nanos(), "core split sums to total");
+        assert_eq!(engine_sum, total.engine.as_nanos());
+        assert!(
+            snap.counter("cpu.h0.core0.idle_ns").is_some(),
+            "idle published for every core"
+        );
+        assert_eq!(snap.counter("cpu.h0.throttled_ns"), Some(0));
     }
 }

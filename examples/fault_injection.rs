@@ -51,21 +51,19 @@ fn main() {
     );
 
     // The stats module watches both engines and the fabric; the final
-    // accounting below is its table, not hand-rolled println!s.
+    // accounting below is its table, not hand-rolled println!s. A
+    // flight recorder polls it and folds its registry into bounded time
+    // series every millisecond, so the run ends with a *timeline* of
+    // the whole incident — not just a final table.
     let stats = tb.stats_module(StatsConfig::default());
     let frontend_id = tb.hosts[0].module.engine_for("frontend").expect("engine");
     stats.watch_supervisor(sup.clone(), &[(frontend_id, "h0.frontend".to_string())]);
-    stats.start(&mut tb.sim);
-
-    // A flight recorder folds the stats registry into bounded time
-    // series every millisecond, so the run ends with a *timeline* of
-    // the whole incident — not just a final table.
     let rec = FlightRecorder::new(
         RecorderConfig {
             cadence: Nanos::from_millis(1),
             capacity: 4096,
         },
-        stats.registry(),
+        stats.clone(),
     );
     rec.start(&mut tb.sim);
 
@@ -213,7 +211,6 @@ fn main() {
         "the detector must quarantine the lossy-but-alive link"
     );
 
-    stats.stop();
     rec.stop();
     rec.sample_once(&mut tb.sim);
     println!(
@@ -246,10 +243,10 @@ fn main() {
     // The final dashboards: engine op counters, restart/blackout
     // telemetry, and per-link drop attribution from one stats
     // snapshot, plus the quota module's pressure table.
-    println!("\n{}", stats.table(tb.sim.now()));
+    let snap = stats.snapshot(tb.sim.now());
+    println!("\n{}", snap.to_table());
     println!("quota table:\n{}", quota.table());
     println!("pressure transitions:\n{}", quota.transition_log());
-    let snap = stats.snapshot(tb.sim.now());
     assert_eq!(got, (0..40).collect::<Vec<u64>>());
     assert_eq!(snap.counter("engine.h0.frontend.restarts.crash"), Some(1));
     assert!(snap.counter("fabric.host1.drops.corruption").unwrap_or(0) > 0);

@@ -84,7 +84,7 @@ fn main() {
     // The final dashboard: the upgrade shows up as blackout/brownout
     // histograms next to the engine and fabric counters — and the
     // machine-level op counters are exact across the engine swap.
-    println!("\n{}", stats.table(tb.sim.now()));
+    println!("\n{}", stats.snapshot(tb.sim.now()).to_table());
     let snap = stats.snapshot(tb.sim.now());
     assert_eq!(snap.counter("upgrade.engines"), Some(1));
     assert!(

@@ -7,7 +7,8 @@
 # every merge; everything is deterministic (seeded virtual time), so a
 # green run here is a green run anywhere.
 #
-#   ci.sh            — build + test + release budgets + clippy + rustdoc links
+#   ci.sh            — lock files current (root and benchmark)
+#                      + build + test + release budgets + clippy + rustdoc links
 #                      + timeline export
 #                      + pinned sim-clock tables + the golden-per-bench and
 #                        bench-name guards + EXPERIMENTS.md against its goldens
@@ -19,6 +20,14 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# A manifest edit that would make cargo rewrite a lock file is a red
+# build, above all the benchmark's own: `benchmark/Cargo.lock` records
+# every crate's dependency list and is re-locked only on purpose.
+echo "== tier-1: lock files match the manifests =="
+cargo metadata --locked --offline --format-version 1 > /dev/null
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml > /dev/null
+echo "lock files are current"
 
 echo "== tier-1: cargo build --release =="
 cargo build --release

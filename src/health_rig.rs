@@ -213,9 +213,7 @@ impl HealthRig {
         self.inner.borrow_mut().stopped = true;
     }
 
-    /// The shared detector — hand it to
-    /// `StatsModule::watch_health` for `health.*` gauges, or read
-    /// scores directly.
+    /// The shared detector, to read scores from directly.
     pub fn monitor(&self) -> Rc<RefCell<HealthMonitor>> {
         self.monitor.clone()
     }

@@ -35,9 +35,9 @@ use snap_sim::{Nanos, Sim};
 use snap_topo::ClosSpec;
 
 use crate::health_rig::{HealthRig, HealthRigConfig, PROBER_APP};
-use snap_obs::{CpuSampler, FlightRecorder, RecorderConfig};
+use snap_obs::{FlightRecorder, RecorderConfig};
 use snap_tcp::stack::{TcpConfig, TcpHost};
-use snap_telemetry::{Registry, StatsConfig, StatsModule, TraceModule};
+use snap_telemetry::{StatsConfig, StatsModule, TraceModule};
 
 /// Testbed construction parameters.
 #[derive(Clone)]
@@ -673,29 +673,28 @@ impl Testbed {
             if let Some(adm) = &host.admission {
                 stats.watch_admission(&format!("h{h}"), adm.clone());
             }
-            // Scheduling-delay distribution per host group, keyed by
-            // mode: `sched.h<h>.<mode>.delay`.
-            stats.watch_group(&format!("h{h}"), host.group.clone());
+            // Per host group: the scheduling-delay distribution, keyed
+            // by mode (`sched.h<h>.<mode>.delay`), and the CPU ledger
+            // (`cpu.h<h>.*`).
+            stats.watch_group(&format!("h{h}"), host.group.clone(), host.machine.clone());
         }
         stats
     }
 
-    /// A [`FlightRecorder`] over a fresh obs registry, pre-wired with
-    /// a [`CpuSampler`] watching every host (labeled `h<h>`): each
-    /// sample tick publishes per-core/per-engine CPU attribution
-    /// before folding the registry into time series. The sampling loop
-    /// is *not* started — call [`FlightRecorder::start`] (periodic on
-    /// the configured cadence) or [`FlightRecorder::sample_once`] as
-    /// the experiment needs.
+    /// A [`FlightRecorder`] over a fresh [`StatsModule`] watching every
+    /// host's engine group (labeled `h<h>`): each tick publishes the
+    /// per-core/per-engine CPU split (`cpu.h<h>.*`) and scheduling
+    /// delays, pure reads that post to no mailbox, before folding the
+    /// registry into time series. The sampling loop is *not* started —
+    /// call [`FlightRecorder::start`] (periodic on the configured
+    /// cadence) or [`FlightRecorder::sample_once`] as the experiment
+    /// needs.
     pub fn flight_recorder(&mut self, cfg: RecorderConfig) -> FlightRecorder {
-        let registry = Registry::new();
-        let recorder = FlightRecorder::new(cfg, registry.clone());
-        let mut sampler = CpuSampler::new(registry);
+        let stats = StatsModule::new(StatsConfig::default());
         for (h, host) in self.hosts.iter().enumerate() {
-            sampler.watch_host(&format!("h{h}"), host.group.clone(), host.machine.clone());
+            stats.watch_group(&format!("h{h}"), host.group.clone(), host.machine.clone());
         }
-        recorder.add_pre_sample(Box::new(move |sim| sampler.publish(sim.now())));
-        recorder
+        FlightRecorder::new(cfg, stats)
     }
 }
 

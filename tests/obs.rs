@@ -1,7 +1,8 @@
-//! Flight-recorder integration (PR 10): reset-aware sampling across
+//! Flight-recorder integration (PR 10): exact windows across
 //! crash/restart and live-upgrade churn, byte-identical determinism,
 //! the per-core CPU attribution invariant under property-driven
-//! workloads, and the gray-failure alert + timeline export.
+//! workloads and its pinned series, one loop however a clock is
+//! started, and the gray-failure alert + timeline export.
 
 use proptest::prelude::*;
 
@@ -39,8 +40,9 @@ fn rate_series_sum(rec: &FlightRecorder, name: &str) -> u64 {
     sum
 }
 
-/// Crash/restart plus a live upgrade mid-run, recorder attached to the
-/// stats registry the whole time. The recorder's windows must tile the
+/// Crash/restart plus a live upgrade mid-run, a recorder sampling the
+/// rack's stats module the whole time (its tick is the module's only
+/// poll). The recorder's windows must tile the
 /// run exactly: the sum of per-window deltas equals the final
 /// cumulative counter — nothing double-counted across the restart,
 /// nothing lost across the upgrade.
@@ -59,16 +61,13 @@ fn churn_run() -> (String, u64, u64) {
             ..SupervisorConfig::default()
         },
     );
-    let stats = tb.stats_module(StatsConfig {
-        poll_period: Nanos::from_micros(500),
-    });
-    stats.start(&mut tb.sim);
+    let stats = tb.stats_module(StatsConfig::default());
     let rec = FlightRecorder::new(
         RecorderConfig {
             cadence: Nanos::from_millis(1),
             capacity: 4096,
         },
-        stats.registry(),
+        stats.clone(),
     );
     rec.start(&mut tb.sim);
 
@@ -114,10 +113,8 @@ fn churn_run() -> (String, u64, u64) {
     }
     tb.run_ms(500);
     drain(&mut b, &mut got);
-    stats.stop();
     rec.stop();
     // One final sample so the last partial window is recorded too.
-    stats.poll_once(&mut tb.sim);
     rec.sample_once(&mut tb.sim);
 
     assert!(report.borrow().is_some(), "upgrade completed");
@@ -245,6 +242,129 @@ proptest! {
     }
 }
 
+/// Every `cpu.*` series `Testbed::flight_recorder` records over a fixed
+/// compacting two-host stream, point for point (`at_us:value`): the
+/// per-core and per-engine CPU split and its per-window fold are pinned.
+#[test]
+fn cpu_series_of_a_compacting_stream_are_pinned_point_for_point() {
+    let mut tb = Testbed::new(TestbedConfig {
+        cores_per_host: 2,
+        mode: SchedulingMode::compacting_default(),
+        ..TestbedConfig::default()
+    });
+    let mut a = tb.pony_app(0, "src", |_| {});
+    let mut b = tb.pony_app(1, "sink", |_| {});
+    let conn = tb.connect(0, "src", 1, "sink");
+    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 16 });
+    let rec = tb.flight_recorder(RecorderConfig {
+        cadence: Nanos::from_micros(250),
+        capacity: 64,
+    });
+    rec.start(&mut tb.sim);
+    for _ in 0..4 {
+        a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 16 * 1024 });
+        tb.run_us(250);
+        for _ in b.take_completions() {}
+        for _ in a.take_completions() {}
+    }
+    rec.stop();
+    let mut got = String::new();
+    for name in rec.series_names().iter().filter(|n| n.starts_with("cpu.")) {
+        got.push_str(name);
+        for (at, v) in rec.series(name) {
+            let PointValue::Rate(r) = v else {
+                panic!("{name} is a rate series: {v:?}")
+            };
+            got.push_str(&format!(" {}:{r}", at.as_nanos() / 1_000));
+        }
+        got.push('\n');
+    }
+    assert_eq!(got, CPU_SERIES_PIN, "\n{got}");
+}
+
+const CPU_SERIES_PIN: &str = "\
+cpu.h0.core0.busy_ns 250:9509 500:5442 750:6416 1000:5442
+cpu.h0.core0.idle_ns 250:119741 500:229128 750:190713 1000:224018
+cpu.h0.core0.machine_busy_ns 250:9509 500:5442 750:6416 1000:5442
+cpu.h0.core0.spin_ns 250:114350 500:5830 750:36871 1000:10940
+cpu.h0.core0.wake_ns 250:6400 500:9600 750:16000 1000:9600
+cpu.h0.core1.busy_ns 250:0 500:0 750:0 1000:0
+cpu.h0.core1.idle_ns 250:250000 500:250000 750:250000 1000:250000
+cpu.h0.core1.machine_busy_ns 250:0 500:0 750:0 1000:0
+cpu.h0.core1.spin_ns 250:0 500:0 750:0 1000:0
+cpu.h0.core1.wake_ns 250:0 500:0 750:0 1000:0
+cpu.h0.engine.e0.busy_ns 250:9509 500:5442 750:6416 1000:5442
+cpu.h0.throttled_ns 250:0 500:0 750:0 1000:0
+cpu.h1.core0.busy_ns 250:8850 500:3093 750:4877 1000:3093
+cpu.h1.core0.idle_ns 250:131023 500:243707 750:235523 1000:243707
+cpu.h1.core0.machine_busy_ns 250:8850 500:3093 750:4877 1000:3093
+cpu.h1.core0.spin_ns 250:110127 500:0 750:0 1000:0
+cpu.h1.core0.wake_ns 250:0 500:3200 750:9600 1000:3200
+cpu.h1.core1.busy_ns 250:0 500:0 750:0 1000:0
+cpu.h1.core1.idle_ns 250:250000 500:250000 750:250000 1000:250000
+cpu.h1.core1.machine_busy_ns 250:0 500:0 750:0 1000:0
+cpu.h1.core1.spin_ns 250:0 500:0 750:0 1000:0
+cpu.h1.core1.wake_ns 250:0 500:0 750:0 1000:0
+cpu.h1.engine.e0.busy_ns 250:8850 500:3093 750:4877 1000:3093
+cpu.h1.throttled_ns 250:0 500:0 750:0 1000:0
+";
+
+/// `start` is idempotent while a loop is live, and a restart after
+/// `stop` leaves exactly one loop: a 1 ms loop run for 10 ms ticks 10
+/// times however it was started.
+#[test]
+fn start_twice_or_restart_leaves_exactly_one_loop() {
+    let period = Nanos::from_millis(1);
+    let stats_polls = |restart: bool| {
+        let mut tb = Testbed::pair();
+        let stats = tb.stats_module(StatsConfig {
+            poll_period: period,
+        });
+        stats.start(&mut tb.sim);
+        if restart {
+            stats.stop();
+        }
+        stats.start(&mut tb.sim);
+        tb.run_ms(10);
+        stats.snapshot(tb.sim.now()).counter("stats.polls")
+    };
+    let recorder_ticks = |restart: bool| {
+        let mut tb = Testbed::pair();
+        let rec = tb.flight_recorder(RecorderConfig {
+            cadence: period,
+            ..RecorderConfig::default()
+        });
+        rec.start(&mut tb.sim);
+        if restart {
+            rec.stop();
+        }
+        rec.start(&mut tb.sim);
+        tb.run_ms(10);
+        rec.ticks()
+    };
+    assert_eq!(stats_polls(false), Some(10), "stats: start; start");
+    assert_eq!(stats_polls(true), Some(10), "stats: start; stop; start");
+    assert_eq!(recorder_ticks(false), 10, "recorder: start; start");
+    assert_eq!(recorder_ticks(true), 10, "recorder: start; stop; start");
+
+    // A stop whose pending tick has lapsed ends the loop; the next
+    // start begins a new one, one period out.
+    let mut tb = Testbed::pair();
+    let rec = tb.flight_recorder(RecorderConfig {
+        cadence: period,
+        ..RecorderConfig::default()
+    });
+    rec.start(&mut tb.sim);
+    tb.run_ms(3);
+    rec.stop();
+    tb.run_ms(3);
+    assert_eq!(rec.ticks(), 3, "a stopped loop does not tick");
+    rec.start(&mut tb.sim);
+    rec.start(&mut tb.sim);
+    tb.run_ms(4);
+    assert_eq!(rec.ticks(), 7, "one loop again after the restart");
+}
+
 /// A 2-rack Clos runs a cross-rack closed loop while a lossy-link gray
 /// failure comes (5 ms) and goes (12 ms): the SLO burn-rate alert must
 /// fire during the failure and resolve after the heal, and the
@@ -335,8 +455,8 @@ fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
 }
 
 /// Four hosts of rack 1 stream into one host of rack 0 over trunks
-/// oversubscribed `ratio`:1, a stats module polling the fabric and a
-/// recorder folding its registry every 50 us. Returns the peak the
+/// oversubscribed `ratio`:1, a recorder sampling the rack's stats module
+/// every 50 us. Returns the peak the
 /// recorder saw on the deepest trunk egress queue, in bytes.
 fn incast_peak_trunk_queue(ratio: f64) -> i64 {
     let mut tb = Testbed::new(TestbedConfig {
@@ -355,17 +475,12 @@ fn incast_peak_trunk_queue(ratio: f64) -> i64 {
         );
         sources.push((src, conn));
     }
-    let cadence = Nanos::from_micros(50);
-    let stats = tb.stats_module(StatsConfig {
-        poll_period: cadence,
-    });
-    stats.start(&mut tb.sim);
     let rec = FlightRecorder::new(
         RecorderConfig {
-            cadence,
+            cadence: Nanos::from_micros(50),
             capacity: 4096,
         },
-        stats.registry(),
+        tb.stats_module(StatsConfig::default()),
     );
     rec.start(&mut tb.sim);
     for (src, conn) in &mut sources {

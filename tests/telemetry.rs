@@ -221,6 +221,78 @@ fn live_upgrade_never_double_counts_and_folds_report_once() {
     assert_eq!(snap.counter("upgrade.rollbacks"), None, "clean upgrade");
 }
 
+/// FNV-1a, 64-bit: a pin for text too long to quote.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The stats module's snapshot after a scripted crash + partition +
+/// live-upgrade tour, pinned as JSON: engine counters and depth gauges,
+/// fabric books, restart and upgrade histograms, scheduling delays —
+/// every name but the `cpu.*` split.
+#[test]
+fn churn_tour_snapshot_is_pinned() {
+    let mut tb = Testbed::pair();
+    let mut a = tb.pony_app(0, "client", |_| {});
+    let mut b = tb.pony_app(1, "server", |_| {});
+    let conn = tb.connect(0, "client", 1, "server");
+    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 64 });
+    let client = tb.hosts[0].module.engine_for("client").expect("engine");
+    let sup = tb.supervise_app(
+        0,
+        "client",
+        SupervisorConfig {
+            checkpoint_interval: Nanos::from_millis(1),
+            ..SupervisorConfig::default()
+        },
+    );
+    let stats = tb.stats_module(fast_stats());
+    stats.watch_supervisor(sup, &[(client, "h0.client".to_string())]);
+    stats.start(&mut tb.sim);
+    let plan = FaultPlan::new()
+        .at(
+            Nanos::from_millis(10),
+            FaultEvent::EngineCrash { host: 0, engine: 0 },
+        )
+        .at(Nanos::from_millis(40), FaultEvent::Partition { a: 0, b: 1 })
+        .at(Nanos::from_millis(60), FaultEvent::Heal { a: 0, b: 1 });
+    tb.install_fault_plan(&plan);
+
+    let mut got = Vec::new();
+    for i in 0..30 {
+        a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 4096 });
+        tb.run_ms(3);
+        recv_msgs(&mut b, &mut got);
+        if i == 25 {
+            let id = tb.hosts[1].module.engine_for("server").expect("engine");
+            let factory = tb.hosts[1].module.upgrade_factory("server").expect("factory");
+            let mut orch = UpgradeOrchestrator::new();
+            orch.add_engine(tb.hosts[1].group.clone(), id, 2, factory);
+            stats.watch_upgrade(orch.start(&mut tb.sim));
+        }
+    }
+    while tb.sim.now() < Nanos::from_millis(300) {
+        tb.run_ms(10);
+        recv_msgs(&mut b, &mut got);
+    }
+    stats.stop();
+    stats.poll_once(&mut tb.sim);
+
+    let mut snap = stats.snapshot(tb.sim.now());
+    assert_eq!(snap.counter("engine.h0.client.restarts.crash"), Some(1));
+    assert_eq!(snap.counter("upgrade.engines"), Some(1));
+    assert!(snap.counter("fabric.partition_drops").unwrap_or(0) > 0);
+    snap.metrics.retain(|name, _| !name.starts_with("cpu."));
+    let json = snap.to_json();
+    assert_eq!(
+        (json.len(), fnv1a(&json)),
+        (2264, 15_524_483_037_973_580_031),
+        "{json}"
+    );
+}
+
 /// Asymmetric (one-direction) partitions: the scripted one-way fault
 /// must black-hole exactly the `from -> to` direction, and the
 /// per-directed-link drop counters must attribute every partition drop
