@@ -1,13 +1,20 @@
 //! `snap-apps`: application workloads over Snap transports.
 //!
-//! Two layers. The **sockets facade** ([`socket`], [`transport`]) gives
+//! Under everything, one **message contract** ([`transport`]): an
+//! application's end sends a length-modeled message with a `u32` tag on
+//! a connection and polls for what arrived and how each send went, with
+//! one implementor per stack — [`transport::PonyEnd`] over a Pony
+//! Express client (`PonyCommand` message ops) and [`transport::TcpEnd`]
+//! on the host's kernel-TCP model (`snap_tcp::stack::TcpHost`) — and an
+//! in-memory fake, [`transport::Loopback`], for tests. The root crate's
+//! §5 rack and pair drivers run on it directly.
+//!
+//! Two layers above it. The **sockets facade** ([`socket`]) gives
 //! simulated applications a POSIX-flavored byte-stream API —
 //! [`socket::SnapSocket`] / [`socket::Listener`] with non-blocking and
-//! sim-time-deadline receives — behind a [`transport::Transport`] trait
-//! with two interchangeable backends: the kernel-TCP model
-//! (`snap_tcp::stack::TcpHost`) and the Pony Express client
-//! (`PonyCommand` message ops). The same application code runs over
-//! either; the backend is picked per app at testbed construction.
+//! sim-time-deadline receives — over one end of either stack, its chunk
+//! sequence as the tag. The same application code runs over either; the
+//! backend is picked per app at testbed construction.
 //!
 //! The **workload library** ([`dag`], [`kv`], [`stream`], [`pool`])
 //! runs application shapes over the facade: declarative microservice

@@ -1,18 +1,19 @@
 //! The POSIX-flavored byte-stream facade.
 //!
 //! A [`SocketHost`] is one application's socket endpoint on a host,
-//! backed by a [`Transport`]. [`SnapSocket`] handles give byte-stream
-//! `send` / `try_recv` / `recv_deadline` semantics; [`Listener`]
-//! surfaces inbound connections. Connection setup is testbed-mediated
+//! backed by one end of the message [`Transport`]. [`SnapSocket`]
+//! handles give byte-stream `send` / `try_recv` / `recv_deadline`
+//! semantics; [`Listener`] surfaces inbound connections. Connection setup is testbed-mediated
 //! (see [`wire`]): the harness dials both stacks, then wires the two
 //! facade endpoints together — the client gets its socket immediately
 //! and the server's listener queues the peer socket for `accept`.
 //!
 //! Streams are cut into seq-numbered chunks of at most
-//! [`CHUNK_BYTES`]; the receive side reorders by seq and deduplicates,
-//! so out-of-order completion (TCP message reassembly) and transport
-//! retries surface to the application as an in-order, exactly-once
-//! byte stream. All deadlines are **virtual time** ([`Nanos`]) driven
+//! [`CHUNK_BYTES`], each one message tagged with its seq; the receive
+//! side reorders by seq and deduplicates, so out-of-order completion
+//! (TCP message reassembly) and `SendBusy` retries (under the same seq)
+//! surface to the application as an in-order, exactly-once byte
+//! stream. All deadlines are **virtual time** ([`Nanos`]) driven
 //! through a [`SimPump`] — the facade never reads a wall clock.
 
 #![cfg_attr(
@@ -27,9 +28,15 @@ use std::rc::Rc;
 use snap_sim::hash::IntMap;
 use snap_sim::{Nanos, Sim};
 
-use crate::transport::{Backend, Transport, TransportEvent, CHUNK_BYTES};
+use crate::transport::{Transport, TransportEvent};
 use crate::workload::{poll_until, POLL_SLICE_US};
 use crate::SimPump;
+
+/// Largest chunk the facade sends as one message. Matches the Pony
+/// engine's small-message bound so chunks ride shared credits
+/// (self-clocking flow control) and the kernel model's TCP segment
+/// size, keeping the two backends' unit of work comparable.
+pub const CHUNK_BYTES: usize = 4096;
 
 /// Max chunks a socket keeps in flight before further stream bytes
 /// wait in its local queue. Kept under the Pony engine's per-conn
@@ -83,7 +90,7 @@ pub struct SocketStats {
 /// Real payload bytes for in-flight chunks by seq, shared between the
 /// two endpoints of a connection direction (both stacks model payloads
 /// by length only, so actual bytes bypass the wire).
-type Ledger = Rc<RefCell<IntMap<u64, Vec<u8>>>>;
+type Ledger = Rc<RefCell<IntMap<u32, Vec<u8>>>>;
 
 /// One connection's end of the stream. A payload byte is in exactly
 /// one place at a time — `tx_wait`, a ledger chunk, `rx_pending`,
@@ -101,14 +108,14 @@ struct SockState {
     /// dropped in `flush`.
     tx_wait: Vec<u8>,
     tx_cut: usize,
-    next_tx_seq: u64,
+    next_tx_seq: u32,
     /// Chunks submitted and not yet acknowledged: seq -> len.
-    inflight: BTreeMap<u64, u64>,
+    inflight: BTreeMap<u32, u64>,
     /// Busy-rejected chunks awaiting their backoff: (retry at, seq, len).
-    retry: VecDeque<(Nanos, u64, u64)>,
+    retry: VecDeque<(Nanos, u32, u64)>,
     /// Delivered chunks ahead of the in-order frontier.
-    rx_pending: BTreeMap<u64, Vec<u8>>,
-    next_rx_seq: u64,
+    rx_pending: BTreeMap<u32, Vec<u8>>,
+    next_rx_seq: u32,
     /// In-order chunks awaiting application `recv`, as they were cut;
     /// the front one has been read up to `rx_read`.
     rx_chunks: VecDeque<Vec<u8>>,
@@ -125,7 +132,7 @@ impl SockState {
         }
     }
 
-    fn on_delivered(&mut self, seq: u64, stats: &mut SocketStats) {
+    fn on_delivered(&mut self, seq: u32, stats: &mut SocketStats) {
         // Claiming the payload from the ledger is the dedup point: a
         // duplicate delivery finds nothing to claim.
         let payload = self.rx_ledger.borrow_mut().remove(&seq);
@@ -146,7 +153,7 @@ impl SockState {
     }
 
     /// Busy retries whose backoff elapsed re-enter under the same seq
-    /// (identity preserved — see transport module docs).
+    /// (identity preserved — see the transport module docs).
     fn retry_due(&mut self, sim: &mut Sim, transport: &mut dyn Transport, conn: u64) {
         let now = sim.now();
         while let Some(&(at, seq, len)) = self.retry.front() {
@@ -155,7 +162,7 @@ impl SockState {
             }
             self.retry.pop_front();
             self.inflight.insert(seq, len);
-            transport.send_chunk(sim, conn, seq, len);
+            transport.send(sim, conn, seq, len);
         }
     }
 
@@ -179,7 +186,7 @@ impl SockState {
             self.tx_ledger.borrow_mut().insert(seq, bytes);
             self.inflight.insert(seq, len);
             stats.chunks_tx += 1;
-            transport.send_chunk(sim, conn, seq, len);
+            transport.send(sim, conn, seq, len);
         }
         // Drop the cut prefix once it is at least as long as what still
         // waits: the move is paid for by the bytes already cut, and the
@@ -214,7 +221,6 @@ impl SockState {
 }
 
 struct HostInner {
-    backend: Backend,
     transport: Box<dyn Transport>,
     /// Keyed in ascending connection id: the order `pump` serves them
     /// in, and so the order their chunks reach the transport.
@@ -240,17 +246,17 @@ impl HostInner {
         transport.poll(now, scratch);
         for ev in scratch.drain(..) {
             match ev {
-                TransportEvent::Delivered { conn, seq } => {
+                TransportEvent::Delivered { conn, tag: seq, .. } => {
                     if let Some(s) = socks.get_mut(&conn) {
                         s.on_delivered(seq, stats);
                     }
                 }
-                TransportEvent::SendDone { conn, seq } => {
+                TransportEvent::SendDone { conn, tag: seq } => {
                     if let Some(s) = socks.get_mut(&conn) {
                         s.inflight.remove(&seq);
                     }
                 }
-                TransportEvent::SendBusy { conn, seq } => {
+                TransportEvent::SendBusy { conn, tag: seq } => {
                     stats.busy_retries += 1;
                     if let Some(s) = socks.get_mut(&conn) {
                         if let Some(len) = s.inflight.remove(&seq) {
@@ -285,13 +291,11 @@ pub struct SocketHost {
 }
 
 impl SocketHost {
-    /// Builds the endpoint over a backend transport. Harness-facing;
+    /// Builds the endpoint over one end of a transport. Harness-facing;
     /// applications receive ready-made hosts from the testbed.
     pub fn new(transport: Box<dyn Transport>) -> Self {
-        let backend = transport.backend();
         SocketHost {
             inner: Rc::new(RefCell::new(HostInner {
-                backend,
                 transport,
                 socks: BTreeMap::new(),
                 accept_q: VecDeque::new(),
@@ -299,11 +303,6 @@ impl SocketHost {
                 scratch: Vec::new(),
             })),
         }
-    }
-
-    /// The backend carrying this endpoint's traffic.
-    pub fn backend(&self) -> Backend {
-        self.inner.borrow().backend
     }
 
     /// The inbound-connection listener for this endpoint.
@@ -349,16 +348,6 @@ pub struct SnapSocket {
 }
 
 impl SnapSocket {
-    /// The underlying transport connection id.
-    pub fn conn(&self) -> u64 {
-        self.conn
-    }
-
-    /// The backend carrying this socket.
-    pub fn backend(&self) -> Backend {
-        self.inner.borrow().backend
-    }
-
     /// Queues `data` on the stream. Never blocks: bytes beyond the
     /// transport window wait locally and drain as acks free it.
     pub fn send(&self, sim: &mut Sim, data: &[u8]) -> Result<(), SocketError> {
@@ -447,135 +436,61 @@ impl SnapSocket {
     }
 }
 
-/// Wires two facade endpoints over an already-dialed transport
-/// connection `conn` (valid at both stacks). Returns the client-side
-/// socket; the server side lands in `b`'s listener queue. Fails if the
-/// endpoints' backends differ.
-pub fn wire(a: &SocketHost, b: &SocketHost, conn: u64) -> Result<SnapSocket, SocketError> {
-    if a.backend() != b.backend() {
-        return Err(SocketError::BackendMismatch);
-    }
+/// Wires two facade endpoints, on one stack, over an already-dialed
+/// transport connection `conn` (valid at both ends). Returns the
+/// client-side socket; the server side lands in `b`'s listener queue.
+pub fn wire(a: &SocketHost, b: &SocketHost, conn: u64) -> SnapSocket {
     let ab = Ledger::default();
     let ba = Ledger::default();
     {
         let mut ia = a.inner.borrow_mut();
         ia.socks
             .insert(conn, SockState::new(ab.clone(), ba.clone()));
-        ia.transport.register_conn(conn);
+        ia.transport.open(conn);
     }
     {
         let mut ib = b.inner.borrow_mut();
         ib.socks.insert(conn, SockState::new(ba, ab));
-        ib.transport.register_conn(conn);
+        ib.transport.open(conn);
         ib.accept_q.push_back(conn);
     }
-    Ok(SnapSocket {
+    SnapSocket {
         inner: a.inner.clone(),
         conn,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{Loopback, Wire};
     use proptest::prelude::*;
-
-    /// One direction between two [`Recording`] transports: the log of
-    /// what the sending side was handed, the knobs a test steers it
-    /// with, and the deliveries on their way to the receiving side.
-    #[derive(Default)]
-    struct Wire {
-        /// Chunks in the order `send_chunk` saw them: (conn, seq, len).
-        handed: Vec<(u64, u64, u64)>,
-        /// Acks released to the sender so far.
-        acked: usize,
-        /// Busy bounces reported to the sender so far: (seq, len).
-        busy: Vec<(u64, u64)>,
-        /// While set, acks are withheld (the window stays shut).
-        hold_acks: bool,
-        /// The next this-many submissions bounce with `SendBusy`.
-        bounce_next: u64,
-        /// While set, each poll hands its deliveries over last first.
-        reverse: bool,
-        /// Deliveries the receiving side's next poll reports.
-        arriving: Vec<TransportEvent>,
-    }
 
     type SharedWire = Rc<RefCell<Wire>>;
 
-    /// A transport that logs every chunk it is handed, delivers it to
-    /// the peer's next poll, and acknowledges or bounces it at its own
-    /// next poll as its [`Wire`] says.
-    struct Recording {
-        tx: SharedWire,
-        rx: SharedWire,
-        unacked: Vec<(u64, u64)>,
-        bounced: Vec<(u64, u64, u64)>,
-    }
-
-    impl Transport for Recording {
-        fn backend(&self) -> Backend {
-            Backend::Pony
-        }
-        fn register_conn(&mut self, _conn: u64) {}
-        fn send_chunk(&mut self, _sim: &mut Sim, conn: u64, seq: u64, len: u64) {
-            let mut w = self.tx.borrow_mut();
-            w.handed.push((conn, seq, len));
-            if w.bounce_next > 0 {
-                w.bounce_next -= 1;
-                self.bounced.push((conn, seq, len));
-            } else {
-                self.unacked.push((conn, seq));
-                w.arriving.push(TransportEvent::Delivered { conn, seq });
-            }
-        }
-        fn poll(&mut self, _now: Nanos, out: &mut Vec<TransportEvent>) {
-            let mut w = self.tx.borrow_mut();
-            for (conn, seq, len) in self.bounced.drain(..) {
-                w.busy.push((seq, len));
-                out.push(TransportEvent::SendBusy { conn, seq });
-            }
-            if !w.hold_acks {
-                w.acked += self.unacked.len();
-                let acks = self.unacked.drain(..);
-                out.extend(acks.map(|(conn, seq)| TransportEvent::SendDone { conn, seq }));
-            }
-            drop(w);
-            let mut r = self.rx.borrow_mut();
-            if r.reverse {
-                r.arriving.reverse();
-            }
-            out.append(&mut r.arriving);
-        }
-    }
-
     /// A host whose transport sends on `tx` and receives from `rx`.
-    fn recording_host(tx: &SharedWire, rx: &SharedWire) -> SocketHost {
-        SocketHost::new(Box::new(Recording {
-            tx: tx.clone(),
-            rx: rx.clone(),
-            unacked: Vec::new(),
-            bounced: Vec::new(),
-        }))
+    fn loopback_host(tx: &SharedWire, rx: &SharedWire) -> SocketHost {
+        let (tx, rx) = (tx.clone(), rx.clone());
+        SocketHost::new(Box::new(Loopback { tx, rx }))
     }
 
     /// Five connections, dialed in no particular order, each with a
     /// full window and two more chunks waiting behind it; returns what
     /// one pump — which frees every window — hands the transport.
-    fn chunks_handed_by_one_pump() -> Vec<(u64, u64, u64)> {
+    fn chunks_handed_by_one_pump() -> Vec<(u64, u32, u64)> {
         let mut sim = Sim::new();
         let (ab, ba) = (SharedWire::default(), SharedWire::default());
-        let a = recording_host(&ab, &ba);
-        let b = recording_host(&ba, &ab);
+        let a = loopback_host(&ab, &ba);
+        let b = loopback_host(&ba, &ab);
         let backlog = vec![0u8; (WINDOW_CHUNKS + 2) * CHUNK_BYTES];
         for conn in [907, 13, 512, 64, 7001] {
-            let sock = wire(&a, &b, conn).expect("same backend");
+            let sock = wire(&a, &b, conn);
             sock.send(&mut sim, &backlog).expect("connected");
         }
-        let full = std::mem::take(&mut ab.borrow_mut().handed);
+        let full = std::mem::take(&mut ab.borrow_mut().sent);
         assert_eq!(full.len(), 5 * WINDOW_CHUNKS, "windows are full");
         a.poll(&mut sim);
-        let out = ab.borrow().handed.clone();
+        let out = ab.borrow().sent.clone();
         out
     }
 
@@ -601,12 +516,13 @@ mod tests {
     #[derive(Default)]
     struct ChunkModel {
         waiting: usize,
-        next_seq: u64,
+        next_seq: u32,
+        /// Chunk lengths by seq.
+        lens: Vec<u64>,
         unacked: usize,
-        acks_seen: usize,
-        bounces_seen: usize,
-        backoff: VecDeque<(Nanos, u64, u64)>,
-        want: Vec<(u64, u64, u64)>,
+        told_seen: usize,
+        backoff: VecDeque<(Nanos, u32, u64)>,
+        want: Vec<(u64, u32, u64)>,
     }
 
     impl ChunkModel {
@@ -615,12 +531,17 @@ mod tests {
             self.cut();
         }
         fn pump(&mut self, now: Nanos, wire: &Wire) {
-            self.unacked -= wire.acked - self.acks_seen;
-            self.acks_seen = wire.acked;
-            for &(seq, len) in &wire.busy[self.bounces_seen..] {
-                self.backoff.push_back((now + BUSY_BACKOFF, seq, len));
+            for event in &wire.told[self.told_seen..] {
+                match *event {
+                    TransportEvent::SendDone { .. } => self.unacked -= 1,
+                    TransportEvent::SendBusy { tag: seq, .. } => {
+                        let len = self.lens[seq as usize];
+                        self.backoff.push_back((now + BUSY_BACKOFF, seq, len));
+                    }
+                    TransportEvent::Delivered { .. } | TransportEvent::SendFailed { .. } => {}
+                }
             }
-            self.bounces_seen = wire.busy.len();
+            self.told_seen = wire.told.len();
             while self.backoff.front().is_some_and(|&(at, ..)| at <= now) {
                 let (_, seq, len) = self.backoff.pop_front().expect("checked");
                 self.want.push((CONN, seq, len));
@@ -631,6 +552,7 @@ mod tests {
             while self.waiting > 0 && self.unacked < WINDOW_CHUNKS {
                 let len = self.waiting.min(CHUNK_BYTES);
                 self.want.push((CONN, self.next_seq, len as u64));
+                self.lens.push(len as u64);
                 self.waiting -= len;
                 self.next_seq += 1;
                 self.unacked += 1;
@@ -655,9 +577,9 @@ mod tests {
         ) {
             let mut sim = Sim::new();
             let (ab, ba) = (SharedWire::default(), SharedWire::default());
-            let a = recording_host(&ab, &ba);
-            let b = recording_host(&ba, &ab);
-            let tx = wire(&a, &b, CONN).expect("same backend");
+            let a = loopback_host(&ab, &ba);
+            let b = loopback_host(&ba, &ab);
+            let tx = wire(&a, &b, CONN);
             let rx = b.listener().accept().expect("queued by wire");
             let mut model = ChunkModel::default();
             let (mut sent, mut got) = (0usize, Vec::new());
@@ -687,7 +609,7 @@ mod tests {
                         model.pump(sim.now(), &ab.borrow());
                     }
                     11 => ab.borrow_mut().hold_acks = arg % 2 == 0,
-                    12 => ab.borrow_mut().bounce_next = arg % 6,
+                    12 => ab.borrow_mut().refuse_next = arg % 6,
                     13 => ab.borrow_mut().reverse = arg % 2 == 0,
                     _ => {
                         let to = sim.now() + Nanos(arg % 30_000);
@@ -697,7 +619,7 @@ mod tests {
             }
             // Let everything through.
             ab.borrow_mut().hold_acks = false;
-            ab.borrow_mut().bounce_next = 0;
+            ab.borrow_mut().refuse_next = 0;
             for _ in 0..sent / CHUNK_BYTES + 4 {
                 let to = sim.now() + BUSY_BACKOFF;
                 sim.run_until(to);
@@ -708,11 +630,13 @@ mod tests {
 
             prop_assert_eq!(got.len(), sent);
             prop_assert!(got.iter().enumerate().all(|(i, &b)| b == stream_byte(i)));
-            prop_assert_eq!(&ab.borrow().handed, &model.want);
-            prop_assert_eq!(a.stats().chunks_tx, model.next_seq);
-            prop_assert_eq!(b.stats().chunks_rx, model.next_seq);
+            prop_assert_eq!(&ab.borrow().sent, &model.want);
+            prop_assert_eq!(a.stats().chunks_tx, model.next_seq as u64);
+            prop_assert_eq!(b.stats().chunks_rx, model.next_seq as u64);
             prop_assert_eq!(b.stats().dup_chunks, 0);
-            prop_assert_eq!(a.stats().busy_retries as usize, ab.borrow().busy.len());
+            let told = ab.borrow().told.clone();
+            let busy = told.iter().filter(|event| matches!(event, TransportEvent::SendBusy { .. }));
+            prop_assert_eq!(a.stats().busy_retries as usize, busy.count());
         }
     }
 }

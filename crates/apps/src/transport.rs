@@ -1,28 +1,35 @@
-//! The facade's transport abstraction and its two backends.
+//! The one message-level contract over both stacks, and its ends.
 //!
-//! A [`Transport`] moves opaque *chunks* (seq-numbered, length-modeled)
-//! between connection endpoints. The sockets layer cuts byte streams
-//! into chunks, hands them here, and reassembles in seq order on the
-//! far side; real payload bytes ride a side ledger shared between the
-//! two facade endpoints, because both underlying stacks model payloads
-//! by length only.
+//! A [`Transport`] is an application's end of its connections: it
+//! sends a length-modeled message with a `u32` tag on a connection,
+//! and its poll reports what arrived ([`TransportEvent::Delivered`],
+//! with the tag and length) and how each send went (`SendDone`,
+//! `SendBusy`, `SendFailed`). Connections are dialed by the harness and
+//! their id is valid at both ends; each end is told of one with
+//! [`Transport::open`]. The sockets facade ([`crate::socket`]) runs on
+//! it with its chunk sequence as the tag, and so do the §5 rack and
+//! pair drivers of the root crate with their own tags.
 //!
-//! Backend mapping:
-//! - **Pony**: each chunk is a two-sided [`PonyCommand::Send`] whose
-//!   *stream id is the chunk seq* (message 0 of its own stream). Stream
-//!   ids are the one per-message identifier the engine echoes to the
-//!   receiver that is assigned by the app rather than by admission, so
-//!   a quota `Busy` rejection (which happens before message-id
-//!   assignment) can be retried under the same identity without
-//!   desyncing the seq space — exactly-once is preserved end to end.
-//!   Chunks are capped at the engine's small-message size, so shared
-//!   per-connection credits flow-control them and over-commit lands in
-//!   the engine's held queue (back-pressure, never loss).
-//! - **Tcp**: each chunk is one `TcpHost` message with `msg_id` = seq.
-//!   A host runs a single kernel stack, so one [`TcpRouter`] per host
-//!   demuxes the stack's delivery callback to per-app sinks by
-//!   connection. TCP reassembly can complete messages out of order;
-//!   the sockets layer's reorder buffer restores stream order.
+//! One implementor per stack:
+//! - [`PonyEnd`]: an application's `PonyClient`, as the paper's apps
+//!   reach Pony Express (§3.1): a send is a two-sided
+//!   [`PonyCommand::Send`] whose *stream id is the tag*. The stream id
+//!   is the one per-message identifier the engine echoes to the
+//!   receiver that the application, not admission, assigns, so a quota
+//!   `Busy` refusal (made before a message id is assigned) is retried
+//!   under the same tag and delivered once. The one-sided
+//!   [`PonyEnd::read`] is Pony's alone.
+//! - [`TcpEnd`]: an application's connections on its host's one kernel
+//!   stack (`TcpHost`). A message id is a per-end count above the tag,
+//!   so ids grow in send order on every connection direction, which is
+//!   the order the stack resends in. Each connection reports into the
+//!   inbox of the end that opened it: the facade gives every
+//!   application its own, the §5 drivers give a whole rack one, so they
+//!   see its deliveries in the order the kernel made them. The kernel
+//!   stream is reliable: a send is done once handed over, reported at
+//!   the next poll, never busy and never failed.
+//!
+//! [`Loopback`] is a third, in memory, for tests.
 
 #![cfg_attr(
     not(test),
@@ -35,7 +42,7 @@ use std::rc::Rc;
 use snap_pony::client::{OpStatus, PonyClient, PonyCommand, PonyCompletion};
 use snap_sim::hash::IntMap;
 use snap_sim::{Nanos, Sim};
-use snap_tcp::stack::TcpHost;
+use snap_tcp::stack::{OnMessage, TcpHost};
 
 /// Which stack carries an app's facade traffic. Chosen per app at
 /// testbed construction; both ends of a connection must match.
@@ -57,195 +64,237 @@ impl Backend {
     }
 }
 
-/// Largest chunk the facade submits in one transport op. Matches the
-/// Pony engine's small-message bound so chunks ride shared credits
-/// (self-clocking flow control) and the kernel model's TCP segment
-/// size, keeping the two backends' unit of work comparable.
-pub const CHUNK_BYTES: usize = 4096;
-
-/// What a backend reports back to the sockets layer.
+/// What an end reports at a poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportEvent {
-    /// Chunk `seq` on `conn` fully arrived at this endpoint.
+    /// A message fully arrived at this end.
     Delivered {
         /// Connection id.
         conn: u64,
-        /// Chunk sequence number.
-        seq: u64,
+        /// The sender's tag.
+        tag: u32,
+        /// Message length, bytes.
+        len: u64,
     },
-    /// The local engine refused chunk `seq` with back-pressure
-    /// (`OpStatus::Busy`); nothing entered the transport, retry later.
-    SendBusy {
-        /// Connection id.
-        conn: u64,
-        /// Chunk sequence number.
-        seq: u64,
-    },
-    /// Chunk `seq` was accepted end to end (sender-side ack).
+    /// The send was accepted end to end.
     SendDone {
         /// Connection id.
         conn: u64,
-        /// Chunk sequence number.
-        seq: u64,
+        /// The send's tag.
+        tag: u32,
     },
-    /// The transport failed the chunk terminally.
+    /// The local engine refused the send with back-pressure
+    /// (`OpStatus::Busy`): nothing entered the transport; send it again
+    /// later, under the same tag.
+    SendBusy {
+        /// Connection id.
+        conn: u64,
+        /// The send's tag.
+        tag: u32,
+    },
+    /// The transport failed the send terminally.
     SendFailed {
         /// Connection id.
         conn: u64,
-        /// Chunk sequence number.
-        seq: u64,
+        /// The send's tag.
+        tag: u32,
     },
 }
 
-/// A chunk transport backend. Object-safe; the sockets layer owns one
-/// per facade host.
+/// An application's end of its connections. Every send gets exactly
+/// one outcome, at a later poll.
 pub trait Transport {
-    /// The backend flavor, for mismatch checks and reports.
-    fn backend(&self) -> Backend;
-    /// Tells the backend about a connection it will carry (the dial
-    /// handshake is testbed-mediated).
-    fn register_conn(&mut self, conn: u64);
-    /// Submits chunk `seq` of `len` bytes on `conn`.
-    fn send_chunk(&mut self, sim: &mut Sim, conn: u64, seq: u64, len: u64);
-    /// Drains backend completions into `out`.
+    /// Tells this end about a connection it holds, once dialed (an end
+    /// that needs no setup ignores it).
+    fn open(&mut self, _conn: u64) {}
+    /// Sends a `len`-byte message tagged `tag` on `conn`.
+    fn send(&mut self, sim: &mut Sim, conn: u64, tag: u32, len: u64);
+    /// Appends what happened since the last poll to `out`.
     fn poll(&mut self, now: Nanos, out: &mut Vec<TransportEvent>);
 }
 
-/// Pony backend: one engine session per facade host.
-pub struct PonyTransport {
+/// Snap/Pony: an application's engine session.
+pub struct PonyEnd {
     client: PonyClient,
-    /// Outstanding send ops: op id -> (conn, chunk seq).
-    ops: IntMap<u64, (u64, u64)>,
+    /// Ops in flight that report: op id -> (conn, tag, a read).
+    ops: IntMap<u64, (u64, u32, bool)>,
 }
 
-impl PonyTransport {
+impl PonyEnd {
     /// Wraps an open session (created by the testbed via
     /// `PonyModule::open_session`, which also wires tracing).
     pub fn new(client: PonyClient) -> Self {
-        PonyTransport {
+        PonyEnd {
             client,
             ops: IntMap::default(),
         }
     }
-}
 
-impl Transport for PonyTransport {
-    fn backend(&self) -> Backend {
-        Backend::Pony
+    /// Posts `count` receive buffers on `conn`: messages above the
+    /// engine's small-message bound land in them.
+    pub fn post_recv_buffers(&mut self, sim: &mut Sim, conn: u64, count: u32) {
+        self.client
+            .submit(sim, PonyCommand::PostRecvBuffers { conn, count });
     }
 
-    fn register_conn(&mut self, _conn: u64) {}
+    /// Reads `len` bytes at the start of the peer's `region` over
+    /// `conn`, one-sided; the data is reported here as delivered,
+    /// tagged `tag` (failed: as a failed send).
+    pub fn read(&mut self, sim: &mut Sim, conn: u64, region: u64, len: u32, tag: u32) {
+        let read = PonyCommand::Read {
+            conn,
+            region,
+            offset: 0,
+            len,
+        };
+        let op = self.client.submit(sim, read);
+        self.ops.insert(op, (conn, tag, true));
+    }
+}
 
-    fn send_chunk(&mut self, sim: &mut Sim, conn: u64, seq: u64, len: u64) {
-        // Chunk seq as stream id: message 0 of stream `seq`. See the
-        // module docs for why this survives Busy retries.
-        let op = self.client.submit(
-            sim,
-            PonyCommand::Send {
-                conn,
-                stream: seq as u32,
-                len,
-            },
-        );
-        self.ops.insert(op, (conn, seq));
+impl Transport for PonyEnd {
+    fn send(&mut self, sim: &mut Sim, conn: u64, stream: u32, len: u64) {
+        let op = self
+            .client
+            .submit(sim, PonyCommand::Send { conn, stream, len });
+        self.ops.insert(op, (conn, stream, false));
     }
 
     fn poll(&mut self, now: Nanos, out: &mut Vec<TransportEvent>) {
-        self.client.poll_at(now);
         for c in self.client.take_completions_at(now) {
-            match c {
-                PonyCompletion::RecvMsg { conn, stream, .. } => {
-                    out.push(TransportEvent::Delivered {
-                        conn,
-                        seq: stream as u64,
-                    });
-                }
-                PonyCompletion::OpDone { op, status, .. } => {
-                    let Some((conn, seq)) = self.ops.remove(&op) else {
+            out.push(match c {
+                PonyCompletion::RecvMsg {
+                    conn, stream, len, ..
+                } => TransportEvent::Delivered {
+                    conn,
+                    tag: stream,
+                    len,
+                },
+                PonyCompletion::OpDone {
+                    op, status, data, ..
+                } => {
+                    let Some((conn, tag, read)) = self.ops.remove(&op) else {
                         continue;
                     };
-                    out.push(match status {
-                        OpStatus::Ok => TransportEvent::SendDone { conn, seq },
-                        OpStatus::Busy => TransportEvent::SendBusy { conn, seq },
-                        _ => TransportEvent::SendFailed { conn, seq },
-                    });
+                    match status {
+                        OpStatus::Ok if read => TransportEvent::Delivered {
+                            conn,
+                            tag,
+                            len: data.len() as u64,
+                        },
+                        OpStatus::Ok => TransportEvent::SendDone { conn, tag },
+                        OpStatus::Busy => TransportEvent::SendBusy { conn, tag },
+                        _ => TransportEvent::SendFailed { conn, tag },
+                    }
                 }
-            }
+            });
         }
     }
 }
 
-type Sink = Rc<RefCell<Vec<TransportEvent>>>;
-
-/// Demuxes one host's kernel-TCP stack across facade apps. The stack
-/// has a single delivery callback; the router fans deliveries out to
-/// per-app sinks by connection id.
-#[derive(Clone)]
-pub struct TcpRouter {
+/// Kernel TCP: an application's connections on its host's stack.
+pub struct TcpEnd {
     tcp: TcpHost,
-    sinks: Rc<RefCell<IntMap<u64, Sink>>>,
+    /// Where this end reports, in the order things happened.
+    inbox: Rc<RefCell<Vec<TransportEvent>>>,
+    /// Sends so far: the high half of the next message id.
+    sent: u64,
 }
 
-impl TcpRouter {
-    /// Wraps `tcp` and takes over its delivery callback.
-    pub fn new(tcp: TcpHost) -> Self {
-        let sinks: Rc<RefCell<IntMap<u64, Sink>>> = Rc::default();
-        let by_conn = sinks.clone();
-        tcp.on_message(Rc::new(move |_sim, conn, msg_id, _len| {
-            if let Some(sink) = by_conn.borrow().get(&conn) {
-                sink.borrow_mut()
-                    .push(TransportEvent::Delivered { conn, seq: msg_id });
-            }
-        }));
-        TcpRouter { tcp, sinks }
-    }
-
-    /// The wrapped stack (for dialing: `connect` / `accept`).
-    pub fn tcp(&self) -> &TcpHost {
-        &self.tcp
-    }
-}
-
-/// TCP backend: one per facade app, sharing the host's [`TcpRouter`].
-pub struct TcpTransport {
-    router: TcpRouter,
-    sink: Sink,
-}
-
-impl TcpTransport {
-    /// An app-side endpoint over the host's shared router.
-    pub fn new(router: TcpRouter) -> Self {
-        TcpTransport {
-            router,
-            sink: Rc::new(RefCell::new(Vec::new())),
+impl TcpEnd {
+    /// An end on `tcp` that reports into `inbox`, which other ends may
+    /// share.
+    pub fn new(tcp: TcpHost, inbox: Rc<RefCell<Vec<TransportEvent>>>) -> Self {
+        TcpEnd {
+            tcp,
+            inbox,
+            sent: 0,
         }
     }
 }
 
-impl Transport for TcpTransport {
-    fn backend(&self) -> Backend {
-        Backend::Tcp
+impl Transport for TcpEnd {
+    fn open(&mut self, conn: u64) {
+        let inbox = self.inbox.clone();
+        let deliver: OnMessage = Rc::new(move |_sim, conn, msg, len| {
+            // The tag is the message id's low half.
+            let tag = msg as u32;
+            inbox
+                .borrow_mut()
+                .push(TransportEvent::Delivered { conn, tag, len });
+        });
+        self.tcp.on_conn_message(conn, deliver);
     }
 
-    fn register_conn(&mut self, conn: u64) {
-        self.router
-            .sinks
-            .borrow_mut()
-            .insert(conn, self.sink.clone());
-    }
-
-    fn send_chunk(&mut self, sim: &mut Sim, conn: u64, seq: u64, len: u64) {
-        // Kernel TCP applies its own window; chunks queue in-stack.
-        // Delivery acks are implicit (reliable byte stream), so a
-        // SendDone is synthesized immediately to release the facade
-        // window — loss recovery is the stack's job, not the facade's.
-        self.router.tcp.send(sim, conn, seq, len);
-        self.sink
-            .borrow_mut()
-            .push(TransportEvent::SendDone { conn, seq });
+    fn send(&mut self, sim: &mut Sim, conn: u64, tag: u32, len: u64) {
+        self.sent += 1;
+        self.tcp.send(sim, conn, self.sent << 32 | tag as u64, len);
+        let done = TransportEvent::SendDone { conn, tag };
+        self.inbox.borrow_mut().push(done);
     }
 
     fn poll(&mut self, _now: Nanos, out: &mut Vec<TransportEvent>) {
-        out.append(&mut self.sink.borrow_mut());
+        out.append(&mut self.inbox.borrow_mut());
+    }
+}
+
+/// One direction of a [`Loopback`] pair: what its sending end was
+/// handed and told, and the knobs that steer what becomes of a send.
+#[derive(Debug, Default)]
+pub struct Wire {
+    /// Every send, in order: `(conn, tag, len)`.
+    pub sent: Vec<(u64, u32, u64)>,
+    /// Every outcome the sending end was told, in order.
+    pub told: Vec<TransportEvent>,
+    /// While set, `SendDone`s are withheld.
+    pub hold_acks: bool,
+    /// The next this-many sends are refused.
+    pub refuse_next: u64,
+    /// While set, each receiving poll reports its deliveries last
+    /// first.
+    pub reverse: bool,
+    /// Outcomes not yet told.
+    pending: Vec<TransportEvent>,
+    arriving: Vec<TransportEvent>,
+}
+
+/// A deterministic in-memory transport, for tests: a message sent at
+/// one end is delivered at the other's next poll, and its outcome told
+/// at the sender's next poll, as its [`Wire`] steers.
+pub struct Loopback {
+    /// The direction this end sends on.
+    pub tx: Rc<RefCell<Wire>>,
+    /// The direction it receives from.
+    pub rx: Rc<RefCell<Wire>>,
+}
+
+impl Transport for Loopback {
+    fn send(&mut self, _sim: &mut Sim, conn: u64, tag: u32, len: u64) {
+        let mut w = self.tx.borrow_mut();
+        w.sent.push((conn, tag, len));
+        if w.refuse_next > 0 {
+            w.refuse_next -= 1;
+            w.pending.push(TransportEvent::SendBusy { conn, tag });
+        } else {
+            w.pending.push(TransportEvent::SendDone { conn, tag });
+            w.arriving
+                .push(TransportEvent::Delivered { conn, tag, len });
+        }
+    }
+
+    fn poll(&mut self, _now: Nanos, out: &mut Vec<TransportEvent>) {
+        let mut w = self.tx.borrow_mut();
+        let hold = w.hold_acks;
+        let (held, told): (Vec<_>, Vec<_>) = (w.pending.drain(..))
+            .partition(|event| hold && matches!(event, TransportEvent::SendDone { .. }));
+        w.pending = held;
+        w.told.extend(&told);
+        out.extend(told);
+        drop(w);
+        let mut r = self.rx.borrow_mut();
+        if r.reverse {
+            r.arriving.reverse();
+        }
+        out.append(&mut r.arriving);
     }
 }

@@ -17,7 +17,7 @@
 // malformed RPC or a crashed engine is an expected event here.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use snap_shm::account::{CpuAccountant, MemoryAccountant};
 use snap_shm::region::RegionRegistry;
@@ -64,7 +64,7 @@ pub struct ControlCx<'a> {
     /// The simulator, for scheduling engine work.
     pub sim: &'a mut Sim,
     /// Engine groups by name.
-    pub groups: &'a HashMap<String, GroupHandle>,
+    pub groups: &'a BTreeMap<String, GroupHandle>,
     /// The shared-memory region registry.
     pub regions: &'a RegionRegistry,
     /// Memory accountant (charge per-user state, §2.5).
@@ -106,13 +106,13 @@ impl AppSession {
 /// One running Snap instance.
 pub struct SnapProcess {
     version: u32,
-    modules: HashMap<String, Box<dyn Module>>,
-    groups: HashMap<String, GroupHandle>,
+    modules: BTreeMap<String, Box<dyn Module>>,
+    groups: BTreeMap<String, GroupHandle>,
     regions: RegionRegistry,
     memory: MemoryAccountant,
     cpu: CpuAccountant,
     machine: MachineHandle,
-    sessions: HashMap<u64, String>,
+    sessions: BTreeMap<u64, String>,
     next_token: u64,
 }
 
@@ -123,13 +123,13 @@ impl SnapProcess {
         let memory = MemoryAccountant::new();
         SnapProcess {
             version,
-            modules: HashMap::new(),
-            groups: HashMap::new(),
+            modules: BTreeMap::new(),
+            groups: BTreeMap::new(),
             regions: RegionRegistry::new(memory.clone()),
             memory,
             cpu: CpuAccountant::new(),
             machine,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             next_token: 1,
         }
     }
@@ -180,7 +180,7 @@ impl SnapProcess {
         self.groups.get(name).cloned()
     }
 
-    /// All groups, for the upgrade orchestrator.
+    /// All groups, in name order, for the upgrade orchestrator.
     pub fn groups(&self) -> impl Iterator<Item = (&String, &GroupHandle)> {
         self.groups.iter()
     }

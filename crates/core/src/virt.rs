@@ -21,7 +21,7 @@
 //! The flow table serializes for transparent upgrades like any other
 //! engine state.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -91,7 +91,7 @@ pub struct VirtEngine {
     queue: u16,
     fabric: FabricHandle,
     guests: Vec<GuestPort>,
-    flows: HashMap<VirtAddr, Route>,
+    flows: BTreeMap<VirtAddr, Route>,
     /// Addresses that missed, awaiting control-plane resolution.
     pending_misses: Vec<VirtAddr>,
     stats: VirtStats,
@@ -120,7 +120,7 @@ impl VirtEngine {
             queue,
             fabric,
             guests: Vec::new(),
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             pending_misses: Vec::new(),
             stats: VirtStats::default(),
             batch: costs::DEFAULT_POLL_BATCH,
@@ -313,9 +313,7 @@ impl Engine for VirtEngine {
         // in brownout, like Pony sessions).
         let mut w = Writer::with_capacity(64 + self.flows.len() * 24);
         w.u32(self.flows.len() as u32);
-        let mut entries: Vec<_> = self.flows.iter().collect();
-        entries.sort_by_key(|(a, _)| **a);
-        for (addr, route) in entries {
+        for (addr, route) in &self.flows {
             w.u32(addr.tenant)
                 .u32(addr.vip)
                 .u32(route.host)

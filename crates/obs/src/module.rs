@@ -93,7 +93,7 @@ mod tests {
     use snap_shm::region::RegionRegistry;
     use snap_sim::{Nanos, Sim};
     use snap_telemetry::{StatsConfig, StatsModule};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn rpc_surface_samples_and_dumps() {
@@ -118,7 +118,7 @@ mod tests {
         let mut module =
             ObsModule::new(rec.clone()).with_slo(Rc::new(RefCell::new(slo)));
         let mut sim = Sim::new();
-        let groups = HashMap::new();
+        let groups = BTreeMap::new();
         let memory = MemoryAccountant::new();
         let regions = RegionRegistry::new(memory.clone());
         let cpu = CpuAccountant::new();

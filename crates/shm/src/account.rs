@@ -11,7 +11,7 @@
 //! here so pool allocations can be made fallible under a quota without
 //! this crate depending on the policy layer.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,7 +65,7 @@ pub trait MemoryGate {
 
 #[derive(Default)]
 struct MemoryInner {
-    usage: Mutex<HashMap<String, u64>>,
+    usage: Mutex<BTreeMap<String, u64>>,
     /// Releases without a matching charge (clamped to zero instead of
     /// going negative). Surfaced in telemetry; never panics.
     accounting_errors: AtomicU64,
@@ -158,15 +158,8 @@ impl MemoryAccountant {
 
     /// Snapshot of (container, bytes) pairs, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .usage
-            .lock()
-            .iter()
-            .map(|(k, &b)| (k.clone(), b))
-            .collect();
-        v.sort();
-        v
+        let usage = self.inner.usage.lock();
+        usage.iter().map(|(k, &b)| (k.clone(), b)).collect()
     }
 }
 
@@ -195,7 +188,7 @@ impl MemoryGate for MemoryAccountant {
 /// charges the slot, which takes no lock and hashes nothing.
 #[derive(Clone, Default)]
 pub struct CpuAccountant {
-    inner: Arc<Mutex<HashMap<String, CpuSlot>>>,
+    inner: Arc<Mutex<BTreeMap<String, CpuSlot>>>,
 }
 
 /// One container's CPU counter, shared with its [`CpuAccountant`].
@@ -246,14 +239,11 @@ impl CpuAccountant {
 
     /// Snapshot of (container, nanos) pairs, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .lock()
+        let slots = self.inner.lock();
+        slots
             .iter()
             .map(|(k, slot)| (k.clone(), slot.nanos()))
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 }
 

@@ -11,7 +11,7 @@
 //! Registered memory is charged to the owning application's container
 //! (§2.5).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -64,7 +64,7 @@ struct Region {
 /// A registry of application-shared memory regions.
 #[derive(Clone)]
 pub struct RegionRegistry {
-    regions: Arc<RwLock<HashMap<RegionId, Arc<Region>>>>,
+    regions: Arc<RwLock<BTreeMap<RegionId, Arc<Region>>>>,
     next_id: Arc<AtomicU64>,
     accountant: MemoryAccountant,
 }
@@ -73,7 +73,7 @@ impl RegionRegistry {
     /// Creates an empty registry charging to `accountant`.
     pub fn new(accountant: MemoryAccountant) -> Self {
         RegionRegistry {
-            regions: Arc::new(RwLock::new(HashMap::new())),
+            regions: Arc::new(RwLock::new(BTreeMap::new())),
             next_id: Arc::new(AtomicU64::new(1)),
             accountant,
         }

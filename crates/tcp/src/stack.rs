@@ -27,7 +27,7 @@ use snap_sched::machine::Machine;
 pub type MachineHandle = Rc<RefCell<Machine>>;
 
 /// Kernel TCP configuration knobs used by the evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpConfig {
     /// Segment payload size; "For TCP, it is 4096B" (§5.2).
     pub mtu: u32,
@@ -100,6 +100,9 @@ struct Connection {
     /// after completion (its ACK was lost) must be re-ACKed but not
     /// re-delivered. Unbounded, which is fine for simulation.
     delivered: IntSet<u64>,
+    /// Where this connection's messages go, if not to the host-wide
+    /// callback.
+    on_message: Option<OnMessage>,
 }
 
 impl Connection {
@@ -114,6 +117,7 @@ impl Connection {
             rto_scheduled: false,
             recv: IntMap::default(),
             delivered: IntSet::default(),
+            on_message: None,
         }
     }
 
@@ -215,6 +219,19 @@ impl TcpHost {
     /// Registers the message-delivery callback.
     pub fn on_message(&self, cb: OnMessage) {
         self.inner.borrow_mut().on_message = Some(cb);
+    }
+
+    /// Registers the delivery callback of `conn`'s messages at this
+    /// host, in place of the host-wide one: a socket's own receive
+    /// queue, where several applications share the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a connection this host has not dialed or accepted.
+    pub fn on_conn_message(&self, conn: ConnKey, cb: OnMessage) {
+        let mut inner = self.inner.borrow_mut();
+        let c = inner.conns.get_mut(&conn).expect("unknown connection");
+        c.on_message = Some(cb);
     }
 
     /// Opens a connection to `peer`; the remote side materializes state
@@ -512,10 +529,13 @@ impl TcpHost {
                 if done {
                     c.recv.remove(&msg_id);
                     c.delivered.insert(msg_id);
+                    let cb = c.on_message.clone();
                     inner.stats.msgs_delivered += 1;
                     inner.stats.bytes_delivered += total;
+                    Some((total, cb))
+                } else {
+                    None
                 }
-                done.then_some(total)
             }
         };
 
@@ -537,7 +557,7 @@ impl TcpHost {
         let _ = fabric.transmit(sim, 0, ack);
 
         // Deliver to the app after its thread wakes.
-        if let Some(total) = completed {
+        if let Some((total, conn_cb)) = completed {
             let (wake_latency, cb) = {
                 let mut inner = self.inner.borrow_mut();
                 let lat = if inner.cfg.busy_poll {
@@ -551,7 +571,7 @@ impl TcpHost {
                     inner.cpu.add(Nanos(costs::CONTEXT_SWITCH_NS));
                     lat
                 };
-                (lat, inner.on_message.clone())
+                (lat, conn_cb.or_else(|| inner.on_message.clone()))
             };
             if let Some(cb) = cb {
                 // softirq -> socket -> application traversal, then the
@@ -768,6 +788,21 @@ mod tests {
         p.b.send(&mut p.sim, conn, 9, 4_000);
         p.sim.run();
         assert_eq!(got.get(), 4_000);
+    }
+
+    #[test]
+    fn a_connections_own_callback_takes_its_messages() {
+        let mut p = pair(TcpConfig::default(), 0.0);
+        let (host_wide, own) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
+        let (h, o) = (host_wide.clone(), own.clone());
+        p.b.on_message(Rc::new(move |_s, _c, _m, len| h.set(h.get() + len)));
+        let (first, second) = (p.a.connect(1), p.a.connect(1));
+        p.b.accept(second, 0);
+        p.b.on_conn_message(second, Rc::new(move |_s, _c, _m, len| o.set(o.get() + len)));
+        p.a.send(&mut p.sim, first, 1, 100);
+        p.a.send(&mut p.sim, second, 2, 7_000);
+        p.sim.run();
+        assert_eq!((host_wide.get(), own.get()), (100, 7_000));
     }
 
     #[test]

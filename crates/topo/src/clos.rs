@@ -407,7 +407,7 @@ mod tests {
         let b = topo.ecmp_spine(0, 5, 99, 0, up).unwrap();
         assert_eq!(a, b, "same flow, same path");
         // Different flows spread over spines.
-        let picks: std::collections::HashSet<u32> = (0..64)
+        let picks: std::collections::BTreeSet<u32> = (0..64)
             .filter_map(|f| topo.ecmp_spine(0, 5, f, 0, up))
             .collect();
         assert!(picks.len() > 1, "ECMP must use path diversity: {picks:?}");
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn trace_hosts_are_distinct_per_switch() {
         let topo = ClosSpec::clos(3, 2, 2).compile().unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in 0..3 {
             assert!(seen.insert(topo.trace_host(SwitchId::Leaf(r))));
         }

@@ -29,7 +29,7 @@
 //! the same seeded testbed with the rig attached are bit-identical.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_core::engine::EngineId;
@@ -88,7 +88,7 @@ struct LinkProber {
     client: PonyClient,
     peers: Vec<LinkPeer>,
     /// op id -> (target, submit time).
-    pending: HashMap<u64, (Target, Nanos)>,
+    pending: BTreeMap<u64, (Target, Nanos)>,
 }
 
 struct EngineProbe {
@@ -97,7 +97,7 @@ struct EngineProbe {
     client: PonyClient,
     group: GroupHandle,
     supervisor: Supervisor,
-    pending: HashMap<u64, Nanos>,
+    pending: BTreeMap<u64, Nanos>,
 }
 
 struct RigInner {
@@ -154,7 +154,7 @@ impl HealthRig {
             from,
             client,
             peers,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
         });
     }
 
@@ -176,7 +176,7 @@ impl HealthRig {
             client,
             group,
             supervisor,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
         });
     }
 
@@ -270,17 +270,13 @@ impl HealthRig {
             // Expire: a probe past its deadline is a loss even though
             // the reliable transport may still deliver it eventually —
             // the detector cares about timeliness, not delivery.
-            let expired: Vec<u64> = p
-                .pending
-                .iter()
-                .filter(|(_, (_, at))| now.saturating_sub(*at) > deadline)
-                .map(|(&op, _)| op)
-                .collect();
-            for op in expired {
-                if let Some((target, _)) = p.pending.remove(&op) {
+            p.pending.retain(|_, &mut (target, at)| {
+                let live = now.saturating_sub(at) <= deadline;
+                if !live {
                     monitor.record_loss(target, now);
                 }
-            }
+                live
+            });
             // Launch the next round: one probe per live peer link.
             for peer in &p.peers {
                 let target = Target::Link {
@@ -323,16 +319,13 @@ impl HealthRig {
                 // dequeues it: issue minus submit IS the dequeue delay.
                 monitor.record_success(target, now, issued_at.saturating_sub(submitted));
             }
-            let expired: Vec<u64> = e
-                .pending
-                .iter()
-                .filter(|(_, at)| now.saturating_sub(**at) > deadline)
-                .map(|(&op, _)| op)
-                .collect();
-            for op in expired {
-                e.pending.remove(&op);
-                monitor.record_loss(target, now);
-            }
+            e.pending.retain(|_, &mut at| {
+                let live = now.saturating_sub(at) <= deadline;
+                if !live {
+                    monitor.record_loss(target, now);
+                }
+                live
+            });
             if monitor.latched(target) || e.pending.len() >= MAX_OUTSTANDING {
                 continue;
             }

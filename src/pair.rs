@@ -3,12 +3,13 @@
 //! Table 1 is [`stream`]: one thread on host 0 keeps 8 MB in flight to
 //! host 1 over its streams and we report goodput and CPU. Fig 6(a) is
 //! [`pingpong`]: one small request and reply at a time. Both run over
-//! the message-level contract the §5.2 rack runs on (`src/stack.rs`),
-//! so Snap/Pony and kernel TCP are offered one workload, timed by one
-//! rule: setup settles, the loop warms up, and every figure is a delta
-//! over the window `[start, start + duration)` divided by `duration`,
-//! or a round trip timed at the event that completes it — none contains
-//! a transfer's ramp or the driver's own look period.
+//! the message contract and wiring the §5.2 rack runs on
+//! (`src/stack.rs`), so Snap/Pony and kernel TCP are offered one
+//! workload, timed by one rule: setup settles, the loop warms up, and
+//! every figure is a delta over the window `[start, start + duration)`
+//! divided by `duration`, or a round trip timed at the event that
+//! completes it — none contains a transfer's ramp or the driver's own
+//! look period.
 
 use std::convert::Infallible;
 use std::rc::Rc;
@@ -16,10 +17,11 @@ use std::rc::Rc;
 use snap_apps::workload::poll_until;
 use snap_pony::PonyEngineConfig;
 use snap_sched::classes::SchedClass;
+use snap_shm::region::{AccessMode, RegionId};
 use snap_sim::{Histogram, Nanos, Sim};
 use snap_tcp::stack::TcpConfig;
 
-use crate::stack::{Message, MessageStack, PonyStack, TcpStack, POLL_US, SETTLE};
+use crate::stack::{Ends, Message, POLL_US, SETTLE};
 use crate::testbed::{Testbed, TestbedConfig};
 
 /// The sending thread keeps this many bytes in flight, whatever the
@@ -86,8 +88,8 @@ fn pair(nic_gbps: f64) -> Testbed {
 }
 
 /// Snap/Pony between the pair, one application a host.
-fn pony(tb: &mut Testbed, nic_gbps: f64, configure: &dyn Fn(&mut PonyEngineConfig)) -> PonyStack {
-    PonyStack::new(tb, 1, |cfg| {
+fn pony(tb: &mut Testbed, nic_gbps: f64, configure: &dyn Fn(&mut PonyEngineConfig)) -> Ends {
+    Ends::pony(tb, 1, |cfg| {
         cfg.cc.max_rate = nic_gbps * 1e9 / 8.0;
         configure(cfg);
     })
@@ -101,9 +103,9 @@ fn pony(tb: &mut Testbed, nic_gbps: f64, configure: &dyn Fn(&mut PonyEngineConfi
 /// the loop warms up, then `duration` is measured.
 pub fn stream(stack: &Stack, nic_gbps: f64, streams: u32, duration: Nanos) -> Stream {
     let mut tb = pair(nic_gbps);
-    let mut stack: Box<dyn MessageStack> = match stack {
-        Stack::Tcp => Box::new(TcpStack::new(&mut tb, TcpConfig::default())),
-        Stack::Pony(configure) => Box::new(pony(&mut tb, nic_gbps, &**configure)),
+    let mut stack = match stack {
+        Stack::Tcp => Ends::tcp(&mut tb, 1, TcpConfig::default()),
+        Stack::Pony(configure) => pony(&mut tb, nic_gbps, &**configure),
     };
     let lanes = stack.streams(&mut tb, (0, 0), (1, 0), streams);
     tb.sim.run_until(tb.sim.now() + SETTLE);
@@ -113,32 +115,32 @@ pub fn stream(stack: &Stack, nic_gbps: f64, streams: u32, duration: Nanos) -> St
     // otherwise all deliver at once, and a window count whole rounds.
     let messages = MIN_MESSAGES.max(streams as u64);
     let mut sent = 0;
-    let mut send = |stack: &mut dyn MessageStack, sim: &mut Sim| {
+    let mut send = |stack: &mut Ends, sim: &mut Sim| {
         let (conn, tag) = lanes[(sent % lanes.len() as u64) as usize];
         sent += 1;
         let len = IN_FLIGHT / messages * sent.min(messages) / messages;
         stack.send(sim, 0, conn, tag, len);
     };
     for _ in 0..messages {
-        send(&mut *stack, &mut tb.sim);
+        send(&mut stack, &mut tb.sim);
     }
     let mut inbox = Vec::new();
-    // Runs the loop for `span`; returns the bytes delivered in it and
-    // each machine's busy CPU at its end.
-    let mut pump = |tb: &mut Testbed, stack: &mut dyn MessageStack, span: Nanos| {
+    // Runs the loop for `span`; returns the bytes delivered in it (all
+    // at host 1) and each machine's busy CPU at its end.
+    let mut pump = |tb: &mut Testbed, stack: &mut Ends, span: Nanos| {
         let mut delivered = 0;
         let _ = poll_until(tb, POLL_US, span, |sim| {
-            stack.drain(&mut inbox);
-            for message in inbox.drain(..).filter(|message| message.0 == 1) {
-                delivered += message.3;
+            stack.drain(sim.now(), &mut inbox);
+            for (_, _, len) in inbox.drain(..) {
+                delivered += len;
                 send(stack, sim);
             }
             Ok::<Option<()>, Infallible>(None)
         });
         (delivered, [0, 1].map(|host| stack.usage(tb, host).0.engine))
     };
-    let (_, before) = pump(&mut tb, &mut *stack, WARMUP);
-    let (delivered, after) = pump(&mut tb, &mut *stack, duration);
+    let (_, before) = pump(&mut tb, &mut stack, WARMUP);
+    let (delivered, after) = pump(&mut tb, &mut stack, duration);
     let secs = duration.as_secs_f64();
     Stream {
         gbps: delivered as f64 * 8.0 / secs / 1e9,
@@ -157,7 +159,7 @@ pub fn stream(stack: &Stack, nic_gbps: f64, streams: u32, duration: Nanos) -> St
 /// one-sided operations.
 pub fn pingpong(stack: &Stack, nic_gbps: f64, learn: Learn, op: Op) -> Histogram {
     let mut tb = pair(nic_gbps);
-    match stack {
+    let (stack, pickup) = match stack {
         Stack::Tcp => {
             assert!(op == Op::Message, "kernel TCP has no one-sided operations");
             let cfg = TcpConfig {
@@ -166,36 +168,35 @@ pub fn pingpong(stack: &Stack, nic_gbps: f64, learn: Learn, op: Op) -> Histogram
             };
             // The kernel hands a message over after the wake or the
             // spin: nothing is left for the thread to pick up.
-            let stack = TcpStack::new(&mut tb, cfg);
-            round_trips(tb, stack, None, None)
+            (Ends::tcp(&mut tb, 1, cfg), None)
         }
-        Stack::Pony(configure) => {
-            let stack = pony(&mut tb, nic_gbps, &**configure);
-            let read: Option<Read<PonyStack>> = (op == Op::Read).then_some(PonyStack::read);
-            round_trips(tb, stack, Some(learn), read)
-        }
-    }
+        Stack::Pony(configure) => (pony(&mut tb, nic_gbps, &**configure), Some(learn)),
+    };
+    // The peer application's memory, served to the reads.
+    let served = (op == Op::Read).then(|| {
+        let memory = vec![7; PING_BYTES as usize];
+        tb.hosts[1]
+            .regions
+            .register_with("app0", memory, AccessMode::ReadOnly)
+    });
+    round_trips(tb, stack, pickup, served)
 }
 
-/// A one-sided read on a stack that has one: `(stack, tb, host, conn,
-/// tag, len)`.
-type Read<S> = fn(&mut S, &mut Testbed, usize, u64, u32, u32);
-
-/// The ping-pong loop: a `read` where there is one to issue, a request
-/// and the peer application's reply where not.
-fn round_trips<S: MessageStack>(
+/// The ping-pong loop: a read of `served` where there is one to issue,
+/// a request and the peer application's reply where not.
+fn round_trips(
     mut tb: Testbed,
-    mut stack: S,
+    mut stack: Ends,
     pickup: Option<Learn>,
-    read: Option<Read<S>>,
+    served: Option<RegionId>,
 ) -> Histogram {
     let conn = stack.connect(&mut tb, (0, 0), (1, 0));
     tb.sim.run_until(tb.sim.now() + SETTLE);
     let mut rtts = Histogram::new();
     for _ in 0..ROUND_TRIPS {
         let sent = tb.sim.now();
-        if let Some(read) = read {
-            read(&mut stack, &mut tb, 0, conn, REPLY, PING_BYTES);
+        if let Some(region) = served {
+            stack.read(&mut tb.sim, 0, conn, region, REPLY, PING_BYTES);
         } else {
             stack.send(&mut tb.sim, 0, conn, REQUEST, PING_BYTES as u64);
             arrival(&mut tb, &mut stack, 1, pickup);
@@ -209,15 +210,16 @@ fn round_trips<S: MessageStack>(
 }
 
 /// Runs the simulator to the instant the application on `host` has its
-/// next message: one event at a time, a look after each, until the
-/// message is there — so no look period is in the round trip — then
-/// through the thread's `pickup` of it, where the stack leaves one.
-fn arrival(tb: &mut Testbed, stack: &mut dyn MessageStack, host: usize, pickup: Option<Learn>) {
+/// next message, the one in flight: one event at a time, a look after
+/// each, until the message is there — so no look period is in the round
+/// trip — then through the thread's `pickup` of it, where the stack
+/// leaves one.
+fn arrival(tb: &mut Testbed, stack: &mut Ends, host: usize, pickup: Option<Learn>) {
     let lost = tb.sim.now() + Nanos::from_millis(10);
     let mut inbox: Vec<Message> = Vec::new();
-    while !inbox.iter().any(|message| message.0 == host) {
+    while inbox.is_empty() {
         assert!(tb.sim.step() && tb.sim.now() < lost, "ping lost");
-        stack.drain(&mut inbox);
+        stack.drain(tb.sim.now(), &mut inbox);
     }
     let mut machine = tb.hosts[host].machine.borrow_mut();
     let latency = match pickup {

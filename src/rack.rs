@@ -14,8 +14,9 @@
 //! pair; a request is answered with `rpc_bytes`, a probe with a reply;
 //! the application is a thread that polls every 1 µs, on both stacks;
 //! and goodput, CPU and prober RTTs are taken over one window. The two
-//! stacks differ only behind the message-level contract of
-//! `src/stack.rs`, which §5.1's pair ([`crate::pair`]) runs on too.
+//! stacks differ only behind `snap_apps::transport`'s message contract
+//! and the wiring of `src/stack.rs`, which §5.1's pair ([`crate::pair`])
+//! runs on too.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
@@ -28,7 +29,7 @@ use snap_sched::classes::SchedClass;
 use snap_sim::{costs, Histogram, Nanos, Rng, Sim};
 use snap_tcp::stack::TcpConfig;
 
-use crate::stack::{Message, MessageStack, PonyStack, TcpStack, POLL_US, SETTLE};
+use crate::stack::{Ends, Message, POLL_US, SETTLE};
 use crate::testbed::{Testbed, TestbedConfig};
 
 /// After the window, replies and responses are collected for at most
@@ -199,14 +200,14 @@ impl Kind {
 /// state machine over the stack.
 struct Apps<'a> {
     params: &'a RackParams,
-    stack: Box<dyn MessageStack>,
+    stack: Ends,
     /// `[host][peer][app]`: the connection `host`'s app dialed.
     mesh: Vec<Vec<Vec<u64>>>,
     arrivals: std::iter::Peekable<std::vec::IntoIter<Arrival>>,
     inbox: Vec<Message>,
     /// Due instants of the probes in flight, FIFO per connection (a
     /// reply comes back on the connection its probe went out on).
-    probes_out: BTreeMap<(usize, u64), VecDeque<Nanos>>,
+    probes_out: BTreeMap<u64, VecDeque<Nanos>>,
     prober: Histogram,
     probes_issued: u64,
     bulk_issued: u64,
@@ -237,16 +238,17 @@ impl Apps<'_> {
                 self.stack.send(sim, a.host, conn, request, REQUEST_BYTES);
             } else {
                 self.probes_issued += 1;
-                self.probes_out
-                    .entry((a.host, conn))
-                    .or_default()
-                    .push_back(a.due);
+                self.probes_out.entry(conn).or_default().push_back(a.due);
                 let probe = Kind::Probe as u32;
                 self.stack.send(sim, a.host, conn, probe, PROBE_BYTES);
             }
         }
-        self.stack.drain(&mut self.inbox);
-        for (host, conn, tag, len) in self.inbox.drain(..) {
+        self.stack.drain(now, &mut self.inbox);
+        for (conn, tag, len) in self.inbox.drain(..) {
+            // Requests and probes arrive, and are answered, where their
+            // connection was accepted; responses and replies where it
+            // was dialed.
+            let host = self.stack.accepter(conn);
             let mut answer = |kind: Kind, len| self.stack.send(sim, host, conn, kind as u32, len);
             match Kind::from_tag(tag) {
                 Kind::Request => answer(Kind::Response, self.params.rpc_bytes),
@@ -256,7 +258,7 @@ impl Apps<'_> {
                 }
                 Kind::Probe => answer(Kind::Reply, PROBE_BYTES),
                 Kind::Reply => {
-                    let sent = self.probes_out.get_mut(&(host, conn));
+                    let sent = self.probes_out.get_mut(&conn);
                     if let Some(due) = sent.and_then(VecDeque::pop_front) {
                         self.prober.record_nanos(now.saturating_sub(due));
                     }
@@ -311,14 +313,14 @@ pub fn run_on(tb: &mut Testbed, params: &RackParams) -> RackResult {
 
     // Apps `0..jobs_per_host` of a host are its jobs, app
     // `jobs_per_host` its prober.
-    let mut stack: Box<dyn MessageStack> = match params.stack {
-        Stack::Tcp => Box::new(TcpStack::new(tb, TcpConfig::default())),
+    let apps = params.jobs_per_host + 1;
+    let mut stack = match params.stack {
+        Stack::Tcp => Ends::tcp(tb, apps, TcpConfig::default()),
         // "The MTU size for Snap/Pony is 5000B. For TCP, it is 4096B"
         // (§5.2) — the deployed rack configuration.
         Stack::Pony(..) => {
             let large_mtu = |cfg: &mut PonyEngineConfig| cfg.mtu = costs::PONY_LARGE_MTU;
-            let apps = params.jobs_per_host + 1;
-            Box::new(PonyStack::new(tb, apps, large_mtu))
+            Ends::pony(tb, apps, large_mtu)
         }
     };
     // Job j dials job j, the prober the prober, on every other host:

@@ -1,24 +1,27 @@
-//! The message-level contract the §5 drivers run on, and the two
-//! stacks behind it.
+//! The rack-wide wiring the §5 drivers put around the one message
+//! contract.
 //!
 //! [`crate::rack`] (§5.2) and [`crate::pair`] (§5.1) each write their
-//! workload once, over `MessageStack`: applications that connect, send
-//! tagged messages of a length and poll for what arrived. Snap/Pony and
-//! the kernel-TCP baseline differ only behind it. (Not the sockets
-//! facade's `Transport`: that one spends Pony's stream id on its chunk
-//! sequence and cuts at 4 kB, and §5 measures the engine, not the
-//! byte-stream facade.)
+//! workload once, over `snap_apps::transport`: applications send tagged
+//! messages of a length on connections and poll for what arrived, each
+//! through its own end — a `PonyEnd` over its own engine and client, or
+//! a `TcpEnd` on its host's one kernel stack. What is left here is what
+//! a driver needs beyond the contract: who dials whom, how a stream
+//! maps onto connections, and a host's books. Every kernel-TCP end of a
+//! rack reports into one inbox, so the drivers see its deliveries in
+//! the order the kernel made them; a delivery names its connection, and
+//! the driver's protocol says which end it reached.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use snap_apps::transport::{Backend, PonyEnd, TcpEnd, Transport, TransportEvent};
 use snap_core::group::GroupCpu;
-use snap_pony::client::{PonyClient, PonyCommand, PonyCompletion};
 use snap_pony::PonyEngineConfig;
-use snap_shm::region::{AccessMode, RegionId};
+use snap_shm::region::RegionId;
 use snap_sim::{Nanos, Sim};
-use snap_tcp::stack::{TcpConfig, TcpHost};
+use snap_tcp::stack::TcpConfig;
 
 use crate::testbed::Testbed;
 
@@ -32,206 +35,179 @@ pub(crate) const SETTLE: Nanos = Nanos::from_micros(50);
 /// message, more than any run delivers.
 const RECV_BUFFERS: u32 = 1 << 30;
 
-/// A message an application received: `(host, conn, tag, len)`. The tag
-/// travels beside the length: Pony's stream id, the low half of kernel
-/// TCP's message id.
-pub(crate) type Message = (usize, u64, u32, u64);
+/// A message that arrived: `(conn, tag, len)`.
+pub(crate) type Message = (u64, u32, u64);
 /// An application: `(host, app)`.
 pub(crate) type App = (usize, usize);
+/// One stream of [`Ends::streams`]: `(conn, tag)`.
+pub(crate) type Lane = (u64, u32);
 
-/// What a driver needs of a stack.
-pub(crate) trait MessageStack {
+/// One end per application: host `h`'s application `a` is end
+/// `h * apps + a`.
+enum Kind {
+    Pony(Vec<PonyEnd>),
+    Tcp(Vec<TcpEnd>),
+}
+
+/// The same number of applications on every host of a testbed, one end
+/// each, on one stack.
+pub(crate) struct Ends {
+    apps: usize,
+    ends: Kind,
+    /// A connection's ends: the one that dialed it, the one that
+    /// accepted it.
+    sides: BTreeMap<u64, [usize; 2]>,
+    events: Vec<TransportEvent>,
+}
+
+impl Ends {
+    /// `apps` applications on every host of `tb`, each on its own Pony
+    /// engine built by `engine`.
+    pub(crate) fn pony(
+        tb: &mut Testbed,
+        apps: usize,
+        engine: impl Fn(&mut PonyEngineConfig),
+    ) -> Self {
+        let ends = (0..tb.hosts.len() * apps)
+            .map(|i| PonyEnd::new(tb.pony_app(i / apps, &format!("app{}", i % apps), &engine)))
+            .collect();
+        Ends::new(apps, Kind::Pony(ends))
+    }
+
+    /// `apps` applications on every host of `tb`, all on the host's
+    /// kernel stack, built by `cfg`, and all reporting into one inbox.
+    pub(crate) fn tcp(tb: &mut Testbed, apps: usize, cfg: TcpConfig) -> Self {
+        let inbox: Rc<RefCell<Vec<TransportEvent>>> = Rc::default();
+        let ends = (0..tb.hosts.len() * apps)
+            .map(|i| TcpEnd::new(tb.tcp_host(i / apps, cfg.clone()), inbox.clone()))
+            .collect();
+        Ends::new(apps, Kind::Tcp(ends))
+    }
+
+    fn new(apps: usize, ends: Kind) -> Self {
+        let (sides, events) = (BTreeMap::new(), Vec::new());
+        Ends {
+            apps,
+            ends,
+            sides,
+            events,
+        }
+    }
+
+    fn end(&mut self, end: usize) -> &mut dyn Transport {
+        match &mut self.ends {
+            Kind::Pony(ends) => &mut ends[end],
+            Kind::Tcp(ends) => &mut ends[end],
+        }
+    }
+
     /// Connects two applications; the id is valid at both ends. The
-    /// dialing end is where a connection's large messages land (the
-    /// rack's responses): receive buffers are posted there, once, and
-    /// small messages ride credits. The kernel buffers for itself.
-    fn connect(&mut self, tb: &mut Testbed, from: App, to: App) -> u64;
-    /// `n` independent one-way streams `from` → `to`, as `(conn, tag)`:
-    /// a stream id each on one connection where the stack multiplexes
-    /// them (Pony), a connection each where it does not (kernel TCP) —
-    /// as Table 1 has it.
-    fn streams(&mut self, tb: &mut Testbed, from: App, to: App, n: u32) -> Vec<(u64, u32)>;
+    /// dialing end is where a connection's large messages (the rack's
+    /// responses) land: Pony posts receive buffers there, once, and
+    /// small messages ride credits; the kernel buffers for itself.
+    pub(crate) fn connect(&mut self, tb: &mut Testbed, from: App, to: App) -> u64 {
+        let backend = match self.ends {
+            Kind::Pony(_) => Backend::Pony,
+            Kind::Tcp(_) => Backend::Tcp,
+        };
+        let name = |(_, app): App| format!("app{app}");
+        let conn = tb.dial(backend, (from.0, &name(from)), (to.0, &name(to)));
+        let sides = [from, to].map(|(host, app)| host * self.apps + app);
+        self.sides.insert(conn, sides);
+        for end in sides {
+            self.end(end).open(conn);
+        }
+        if let Kind::Pony(ends) = &mut self.ends {
+            ends[sides[0]].post_recv_buffers(&mut tb.sim, conn, RECV_BUFFERS);
+        }
+        conn
+    }
+
+    /// The host that accepted `conn`.
+    pub(crate) fn accepter(&self, conn: u64) -> usize {
+        self.sides[&conn][1] / self.apps
+    }
+
+    /// The end of `conn` on `host`: the dialing one, unless that is
+    /// elsewhere.
+    fn side(&self, host: usize, conn: u64) -> usize {
+        let sides = self.sides[&conn];
+        sides[usize::from(sides[0] / self.apps != host)]
+    }
+
+    /// `n` independent one-way streams `from` → `to`: a stream id each
+    /// on one connection where the stack multiplexes them (Pony), a
+    /// connection each where it does not (kernel TCP) — as Table 1 has
+    /// it.
+    pub(crate) fn streams(&mut self, tb: &mut Testbed, from: App, to: App, n: u32) -> Vec<Lane> {
+        match self.ends {
+            // The receiver dials: its end is where the messages land.
+            Kind::Pony(_) => {
+                let conn = self.connect(tb, to, from);
+                (0..n).map(|stream| (conn, stream)).collect()
+            }
+            Kind::Tcp(_) => (0..n).map(|_| (self.connect(tb, from, to), 0)).collect(),
+        }
+    }
+
     /// Sends a `len`-byte message tagged `tag` on `conn` from its end
     /// on `host`.
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, tag: u32, len: u64);
-    /// Appends what arrived since the last call.
-    fn drain(&mut self, out: &mut Vec<Message>);
+    pub(crate) fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, tag: u32, len: u64) {
+        let end = self.side(host, conn);
+        self.end(end).send(sim, conn, tag, len);
+    }
+
+    /// Appends what arrived since the last call, end by end.
+    pub(crate) fn drain(&mut self, now: Nanos, out: &mut Vec<Message>) {
+        let events = &mut self.events;
+        match &mut self.ends {
+            Kind::Pony(ends) => ends.iter_mut().for_each(|end| end.poll(now, events)),
+            Kind::Tcp(ends) => ends.iter_mut().for_each(|end| end.poll(now, events)),
+        }
+        out.extend(events.drain(..).filter_map(|event| match event {
+            TransportEvent::Delivered { conn, tag, len } => Some((conn, tag, len)),
+            _ => None,
+        }));
+    }
+
     /// `host`'s books so far: the stack's CPU — a Pony group's, or the
     /// kernel's syscalls, copies, softirqs and context switches as
     /// `engine` (it holds no core idle) — and, where the stack counts
     /// them (kernel TCP), the segments sent and their
     /// `TcpHost::stream_seg_sum`.
-    fn usage(&mut self, tb: &mut Testbed, host: usize) -> (GroupCpu, u64, u64);
-}
-
-/// Snap/Pony: one engine and client per application, message ops.
-pub(crate) struct PonyStack {
-    /// Applications per host.
-    apps: usize,
-    /// Host `h`'s application `a` is client `h * apps + a`.
-    clients: Vec<PonyClient>,
-    /// `(host, conn)` → the client holding that end, and its peer's.
-    ends: BTreeMap<(usize, u64), (usize, usize)>,
-    /// The memory a client serves to one-sided reads, registered at the
-    /// first.
-    served: BTreeMap<usize, RegionId>,
-    /// Reads in flight: `(client, op)` → `(conn, tag)`.
-    reads: BTreeMap<(usize, u64), (u64, u32)>,
-}
-
-impl PonyStack {
-    /// `apps` applications on every host of `tb`, each engine built by
-    /// `configure`.
-    pub(crate) fn new(
-        tb: &mut Testbed,
-        apps: usize,
-        configure: impl Fn(&mut PonyEngineConfig),
-    ) -> Self {
-        let clients = (0..tb.hosts.len() * apps)
-            .map(|i| tb.pony_app(i / apps, &format!("app{}", i % apps), &configure))
-            .collect();
-        PonyStack {
-            apps,
-            clients,
-            ends: BTreeMap::new(),
-            served: BTreeMap::new(),
-            reads: BTreeMap::new(),
+    pub(crate) fn usage(&self, tb: &mut Testbed, host: usize) -> (GroupCpu, u64, u64) {
+        if let Kind::Pony(_) = self.ends {
+            return (tb.host_cpu(host), 0, 0);
         }
-    }
-
-    fn client(&mut self, host: usize, conn: u64) -> &mut PonyClient {
-        &mut self.clients[self.ends[&(host, conn)].0]
-    }
-
-    /// Reads `len` bytes of the peer application's memory over `conn`,
-    /// one-sided, from its end on `host`; the data arrives there
-    /// through `drain`, as a message tagged `tag`.
-    pub(crate) fn read(&mut self, tb: &mut Testbed, host: usize, conn: u64, tag: u32, len: u32) {
-        let (client, server) = self.ends[&(host, conn)];
-        let region = *self.served.entry(server).or_insert_with(|| {
-            let owner = format!("app{}", server % self.apps);
-            let memory = vec![7; len as usize];
-            tb.hosts[server / self.apps]
-                .regions
-                .register_with(&owner, memory, AccessMode::ReadOnly)
-        });
-        let read = PonyCommand::Read {
-            conn,
-            region: region.0,
-            offset: 0,
-            len,
-        };
-        let op = self.clients[client].submit(&mut tb.sim, read);
-        self.reads.insert((client, op), (conn, tag));
-    }
-}
-
-impl MessageStack for PonyStack {
-    fn connect(&mut self, tb: &mut Testbed, from: App, to: App) -> u64 {
-        let name = |end: App| format!("app{}", end.1);
-        let conn = tb.connect(from.0, &name(from), to.0, &name(to));
-        let client = |end: App| end.0 * self.apps + end.1;
-        self.ends.insert((from.0, conn), (client(from), client(to)));
-        self.ends.insert((to.0, conn), (client(to), client(from)));
-        let count = RECV_BUFFERS;
-        self.client(from.0, conn)
-            .submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count });
-        conn
-    }
-
-    fn streams(&mut self, tb: &mut Testbed, from: App, to: App, n: u32) -> Vec<(u64, u32)> {
-        // The receiver dials: its end is where the messages land.
-        let conn = self.connect(tb, to, from);
-        (0..n).map(|stream| (conn, stream)).collect()
-    }
-
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, stream: u32, len: u64) {
-        self.client(host, conn)
-            .submit(sim, PonyCommand::Send { conn, stream, len });
-    }
-
-    fn drain(&mut self, out: &mut Vec<Message>) {
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            for c in client.take_completions() {
-                match c {
-                    PonyCompletion::RecvMsg {
-                        conn, stream, len, ..
-                    } => out.push((i / self.apps, conn, stream, len)),
-                    PonyCompletion::OpDone { op, data, .. } => {
-                        if let Some((conn, tag)) = self.reads.remove(&(i, op)) {
-                            out.push((i / self.apps, conn, tag, data.len() as u64));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn usage(&mut self, tb: &mut Testbed, host: usize) -> (GroupCpu, u64, u64) {
-        (tb.host_cpu(host), 0, 0)
-    }
-}
-
-/// Kernel TCP: one stack per host, every application's connections on
-/// it; delivered messages land in one inbox the applications poll, each
-/// after the wake or the spin (`TcpConfig::busy_poll`) that hands it to
-/// its thread.
-pub(crate) struct TcpStack {
-    hosts: Vec<TcpHost>,
-    inbox: Rc<RefCell<Vec<Message>>>,
-    /// Message ids must be unique per connection and direction.
-    next_msg: u64,
-}
-
-impl TcpStack {
-    /// A kernel stack configured by `cfg` on every host of `tb`.
-    pub(crate) fn new(tb: &mut Testbed, cfg: TcpConfig) -> Self {
-        let inbox: Rc<RefCell<Vec<Message>>> = Rc::default();
-        let hosts = (0..tb.hosts.len())
-            .map(|host| {
-                let stack = tb.tcp_host(host, cfg.clone());
-                let inbox = inbox.clone();
-                stack.on_message(Rc::new(move |_sim, conn, msg, len| {
-                    inbox.borrow_mut().push((host, conn, msg as u32, len));
-                }));
-                stack
-            })
-            .collect();
-        TcpStack {
-            hosts,
-            inbox,
-            next_msg: 0,
-        }
-    }
-}
-
-impl MessageStack for TcpStack {
-    fn connect(&mut self, tb: &mut Testbed, from: App, to: App) -> u64 {
-        // The passive end materializes on the first packet, and only
-        // ever answers.
-        self.hosts[from.0].connect(tb.hosts[to.0].id)
-    }
-
-    fn streams(&mut self, tb: &mut Testbed, from: App, to: App, n: u32) -> Vec<(u64, u32)> {
-        (0..n).map(|_| (self.connect(tb, from, to), 0)).collect()
-    }
-
-    fn send(&mut self, sim: &mut Sim, host: usize, conn: u64, tag: u32, len: u64) {
-        self.next_msg += 1;
-        self.hosts[host].send(sim, conn, self.next_msg << 32 | tag as u64, len);
-    }
-
-    fn drain(&mut self, out: &mut Vec<Message>) {
-        out.append(&mut self.inbox.borrow_mut());
-    }
-
-    fn usage(&mut self, _tb: &mut Testbed, host: usize) -> (GroupCpu, u64, u64) {
-        let stack = &self.hosts[host];
+        let stack = tb.kernel(host);
         let cpu = GroupCpu {
             engine: stack.cpu_busy(),
             ..GroupCpu::default()
         };
         (cpu, stack.stats().segs_sent, stack.stream_seg_sum())
+    }
+
+    /// Reads `len` bytes of `region`, the peer application's memory,
+    /// over `conn`, one-sided, from its end on `host`; the data arrives
+    /// there through `drain`, as a message tagged `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on kernel TCP, which has no one-sided operations.
+    pub(crate) fn read(
+        &mut self,
+        sim: &mut Sim,
+        host: usize,
+        conn: u64,
+        region: RegionId,
+        tag: u32,
+        len: u32,
+    ) {
+        let end = self.side(host, conn);
+        let Kind::Pony(ends) = &mut self.ends else {
+            panic!("kernel TCP has no one-sided operations");
+        };
+        ends[end].read(sim, conn, region.0, len, tag);
     }
 }
 
@@ -251,13 +227,13 @@ mod tests {
             (lanes.len(), distinct.len(), conns.len())
         };
         let mut tb = Testbed::pair();
-        let mut tcp = TcpStack::new(&mut tb, TcpConfig::default());
+        let mut tcp = Ends::tcp(&mut tb, 1, TcpConfig::default());
         assert_eq!(
             count(tcp.streams(&mut tb, (0, 0), (1, 0), 200)),
             (200, 200, 200)
         );
         let mut tb = Testbed::pair();
-        let mut pony = PonyStack::new(&mut tb, 1, |_| {});
+        let mut pony = Ends::pony(&mut tb, 1, |_| {});
         assert_eq!(
             count(pony.streams(&mut tb, (0, 0), (1, 0), 200)),
             (200, 200, 1)

@@ -7,12 +7,12 @@
 //! drive the simulation.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_apps::dag::{DagEdge, DagRuntime, DagSpec};
 use snap_apps::socket::{wire, SnapSocket, SocketError, SocketHost};
-use snap_apps::transport::{Backend, PonyTransport, TcpRouter, TcpTransport, Transport};
+use snap_apps::transport::{Backend, PonyEnd, TcpEnd, Transport};
 use snap_apps::workload::WorkloadError;
 use snap_apps::SimPump;
 
@@ -122,13 +122,13 @@ pub struct Testbed {
     pub net: PonyNetHandle,
     /// The rack-wide trace recorder, when tracing is enabled.
     pub recorder: Option<TraceRecorder>,
-    /// Lazily created kernel-TCP routers, one per host that runs a
-    /// TCP-backed facade app (a host runs one kernel stack).
-    tcp_routers: HashMap<usize, TcpRouter>,
-    /// Facade socket hosts by (host, app name). Ordered so the pump
-    /// polls apps in a deterministic sequence (same seed ⇒ identical
-    /// event order ⇒ identical latencies).
-    apps: std::collections::BTreeMap<(usize, String), SocketHost>,
+    /// Each host's kernel-TCP stack, once built, with its
+    /// configuration: a host runs at most one.
+    tcp: Vec<Option<(TcpConfig, TcpHost)>>,
+    /// Facade socket hosts and their stacks by (host, app name).
+    /// Ordered so the pump polls apps in a deterministic sequence (same
+    /// seed ⇒ identical event order ⇒ identical latencies).
+    apps: BTreeMap<(usize, String), (Backend, SocketHost)>,
     cfg: TestbedConfig,
 }
 
@@ -208,8 +208,8 @@ impl Testbed {
             hosts,
             net,
             recorder,
-            tcp_routers: HashMap::new(),
-            apps: std::collections::BTreeMap::new(),
+            tcp: vec![None; cfg.hosts],
+            apps: BTreeMap::new(),
             cfg,
         }
     }
@@ -270,47 +270,79 @@ impl Testbed {
             .expect("both apps registered")
     }
 
-    /// Creates a kernel-TCP stack on `host` (for baseline comparisons).
-    /// The host's NIC interrupt handler is taken over by the TCP stack,
-    /// so a host runs either TCP or Pony in a given experiment — as in
-    /// the paper's evaluation.
+    /// The kernel-TCP stack of `host` (for baseline comparisons),
+    /// built with `cfg` at the first call; every application on the
+    /// host, facade or §5 driver, runs on it. The stack takes over the
+    /// host's NIC interrupt handler, so a host runs either TCP or Pony
+    /// in a given experiment — as in the paper's evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's stack was built with another configuration.
     pub fn tcp_host(&mut self, host: usize, cfg: TcpConfig) -> TcpHost {
-        TcpHost::new(
-            self.hosts[host].id,
-            self.fabric.clone(),
-            self.hosts[host].machine.clone(),
-            cfg,
-        )
+        let (id, machine) = (self.hosts[host].id, &self.hosts[host].machine);
+        let (built, stack) = self.tcp[host].get_or_insert_with(|| {
+            let stack = TcpHost::new(id, self.fabric.clone(), machine.clone(), cfg.clone());
+            (cfg.clone(), stack)
+        });
+        assert!(
+            *built == cfg,
+            "host {host} already runs a kernel stack, configured {built:?}, not {cfg:?}"
+        );
+        stack.clone()
     }
 
-    /// The host's kernel-TCP facade router, created on first use. All
-    /// TCP-backed facade apps on a host share one stack, demuxed by
-    /// connection.
-    fn tcp_router(&mut self, host: usize) -> TcpRouter {
-        if let Some(r) = self.tcp_routers.get(&host) {
-            return r.clone();
+    /// The kernel-TCP stack `host` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it has none yet.
+    pub(crate) fn kernel(&self, host: usize) -> &TcpHost {
+        let (_, stack) = self.tcp[host].as_ref().expect("a kernel stack on the host");
+        stack
+    }
+
+    /// Dials `app_b` on `host_b` from `app_a` on `host_a` over
+    /// `backend`; returns the connection id, valid at both ends. Kernel
+    /// TCP dials from stack to stack, built already, and ignores the
+    /// names; the passive end is registered at once, so either end may
+    /// send first.
+    pub(crate) fn dial(
+        &mut self,
+        backend: Backend,
+        (host_a, app_a): (usize, &str),
+        (host_b, app_b): (usize, &str),
+    ) -> u64 {
+        match backend {
+            Backend::Pony => self.connect(host_a, app_a, host_b, app_b),
+            Backend::Tcp => {
+                let (peer_a, peer_b) = (self.hosts[host_a].id, self.hosts[host_b].id);
+                let conn = self.kernel(host_a).connect(peer_b);
+                self.kernel(host_b).accept(conn, peer_a);
+                conn
+            }
         }
-        let router = TcpRouter::new(self.tcp_host(host, TcpConfig::default()));
-        self.tcp_routers.insert(host, router.clone());
-        router
     }
 
     /// A facade socket host for `app` on `host` over `backend` — the
     /// byte-stream sockets API. `Backend::Pony` creates an engine +
-    /// session under the hood; `Backend::Tcp` lazily creates the
-    /// host's kernel stack and shares it across the host's TCP apps.
-    /// Idempotent per (host, app): repeated calls return the same
+    /// session under the hood; `Backend::Tcp` runs on the host's kernel
+    /// stack ([`Testbed::tcp_host`]), built by the host's first TCP
+    /// app. Idempotent per (host, app): repeated calls return the same
     /// facade host.
     pub fn app(&mut self, host: usize, app: &str, backend: Backend) -> SocketHost {
-        if let Some(existing) = self.apps.get(&(host, app.to_string())) {
+        if let Some((_, existing)) = self.apps.get(&(host, app.to_string())) {
             return existing.clone();
         }
-        let transport: Box<dyn Transport> = match backend {
-            Backend::Pony => Box::new(PonyTransport::new(self.pony_app(host, app, |_| {}))),
-            Backend::Tcp => Box::new(TcpTransport::new(self.tcp_router(host))),
+        let end: Box<dyn Transport> = match backend {
+            Backend::Pony => Box::new(PonyEnd::new(self.pony_app(host, app, |_| {}))),
+            Backend::Tcp => {
+                let stack = self.tcp_host(host, TcpConfig::default());
+                Box::new(TcpEnd::new(stack, Rc::default()))
+            }
         };
-        let sh = SocketHost::new(transport);
-        self.apps.insert((host, app.to_string()), sh.clone());
+        let sh = SocketHost::new(end);
+        self.apps.insert((host, app.into()), (backend, sh.clone()));
         sh
     }
 
@@ -325,35 +357,16 @@ impl Testbed {
         host_b: usize,
         app_b: &str,
     ) -> Result<SnapSocket, SocketError> {
-        let a = self
-            .apps
-            .get(&(host_a, app_a.to_string()))
-            .cloned()
-            .ok_or(SocketError::NotConnected)?;
-        let b = self
-            .apps
-            .get(&(host_b, app_b.to_string()))
-            .cloned()
-            .ok_or(SocketError::NotConnected)?;
-        if a.backend() != b.backend() {
+        let app = |host, name: &str| self.apps.get(&(host, name.to_string())).cloned();
+        let (Some((backend, a)), Some((other, b))) = (app(host_a, app_a), app(host_b, app_b))
+        else {
+            return Err(SocketError::NotConnected);
+        };
+        if backend != other {
             return Err(SocketError::BackendMismatch);
         }
-        let conn = match a.backend() {
-            // Pony connections are bidirectional and valid at both ends.
-            Backend::Pony => self.connect(host_a, app_a, host_b, app_b),
-            // TCP: dial from a, pre-register the passive side on b so
-            // it can send before the first packet arrives.
-            Backend::Tcp => {
-                let peer_a = self.hosts[host_a].id;
-                let peer_b = self.hosts[host_b].id;
-                let ra = self.tcp_router(host_a);
-                let rb = self.tcp_router(host_b);
-                let conn = ra.tcp().connect(peer_b);
-                rb.tcp().accept(conn, peer_a);
-                conn
-            }
-        };
-        wire(&a, &b, conn)
+        let conn = self.dial(backend, (host_a, app_a), (host_b, app_b));
+        Ok(wire(&a, &b, conn))
     }
 
     /// The whole wiring of one facade connection: creates `app_a` on
@@ -708,7 +721,7 @@ impl SimPump for Testbed {
         // Every facade app's event loop runs each slice: retries fire
         // and acks drain even for apps no one is actively receiving
         // on. Deterministic (BTreeMap) order keeps runs reproducible.
-        for app in self.apps.values() {
+        for (_, app) in self.apps.values() {
             app.poll(&mut self.sim);
         }
     }
@@ -810,6 +823,36 @@ mod tests {
         assert!(
             machines.iter().all(|m| m.upgrade().is_none()),
             "an Rc cycle keeps a dropped testbed's TCP stacks alive"
+        );
+    }
+
+    /// A host runs one kernel stack: asking for it after the facade
+    /// built it returns that stack, not a second one that takes the
+    /// NIC's interrupts and strands the first.
+    #[test]
+    fn a_host_has_one_kernel_stack() {
+        let mut tb = Testbed::pair();
+        let (tx, rx) = tb.app_pair(0, "a", 1, "b", Backend::Tcp).expect("wires");
+        let stack = tb.tcp_host(1, TcpConfig::default());
+        tx.send(&mut tb.sim, &[7; 1000]).expect("connected");
+        let mut got = [0; 1000];
+        rx.recv_exact_deadline(tb.as_pump(), &mut got, Nanos::from_millis(5))
+            .expect("delivered by the host's one stack");
+        assert_eq!(got, [7; 1000]);
+        assert_eq!(stack.stats().msgs_delivered, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "host 1 already runs a kernel stack")]
+    fn a_second_kernel_stack_configuration_panics() {
+        let mut tb = Testbed::pair();
+        tb.tcp_host(1, TcpConfig::default());
+        tb.tcp_host(
+            1,
+            TcpConfig {
+                busy_poll: true,
+                ..TcpConfig::default()
+            },
         );
     }
 

@@ -24,11 +24,23 @@ fn msg_bytes(seed: u64, idx: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Plays `script` over `backend`: true entries send client→server,
-/// false entries server→client. Returns the two received streams.
-fn play_script(backend: Backend, seed: u64, script: &[(bool, usize)]) -> (Vec<u8>, Vec<u8>) {
+/// What [`play_script`] saw: the two received streams, every receive
+/// that returned bytes as `(side, virtual ns, bytes)` (side 0 the
+/// server), and the packets the fabric dropped at random.
+struct Played {
+    to_server: Vec<u8>,
+    to_client: Vec<u8>,
+    deliveries: Vec<(u8, u64, usize)>,
+    random_drops: u64,
+}
+
+/// Plays `script` over `backend` on a fabric dropping `loss` of its
+/// packets: true entries send client→server, false entries
+/// server→client; then each side receives until it has its stream.
+fn play_script(backend: Backend, seed: u64, loss: f64, script: &[(bool, usize)]) -> Played {
     let mut tb = Testbed::new(TestbedConfig {
         seed: 42,
+        loss,
         ..TestbedConfig::default()
     });
     let a = tb.app(0, "alpha", backend);
@@ -50,31 +62,63 @@ fn play_script(backend: Backend, seed: u64, script: &[(bool, usize)]) -> (Vec<u8
         }
     }
 
-    let mut got_server = vec![0u8; to_server.len()];
-    server
-        .recv_exact_deadline(tb.as_pump(), &mut got_server, Nanos::from_millis(500))
-        .expect("stream drains within budget");
-    let mut got_client = vec![0u8; to_client.len()];
-    client
-        .recv_exact_deadline(tb.as_pump(), &mut got_client, Nanos::from_millis(500))
-        .expect("stream drains within budget");
+    let mut deliveries = Vec::new();
+    let mut receive = |side: u8, sock: &SnapSocket, want: usize| {
+        let mut got = vec![0u8; want];
+        let mut filled = 0;
+        while filled < want {
+            let n = sock
+                .recv_deadline(tb.as_pump(), &mut got[filled..], Nanos::from_millis(500))
+                .expect("stream drains within budget");
+            deliveries.push((side, tb.sim.now().as_nanos(), n));
+            filled += n;
+        }
+        got
+    };
+    let got_server = receive(0, &server, to_server.len());
+    let got_client = receive(1, &client, to_client.len());
 
     assert_eq!(got_server, to_server, "{}: c→s bytes", backend.label());
     assert_eq!(got_client, to_client, "{}: s→c bytes", backend.label());
-    assert_eq!(
-        a.stats().dup_chunks,
-        0,
-        "{}: clean run dups",
-        backend.label()
-    );
-    assert_eq!(
-        b.stats().dup_chunks,
-        0,
-        "{}: clean run dups",
-        backend.label()
-    );
-    (got_server, got_client)
+    assert_eq!(a.stats().dup_chunks, 0, "{}: dups", backend.label());
+    assert_eq!(b.stats().dup_chunks, 0, "{}: dups", backend.label());
+    Played {
+        to_server: got_server,
+        to_client: got_client,
+        deliveries,
+        random_drops: tb.fabric.stats().random_drops,
+    }
 }
+
+/// Pins when the facade over kernel TCP delivers on a lossy fabric: the
+/// stack retransmits what the fabric dropped, and the order it resends
+/// in (its in-flight segments, keyed by message id) decides when each
+/// chunk completes. Any change to the ids it is handed that reorders
+/// them moves an instant here.
+#[test]
+fn lossy_kernel_tcp_facade_delivery_instants_are_pinned() {
+    let script = [(true, 30_000), (false, 9_000), (true, 70_000), (false, 500)];
+    let played = play_script(Backend::Tcp, 3, 0.05, &script);
+    assert!(played.random_drops > 0, "the fabric dropped nothing");
+    assert_eq!(
+        played.deliveries, PINNED_LOSSY_TCP_DELIVERIES,
+        "(side, ns, bytes) of every receive"
+    );
+}
+
+/// What the fabric dropped is resent by the 10 ms retransmission
+/// timer: the last 25 kB and the whole reverse stream land at 20 ms.
+const PINNED_LOSSY_TCP_DELIVERIES: [(u8, u64, usize); 9] = [
+    (0, 15_000, 4_096),
+    (0, 20_000, 12_288),
+    (0, 25_000, 13_616),
+    (0, 30_000, 16_384),
+    (0, 35_000, 8_192),
+    (0, 40_000, 16_384),
+    (0, 45_000, 4_096),
+    (0, 20_045_000, 24_944),
+    (1, 20_045_000, 9_500),
+];
 
 proptest! {
     /// The same randomized byte-stream script arrives in order and
@@ -85,10 +129,10 @@ proptest! {
         script in proptest::collection::vec((any::<bool>(), 1usize..1500), 1..10),
         seed in 0u64..1000,
     ) {
-        let tcp = play_script(Backend::Tcp, seed, &script);
-        let pony = play_script(Backend::Pony, seed, &script);
-        prop_assert_eq!(&tcp.0, &pony.0, "c→s streams diverge across backends");
-        prop_assert_eq!(&tcp.1, &pony.1, "s→c streams diverge across backends");
+        let tcp = play_script(Backend::Tcp, seed, 0.0, &script);
+        let pony = play_script(Backend::Pony, seed, 0.0, &script);
+        prop_assert_eq!(&tcp.to_server, &pony.to_server, "c→s streams diverge across backends");
+        prop_assert_eq!(&tcp.to_client, &pony.to_client, "s→c streams diverge across backends");
     }
 
     /// Under a randomized gray fault plan (lossy links, jitter, pause
@@ -563,7 +607,7 @@ fn every_workload_keeps_the_drive_contract_on_both_backends() {
 /// here were wired at the facade but never dialed, so the Pony engine
 /// fails every chunk (`OpStatus::Error`) and the facade marks the
 /// socket `TransportFailed`. (The kernel-TCP model has no terminal
-/// failure to report: its stream is reliable and `TcpTransport` never
+/// failure to report: its stream is reliable and `TcpEnd` never
 /// emits `SendFailed`.)
 #[test]
 fn a_failed_transport_is_a_socket_error_from_every_workload() {
@@ -573,7 +617,7 @@ fn a_failed_transport_is_a_socket_error_from_every_workload() {
     let mut conn = 1 << 40;
     let mut all = one_of_each(&mut tb, |_| {
         conn += 1;
-        let dialed = wire(&a, &b, conn).expect("same backend");
+        let dialed = wire(&a, &b, conn);
         (dialed, b.listener().accept().expect("queued by wire"))
     });
     for w in &mut all {

@@ -7,7 +7,7 @@
 //! counters, and the module's reset-aware deltas must neither
 //! double-count nor lose quiesced operations.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -77,7 +77,7 @@ fn rack_snapshot_exposes_engine_queue_and_fabric_metrics() {
     assert!(snap.counter("stats.polls").unwrap_or(0) > 10);
 
     // The same data over the control-plane RPC surface.
-    let groups = HashMap::new();
+    let groups = BTreeMap::new();
     let mut stats_rpc = stats.clone();
     let mut cx = ControlCx {
         sim: &mut tb.sim,
