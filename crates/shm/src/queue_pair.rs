@@ -9,19 +9,31 @@
 //!
 //! [`QueuePair::create`] yields an application endpoint and an engine
 //! endpoint. The notification path is modeled by a [`Doorbell`] — an
-//! eventfd-like flag with park/unpark semantics for real threads and a
-//! plain flag for simulated ones.
+//! eventfd-like flag that real threads may park on and simulated ones
+//! poll. As in the paper, the notification is paid only when someone
+//! asked for it: a ring with no thread parked is two atomic accesses,
+//! no lock and no system call.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::spsc::{Consumer, Producer, SpscRing};
 
 /// An eventfd-like notification primitive.
 ///
-/// `ring()` sets the flag and unparks a waiter; `take()` consumes the
-/// flag. Real threads may `wait()` (park) on it; simulation code polls
-/// `is_rung()` instead.
+/// `ring()` sets the flag and wakes the threads parked in
+/// [`wait_timeout`](Self::wait_timeout); `take()` consumes the flag.
+/// Simulation code polls `is_rung()` and never parks, so its rings never
+/// lock or notify.
+///
+/// No wakeup is lost. A waiter raises the parked count under the lock
+/// and only then tests the flag; a ring stores the flag and only then
+/// loads the count, and all four accesses are `SeqCst`, so they fall in
+/// one total order. If the ring's load comes first, its store precedes
+/// the waiter's test, which sees the flag and does not sleep. Otherwise
+/// the ring sees the count and takes the lock, which the waiter holds
+/// from raising the count until the condition variable releases it as
+/// the waiter sleeps, so the notification reaches it.
 #[derive(Clone, Default)]
 pub struct Doorbell {
     inner: Arc<DoorbellInner>,
@@ -30,6 +42,8 @@ pub struct Doorbell {
 #[derive(Default)]
 struct DoorbellInner {
     rung: AtomicBool,
+    /// Threads inside `wait_timeout`; changed only under `parked`.
+    waiters: AtomicUsize,
     parked: parking_lot::Mutex<()>,
     condvar: parking_lot::Condvar,
 }
@@ -40,11 +54,14 @@ impl Doorbell {
         Self::default()
     }
 
-    /// Rings the doorbell, waking any waiter.
+    /// Rings the doorbell, waking any waiter. Takes the lock and
+    /// notifies only if a thread is parked.
     pub fn ring(&self) {
-        self.inner.rung.store(true, Ordering::Release);
-        let _guard = self.inner.parked.lock();
-        self.inner.condvar.notify_all();
+        self.inner.rung.store(true, Ordering::SeqCst);
+        if self.inner.waiters.load(Ordering::SeqCst) != 0 {
+            let _guard = self.inner.parked.lock();
+            self.inner.condvar.notify_all();
+        }
     }
 
     /// Consumes the pending ring, if any.
@@ -62,9 +79,10 @@ impl Doorbell {
     pub fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut guard = self.inner.parked.lock();
-        loop {
-            if self.inner.rung.swap(false, Ordering::AcqRel) {
-                return true;
+        self.inner.waiters.fetch_add(1, Ordering::SeqCst);
+        let rung = loop {
+            if self.inner.rung.swap(false, Ordering::SeqCst) {
+                break true;
             }
             if self
                 .inner
@@ -72,9 +90,11 @@ impl Doorbell {
                 .wait_until(&mut guard, deadline)
                 .timed_out()
             {
-                return self.inner.rung.swap(false, Ordering::AcqRel);
+                break self.inner.rung.swap(false, Ordering::SeqCst);
             }
-        }
+        };
+        self.inner.waiters.fetch_sub(1, Ordering::SeqCst);
+        rung
     }
 }
 
@@ -82,8 +102,8 @@ impl Doorbell {
 pub struct AppEndpoint<Cmd, Cpl> {
     commands: Producer<Cmd>,
     completions: Consumer<Cpl>,
-    /// Rung by the engine when a completion is written and the app
-    /// asked for notification.
+    /// Rung by the engine when a completion is written; it notifies a
+    /// thread only if the app asked for that by parking on it.
     pub completion_doorbell: Doorbell,
     /// Rung by the app when a command is written while the engine may
     /// be blocked (interrupt-driven engine scheduling, §2.4).
@@ -303,6 +323,64 @@ mod tests {
     fn doorbell_wait_times_out() {
         let d = Doorbell::new();
         assert!(!d.wait_timeout(std::time::Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn ring_without_a_parked_waiter_takes_no_lock() {
+        use std::sync::mpsc::channel;
+        let d = Doorbell::new();
+        let (locked_tx, locked) = channel();
+        let (release, release_rx) = channel::<()>();
+        let (rang_tx, rang) = channel();
+        std::thread::scope(|s| {
+            let inner = &d.inner;
+            s.spawn(move || {
+                let _guard = inner.parked.lock();
+                locked_tx.send(()).expect("the test is waiting");
+                // Until released, or until the test has given up.
+                let _ = release_rx.recv();
+            });
+            locked.recv().expect("the holder took the lock");
+            let ringer = d.clone();
+            s.spawn(move || {
+                ringer.ring();
+                let _ = rang_tx.send(());
+            });
+            let returned = rang.recv_timeout(std::time::Duration::from_secs(1));
+            release.send(()).expect("the holder is waiting");
+            assert!(
+                returned.is_ok(),
+                "ring() blocked on the parking mutex with no thread parked"
+            );
+            assert!(d.is_rung());
+        });
+    }
+
+    #[test]
+    fn doorbell_handoffs_lose_no_wakeup() {
+        use std::time::{Duration, Instant};
+        const HANDOFFS: u32 = 10_000;
+        const TIMEOUT: Duration = Duration::from_secs(5);
+        // A lost wakeup sleeps out the whole timeout and then finds the
+        // flag set, so the timeout is what a loss looks like.
+        let wait = |d: &Doorbell| {
+            let start = Instant::now();
+            assert!(d.wait_timeout(TIMEOUT), "wait timed out unrung");
+            assert!(start.elapsed() < TIMEOUT, "a ring did not wake its waiter");
+        };
+        let (ping, pong) = (Doorbell::new(), Doorbell::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..HANDOFFS {
+                    wait(&ping);
+                    pong.ring();
+                }
+            });
+            for _ in 0..HANDOFFS {
+                ping.ring();
+                wait(&pong);
+            }
+        });
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The event loop: a virtual clock, a binary heap of small keys and a
+//! The event loop: a virtual clock, a 4-ary heap of 16-byte keys and a
 //! slab of closures stored inline.
 //!
 //! Events are closures that receive `&mut Sim` so they can schedule
@@ -14,14 +14,14 @@
 //!   or aligned more strictly is boxed first and the box is what the
 //!   slot holds, so there is one code path; [`Sim::boxed_events`]
 //!   counts those;
-//! - the heap orders 24-byte `Copy` keys `(at, seq, slot, timer)`, not
-//!   the closures;
+//! - the heap orders `u128` keys `at << 64 | seq << 24 | slot`, not the
+//!   closures;
 //! - a cancellable event takes an entry in one generation table shared
-//!   by the `Sim` and its [`EventHandle`]s. Cancellation is lazy: the
-//!   key stays in the heap and its closure is dropped, not run, when
-//!   the key is popped. The entry's generation is bumped when its
-//!   event leaves the heap, so a handle kept past that point cannot
-//!   cancel the entry's next tenant.
+//!   by the `Sim` and its [`EventHandle`]s, and its slot records the
+//!   entry's index. Cancellation is lazy: the key stays in the heap and
+//!   its closure is dropped, not run, when the key is popped. The
+//!   entry's generation is bumped when its event leaves the heap, so a
+//!   handle kept past that point cannot cancel the entry's next tenant.
 //!
 //! Events fire in `(at, seq)` order, where `seq` counts calls to
 //! `schedule_*`: two events scheduled for the same instant fire in
@@ -33,13 +33,15 @@
 //! pending, once.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::rc::Rc;
 
 use crate::time::Nanos;
+
+mod heap;
+
+use heap::QuadHeap;
 
 /// Bytes of closure captures a slab slot stores inline.
 const INLINE_BYTES: usize = 64;
@@ -91,6 +93,9 @@ unsafe fn drop_erased<F>(p: *mut u8) {
 struct Slot {
     vtable: Option<&'static VTable>,
     storage: Storage,
+    /// The event's entry in the timer table, or [`NO_TIMER`]: read as
+    /// the key is popped, beside the closure it is about to fire.
+    timer: u32,
     /// The closure inside may be neither `Send` nor `Sync`, so the slot
     /// is neither.
     _closure: PhantomData<*mut ()>,
@@ -100,6 +105,7 @@ impl Slot {
     const VACANT: Slot = Slot {
         vtable: None,
         storage: Storage::uninit(),
+        timer: NO_TIMER,
         _closure: PhantomData,
     };
 
@@ -158,38 +164,26 @@ impl Drop for Slot {
     }
 }
 
-/// What the heap orders: `(at, seq)`, earliest first. `seq` is unique,
-/// so `slot` and `timer` never decide a comparison.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Key {
-    at: Nanos,
-    seq: u64,
-    /// Index of the closure in `Sim::slots`.
-    slot: u32,
-    /// Index into the timer table, or [`NO_TIMER`].
-    timer: u32,
+/// Bits of a key below `seq`: the slot's index.
+const SLOT_BITS: u32 = 24;
+/// Bits of `seq`, between the slot and `at`.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+
+/// What the heap orders, as one integer that compares without a branch:
+/// `at << 64 | seq << 24 | slot`, so the least key is the earliest
+/// `(at, seq)`. `seq` is unique, so `slot` never decides a comparison;
+/// it only says where the closure is.
+fn key(at: Nanos, seq: u64, slot: u32) -> u128 {
+    debug_assert!(seq >> SEQ_BITS == 0 && slot >> SLOT_BITS == 0);
+    u128::from(at.as_nanos()) << 64 | u128::from(seq << SLOT_BITS | u64::from(slot))
 }
 
-impl Key {
-    /// `(at, seq)` as one integer, which compares without a branch
-    /// (the tuple's comparison has one, taken at random).
-    fn order(&self) -> u128 {
-        u128::from(self.at.as_nanos()) << 64 | u128::from(self.seq)
-    }
+fn key_at(key: u128) -> Nanos {
+    Nanos((key >> 64) as u64)
 }
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap; inverted so the earliest pops
-        // first.
-        other.order().cmp(&self.order())
-    }
+fn key_slot(key: u128) -> u32 {
+    key as u32 & ((1 << SLOT_BITS) - 1)
 }
 
 const NO_TIMER: u32 = u32::MAX;
@@ -267,7 +261,7 @@ impl EventHandle {
 /// The discrete-event simulator: a virtual clock plus an event store.
 pub struct Sim {
     now: Nanos,
-    heap: BinaryHeap<Key>,
+    heap: QuadHeap,
     /// The pending closures, at the indices the keys name.
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
@@ -288,7 +282,7 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             now: Nanos::ZERO,
-            heap: BinaryHeap::new(),
+            heap: QuadHeap::default(),
             slots: Vec::new(),
             free_slots: Vec::new(),
             timers: Rc::default(),
@@ -339,23 +333,21 @@ impl Sim {
     /// copy serves every closure type.
     fn reserve(&mut self, at: Nanos, timer: u32) -> &mut Slot {
         self.assert_not_past(at);
+        let seq = self.seq;
+        assert!(seq >> SEQ_BITS == 0, "event sequence numbers exhausted");
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("event slab full");
+                assert!(self.slots.len() < 1 << SLOT_BITS, "event slab full");
                 self.slots.push(Slot::VACANT);
-                slot
+                self.slots.len() as u32 - 1
             }
         };
-        let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Key {
-            at,
-            seq,
-            slot,
-            timer,
-        });
-        &mut self.slots[slot as usize]
+        self.heap.push(key(at, seq, slot));
+        let slot = &mut self.slots[slot as usize];
+        slot.timer = timer;
+        slot
     }
 
     /// The one way in: `f` goes into a slot as it is if it fits, else
@@ -420,25 +412,27 @@ impl Sim {
     /// popped and their closures dropped, whatever their time.
     fn fire_due(&mut self, deadline: Nanos) -> bool {
         loop {
-            let Some(&key) = self.heap.peek() else {
+            let Some(key) = self.heap.peek() else {
                 return false;
             };
-            let cancelled = key.timer != NO_TIMER && self.timers.borrow().is_cancelled(key.timer);
-            if !cancelled && key.at > deadline {
+            let (at, slot) = (key_at(key), key_slot(key));
+            let timer = self.slots[slot as usize].timer;
+            let cancelled = timer != NO_TIMER && self.timers.borrow().is_cancelled(timer);
+            if !cancelled && at > deadline {
                 return false;
             }
             self.heap.pop();
-            if key.timer != NO_TIMER {
-                self.timers.borrow_mut().release(key.timer);
+            if timer != NO_TIMER {
+                self.timers.borrow_mut().release(timer);
             }
             if cancelled {
-                self.slots[key.slot as usize].clear();
-                self.free_slots.push(key.slot);
+                self.slots[slot as usize].clear();
+                self.free_slots.push(slot);
             } else {
-                debug_assert!(key.at >= self.now, "event heap ordering violated");
-                self.now = key.at;
+                debug_assert!(at >= self.now, "event heap ordering violated");
+                self.now = at;
                 self.executed += 1;
-                Slot::fire(self, key.slot);
+                Slot::fire(self, slot);
                 return true;
             }
         }
@@ -624,6 +618,34 @@ mod tests {
         h.cancel();
         sim.run_until(Nanos(10));
         assert_eq!(sim.now(), Nanos(10));
+    }
+
+    #[test]
+    fn key_round_trips_at_its_field_limits() {
+        let slot_max = (1u32 << SLOT_BITS) - 1;
+        let seq_max = (1u64 << SEQ_BITS) - 1;
+        for at in [0, 1, u64::MAX - 1, u64::MAX].map(Nanos) {
+            for seq in [0, 1, seq_max - 1, seq_max] {
+                for slot in [0, 1, slot_max - 1, slot_max] {
+                    let k = key(at, seq, slot);
+                    assert_eq!((key_at(k), key_slot(k)), (at, slot));
+                    assert_eq!((k as u64) >> SLOT_BITS, seq);
+                }
+            }
+        }
+        // `at` decides, then `seq`; the slot never does.
+        assert!(key(Nanos(u64::MAX - 1), seq_max, slot_max) < key(Nanos::MAX, 0, 0));
+        assert!(key(Nanos::MAX, seq_max - 1, slot_max) < key(Nanos::MAX, seq_max, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "event sequence numbers exhausted")]
+    fn scheduling_past_the_last_sequence_number_panics() {
+        let mut sim = Sim::new();
+        sim.seq = (1 << SEQ_BITS) - 1;
+        sim.schedule_at(Nanos(1), |_| {});
+        assert_eq!(sim.pending(), 1, "the last number is usable");
+        sim.schedule_at(Nanos(1), |_| {});
     }
 
     #[test]

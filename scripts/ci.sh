@@ -41,9 +41,13 @@ cargo test --workspace -q
 # §5.1 pair's window-doubling test simulates 1.4 GB of transfer: minutes
 # in a debug build, where it is ignored, seconds here. The event budget
 # (simulator events per delivered packet) does not depend on the build;
-# it runs here because its figures are the benchmark's.
+# it runs here because its figures are the benchmark's. `snap-shm`'s
+# threaded tests (doorbell handoffs, SPSC ring, mailbox) run here too:
+# optimized code races its threads through windows a debug build is too
+# slow to open.
 echo "== tier-1: release budgets =="
 cargo test --release -q --test datapath_budget --test sockets_budget --test event_budget --test pair
+cargo test --release -q -p snap-shm
 
 # `clippy.toml` rejects std's `RandomState` map constructors, whose
 # iteration order differs run to run. Test targets are exempt from that

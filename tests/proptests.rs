@@ -26,7 +26,7 @@ use snap_repro::sim::{EventHandle, Histogram, Nanos, Sim};
 /// (0 = this very instant), every second one cancellable, and cancels
 /// the handle numbered `cancel`. Events three generations deep stop
 /// having children, so a chain of zero delays ends.
-type Behaviour = (u8, u8, u8);
+type Behaviour = (u8, u16, u8);
 const MAX_DEPTH: u8 = 2;
 
 /// One firing: the event's id, `now()` and `pending()` inside it.
@@ -163,6 +163,75 @@ impl EventModel {
         }
         self.now = self.now.max(deadline);
     }
+}
+
+/// Runs one event-order script, `(kind, delta, k)` per op, on the
+/// simulator and on the sorted-`Vec` model, comparing firing order,
+/// `now()`, `events_executed()` and `pending()` after every op and
+/// inside every event. A schedule is `delta` ns on; a `run_until` is
+/// `delta % until_span` ns on, so a small span lets the pending set
+/// grow. Returns the most events pending at once.
+fn event_order_case(
+    ops: &[(u8, u16, u8)],
+    pool: Vec<Behaviour>,
+    until_span: u16,
+) -> Result<usize, String> {
+    let mut sim = Sim::new();
+    let world = std::rc::Rc::new(EventWorld {
+        pool: pool.clone(),
+        next_id: Default::default(),
+        handles: Default::default(),
+        log: Default::default(),
+    });
+    let mut model = EventModel {
+        pool,
+        now: 0,
+        seq: 0,
+        executed: 0,
+        queue: Vec::new(),
+        handles: Vec::new(),
+        next_id: 0,
+        log: Vec::new(),
+    };
+    let mut peak = 0;
+    for &(kind, delta, k) in ops {
+        match kind {
+            0..=2 => {
+                let at = model.now + u64::from(delta);
+                world.schedule(&mut sim, Nanos(at), kind == 2, 0);
+                model.schedule(at, kind == 2, 0);
+            }
+            3 => {
+                world.cancel(k);
+                model.cancel(k);
+            }
+            4 => {
+                prop_assert_eq!(sim.step(), model.step(), "step's verdict");
+            }
+            _ => {
+                let at = model.now + u64::from(delta % until_span);
+                sim.run_until(Nanos(at));
+                model.run_until(at);
+            }
+        }
+        prop_assert_eq!(&*world.log.borrow(), &model.log, "firing order");
+        prop_assert_eq!(sim.now().as_nanos(), model.now);
+        prop_assert_eq!(sim.events_executed(), model.executed);
+        prop_assert_eq!(sim.pending(), model.queue.len());
+        peak = peak.max(sim.pending());
+    }
+    sim.run();
+    while model.step() {}
+    prop_assert_eq!(
+        &*world.log.borrow(),
+        &model.log,
+        "firing order of the drain"
+    );
+    prop_assert_eq!(sim.now().as_nanos(), model.now);
+    prop_assert_eq!(sim.events_executed(), model.executed);
+    prop_assert_eq!(sim.pending(), 0);
+    prop_assert_eq!(sim.boxed_events(), 0);
+    Ok(peak)
 }
 
 /// Engines in the lifecycle property's group; op targets above this
@@ -688,57 +757,25 @@ proptest! {
     /// op and inside every event.
     #[test]
     fn event_order_matches_sorted_vec_model(
-        ops in proptest::collection::vec((0u8..7, 0u8..4, any::<u8>()), 1..120),
-        pool in proptest::collection::vec((0u8..4, 0u8..3, any::<u8>()), 1..12)
+        ops in proptest::collection::vec((0u8..7, 0u16..4, any::<u8>()), 1..120),
+        pool in proptest::collection::vec((0u8..4, 0u16..3, any::<u8>()), 1..12)
     ) {
-        let mut sim = Sim::new();
-        let world = std::rc::Rc::new(EventWorld {
-            pool: pool.clone(),
-            next_id: Default::default(),
-            handles: Default::default(),
-            log: Default::default(),
-        });
-        let mut model = EventModel {
-            pool,
-            now: 0,
-            seq: 0,
-            executed: 0,
-            queue: Vec::new(),
-            handles: Vec::new(),
-            next_id: 0,
-            log: Vec::new(),
-        };
-        for (kind, delta, k) in ops {
-            let at = model.now + u64::from(delta);
-            match kind {
-                0..=2 => {
-                    world.schedule(&mut sim, Nanos(at), kind == 2, 0);
-                    model.schedule(at, kind == 2, 0);
-                }
-                3 => {
-                    world.cancel(k);
-                    model.cancel(k);
-                }
-                4 => {
-                    prop_assert_eq!(sim.step(), model.step(), "step's verdict");
-                }
-                _ => {
-                    sim.run_until(Nanos(at));
-                    model.run_until(at);
-                }
-            }
-            prop_assert_eq!(&*world.log.borrow(), &model.log, "firing order");
-            prop_assert_eq!(sim.now().as_nanos(), model.now);
-            prop_assert_eq!(sim.events_executed(), model.executed);
-            prop_assert_eq!(sim.pending(), model.queue.len());
-        }
-        sim.run();
-        while model.step() {}
-        prop_assert_eq!(&*world.log.borrow(), &model.log, "firing order of the drain");
-        prop_assert_eq!(sim.now().as_nanos(), model.now);
-        prop_assert_eq!(sim.events_executed(), model.executed);
-        prop_assert_eq!(sim.pending(), 0);
-        prop_assert_eq!(sim.boxed_events(), 0);
+        event_order_case(&ops, pool, 4)?;
+    }
+
+    /// The same property over a deep heap: 500-700 ops with delays of
+    /// 0-1 000 ns, while each `run_until` moves the clock 0-7 ns, so
+    /// the pending set grows to hundreds of keys (a median peak of 265
+    /// over 1 000 cases, where the scripts above peak at 10) and the
+    /// heap's walk meets every shape of partial last group at several
+    /// depths.
+    #[test]
+    fn event_order_matches_sorted_vec_model_deep(
+        ops in proptest::collection::vec((0u8..7, 0u16..1001, any::<u8>()), 500..700),
+        pool in proptest::collection::vec((0u8..4, 0u16..1001, any::<u8>()), 1..12)
+    ) {
+        let peak = event_order_case(&ops, pool, 8)?;
+        prop_assert!(peak >= 64, "the script stayed shallow: {peak} keys at most");
     }
 
     /// The engine lifecycle under random operator, fault-plan and
