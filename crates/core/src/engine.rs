@@ -85,12 +85,13 @@ pub trait Engine {
     fn detach(&mut self, sim: &mut Sim);
 
     /// Called when the engine is resumed: re-attach NIC receive
-    /// filters dropped by [`Engine::detach`]. Engines that attach in
-    /// their constructor may keep the default no-op, but must make
-    /// attachment idempotent if they override this — a resumed
-    /// successor is attached twice (constructor + resume). The upgrade
-    /// rollback path relies on this hook to bring a previously detached
-    /// predecessor back online.
+    /// filters dropped by [`Engine::detach`]. Only an engine whose
+    /// `detach` undoes nothing may keep the default no-op; one that
+    /// detaches must override this, and make attachment idempotent if
+    /// its constructor also attaches — a resumed successor is attached
+    /// twice (constructor + resume). The upgrade rollback path relies
+    /// on this hook to bring a previously detached predecessor back
+    /// online.
     fn attach(&mut self, sim: &mut Sim) {
         let _ = sim;
     }

@@ -14,9 +14,6 @@
 //!   engines** (interrupt-driven, one thread per engine, MicroQuanta
 //!   class), and **compacting engines** (Shenango-style queueing-delay
 //!   driven scale-out/compaction).
-//! * [`elements`] — the Click-style pluggable element library engines
-//!   are built from (§2.2): classifiers, ACLs, token-bucket shapers,
-//!   counters, tees, queues.
 //! * [`module::SnapProcess`] — the control plane: modules, RPC
 //!   dispatch, application bootstrap (shared-memory handle passing),
 //!   authentication (§2.3, §2.6).
@@ -24,6 +21,9 @@
 //!   brownout/blackout phases, migrating engines one at a time (§4),
 //!   rolling back to the still-live predecessor if the successor fails
 //!   mid-migration.
+//! * [`virt::VirtEngine`] — an Andromeda-style network-virtualization
+//!   engine (§2.1), the one non-Pony engine kept: the upgrade tests
+//!   migrate and roll it back beside Pony.
 //! * [`supervisor::Supervisor`] — periodic engine checkpoints (reusing
 //!   the upgrade serialization format), dead/wedged engine detection
 //!   via per-engine progress heartbeats, and restart-from-checkpoint
@@ -32,9 +32,7 @@
 //! CPU and memory are charged to application containers throughout
 //! (§2.5), via the accountants from [`snap_shm`].
 
-pub mod elements;
 pub mod engine;
-pub mod kernel_inject;
 pub mod group;
 pub mod module;
 pub mod supervisor;
@@ -42,7 +40,6 @@ pub mod upgrade;
 pub mod virt;
 
 pub use engine::{Engine, EngineId, RunReport};
-pub use kernel_inject::{InjectEngine, KernelRing};
 pub use virt::{Route, VirtAddr, VirtEngine};
 pub use group::{
     EngineGroup, EngineHealth, GroupConfig, GroupHandle, SchedulingMode, WeakGroupHandle,

@@ -1,15 +1,17 @@
 //! Network-virtualization engine — the Andromeda-style engine family
 //! (§1, §2.1, §3: "packet processing for network virtualization \[19\]",
 //! one of the four production Snap engine types alongside shaping,
-//! edge switching and Pony Express).
+//! edge switching and Pony Express). It is the one non-Pony engine this
+//! crate keeps: the transparent-upgrade tests migrate and roll it back
+//! beside Pony, so it proves the [`Engine`] contract holds for an
+//! engine whose state is not a transport's.
 //!
 //! A [`VirtEngine`] gives guest VMs virtual network connectivity:
 //!
-//! * **Guest tx**: packets leave the guest through a shared ring
-//!   ([`crate::kernel_inject::KernelRing`] doubles as the vNIC queue),
-//!   are matched against a per-tenant **flow table** mapping virtual
-//!   destination addresses to physical hosts, encapsulated with an
-//!   outer header, and transmitted on the fabric.
+//! * **Guest tx**: packets leave the guest through its [`GuestRing`]
+//!   (the vNIC queue), are matched against a per-tenant **flow table**
+//!   mapping virtual destination addresses to physical hosts,
+//!   encapsulated with an outer header, and transmitted on the fabric.
 //! * **Guest rx**: encapsulated packets arriving from the fabric are
 //!   validated (tenant isolation), decapsulated, and delivered to the
 //!   destination guest's rx ring.
@@ -19,20 +21,82 @@
 //!   and centralized control.
 //!
 //! The flow table serializes for transparent upgrades like any other
-//! engine state.
+//! engine state; a snapshot that does not decode is an error the
+//! upgrade factory turns into a rollback, never a panic.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use bytes::Bytes;
 
 use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet, QosClass};
-use snap_sim::codec::{Reader, Writer};
+use snap_sim::codec::{DecodeError, Reader, Writer};
 use snap_sim::costs;
 use snap_sim::{Nanos, Sim};
 
 use crate::engine::{Engine, RunReport};
-use crate::kernel_inject::KernelRing;
+
+/// One direction of a guest's vNIC queue pair.
+///
+/// Simulator-side stand-in for the shared-memory packet ring mapped
+/// between a guest and its engine: bounded, FIFO, drop-on-full. Clones
+/// share the ring, which is how an upgrade hands a guest's rings to the
+/// successor engine.
+#[derive(Clone)]
+pub struct GuestRing {
+    queue: Rc<RefCell<VecDeque<(Nanos, Packet)>>>,
+    capacity: usize,
+}
+
+impl GuestRing {
+    /// Creates a ring holding up to `capacity` packets.
+    pub fn new(capacity: usize) -> Self {
+        GuestRing {
+            queue: Rc::default(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Enqueues a packet stamped `now`; returns `false`, dropping it,
+    /// when the ring is full.
+    pub fn inject(&self, now: Nanos, pkt: Packet) -> bool {
+        let mut q = self.queue.borrow_mut();
+        if q.len() >= self.capacity {
+            return false;
+        }
+        q.push_back((now, pkt));
+        true
+    }
+
+    /// Dequeues up to `max` packets into `out`; returns how many.
+    pub fn drain(&self, max: usize, out: &mut Vec<(Nanos, Packet)>) -> usize {
+        let mut q = self.queue.borrow_mut();
+        let n = max.min(q.len());
+        out.extend(q.drain(..n));
+        n
+    }
+
+    /// Packets waiting.
+    pub fn len(&self) -> usize {
+        self.queue.borrow().len()
+    }
+
+    /// True if no packets wait.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Age of the head packet.
+    pub fn oldest_age(&self, now: Nanos) -> Nanos {
+        self.queue
+            .borrow()
+            .front()
+            .map(|(t, _)| now.saturating_sub(*t))
+            .unwrap_or(Nanos::ZERO)
+    }
+}
 
 /// A guest's virtual address: (tenant, virtual ip).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,9 +142,9 @@ pub struct GuestPort {
     /// Guest-visible address.
     pub addr: VirtAddr,
     /// Guest -> engine (guest transmit).
-    pub tx: KernelRing,
+    pub tx: GuestRing,
     /// Engine -> guest (guest receive).
-    pub rx: KernelRing,
+    pub rx: GuestRing,
 }
 
 /// The virtualization engine for one host.
@@ -109,11 +173,7 @@ impl VirtEngine {
         queue: u16,
         fabric: FabricHandle,
     ) -> Self {
-        fabric.with_nic(host, |nic| {
-            nic.attach_filter(engine_key, queue);
-            nic.arm_irq(queue, true);
-        });
-        VirtEngine {
+        let engine = VirtEngine {
             name: name.into(),
             host,
             engine_key,
@@ -126,13 +186,24 @@ impl VirtEngine {
             batch: costs::DEFAULT_POLL_BATCH,
             buf: Vec::new(),
             rx_buf: Vec::new(),
-        }
+        };
+        engine.attach_nic();
+        engine
+    }
+
+    /// Installs the NIC receive filter and arms the irq. Both are
+    /// upserts, so a second call changes nothing.
+    fn attach_nic(&self) {
+        self.fabric.with_nic(self.host, |nic| {
+            nic.attach_filter(self.engine_key, self.queue);
+            nic.arm_irq(self.queue, true);
+        });
     }
 
     /// Attaches a guest VM; returns its port's ring pair (tx, rx).
-    pub fn attach_guest(&mut self, addr: VirtAddr, ring_depth: usize) -> (KernelRing, KernelRing) {
-        let tx = KernelRing::new(ring_depth);
-        let rx = KernelRing::new(ring_depth);
+    pub fn attach_guest(&mut self, addr: VirtAddr, ring_depth: usize) -> (GuestRing, GuestRing) {
+        let tx = GuestRing::new(ring_depth);
+        let rx = GuestRing::new(ring_depth);
         self.attach_guest_with_rings(addr, tx.clone(), rx.clone());
         (tx, rx)
     }
@@ -140,7 +211,7 @@ impl VirtEngine {
     /// Attaches a guest with pre-existing rings — the upgrade path,
     /// where the successor engine re-maps the guest's shared-memory
     /// queues transferred during brownout.
-    pub fn attach_guest_with_rings(&mut self, addr: VirtAddr, tx: KernelRing, rx: KernelRing) {
+    pub fn attach_guest_with_rings(&mut self, addr: VirtAddr, tx: GuestRing, rx: GuestRing) {
         self.guests.push(GuestPort { addr, tx, rx });
     }
 
@@ -328,6 +399,13 @@ impl Engine for VirtEngine {
         });
     }
 
+    /// Undoes [`Engine::detach`]: a predecessor resumed by an upgrade
+    /// rollback receives again. Idempotent, so the successor the
+    /// constructor already attached is unaffected.
+    fn attach(&mut self, _sim: &mut Sim) {
+        self.attach_nic();
+    }
+
     fn container(&self) -> &str {
         "virt"
     }
@@ -340,25 +418,25 @@ impl Engine for VirtEngine {
 impl VirtEngine {
     /// Restores the flow table from [`Engine::serialize_state`] output
     /// into a freshly constructed engine (the upgrade factory re-calls
-    /// [`VirtEngine::attach_guest`] with the preserved rings).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupt snapshot.
-    pub fn restore_flows(&mut self, state: &[u8]) {
+    /// [`VirtEngine::attach_guest_with_rings`] with the preserved rings).
+    /// A snapshot that does not decode leaves the table untouched.
+    pub fn restore_flows(&mut self, state: &[u8]) -> Result<(), DecodeError> {
         let mut r = Reader::new(state);
-        let n = r.u32().expect("flow count");
+        let n = r.u32()?;
+        let mut flows = BTreeMap::new();
         for _ in 0..n {
             let addr = VirtAddr {
-                tenant: r.u32().expect("tenant"),
-                vip: r.u32().expect("vip"),
+                tenant: r.u32()?,
+                vip: r.u32()?,
             };
             let route = Route {
-                host: r.u32().expect("host"),
-                engine_key: r.u64().expect("key"),
+                host: r.u32()?,
+                engine_key: r.u64()?,
             };
-            self.flows.insert(addr, route);
+            flows.insert(addr, route);
         }
+        self.flows.extend(flows);
+        Ok(())
     }
 }
 
@@ -540,9 +618,31 @@ mod tests {
             e.serialize_state()
         });
         let mut fresh = VirtEngine::new("virt-v2", 0, 0xB0, 1, w.fabric.clone());
-        fresh.restore_flows(&snapshot);
+        fresh.restore_flows(&snapshot).expect("snapshot decodes");
         assert_eq!(fresh.flow_count(), 2);
         let _ = &mut w;
+    }
+
+    #[test]
+    fn corrupt_snapshot_is_an_error_not_a_panic() {
+        let fabric = FabricHandle::new(FabricConfig::default());
+        fabric.add_host(NicConfig::default());
+        let mut engine = VirtEngine::new("v", 0, 1, 0, fabric);
+        // Five flows promised, one byte present.
+        assert_eq!(engine.restore_flows(&[5, 0, 0, 0, 1]), Err(DecodeError));
+        assert_eq!(engine.flow_count(), 0, "nothing half-restored");
+    }
+
+    #[test]
+    fn full_ring_drops_and_age_tracks_head() {
+        let ring = GuestRing::new(2);
+        assert!(ring.is_empty());
+        let p = guest_packet(VirtAddr { tenant: 1, vip: 2 }, 10);
+        assert!(ring.inject(Nanos(100), p.clone()));
+        assert!(ring.inject(Nanos(300), p.clone()));
+        assert!(!ring.inject(Nanos(300), p), "full ring drops");
+        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.oldest_age(Nanos(500)), Nanos(400));
     }
 
     #[test]

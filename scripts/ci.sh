@@ -9,7 +9,7 @@
 #
 #   ci.sh            — lock files current (root and benchmark)
 #                      + build + test + release budgets + clippy + rustdoc links
-#                      + timeline export
+#                      + every example + timeline export + the example-name guard
 #                      + pinned sim-clock tables + the golden-per-bench and
 #                        bench-name guards + EXPERIMENTS.md against its goldens
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
@@ -62,18 +62,36 @@ cargo clippy --workspace --tests -- -D warnings -A clippy::disallowed_methods
 echo "== tier-1: cargo doc, broken links denied =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Timeline export: the fault-injection example asserts its own
-# invariants and writes a Chrome-trace file, which must stay loadable
-# by Chrome tracing / Perfetto; parsing it approximates that
-# structurally (json.load, not json.tool: pretty-printing 13 MB costs
-# seven times the parse).
-echo "== tier-1: fault_injection example + timeline export validation =="
+# Every `[[example]]` of the root manifest asserts its own invariants
+# and exits nonzero when one fails, so each runs here, in release,
+# inside the temp dir. fault_injection writes a Chrome-trace file
+# there, which must stay loadable by Chrome tracing / Perfetto; parsing
+# it approximates that structurally (json.load, not json.tool:
+# pretty-printing 13 MB costs seven times the parse).
+echo "== tier-1: every example + timeline export validation =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 repo="$PWD"
-(cd "$tmp" && cargo run --release -q --manifest-path "$repo/Cargo.toml" --example fault_injection > /dev/null)
+examples="$(sed -n '/^\[\[example\]\]$/{n;s/^name = "\(.*\)"$/\1/p}' Cargo.toml)"
+for example in $examples; do
+    (cd "$tmp" && cargo run --release -q --manifest-path "$repo/Cargo.toml" --example "$example" > /dev/null)
+    echo "example $example: ok"
+done
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$tmp/TIMELINE_fault_injection.json"
 echo "timeline export parses as JSON"
+
+# Every `--example <name>` the documents quote is an example that
+# exists: a deleted or renamed example may not leave its name behind.
+echo "== tier-1: quoted example names exist =="
+grep -ohE -e '--example [a-z0-9_]+' README.md DESIGN.md .claude/skills/verify/SKILL.md \
+    | sort -u | while read -r _ example; do
+    if ! grep -qx "$example" <<< "$examples"; then
+        echo "stale example name: '--example $example' is quoted in the docs but is no" \
+             "[[example]] in Cargo.toml"
+        exit 1
+    fi
+done
+echo "quoted example names exist"
 
 # Sim-clock benches: the scenarios assert their own invariants
 # (same-seed rerun equality, hedged p99 < unhedged p99, incast drops at

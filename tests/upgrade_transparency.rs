@@ -200,82 +200,122 @@ fn weekly_release_cycle_two_upgrades_back_to_back() {
     assert_eq!(sorted.len() as u64, total, "all messages across two releases");
 }
 
+/// What the successor's factory makes of the virt engine's snapshot.
+#[derive(Clone, Copy, Debug)]
+enum VirtUpgrade {
+    /// The successor restores the flow table and takes over.
+    Installs,
+    /// The factory refuses; the predecessor is rolled back.
+    FactoryFails,
+    /// The snapshot arrives truncated; its decode error rolls back.
+    CorruptSnapshot,
+}
+
+/// Whatever an upgrade of a virt engine comes to, its guest keeps the
+/// rings it had and its traffic keeps the routes it had: after the
+/// upgrade, one packet each way lands in the original guest rings,
+/// routed by the flow table without a slow-path miss.
 #[test]
 fn virt_engine_flow_table_survives_upgrade_under_traffic() {
+    for outcome in [
+        VirtUpgrade::Installs,
+        VirtUpgrade::FactoryFails,
+        VirtUpgrade::CorruptSnapshot,
+    ] {
+        virt_upgrade(outcome);
+    }
+}
+
+fn virt_upgrade(outcome: VirtUpgrade) {
     use bytes::Bytes;
-    use snap_repro::core::engine::Engine as _;
-    use snap_repro::core::virt::{Route, VirtAddr, VirtEngine};
+    use snap_repro::core::upgrade::UpgradeError;
+    use snap_repro::core::virt::{GuestRing, Route, VirtAddr, VirtEngine};
     use snap_repro::nic::packet::Packet;
     use std::rc::Rc;
 
-    // One host with a virt engine; a guest keeps sending while the
-    // engine migrates; the flow table must survive so post-upgrade
-    // packets still route without a slow-path miss.
+    // One virt engine per host, one guest each, a route each way.
+    const KEYS: [u64; 2] = [0xEE, 0xEF];
+    let guests = [
+        VirtAddr { tenant: 1, vip: 1 },
+        VirtAddr { tenant: 1, vip: 2 },
+    ];
     let mut tb = Testbed::pair();
     let fabric = tb.fabric.clone();
-    let group = tb.hosts[0].group.clone();
-    let engine = VirtEngine::new("virt", tb.hosts[0].id, 0xEE, 1, fabric.clone());
-    let id = group.add_engine(Box::new(engine));
-    let wake = group.wake_handle(id);
-    fabric.with_nic(tb.hosts[0].id, |nic| {
-        nic.set_irq_handler(Rc::new(move |sim, _q| wake(sim)));
-    });
+    let mut ids = Vec::new();
+    let mut rings: Vec<(GuestRing, GuestRing)> = Vec::new();
+    for h in 0..2 {
+        let (host, peer) = (tb.hosts[h].id, tb.hosts[1 - h].id);
+        let group = tb.hosts[h].group.clone();
+        let mut engine = VirtEngine::new(format!("virt-{h}"), host, KEYS[h], 1, fabric.clone());
+        rings.push(engine.attach_guest(guests[h], 128));
+        engine.install_route(
+            guests[1 - h],
+            Route {
+                host: peer,
+                engine_key: KEYS[1 - h],
+            },
+        );
+        let id = group.add_engine(Box::new(engine));
+        let wake = group.wake_handle(id);
+        fabric.with_nic(host, |nic| {
+            nic.set_irq_handler(Rc::new(move |sim, _q| wake(sim)));
+        });
+        ids.push(id);
+    }
 
-    let src = VirtAddr { tenant: 1, vip: 1 };
-    let dst = VirtAddr { tenant: 1, vip: 2 };
-    let guest_tx = group.with_engine(id, |e| {
-        let ve = e.as_any().downcast_mut::<VirtEngine>().unwrap();
-        let (tx, _rx) = ve.attach_guest(src, 128);
-        ve.install_route(dst, Route { host: 1, engine_key: 0xEF });
-        tx
-    });
-    let addressed = |len: usize| {
-        let mut p = Packet::new(0, 0, Bytes::from(vec![1u8; len]));
-        p.rss_hash = ((dst.tenant as u64) << 32) | dst.vip as u64;
-        p
+    // Each guest sends one packet to the other; returns how many
+    // packets each guest's rx ring then holds.
+    let exchange = |tb: &mut Testbed| {
+        for h in 0..2 {
+            let to = guests[1 - h];
+            let mut p = Packet::new(0, 0, Bytes::from(vec![1u8; 64]));
+            p.rss_hash = ((to.tenant as u64) << 32) | to.vip as u64;
+            assert!(rings[h].0.inject(tb.sim.now(), p));
+            let group = tb.hosts[h].group.clone();
+            group.wake(&mut tb.sim, ids[h]);
+        }
+        tb.run_ms(2);
+        [rings[0].1.len(), rings[1].1.len()]
     };
+    assert_eq!(exchange(&mut tb), [1, 1], "{outcome:?}: before the upgrade");
 
-    guest_tx.inject(tb.sim.now(), addressed(64));
-    group.wake(&mut tb.sim, id);
-    tb.run_ms(1);
-
-    // Upgrade: factory rebuilds the engine, restores the flow table,
-    // and re-attaches the guest ring (the shm-handle transfer).
+    // Upgrade host 0's engine. The successor re-attaches the guest's
+    // PRESERVED rings, both of them (the shm queues handed over during
+    // brownout).
     let host = tb.hosts[0].id;
-    let fabric2 = fabric.clone();
-    let guest_tx2 = guest_tx.clone();
+    let (fabric2, tx, rx) = (fabric.clone(), rings[0].0.clone(), rings[0].1.clone());
     let mut orch = UpgradeOrchestrator::new();
     orch.add_engine(
-        group.clone(),
-        id,
+        tb.hosts[0].group.clone(),
+        ids[0],
         1,
-        Box::new(move |state, _sim| {
-            let mut v2 = VirtEngine::new("virt-v2", host, 0xEE, 1, fabric2);
-            v2.restore_flows(&state);
-            // Re-attach the guest with its PRESERVED rings (the shm
-            // queues transferred during brownout).
-            v2.attach_guest_with_rings(
-                VirtAddr { tenant: 1, vip: 1 },
-                guest_tx2.clone(),
-                snap_repro::core::kernel_inject::KernelRing::new(128),
-            );
+        Box::new(move |mut state, _sim| {
+            match outcome {
+                VirtUpgrade::Installs => {}
+                VirtUpgrade::FactoryFails => return Err(UpgradeError::BadState("refused".into())),
+                VirtUpgrade::CorruptSnapshot => {
+                    state.pop();
+                }
+            }
+            let mut v2 = VirtEngine::new("virt-v2", host, KEYS[0], 1, fabric2);
+            v2.restore_flows(&state)
+                .map_err(|e| UpgradeError::BadState(e.to_string()))?;
+            v2.attach_guest_with_rings(guests[0], tx, rx);
             Ok(Box::new(v2))
         }),
     );
     let report = orch.start(&mut tb.sim);
     tb.run_ms(200);
-    assert!(report.borrow().is_some(), "upgrade completed");
+    let report = report.borrow().clone().expect("upgrade finished");
+    let rolled_back = !matches!(outcome, VirtUpgrade::Installs);
+    assert_eq!(report.rollbacks(), rolled_back as usize, "{outcome:?}");
 
-    // Post-upgrade traffic flows through the preserved ring and routes
-    // from the restored table: encap proceeds with zero misses.
-    guest_tx.inject(tb.sim.now(), addressed(64));
-    group.wake(&mut tb.sim, id);
-    tb.run_ms(2);
-    group.with_engine(id, |e| {
+    assert_eq!(exchange(&mut tb), [2, 2], "{outcome:?}: after the upgrade");
+    tb.hosts[0].group.with_engine(ids[0], |e| {
+        let live = if rolled_back { "virt-0" } else { "virt-v2" };
+        assert_eq!(e.name(), live, "{outcome:?}");
         let ve = e.as_any().downcast_mut::<VirtEngine>().unwrap();
-        assert_eq!(ve.name(), "virt-v2", "successor engine is live");
-        assert_eq!(ve.flow_count(), 1, "flow table restored");
-        assert_eq!(ve.stats().encapped, 1, "post-upgrade packet routed");
-        assert_eq!(ve.stats().misses, 0, "no slow-path misses after upgrade");
+        assert_eq!(ve.flow_count(), 1, "{outcome:?}: flow table intact");
+        assert_eq!(ve.stats().misses, 0, "{outcome:?}: no slow-path miss");
     });
 }
