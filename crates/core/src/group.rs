@@ -967,7 +967,7 @@ impl GroupHandle {
     /// Fallible [`GroupHandle::with_engine`] that also insists the
     /// engine is running: an unknown id or a crashed/suspended engine
     /// becomes a [`ControlError::Unavailable`] naming the state, so
-    /// control RPCs racing a fault or an in-flight upgrade get a typed
+    /// control operations racing a fault or an in-flight upgrade get a typed
     /// error the caller can retry on.
     pub fn try_with_engine<R>(
         &self,

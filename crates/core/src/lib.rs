@@ -14,9 +14,10 @@
 //!   engines** (interrupt-driven, one thread per engine, MicroQuanta
 //!   class), and **compacting engines** (Shenango-style queueing-delay
 //!   driven scale-out/compaction).
-//! * [`module::SnapProcess`] — the control plane: modules, RPC
-//!   dispatch, application bootstrap (shared-memory handle passing),
-//!   authentication (§2.3, §2.6).
+//! * [`module`] — the control plane's shared error,
+//!   [`ControlError`]: modules are typed objects that set engines up
+//!   and reach them through the depth-1 engine mailbox (§2.3); §2.6's
+//!   session authentication is not modeled.
 //! * [`upgrade::UpgradeOrchestrator`] — transparent upgrade with
 //!   brownout/blackout phases, migrating engines one at a time (§4),
 //!   rolling back to the still-live predecessor if the successor fails
@@ -44,6 +45,6 @@ pub use virt::{Route, VirtAddr, VirtEngine};
 pub use group::{
     EngineGroup, EngineHealth, GroupConfig, GroupHandle, SchedulingMode, WeakGroupHandle,
 };
-pub use module::{ControlError, Module, SnapProcess};
+pub use module::ControlError;
 pub use supervisor::{RestartFactory, RestartKind, RestartRecord, Supervisor, SupervisorConfig, SupervisorReport};
 pub use upgrade::{UpgradeOrchestrator, UpgradeReport};

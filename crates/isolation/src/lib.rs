@@ -19,17 +19,16 @@
 //! unlimited quotas are immune, so randomized fault plans stay safe for
 //! workloads that never opted into a budget.
 //!
-//! The control-plane face of this crate is [`QuotaModule`], which sets
-//! and queries quotas over the Snap module RPC surface.
-
-pub mod module;
-
-pub use module::QuotaModule;
+//! The control-plane face of this crate is the controller's own typed
+//! methods: [`AdmissionController::set_policy`] refuses an inconsistent
+//! policy with a [`ControlError`], and
+//! [`AdmissionController::table`] renders the pressure table.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use snap_core::module::ControlError;
 use snap_shm::account::{ChargeError, CpuAccountant, MemoryAccountant, MemoryGate};
 
 /// Maximum retained pressure transitions; older entries are dropped
@@ -51,22 +50,12 @@ pub enum PressureState {
 }
 
 impl PressureState {
-    /// Stable numeric encoding (telemetry gauges, RPC wire format).
+    /// Stable numeric encoding (telemetry gauges).
     pub fn as_u8(self) -> u8 {
         match self {
             PressureState::Ok => 0,
             PressureState::Soft => 1,
             PressureState::Hard => 2,
-        }
-    }
-
-    /// Decodes [`PressureState::as_u8`].
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(PressureState::Ok),
-            1 => Some(PressureState::Soft),
-            2 => Some(PressureState::Hard),
-            _ => None,
         }
     }
 
@@ -229,8 +218,22 @@ impl AdmissionController {
         &self.cpu
     }
 
-    /// Sets (or replaces) a container's policy.
-    pub fn set_policy(&self, container: &str, policy: QuotaPolicy) {
+    /// Sets (or replaces) a container's policy. A soft limit above the
+    /// hard one, or a CPU share outside 0–100 %, is refused with
+    /// [`ControlError::Invalid`] and the old policy stays in force.
+    pub fn set_policy(&self, container: &str, policy: QuotaPolicy) -> Result<(), ControlError> {
+        if policy.mem_soft_bytes > policy.mem_hard_bytes {
+            return Err(ControlError::Invalid(format!(
+                "set_policy: soft limit {} exceeds hard limit {}",
+                policy.mem_soft_bytes, policy.mem_hard_bytes
+            )));
+        }
+        if !(0.0..=1.0).contains(&policy.cpu_share) {
+            return Err(ControlError::Invalid(format!(
+                "set_policy: cpu share {} is outside 0-100%",
+                policy.cpu_share
+            )));
+        }
         let mut inner = self.inner.lock();
         inner
             .containers
@@ -238,6 +241,7 @@ impl AdmissionController {
             .or_default()
             .policy = policy;
         self.refresh_locked(&mut inner, container);
+        Ok(())
     }
 
     /// The container's policy (unlimited if never set).
@@ -433,6 +437,52 @@ impl AdmissionController {
         self.inner.lock().transitions.iter().cloned().collect()
     }
 
+    /// Renders the pressure table: one row per known container with
+    /// usage, effective limits, squeeze, pressure, denials, and sheds.
+    pub fn table(&self) -> String {
+        let limit = |v: u64| {
+            if v == u64::MAX {
+                "-".to_string()
+            } else {
+                v.to_string()
+            }
+        };
+        let mut out = format!(
+            "{:<14} {:>12} {:>12} {:>12} {:>8} {:>9} {:>8} {:>6}\n",
+            "container", "usage", "soft", "hard", "squeeze", "pressure", "denials", "sheds"
+        );
+        for s in self.snapshot() {
+            out.push_str(&format!(
+                "{:<14} {:>12} {:>12} {:>12} {:>7.0}% {:>9} {:>8} {:>6}\n",
+                s.container,
+                s.usage_bytes,
+                limit(s.effective_soft),
+                limit(s.effective_hard),
+                s.squeeze * 100.0,
+                s.pressure.label(),
+                s.denials,
+                s.sheds,
+            ));
+        }
+        out
+    }
+
+    /// Renders the pressure-transition log, oldest first.
+    pub fn transition_log(&self) -> String {
+        self.transitions()
+            .iter()
+            .map(|t| {
+                format!(
+                    "#{:<5} {:<14} {} -> {}\n",
+                    t.seq,
+                    t.container,
+                    t.from.label(),
+                    t.to.label()
+                )
+            })
+            .collect()
+    }
+
     /// Recomputes `container`'s pressure under the inner lock, logging
     /// a transition when the state changed. Returns the new state.
     fn refresh_locked(&self, inner: &mut Inner, container: &str) -> PressureState {
@@ -528,7 +578,8 @@ mod tests {
     #[test]
     fn soft_and_hard_thresholds() {
         let c = ctl();
-        c.set_policy("job", QuotaPolicy::with_mem(100, 200));
+        c.set_policy("job", QuotaPolicy::with_mem(100, 200))
+            .unwrap();
         assert!(c.try_charge("job", 99).is_ok());
         assert_eq!(c.pressure("job"), PressureState::Ok);
         assert!(c.try_charge("job", 1).is_ok());
@@ -549,7 +600,7 @@ mod tests {
     fn transitions_of_one_snapshot() -> Vec<(u64, String)> {
         let c = ctl();
         for name in ["zeta", "alpha", "mid"] {
-            c.set_policy(name, QuotaPolicy::with_mem(100, 200));
+            c.set_policy(name, QuotaPolicy::with_mem(100, 200)).unwrap();
             c.memory().charge(name, 150);
         }
         assert!(c.transitions().is_empty(), "nothing has looked yet");
@@ -572,7 +623,7 @@ mod tests {
     #[test]
     fn denials_are_counted() {
         let c = ctl();
-        c.set_policy("job", QuotaPolicy::with_mem(10, 10));
+        c.set_policy("job", QuotaPolicy::with_mem(10, 10)).unwrap();
         assert!(c.try_charge("job", 10).is_ok());
         assert!(c.try_charge("job", 1).is_err());
         assert!(c.try_charge("job", 5).is_err());
@@ -584,7 +635,8 @@ mod tests {
     #[test]
     fn transitions_are_logged_in_order() {
         let c = ctl();
-        c.set_policy("job", QuotaPolicy::with_mem(100, 200));
+        c.set_policy("job", QuotaPolicy::with_mem(100, 200))
+            .unwrap();
         c.charge("job", 150); // Ok -> Soft
         c.charge("job", 100); // Soft -> Hard (forced past the limit)
         c.release("job", 250); // Hard -> Ok
@@ -608,7 +660,8 @@ mod tests {
     #[test]
     fn squeeze_scales_finite_limits_only() {
         let c = ctl();
-        c.set_policy("job", QuotaPolicy::with_mem(1_000, 2_000));
+        c.set_policy("job", QuotaPolicy::with_mem(1_000, 2_000))
+            .unwrap();
         c.charge("job", 500);
         assert_eq!(c.pressure("job"), PressureState::Ok);
         c.apply_pressure("job", 0.8); // soft 200, hard 400
@@ -639,7 +692,8 @@ mod tests {
                 mem_hard_bytes: u64::MAX,
                 cpu_share: 0.25,
             },
-        );
+        )
+        .unwrap();
         cpu.charge("greedy", 900);
         cpu.charge("other", 100);
         assert_eq!(c.pressure("greedy"), PressureState::Soft);
@@ -652,7 +706,7 @@ mod tests {
     #[test]
     fn forced_charge_backpressures_new_work() {
         let c = ctl();
-        c.set_policy("job", QuotaPolicy::with_mem(50, 100));
+        c.set_policy("job", QuotaPolicy::with_mem(50, 100)).unwrap();
         // Restore path: state that predates the quota is re-accounted
         // unconditionally...
         c.charge("job", 150);
@@ -675,7 +729,8 @@ mod tests {
     #[test]
     fn transition_log_is_bounded() {
         let c = ctl();
-        c.set_policy("flap", QuotaPolicy::with_mem(10, u64::MAX));
+        c.set_policy("flap", QuotaPolicy::with_mem(10, u64::MAX))
+            .unwrap();
         for _ in 0..(TRANSITION_LOG_CAP as u64) {
             c.charge("flap", 10); // -> Soft
             c.release("flap", 10); // -> Ok
@@ -690,9 +745,84 @@ mod tests {
     fn clones_share_state() {
         let a = ctl();
         let b = a.clone();
-        a.set_policy("x", QuotaPolicy::with_mem(5, 5));
+        a.set_policy("x", QuotaPolicy::with_mem(5, 5)).unwrap();
         assert!(b.try_charge("x", 5).is_ok());
         assert!(a.try_charge("x", 1).is_err());
         assert_eq!(b.snapshot()[0].denials, 1);
+    }
+
+    #[test]
+    fn set_policy_round_trips_through_policy_and_table() {
+        let c = ctl();
+        let policy = QuotaPolicy {
+            cpu_share: 0.5,
+            ..QuotaPolicy::with_mem(100, 200)
+        };
+        assert_eq!(c.set_policy("job", policy), Ok(()));
+        c.charge("job", 150);
+        assert_eq!(c.policy("job"), policy);
+        assert_eq!(c.usage("job"), 150);
+        assert_eq!(c.pressure("job"), PressureState::Soft);
+        let table = c.table();
+        assert!(table.contains("job"), "table: {table}");
+        assert!(
+            table.contains(" 100 ") && table.contains(" 200 "),
+            "limits: {table}"
+        );
+        for refused in [
+            QuotaPolicy::with_mem(200, 100),
+            QuotaPolicy {
+                cpu_share: 2.0,
+                ..QuotaPolicy::with_mem(1, 2)
+            },
+            QuotaPolicy {
+                cpu_share: f64::NAN,
+                ..QuotaPolicy::UNLIMITED
+            },
+        ] {
+            assert!(matches!(
+                c.set_policy("job", refused),
+                Err(ControlError::Invalid(_))
+            ));
+        }
+    }
+
+    /// An inverted or over-100 % policy is refused on the one path every
+    /// caller takes, and the policy already in force stays.
+    #[test]
+    fn refused_policy_leaves_the_old_one_in_force() {
+        let c = ctl();
+        let _ = c.set_policy("job", QuotaPolicy::with_mem(100, 200));
+        let _ = c.set_policy("job", QuotaPolicy::with_mem(300, 100));
+        assert_eq!(
+            c.policy("job"),
+            QuotaPolicy::with_mem(100, 200),
+            "inverted limits"
+        );
+        let greedy = QuotaPolicy {
+            cpu_share: 1.5,
+            ..QuotaPolicy::with_mem(100, 200)
+        };
+        let _ = c.set_policy("job", greedy);
+        assert_eq!(
+            c.policy("job"),
+            QuotaPolicy::with_mem(100, 200),
+            "cpu share over 100 %"
+        );
+    }
+
+    #[test]
+    fn table_lists_squeezed_containers() {
+        let c = ctl();
+        c.set_policy("web", QuotaPolicy::with_mem(1_000, 2_000))
+            .unwrap();
+        c.charge("web", 1_500);
+        c.apply_pressure("web", 0.5);
+        let table = c.table();
+        assert!(table.contains("web"), "table: {table}");
+        assert!(table.contains("hard"), "header present");
+        assert!(table.contains("50%"), "squeeze rendered: {table}");
+        let log = c.transition_log();
+        assert!(log.contains("ok -> soft"), "log: {log}");
     }
 }

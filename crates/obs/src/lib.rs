@@ -37,12 +37,10 @@
 // defaults, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub mod module;
 pub mod recorder;
 pub mod slo;
 pub mod timeline;
 
-pub use module::ObsModule;
 pub use recorder::{FlightRecorder, PointValue, QuantileDigest, RecorderConfig};
 pub use slo::{AlertEvent, AlertState, Objective, SloEngine, SloSpec};
 pub use timeline::Timeline;

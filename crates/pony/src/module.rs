@@ -11,10 +11,13 @@
 //! command/completion queue pairs), connecting applications across
 //! hosts through the [`PonyNet`] directory (the stand-in for the
 //! out-of-band TCP socket used for version advertisement, §3.1), and
-//! building the engine factories used by transparent upgrades.
+//! building the engine factories used by transparent upgrades. Those
+//! duties are its typed methods, called in-process; the local RPC
+//! transport and the user authentication the quote names are not
+//! modeled (see `snap_core::module`).
 
 // Control-plane code must degrade into typed errors, never panic: a
-// malformed RPC or a crashed engine is an expected event here.
+// malformed request or a crashed engine is an expected event here.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::cell::RefCell;
@@ -23,7 +26,6 @@ use std::rc::Rc;
 
 use snap_core::engine::EngineId;
 use snap_core::group::GroupHandle;
-use snap_core::module::{ControlCx, ControlError, Module};
 use snap_core::supervisor::RestartFactory;
 use snap_core::upgrade::{UpgradeError, UpgradeFactory};
 use snap_isolation::AdmissionController;
@@ -31,7 +33,7 @@ use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::HostId;
 use snap_shm::queue_pair::QueuePair;
 use snap_shm::region::RegionRegistry;
-use snap_sim::codec::{DecodeError, Reader, Writer};
+use snap_sim::codec::DecodeError;
 use snap_sim::hash::IntMap;
 use snap_sim::trace::TraceRecorder;
 use snap_sim::{Nanos, Sim};
@@ -500,46 +502,6 @@ impl PonyModule {
     }
 }
 
-impl Module for PonyModule {
-    fn name(&self) -> &str {
-        "pony"
-    }
-
-    /// RPC surface: `connect` takes a codec-encoded (remote_host,
-    /// remote_app) and returns the codec-encoded connection id; the
-    /// caller's app name comes from the authenticated session.
-    fn handle(
-        &mut self,
-        method: &str,
-        payload: &[u8],
-        cx: &mut ControlCx<'_>,
-    ) -> Result<Vec<u8>, ControlError> {
-        match method {
-            "connect" => {
-                let mut r = Reader::new(payload);
-                let remote_host = r
-                    .u32()
-                    .map_err(|_| ControlError::Invalid("remote host".into()))?;
-                let remote_app = r
-                    .string()
-                    .map_err(|_| ControlError::Invalid("remote app".into()))?;
-                let conn = self
-                    .connect(cx.app, remote_host, &remote_app)
-                    .map_err(|e| ControlError::Invalid(e.to_string()))?;
-                let mut w = Writer::new();
-                w.u64(conn);
-                Ok(w.finish())
-            }
-            "versions" => {
-                let mut w = Writer::new();
-                w.u16(MIN_WIRE_VERSION).u16(MAX_WIRE_VERSION);
-                Ok(w.finish())
-            }
-            other => Err(ControlError::UnknownMethod(other.to_string())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,7 +517,6 @@ mod tests {
     /// A two-host Pony Express world.
     struct World {
         sim: Sim,
-        fabric: FabricHandle,
         modules: Vec<PonyModule>,
         groups: Vec<GroupHandle>,
         regions: Vec<RegionRegistry>,
@@ -602,7 +563,6 @@ mod tests {
         }
         World {
             sim,
-            fabric,
             modules,
             groups,
             regions: regions_all,
@@ -913,67 +873,6 @@ mod tests {
         for (stream, msgs) in per_stream {
             assert_eq!(msgs, vec![0, 1, 2, 3, 4], "stream {stream} out of order");
         }
-    }
-
-    #[test]
-    fn rpc_connect_through_snap_process() {
-        use snap_core::module::SnapProcess;
-        let mut w = world(0.0);
-        w.modules[0].create_engine("client", |_| {});
-        w.modules[1].create_engine("server", |_| {});
-        // Wrap module 0 in a SnapProcess and connect via control RPC.
-        let machine = Rc::new(RefCell::new(Machine::new(4, 9)));
-        let mut proc0 = SnapProcess::new(1, machine);
-        let module = std::mem::replace(
-            &mut w.modules[0],
-            PonyModule::new(
-                0,
-                w.fabric.clone(),
-                w.regions[0].clone(),
-                w.groups[0].clone(),
-                new_net(),
-            ),
-        );
-        proc0.register_module(Box::new(module));
-        let session = proc0.authenticate("client");
-        let mut payload = Writer::new();
-        payload.u32(1).string("server");
-        let reply = proc0
-            .rpc(&mut w.sim, &session, "pony", "connect", &payload.finish())
-            .expect("connect rpc");
-        let conn = Reader::new(&reply).u64().unwrap();
-        assert!(conn > 0);
-        // Unknown method errors.
-        assert!(matches!(
-            proc0.rpc(&mut w.sim, &session, "pony", "bogus", &[]),
-            Err(ControlError::UnknownMethod(_))
-        ));
-    }
-
-    #[test]
-    fn version_rpc_reports_range() {
-        let mut w = world(0.0);
-        let mut cx_sim = Sim::new();
-        let machine = Rc::new(RefCell::new(Machine::new(2, 5)));
-        let mut proc0 = snap_core::module::SnapProcess::new(1, machine);
-        let module = std::mem::replace(
-            &mut w.modules[0],
-            PonyModule::new(
-                0,
-                w.fabric.clone(),
-                w.regions[0].clone(),
-                w.groups[0].clone(),
-                new_net(),
-            ),
-        );
-        proc0.register_module(Box::new(module));
-        let session = proc0.authenticate("x");
-        let reply = proc0
-            .rpc(&mut cx_sim, &session, "pony", "versions", &[])
-            .unwrap();
-        let mut r = Reader::new(&reply);
-        assert_eq!(r.u16().unwrap(), MIN_WIRE_VERSION);
-        assert_eq!(r.u16().unwrap(), MAX_WIRE_VERSION);
     }
 
     #[test]

@@ -69,4 +69,4 @@ pub mod trace;
 pub use export::{Metric, Snapshot};
 pub use module::{StatsConfig, StatsModule};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry, ScopedRegistry};
-pub use trace::{render_trace, TraceModule};
+pub use trace::{render_stage_stats, render_top, render_trace};

@@ -39,7 +39,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use snap_core::group::{GroupHandle, MachineHandle, MailboxWork};
-use snap_core::module::{ControlCx, ControlError, Module};
 use snap_core::supervisor::{RestartKind, Supervisor};
 use snap_core::upgrade::UpgradeReport;
 use snap_core::{Engine, EngineId};
@@ -464,30 +463,6 @@ fn publish_fabric(registry: &Registry, fabric: &FabricHandle, window: u64) {
             .scoped(&format!("fabric.switch.{sw}.drops"))
             .counter(class)
             .raise_to(total);
-    }
-}
-
-impl Module for StatsModule {
-    fn name(&self) -> &str {
-        "stats"
-    }
-
-    fn handle(
-        &mut self,
-        method: &str,
-        _payload: &[u8],
-        cx: &mut ControlCx<'_>,
-    ) -> Result<Vec<u8>, ControlError> {
-        match method {
-            // Force a poll pass (e.g. right before reading stats).
-            "poll" => {
-                self.poll_once(cx.sim);
-                Ok(Vec::new())
-            }
-            "snapshot" => Ok(self.snapshot(cx.sim.now()).to_json().into_bytes()),
-            "table" => Ok(self.snapshot(cx.sim.now()).to_table().into_bytes()),
-            other => Err(ControlError::UnknownMethod(other.to_string())),
-        }
     }
 }
 

@@ -1,32 +1,26 @@
-//! [`TraceModule`]: the control-plane query surface of the causal
-//! trace layer ([`snap_sim::trace`]).
+//! Text reports over the causal trace layer ([`snap_sim::trace`]).
 //!
 //! The datapath only *stamps* stage records into the shared
 //! [`TraceRecorder`]; everything a human (or dashboard) asks of the
-//! trace store — fetch one span tree, rank the slowest ops, aggregate
-//! per-stage quantiles — goes through this module's RPCs, mirroring
-//! how Snap's telemetry queries ride the control plane rather than the
-//! datapath:
+//! trace store is rendered here, off the datapath:
 //!
-//! * `get` — codec-encoded `u64` trace id, returns the rendered span
-//!   tree with its critical-path breakdown.
-//! * `top` — codec-encoded `u32` K, returns the K slowest retained
-//!   traces, each with its breakdown.
-//! * `stage_stats` — no payload; per-stage count/p50/p99 aggregates
-//!   over **all** finalized ops (sampled or not — stage stats are
-//!   folded at finalize time, before retention drops anything).
+//! * [`render_trace`] — one span tree with its critical-path breakdown
+//!   (fetch it with [`TraceRecorder::get`]).
+//! * [`render_top`] — the K slowest retained traces, each with its
+//!   breakdown.
+//! * [`render_stage_stats`] — per-stage count/p50/p99 aggregates over
+//!   **all** finalized ops (sampled or not — stage stats are folded at
+//!   finalize time, before retention drops anything).
 //!
 //! All rendering is deterministic: stages print in [`TraceStage::ALL`]
 //! order, traces in latency-then-id order, times as integer
 //! nanoseconds. A seeded run renders byte-identical reports.
 
-// Control-plane code must degrade into typed errors, never panic.
+// Reports are control-plane code: never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::fmt::Write as _;
 
-use snap_core::module::{ControlCx, ControlError, Module};
-use snap_sim::codec::Reader;
 use snap_sim::trace::{CompletedTrace, TraceRecorder, FABRIC_HOST};
 
 /// Renders a host id, mapping the switch pseudo-host to `fabric`.
@@ -73,95 +67,45 @@ pub fn render_trace(t: &CompletedTrace) -> String {
     out
 }
 
-/// The trace-query control-plane module. Cloning shares the recorder.
-#[derive(Clone)]
-pub struct TraceModule {
-    recorder: TraceRecorder,
+/// The K slowest retained traces of `recorder`, rendered with their
+/// breakdowns under a one-line retention summary.
+pub fn render_top(recorder: &TraceRecorder, k: usize) -> String {
+    let top = recorder.top_slowest(k);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "top {} of {} retained traces ({} finalized, {} evicted)",
+        top.len(),
+        recorder.completed().len(),
+        recorder.finalized(),
+        recorder.dropped(),
+    );
+    for t in &top {
+        out.push_str(&render_trace(t));
+    }
+    out
 }
 
-impl TraceModule {
-    /// Wraps the shared recorder the datapath stamps into.
-    pub fn new(recorder: TraceRecorder) -> Self {
-        TraceModule { recorder }
-    }
-
-    /// The underlying recorder.
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
-    }
-
-    /// The K slowest retained traces, rendered; see module docs.
-    pub fn render_top(&self, k: usize) -> String {
-        let top = self.recorder.top_slowest(k);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "top {} of {} retained traces ({} finalized, {} evicted)",
-            top.len(),
-            self.recorder.completed().len(),
-            self.recorder.finalized(),
-            self.recorder.dropped(),
-        );
-        for t in &top {
-            out.push_str(&render_trace(t));
-        }
-        out
-    }
-
-    /// Per-stage latency aggregates over all finalized ops, rendered.
-    pub fn render_stage_stats(&self) -> String {
-        let mut out = String::new();
+/// Per-stage latency aggregates over all of `recorder`'s finalized ops,
+/// rendered.
+pub fn render_stage_stats(recorder: &TraceRecorder) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<15} {:>10} {:>12} {:>12}",
+        "stage", "count", "p50_ns", "p99_ns"
+    );
+    for (stage, count, p50, p99) in recorder.stage_quantiles() {
         let _ = writeln!(
             out,
             "{:<15} {:>10} {:>12} {:>12}",
-            "stage", "count", "p50_ns", "p99_ns"
+            stage.label(),
+            count,
+            p50.as_nanos(),
+            p99.as_nanos(),
         );
-        for (stage, count, p50, p99) in self.recorder.stage_quantiles() {
-            let _ = writeln!(
-                out,
-                "{:<15} {:>10} {:>12} {:>12}",
-                stage.label(),
-                count,
-                p50.as_nanos(),
-                p99.as_nanos(),
-            );
-        }
-        out
     }
-}
-
-impl Module for TraceModule {
-    fn name(&self) -> &str {
-        "trace"
-    }
-
-    fn handle(
-        &mut self,
-        method: &str,
-        payload: &[u8],
-        _cx: &mut ControlCx<'_>,
-    ) -> Result<Vec<u8>, ControlError> {
-        match method {
-            "get" => {
-                let id = Reader::new(payload)
-                    .u64()
-                    .map_err(|_| ControlError::Invalid("trace id".into()))?;
-                let t = self
-                    .recorder
-                    .get(id)
-                    .ok_or_else(|| ControlError::Invalid(format!("unknown trace {id}")))?;
-                Ok(render_trace(&t).into_bytes())
-            }
-            "top" => {
-                let k = Reader::new(payload)
-                    .u32()
-                    .map_err(|_| ControlError::Invalid("top k".into()))?;
-                Ok(self.render_top(k as usize).into_bytes())
-            }
-            "stage_stats" => Ok(self.render_stage_stats().into_bytes()),
-            other => Err(ControlError::UnknownMethod(other.to_string())),
-        }
-    }
+    out
 }
 
 // Re-exported so report consumers name stages without reaching into
@@ -205,11 +149,11 @@ mod tests {
 
     #[test]
     fn top_and_stage_stats_render() {
-        let m = TraceModule::new(seeded_recorder());
-        let top = m.render_top(5);
+        let rec = seeded_recorder();
+        let top = render_top(&rec, 5);
         assert!(top.contains("top 1 of 1 retained"), "{top}");
         assert!(top.contains("trace "), "{top}");
-        let stats = m.render_stage_stats();
+        let stats = render_stage_stats(&rec);
         assert!(stats.contains("op_execute"), "{stats}");
         assert!(stats.contains("complete"), "{stats}");
     }

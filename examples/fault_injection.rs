@@ -138,10 +138,9 @@ fn main() {
     tb.hosts[0]
         .regions
         .register_with("frontend", vec![0u8; 64 << 10], AccessMode::ReadWrite);
-    let quota = tb.quota_module(0);
-    quota
-        .admission()
-        .set_policy("frontend", QuotaPolicy::with_mem(100_000, u64::MAX));
+    let adm = tb.hosts[0].admission.clone().expect("admission enabled");
+    adm.set_policy("frontend", QuotaPolicy::with_mem(100_000, u64::MAX))
+        .expect("soft <= hard");
     while tb.sim.now() < Nanos::from_millis(2_100) {
         tb.run_ms(10);
         recv(&mut srv, &mut got);
@@ -242,11 +241,11 @@ fn main() {
     );
     // The final dashboards: engine op counters, restart/blackout
     // telemetry, and per-link drop attribution from one stats
-    // snapshot, plus the quota module's pressure table.
+    // snapshot, plus the admission controller's pressure table.
     let snap = stats.snapshot(tb.sim.now());
     println!("\n{}", snap.to_table());
-    println!("quota table:\n{}", quota.table());
-    println!("pressure transitions:\n{}", quota.transition_log());
+    println!("quota table:\n{}", adm.table());
+    println!("pressure transitions:\n{}", adm.transition_log());
     assert_eq!(got, (0..40).collect::<Vec<u64>>());
     assert_eq!(snap.counter("engine.h0.frontend.restarts.crash"), Some(1));
     assert!(snap.counter("fabric.host1.drops.corruption").unwrap_or(0) > 0);
@@ -256,7 +255,6 @@ fn main() {
     assert!(gray_drops > 0, "the lossy link dropped packets");
     assert_eq!(snap.counter("fabric.link.0->1.drops.lossy"), Some(gray_drops));
     assert_eq!(snap.counter("fabric.link.1->0.drops.lossy"), None);
-    let adm = quota.admission();
     assert!(
         adm.snapshot().iter().any(|s| s.container == "frontend" && s.sheds >= 1),
         "the shed was attributed to the frontend container"

@@ -72,28 +72,26 @@ fn main() {
 
     // --- Strategy 4: runtime quotas from the operator's seat --------
     // The client pins a 64 KiB result cache, then an operator tightens
-    // its memory budget below that at runtime through the quota
-    // module. The container goes under Hard pressure and new ops get
+    // its memory budget below that at runtime through the admission
+    // controller. The container goes under Hard pressure and new ops get
     // `Busy` back-pressure — refused before entering the transport, so
     // nothing is half-sent. Raising the budget (also at runtime) heals
     // it immediately.
     tb.hosts[0]
         .regions
         .register_with("analytics", vec![0u8; 64 << 10], AccessMode::ReadWrite);
-    let quota = tb.quota_module(0);
-    quota
-        .admission()
-        .set_policy("analytics", QuotaPolicy::with_mem(32_000, 48_000));
+    let adm = tb.hosts[0].admission.clone().expect("admission enabled");
+    adm.set_policy("analytics", QuotaPolicy::with_mem(32_000, 48_000))
+        .expect("soft <= hard");
     let (throttled, _) = onesided::lookup_status(tb.as_pump(), &mut client, conn, &layout, 3)
         .expect("lookup completed");
     println!("lookup under a 48 KB hard budget (64 KiB pinned): {throttled:?}");
     assert_eq!(throttled, OpStatus::Busy, "hard pressure pushes back");
-    quota
-        .admission()
-        .set_policy("analytics", QuotaPolicy::with_mem(100_000, 200_000));
+    adm.set_policy("analytics", QuotaPolicy::with_mem(100_000, 200_000))
+        .expect("soft <= hard");
     let (healed, _) = onesided::lookup_status(tb.as_pump(), &mut client, conn, &layout, 3)
         .expect("lookup completed");
     println!("lookup after the operator raised the budget: {healed:?}");
     assert_eq!(healed, OpStatus::Ok, "budget raise applies immediately");
-    println!("\nquota table:\n{}", quota.table());
+    println!("\nquota table:\n{}", adm.table());
 }

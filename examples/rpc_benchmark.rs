@@ -63,9 +63,10 @@ fn main() {
             cpu.total().as_secs_f64() / wall,
         );
     }
-    // Where did the slow ops spend their time? The trace module ranks
+    // Where did the slow ops spend their time? `render_top` ranks
     // the retained traces and breaks each down stage by stage; the
     // breakdown durations sum exactly to the end-to-end latency.
     println!();
-    print!("{}", tb.trace_module().render_top(3));
+    let recorder = tb.recorder.as_ref().expect("tracing enabled");
+    print!("{}", snap_repro::telemetry::render_top(recorder, 3));
 }

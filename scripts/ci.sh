@@ -8,7 +8,8 @@
 # green run here is a green run anywhere.
 #
 #   ci.sh            — lock files current (root and benchmark)
-#                      + build + test + release budgets + clippy + rustdoc links
+#                      + build + test + release budgets + clippy
+#                      + the no-panic header guard + rustdoc links
 #                      + every example + timeline export + the example-name guard
 #                      + pinned sim-clock tables + the golden-per-bench and
 #                        bench-name guards + EXPERIMENTS.md against its goldens
@@ -56,6 +57,33 @@ cargo test --release -q -p snap-shm
 echo "== tier-1: cargo clippy --workspace, every target =="
 cargo clippy --workspace --lib --bins --examples --benches -- -D warnings
 cargo clippy --workspace --tests -- -D warnings -A clippy::disallowed_methods
+
+# The no-panic rule is clippy's, through a per-file header: each file
+# below denies `unwrap_used`, `expect_used` and `panic` outside its
+# tests, so the clippy runs above reject a panicking path there. A file
+# that moves, goes, or loses its header would drop out of that rule
+# silently; the marker guard makes it a red build. Comment lines are
+# skipped and whitespace ignored, so one-line and wrapped headers both
+# count.
+echo "== tier-1: control-plane files carry the no-panic header =="
+no_panic='#![cfg_attr(not(test),deny(clippy::unwrap_used,clippy::expect_used,clippy::panic))]'
+for file in \
+    crates/apps/src/socket.rs \
+    crates/apps/src/transport.rs \
+    crates/core/src/module.rs \
+    crates/health/src/monitor.rs \
+    crates/health/src/phi.rs \
+    crates/obs/src/lib.rs \
+    crates/pony/src/module.rs \
+    crates/telemetry/src/module.rs \
+    crates/telemetry/src/trace.rs; do
+    if [ ! -f "$file" ] || ! grep -v '^[[:space:]]*//' "$file" | tr -d ' \t\n' | grep -qF "$no_panic"; then
+        echo "no-panic header missing: $file is gone or no longer carries" \
+             "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]"
+        exit 1
+    fi
+done
+echo "no-panic headers present"
 
 # Docs name items by intra-doc link; a link to something renamed or
 # deleted is a rustdoc warning, denied here.
@@ -164,7 +192,7 @@ grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
 done
 echo "smoke model digests match"
 
-# Size of what ships, for ROADMAP item 6; informational.
+# Size of what ships, for ROADMAP item 5; informational.
 echo "== size: non-test code lines and pub items =="
 scripts/loc.sh
 

@@ -56,6 +56,11 @@ pub struct FleetReport {
 /// buffers and the DAG's bursts contend under real quota enforcement.
 /// On a timeout the error names the workload that stalled (the DAG
 /// before the KV cache before the streamer).
+///
+/// # Panics
+///
+/// Panics if `spec.mem_quota`'s soft limit exceeds its hard limit on
+/// a testbed that enforces admission.
 pub fn run_mixed_fleet(tb: &mut Testbed, spec: &FleetSpec) -> Result<FleetReport, WorkloadError> {
     // Wire the DAG first (apps fleet-dag-s0..), then KV and streamer.
     let mut dag = tb.dag("fleet-dag", &spec.dag, Backend::Pony)?;
@@ -88,7 +93,8 @@ pub fn run_mixed_fleet(tb: &mut Testbed, spec: &FleetSpec) -> Result<FleetReport
         if let Some(adm) = &host.admission {
             for container in adm.containers() {
                 if container.starts_with("fleet-") {
-                    adm.set_policy(&container, QuotaPolicy::with_mem(soft, hard));
+                    adm.set_policy(&container, QuotaPolicy::with_mem(soft, hard))
+                        .expect("fleet mem_quota: soft <= hard");
                 }
             }
         }

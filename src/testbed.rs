@@ -19,7 +19,7 @@ use snap_apps::SimPump;
 use snap_core::engine::EngineId;
 use snap_core::group::{GroupConfig, GroupHandle, MachineHandle, SchedulingMode};
 use snap_core::supervisor::{Supervisor, SupervisorConfig};
-use snap_isolation::{AdmissionController, QuotaModule};
+use snap_isolation::AdmissionController;
 use snap_nic::fabric::{FabricConfig, FabricHandle};
 use snap_nic::nic::NicConfig;
 use snap_nic::packet::HostId;
@@ -37,7 +37,7 @@ use snap_topo::ClosSpec;
 use crate::health_rig::{HealthRig, HealthRigConfig, PROBER_APP};
 use snap_obs::{FlightRecorder, RecorderConfig};
 use snap_tcp::stack::{TcpConfig, TcpHost};
-use snap_telemetry::{StatsConfig, StatsModule, TraceModule};
+use snap_telemetry::{StatsConfig, StatsModule};
 
 /// Testbed construction parameters.
 #[derive(Clone)]
@@ -212,20 +212,6 @@ impl Testbed {
             apps: BTreeMap::new(),
             cfg,
         }
-    }
-
-    /// A [`TraceModule`] over the rack's trace recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the testbed was built with tracing disabled
-    /// ([`TestbedConfig::trace_sample_ppm`] of zero).
-    pub fn trace_module(&self) -> TraceModule {
-        TraceModule::new(
-            self.recorder
-                .clone()
-                .expect("testbed built with trace_sample_ppm > 0"),
-        )
     }
 
     /// A two-host testbed with defaults — the quickest start.
@@ -541,23 +527,6 @@ impl Testbed {
                 extra,
             } => fabric.set_leaf_brownout(rack, drop_prob, extra),
         });
-    }
-
-    /// A [`QuotaModule`] over `host`'s admission controller — register
-    /// it with a `SnapProcess` for RPC access, or drive its methods
-    /// directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the testbed was built without
-    /// [`TestbedConfig::admission`].
-    pub fn quota_module(&self, host: usize) -> QuotaModule {
-        QuotaModule::new(
-            self.hosts[host]
-                .admission
-                .clone()
-                .expect("testbed built with admission enabled"),
-        )
     }
 
     /// Builds the rack's prober + gray-failure-detection loop: a

@@ -316,7 +316,8 @@ fn quota_backpressure_preserves_stream() {
         adm.set_policy(
             "alpha",
             snap_repro::isolation::QuotaPolicy::with_mem(16 * 1024, 24 * 1024),
-        );
+        )
+        .unwrap();
     }
 
     let payload = msg_bytes(9, 0, 200 * 1024);

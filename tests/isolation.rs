@@ -93,7 +93,8 @@ fn transport_exactly_once_under_pressure_and_crash() {
     let adm = tb.hosts[0].admission.clone().expect("admission enabled");
     // One 20 KB send fits; the soft line sits above a single in-flight
     // send until pressure squeezes it below.
-    adm.set_policy("client", QuotaPolicy::with_mem(25_000, 30_000));
+    adm.set_policy("client", QuotaPolicy::with_mem(25_000, 30_000))
+        .unwrap();
 
     let stats = tb.stats_module(StatsConfig::default());
 
@@ -310,7 +311,7 @@ fn unconstrained_admission_is_transparent_under_randomized_pressure() {
     assert_eq!(with, without, "unconstrained admission changes nothing");
 }
 
-/// The quota module drives runtime policy changes over the testbed:
+/// The admission controller takes runtime policy changes on a live testbed:
 /// shrinking a live container's hard limit turns new sends into Busy,
 /// restoring it lets them through again.
 #[test]
@@ -321,13 +322,16 @@ fn runtime_quota_change_applies_immediately() {
     let conn = tb.connect(0, "app", 1, "peer");
     b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 32 });
 
-    let quota = tb.quota_module(0);
-    assert!(quota.table().contains("app"), "table lists the container:\n{}", quota.table());
+    let adm = tb.hosts[0].admission.clone().expect("admission enabled");
+    assert!(
+        adm.table().contains("app"),
+        "table lists the container:\n{}",
+        adm.table()
+    );
 
     // Clamp the hard limit below one message.
-    quota
-        .admission()
-        .set_policy("app", QuotaPolicy::with_mem(4_000, 8_000));
+    adm.set_policy("app", QuotaPolicy::with_mem(4_000, 8_000))
+        .unwrap();
     let op = a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: MSG });
     tb.run_ms(5);
     let mut done = HashMap::new();
@@ -336,12 +340,12 @@ fn runtime_quota_change_applies_immediately() {
     assert_eq!(done.get(&op), Some(&OpStatus::Busy), "over-quota send refused");
 
     // Raise it back; the retry goes through.
-    quota.admission().set_policy("app", QuotaPolicy::UNLIMITED);
+    adm.set_policy("app", QuotaPolicy::UNLIMITED).unwrap();
     let op2 = a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: MSG });
     while !done.contains_key(&op2) && tb.sim.now() < Nanos::from_millis(200) {
         tb.run_ms(2);
         pump(&mut a, &mut done, &mut recvd);
     }
     assert_eq!(done.get(&op2), Some(&OpStatus::Ok), "restored quota admits the send");
-    assert_eq!(quota.admission().usage("app"), 0);
+    assert_eq!(adm.usage("app"), 0);
 }

@@ -734,7 +734,7 @@ proptest! {
                 }
                 2 => {
                     let hard = bytes.saturating_mul(2);
-                    adm.set_policy(name, QuotaPolicy::with_mem(bytes, hard));
+                    adm.set_policy(name, QuotaPolicy::with_mem(bytes, hard)).unwrap();
                     policy[c] = (bytes, hard);
                 }
                 _ => {

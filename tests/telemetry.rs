@@ -7,11 +7,8 @@
 //! counters, and the module's reset-aware deltas must neither
 //! double-count nor lose quiesced operations.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
 
-use snap_repro::core::module::{ControlCx, Module};
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
 use snap_repro::core::EngineId;
@@ -38,7 +35,7 @@ fn fast_stats() -> StatsConfig {
 
 /// The acceptance scenario: snapshot a running rack and find engine op
 /// counters, queue-depth gauges, and per-link fabric counters — plus
-/// the module's RPC surface returning the same data as a table.
+/// the same data rendered as a table and as JSON.
 #[test]
 fn rack_snapshot_exposes_engine_queue_and_fabric_metrics() {
     let mut tb = Testbed::pair();
@@ -76,26 +73,10 @@ fn rack_snapshot_exposes_engine_queue_and_fabric_metrics() {
     assert!(snap.counter("fabric.link.1->0.delivered").unwrap_or(0) > 0, "acks flow back");
     assert!(snap.counter("stats.polls").unwrap_or(0) > 10);
 
-    // The same data over the control-plane RPC surface.
-    let groups = BTreeMap::new();
-    let mut stats_rpc = stats.clone();
-    let mut cx = ControlCx {
-        sim: &mut tb.sim,
-        groups: &groups,
-        regions: &tb.hosts[0].regions,
-        memory: &tb.hosts[0].memory,
-        cpu: &tb.hosts[0].cpu,
-        app: "ops",
-    };
-    let table = String::from_utf8(
-        stats_rpc.handle("table", &[], &mut cx).expect("table RPC"),
-    )
-    .expect("utf8");
+    // The same data as a table and as JSON.
+    let table = stats.snapshot(tb.sim.now()).to_table();
     assert!(table.contains("fabric.delivered"), "{table}");
-    let json = String::from_utf8(
-        stats_rpc.handle("snapshot", &[], &mut cx).expect("snapshot RPC"),
-    )
-    .expect("utf8");
+    let json = stats.snapshot(tb.sim.now()).to_json();
     assert!(json.contains("\"engine.h0.client.commands\": 20"), "{json}");
 }
 

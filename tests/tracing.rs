@@ -8,7 +8,7 @@ use snap_repro::isolation::QuotaPolicy;
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
 use snap_repro::pony::engine::PonyEngine;
 use snap_repro::sim::trace::{Stage, TraceRecorder, TRACE_SAMPLE_SCALE};
-use snap_repro::telemetry::render_trace;
+use snap_repro::telemetry::{render_stage_stats, render_top, render_trace};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
 /// Runs a mixed read/send workload on a fully-traced pair and returns
@@ -194,7 +194,8 @@ fn busy_refusal_traces_are_captured() {
     b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 64 });
     let adm = tb.hosts[0].admission.clone().expect("admission enabled");
     // Hard line below one send: the transport op is refused up front.
-    adm.set_policy("client", QuotaPolicy::with_mem(4_000, 5_000));
+    adm.set_policy("client", QuotaPolicy::with_mem(4_000, 5_000))
+        .unwrap();
     let op = a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 20_000 });
     tb.run_ms(10);
     let status = a
@@ -221,15 +222,14 @@ fn busy_refusal_traces_are_captured() {
 #[test]
 fn trace_module_serves_top_slowest_with_breakdowns() {
     let tb = traced_workload(42, 0.0, 8, 30_000);
-    let module = tb.trace_module();
-    let top = module.render_top(3);
+    let rec = tb.recorder.as_ref().expect("tracing enabled");
+    let top = render_top(rec, 3);
     assert!(top.contains("top 3 of"), "{top}");
     assert!(top.contains("breakdown (sums to"), "{top}");
-    let stats = module.render_stage_stats();
+    let stats = render_stage_stats(rec);
     assert!(stats.contains("engine_dequeue"), "{stats}");
     assert!(stats.contains("p99_ns"), "{stats}");
     // Top-1 really is the slowest retained trace.
-    let rec = module.recorder();
     let slowest = rec.top_slowest(1).remove(0);
     assert!(rec
         .completed()

@@ -62,7 +62,7 @@ fn pony() -> Rig {
     let quota = QuotaPolicy::with_mem(16 * 1024, 24 * 1024);
     let squeeze = move |tb: &mut Testbed| {
         let admission = tb.hosts[0].admission.as_ref().expect("admission on");
-        admission.set_policy("a", quota);
+        admission.set_policy("a", quota).unwrap();
     };
     Rig {
         tb,
