@@ -27,10 +27,8 @@
 //! iterates targets in a fixed order, so attaching it to a healthy run
 //! changes nothing about modeled time.
 
-pub mod advisory;
 pub mod monitor;
 pub mod phi;
 
-pub use advisory::{Advisory, AdvisoryLog};
 pub use monitor::{HealthMonitor, HealthScore, MonitorConfig, Target, Verdict};
 pub use phi::PhiAccrual;

@@ -19,19 +19,15 @@
 //! * [`fabric::Fabric`] — links + a top-of-rack switch with per-QoS
 //!   egress queues, serialization/propagation delays, bounded buffers
 //!   with tail drop, and injectable random loss.
-//! * [`copy_engine::CopyEngine`] — the Intel I/OAT DMA model used for
-//!   receive copy offload (§3.4, Table 1).
 //!
 //! Everything here is driven by the single-threaded [`snap_sim::Sim`]
 //! event loop; handles are `Rc`-based by design.
 
-pub mod copy_engine;
 pub mod crc;
 pub mod fabric;
 pub mod nic;
 pub mod packet;
 
-pub use copy_engine::CopyEngine;
 pub use fabric::{
     ClosSpec, DropReasons, Fabric, FabricConfig, FabricHandle, FabricStats, LinkStats, SwitchId,
     TrunkStats,

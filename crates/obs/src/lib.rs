@@ -18,19 +18,15 @@
 //!   engine group, so the per-core busy/spin/wake/idle split and
 //!   per-engine CPU (`cpu.<host>.*`, named in `snap_telemetry`'s table)
 //!   are series from the first tick.
-//! * [`slo::SloEngine`] — declarative objectives (success ratio,
-//!   latency-below-threshold) evaluated over recorded series into
-//!   multi-window burn-rate alerts, pushed to
-//!   [`snap_health::AdvisoryLog`] as advisory signals.
 //! * [`timeline::Timeline`] — a deterministic Chrome-trace (Perfetto
 //!   compatible) JSON exporter merging PR-5 span trees, CPU lanes, and
-//!   fault/alert instants onto one virtual-time axis.
+//!   fault instants onto one virtual-time axis.
 //!
 //! Determinism contract: everything here *reads* modeled state and
 //! writes only its own registry — attaching a recorder over pure-read
 //! sources to a run never changes modeled time (pinned by the repo
-//! benchmark's `obs.attach_pct` digest gate; the alert and timeline
-//! behaviour by `tests/obs.rs`). All JSON output is hand-rolled with
+//! benchmark's `obs.attach_pct` digest gate; the timeline behaviour by
+//! `tests/obs.rs`). All JSON output is hand-rolled with
 //! sorted keys: same seed ⇒ byte-identical files.
 
 // Observability is control-plane code: degrade into typed errors or
@@ -38,9 +34,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod recorder;
-pub mod slo;
 pub mod timeline;
 
 pub use recorder::{FlightRecorder, PointValue, QuantileDigest, RecorderConfig};
-pub use slo::{AlertEvent, AlertState, Objective, SloEngine, SloSpec};
 pub use timeline::Timeline;

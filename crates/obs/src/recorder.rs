@@ -89,43 +89,6 @@ impl QuantileDigest {
             max: h.max(),
         }
     }
-
-    /// Estimated fraction of the window's samples strictly above
-    /// `threshold`, interpolated linearly on the digest's quantile
-    /// curve — the SLO layer's "bad fraction" for latency objectives.
-    pub fn fraction_above(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if threshold < self.min {
-            return 1.0;
-        }
-        if threshold >= self.max {
-            return 0.0;
-        }
-        // Piecewise-linear CDF through the known quantile points.
-        let curve: [(f64, u64); 6] = [
-            (0.0, self.min),
-            (0.5, self.p50),
-            (0.9, self.p90),
-            (0.99, self.p99),
-            (0.999, self.p999),
-            (1.0, self.max),
-        ];
-        for pair in curve.windows(2) {
-            let (q0, v0) = pair[0];
-            let (q1, v1) = pair[1];
-            if threshold < v1 {
-                let q = if v1 > v0 {
-                    q0 + (q1 - q0) * (threshold - v0) as f64 / (v1 - v0) as f64
-                } else {
-                    q1
-                };
-                return (1.0 - q).clamp(0.0, 1.0);
-            }
-        }
-        0.0
-    }
 }
 
 /// One recorded point's value.
@@ -398,23 +361,6 @@ mod tests {
         assert_eq!(rec.evicted("x"), 6);
         assert_eq!(pts[0].0, Nanos(7_000), "oldest retained is tick 7");
         assert_eq!(pts[3], (Nanos(10_000), PointValue::Rate(10)));
-    }
-
-    #[test]
-    fn fraction_above_interpolates_the_digest_curve() {
-        let mut h = Histogram::new();
-        for v in 1..=1_000u64 {
-            h.record(v);
-        }
-        let d = QuantileDigest::of(&h);
-        assert_eq!(d.fraction_above(d.max), 0.0);
-        assert_eq!(d.fraction_above(0), 1.0);
-        let half = d.fraction_above(d.p50);
-        assert!((half - 0.5).abs() < 0.05, "p50 fraction {half}");
-        let one = d.fraction_above(d.p99);
-        assert!((one - 0.01).abs() < 0.01, "p99 fraction {one}");
-        // Empty digests report nothing bad.
-        assert_eq!(QuantileDigest::default().fraction_above(10), 0.0);
     }
 
     #[test]

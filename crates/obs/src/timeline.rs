@@ -11,8 +11,8 @@
 //! * **Counter lanes** (`"ph": "C"`) from flight-recorder series —
 //!   CPU attribution, throughput rates, queue depths.
 //! * **Instants** (`"ph": "i"`, global scope) for fault injections and
-//!   SLO alert transitions, so "what happened when the alert fired" is
-//!   one glance.
+//!   phase markers, so "what happened when the link went lossy" is one
+//!   glance.
 //!
 //! Output is deterministic: events sort by timestamp with insertion
 //! order as the tiebreak, floats print with fixed precision, and no
@@ -25,7 +25,6 @@ use snap_sim::trace::{CompletedTrace, FABRIC_HOST};
 use snap_sim::Nanos;
 
 use crate::recorder::{FlightRecorder, PointValue};
-use crate::slo::{AlertState, SloEngine};
 
 /// Process id used for counter lanes (host lanes use the host id).
 const RECORDER_PID: u64 = 1_000_000;
@@ -124,20 +123,6 @@ impl Timeline {
             if name.starts_with(prefix) {
                 self.add_series(recorder, &name);
             }
-        }
-    }
-
-    /// Adds an SLO engine's alert transitions as global instants.
-    pub fn add_alerts(&mut self, engine: &SloEngine) {
-        for e in engine.events() {
-            let state = match e.state {
-                AlertState::Firing => "firing",
-                AlertState::Ok => "ok",
-            };
-            self.events.push(Event::Instant {
-                name: format!("slo.{} {state}", e.slo),
-                ts: e.at,
-            });
         }
     }
 

@@ -524,11 +524,6 @@ impl PonyClient {
         std::mem::take(&mut c.completions)
     }
 
-    /// True if the completion doorbell rang since last checked.
-    pub fn notified(&self) -> bool {
-        self.inner.borrow().endpoint.completion_doorbell.take()
-    }
-
     /// Completions waiting in the queue (cheap check for spin loops).
     pub fn completions_pending(&self) -> usize {
         self.inner.borrow().endpoint.completions_pending()
@@ -584,7 +579,6 @@ mod tests {
                 issued_at: Nanos(5),
             })
             .unwrap();
-        assert!(client.notified());
         let got = client.take_completions();
         assert_eq!(got.len(), 1);
         match &got[0] {

@@ -69,8 +69,9 @@ impl PonyEngine {
     }
 
     /// The cost of landing `bytes` received bytes in application
-    /// memory: an inline per-byte copy, or its hand-off to the I/OAT
-    /// engine (Table 1).
+    /// memory: an inline per-byte copy, or, with `use_ioat`, only the
+    /// fixed I/OAT descriptor cost (Table 1); the DMA itself runs off
+    /// the engine's core and is not timed.
     fn rx_copy_cost(&self, bytes: u64) -> Nanos {
         if self.cfg.use_ioat {
             Nanos(costs::IOAT_SETUP_NS)

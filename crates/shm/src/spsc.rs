@@ -188,17 +188,6 @@ impl<T> Producer<T> {
         n
     }
 
-    /// Drains `items` front-to-back into the ring, as many as fit;
-    /// returns how many were taken (the slice-based batch variant).
-    pub fn push_drain(&self, items: &mut Vec<T>) -> usize {
-        let mut it = items.drain(..);
-        let n = self.push_batch(&mut it);
-        // Keep whatever didn't fit: collect the untaken tail back.
-        let rest: Vec<T> = it.collect();
-        *items = rest;
-        n
-    }
-
     /// True if the consumer half has been dropped.
     pub fn is_disconnected(&self) -> bool {
         Arc::strong_count(&self.inner) == 1
@@ -352,19 +341,6 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(c.pop_batch(&mut out, 100), 3);
         assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn push_drain_keeps_leftovers() {
-        let (p, c) = SpscRing::with_capacity(4);
-        let mut items: Vec<u32> = (0..7).collect();
-        assert_eq!(p.push_drain(&mut items), 4);
-        assert_eq!(items, vec![4, 5, 6]);
-        let mut out = Vec::new();
-        assert_eq!(c.pop_batch(&mut out, 10), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(p.push_drain(&mut items), 3);
-        assert!(items.is_empty());
     }
 
     #[test]

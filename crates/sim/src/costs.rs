@@ -42,10 +42,6 @@ pub fn copy_cost(bytes: u64) -> Nanos {
 /// from the Table-1 I/OAT row (see module docs).
 pub const IOAT_SETUP_NS: u64 = 295;
 
-/// Throughput of the I/OAT copy engine itself (off-CPU), bytes/ns.
-/// I/OAT channels sustain roughly memcpy-class bandwidth.
-pub const IOAT_BYTES_PER_NS: f64 = 16.0;
-
 // ---------------------------------------------------------------------------
 // Snap / Pony Express engine costs
 // ---------------------------------------------------------------------------

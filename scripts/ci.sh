@@ -14,7 +14,8 @@
 #                      + pinned sim-clock tables + the golden-per-bench and
 #                        bench-name guards + EXPERIMENTS.md against its goldens
 #                      + benchmark smoke + pinned smoke digests (seeds 42 and 7)
-#                      + the size table (printed, not gated)
+#                      + the size table and the pub items nothing else
+#                        names (printed, not gated)
 #
 # PROPTEST_CASES can be exported to shrink or grow the property-test
 # budget (default 64 cases per property).
@@ -43,9 +44,9 @@ cargo test --workspace -q
 # in a debug build, where it is ignored, seconds here. The event budget
 # (simulator events per delivered packet) does not depend on the build;
 # it runs here because its figures are the benchmark's. `snap-shm`'s
-# threaded tests (doorbell handoffs, SPSC ring, mailbox) run here too:
-# optimized code races its threads through windows a debug build is too
-# slow to open.
+# threaded tests (queue-pair request/response, SPSC ring, mailbox) run
+# here too: optimized code races its threads through windows a debug
+# build is too slow to open.
 echo "== tier-1: release budgets =="
 cargo test --release -q --test datapath_budget --test sockets_budget --test event_budget --test pair
 cargo test --release -q -p snap-shm
@@ -192,8 +193,12 @@ grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
 done
 echo "smoke model digests match"
 
-# Size of what ships, for ROADMAP item 5; informational.
+# Size of what ships, for ROADMAP item 6; informational.
 echo "== size: non-test code lines and pub items =="
 scripts/loc.sh
+
+# Deletion candidates: `pub` items whose name no other file spells.
+echo "== size: pub items named in no other file =="
+scripts/unreached.sh
 
 echo "tier-1 gate: OK"

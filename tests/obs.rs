@@ -2,16 +2,14 @@
 //! crash/restart and live-upgrade churn, byte-identical determinism,
 //! the per-core CPU attribution invariant under property-driven
 //! workloads and its pinned series, one loop however a clock is
-//! started, and the gray-failure alert + timeline export.
+//! started, and the gray-failure timeline export.
 
 use proptest::prelude::*;
 
 use snap_repro::core::group::SchedulingMode;
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
-use snap_repro::obs::{
-    AlertState, FlightRecorder, Objective, PointValue, RecorderConfig, SloEngine, SloSpec, Timeline,
-};
+use snap_repro::obs::{FlightRecorder, PointValue, RecorderConfig, Timeline};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
@@ -366,12 +364,12 @@ fn start_twice_or_restart_leaves_exactly_one_loop() {
 }
 
 /// A 2-rack Clos runs a cross-rack closed loop while a lossy-link gray
-/// failure comes (5 ms) and goes (12 ms): the SLO burn-rate alert must
-/// fire during the failure and resolve after the heal, and the
-/// exported timeline must carry causal spans, CPU counter lanes and
-/// the fault/alert instants on one virtual-time axis.
+/// failure comes (5 ms) and goes (12 ms): the recorded op latency must
+/// show the failure only while it lasts, and the exported timeline must
+/// carry causal spans, CPU counter lanes and the fault instants on one
+/// virtual-time axis.
 #[test]
-fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
+fn gray_failure_spans_cpu_lanes_and_fault_instants_share_one_timeline() {
     let fault_at = Nanos::from_millis(5);
     let heal_at = Nanos::from_millis(12);
     let lossy = |prob| FaultEvent::LinkLossy { from: 0, to: 2, prob };
@@ -391,22 +389,10 @@ fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
         capacity: 1024,
     });
     rec.start(&mut tb.sim);
-    let mut slo = SloEngine::new();
-    slo.add(SloSpec {
-        name: "xrack-latency".to_string(),
-        objective: Objective::LatencyBelow {
-            series: "workload.latency_ns".to_string(),
-            threshold_ns: 150_000,
-        },
-        target: 0.99,
-        short_window: Nanos::from_micros(500),
-        long_window: Nanos::from_millis(2),
-        burn_threshold: 5.0,
-    });
     tb.install_fault_plan(&FaultPlan::new().at(fault_at, lossy(0.25)).at(heal_at, lossy(0.0)));
 
-    // One op in flight; each completion records its latency into the
-    // series the SLO watches and submits the next.
+    // One op in flight; each completion records its latency and submits
+    // the next.
     let latency = rec.registry().histogram("workload.latency_ns");
     let send = PonyCommand::Send { conn, stream: 0, len: 2048 };
     a.submit(&mut tb.sim, send.clone());
@@ -421,37 +407,43 @@ fn gray_failure_fires_and_resolves_the_burn_rate_alert_on_one_timeline() {
                 sent_at = tb.sim.now();
             }
         }
-        slo.evaluate(&rec, tb.sim.now());
     }
     rec.stop();
 
-    let transitions: Vec<_> = slo.events().iter().map(|e| (e.state, e.at)).collect();
-    let fired = transitions.iter().find(|(s, _)| *s == AlertState::Firing);
-    let (_, fired_at) = fired.expect("gray failure never fired the burn-rate alert");
+    // The worst window max before, during and well after the failure: a
+    // retransmit on the lossy link costs far more than a clean op.
+    let worst = |from: Nanos, to: Nanos| {
+        rec.series("workload.latency_ns")
+            .into_iter()
+            .filter(|(at, _)| (from..to).contains(at))
+            .map(|(_, v)| match v {
+                PointValue::Digest(d) => d.max,
+                other => panic!("latency is a digest series, got {other:?}"),
+            })
+            .max()
+            .unwrap_or(0)
+    };
+    let before = worst(Nanos::ZERO, fault_at);
+    let during = worst(fault_at, heal_at);
+    let after = worst(heal_at + Nanos::from_millis(5), Nanos::from_millis(30));
     assert!(
-        (fault_at..heal_at).contains(fired_at),
-        "alert fired at {fired_at}, outside the fault window"
+        during > 10 * before.max(after),
+        "lossy window max {during} ns vs {before} ns before and {after} ns after"
     );
-    let resolved = transitions
-        .iter()
-        .find(|(s, at)| *s == AlertState::Ok && at > fired_at);
-    let (_, resolved_at) = resolved.expect("healed link never resolved the alert");
-    assert!(*resolved_at >= heal_at, "alert resolved at {resolved_at}, before the heal");
 
     let mut tl = Timeline::new();
     tl.add_traces(&tb.recorder.as_ref().expect("tracing enabled").completed());
     tl.add_series_under(&rec, "cpu.h0.core");
     tl.add_series_under(&rec, "cpu.h2.core");
     tl.add_series(&rec, "workload.latency_ns");
-    tl.add_alerts(&slo);
     tl.add_instant(fault_at, "fault: link 0->2 lossy 25%");
     tl.add_instant(heal_at, "fault: link 0->2 healed");
     let json = tl.to_json();
     assert!(json.contains("\"ph\": \"X\""), "timeline lost its causal spans");
     assert!(json.contains("\"ph\": \"C\""), "timeline lost its CPU counter lanes");
-    assert!(json.contains("\"ph\": \"i\""), "timeline lost its fault/alert instants");
+    assert!(json.contains("\"ph\": \"i\""), "timeline lost its fault instants");
     assert!(json.contains("cpu.h0.core"), "timeline lost host 0's cpu lanes");
-    assert!(json.contains("xrack-latency"), "timeline lost the alert instants");
+    assert!(json.contains("link 0->2 healed"), "timeline lost the heal instant");
 }
 
 /// Four hosts of rack 1 stream into one host of rack 0 over trunks
