@@ -13,8 +13,8 @@
 //!
 //! Run: `cargo bench -p snap-bench --bench fig8_iops`
 
+use snap_repro::apps::kv::onesided;
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
-use snap_repro::shm::region::AccessMode;
 use snap_repro::sim::dist::DiurnalLoad;
 use snap_repro::sim::stats::RateSeries;
 use snap_repro::sim::{Nanos, Rng};
@@ -42,22 +42,13 @@ fn kv_world() -> KvWorld {
     let client = tb.pony_app(0, "analytics", |_| {});
     let _server = tb.pony_app(1, "kv", |_| {});
     let conn = tb.connect(0, "analytics", 1, "kv");
-    let heap = tb.hosts[1].regions.register(
-        "kv",
-        (BUCKETS * VALUE_LEN as u64) as usize,
-        AccessMode::ReadOnly,
-    );
-    let mut table = Vec::with_capacity((BUCKETS * 8) as usize);
-    for i in 0..BUCKETS {
-        table.extend_from_slice(&(((heap.0) << 32) | (i * VALUE_LEN as u64)).to_le_bytes());
-    }
-    let table = tb.hosts[1].regions.register_with("kv", table, AccessMode::ReadOnly);
+    let layout = onesided::install(&tb.hosts[1].regions, "kv", BUCKETS, VALUE_LEN);
     KvWorld {
         tb,
         client,
         conn,
-        table: table.0,
-        heap: heap.0,
+        table: layout.table,
+        heap: layout.heap,
     }
 }
 

@@ -467,6 +467,13 @@ impl GroupHandle {
         self.inner.borrow().name.clone()
     }
 
+    /// The id [`GroupHandle::add_engine`] gives the next engine, for
+    /// what must name an engine before it is built (its NIC queue's
+    /// interrupt handler).
+    pub fn next_id(&self) -> EngineId {
+        EngineId(self.inner.borrow().slots.len() as u32)
+    }
+
     /// Adds an engine; returns its id. May be called before or after
     /// [`GroupHandle::start`].
     pub fn add_engine(&self, engine: Box<dyn Engine>) -> EngineId {

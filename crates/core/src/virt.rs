@@ -165,7 +165,9 @@ pub struct VirtEngine {
 }
 
 impl VirtEngine {
-    /// Creates the engine and attaches its NIC receive filter.
+    /// Creates the engine on NIC rx `queue` — one its caller claimed,
+    /// with a handler that wakes the engine — and attaches its receive
+    /// filter.
     pub fn new(
         name: impl Into<String>,
         host: HostId,
@@ -191,13 +193,11 @@ impl VirtEngine {
         engine
     }
 
-    /// Installs the NIC receive filter and arms the irq. Both are
-    /// upserts, so a second call changes nothing.
+    /// Installs the NIC receive filter, an upsert, so a second call
+    /// changes nothing.
     fn attach_nic(&self) {
-        self.fabric.with_nic(self.host, |nic| {
-            nic.attach_filter(self.engine_key, self.queue);
-            nic.arm_irq(self.queue, true);
-        });
+        let (key, queue) = (self.engine_key, self.queue);
+        self.fabric.with_nic(self.host, |nic| nic.attach_filter(key, queue));
     }
 
     /// Attaches a guest VM; returns its port's ring pair (tx, rx).
@@ -481,12 +481,11 @@ mod tests {
             );
             group.start(&mut sim);
             let key = if h == 0 { KEY0 } else { KEY1 };
-            let engine = VirtEngine::new(format!("virt-{h}"), host, key, 0, fabric.clone());
+            let wake = group.wake_handle(group.next_id());
+            let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
+            let queue = fabric.with_nic(host, |nic| nic.claim(1, irq)).start;
+            let engine = VirtEngine::new(format!("virt-{h}"), host, key, queue, fabric.clone());
             let id = group.add_engine(Box::new(engine));
-            let wake = group.wake_handle(id);
-            fabric.with_nic(host, |nic| {
-                nic.set_irq_handler(Rc::new(move |sim, _q| wake(sim)));
-            });
             groups.push(group);
             engines.push(id);
         }

@@ -59,7 +59,7 @@ use snap_topo::{Node, PortLanes, Topology};
 // switches and topologies without a direct snap-topo dependency.
 pub use snap_topo::{ClosSpec, SwitchId};
 
-use crate::nic::{NicConfig, VirtNic};
+use crate::nic::{IrqHandler, NicConfig, VirtNic};
 use crate::packet::{HostId, Packet, QosClass};
 
 mod fault;
@@ -207,9 +207,9 @@ pub struct Fabric {
     /// stage records against packets that carry a trace context but
     /// never changes timing, RNG draws, or drop decisions.
     recorder: Option<TraceRecorder>,
-    /// Scratch for the rx queues a delivered train must interrupt,
-    /// kept so a delivery allocates nothing.
-    irq_scratch: Vec<u16>,
+    /// Scratch for the rx queues a delivered train must interrupt, with
+    /// their owners' handlers, kept so a delivery allocates nothing.
+    irq_scratch: Vec<(u16, IrqHandler)>,
     /// Emptied train buffers. A train's `Vec` travels with it from
     /// transmit to delivery inside the scheduled events; delivery
     /// hands it back here and the next train (or the next group a
@@ -606,7 +606,7 @@ impl FabricHandle {
     /// Fails with [`TxBusy`] when no tx descriptor slot is free. On
     /// success the packet is fully simulated: uplink serialization,
     /// switch queueing (or drop), egress serialization, delivery into
-    /// the destination NIC's rx ring, and interrupt delivery if armed.
+    /// the destination NIC's rx ring, and its queue owner's interrupt.
     ///
     /// # Panics
     ///
@@ -740,7 +740,7 @@ impl FabricHandle {
 
     /// Final hop for a train that left a leaf by `dst`'s port:
     /// propagation + rx DMA, then the whole train into the NIC's rx
-    /// rings in one event, with at most one interrupt per armed rx
+    /// rings in one event, with at most one interrupt per owned rx
     /// queue.
     fn deliver_train(&self, sim: &mut Sim, dst: HostId, mut train: Vec<Packet>) {
         let (prop, dma) = {
@@ -749,7 +749,7 @@ impl FabricHandle {
         };
         let handle = self.clone();
         sim.schedule_at(sim.now() + prop + dma, move |sim| {
-            let (irqs, handler) = {
+            let irqs = {
                 let mut fabric = handle.inner.borrow_mut();
                 let now = sim.now();
                 // One link lookup per run of packets sharing a source.
@@ -767,16 +767,13 @@ impl FabricHandle {
                 let mut irqs = std::mem::take(&mut fabric.irq_scratch);
                 let nic = &mut fabric.hosts[dst as usize].nic;
                 nic.deliver_burst(train.drain(..), &mut irqs);
-                let handler = nic.irq_handler();
                 fabric.spare_trains.push(train);
-                (irqs, handler)
+                irqs
             };
             // Invoke interrupts outside the fabric borrow so handlers
             // can freely poll the NIC.
-            if let Some(handler) = handler {
-                for &queue in &irqs {
-                    handler(sim, queue);
-                }
+            for (queue, handler) in &irqs {
+                handler(sim, *queue);
             }
             handle.inner.borrow_mut().irq_scratch = irqs;
         });

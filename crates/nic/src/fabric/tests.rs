@@ -140,14 +140,13 @@ fn switch_buffer_tail_drops_under_burst() {
 }
 
 #[test]
-fn interrupt_fires_on_armed_queue() {
+fn interrupt_fires_on_claimed_queue() {
     let mut sim = Sim::new();
     let (fabric, a, b) = two_hosts(0.0);
     let fired = Rc::new(Cell::new(0u32));
     let f2 = fired.clone();
     fabric.with_nic(b, |nic| {
-        nic.set_irq_handler(Rc::new(move |_sim, _q| f2.set(f2.get() + 1)));
-        nic.arm_irq(0, true);
+        nic.claim(1, Rc::new(move |_sim, _q| f2.set(f2.get() + 1)));
     });
     let p = packet(a, b, 64).with_rss_hash(0);
     fabric.transmit(&mut sim, 0, p).unwrap();
@@ -164,10 +163,9 @@ fn serialization_orders_same_link_packets() {
     let arrivals = Rc::new(RefCell::new(Vec::new()));
     let arr = arrivals.clone();
     fabric.with_nic(b, |nic| {
-        nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+        nic.claim(1, Rc::new(move |sim: &mut Sim, _q| {
             arr.borrow_mut().push(sim.now());
         }));
-        nic.arm_irq(0, true);
     });
     let big = packet(a, b, 100_000); // ~16us at 50G
     let small = packet(a, b, 100).with_rss_hash(0);
@@ -289,11 +287,9 @@ fn stalled_queue_delays_transmission() {
     let arrivals = Rc::new(RefCell::new(Vec::new()));
     let arr = arrivals.clone();
     fabric.with_nic(b, |nic| {
-        nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+        nic.claim(2, Rc::new(move |sim: &mut Sim, _q| {
             arr.borrow_mut().push(sim.now());
         }));
-        nic.arm_irq(0, true);
-        nic.arm_irq(1, true);
     });
     // Queue 0 is stalled; queue 1 is not.
     fabric.transmit(&mut sim, 0, packet(a, b, 100).with_rss_hash(0)).unwrap();
@@ -313,8 +309,7 @@ fn burst_delivers_with_one_irq() {
     let fired = Rc::new(Cell::new(0u32));
     let f2 = fired.clone();
     fabric.with_nic(b, |nic| {
-        nic.set_irq_handler(Rc::new(move |_sim, _q| f2.set(f2.get() + 1)));
-        nic.arm_irq(0, true);
+        nic.claim(1, Rc::new(move |_sim, _q| f2.set(f2.get() + 1)));
     });
     let mut train: Vec<Packet> =
         (0..8).map(|_| packet(a, b, 500).with_rss_hash(0)).collect();
@@ -399,11 +394,9 @@ fn burst_splits_per_destination() {
     for &host in &h {
         let irqs = irqs.clone();
         fabric.with_nic(host, |nic| {
-            nic.set_irq_handler(Rc::new(move |_sim: &mut Sim, q| {
+            nic.claim(2, Rc::new(move |_sim: &mut Sim, q| {
                 irqs.borrow_mut().push((host, q));
             }));
-            nic.arm_irq(0, true);
-            nic.arm_irq(1, true);
         });
     }
     // (destination, rx queue); the payload carries the position.
@@ -444,12 +437,11 @@ fn first_irq_at(fabric: &FabricHandle, dst: HostId, send: impl FnOnce(&mut Sim))
     let at = Rc::new(Cell::new(Nanos::ZERO));
     let at2 = at.clone();
     fabric.with_nic(dst, |nic| {
-        nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+        nic.claim(1, Rc::new(move |sim: &mut Sim, _q| {
             if at2.get().is_zero() {
                 at2.set(sim.now());
             }
         }));
-        nic.arm_irq(0, true);
     });
     send(&mut sim);
     sim.run();
@@ -514,8 +506,7 @@ fn jittery_link_delays_but_delivers() {
         let at = Rc::new(Cell::new(Nanos::ZERO));
         let at2 = at.clone();
         fabric.with_nic(b, |nic| {
-            nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-            nic.arm_irq(0, true);
+            nic.claim(1, Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
         });
         fabric.transmit(&mut sim, 0, packet(a, b, 1000).with_rss_hash(0)).unwrap();
         sim.run();
@@ -565,10 +556,9 @@ fn pause_storm_holds_egress_then_releases() {
     let arrivals = Rc::new(RefCell::new(Vec::new()));
     let arr = arrivals.clone();
     fabric.with_nic(b, |nic| {
-        nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+        nic.claim(1, Rc::new(move |sim: &mut Sim, _q| {
             arr.borrow_mut().push(sim.now());
         }));
-        nic.arm_irq(0, true);
     });
     fabric.transmit(&mut sim, 0, packet(a, b, 100).with_rss_hash(0)).unwrap();
     sim.run();
@@ -882,8 +872,7 @@ fn brownout_latency_delays_survivors() {
         let at = Rc::new(Cell::new(Nanos::ZERO));
         let at2 = at.clone();
         fabric.with_nic(h[2], |nic| {
-            nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
-            nic.arm_irq(0, true);
+            nic.claim(1, Rc::new(move |sim: &mut Sim, _q| at2.set(sim.now())));
         });
         fabric.transmit(&mut sim, 0, packet(h[0], h[2], 500).with_rss_hash(0)).unwrap();
         sim.run();
@@ -959,10 +948,9 @@ fn wrr_schedule_prefers_transport_under_contention() {
         let arrivals = Rc::new(RefCell::new(Vec::new()));
         let arr = arrivals.clone();
         fabric.with_nic(b, |nic| {
-            nic.set_irq_handler(Rc::new(move |sim: &mut Sim, _q| {
+            nic.claim(1, Rc::new(move |sim: &mut Sim, _q| {
                 arr.borrow_mut().push(sim.now());
             }));
-            nic.arm_irq(0, true);
         });
         // A standing best-effort backlog...
         for _ in 0..20 {

@@ -15,7 +15,8 @@
 //!   rings, RSS steering, attachable receive filters (the unit the
 //!   transparent-upgrade flow detaches and re-attaches, §4), tx
 //!   descriptor slot accounting (driving just-in-time packet
-//!   generation, §3.1), and optional interrupt delivery.
+//!   generation, §3.1), and queue ownership: each queue claimed by one
+//!   owner, whose interrupt handler a delivery into the queue raises.
 //! * [`fabric::Fabric`] — links + a top-of-rack switch with per-QoS
 //!   egress queues, serialization/propagation delays, bounded buffers
 //!   with tail drop, and injectable random loss.

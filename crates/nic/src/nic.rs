@@ -12,11 +12,15 @@
 //! * **tx descriptor slot accounting**, which drives Pony Express's
 //!   just-in-time packet generation ("there is no need for per-packet
 //!   queueing in the engine", §3.1);
-//! * optional **interrupt delivery** per queue, used by the spreading
-//!   engine scheduler ("blocks on interrupt notification when idle",
-//!   §2.4).
+//! * **queue ownership**: [`VirtNic::claim`] hands queues out in
+//!   claim order, each to one owner — a Pony engine takes one, the
+//!   kernel stack its RSS range — and records the owner's interrupt
+//!   handler per queue, which the fabric raises on delivery ("blocks on
+//!   interrupt notification when idle", §2.4). An unclaimed queue
+//!   raises nothing.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 
 use snap_sim::hash::IntMap;
@@ -24,13 +28,15 @@ use snap_sim::Sim;
 
 use crate::packet::Packet;
 
-/// Interrupt callback: invoked with the simulator and the rx queue id.
+/// A queue owner's interrupt callback: invoked with the simulator and
+/// the rx queue id.
 pub type IrqHandler = Rc<dyn Fn(&mut Sim, u16)>;
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
 pub struct NicConfig {
-    /// Number of rx/tx queue pairs.
+    /// Number of rx/tx queue pairs, and the RSS range until an owner
+    /// sets another. Claims past it add queues.
     pub num_queues: u16,
     /// Rx descriptor ring depth, in packets, per queue.
     pub rx_queue_depth: usize,
@@ -82,9 +88,12 @@ pub struct VirtNic {
     tx_slots: Vec<usize>,
     /// Exact-match steering filters: steer key -> rx queue.
     filters: IntMap<u64, u16>,
-    /// Per-queue interrupt arming; disarmed queues are silently polled.
-    irq_armed: Vec<bool>,
-    irq_handler: Option<IrqHandler>,
+    /// Each queue's owner's interrupt handler; `None` until claimed.
+    /// Claims are made in queue order, so the claimed queues are a
+    /// prefix.
+    irqs: Vec<Option<IrqHandler>>,
+    /// The queues RSS spreads unsteered packets over.
+    rss: Range<u16>,
     stats: NicStats,
 }
 
@@ -101,8 +110,8 @@ impl VirtNic {
             rx_queues: (0..cfg.num_queues).map(|_| VecDeque::new()).collect(),
             tx_slots: vec![cfg.tx_queue_depth; cfg.num_queues as usize],
             filters: IntMap::default(),
-            irq_armed: vec![false; cfg.num_queues as usize],
-            irq_handler: None,
+            irqs: vec![None; cfg.num_queues as usize],
+            rss: 0..cfg.num_queues,
             stats: NicStats::default(),
             cfg,
         }
@@ -118,20 +127,31 @@ impl VirtNic {
         &self.stats
     }
 
-    /// Installs the interrupt handler shared by all queues.
-    pub fn set_irq_handler(&mut self, handler: IrqHandler) {
-        self.irq_handler = Some(handler);
+    /// Hands the next `n` queues, in claim order from queue 0, to one
+    /// owner: a delivery into any of them raises `handler` with that
+    /// queue. Once the configured queues are all taken, each claim adds
+    /// rings, so no two owners ever share a queue.
+    pub fn claim(&mut self, n: u16, handler: IrqHandler) -> Range<u16> {
+        let start = self.irqs.iter().take_while(|owner| owner.is_some()).count();
+        let end = start + n as usize;
+        let len = self.irqs.len().max(end);
+        self.rx_queues.resize_with(len, VecDeque::new);
+        self.tx_slots.resize(len, self.cfg.tx_queue_depth);
+        self.irqs.resize(len, None);
+        self.irqs[start..end].fill(Some(handler));
+        start as u16..end as u16
     }
 
-    /// Arms or disarms interrupts on a queue. A spinning engine keeps
-    /// its queue disarmed; a blocked engine arms it before sleeping.
-    pub fn arm_irq(&mut self, queue: u16, armed: bool) {
-        self.irq_armed[queue as usize] = armed;
+    /// Makes RSS spread unsteered packets over `queues` — the kernel
+    /// stack's, once it has claimed them.
+    pub fn set_rss(&mut self, queues: Range<u16>) {
+        assert!(!queues.is_empty() && queues.end as usize <= self.irqs.len());
+        self.rss = queues;
     }
 
     /// Attaches an exact-match receive filter steering `key` to `queue`.
     pub fn attach_filter(&mut self, key: u64, queue: u16) {
-        assert!(queue < self.cfg.num_queues, "filter targets missing queue");
+        assert!((queue as usize) < self.irqs.len(), "filter targets missing queue");
         self.filters.insert(key, queue);
     }
 
@@ -186,13 +206,13 @@ impl VirtNic {
     fn steer(&self, pkt: &Packet) -> Option<u16> {
         match pkt.steer_key {
             Some(key) => self.filters.get(&key).copied(),
-            None => Some((pkt.rss_hash % self.cfg.num_queues as u64) as u16),
+            None => Some(self.rss.start + (pkt.rss_hash % self.rss.len() as u64) as u16),
         }
     }
 
     /// Delivers a packet from the fabric into an rx ring.
     ///
-    /// Returns the queue that should raise an interrupt, if any.
+    /// Returns the queue, if it has an owner to interrupt.
     pub fn deliver(&mut self, pkt: Packet) -> Option<u16> {
         if !pkt.crc_ok() {
             self.stats.rx_crc_drops += 1;
@@ -210,37 +230,31 @@ impl VirtNic {
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += pkt.wire_size as u64;
         ring.push_back(pkt);
-        self.irq_armed[queue as usize].then_some(queue)
+        self.irqs[queue as usize].is_some().then_some(queue)
     }
 
     /// Delivers a burst (packet train) from the fabric into rx rings,
-    /// raising at most one interrupt per armed queue for the whole
+    /// raising at most one interrupt per owned queue for the whole
     /// burst. Every per-packet check — CRC verification, steering,
     /// ring-depth admission — still runs packet by packet, so fault
     /// injection inside a burst behaves exactly as per-packet delivery.
     ///
-    /// Leaves in `irqs` (cleared first) the queues that should raise an
-    /// interrupt, deduplicated in first-hit order. The caller owns the
-    /// buffer so that a delivery allocates nothing.
+    /// Leaves in `irqs` (cleared first) each queue that should raise an
+    /// interrupt with its owner's handler, deduplicated in first-hit
+    /// order, for the fabric to invoke outside any NIC borrow. The
+    /// caller owns the buffer so that a delivery allocates nothing.
     pub fn deliver_burst(
         &mut self,
         pkts: impl IntoIterator<Item = Packet>,
-        irqs: &mut Vec<u16>,
+        irqs: &mut Vec<(u16, IrqHandler)>,
     ) {
         irqs.clear();
         for pkt in pkts {
-            if let Some(q) = self.deliver(pkt) {
-                if !irqs.contains(&q) {
-                    irqs.push(q);
-                }
+            let Some(q) = self.deliver(pkt) else { continue };
+            if irqs.iter().all(|&(seen, _)| seen != q) {
+                irqs.extend(self.irqs[q as usize].clone().map(|handler| (q, handler)));
             }
         }
-    }
-
-    /// The interrupt handler, for the fabric to invoke after delivery
-    /// (outside any NIC borrow).
-    pub fn irq_handler(&self) -> Option<IrqHandler> {
-        self.irq_handler.clone()
     }
 
     /// Polls up to `max` packets from an rx queue (engine batch poll,
@@ -285,7 +299,7 @@ mod tests {
     fn rss_spreads_by_hash() {
         let mut n = nic(4);
         for h in 0..8 {
-            assert!(n.deliver(pkt(h)).is_none(), "irqs disarmed by default");
+            assert!(n.deliver(pkt(h)).is_none(), "unclaimed queues raise no irq");
         }
         for q in 0..4 {
             assert_eq!(n.rx_pending(q), 2, "queue {q}");
@@ -334,14 +348,32 @@ mod tests {
         assert_eq!(n.rx_pending_total(), 0);
     }
 
+    fn noop() -> IrqHandler {
+        Rc::new(|_, _| {})
+    }
+
     #[test]
-    fn irq_raised_only_when_armed() {
-        let mut n = nic(1);
-        assert_eq!(n.deliver(pkt(0)), None);
-        n.arm_irq(0, true);
+    fn irq_raised_only_on_claimed_queues() {
+        let mut n = nic(2);
+        assert_eq!(n.deliver(pkt(1)), None);
+        assert_eq!(n.claim(1, noop()), 0..1);
         assert_eq!(n.deliver(pkt(0)), Some(0));
-        n.arm_irq(0, false);
-        assert_eq!(n.deliver(pkt(0)), None);
+        assert_eq!(n.deliver(pkt(1)), None, "queue 1 has no owner");
+    }
+
+    #[test]
+    fn claims_hand_out_queues_in_order_and_grow_past_the_config() {
+        let mut n = nic(4);
+        assert_eq!(n.claim(1, noop()), 0..1);
+        assert_eq!(n.claim(4, noop()), 1..5, "one ring added");
+        assert_eq!(n.claim(1, noop()), 5..6);
+        n.attach_filter(9, 5);
+        assert_eq!(n.deliver(pkt(0).with_steer_key(9)), Some(5));
+        assert_eq!((n.rx_pending(5), n.tx_slots_available(5)), (1, 2));
+        // RSS stays on the configured queues until an owner moves it.
+        assert_eq!(n.deliver(pkt(7)), Some(3));
+        n.set_rss(1..5);
+        assert_eq!(n.deliver(pkt(7)), Some(4));
     }
 
     #[test]
@@ -360,14 +392,14 @@ mod tests {
     #[test]
     fn burst_delivery_coalesces_irqs_but_checks_per_packet() {
         let mut n = nic(2);
-        n.arm_irq(0, true);
-        n.arm_irq(1, true);
+        n.claim(2, noop());
         let mut bad = pkt(0);
         bad.corrupt(2, 2);
         // Burst mixing: two to queue 0, one corrupt, one to queue 1.
-        let mut irqs = vec![7];
+        let mut irqs = vec![(7, noop())];
         n.deliver_burst(vec![pkt(0), pkt(2), bad, pkt(1)], &mut irqs);
-        assert_eq!(irqs, vec![0, 1], "one irq per queue per burst");
+        let queues: Vec<u16> = irqs.iter().map(|&(q, _)| q).collect();
+        assert_eq!(queues, vec![0, 1], "one irq per queue per burst");
         assert_eq!(n.stats().rx_crc_drops, 1, "CRC still checked per packet");
         assert_eq!(n.rx_pending(0), 2);
         assert_eq!(n.rx_pending(1), 1);

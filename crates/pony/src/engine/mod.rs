@@ -88,7 +88,8 @@ pub struct PonyEngineConfig {
     pub host: HostId,
     /// Unique engine key: NIC receive filters steer on it.
     pub engine_key: u64,
-    /// The NIC rx/tx queue this engine owns.
+    /// The NIC rx/tx queue this engine owns: the one its module
+    /// claimed for it.
     pub queue: u16,
     /// MTU for chunking messages.
     pub mtu: u32,
@@ -361,10 +362,7 @@ impl PonyEngine {
         regions: RegionRegistry,
         sessions: SessionTable,
     ) -> Self {
-        fabric.with_nic(cfg.host, |nic| {
-            nic.attach_filter(cfg.engine_key, cfg.queue);
-            nic.arm_irq(cfg.queue, true);
-        });
+        fabric.with_nic(cfg.host, |nic| nic.attach_filter(cfg.engine_key, cfg.queue));
         PonyEngine {
             mapper: FlowMapper::new(cfg.uid()),
             cfg,
@@ -723,15 +721,13 @@ impl Engine for PonyEngine {
         });
     }
 
-    /// Idempotent: re-inserting the filter and re-arming the irq are
-    /// upserts, so a freshly constructed successor (already attached by
-    /// its constructor) is unaffected, while a rolled-back predecessor
-    /// gets its receive path back.
+    /// Idempotent: re-inserting the filter is an upsert, so a freshly
+    /// constructed successor (already attached by its constructor) is
+    /// unaffected, while a rolled-back predecessor gets its receive
+    /// path back.
     fn attach(&mut self, _sim: &mut Sim) {
-        self.fabric.with_nic(self.cfg.host, |nic| {
-            nic.attach_filter(self.cfg.engine_key, self.cfg.queue);
-            nic.arm_irq(self.cfg.queue, true);
-        });
+        let (key, queue) = (self.cfg.engine_key, self.cfg.queue);
+        self.fabric.with_nic(self.cfg.host, |nic| nic.attach_filter(key, queue));
     }
 
     fn container(&self) -> &str {

@@ -53,6 +53,8 @@ pub struct DirectoryEntry {
     pub group: GroupHandle,
     /// Engine id within the group.
     pub engine_id: EngineId,
+    /// The NIC rx queue the engine claimed.
+    pub queue: u16,
     /// The app's default session for completions.
     pub session: Option<u64>,
     /// Advertised wire versions (min, max).
@@ -191,17 +193,12 @@ pub struct PonyModule {
     sessions_by_engine: Rc<RefCell<IntMap<EngineId, Vec<u64>>>>,
     /// By app name, so every walk over the engines is in name order.
     engines: BTreeMap<String, EngineId>,
-    /// Which engine polls each NIC rx queue; the interrupt handler
-    /// reads it on every interrupt.
-    queue_owner: Rc<RefCell<IntMap<u16, EngineId>>>,
     next_session: u64,
     next_key: u64,
-    next_queue: u16,
 }
 
 impl PonyModule {
-    /// Creates the module for `host`, installing the NIC interrupt
-    /// handler that routes queue irqs to engine wakeups.
+    /// Creates the module for `host`.
     pub fn new(
         host: HostId,
         fabric: FabricHandle,
@@ -209,18 +206,6 @@ impl PonyModule {
         group: GroupHandle,
         net: PonyNetHandle,
     ) -> Self {
-        let queue_owner: Rc<RefCell<IntMap<u16, EngineId>>> = Rc::default();
-        let qmap = queue_owner.clone();
-        // Weak: the NIC lives in the fabric, which the group's engines
-        // hold, so a strong handle here would be a cycle.
-        let wake_group = group.downgrade();
-        fabric.with_nic(host, |nic| {
-            nic.set_irq_handler(Rc::new(move |sim, queue| {
-                if let Some(id) = qmap.borrow().get(&queue).copied() {
-                    wake_group.wake(sim, id);
-                }
-            }));
-        });
         PonyModule {
             host,
             kit: EngineKit {
@@ -234,10 +219,8 @@ impl PonyModule {
             net,
             sessions_by_engine: Rc::default(),
             engines: BTreeMap::new(),
-            queue_owner,
             next_session: 1,
             next_key: (host as u64) << 16 | 1,
-            next_queue: 0,
         }
     }
 
@@ -268,22 +251,25 @@ impl PonyModule {
 
     /// Creates an application-exclusive engine (§3.1: "applications
     /// using Pony Express can either request their own exclusive
-    /// engines, or can use a set of pre-loaded shared engines").
+    /// engines, or can use a set of pre-loaded shared engines"). The
+    /// engine claims the next NIC rx queue, whose interrupt wakes it.
     pub fn create_engine(&mut self, app: &str, configure: impl FnOnce(&mut PonyEngineConfig)) -> EngineId {
         let key = self.next_key;
         self.next_key += 1;
-        let queues = self.kit.fabric.with_nic(self.host, |nic| nic.config().num_queues);
-        let queue = self.next_queue % queues;
-        self.next_queue += 1;
+        let id = self.kit.group.next_id();
+        // Weak: the NIC lives in the fabric, which the group's engines
+        // hold, so a strong handle here would be a cycle.
+        let group = self.kit.group.downgrade();
+        let wake = Rc::new(move |sim: &mut Sim, _| group.wake(sim, id));
+        let queue = self.kit.fabric.with_nic(self.host, |nic| nic.claim(1, wake)).start;
         let mut cfg = PonyEngineConfig::new(format!("pony-{}-{app}", self.host), self.host, key);
         cfg.queue = queue;
         cfg.container = app.to_string();
         configure(&mut cfg);
-        let id = self.kit.group.add_engine(Box::new(self.kit.fresh(cfg)));
-        // Its id is known only now. The engine was just added, so this
-        // cannot miss.
+        let added = self.kit.group.add_engine(Box::new(self.kit.fresh(cfg)));
+        debug_assert_eq!(added, id, "the queue's interrupt wakes another engine");
+        // The engine was just added, so this cannot miss.
         let _ = with_pony_engine(&self.kit.group, id, |e| self.kit.wire(id, e));
-        self.queue_owner.borrow_mut().insert(queue, id);
         self.engines.insert(app.to_string(), id);
         self.net.borrow_mut().entries.insert(
             (self.host, app.to_string()),
@@ -292,6 +278,7 @@ impl PonyModule {
                 engine_key: key,
                 group: self.kit.group.clone(),
                 engine_id: id,
+                queue,
                 session: None,
                 versions: (MIN_WIRE_VERSION, MAX_WIRE_VERSION),
             },
@@ -421,14 +408,7 @@ impl PonyModule {
             .cloned()
             .ok_or(PonyError::UnknownApp)?;
         let mut cfg = PonyEngineConfig::new("restored", self.host, entry.engine_key);
-        cfg.queue = {
-            let owners = self.queue_owner.borrow();
-            owners
-                .iter()
-                .find(|(_, &id)| id == engine_id)
-                .map(|(&q, _)| q)
-                .unwrap_or(0)
-        };
+        cfg.queue = entry.queue;
         cfg.container = app.to_string();
         Ok((engine_id, cfg))
     }

@@ -9,7 +9,8 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::ops::Range;
+use std::rc::{Rc, Weak};
 
 use bytes::Bytes;
 use snap_nic::fabric::FabricHandle;
@@ -141,9 +142,18 @@ struct Inner {
     /// What `TcpHost::stream_seg_sum` reports.
     stream_seg_sum: u64,
     next_conn: u32,
+    /// The NIC queues the stack claimed: its RSS range, and where it
+    /// transmits.
+    queues: Range<u16>,
 }
 
 impl Inner {
+    /// The tx queue of `conn`'s segments: one of the first four of the
+    /// stack's queues, by connection.
+    fn tx_queue(&self, conn: ConnKey) -> u16 {
+        self.queues.start + (conn % self.queues.len().min(4) as u64) as u16
+    }
+
     /// Number of connections with data moving, for the stream-scaling
     /// penalty.
     fn active_streams(&self) -> u32 {
@@ -181,11 +191,24 @@ pub struct TcpHost {
 }
 
 impl TcpHost {
-    /// Creates the stack for `host` and hooks it into the NIC's
-    /// interrupt path.
+    /// Creates the stack for `host`: it claims as many NIC queues as
+    /// the NIC is configured with, spreads RSS over them and takes
+    /// their interrupts.
     pub fn new(host: HostId, fabric: FabricHandle, machine: MachineHandle, cfg: TcpConfig) -> Self {
-        let this = TcpHost {
-            inner: Rc::new(RefCell::new(Inner {
+        let inner = Rc::new_cyclic(|stack: &Weak<RefCell<Inner>>| {
+            // Kernel TCP receives via interrupts, processing in softirq
+            // context from the handler. Weak: the NIC lives in the
+            // fabric, which the stack holds, so a strong handle here
+            // would be a cycle.
+            let stack = stack.clone();
+            let softirq = Rc::new(move |sim: &mut Sim, queue| {
+                if let Some(inner) = stack.upgrade() {
+                    TcpHost { inner }.softirq(sim, queue);
+                }
+            });
+            let queues = fabric.with_nic(host, |nic| nic.claim(nic.config().num_queues, softirq));
+            fabric.with_nic(host, |nic| nic.set_rss(queues.clone()));
+            RefCell::new(Inner {
                 host,
                 fabric: fabric.clone(),
                 machine,
@@ -196,24 +219,10 @@ impl TcpHost {
                 stats: TcpStats::default(),
                 stream_seg_sum: 0,
                 next_conn: 1,
-            })),
-        };
-        // Kernel TCP receives via interrupts: arm every queue and
-        // process in softirq context from the handler. Weak: the NIC
-        // lives in the fabric, which the stack holds, so a strong
-        // handle here would be a cycle.
-        let handler = Rc::downgrade(&this.inner);
-        fabric.with_nic(host, |nic| {
-            for q in 0..nic.config().num_queues {
-                nic.arm_irq(q, true);
-            }
-            nic.set_irq_handler(Rc::new(move |sim, queue| {
-                if let Some(inner) = handler.upgrade() {
-                    TcpHost { inner }.softirq(sim, queue);
-                }
-            }));
+                queues,
+            })
         });
-        this
+        TcpHost { inner }
     }
 
     /// Registers the message-delivery callback.
@@ -369,7 +378,7 @@ impl TcpHost {
             (pkt, Inner::pacing(streams, seg_len))
         };
         // Fire-and-forget; loss is recovered by RTO.
-        let queue = (conn % 4) as u16;
+        let queue = self.inner.borrow().tx_queue(conn);
         let _ = {
             let fabric = self.inner.borrow().fabric.clone();
             fabric.transmit(sim, queue, pkt)
@@ -452,7 +461,7 @@ impl TcpHost {
                     .u32(seg_len);
                 let mut pkt = Packet::new(host, c.peer, Bytes::from(w.finish()));
                 pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
-                ((pkt.with_rss_hash(conn), (conn % 4) as u16), ())
+                ((pkt.with_rss_hash(conn), inner.tx_queue(conn)), ())
             }
             .0;
             let fabric = self.inner.borrow().fabric.clone();
@@ -541,7 +550,7 @@ impl TcpHost {
 
         // Ack immediately (tiny packet, negligible CPU charged with the
         // segment cost above).
-        let ack = {
+        let (ack, queue) = {
             let inner = self.inner.borrow();
             let mut w = Writer::with_capacity(32);
             w.u8(KIND_ACK)
@@ -549,12 +558,11 @@ impl TcpHost {
                 .u64(msg_id)
                 .u64(offset)
                 .u32(seg_len);
-            let mut pkt = Packet::new(inner.host, src, Bytes::from(w.finish()));
-            pkt = pkt.with_rss_hash(conn);
-            pkt
+            let pkt = Packet::new(inner.host, src, Bytes::from(w.finish()));
+            (pkt.with_rss_hash(conn), inner.queues.start)
         };
         let fabric = self.inner.borrow().fabric.clone();
-        let _ = fabric.transmit(sim, 0, ack);
+        let _ = fabric.transmit(sim, queue, ack);
 
         // Deliver to the app after its thread wakes.
         if let Some((total, conn_cb)) = completed {

@@ -39,18 +39,18 @@ fn main() {
             CpuAccountant::new(),
         );
         group.start(&mut sim);
+        // The engine claims an rx queue whose interrupt wakes it.
+        let wake = group.wake_handle(group.next_id());
+        let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
+        let queue = fabric.with_nic(host, |nic| nic.claim(1, irq)).start;
         let engine = VirtEngine::new(
             format!("andromeda-{h}"),
             host,
             ENGINE_KEYS[h as usize],
-            0,
+            queue,
             fabric.clone(),
         );
         let id = group.add_engine(Box::new(engine));
-        let wake = group.wake_handle(id);
-        fabric.with_nic(host, |nic| {
-            nic.set_irq_handler(Rc::new(move |sim, _q| wake(sim)));
-        });
         groups.push(group);
         engines.push(id);
     }

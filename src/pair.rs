@@ -14,6 +14,7 @@
 use std::convert::Infallible;
 use std::rc::Rc;
 
+use snap_apps::transport::TransportEvent;
 use snap_apps::workload::poll_until;
 use snap_pony::PonyEngineConfig;
 use snap_sched::classes::SchedClass;
@@ -21,7 +22,7 @@ use snap_shm::region::{AccessMode, RegionId};
 use snap_sim::{Histogram, Nanos, Sim};
 use snap_tcp::stack::TcpConfig;
 
-use crate::stack::{Ends, Message, POLL_US, SETTLE};
+use crate::stack::{Ends, POLL_US, SETTLE};
 use crate::testbed::{Testbed, TestbedConfig};
 
 /// The sending thread keeps this many bytes in flight, whatever the
@@ -131,9 +132,11 @@ pub fn stream(stack: &Stack, nic_gbps: f64, streams: u32, duration: Nanos) -> St
         let mut delivered = 0;
         let _ = poll_until(tb, POLL_US, span, |sim| {
             stack.drain(sim.now(), &mut inbox);
-            for (_, _, len) in inbox.drain(..) {
-                delivered += len;
-                send(stack, sim);
+            for event in inbox.drain(..) {
+                if let TransportEvent::Delivered { len, .. } = event {
+                    delivered += len;
+                    send(stack, sim);
+                }
             }
             Ok::<Option<()>, Infallible>(None)
         });
@@ -216,8 +219,8 @@ fn round_trips(
 /// leaves one.
 fn arrival(tb: &mut Testbed, stack: &mut Ends, host: usize, pickup: Option<Learn>) {
     let lost = tb.sim.now() + Nanos::from_millis(10);
-    let mut inbox: Vec<Message> = Vec::new();
-    while inbox.is_empty() {
+    let mut inbox = Vec::new();
+    while !inbox.iter().any(|event| matches!(event, TransportEvent::Delivered { .. })) {
         assert!(tb.sim.step() && tb.sim.now() < lost, "ping lost");
         stack.drain(tb.sim.now(), &mut inbox);
     }

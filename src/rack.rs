@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
 
+use snap_apps::transport::TransportEvent;
 use snap_apps::workload::poll_until;
 use snap_core::group::SchedulingMode;
 use snap_pony::PonyEngineConfig;
@@ -29,7 +30,7 @@ use snap_sched::classes::SchedClass;
 use snap_sim::{costs, Histogram, Nanos, Rng, Sim};
 use snap_tcp::stack::TcpConfig;
 
-use crate::stack::{Ends, Message, POLL_US, SETTLE};
+use crate::stack::{Ends, POLL_US, SETTLE};
 use crate::testbed::{Testbed, TestbedConfig};
 
 /// After the window, replies and responses are collected for at most
@@ -104,7 +105,10 @@ impl Default for RackParams {
 }
 
 /// Rack measurement outcome. Rates are over the window
-/// `[start, start + duration)`; counts are of the whole run.
+/// `[start, start + duration)`; counts are of the whole run, and every
+/// op issued is completed, refused or unanswered: `probes_issued =
+/// prober.count() + probes_refused + probes_unanswered`, `bulk_issued =
+/// rpcs + rpcs_refused + rpcs_unanswered`.
 #[derive(Debug, Clone)]
 pub struct RackResult {
     /// Average cores consumed per host in the window (all Snap/TCP CPU).
@@ -116,12 +120,19 @@ pub struct RackResult {
     pub prober: Histogram,
     /// Probes still unanswered when the drain ended.
     pub probes_unanswered: u64,
+    /// Probes whose probe or reply the stack refused (`SendBusy`,
+    /// `SendFailed`).
+    pub probes_refused: u64,
     /// Probes issued (the schedule's count).
     pub probes_issued: u64,
     /// RPC requests issued (the schedule's count).
     pub bulk_issued: u64,
     /// RPC responses completed by the end of the drain.
     pub rpcs: u64,
+    /// RPCs whose request or response the stack refused.
+    pub rpcs_refused: u64,
+    /// RPCs still unanswered when the drain ended.
+    pub rpcs_unanswered: u64,
     /// Job connections in the mesh.
     pub job_conns: usize,
     /// Kernel TCP only: mean number of active streams a segment sent in
@@ -204,14 +215,16 @@ struct Apps<'a> {
     /// `[host][peer][app]`: the connection `host`'s app dialed.
     mesh: Vec<Vec<Vec<u64>>>,
     arrivals: std::iter::Peekable<std::vec::IntoIter<Arrival>>,
-    inbox: Vec<Message>,
+    inbox: Vec<TransportEvent>,
     /// Due instants of the probes in flight, FIFO per connection (a
     /// reply comes back on the connection its probe went out on).
     probes_out: BTreeMap<u64, VecDeque<Nanos>>,
     prober: Histogram,
     probes_issued: u64,
+    probes_refused: u64,
     bulk_issued: u64,
     rpcs: u64,
+    rpcs_refused: u64,
     response_bytes: u64,
 }
 
@@ -244,30 +257,43 @@ impl Apps<'_> {
             }
         }
         self.stack.drain(now, &mut self.inbox);
-        for (conn, tag, len) in self.inbox.drain(..) {
+        for event in self.inbox.drain(..) {
+            // `None`: the stack refused the send, so its op ends here.
+            let (conn, tag, len) = match event {
+                TransportEvent::Delivered { conn, tag, len } => (conn, tag, Some(len)),
+                TransportEvent::SendBusy { conn, tag } | TransportEvent::SendFailed { conn, tag } => {
+                    (conn, tag, None)
+                }
+                TransportEvent::SendDone { .. } => continue,
+            };
             // Requests and probes arrive, and are answered, where their
             // connection was accepted; responses and replies where it
             // was dialed.
             let host = self.stack.accepter(conn);
             let mut answer = |kind: Kind, len| self.stack.send(sim, host, conn, kind as u32, len);
-            match Kind::from_tag(tag) {
-                Kind::Request => answer(Kind::Response, self.params.rpc_bytes),
-                Kind::Response => {
+            let mut probe_done = || self.probes_out.get_mut(&conn).and_then(VecDeque::pop_front);
+            match (Kind::from_tag(tag), len) {
+                (Kind::Request, Some(_)) => answer(Kind::Response, self.params.rpc_bytes),
+                (Kind::Probe, Some(_)) => answer(Kind::Reply, PROBE_BYTES),
+                (Kind::Response, Some(len)) => {
                     self.rpcs += 1;
                     self.response_bytes += len;
                 }
-                Kind::Probe => answer(Kind::Reply, PROBE_BYTES),
-                Kind::Reply => {
-                    let sent = self.probes_out.get_mut(&conn);
-                    if let Some(due) = sent.and_then(VecDeque::pop_front) {
+                (Kind::Reply, Some(_)) => {
+                    if let Some(due) = probe_done() {
                         self.prober.record_nanos(now.saturating_sub(due));
                     }
+                }
+                (Kind::Request | Kind::Response, None) => self.rpcs_refused += 1,
+                (Kind::Probe | Kind::Reply, None) => {
+                    self.probes_refused += 1;
+                    probe_done();
                 }
             }
         }
         let idle = self.arrivals.peek().is_none()
-            && self.rpcs == self.bulk_issued
-            && self.prober.count() == self.probes_issued;
+            && self.rpcs + self.rpcs_refused == self.bulk_issued
+            && self.probes_out.values().all(VecDeque::is_empty);
         idle.then_some(())
     }
 }
@@ -347,8 +373,10 @@ pub fn run_on(tb: &mut Testbed, params: &RackParams) -> RackResult {
         probes_out: BTreeMap::new(),
         prober: Histogram::new(),
         probes_issued: 0,
+        probes_refused: 0,
         bulk_issued: 0,
         rpcs: 0,
+        rpcs_refused: 0,
         response_bytes: 0,
     };
     let (cpu0, segs0, streams0) = apps.usage(tb);
@@ -369,11 +397,14 @@ pub fn run_on(tb: &mut Testbed, params: &RackParams) -> RackResult {
     RackResult {
         cpu_per_host: (cpu1 - cpu0).as_secs_f64() / secs / params.hosts as f64,
         delivered_gbps: window_bytes as f64 * 8.0 / secs / 1e9,
-        probes_unanswered: apps.probes_issued - apps.prober.count(),
+        probes_unanswered: apps.probes_out.values().map(|due| due.len() as u64).sum(),
+        probes_refused: apps.probes_refused,
         prober: apps.prober,
         probes_issued: apps.probes_issued,
         bulk_issued: apps.bulk_issued,
         rpcs: apps.rpcs,
+        rpcs_refused: apps.rpcs_refused,
+        rpcs_unanswered: apps.bulk_issued - apps.rpcs - apps.rpcs_refused,
         job_conns,
         tcp_mean_streams: (segs1 > segs0)
             .then(|| (streams1 - streams0) as f64 / (segs1 - segs0) as f64),

@@ -35,8 +35,6 @@ pub(crate) const SETTLE: Nanos = Nanos::from_micros(50);
 /// message, more than any run delivers.
 const RECV_BUFFERS: u32 = 1 << 30;
 
-/// A message that arrived: `(conn, tag, len)`.
-pub(crate) type Message = (u64, u32, u64);
 /// An application: `(host, app)`.
 pub(crate) type App = (usize, usize);
 /// One stream of [`Ends::streams`]: `(conn, tag)`.
@@ -57,7 +55,6 @@ pub(crate) struct Ends {
     /// A connection's ends: the one that dialed it, the one that
     /// accepted it.
     sides: BTreeMap<u64, [usize; 2]>,
-    events: Vec<TransportEvent>,
 }
 
 impl Ends {
@@ -85,13 +82,8 @@ impl Ends {
     }
 
     fn new(apps: usize, ends: Kind) -> Self {
-        let (sides, events) = (BTreeMap::new(), Vec::new());
-        Ends {
-            apps,
-            ends,
-            sides,
-            events,
-        }
+        let sides = BTreeMap::new();
+        Ends { apps, ends, sides }
     }
 
     fn end(&mut self, end: usize) -> &mut dyn Transport {
@@ -157,17 +149,13 @@ impl Ends {
         self.end(end).send(sim, conn, tag, len);
     }
 
-    /// Appends what arrived since the last call, end by end.
-    pub(crate) fn drain(&mut self, now: Nanos, out: &mut Vec<Message>) {
-        let events = &mut self.events;
+    /// Appends every event since the last call, end by end: what
+    /// arrived, and each send's outcome.
+    pub(crate) fn drain(&mut self, now: Nanos, out: &mut Vec<TransportEvent>) {
         match &mut self.ends {
-            Kind::Pony(ends) => ends.iter_mut().for_each(|end| end.poll(now, events)),
-            Kind::Tcp(ends) => ends.iter_mut().for_each(|end| end.poll(now, events)),
+            Kind::Pony(ends) => ends.iter_mut().for_each(|end| end.poll(now, out)),
+            Kind::Tcp(ends) => ends.iter_mut().for_each(|end| end.poll(now, out)),
         }
-        out.extend(events.drain(..).filter_map(|event| match event {
-            TransportEvent::Delivered { conn, tag, len } => Some((conn, tag, len)),
-            _ => None,
-        }));
     }
 
     /// `host`'s books so far: the stack's CPU — a Pony group's, or the

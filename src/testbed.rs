@@ -258,9 +258,8 @@ impl Testbed {
 
     /// The kernel-TCP stack of `host` (for baseline comparisons),
     /// built with `cfg` at the first call; every application on the
-    /// host, facade or §5 driver, runs on it. The stack takes over the
-    /// host's NIC interrupt handler, so a host runs either TCP or Pony
-    /// in a given experiment — as in the paper's evaluation.
+    /// host, facade or §5 driver, runs on it. The stack claims NIC
+    /// queues of its own, beside those of the host's Pony engines.
     ///
     /// # Panics
     ///
@@ -717,29 +716,39 @@ mod tests {
     use super::*;
     use snap_pony::client::{PonyCommand, PonyCompletion};
 
+    /// One message to each receiving app, however many engines its
+    /// host runs: nine are more than the NIC's eight configured queues,
+    /// and each still gets a queue of its own.
     #[test]
     fn pair_testbed_messaging_works() {
-        let mut tb = Testbed::pair();
-        let mut a = tb.pony_app(0, "alpha", |_| {});
-        let mut b = tb.pony_app(1, "beta", |_| {});
-        let conn = tb.connect(0, "alpha", 1, "beta");
-        a.submit(
-            &mut tb.sim,
-            PonyCommand::Send {
-                conn,
-                stream: 0,
-                len: 64,
-            },
-        );
-        tb.run_ms(5);
-        assert!(b
-            .take_completions()
-            .iter()
-            .any(|c| matches!(c, PonyCompletion::RecvMsg { len: 64, .. })));
-        assert!(a
-            .take_completions()
-            .iter()
-            .any(|c| matches!(c, PonyCompletion::OpDone { .. })));
+        for receivers in [1, 9] {
+            let mut tb = Testbed::pair();
+            let mut a = tb.pony_app(0, "alpha", |_| {});
+            let names: Vec<String> = (0..receivers).map(|i| format!("beta{i}")).collect();
+            let mut bs: Vec<PonyClient> = names.iter().map(|b| tb.pony_app(1, b, |_| {})).collect();
+            for b in &names {
+                let conn = tb.connect(0, "alpha", 1, b);
+                a.submit(
+                    &mut tb.sim,
+                    PonyCommand::Send {
+                        conn,
+                        stream: 0,
+                        len: 64,
+                    },
+                );
+            }
+            tb.run_ms(5);
+            let count = |client: &mut PonyClient, done: fn(&PonyCompletion) -> bool| {
+                client.take_completions().iter().filter(|&c| done(c)).count()
+            };
+            let received: Vec<usize> = bs
+                .iter_mut()
+                .map(|b| count(b, |c| matches!(c, PonyCompletion::RecvMsg { len: 64, .. })))
+                .collect();
+            assert_eq!(received, vec![1; receivers]);
+            let sent = count(&mut a, |c| matches!(c, PonyCompletion::OpDone { .. }));
+            assert_eq!(sent, receivers);
+        }
     }
 
     /// A testbed owns its hosts: nothing inside an engine group (the
@@ -774,7 +783,7 @@ mod tests {
     }
 
     /// Likewise for the kernel-TCP baseline: the stack holds the fabric
-    /// and its host's machine, so the NIC interrupt handler it installs
+    /// and its host's machine, so the handler it claims NIC queues with
     /// must not hold the stack.
     #[test]
     fn dropping_a_tcp_testbed_frees_its_stacks() {
@@ -795,20 +804,57 @@ mod tests {
         );
     }
 
+    /// Sends 100 000 bytes of `byte` from `tx`; returns how many of
+    /// them `rx` received within 20 ms.
+    fn transfer(tb: &mut Testbed, (tx, rx): &(SnapSocket, SnapSocket), byte: u8) -> usize {
+        tx.send(&mut tb.sim, &vec![byte; 100_000]).expect("connected");
+        let mut got = vec![0; 100_000];
+        let mut received = 0;
+        while received < got.len() {
+            let timeout = Nanos::from_millis(20);
+            let Ok(n) = rx.recv_deadline(tb.as_pump(), &mut got[received..], timeout) else {
+                break;
+            };
+            received += n;
+        }
+        assert!(got[..received].iter().all(|&b| b == byte));
+        received
+    }
+
     /// A host runs one kernel stack: asking for it after the facade
     /// built it returns that stack, not a second one that takes the
-    /// NIC's interrupts and strands the first.
+    /// NIC's interrupts and strands the first. Pony engines run beside
+    /// it, on NIC queues of their own, whichever was built first.
     #[test]
     fn a_host_has_one_kernel_stack() {
         let mut tb = Testbed::pair();
-        let (tx, rx) = tb.app_pair(0, "a", 1, "b", Backend::Tcp).expect("wires");
+        let tcp = tb.app_pair(0, "a", 1, "b", Backend::Tcp).expect("wires");
         let stack = tb.tcp_host(1, TcpConfig::default());
-        tx.send(&mut tb.sim, &[7; 1000]).expect("connected");
+        tcp.0.send(&mut tb.sim, &[7; 1000]).expect("connected");
         let mut got = [0; 1000];
-        rx.recv_exact_deadline(tb.as_pump(), &mut got, Nanos::from_millis(5))
+        tcp.1
+            .recv_exact_deadline(tb.as_pump(), &mut got, Nanos::from_millis(5))
             .expect("delivered by the host's one stack");
         assert_eq!(got, [7; 1000]);
         assert_eq!(stack.stats().msgs_delivered, 1);
+
+        let pony = tb.app_pair(0, "p", 1, "q", Backend::Pony).expect("wires");
+        assert_eq!(
+            [transfer(&mut tb, &pony, 1), transfer(&mut tb, &tcp, 2), transfer(&mut tb, &pony, 3)],
+            [100_000; 3],
+            "Pony after the kernel stack, then TCP, then Pony again"
+        );
+
+        // The other way round: the kernel stack's RSS range is the
+        // queues it claimed after the engines', not the engines' queue.
+        let mut tb = Testbed::pair();
+        let pony = tb.app_pair(0, "p", 1, "q", Backend::Pony).expect("wires");
+        let tcp = tb.app_pair(0, "a", 1, "b", Backend::Tcp).expect("wires");
+        assert_eq!(
+            [transfer(&mut tb, &tcp, 1), transfer(&mut tb, &pony, 2)],
+            [100_000; 2],
+            "TCP after the engines, then Pony"
+        );
     }
 
     #[test]

@@ -195,10 +195,8 @@ impl Tour {
             assert_eq!(id, h);
             let (log, fabric2) = (log.clone(), fabric.clone());
             fabric.with_nic(id, |nic| {
-                for q in 0..nic.config().num_queues {
-                    nic.arm_irq(q, true);
-                }
-                nic.set_irq_handler(Rc::new(move |sim: &mut Sim, q| {
+                let queues = nic.config().num_queues;
+                nic.claim(queues, Rc::new(move |sim: &mut Sim, q| {
                     let mut polled = Vec::new();
                     fabric2.with_nic(id, |nic| nic.poll_rx(q, usize::MAX, &mut polled));
                     let ids: Vec<u64> = polled.iter().map(packet_id).collect();

@@ -35,6 +35,7 @@ fn fingerprint(r: &RackResult) -> impl PartialEq + std::fmt::Debug {
             r.bulk_issued,
         ),
         (r.probes_issued, r.probes_unanswered, r.job_conns),
+        (r.probes_refused, r.rpcs_refused, r.rpcs_unanswered),
         (
             r.prober.count(),
             r.prober.median(),
@@ -43,6 +44,15 @@ fn fingerprint(r: &RackResult) -> impl PartialEq + std::fmt::Debug {
         ),
         r.tcp_mean_streams.map(f64::to_bits),
     )
+}
+
+/// Every op issued is completed, refused or unanswered, probes and
+/// RPCs alike.
+fn assert_every_op_counted(r: &RackResult, name: &str) {
+    let probes = r.prober.count() + r.probes_refused + r.probes_unanswered;
+    assert_eq!(r.probes_issued, probes, "{name}: probes");
+    let rpcs = r.rpcs + r.rpcs_refused + r.rpcs_unanswered;
+    assert_eq!(r.bulk_issued, rpcs, "{name}: RPCs");
 }
 
 #[test]
@@ -144,11 +154,7 @@ fn both_stacks_run_the_same_workload_and_finish_it() {
         // Low load: nothing is left behind by the end of the drain.
         assert_eq!(r.rpcs, r.bulk_issued, "{name}");
         assert_eq!(r.probes_unanswered, 0, "{name}");
-        assert_eq!(
-            r.prober.count() + r.probes_unanswered,
-            r.probes_issued,
-            "{name}"
-        );
+        assert_every_op_counted(&r, &name);
         let window_bytes = r.delivered_gbps * 1e9 / 8.0 * p.duration.as_secs_f64();
         assert!(window_bytes > 0.0, "{name}");
         assert!(
@@ -172,9 +178,11 @@ fn both_stacks_run_the_same_workload_and_finish_it() {
     }
 }
 
+/// Including ten engines a host (nine jobs and the prober), more than
+/// the NIC's eight configured queues.
 #[test]
 fn other_rack_shapes_run_on_both_stacks() {
-    for (hosts, jobs_per_host) in [(5, 3), (3, 1)] {
+    for (hosts, jobs_per_host) in [(5, 3), (3, 1), (6, 9)] {
         for stack in both_stacks() {
             let p = RackParams {
                 hosts,
@@ -188,6 +196,7 @@ fn other_rack_shapes_run_on_both_stacks() {
                 (8 * hosts as u64, 10 * hosts as u64)
             );
             assert_eq!((r.rpcs, r.probes_unanswered), (r.bulk_issued, 0), "{p:?}");
+            assert_every_op_counted(&r, &format!("{p:?}"));
         }
     }
 }

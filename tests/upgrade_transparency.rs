@@ -5,7 +5,7 @@
 use snap_repro::core::upgrade::UpgradeOrchestrator;
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
 use snap_repro::shm::region::AccessMode;
-use snap_repro::sim::Nanos;
+use snap_repro::sim::{Nanos, Sim};
 use snap_repro::testbed::Testbed;
 
 mod common;
@@ -241,12 +241,15 @@ fn virt_upgrade(outcome: VirtUpgrade) {
     ];
     let mut tb = Testbed::pair();
     let fabric = tb.fabric.clone();
-    let mut ids = Vec::new();
+    let (mut ids, mut queues) = (Vec::new(), Vec::new());
     let mut rings: Vec<(GuestRing, GuestRing)> = Vec::new();
     for h in 0..2 {
         let (host, peer) = (tb.hosts[h].id, tb.hosts[1 - h].id);
         let group = tb.hosts[h].group.clone();
-        let mut engine = VirtEngine::new(format!("virt-{h}"), host, KEYS[h], 1, fabric.clone());
+        let wake = group.wake_handle(group.next_id());
+        let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
+        queues.push(fabric.with_nic(host, |nic| nic.claim(1, irq)).start);
+        let mut engine = VirtEngine::new(format!("virt-{h}"), host, KEYS[h], queues[h], fabric.clone());
         rings.push(engine.attach_guest(guests[h], 128));
         engine.install_route(
             guests[1 - h],
@@ -256,10 +259,6 @@ fn virt_upgrade(outcome: VirtUpgrade) {
             },
         );
         let id = group.add_engine(Box::new(engine));
-        let wake = group.wake_handle(id);
-        fabric.with_nic(host, |nic| {
-            nic.set_irq_handler(Rc::new(move |sim, _q| wake(sim)));
-        });
         ids.push(id);
     }
 
@@ -284,6 +283,7 @@ fn virt_upgrade(outcome: VirtUpgrade) {
     // brownout).
     let host = tb.hosts[0].id;
     let (fabric2, tx, rx) = (fabric.clone(), rings[0].0.clone(), rings[0].1.clone());
+    let queue = queues[0];
     let mut orch = UpgradeOrchestrator::new();
     orch.add_engine(
         tb.hosts[0].group.clone(),
@@ -297,7 +297,7 @@ fn virt_upgrade(outcome: VirtUpgrade) {
                     state.pop();
                 }
             }
-            let mut v2 = VirtEngine::new("virt-v2", host, KEYS[0], 1, fabric2);
+            let mut v2 = VirtEngine::new("virt-v2", host, KEYS[0], queue, fabric2);
             v2.restore_flows(&state)
                 .map_err(|e| UpgradeError::BadState(e.to_string()))?;
             v2.attach_guest_with_rings(guests[0], tx, rx);
