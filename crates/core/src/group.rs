@@ -25,6 +25,7 @@
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
+use snap_nic::{fabric::FabricHandle, packet::HostId};
 use snap_shm::account::{CpuAccountant, CpuSlot};
 use snap_sim::costs;
 use snap_sim::stats::Histogram;
@@ -467,11 +468,27 @@ impl GroupHandle {
         self.inner.borrow().name.clone()
     }
 
-    /// The id [`GroupHandle::add_engine`] gives the next engine, for
-    /// what must name an engine before it is built (its NIC queue's
-    /// interrupt handler).
-    pub fn next_id(&self) -> EngineId {
-        EngineId(self.inner.borrow().slots.len() as u32)
+    /// Adds the engine `build` makes on a NIC rx queue of its own:
+    /// claims the next queue of `host`'s NIC, whose interrupt wakes the
+    /// engine, and hands `build` the queue. Returns the engine's id and
+    /// its queue.
+    pub fn add_engine_on_queue(
+        &self,
+        fabric: &FabricHandle,
+        host: HostId,
+        build: impl FnOnce(u16) -> Box<dyn Engine>,
+    ) -> (EngineId, u16) {
+        // The handler names the engine before it exists: the id
+        // `add_engine` gives next.
+        let id = EngineId(self.inner.borrow().slots.len() as u32);
+        // Weak: the NIC lives in the fabric, which the group's engines
+        // hold, so a strong handle here would be a cycle.
+        let group = self.downgrade();
+        let wake = Rc::new(move |sim: &mut Sim, _| group.wake(sim, id));
+        let queue = fabric.with_nic(host, |nic| nic.claim(1, wake)).start;
+        let added = self.add_engine(build(queue));
+        assert_eq!(added, id, "queue {queue} wakes another engine");
+        (id, queue)
     }
 
     /// Adds an engine; returns its id. May be called before or after

@@ -481,11 +481,10 @@ mod tests {
             );
             group.start(&mut sim);
             let key = if h == 0 { KEY0 } else { KEY1 };
-            let wake = group.wake_handle(group.next_id());
-            let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
-            let queue = fabric.with_nic(host, |nic| nic.claim(1, irq)).start;
-            let engine = VirtEngine::new(format!("virt-{h}"), host, key, queue, fabric.clone());
-            let id = group.add_engine(Box::new(engine));
+            let (id, _) = group.add_engine_on_queue(&fabric, host, |queue| {
+                let name = format!("virt-{h}");
+                Box::new(VirtEngine::new(name, host, key, queue, fabric.clone()))
+            });
             groups.push(group);
             engines.push(id);
         }

@@ -256,18 +256,14 @@ impl PonyModule {
     pub fn create_engine(&mut self, app: &str, configure: impl FnOnce(&mut PonyEngineConfig)) -> EngineId {
         let key = self.next_key;
         self.next_key += 1;
-        let id = self.kit.group.next_id();
-        // Weak: the NIC lives in the fabric, which the group's engines
-        // hold, so a strong handle here would be a cycle.
-        let group = self.kit.group.downgrade();
-        let wake = Rc::new(move |sim: &mut Sim, _| group.wake(sim, id));
-        let queue = self.kit.fabric.with_nic(self.host, |nic| nic.claim(1, wake)).start;
-        let mut cfg = PonyEngineConfig::new(format!("pony-{}-{app}", self.host), self.host, key);
-        cfg.queue = queue;
-        cfg.container = app.to_string();
-        configure(&mut cfg);
-        let added = self.kit.group.add_engine(Box::new(self.kit.fresh(cfg)));
-        debug_assert_eq!(added, id, "the queue's interrupt wakes another engine");
+        let kit = &self.kit;
+        let (id, queue) = kit.group.add_engine_on_queue(&kit.fabric, self.host, |queue| {
+            let mut cfg = PonyEngineConfig::new(format!("pony-{}-{app}", self.host), self.host, key);
+            cfg.queue = queue;
+            cfg.container = app.to_string();
+            configure(&mut cfg);
+            Box::new(kit.fresh(cfg))
+        });
         // The engine was just added, so this cannot miss.
         let _ = with_pony_engine(&self.kit.group, id, |e| self.kit.wire(id, e));
         self.engines.insert(app.to_string(), id);

@@ -329,7 +329,7 @@ impl TcpHost {
     /// interval while window and queue allow.
     fn tx_pass(&self, sim: &mut Sim, conn: ConnKey) {
         let now = sim.now();
-        let (pkt, next_delay) = {
+        let (pkt, queue, next_delay) = {
             let mut inner = self.inner.borrow_mut();
             let mtu = inner.cfg.mtu;
             let window = inner.cfg.window_bytes;
@@ -375,14 +375,11 @@ impl TcpHost {
             let mut pkt = Packet::new(host, peer, Bytes::from(w.finish()));
             pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
             pkt = pkt.with_rss_hash(conn).with_qos(QosClass::BestEffort);
-            (pkt, Inner::pacing(streams, seg_len))
+            (pkt, inner.tx_queue(conn), Inner::pacing(streams, seg_len))
         };
         // Fire-and-forget; loss is recovered by RTO.
-        let queue = self.inner.borrow().tx_queue(conn);
-        let _ = {
-            let fabric = self.inner.borrow().fabric.clone();
-            fabric.transmit(sim, queue, pkt)
-        };
+        let fabric = self.inner.borrow().fabric.clone();
+        let _ = fabric.transmit(sim, queue, pkt);
         self.arm_rto(sim, conn);
         // Pace the next segment.
         let has_more = {
@@ -461,9 +458,8 @@ impl TcpHost {
                     .u32(seg_len);
                 let mut pkt = Packet::new(host, c.peer, Bytes::from(w.finish()));
                 pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
-                ((pkt.with_rss_hash(conn), inner.tx_queue(conn)), ())
-            }
-            .0;
+                (pkt.with_rss_hash(conn), inner.tx_queue(conn))
+            };
             let fabric = self.inner.borrow().fabric.clone();
             let _ = fabric.transmit(sim, queue, pkt);
         }
@@ -473,15 +469,10 @@ impl TcpHost {
     /// Softirq: drain the rx ring, process data/acks, charge CPU.
     fn softirq(&self, sim: &mut Sim, queue: u16) {
         let mut pkts = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            let host = inner.host;
-            inner.fabric.with_nic(host, |nic| {
-                // Kernel NAPI polls a budget of packets per softirq.
-                nic.poll_rx(queue, 64, &mut pkts);
-            });
-            let _ = inner;
-        }
+        let inner = self.inner.borrow();
+        // Kernel NAPI polls a budget of packets per softirq.
+        inner.fabric.with_nic(inner.host, |nic| nic.poll_rx(queue, 64, &mut pkts));
+        drop(inner);
         if pkts.is_empty() {
             return;
         }

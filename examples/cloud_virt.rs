@@ -39,18 +39,11 @@ fn main() {
             CpuAccountant::new(),
         );
         group.start(&mut sim);
-        // The engine claims an rx queue whose interrupt wakes it.
-        let wake = group.wake_handle(group.next_id());
-        let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
-        let queue = fabric.with_nic(host, |nic| nic.claim(1, irq)).start;
-        let engine = VirtEngine::new(
-            format!("andromeda-{h}"),
-            host,
-            ENGINE_KEYS[h as usize],
-            queue,
-            fabric.clone(),
-        );
-        let id = group.add_engine(Box::new(engine));
+        // The engine owns an rx queue whose interrupt wakes it.
+        let (id, _) = group.add_engine_on_queue(&fabric, host, |queue| {
+            let (name, key) = (format!("andromeda-{h}"), ENGINE_KEYS[h as usize]);
+            Box::new(VirtEngine::new(name, host, key, queue, fabric.clone()))
+        });
         groups.push(group);
         engines.push(id);
     }

@@ -46,10 +46,11 @@ fn main() {
         params.rpc_per_sec_per_host, r.delivered_gbps, r.cpu_per_host, r.rpcs, r.bulk_issued
     );
     println!(
-        "prober RTT: {}   ({} of {} probes unanswered)",
+        "prober RTT: {}   ({} of {} probes answered, {} refused)",
         r.prober.latency_summary(),
-        r.probes_unanswered,
-        r.probes_issued
+        r.prober.count(),
+        r.probes_issued,
+        r.probes_refused
     );
     // Whole-run CPU by kind (the report's cores/host is the window's).
     let wall = tb.sim.now().as_secs_f64();

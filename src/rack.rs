@@ -116,7 +116,8 @@ pub struct RackResult {
     /// Aggregate response goodput delivered in the window, Gbps.
     pub delivered_gbps: f64,
     /// RTTs (ns) of the answered probes, each timed from the instant it
-    /// was due.
+    /// was due. Exact while the stack refuses nothing; see `Apps` for
+    /// what a refusal does to them.
     pub prober: Histogram,
     /// Probes still unanswered when the drain ended.
     pub probes_unanswered: u64,
@@ -217,7 +218,11 @@ struct Apps<'a> {
     arrivals: std::iter::Peekable<std::vec::IntoIter<Arrival>>,
     inbox: Vec<TransportEvent>,
     /// Due instants of the probes in flight, FIFO per connection (a
-    /// reply comes back on the connection its probe went out on).
+    /// reply comes back on the connection its probe went out on). A
+    /// refusal names its connection but not its probe, so it ends the
+    /// oldest probe there: the counts stay exact, but while another
+    /// probe on that connection is in flight, the later replies there
+    /// are timed from a neighbour's due instant.
     probes_out: BTreeMap<u64, VecDeque<Nanos>>,
     prober: Histogram,
     probes_issued: u64,

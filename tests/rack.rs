@@ -3,8 +3,10 @@
 //! over the same mesh through the same window.
 
 use snap_repro::core::group::SchedulingMode;
-use snap_repro::rack::{run, schedule, RackParams, RackResult, Stack};
+use snap_repro::isolation::QuotaPolicy;
+use snap_repro::rack::{run, run_on, schedule, RackParams, RackResult, Stack};
 use snap_repro::sim::Nanos;
+use snap_repro::testbed::{Testbed, TestbedConfig};
 
 /// A rack small enough for a debug build: 4 hosts × 2 jobs, 8 RPCs of
 /// 100 kB and 10 probes per host in 10 ms.
@@ -151,9 +153,10 @@ fn both_stacks_run_the_same_workload_and_finish_it() {
             4 * 3 * 2,
             "{name}: one job connection per (host, peer, job)"
         );
-        // Low load: nothing is left behind by the end of the drain.
+        // Low load: nothing is refused or left behind by the end of
+        // the drain.
         assert_eq!(r.rpcs, r.bulk_issued, "{name}");
-        assert_eq!(r.probes_unanswered, 0, "{name}");
+        assert_eq!(r.prober.count(), r.probes_issued, "{name}");
         assert_every_op_counted(&r, &name);
         let window_bytes = r.delivered_gbps * 1e9 / 8.0 * p.duration.as_secs_f64();
         assert!(window_bytes > 0.0, "{name}");
@@ -195,8 +198,43 @@ fn other_rack_shapes_run_on_both_stacks() {
                 (r.bulk_issued, r.probes_issued),
                 (8 * hosts as u64, 10 * hosts as u64)
             );
-            assert_eq!((r.rpcs, r.probes_unanswered), (r.bulk_issued, 0), "{p:?}");
+            let answered = (r.rpcs, r.prober.count());
+            assert_eq!(answered, (r.bulk_issued, r.probes_issued), "{p:?}");
             assert_every_op_counted(&r, &format!("{p:?}"));
         }
     }
+}
+
+/// Memory quotas make the Pony engines refuse sends: every 100 kB
+/// response is over its job's 1 kB quota, and a probe or reply is
+/// refused while its prober has another one outstanding. A refused op
+/// is counted once, as refused, and the rest still finish.
+#[test]
+fn refused_sends_are_counted_once() {
+    let mode = SchedulingMode::Spreading;
+    let p = small(Stack::Pony(mode.clone(), None));
+    let mut tb = Testbed::new(TestbedConfig {
+        hosts: p.hosts,
+        mode,
+        seed: p.seed,
+        admission: true,
+        ..TestbedConfig::default()
+    });
+    for host in &tb.hosts {
+        let admission = host.admission.as_ref().expect("built with admission");
+        // Apps are named `app{i}`: the jobs first, then the prober.
+        for (app, bytes) in (0..p.jobs_per_host)
+            .map(|job| (job, 1_000))
+            .chain([(p.jobs_per_host, 200)])
+        {
+            let quota = QuotaPolicy::with_mem(bytes, bytes);
+            admission.set_policy(&format!("app{app}"), quota).unwrap();
+        }
+    }
+    let r = run_on(&mut tb, &p);
+    assert_every_op_counted(&r, "quotas");
+    assert_eq!((r.rpcs, r.rpcs_refused), (0, r.bulk_issued));
+    assert!(r.probes_refused > 0, "no probe or reply was refused");
+    assert!(r.prober.count() > 0, "no probe was answered");
+    assert_eq!((r.rpcs_unanswered, r.probes_unanswered), (0, 0));
 }

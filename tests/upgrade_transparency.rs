@@ -5,7 +5,7 @@
 use snap_repro::core::upgrade::UpgradeOrchestrator;
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
 use snap_repro::shm::region::AccessMode;
-use snap_repro::sim::{Nanos, Sim};
+use snap_repro::sim::Nanos;
 use snap_repro::testbed::Testbed;
 
 mod common;
@@ -231,7 +231,6 @@ fn virt_upgrade(outcome: VirtUpgrade) {
     use snap_repro::core::upgrade::UpgradeError;
     use snap_repro::core::virt::{GuestRing, Route, VirtAddr, VirtEngine};
     use snap_repro::nic::packet::Packet;
-    use std::rc::Rc;
 
     // One virt engine per host, one guest each, a route each way.
     const KEYS: [u64; 2] = [0xEE, 0xEF];
@@ -246,20 +245,21 @@ fn virt_upgrade(outcome: VirtUpgrade) {
     for h in 0..2 {
         let (host, peer) = (tb.hosts[h].id, tb.hosts[1 - h].id);
         let group = tb.hosts[h].group.clone();
-        let wake = group.wake_handle(group.next_id());
-        let irq = Rc::new(move |sim: &mut Sim, _| wake(sim));
-        queues.push(fabric.with_nic(host, |nic| nic.claim(1, irq)).start);
-        let mut engine = VirtEngine::new(format!("virt-{h}"), host, KEYS[h], queues[h], fabric.clone());
-        rings.push(engine.attach_guest(guests[h], 128));
-        engine.install_route(
-            guests[1 - h],
-            Route {
-                host: peer,
-                engine_key: KEYS[1 - h],
-            },
-        );
-        let id = group.add_engine(Box::new(engine));
+        let (id, queue) = group.add_engine_on_queue(&fabric, host, |queue| {
+            let name = format!("virt-{h}");
+            let mut engine = VirtEngine::new(name, host, KEYS[h], queue, fabric.clone());
+            rings.push(engine.attach_guest(guests[h], 128));
+            engine.install_route(
+                guests[1 - h],
+                Route {
+                    host: peer,
+                    engine_key: KEYS[1 - h],
+                },
+            );
+            Box::new(engine)
+        });
         ids.push(id);
+        queues.push(queue);
     }
 
     // Each guest sends one packet to the other; returns how many
