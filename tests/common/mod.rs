@@ -1,6 +1,10 @@
-//! A scenario two suites run, each with its own way of rebuilding an
-//! engine (`upgrade_transparency`: the upgrade factory; `fault_recovery`:
-//! a supervisor restart).
+//! What several suites share: a scenario two suites run, each with its
+//! own way of rebuilding an engine (`upgrade_transparency`: the upgrade
+//! factory; `fault_recovery`: a supervisor restart), and the line-by-line
+//! comparison of a text snapshot against its golden.
+
+// Each suite uses only part of this module.
+#![allow(dead_code)]
 
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
 use snap_repro::testbed::{Testbed, TestbedConfig};
@@ -64,5 +68,18 @@ pub fn new_connection_after_rebuild_reaches_its_peer(rebuild: impl FnOnce(&mut T
     assert!(
         matches!(done[..], [PonyCompletion::OpDone { op: o, status: OpStatus::Ok, .. }] if o == op),
         "b sees its send complete once: {done:?}"
+    );
+}
+
+/// Compares snapshots line by line so a failure names the first line
+/// that moved instead of printing two walls of text.
+pub fn assert_snapshot(got: &str, want: &str) {
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "snapshot line {} differs\n--- full snapshot ---\n{got}", i + 1);
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "snapshot length differs\n--- full snapshot ---\n{got}"
     );
 }

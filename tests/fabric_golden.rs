@@ -26,24 +26,14 @@ use snap_repro::tcp::stack::{TcpConfig, TcpHost};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 use snap_repro::topo::{ClosSpec, QosSchedule};
 
+mod common;
+use common::assert_snapshot;
+
 /// FNV-1a over a snapshot's text: pins a whole run in one number.
 fn digest(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// Compares snapshots line by line so a failure names the first line
-/// that moved instead of printing two walls of text.
-fn assert_snapshot(got: &str, want: &str) {
-    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "snapshot line {} differs\n--- full snapshot ---\n{got}", i + 1);
-    }
-    assert_eq!(
-        got.lines().count(),
-        want.lines().count(),
-        "snapshot length differs\n--- full snapshot ---\n{got}"
-    );
 }
 
 /// Everything the fabric counts, one line per table.

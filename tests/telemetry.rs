@@ -19,6 +19,9 @@ use snap_repro::sim::Nanos;
 use snap_repro::telemetry::{Snapshot, StatsConfig};
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
+mod common;
+use common::assert_snapshot;
+
 fn recv_msgs(client: &mut snap_repro::pony::PonyClient, out: &mut Vec<u64>) {
     for c in client.take_completions() {
         if let PonyCompletion::RecvMsg { msg, .. } = c {
@@ -202,17 +205,28 @@ fn live_upgrade_never_double_counts_and_folds_report_once() {
     assert_eq!(snap.counter("upgrade.rollbacks"), None, "clean upgrade");
 }
 
-/// FNV-1a, 64-bit: a pin for text too long to quote.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// A snapshot as text: its instant, then one metric per line, each as
+/// [`Snapshot::to_json`] renders it. The lines joined by ", " inside
+/// the JSON's head and tail are that JSON, byte for byte.
+fn snapshot_lines(snap: &Snapshot) -> String {
+    let head = format!("{{\"at_ns\": {}, \"metrics\": {{", snap.at.as_nanos());
+    let mut out = format!("at_ns {}\n", snap.at.as_nanos());
+    for (name, metric) in &snap.metrics {
+        let one = Snapshot {
+            at: snap.at,
+            metrics: [(name.clone(), metric.clone())].into(),
+        };
+        let json = one.to_json();
+        out.push_str(&json[head.len()..json.len() - "}}".len()]);
+        out.push('\n');
+    }
+    out
 }
 
 /// The stats module's snapshot after a scripted crash + partition +
-/// live-upgrade tour, pinned as JSON: engine counters and depth gauges,
-/// fabric books, restart and upgrade histograms, scheduling delays —
-/// every name but the `cpu.*` split.
+/// live-upgrade tour, pinned as text, one metric per line: engine
+/// counters and depth gauges, fabric books, restart and upgrade
+/// histograms, scheduling delays — every name but the `cpu.*` split.
 #[test]
 fn churn_tour_snapshot_is_pinned() {
     let mut tb = Testbed::pair();
@@ -266,11 +280,9 @@ fn churn_tour_snapshot_is_pinned() {
     assert_eq!(snap.counter("upgrade.engines"), Some(1));
     assert!(snap.counter("fabric.partition_drops").unwrap_or(0) > 0);
     snap.metrics.retain(|name, _| !name.starts_with("cpu."));
-    let json = snap.to_json();
-    assert_eq!(
-        (json.len(), fnv1a(&json)),
-        (2264, 15_524_483_037_973_580_031),
-        "{json}"
+    assert_snapshot(
+        &snapshot_lines(&snap),
+        include_str!("golden/telemetry_churn_tour.txt"),
     );
 }
 
