@@ -40,10 +40,6 @@ use crate::module::ControlError;
 /// Shared machine handle (matches `snap_sched::antagonist::MachineHandle`).
 pub type MachineHandle = Rc<RefCell<Machine>>;
 
-/// Depth-1 control work executed on an engine's worker before its next
-/// pass (the engine mailbox, §2.3).
-pub type MailboxWork = Box<dyn FnOnce(&mut dyn Engine)>;
-
 /// The scheduling mode of an engine group (§2.4, Fig. 3).
 #[derive(Debug, Clone)]
 pub enum SchedulingMode {
@@ -193,9 +189,6 @@ struct Slot {
     /// engine is installed so that a pass charges it without a lookup.
     cpu: CpuSlot,
     worker: usize,
-    /// Depth-1 deferred control work (the engine mailbox, §2.3),
-    /// executed on the engine's worker at the start of its next pass.
-    mailbox: Option<MailboxWork>,
     last_report: RunReport,
     /// When the engine last completed a run pass — the progress
     /// heartbeat sampled by the supervisor for wedge detection.
@@ -246,7 +239,7 @@ pub struct EngineHealth {
 }
 
 /// Aggregated CPU consumption of a group.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCpu {
     /// CPU spent inside engine passes (useful work + poll passes).
     pub engine: Nanos,
@@ -533,7 +526,6 @@ impl GroupHandle {
             state: Lifecycle::Running,
             cpu,
             worker,
-            mailbox: None,
             last_report: RunReport::default(),
             last_pass: Nanos::ZERO,
             stalled_until: Nanos::ZERO,
@@ -666,8 +658,7 @@ impl GroupHandle {
         }
     }
 
-    /// One worker scheduling pass: service mailboxes, run each assigned
-    /// engine that is running and not stalled once, charge CPU, and
+    /// One worker scheduling pass: run each assigned engine that is running and not stalled once, charge CPU, and
     /// reschedule or go idle.
     fn run_worker(&self, sim: &mut Sim, worker_idx: usize) {
         // Engines run without the group borrowed: they may transmit
@@ -685,7 +676,7 @@ impl GroupHandle {
         let mut any_pending = false;
         for i in 0.. {
             // Take the engine out of the slot to run it borrow-free.
-            let (id, mut engine, mailbox, factor) = {
+            let (id, mut engine, factor) = {
                 let mut g = self.inner.borrow_mut();
                 let Some(&id) = g.workers[worker_idx].engines.get(i) else { break };
                 let slot = &mut g.slots[id.0 as usize];
@@ -693,11 +684,8 @@ impl GroupHandle {
                     continue;
                 }
                 let Some(engine) = slot.engine.take() else { continue };
-                (id, engine, slot.mailbox.take(), slot.slowdown)
+                (id, engine, slot.slowdown)
             };
-            if let Some(work) = mailbox {
-                work(engine.as_mut());
-            }
             let mut report = engine.run(sim);
             if factor > 1.0 {
                 // Gray failure: the same pass burns `factor`× the CPU,
@@ -924,37 +912,6 @@ impl GroupHandle {
         self.wake(sim, id);
     }
 
-    /// Posts depth-1 control work to run on the engine's worker before
-    /// its next pass (the engine mailbox, §2.3). Fails with
-    /// [`ControlError::Busy`] if work is already pending and
-    /// [`ControlError::Unavailable`] if the group has no such engine.
-    /// Work posted to a suspended or crashed engine waits for its
-    /// successor's first pass, unless a kill or
-    /// [`GroupHandle::take_engine`] empties the mailbox first.
-    pub fn post_to_engine(
-        &self,
-        sim: &mut Sim,
-        id: EngineId,
-        work: MailboxWork,
-    ) -> Result<(), ControlError> {
-        {
-            let mut g = self.inner.borrow_mut();
-            let slot = g
-                .slots
-                .get_mut(id.0 as usize)
-                .ok_or_else(|| unavailable(id, "removed"))?;
-            if slot.mailbox.is_some() {
-                return Err(ControlError::Busy(format!(
-                    "engine {} mailbox occupied",
-                    id.0
-                )));
-            }
-            slot.mailbox = Some(work);
-        }
-        self.wake(sim, id);
-        Ok(())
-    }
-
     /// True when `other` is a handle to the *same* underlying group —
     /// engine ids are only meaningful within one group, so callers that
     /// key work by `(group, EngineId)` (the supervisor's quarantine
@@ -1054,7 +1011,7 @@ impl GroupHandle {
 
     /// Destroys an engine in place — the fault-injection model of an
     /// engine panicking or its worker thread dying. Its in-memory state
-    /// and mailbox are lost and it is never scheduled again until
+    /// is lost and it is never scheduled again until
     /// [`GroupHandle::resume_engine`] installs a successor rebuilt from
     /// a checkpoint. Ids that were never allocated are a no-op, so
     /// over-approximate (e.g. randomized) fault plans can't panic the
@@ -1067,7 +1024,6 @@ impl GroupHandle {
                 _ => Lifecycle::Crashed,
             };
             slot.engine = None;
-            slot.mailbox = None;
         }
     }
 
@@ -1124,8 +1080,7 @@ impl GroupHandle {
     }
 
     /// Takes a suspended engine out entirely (for state serialization
-    /// by the upgrade orchestrator), emptying its mailbox. The slot
-    /// stays reserved. `None` if the engine crashed or was taken
+    /// by the upgrade orchestrator). The slot stays reserved. `None` if the engine crashed or was taken
     /// already.
     pub fn take_engine(&self, id: EngineId) -> Option<Box<dyn Engine>> {
         let mut g = self.inner.borrow_mut();
@@ -1134,7 +1089,6 @@ impl GroupHandle {
             slot.state.suspended(),
             "taking a running engine; suspend it first"
         );
-        slot.mailbox = None;
         slot.engine.take()
     }
 
@@ -1578,47 +1532,6 @@ mod tests {
             assert_eq!(processed(&g, a), 120, "{}", g.mode_label());
             assert_eq!(processed(&g, b), 120, "{}", g.mode_label());
         }
-    }
-
-    #[test]
-    fn mailbox_posts_run_before_next_pass() {
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        g.start(&mut sim);
-        g.post_to_engine(
-            &mut sim,
-            id,
-            Box::new(|e: &mut dyn Engine| {
-                let e = e
-                    .as_any()
-                    .downcast_mut::<CountingEngine>()
-                    .expect("tests only build CountingEngine");
-                e.inject(Nanos::ZERO);
-                e.inject(Nanos::ZERO);
-            }),
-        )
-        .unwrap();
-        sim.run();
-        assert_eq!(processed(&g, id), 2);
-    }
-
-    #[test]
-    fn post_to_out_of_range_engine_is_unavailable_not_a_panic() {
-        let mut sim = Sim::new();
-        let (g, _id) = counting_group(SchedulingMode::Spreading);
-        let r = g.post_to_engine(&mut sim, EngineId(42), Box::new(|_| {}));
-        assert!(matches!(r, Err(ControlError::Unavailable(_))));
-    }
-
-    #[test]
-    fn mailbox_is_depth_one() {
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        // Don't start: posts stack up un-serviced.
-        let first = g.post_to_engine(&mut sim, id, Box::new(|_| {}));
-        assert!(first.is_ok());
-        let second = g.post_to_engine(&mut sim, id, Box::new(|_| {}));
-        assert!(second.is_err(), "depth-1 mailbox must reject");
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //!
 //! Here a module is a plain typed object — `snap_pony::PonyModule`,
 //! `snap_telemetry::StatsModule` — whose methods set engines up and
-//! reach them through the depth-1 engine mailbox
-//! ([`GroupHandle::post_to_engine`](crate::group::GroupHandle::post_to_engine)).
+//! reach them between passes through
+//! [`GroupHandle::try_with_engine`](crate::group::GroupHandle::try_with_engine),
+//! which refuses a crashed or suspended engine. That call stands in for
+//! §2.3's engine mailbox: the control plane and the engines share the
+//! simulator's one thread, so control work runs at once and wakes
+//! nothing. The lock-free mailbox itself is `snap_shm::Mailbox`.
 //! The RPC transport between an application and its module, and §2.6's
 //! session authentication, are not modeled: they charge no modeled cost
 //! and no modeled path depends on them. What is shared is the error
@@ -25,8 +29,6 @@ pub enum ControlError {
     /// The target engine is crashed, suspended, or gone; the caller
     /// should retry after the supervisor restarts it.
     Unavailable(String),
-    /// The engine mailbox is occupied; retry later.
-    Busy(String),
 }
 
 impl std::fmt::Display for ControlError {
@@ -34,7 +36,6 @@ impl std::fmt::Display for ControlError {
         match self {
             ControlError::Invalid(msg) => write!(f, "invalid request: {msg}"),
             ControlError::Unavailable(what) => write!(f, "engine unavailable: {what}"),
-            ControlError::Busy(what) => write!(f, "mailbox busy: {what}"),
         }
     }
 }

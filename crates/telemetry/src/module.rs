@@ -7,14 +7,12 @@
 //! one, which owns whatever it keeps between polls, and
 //! [`StatsModule::poll_once`] runs every source in watch order.
 //!
-//! * **Engines** are sampled through their *mailboxes* — the same
-//!   depth-1 control channel every other module uses — so a sample is
-//!   always a coherent view taken between engine passes, never a torn
-//!   read of a running engine. Polling is *ingest-then-request*: each
-//!   poll first ingests whatever sample the previously-posted mailbox
-//!   closure deposited, then posts a new request. A `Busy` or
-//!   `Unavailable` mailbox (engine crashed, mid-upgrade) just skips a
-//!   poll.
+//! * **Engines** are read through
+//!   [`GroupHandle::try_with_engine`], the one control path every
+//!   module uses, so a sample is always a coherent view taken between
+//!   engine passes, never a torn read of a running engine. The read
+//!   runs at poll time and wakes nothing; an engine that is crashed or
+//!   suspended (mid-restart, mid-upgrade) skips the poll.
 //! * Engine counters are folded in as **reset-aware deltas**: the
 //!   watched counter going *backwards* means the engine restarted (or
 //!   was replaced by an upgrade) and reset to zero, so the new absolute
@@ -29,7 +27,10 @@
 //!
 //! The datapath is untouched: engines keep their plain `u64` counters
 //! and all cost is concentrated here, in the periodic poll — driven by
-//! [`StatsModule::start`], or by a flight recorder's own clock.
+//! [`StatsModule::start`], or by a flight recorder's own clock. A
+//! source sees the poll's instant, not the simulator, so it can neither
+//! schedule an event nor wake an engine: attaching the module leaves
+//! the modeled run as it was.
 
 // Control-plane code must degrade into typed errors, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -38,10 +39,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use snap_core::group::{GroupHandle, MachineHandle, MailboxWork};
+use snap_core::group::{GroupHandle, MachineHandle};
 use snap_core::supervisor::{RestartKind, Supervisor};
 use snap_core::upgrade::UpgradeReport;
-use snap_core::{Engine, EngineId};
+use snap_core::EngineId;
 use snap_isolation::AdmissionController;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::{HostId, QosClass};
@@ -69,9 +70,10 @@ impl Default for StatsConfig {
     }
 }
 
-/// What a source reads and writes on one poll.
+/// What a source reads and writes on one poll: reads only, so no
+/// source holds the simulator.
 struct Cx<'a> {
-    sim: &'a mut Sim,
+    now: Nanos,
     registry: &'a Registry,
     /// Every watched engine's label, for supervisor records that name
     /// an engine by id only.
@@ -95,12 +97,6 @@ pub struct StatsModule {
     registry: Registry,
     clock: Ticker,
     inner: Rc<RefCell<Inner>>,
-}
-
-/// What one mailbox round-trip brings back from a Pony engine.
-struct EngineSample {
-    stats: PonyStats,
-    depths: Vec<(u64, usize)>,
 }
 
 impl StatsModule {
@@ -133,44 +129,32 @@ impl StatsModule {
             .insert(id, label.to_string());
         let engine = self.registry.scoped(&format!("engine.{label}"));
         let shm = self.registry.scoped(&format!("shm.{label}"));
-        // Filled by the mailbox closure, drained on the next poll.
-        let slot: Rc<RefCell<Option<EngineSample>>> = Rc::default();
         let mut last = PonyStats::default();
         // Sessions with a published depth gauge (zeroed when gone).
         let mut known_sessions: Vec<u64> = Vec::new();
-        self.push(move |cx| {
-            let sample = slot.borrow_mut().take();
-            if let Some(sample) = sample {
-                let counters = sample.stats.counters().into_iter();
-                for ((name, now), (_, then)) in counters.zip(last.counters()) {
-                    engine.counter(name).add(delta(now, then));
-                }
-                last = sample.stats;
-                for (sid, depth) in &sample.depths {
-                    shm.gauge(&format!("s{sid}.cmd_depth"))
-                        .set(as_gauge(*depth as u64));
-                }
-                // A closed session leaves no stale depth on the dashboard.
-                for sid in &known_sessions {
-                    if !sample.depths.iter().any(|(s, _)| s == sid) {
-                        shm.gauge(&format!("s{sid}.cmd_depth")).set(0);
-                    }
-                }
-                known_sessions = sample.depths.iter().map(|(s, _)| *s).collect();
-            }
-            let slot = slot.clone();
-            let work: MailboxWork = Box::new(move |e: &mut dyn Engine| {
-                if let Some(p) = e.as_any().downcast_mut::<PonyEngine>() {
-                    *slot.borrow_mut() = Some(EngineSample {
-                        stats: p.stats().clone(),
-                        depths: p.session_depths(),
-                    });
-                }
+        self.push(move |_| {
+            let read = group.try_with_engine(id, |e| {
+                let p = e.as_any().downcast_mut::<PonyEngine>()?;
+                Some((p.stats().clone(), p.session_depths()))
             });
-            // Busy (previous request still pending) or Unavailable
-            // (crashed / mid-upgrade) just means this poll goes without
-            // a sample.
-            let _ = group.post_to_engine(cx.sim, id, work);
+            // A crashed or suspended engine skips this poll.
+            let Ok(Some((stats, depths))) = read else { return };
+            let counters = stats.counters().into_iter();
+            for ((name, now), (_, then)) in counters.zip(last.counters()) {
+                engine.counter(name).add(delta(now, then));
+            }
+            last = stats;
+            for (sid, depth) in &depths {
+                shm.gauge(&format!("s{sid}.cmd_depth"))
+                    .set(as_gauge(*depth as u64));
+            }
+            // A closed session leaves no stale depth on the dashboard.
+            for sid in &known_sessions {
+                if !depths.iter().any(|(s, _)| s == sid) {
+                    shm.gauge(&format!("s{sid}.cmd_depth")).set(0);
+                }
+            }
+            known_sessions = depths.iter().map(|(s, _)| *s).collect();
         });
     }
 
@@ -180,10 +164,9 @@ impl StatsModule {
     pub fn watch_fabric(&self, fabric: FabricHandle) {
         let mut last_at: Option<Nanos> = None;
         self.push(move |cx| {
-            let now = cx.sim.now();
-            let window = last_at.map_or(0, |t| now.as_nanos().saturating_sub(t.as_nanos()));
+            let window = last_at.map_or(0, |t| cx.now.as_nanos().saturating_sub(t.as_nanos()));
             publish_fabric(cx.registry, &fabric, window);
-            last_at = Some(now);
+            last_at = Some(cx.now);
         });
     }
 
@@ -252,8 +235,8 @@ impl StatsModule {
     /// usage gauges under `isolation.<label>.<container>.*`, plus
     /// denial/shed counters, and label-level
     /// `isolation.<label>.{pressure_transitions,accounting_errors}`
-    /// counters. Admission state is control-plane shared state (no
-    /// mailbox round-trip needed), so each poll reads it directly.
+    /// counters. Admission state is control-plane shared state, so each
+    /// poll reads it directly.
     pub fn watch_admission(&self, label: &str, adm: AdmissionController) {
         let label = label.to_string();
         // Cursor into the admission controller's transition log.
@@ -313,7 +296,7 @@ impl StatsModule {
             // The ledger only grows: each counter is raised to its total
             // (a core's busy ledger may briefly run ahead of virtual time,
             // as slices are charged at request time).
-            let now = cx.sim.now();
+            let now = cx.now;
             let machine = machine.borrow();
             let rows = group.core_cpu(now).into_iter().zip(machine.busy_totals());
             for ((core, split), machine_busy) in rows {
@@ -363,7 +346,7 @@ impl StatsModule {
             engine_labels,
         } = &mut *inner;
         let mut cx = Cx {
-            sim,
+            now: sim.now(),
             registry: &self.registry,
             engine_labels,
         };

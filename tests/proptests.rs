@@ -247,9 +247,6 @@ struct EngineModel {
     stalled_until: Nanos,
     /// Items injected into the engine instance now in the slot.
     injected: u64,
-    /// Set by a successful post, cleared by the posted work itself (or
-    /// by a kill, which empties the mailbox).
-    mailbox: std::rc::Rc<std::cell::Cell<bool>>,
 }
 
 fn counting(e: &mut dyn Engine) -> &mut CountingEngine {
@@ -332,7 +329,6 @@ fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, S
                 g.kill_engine(id);
                 if let Some(m) = model.get_mut(target as usize) {
                     m.crashed = true;
-                    m.mailbox.set(false);
                 }
             }
             2 => {
@@ -362,24 +358,16 @@ fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, S
                 prop_assert_eq!(g.slowdown_factor(id), Some(1.0), "a successor is healthy");
             }
             6 => {
-                let flag = model.get(target as usize).map(|m| m.mailbox.clone());
-                let done = flag.clone();
-                let work = move |_: &mut dyn Engine| {
-                    done.expect("only an allocated engine runs mailbox work").set(false)
-                };
-                let posted = g.post_to_engine(&mut sim, id, Box::new(work));
-                match flag {
-                    None => {
-                        let refused = matches!(posted, Err(ControlError::Unavailable(_)));
-                        prop_assert!(refused, "{posted:?}");
+                let probed = g.try_with_engine(id, |e| counting(e).processed);
+                let running = model
+                    .get(target as usize)
+                    .is_some_and(|m| !m.suspended && !m.crashed);
+                match probed {
+                    Ok(_) => prop_assert!(running, "engine {target} reached while stopped"),
+                    Err(ControlError::Unavailable(_)) => {
+                        prop_assert!(!running, "running engine {target} refused")
                     }
-                    Some(flag) if flag.get() => {
-                        prop_assert!(matches!(posted, Err(ControlError::Busy(_))), "{posted:?}")
-                    }
-                    Some(flag) => {
-                        prop_assert_eq!(posted, Ok(()));
-                        flag.set(true);
-                    }
+                    Err(e) => return Err(format!("engine {target}: {e:?}")),
                 }
             }
             7 | 8 => {
@@ -417,7 +405,6 @@ fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, S
     let end = observe(&g, &model, sim.now())?;
     for (i, m) in model.iter().enumerate() {
         prop_assert_eq!(end.2[i].3, Some(m.injected), "engine {i} did not drain");
-        prop_assert!(!m.mailbox.get(), "engine {i} never ran its mailbox work");
     }
     trace.push(end);
     Ok(trace)
@@ -783,8 +770,8 @@ proptest! {
     /// panics, the CPU books agree after every op (per-core and
     /// per-engine both sum to the group's), an engine that is
     /// suspended, crashed or stalled neither runs nor is charged,
-    /// mailbox posts are accepted exactly when the depth-1 mailbox is
-    /// free, ids the group never allocated are absorbed, every engine
+    /// control work reaches an engine exactly when it is allocated and
+    /// running, ids the group never allocated are absorbed, every engine
     /// can be revived and then drains, and the same script gives the
     /// same observations twice.
     #[test]

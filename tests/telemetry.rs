@@ -11,9 +11,11 @@ use bytes::Bytes;
 
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
+use snap_repro::core::group::{GroupCpu, SchedulingMode};
 use snap_repro::core::EngineId;
 use snap_repro::nic::packet::{Packet, QosClass};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
+use snap_repro::pony::PonyClient;
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
 use snap_repro::sim::Nanos;
 use snap_repro::telemetry::{Snapshot, StatsConfig};
@@ -284,6 +286,86 @@ fn churn_tour_snapshot_is_pinned() {
         &snapshot_lines(&snap),
         include_str!("golden/telemetry_churn_tour.txt"),
     );
+}
+
+/// Runs the simulator one event at a time until `client` holds a
+/// received message (an application spinning on its completion queue)
+/// and returns that instant.
+fn arrival(tb: &mut Testbed, client: &mut PonyClient) -> Nanos {
+    loop {
+        let got = client.take_completions();
+        if got.iter().any(|c| matches!(c, PonyCompletion::RecvMsg { .. })) {
+            return tb.sim.now();
+        }
+        assert!(tb.sim.step(), "the simulator drained before the message arrived");
+    }
+}
+
+/// Two hosts, engines idle between messages: `a` sends `b` 100
+/// messages of 64 B, 330 µs apart, long enough for the cores to drop
+/// into a deep C-state in between. Returns every message's arrival
+/// instant and both hosts' CPU ledgers at the end. With `stats`, a
+/// stats module polls every engine, the fabric and both groups each
+/// millisecond throughout.
+fn sparse_sends(mode: SchedulingMode, stats: bool) -> (Vec<Nanos>, Vec<GroupCpu>) {
+    let mut tb = Testbed::new(TestbedConfig {
+        mode,
+        ..TestbedConfig::default()
+    });
+    let mut a = tb.pony_app(0, "a", |_| {});
+    let mut b = tb.pony_app(1, "b", |_| {});
+    let conn = tb.connect(0, "a", 1, "b");
+    b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 128 });
+    let module = stats.then(|| {
+        let module = tb.stats_module(StatsConfig {
+            poll_period: Nanos::from_millis(1),
+        });
+        module.start(&mut tb.sim);
+        module
+    });
+    let mut arrivals = Vec::new();
+    for i in 1..=100 {
+        tb.sim.run_until(Nanos::from_micros(330 * i));
+        a.submit(&mut tb.sim, PonyCommand::Send { conn, stream: 0, len: 64 });
+        arrivals.push(arrival(&mut tb, &mut b));
+    }
+    tb.sim.run_until(Nanos::from_millis(40));
+    if let Some(module) = module {
+        module.stop();
+        let snap = module.snapshot(tb.sim.now());
+        let delivered = snap.counter("engine.h1.b.msgs_delivered").unwrap_or(0);
+        assert!(delivered > 0, "the module read the engines");
+    }
+    (arrivals, vec![tb.host_cpu(0), tb.host_cpu(1)])
+}
+
+/// An observer must not change what it observes: a stats module polling
+/// every millisecond leaves each message's arrival instant and both
+/// hosts' CPU ledgers exactly as in the bare run, in all three
+/// scheduling modes, whether the engines block between messages or
+/// spin. A poll that woke an engine would keep its core out of deep
+/// C-states and charge passes of its own.
+#[test]
+fn stats_module_attached_models_the_same_run_as_bare() {
+    let mut moved = Vec::new();
+    for mode in [
+        SchedulingMode::Spreading,
+        SchedulingMode::compacting_default(),
+        SchedulingMode::Dedicated { cores: vec![0] },
+    ] {
+        let (bare_at, bare_cpu) = sparse_sends(mode.clone(), false);
+        let (stats_at, stats_cpu) = sparse_sends(mode.clone(), true);
+        if stats_at != bare_at {
+            let pairs = || bare_at.iter().zip(&stats_at);
+            let early = pairs().filter(|(bare, stats)| stats < bare).count();
+            let late = pairs().filter(|(bare, stats)| stats > bare).count();
+            moved.push(format!("{mode:?}: {early} of 100 messages arrive early, {late} late"));
+        }
+        if stats_cpu != bare_cpu {
+            moved.push(format!("{mode:?}: CPU {bare_cpu:?} bare, {stats_cpu:?} attached"));
+        }
+    }
+    assert!(moved.is_empty(), "attaching the stats module moved the run:\n{}", moved.join("\n"));
 }
 
 /// Asymmetric (one-direction) partitions: the scripted one-way fault
