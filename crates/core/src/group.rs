@@ -1139,17 +1139,6 @@ impl GroupHandle {
             .fold(Nanos::ZERO, |a, b| a + b)
     }
 
-    /// Number of workers currently spinning or scheduled (≈ cores in
-    /// active use); diagnostic for the compacting scheduler tests.
-    pub fn active_workers(&self) -> usize {
-        self.inner
-            .borrow()
-            .workers
-            .iter()
-            .filter(|w| w.state != WorkerState::Blocked)
-            .count()
-    }
-
     /// Total workers ever created.
     pub fn worker_count(&self) -> usize {
         self.inner.borrow().workers.len()
@@ -1455,7 +1444,9 @@ mod tests {
             "spin CPU {:?} should be bounded by idle_block",
             cpu_at_1ms.spin
         );
-        assert_eq!(g.active_workers(), 0, "worker blocked after idling");
+        // Blocked, the worker burns nothing more while idle.
+        sim.run_until(Nanos::from_micros(1500));
+        assert_eq!(g.cpu(sim.now()), cpu_at_1ms, "worker blocked after idling");
         // Work arrives again: the blocked worker wakes and processes.
         inject(&g, id, sim.now(), 3);
         g.wake(&mut sim, id);

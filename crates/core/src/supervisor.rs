@@ -90,8 +90,6 @@ struct Watched {
     factory: RestartFactory,
     /// Latest checkpoint (taken at watch time, then periodically).
     checkpoint: Vec<u8>,
-    /// When the checkpoint was taken.
-    checkpoint_at: Nanos,
     /// A restart is in flight; don't checkpoint or re-trigger.
     restarting: bool,
     /// When the last restart completed; suppresses wedge detection
@@ -166,7 +164,7 @@ impl Supervisor {
     /// Registers an engine for supervision and takes its first
     /// checkpoint immediately, so a restart always has state to
     /// recover from even before the first periodic checkpoint.
-    pub fn watch(&self, sim: &mut Sim, group: GroupHandle, id: EngineId, factory: RestartFactory) {
+    pub fn watch(&self, group: GroupHandle, id: EngineId, factory: RestartFactory) {
         let checkpoint = group.with_engine(id, |e| e.serialize_state());
         let mut inner = self.inner.borrow_mut();
         inner.report.checkpoints += 1;
@@ -175,7 +173,6 @@ impl Supervisor {
             id,
             factory,
             checkpoint,
-            checkpoint_at: sim.now(),
             restarting: false,
             last_restart: Nanos::ZERO,
         });
@@ -191,11 +188,11 @@ impl Supervisor {
             (inner.cfg.checkpoint_interval, inner.cfg.health_poll)
         };
         let handle = self.clone();
-        snap_sim::event::every(sim, sim.now() + ckpt, ckpt, move |sim| {
+        snap_sim::event::every(sim, sim.now() + ckpt, ckpt, move |_| {
             if handle.inner.borrow().stopped {
                 return false;
             }
-            handle.checkpoint_pass(sim);
+            handle.checkpoint_pass();
             true
         });
         let handle = self.clone();
@@ -224,16 +221,6 @@ impl Supervisor {
         self.inner.borrow().restart_log.clone()
     }
 
-    /// Age of the most recent checkpoint of `id`'s watch entry, if any.
-    pub fn checkpoint_age(&self, id: EngineId, now: Nanos) -> Option<Nanos> {
-        let inner = self.inner.borrow();
-        inner
-            .watched
-            .iter()
-            .find(|w| w.id == id)
-            .map(|w| now.saturating_sub(w.checkpoint_at))
-    }
-
     /// Proactively restarts a watched engine on an external health
     /// verdict: the engine is alive (so the liveness loop will never
     /// act) but a gray-failure detector judged it degraded. The engine
@@ -260,8 +247,7 @@ impl Supervisor {
     }
 
     /// One checkpoint pass: snapshot every healthy watched engine.
-    fn checkpoint_pass(&self, sim: &mut Sim) {
-        let now = sim.now();
+    fn checkpoint_pass(&self) {
         let count = self.inner.borrow().watched.len();
         for i in 0..count {
             let (group, id, skip) = {
@@ -278,7 +264,6 @@ impl Supervisor {
             let state = group.with_engine(id, |e| e.serialize_state());
             let mut inner = self.inner.borrow_mut();
             inner.watched[i].checkpoint = state;
-            inner.watched[i].checkpoint_at = now;
             inner.report.checkpoints += 1;
         }
     }
@@ -426,7 +411,7 @@ mod tests {
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(100))));
         g.start(&mut sim);
         let s = sup();
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         sim.run_until(Nanos::from_millis(10));
         s.stop();
@@ -434,7 +419,6 @@ mod tests {
         let r = s.report();
         assert_eq!(r.restarts(), 0);
         assert!(r.checkpoints >= 10, "checkpoints: {}", r.checkpoints);
-        assert!(s.checkpoint_age(id, Nanos::from_millis(10)).expect("watched") <= Nanos::from_millis(1));
     }
 
     #[test]
@@ -444,7 +428,7 @@ mod tests {
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(100))));
         g.start(&mut sim);
         let s = sup();
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         // Do some work, let a checkpoint capture it, then crash.
         inject(&g, id, sim.now(), 7);
@@ -471,7 +455,7 @@ mod tests {
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(100))));
         g.start(&mut sim);
         let s = sup();
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         // Crash immediately — only the watch-time checkpoint exists.
         g.kill_engine(id);
@@ -489,7 +473,7 @@ mod tests {
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(100))));
         g.start(&mut sim);
         let s = sup();
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         // Wedge far longer than the threshold, with work pending.
         g.stall_engine(&mut sim, id, Nanos::from_millis(100));
@@ -516,7 +500,7 @@ mod tests {
         let id = g.add_engine(Box::new(CountingEngine::new("e", Nanos(100))));
         g.start(&mut sim);
         let s = sup();
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         // Work gets checkpointed, then a health verdict quarantines the
         // (perfectly alive) engine.
@@ -558,7 +542,7 @@ mod tests {
             health_poll: Nanos::from_micros(100),
             ..SupervisorConfig::default()
         });
-        s.watch(&mut sim, g.clone(), id, counting_factory());
+        s.watch(g.clone(), id, counting_factory());
         s.start(&mut sim);
         g.kill_engine(id);
         // Shortly after detection the engine is still down...

@@ -414,15 +414,6 @@ impl PonyClient {
         self.inner.borrow().hedge.as_ref().map(|h| h.stats)
     }
 
-    /// Ops submitted but not yet concluded (hedging clients only).
-    pub fn outstanding_ops(&self) -> usize {
-        self.inner
-            .borrow()
-            .hedge
-            .as_ref()
-            .map_or(0, |h| h.outstanding.len())
-    }
-
     /// Submits a transport-class command; returns the operation id its
     /// completion will carry. Transport-class work is never shed: under
     /// Hard pressure it completes with [`OpStatus::Busy`] instead.
@@ -497,16 +488,11 @@ impl PonyClient {
     }
 
     /// Polls completions into the internal buffer; returns how many
-    /// arrived. Prefer [`PonyClient::poll_at`] when simulation time is
-    /// at hand — it additionally feeds the hedge latency window.
+    /// arrived. Prefer [`PonyClient::take_completions_at`] when
+    /// simulation time is at hand — it additionally feeds the hedge
+    /// latency window.
     pub fn poll(&mut self) -> usize {
         self.inner.borrow_mut().absorb(None)
-    }
-
-    /// Like [`PonyClient::poll`], with the current simulation time so
-    /// concluded ops contribute latency samples to the hedge quantile.
-    pub fn poll_at(&mut self, now: Nanos) -> usize {
-        self.inner.borrow_mut().absorb(Some(now))
     }
 
     /// Drains all pending completions.
@@ -614,7 +600,7 @@ mod tests {
         assert_eq!(cmds[1].0, op, "hedge reuses the op id (engine dedups)");
         let stats = client.hedge_stats().expect("hedging enabled");
         assert_eq!(stats.hedges_fired, 1);
-        assert_eq!(client.outstanding_ops(), 1, "op still unresolved");
+        assert_eq!(client.take_completions(), vec![], "op still unresolved");
     }
 
     #[test]
@@ -668,7 +654,6 @@ mod tests {
         assert_eq!(stats.hedges_fired, 0);
         assert_eq!(stats.samples, 1, "completion fed the latency window");
         assert_eq!(client.take_completions().len(), 1);
-        assert_eq!(client.outstanding_ops(), 0);
     }
 
     #[test]
@@ -747,7 +732,7 @@ mod tests {
                     issued_at: sim.now(),
                 })
                 .unwrap();
-            client.poll_at(sim.now() + Nanos::from_millis(1));
+            client.take_completions_at(sim.now() + Nanos::from_millis(1));
         }
         let mut cmds = Vec::new();
         engine.poll_commands(&mut cmds, 64);

@@ -251,12 +251,6 @@ impl Flow {
             .unwrap_or(Nanos::ZERO)
     }
 
-    /// True if an ack-only packet should be emitted (received data not
-    /// yet acknowledged to the peer).
-    pub fn wants_ack(&self) -> bool {
-        self.ack_dirty
-    }
-
     /// True if the flow needs anything from an engine pass: frames to
     /// send, un-acked packets whose RTO must be watched, or an ack owed
     /// to the peer. A flow for which this is false is inert: `produce`
@@ -783,7 +777,9 @@ mod tests {
         }
         assert_eq!(rx.on_packet(&pkt, Nanos(2000)), Accept::Duplicate);
         assert_eq!(rx.stats().duplicates, 1);
-        assert!(rx.wants_ack());
+        // The receiver owes its peer an ack: its pass emits one.
+        assert!(rx.is_active());
+        assert!(rx.produce(Nanos(3000)).is_some_and(|p| p.frame == OpFrame::AckOnly));
     }
 
     #[test]
@@ -1065,7 +1061,7 @@ mod tests {
         let mut pkt = tx.produce(Nanos::ZERO).unwrap();
         pkt.seq = MAX_SEQ_WINDOW;
         assert_eq!(rx.on_packet(&pkt, Nanos(1)), Accept::Duplicate);
-        assert!(!rx.wants_ack(), "an untracked packet is not acked");
+        assert!(!rx.is_active(), "an untracked packet is not acked");
         assert_eq!(rx.rcv_sacks.len(), 0);
         pkt.seq = MAX_SEQ_WINDOW - 1;
         assert!(matches!(rx.on_packet(&pkt, Nanos(2)), Accept::Deliver(_)));

@@ -170,18 +170,6 @@ impl RdmaNic {
         self.busy_until = start + service;
         Some(self.busy_until)
     }
-
-    /// Drives the §5.4 pause model directly: an injected PFC pause
-    /// storm saturates the miss counter (as a thrashing neighbor
-    /// would), stalls the pipeline until `until`, and emits one pause
-    /// per call. Ops arriving during the storm serve after it passes —
-    /// the same head-of-line contagion [`RdmaNic::serve`] produces
-    /// organically, but on a fault injector's schedule.
-    pub fn inject_pause_storm(&mut self, until: Nanos) {
-        self.recent_misses = self.recent_misses.max(self.cfg.pause_threshold + 1);
-        self.busy_until = self.busy_until.max(until);
-        self.stats.pauses += 1;
-    }
 }
 
 #[cfg(test)]
@@ -270,25 +258,6 @@ mod tests {
             assert!(n.serve(Nanos(i * 100), i % 4).is_some());
         }
         assert_eq!(n.stats().cap_rejections, 0);
-    }
-
-    #[test]
-    fn injected_pause_storm_stalls_and_emits_pauses() {
-        let mut n = nic(16, None);
-        // Warm the cache so organic serving would be hit-fast.
-        n.serve(Nanos::ZERO, 1);
-        n.serve(Nanos(20_000), 1);
-        let before = n.stats().pauses;
-        let storm_end = Nanos::from_micros(500);
-        n.inject_pause_storm(storm_end);
-        assert_eq!(n.stats().pauses, before + 1);
-        // An op arriving mid-storm completes only after the storm.
-        let done = n.serve(Nanos::from_micros(100), 1).unwrap();
-        assert!(done > storm_end, "held past the storm: {done}");
-        // The saturated miss counter keeps emitting pauses on misses.
-        let p = n.stats().pauses;
-        n.serve(done, 999);
-        assert!(n.stats().pauses > p, "storm leaves the NIC thrash-prone");
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl SchedClass {
             period: Nanos(costs::MICROQUANTA_PERIOD_NS),
         }
     }
-
-    /// True for the MicroQuanta class.
-    pub fn is_microquanta(&self) -> bool {
-        matches!(self, SchedClass::MicroQuanta { .. })
-    }
 }
 
 /// Tracks a MicroQuanta thread's bandwidth: `runtime` of CPU out of
@@ -130,10 +125,13 @@ mod tests {
 
     #[test]
     fn class_constructors() {
-        let mq = SchedClass::microquanta_default();
-        assert!(mq.is_microquanta());
-        assert!(!SchedClass::Fifo.is_microquanta());
-        assert!(!SchedClass::Cfs { nice: 0 }.is_microquanta());
+        assert_eq!(
+            SchedClass::microquanta_default(),
+            SchedClass::MicroQuanta {
+                runtime: Nanos(costs::MICROQUANTA_RUNTIME_NS),
+                period: Nanos(costs::MICROQUANTA_PERIOD_NS),
+            }
+        );
     }
 
     #[test]

@@ -113,12 +113,8 @@ impl Machine {
         c.idle_since = c.busy_until;
     }
 
-    /// Cumulative busy time charged to `core` via [`Machine::run_slice`].
-    pub fn core_busy_total(&self, core: CoreId) -> Nanos {
-        self.busy_total[core]
-    }
-
-    /// Cumulative busy time per core, indexed by [`CoreId`].
+    /// Cumulative busy time per core, indexed by [`CoreId`], charged via
+    /// [`Machine::run_slice`].
     pub fn busy_totals(&self) -> &[Nanos] {
         &self.busy_total
     }
@@ -408,8 +404,6 @@ mod tests {
         m.run_slice(0, Nanos(100), Nanos(50));
         m.run_slice(0, Nanos(200), Nanos(25));
         m.run_slice(1, Nanos(100), Nanos(10));
-        assert_eq!(m.core_busy_total(0), Nanos(75));
-        assert_eq!(m.core_busy_total(1), Nanos(10));
         assert_eq!(m.busy_totals(), &[Nanos(75), Nanos(10)]);
     }
 

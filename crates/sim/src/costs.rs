@@ -255,10 +255,6 @@ pub const ENGINE_SPIN_WAIT_NS: u64 = 5_000;
 /// spin-polling its completion queue (cache-miss pickup).
 pub const SPIN_PICKUP_NS: u64 = 200;
 
-/// Cross-core command-queue hop: app writes a command, spinning engine
-/// notices it (cache-line transfer + poll gap).
-pub const CMDQ_HOP_NS: u64 = 400;
-
 // ---------------------------------------------------------------------------
 // Transparent upgrade (Fig. 9)
 // ---------------------------------------------------------------------------
@@ -400,8 +396,7 @@ mod tests {
     /// constants and check it lands near the paper's 8.8 us.
     #[test]
     fn fig6a_onesided_rtt_shape() {
-        let one_way = CMDQ_HOP_NS          // app -> engine command hop
-            + ENGINE_POLL_PASS_NS
+        let one_way = ENGINE_POLL_PASS_NS  // the engine's pass picks up the command
             + PONY_PER_OP_NS               // initiator op setup
             + NIC_DMA_NS                   // tx DMA
             + LINK_PROP_NS + SWITCH_LATENCY_NS + LINK_PROP_NS

@@ -26,11 +26,6 @@ impl Nanos {
     /// The farthest representable point in time.
     pub const MAX: Nanos = Nanos(u64::MAX);
 
-    /// Creates a time value from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Nanos(ns)
-    }
-
     /// Creates a time value from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         Nanos(us * 1_000)

@@ -453,11 +453,6 @@ impl TraceRecorder {
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().evicted
     }
-
-    /// In-flight (not yet finalized) trace count.
-    pub fn pending_len(&self) -> usize {
-        self.inner.borrow().pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -473,7 +468,7 @@ mod tests {
         let r = rec(0);
         assert!(!r.enabled());
         assert!(r.begin(Nanos(5), 0).is_none());
-        assert_eq!(r.pending_len(), 0);
+        assert!(r.inner.borrow().pending.is_empty());
     }
 
     #[test]

@@ -335,23 +335,6 @@ impl Topology {
         };
         snap_sim::trace::FABRIC_HOST - ordinal
     }
-
-    /// Every directed trunk link `(from, to)`, leaves-to-spines first,
-    /// in sorted order — the telemetry iteration set.
-    pub fn trunk_links(&self) -> Vec<(SwitchId, SwitchId)> {
-        let mut out = Vec::new();
-        for r in 0..self.spec.racks {
-            for s in 0..self.spec.spines {
-                out.push((SwitchId::Leaf(r), SwitchId::Spine(s)));
-            }
-        }
-        for s in 0..self.spec.spines {
-            for r in 0..self.spec.racks {
-                out.push((SwitchId::Spine(s), SwitchId::Leaf(r)));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -476,15 +459,5 @@ mod tests {
         for s in 0..2 {
             assert!(seen.insert(topo.trace_host(SwitchId::Spine(s))));
         }
-    }
-
-    #[test]
-    fn trunk_link_enumeration_is_sorted_and_complete() {
-        let topo = ClosSpec::clos(2, 2, 2).compile().unwrap();
-        let links = topo.trunk_links();
-        assert_eq!(links.len(), 8, "2 leaves x 2 spines x 2 directions");
-        let mut sorted = links.clone();
-        sorted.sort();
-        assert_eq!(links, sorted);
     }
 }

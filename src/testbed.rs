@@ -616,12 +616,7 @@ impl Testbed {
             .restart_factory(app)
             .expect("app registered");
         let supervisor = Supervisor::new(cfg);
-        supervisor.watch(
-            &mut self.sim,
-            self.hosts[host].group.clone(),
-            engine_id,
-            factory,
-        );
+        supervisor.watch(self.hosts[host].group.clone(), engine_id, factory);
         supervisor.start(&mut self.sim);
         supervisor
     }
