@@ -51,9 +51,10 @@ impl RunReport {
 
 /// A Snap engine: a single-threaded packet-processing task.
 ///
-/// Engines never block (§2.2 prohibits blocking synchronization); all
-/// communication happens over lock-free queues and mailboxes serviced
-/// inside [`Engine::run`].
+/// Engines never block (§2.2 prohibits blocking synchronization): the
+/// datapath reaches an engine over lock-free queues serviced inside
+/// [`Engine::run`], and the control plane between passes, through
+/// [`GroupHandle::try_with_engine`](crate::group::GroupHandle::try_with_engine).
 pub trait Engine {
     /// Engine name for dashboards and upgrade logs.
     fn name(&self) -> &str;
@@ -103,7 +104,7 @@ pub trait Engine {
 
     /// Downcast support for module control paths that need the
     /// concrete engine type (e.g. the Pony module configuring its own
-    /// engines through the mailbox).
+    /// engines through `GroupHandle::try_with_engine`).
     fn as_any(&mut self) -> &mut dyn std::any::Any;
 }
 

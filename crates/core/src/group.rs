@@ -658,8 +658,9 @@ impl GroupHandle {
         }
     }
 
-    /// One worker scheduling pass: run each assigned engine that is running and not stalled once, charge CPU, and
-    /// reschedule or go idle.
+    /// One worker scheduling pass: run each assigned engine that is
+    /// running and not stalled once, charge CPU, and reschedule or go
+    /// idle.
     fn run_worker(&self, sim: &mut Sim, worker_idx: usize) {
         // Engines run without the group borrowed: they may transmit
         // packets, which schedules fabric events; those only fire
@@ -920,10 +921,12 @@ impl GroupHandle {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Runs `f` against an engine synchronously. In the real system
-    /// this is a mailbox call that blocks the *control* thread only; in
-    /// the simulator the control plane and engines share one thread, so
-    /// it executes immediately.
+    /// Runs `f` against an engine synchronously, between its passes: the
+    /// control plane's one way in. In the real system this is a mailbox
+    /// call that blocks the *control* thread only (the lock-free
+    /// mailbox is `snap_shm::Mailbox`); in the simulator the control
+    /// plane and engines share one thread, so it executes immediately
+    /// and wakes nothing.
     ///
     /// The engine need not be running, only present: a suspended engine
     /// that has not been taken is detached but its state is intact
@@ -1080,8 +1083,8 @@ impl GroupHandle {
     }
 
     /// Takes a suspended engine out entirely (for state serialization
-    /// by the upgrade orchestrator). The slot stays reserved. `None` if the engine crashed or was taken
-    /// already.
+    /// by the upgrade orchestrator). The slot stays reserved. `None` if
+    /// the engine crashed or was taken already.
     pub fn take_engine(&self, id: EngineId) -> Option<Box<dyn Engine>> {
         let mut g = self.inner.borrow_mut();
         let slot = &mut g.slots[id.0 as usize];

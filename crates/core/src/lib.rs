@@ -16,7 +16,9 @@
 //!   driven scale-out/compaction).
 //! * [`module`] — the control plane's shared error,
 //!   [`ControlError`]: modules are typed objects that set engines up
-//!   and reach them through the depth-1 engine mailbox (§2.3); §2.6's
+//!   and reach them between passes through
+//!   [`GroupHandle::try_with_engine`](group::GroupHandle::try_with_engine),
+//!   the simulator's stand-in for §2.3's depth-1 engine mailbox; §2.6's
 //!   session authentication is not modeled.
 //! * [`upgrade::UpgradeOrchestrator`] — transparent upgrade with
 //!   brownout/blackout phases, migrating engines one at a time (§4),

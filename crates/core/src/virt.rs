@@ -16,7 +16,8 @@
 //!   validated (tenant isolation), decapsulated, and delivered to the
 //!   destination guest's rx ring.
 //! * **Misses** take the slow path: counted and queued for the control
-//!   plane, which installs routes through the engine mailbox — the
+//!   plane, which installs routes between passes
+//!   ([`GroupHandle::try_with_engine`](crate::group::GroupHandle::try_with_engine)) — the
 //!   Andromeda "Hoverboard"-style split between a fast on-engine path
 //!   and centralized control.
 //!
@@ -215,7 +216,7 @@ impl VirtEngine {
         self.guests.push(GuestPort { addr, tx, rx });
     }
 
-    /// Installs a route (control plane, via the engine mailbox).
+    /// Installs a route (control plane, between passes).
     pub fn install_route(&mut self, addr: VirtAddr, route: Route) {
         self.flows.insert(addr, route);
         self.pending_misses.retain(|a| *a != addr);

@@ -10,8 +10,9 @@
 //! the NIC rx ring (default 16-packet batch), polls application command
 //! queues, advances op state machines, and produces packets while NIC
 //! tx slots and Timely pacing allow. All state lives inside the engine
-//! (single-threaded, no locks); control reaches it through the group
-//! mailbox; applications reach it through shared-memory queue pairs.
+//! (single-threaded, no locks); control reaches it between passes
+//! through `GroupHandle::try_with_engine`; applications reach it
+//! through shared-memory queue pairs.
 //!
 //! The pass is [`Engine::run`], below; each of its steps lives in the
 //! file of the seam it belongs to:
@@ -493,7 +494,8 @@ impl PonyEngine {
     }
 
     /// Establishes a connection created by the control plane (the Pony
-    /// module calls this through the engine mailbox on both endpoints).
+    /// module calls this through `GroupHandle::try_with_engine` on both
+    /// endpoints).
     pub fn establish_conn(
         &mut self,
         conn: u64,

@@ -358,8 +358,8 @@ impl PonyModule {
 
     /// Connects a local application to a remote one, negotiating the
     /// wire version and installing connection state in both engines
-    /// (through their mailbox-equivalent control path). Returns the
-    /// connection id.
+    /// (through `GroupHandle::try_with_engine`, the one control path).
+    /// Returns the connection id.
     pub fn connect(
         &mut self,
         local_app: &str,

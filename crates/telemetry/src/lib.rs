@@ -14,7 +14,7 @@
 //!   window rule) and export to JSON or a human-readable table.
 //! * **[`module`]** — [`StatsModule`], a control-plane module (same
 //!   no-panic lint wall as the other Snap modules) holding one list of
-//!   sources — engines through their mailboxes, the fabric, supervisors,
+//!   sources — engines read between passes, the fabric, supervisors,
 //!   upgrade reports, admission controllers, engine groups — that one
 //!   poll walks into the registry. Its own loop ([`StatsModule::start`])
 //!   or a flight recorder's clock (`snap_obs::FlightRecorder`) drives
@@ -25,7 +25,10 @@
 //! periodic control-plane poll, so instrumentation is measurably
 //! near-free when snapshots are not taken (the repo benchmark's
 //! `telemetry.attach_pct` measures the poll's wall cost, and its digest
-//! gate asserts an attached run models identically to a bare one).
+//! gate asserts an attached run models identically to a bare one). The
+//! poll reads and never wakes: a source is handed the poll's instant,
+//! not the simulator, so an attached run models the same as a bare one
+//! also where engines go idle between messages.
 //!
 //! ## Metric naming scheme
 //!

@@ -88,8 +88,8 @@ fn main() {
     });
     println!("flow misses awaiting control plane: {misses:?}");
 
-    // Control plane installs the route (through the engine mailbox in
-    // a full deployment; directly here).
+    // Control plane installs the route between the engine's passes (a
+    // mailbox call in a full deployment; the group's `with_engine` here).
     with_virt(&groups, 0, engines[0], &mut |e| {
         e.install_route(vm_b, Route { host: 1, engine_key: ENGINE_KEYS[1] });
     });

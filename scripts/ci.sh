@@ -197,8 +197,9 @@ echo "smoke model digests match"
 echo "== size: non-test code lines and pub items =="
 scripts/loc.sh
 
-# Deletion candidates: `pub` items whose name no other file spells.
-echo "== size: pub items named in no other file =="
+# Deletion candidates: `pub` items no code reaches, then those only
+# test code reaches.
+echo "== size: pub items no code reaches =="
 scripts/unreached.sh
 
 echo "tier-1 gate: OK"

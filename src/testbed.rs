@@ -660,7 +660,7 @@ impl Testbed {
     /// A [`FlightRecorder`] over a fresh [`StatsModule`] watching every
     /// host's engine group (labeled `h<h>`): each tick publishes the
     /// per-core/per-engine CPU split (`cpu.h<h>.*`) and scheduling
-    /// delays, pure reads that post to no mailbox, before folding the
+    /// delays, pure reads like every source's, before folding the
     /// registry into time series. The sampling loop is *not* started —
     /// call [`FlightRecorder::start`] (periodic on the configured
     /// cadence) or [`FlightRecorder::sample_once`] as the experiment

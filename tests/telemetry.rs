@@ -24,7 +24,7 @@ use snap_repro::testbed::{Testbed, TestbedConfig};
 mod common;
 use common::assert_snapshot;
 
-fn recv_msgs(client: &mut snap_repro::pony::PonyClient, out: &mut Vec<u64>) {
+fn recv_msgs(client: &mut PonyClient, out: &mut Vec<u64>) {
     for c in client.take_completions() {
         if let PonyCompletion::RecvMsg { msg, .. } = c {
             out.push(msg);
@@ -429,8 +429,8 @@ fn oneway_partition_drops_are_attributed_to_one_direction() {
 }
 
 /// Engines that disappear from the watch list's reach (crashed, mid
-/// upgrade) must not wedge the poll loop: `Busy`/`Unavailable` mailbox
-/// posts skip the tick and sampling resumes once the engine is back.
+/// upgrade) must not wedge the poll loop: a poll that finds the engine
+/// `Unavailable` skips it, and sampling resumes once the engine is back.
 #[test]
 fn polling_survives_an_unsupervised_crash() {
     let mut tb = Testbed::pair();
