@@ -11,7 +11,7 @@ use bytes::Bytes;
 
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
-use snap_repro::core::group::{GroupCpu, SchedulingMode};
+use snap_repro::core::group::SchedulingMode;
 use snap_repro::core::EngineId;
 use snap_repro::nic::packet::{Packet, QosClass};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
@@ -304,10 +304,10 @@ fn arrival(tb: &mut Testbed, client: &mut PonyClient) -> Nanos {
 /// Two hosts, engines idle between messages: `a` sends `b` 100
 /// messages of 64 B, 330 µs apart, long enough for the cores to drop
 /// into a deep C-state in between. Returns every message's arrival
-/// instant and both hosts' CPU ledgers at the end. With `stats`, a
-/// stats module polls every engine, the fabric and both groups each
-/// millisecond throughout.
-fn sparse_sends(mode: SchedulingMode, stats: bool) -> (Vec<Nanos>, Vec<GroupCpu>) {
+/// instant and both hosts' CPU ledgers at the end (engine, spin and
+/// wake nanoseconds). With `stats`, a stats module polls every engine,
+/// the fabric and both groups each millisecond throughout.
+fn sparse_sends(mode: SchedulingMode, stats: bool) -> (Vec<Nanos>, Vec<[Nanos; 3]>) {
     let mut tb = Testbed::new(TestbedConfig {
         mode,
         ..TestbedConfig::default()
@@ -336,7 +336,8 @@ fn sparse_sends(mode: SchedulingMode, stats: bool) -> (Vec<Nanos>, Vec<GroupCpu>
         let delivered = snap.counter("engine.h1.b.msgs_delivered").unwrap_or(0);
         assert!(delivered > 0, "the module read the engines");
     }
-    (arrivals, vec![tb.host_cpu(0), tb.host_cpu(1)])
+    let ledgers = (0..2).map(|h| tb.host_cpu(h)).map(|c| [c.engine, c.spin, c.wake_overhead]);
+    (arrivals, ledgers.collect())
 }
 
 /// An observer must not change what it observes: a stats module polling
