@@ -29,8 +29,8 @@
 //! backoffs and service times are virtual [`snap_sim::Nanos`], never
 //! wall time. The [`SimPump`] trait abstracts "advance virtual time";
 //! [`workload::poll_until`] is the one loop that alternates a step
-//! with it, under every blocking-style call (`recv_deadline`, the
-//! one-sided lookups, `drive`).
+//! with it, under every blocking-style call (a socket receive that
+//! waits, the one-sided lookups, `drive`).
 
 pub mod dag;
 pub mod framing;

@@ -2,8 +2,9 @@
 //!
 //! A [`SocketHost`] is one application's socket endpoint on a host,
 //! backed by one end of the message [`Transport`]. [`SnapSocket`]
-//! handles give byte-stream `send` / `try_recv` / `recv_deadline`
-//! semantics; [`Listener`] surfaces inbound connections. Connection setup is testbed-mediated
+//! handles give byte-stream `send` / `try_recv` semantics (a caller
+//! that waits alternates `try_recv` with virtual time through
+//! [`poll_until`](crate::workload::poll_until)); [`Listener`] surfaces inbound connections. Connection setup is testbed-mediated
 //! (see [`wire`]): the harness dials both stacks, then wires the two
 //! facade endpoints together — the client gets its socket immediately
 //! and the server's listener queues the peer socket for `accept`.
@@ -14,7 +15,7 @@
 //! (TCP message reassembly) and `SendBusy` retries (under the same seq)
 //! surface to the application as an in-order, exactly-once byte
 //! stream. All deadlines are **virtual time** ([`Nanos`]) driven
-//! through a [`SimPump`] — the facade never reads a wall clock.
+//! through a [`SimPump`](crate::SimPump) — the facade never reads a wall clock.
 
 #![cfg_attr(
     not(test),
@@ -29,8 +30,6 @@ use snap_sim::hash::IntMap;
 use snap_sim::{Nanos, Sim};
 
 use crate::transport::{Transport, TransportEvent};
-use crate::workload::{poll_until, POLL_SLICE_US};
-use crate::SimPump;
 
 /// Largest chunk the facade sends as one message. Matches the Pony
 /// engine's small-message bound so chunks ride shared credits
@@ -397,42 +396,6 @@ impl SnapSocket {
         let s = inner.pumped(sim, self.conn)?;
         s.read(usize::MAX, sink);
         s.broken.map_or(Ok(()), Err)
-    }
-
-    /// Blocking-style receive with a **virtual-time** deadline: pumps
-    /// the simulation until at least one byte is available or `timeout`
-    /// of sim-time elapses. Returns the bytes copied.
-    pub fn recv_deadline(
-        &self,
-        pump: &mut dyn SimPump,
-        buf: &mut [u8],
-        timeout: Nanos,
-    ) -> Result<usize, SocketError> {
-        poll_until(pump, POLL_SLICE_US, timeout, |sim| {
-            let n = self.try_recv(sim, buf)?;
-            Ok((n > 0).then_some(n))
-        })?
-        .ok_or(SocketError::TimedOut)
-    }
-
-    /// Receives exactly `buf.len()` bytes or fails with `TimedOut`
-    /// when the virtual-time budget runs out first.
-    pub fn recv_exact_deadline(
-        &self,
-        pump: &mut dyn SimPump,
-        buf: &mut [u8],
-        timeout: Nanos,
-    ) -> Result<(), SocketError> {
-        // Nothing to wait for, so not even one poll of the endpoint.
-        if buf.is_empty() {
-            return Ok(());
-        }
-        let mut filled = 0;
-        poll_until(pump, POLL_SLICE_US, timeout, |sim| {
-            filled += self.try_recv(sim, &mut buf[filled..])?;
-            Ok((filled == buf.len()).then_some(()))
-        })?
-        .ok_or(SocketError::TimedOut)
     }
 }
 

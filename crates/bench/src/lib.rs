@@ -7,9 +7,9 @@
 //! Every table and figure in the paper's evaluation (§5) has a
 //! corresponding `[[bench]]` target in this crate (see `DESIGN.md` §4
 //! for the index). The figure benches are plain `harness = false`
-//! binaries that drive the simulator and print paper-style rows;
-//! `micro` is a Criterion suite over the real lock-free data
-//! structures.
+//! binaries that drive the simulator and print paper-style rows. The
+//! host-clock kernels of the real lock-free data structures, codecs and
+//! CRC are `benchmark/`'s layer kernels (`snap-benchmark kernels`).
 //!
 //! Beside the figures sit three **scenarios** the paper does not have,
 //! same convention (one file, `cargo bench -p snap-bench --bench
@@ -30,7 +30,7 @@
 //! message-level contract (`src/stack.rs`), reachable from here, from
 //! `examples/` and from the tier-1 `tests/`. Every figure bench's table
 //! is pinned under `tests/golden/experiments/`, and `scripts/ci.sh`
-//! fails on a `[[bench]]` other than `micro` that has no golden.
+//! fails on a `[[bench]]` that has no golden.
 
 use snap_repro::apps::dag::{DagSpec, ServiceSpec, ServiceTime};
 use snap_repro::sim::Nanos;

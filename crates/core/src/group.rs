@@ -1044,12 +1044,6 @@ impl GroupHandle {
         }
     }
 
-    /// The engine's current slowdown factor (1.0 = healthy), or `None`
-    /// for an unknown id.
-    pub fn slowdown_factor(&self, id: EngineId) -> Option<f64> {
-        self.inner.borrow().slots.get(id.0 as usize).map(|s| s.slowdown)
-    }
-
     /// Wedges an engine for `duration`: it stays resident but makes no
     /// progress (models a livelock or a stuck syscall). Pending work
     /// accumulates and its heartbeat stops, which is what supervisor
@@ -1140,11 +1134,6 @@ impl GroupHandle {
             .filter_map(|w| w.budget.as_ref())
             .map(|b| b.throttled_total)
             .fold(Nanos::ZERO, |a, b| a + b)
-    }
-
-    /// Total workers ever created.
-    pub fn worker_count(&self) -> usize {
-        self.inner.borrow().workers.len()
     }
 
     /// Snapshot of the group's scheduling-delay histogram: one sample
@@ -1241,7 +1230,7 @@ mod tests {
         let (g, _) = counting_group(SchedulingMode::Spreading);
         g.add_engine(Box::new(CountingEngine::new("e1", Nanos(100))));
         g.add_engine(Box::new(CountingEngine::new("e2", Nanos(100))));
-        assert_eq!(g.worker_count(), 3);
+        assert_eq!(workers(&g), 3);
     }
 
     #[test]
@@ -1259,7 +1248,7 @@ mod tests {
         let ids: Vec<EngineId> = (0..4)
             .map(|i| g.add_engine(Box::new(CountingEngine::new(format!("e{i}"), Nanos(100)))))
             .collect();
-        assert_eq!(g.worker_count(), 2, "4 engines share 2 cores");
+        assert_eq!(workers(&g), 2, "4 engines share 2 cores");
         g.start(&mut sim);
         for id in &ids {
             inject(&g, *id, sim.now(), 10);
@@ -1299,7 +1288,7 @@ mod tests {
         }
         let a = g.add_engine(Box::new(CountingEngine::new("a", Nanos::from_micros(20))));
         let b = g.add_engine(Box::new(CountingEngine::new("b", Nanos::from_micros(20))));
-        assert_eq!(g.worker_count(), 1);
+        assert_eq!(workers(&g), 1);
         g.start(&mut sim);
         for round in 0..50u64 {
             let at = Nanos::from_micros(round * 20);
@@ -1311,7 +1300,7 @@ mod tests {
                 g2.wake(sim, b2);
             });
         }
-        while g.worker_count() == 1 && sim.step() {}
+        while workers(&g) == 1 && sim.step() {}
         let scaled_out_at = sim.now();
         sim.run_until(Nanos::from_millis(10));
         g.stop();
@@ -1325,7 +1314,7 @@ mod tests {
     #[test]
     fn compacting_starts_on_one_worker_and_scales_out() {
         let (g, [a, b], _) = scale_out_under_load(false);
-        assert!(g.worker_count() >= 2, "rebalancer should have scaled out");
+        assert!(workers(&g) >= 2, "rebalancer should have scaled out");
         assert_eq!(processed(&g, a), 400);
         assert_eq!(processed(&g, b), 400);
     }
@@ -1338,8 +1327,8 @@ mod tests {
         // what the always-ticking rebalancer of the parent commit gave.
         let (full, _, full_at) = scale_out_under_load(false);
         let (empty, [a, b], empty_at) = scale_out_under_load(true);
-        assert_eq!((full_at, full.worker_count()), (SCALED_OUT_AT, 2));
-        assert_eq!((empty_at, empty.worker_count()), (SCALED_OUT_AT, 2));
+        assert_eq!((full_at, workers(&full)), (SCALED_OUT_AT, 2));
+        assert_eq!((empty_at, workers(&empty)), (SCALED_OUT_AT, 2));
         assert_eq!(processed(&empty, a), 400);
         assert_eq!(processed(&empty, b), 400);
     }
@@ -1358,6 +1347,11 @@ mod tests {
         g.inner.borrow().slots[id.0 as usize].worker
     }
 
+    /// Workers ever created.
+    fn workers(g: &GroupHandle) -> usize {
+        g.inner.borrow().workers.len()
+    }
+
     #[test]
     fn a_one_engine_group_does_not_tick_and_a_second_engine_resumes_the_grid() {
         let mut sim = Sim::new();
@@ -1372,9 +1366,9 @@ mod tests {
         sim.run_until(Nanos::from_micros(37));
         let b = second_engine_joins(&mut sim, &g, Nanos::from_micros(37));
         sim.run_until(Nanos::from_micros(40) - Nanos(1));
-        assert_eq!(g.worker_count(), 1);
+        assert_eq!(workers(&g), 1);
         sim.run_until(Nanos::from_micros(40));
-        assert_eq!(g.worker_count(), 2, "scaled out by the tick at 40 us");
+        assert_eq!(workers(&g), 2, "scaled out by the tick at 40 us");
         assert_eq!(worker_of(&g, b), 1);
     }
 
@@ -1427,7 +1421,7 @@ mod tests {
         let c = second_engine_joins(&mut sim, &g, Nanos::from_micros(30));
         sim.run();
         assert_eq!(worker_of(&g, c), 0);
-        assert_eq!(g.worker_count(), 1);
+        assert_eq!(workers(&g), 1);
         assert_eq!(processed(&g, c), 40);
     }
 
@@ -1531,39 +1525,41 @@ mod tests {
 
     #[test]
     fn slowed_engine_burns_scaled_cpu_and_restart_heals() {
-        fn engine_cpu(factor: Option<f64>) -> Nanos {
+        // Engine CPU of 20 items, the engine slowed by `factor` and, if
+        // `restart`, replaced by a successor before the work arrives.
+        fn engine_cpu(factor: Option<f64>, restart: bool) -> Nanos {
             let mut sim = Sim::new();
             let (g, id) = counting_group(SchedulingMode::Dedicated { cores: vec![0] });
             if let Some(f) = factor {
                 g.slow_engine(id, f);
             }
             g.start(&mut sim);
+            if restart {
+                g.suspend_engine(&mut sim, id);
+                let old = g.take_engine(id).expect("suspended");
+                g.resume_engine(&mut sim, id, old);
+            }
             inject(&g, id, sim.now(), 20);
             g.wake(&mut sim, id);
             sim.run();
             assert_eq!(processed(&g, id), 20, "slowdown must not drop work");
             g.cpu(sim.now()).engine
         }
-        let healthy = engine_cpu(None);
-        let slowed = engine_cpu(Some(4.0));
+        let healthy = engine_cpu(None, false);
+        let slowed = engine_cpu(Some(4.0), false);
         assert!(
             slowed >= healthy * 3,
             "4x slowdown should inflate engine CPU: healthy {healthy}, slowed {slowed}"
         );
 
+        // A factor below 1 is clamped: a slowdown never speeds up.
+        assert_eq!(engine_cpu(Some(0.5), false), healthy);
         // A supervisor restart replaces the degraded process: the
         // factor resets to healthy.
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        g.slow_engine(id, 4.0);
-        assert_eq!(g.slowdown_factor(id), Some(4.0));
-        g.suspend_engine(&mut sim, id);
-        let old = g.take_engine(id).expect("suspended");
-        g.resume_engine(&mut sim, id, old);
-        assert_eq!(g.slowdown_factor(id), Some(1.0));
+        assert_eq!(engine_cpu(Some(4.0), true), engine_cpu(None, true));
         // Unknown ids are a no-op (over-approximate fault plans).
+        let (g, _) = counting_group(SchedulingMode::Spreading);
         g.slow_engine(EngineId(99), 7.0);
-        assert_eq!(g.slowdown_factor(EngineId(99)), None);
     }
 
     #[test]
@@ -1769,7 +1765,7 @@ mod tests {
             deadline,
             passes: passes.clone(),
         }));
-        assert_eq!(g.worker_count(), 1, "both on the one core");
+        assert_eq!(workers(&g), 1, "both on the one core");
         g.wake(&mut sim, upgrading);
         sim.run_until(Nanos::from_micros(10));
         g.suspend_engine(&mut sim, upgrading);

@@ -27,6 +27,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use snap_sim::costs;
+use snap_sim::event::Ticker;
 use snap_sim::{Nanos, Sim};
 
 use crate::engine::{Engine, EngineId};
@@ -102,8 +103,6 @@ struct SupervisorInner {
     watched: Vec<Watched>,
     report: SupervisorReport,
     restart_log: Vec<RestartRecord>,
-    started: bool,
-    stopped: bool,
 }
 
 /// Why an engine was restarted.
@@ -140,10 +139,12 @@ impl RestartRecord {
     }
 }
 
-/// Cloneable handle to the supervision loop.
+/// Cloneable handle to the supervision loops.
 #[derive(Clone)]
 pub struct Supervisor {
     inner: Rc<RefCell<SupervisorInner>>,
+    checkpoint: Ticker,
+    liveness: Ticker,
 }
 
 impl Supervisor {
@@ -155,9 +156,9 @@ impl Supervisor {
                 watched: Vec::new(),
                 report: SupervisorReport::default(),
                 restart_log: Vec::new(),
-                started: false,
-                stopped: false,
             })),
+            checkpoint: Ticker::default(),
+            liveness: Ticker::default(),
         }
     }
 
@@ -178,36 +179,27 @@ impl Supervisor {
         });
     }
 
-    /// Starts the checkpoint and health-poll loops. Idempotent.
+    /// Starts the checkpoint and health-poll loops, a [`Ticker`] each:
+    /// idempotent while they are live, and a restart after
+    /// [`stop`](Self::stop) resumes them.
     pub fn start(&self, sim: &mut Sim) {
         let (ckpt, poll) = {
-            let mut inner = self.inner.borrow_mut();
-            if std::mem::replace(&mut inner.started, true) {
-                return;
-            }
-            (inner.cfg.checkpoint_interval, inner.cfg.health_poll)
+            let cfg = &self.inner.borrow().cfg;
+            (cfg.checkpoint_interval, cfg.health_poll)
         };
         let handle = self.clone();
-        snap_sim::event::every(sim, sim.now() + ckpt, ckpt, move |_| {
-            if handle.inner.borrow().stopped {
-                return false;
-            }
-            handle.checkpoint_pass();
-            true
-        });
+        self.checkpoint
+            .start(sim, ckpt, move |_| handle.checkpoint_pass());
         let handle = self.clone();
-        snap_sim::event::every(sim, sim.now() + poll, poll, move |sim| {
-            if handle.inner.borrow().stopped {
-                return false;
-            }
-            handle.health_pass(sim);
-            true
-        });
+        self.liveness
+            .start(sim, poll, move |sim| handle.health_pass(sim));
     }
 
-    /// Stops both loops so a drained simulation can terminate.
+    /// Stops both loops (their pending ticks lapse) so a drained
+    /// simulation can terminate.
     pub fn stop(&self) {
-        self.inner.borrow_mut().stopped = true;
+        self.checkpoint.stop();
+        self.liveness.stop();
     }
 
     /// Activity counters snapshot.

@@ -639,8 +639,10 @@ impl FabricHandle {
     /// packet finishes uplink serialization (and at the destination
     /// when its sub-train finishes egress serialization), so a packet's
     /// arrival can shift later by at most one train serialization time
-    /// relative to sending it alone — bound the train with
-    /// [`costs::FABRIC_BURST_MAX`].
+    /// relative to sending it alone. What bounds a train is its
+    /// sender: the tx slots free on the queue, and for a Pony engine a
+    /// per-pass budget of `2 × poll_batch` packets (32 by default; the
+    /// ablation's batch-64 row sends trains of up to 128).
     ///
     /// # Panics
     ///

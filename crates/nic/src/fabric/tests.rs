@@ -57,7 +57,7 @@ fn end_to_end_delivery() {
     fabric.transmit(&mut sim, 0, packet(a, b, 1000)).unwrap();
     sim.run();
     assert_eq!(fabric.stats().delivered, 1);
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 1);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 1);
     // Sanity on the latency: serialization (~167ns at 50G) + hops.
     let t = sim.now().as_nanos();
     assert!(t > 2_000 && t < 10_000, "delivery took {t}ns");
@@ -215,8 +215,8 @@ fn oneway_partition_drops_only_one_direction() {
     // a -> b dead, b -> a alive.
     assert_eq!(fabric.stats().partition_drops, 1);
     assert_eq!(fabric.stats().delivered, 1);
-    assert_eq!(fabric.with_nic(a, |n| n.rx_pending_total()), 1);
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 0);
+    assert_eq!(fabric.with_nic(a, |n| n.stats().rx_packets), 1);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 0);
     // The drop is attributed to the directed link a -> b only.
     assert_eq!(fabric.link_stats(a, b).partition_drops, 1);
     assert_eq!(fabric.link_stats(b, a).partition_drops, 0);
@@ -266,7 +266,7 @@ fn corruption_is_rejected_by_receive_crc() {
     assert_eq!(fabric.stats().corrupted, 10);
     // Every corrupted packet reached the NIC and was CRC-rejected.
     assert_eq!(fabric.with_nic(b, |n| n.stats().rx_crc_drops), 10);
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 0);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 0);
     let reasons = fabric.drop_reasons(b);
     assert_eq!(reasons.crc_bad, 10);
     assert_eq!(reasons.corruption, 10);
@@ -275,7 +275,7 @@ fn corruption_is_rejected_by_receive_crc() {
     fabric.set_corrupt_prob(0.0);
     fabric.transmit(&mut sim, 0, packet(a, b, 500)).unwrap();
     sim.run();
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 1);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 1);
 }
 
 #[test]
@@ -317,7 +317,7 @@ fn burst_delivers_with_one_irq() {
     assert!(train.is_empty());
     sim.run();
     assert_eq!(fabric.stats().delivered, 8);
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 8);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 8);
     assert_eq!(fired.get(), 1, "one interrupt for the whole train");
 }
 
@@ -354,7 +354,7 @@ fn burst_applies_faults_per_packet() {
     sim.run();
     assert_eq!(fabric.stats().corrupted, 10);
     assert_eq!(fabric.with_nic(b, |n| n.stats().rx_crc_drops), 10);
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 0);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 0);
     // Partition mid-experiment: a fresh train is dropped per packet
     // at the switch, not as a unit that might bypass counters.
     fabric.set_corrupt_prob(0.0);
@@ -381,8 +381,8 @@ fn burst_splits_per_destination() {
     ];
     assert_eq!(fabric.transmit_burst(&mut sim, 0, &mut train), 4);
     sim.run();
-    assert_eq!(fabric.with_nic(b, |n| n.rx_pending_total()), 2);
-    assert_eq!(fabric.with_nic(c, |n| n.rx_pending_total()), 2);
+    assert_eq!(fabric.with_nic(b, |n| n.stats().rx_packets), 2);
+    assert_eq!(fabric.with_nic(c, |n| n.stats().rx_packets), 2);
     assert_eq!(fabric.stats().delivered, 4);
 
     // One train carrying in-rack, cross-rack and doomed packets
@@ -685,7 +685,7 @@ fn cross_rack_delivery_crosses_trunks() {
     sim.run();
     let cross_at = sim.now();
     assert_eq!(fabric.stats().delivered, 1);
-    assert_eq!(fabric.with_nic(h[2], |n| n.rx_pending_total()), 1);
+    assert_eq!(fabric.with_nic(h[2], |n| n.stats().rx_packets), 1);
     // Both directed trunks on the path carried the packet.
     let up = fabric.trunk_stats(SwitchId::Leaf(0), SwitchId::Spine(0));
     let down = fabric.trunk_stats(SwitchId::Spine(0), SwitchId::Leaf(1));
@@ -975,7 +975,6 @@ fn wrr_schedule_prefers_transport_under_contention() {
 fn degenerate_topology_is_the_default() {
     let fabric = FabricHandle::new(FabricConfig::default());
     let topo = fabric.topology();
-    assert!(topo.is_single_switch());
-    assert_eq!(topo.spines(), 0);
+    assert_eq!((topo.racks(), topo.spines()), (1, 0));
     assert!(topo.same_rack(0, 1_000_000));
 }

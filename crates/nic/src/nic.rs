@@ -270,11 +270,6 @@ impl VirtNic {
     pub fn rx_pending(&self, queue: u16) -> usize {
         self.rx_queues[queue as usize].len()
     }
-
-    /// Total packets waiting across all rx rings.
-    pub fn rx_pending_total(&self) -> usize {
-        self.rx_queues.iter().map(|q| q.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +320,7 @@ mod tests {
         assert!(!n.detach_filter(7), "double detach");
         n.deliver(pkt(0).with_steer_key(7));
         assert_eq!(n.stats().rx_filter_drops, 1);
-        assert_eq!(n.rx_pending_total(), 0);
+        assert_eq!(n.stats().rx_packets, 0);
     }
 
     #[test]
@@ -345,7 +340,7 @@ mod tests {
         p.corrupt(1, 1);
         n.deliver(p);
         assert_eq!(n.stats().rx_crc_drops, 1);
-        assert_eq!(n.rx_pending_total(), 0);
+        assert_eq!(n.stats().rx_packets, 0);
     }
 
     fn noop() -> IrqHandler {

@@ -161,7 +161,7 @@ impl FlightRecorder {
 
     /// Takes one sample now: poll the sources, snapshot, push one point
     /// per metric for the window since the previous sample.
-    pub fn sample_once(&self, sim: &mut Sim) {
+    pub fn sample_once(&self, sim: &Sim) {
         self.stats.poll_once(sim);
         let now = sim.now();
         let snap = self.stats.snapshot(now);

@@ -44,8 +44,6 @@ enum Event {
     Counter { name: String, ts: Nanos, value: f64 },
     /// A global instant.
     Instant { name: String, ts: Nanos },
-    /// Process-name metadata.
-    ProcessName { pid: u64, name: String },
 }
 
 /// A timeline builder; see the [module docs](self) for the format.
@@ -58,14 +56,6 @@ impl Timeline {
     /// Creates an empty timeline.
     pub fn new() -> Self {
         Timeline::default()
-    }
-
-    /// Names a process lane (host, recorder, fabric).
-    pub fn name_process(&mut self, pid: u64, name: &str) {
-        self.events.push(Event::ProcessName {
-            pid,
-            name: name.to_string(),
-        });
     }
 
     /// Adds one completed causal trace as duration slices: each
@@ -88,13 +78,6 @@ impl Timeline {
                 ts: prev.at,
                 dur: cur.at.saturating_sub(prev.at),
             });
-        }
-    }
-
-    /// Adds every completed trace from a recorder drain.
-    pub fn add_traces(&mut self, traces: &[CompletedTrace]) {
-        for t in traces {
-            self.add_trace(t);
         }
     }
 
@@ -145,16 +128,12 @@ impl Timeline {
     }
 
     /// Renders the Trace Event JSON (`{"traceEvents": [...]}`), sorted
-    /// by timestamp (metadata first, insertion order as tiebreak).
+    /// by timestamp (insertion order as tiebreak).
     pub fn to_json(&self) -> String {
-        // Stable sort: metadata (no ts) first, then by ts; equal
-        // timestamps keep insertion order.
+        // Stable sort: equal timestamps keep insertion order.
         let mut order: Vec<usize> = (0..self.events.len()).collect();
         order.sort_by_key(|&i| match &self.events[i] {
-            Event::ProcessName { .. } => (0u8, Nanos::ZERO),
-            Event::Slice { ts, .. } => (1, *ts),
-            Event::Counter { ts, .. } => (1, *ts),
-            Event::Instant { ts, .. } => (1, *ts),
+            Event::Slice { ts, .. } | Event::Counter { ts, .. } | Event::Instant { ts, .. } => *ts,
         });
         let mut out = String::from("{\"traceEvents\": [");
         for (n, &i) in order.iter().enumerate() {
@@ -162,13 +141,6 @@ impl Timeline {
                 out.push_str(", ");
             }
             match &self.events[i] {
-                Event::ProcessName { pid, name } => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \
-                         \"args\": {{\"name\": \"{name}\"}}}}"
-                    );
-                }
                 Event::Slice {
                     name,
                     pid,
@@ -237,16 +209,14 @@ mod tests {
         let mut sim = Sim::new();
         sim.schedule_at(Nanos(4_000), |_| {});
         sim.run();
-        rec.sample_once(&mut sim);
+        rec.sample_once(&sim);
 
         let mut tl = Timeline::new();
-        tl.name_process(0, "host0");
-        tl.add_traces(&traces);
+        tl.add_trace(&traces[0]);
         tl.add_series_under(&rec, "cpu.");
         tl.add_instant(Nanos(2_000), "fault: link_lossy");
         let json = tl.to_json();
         assert!(json.starts_with("{\"traceEvents\": ["), "{json}");
-        assert!(json.contains("\"ph\": \"M\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
         assert!(json.contains("\"ph\": \"C\""), "{json}");
         assert!(json.contains("\"ph\": \"i\""), "{json}");
@@ -257,25 +227,22 @@ mod tests {
 
         // Determinism: rebuilding renders the identical file.
         let mut tl2 = Timeline::new();
-        tl2.name_process(0, "host0");
-        tl2.add_traces(&traces);
+        tl2.add_trace(&traces[0]);
         tl2.add_series_under(&rec, "cpu.");
         tl2.add_instant(Nanos(2_000), "fault: link_lossy");
         assert_eq!(json, tl2.to_json());
     }
 
     #[test]
-    fn events_sort_by_time_with_metadata_first() {
+    fn events_sort_by_time() {
         let mut tl = Timeline::new();
         tl.add_instant(Nanos(9_000), "late");
         tl.add_instant(Nanos(1_000), "early");
-        tl.name_process(3, "host3");
         let json = tl.to_json();
-        let meta = json.find("process_name").unwrap_or(usize::MAX);
         let early = json.find("early").unwrap_or(usize::MAX);
         let late = json.find("late").unwrap_or(usize::MAX);
-        assert!(meta < early && early < late, "{json}");
-        assert_eq!(tl.len(), 3);
+        assert!(early < late, "{json}");
+        assert_eq!(tl.len(), 2);
         assert!(!tl.is_empty());
     }
 }

@@ -124,18 +124,6 @@ impl BufferPool {
         })
     }
 
-    /// Allocates a buffer and copies `data` into it.
-    ///
-    /// Returns `None` if the pool is exhausted or `data` does not fit.
-    pub fn alloc_with(&self, data: &[u8]) -> Option<PooledBuf> {
-        if data.len() > self.shared.buf_size {
-            return None;
-        }
-        let mut buf = self.alloc()?;
-        buf.write(data);
-        Some(buf)
-    }
-
     /// Size of each buffer in bytes.
     pub fn buf_size(&self) -> usize {
         self.shared.buf_size
@@ -258,13 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn alloc_with_copies() {
+    fn write_copies_into_an_allocated_buffer() {
         let p = pool(1, 8);
-        let b = p.alloc_with(b"abc").unwrap();
+        let mut b = p.alloc().unwrap();
+        b.write(b"abc");
         assert_eq!(b.to_vec(), b"abc");
         drop(b);
-        assert!(p.alloc_with(&[0u8; 9]).is_none(), "oversized payload");
-        assert_eq!(p.available(), 1, "failed alloc_with must not leak");
+        assert_eq!(p.available(), 1, "the buffer went back to the pool");
     }
 
     #[test]

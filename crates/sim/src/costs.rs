@@ -76,7 +76,9 @@ pub const PONY_ONESIDED_READ_NS: u64 = 190;
 pub const PONY_INDIRECTION_NS: u64 = 110;
 
 /// Default packets processed per NIC rx polling batch (§3.1: "our
-/// current default is 16 packets per batch").
+/// current default is 16 packets per batch"). An engine's rx burst is
+/// at most one batch; its tx train is at most two (32 by default) and
+/// the tx slots free on its queue.
 pub const DEFAULT_POLL_BATCH: usize = 16;
 
 /// Fixed engine CPU charged once per processed burst (descriptor ring
@@ -103,13 +105,6 @@ pub fn pony_batch_cost(n: usize) -> Nanos {
         Nanos(PONY_BURST_FIXED_NS + n as u64 * PONY_PER_PACKET_MARGINAL_NS)
     }
 }
-
-/// Largest packet train the fabric coalesces into one simulated event
-/// per hop (and the largest rx burst a NIC delivers to an engine in
-/// one interrupt/poll). Bounds both event-queue amortization and the
-/// latency distortion of grouping a train's arrivals at the train's
-/// tail departure time (< one train serialization time).
-pub const FABRIC_BURST_MAX: usize = 32;
 
 /// Default Pony Express MTU in bytes (standard Ethernet payload; §5.1
 /// describes 5000 B as the *experimental larger* MTU).

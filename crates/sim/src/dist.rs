@@ -215,12 +215,12 @@ mod tests {
         let d = DiurnalLoad {
             base_rate: 1_000_000.0,
             swing: 0.6,
-            period: Nanos::from_secs(60),
+            period: Nanos::from_millis(60_000),
             noise: 0.05,
         };
         let mut rng = Rng::new(9);
-        let peak = d.rate_at(Nanos::from_secs(15), &mut rng);
-        let trough = d.rate_at(Nanos::from_secs(45), &mut rng);
+        let peak = d.rate_at(Nanos::from_millis(15_000), &mut rng);
+        let trough = d.rate_at(Nanos::from_millis(45_000), &mut rng);
         assert!(peak > 1.4e6, "peak {peak}");
         assert!(trough < 0.6e6, "trough {trough}");
         assert!(trough >= 0.0);

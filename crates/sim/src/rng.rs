@@ -124,14 +124,6 @@ impl Rng {
         assert!(!items.is_empty(), "pick from empty slice");
         &items[self.below(items.len() as u64) as usize]
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,17 +213,6 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         Rng::new(0).range(3, 3);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(21);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 
     #[test]

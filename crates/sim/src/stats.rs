@@ -85,18 +85,6 @@ impl Histogram {
         self.record(value.as_nanos());
     }
 
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::index_of(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -248,45 +236,6 @@ impl Histogram {
     }
 }
 
-/// Accumulates busy time to report CPU cores consumed, as in Fig. 6(b)'s
-/// "CPU/sec" metric (1.0 = one hardware thread fully busy).
-#[derive(Debug, Clone, Default)]
-pub struct CpuMeter {
-    busy: Nanos,
-}
-
-impl CpuMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a slice of busy time.
-    pub fn add(&mut self, t: Nanos) {
-        self.busy += t;
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy(&self) -> Nanos {
-        self.busy
-    }
-
-    /// Average cores consumed over a measurement window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is zero.
-    pub fn cores_over(&self, window: Nanos) -> f64 {
-        assert!(!window.is_zero(), "zero measurement window");
-        self.busy.as_nanos() as f64 / window.as_nanos() as f64
-    }
-
-    /// Resets to idle.
-    pub fn reset(&mut self) {
-        self.busy = Nanos::ZERO;
-    }
-}
-
 /// A windowed rate counter for time-series output (Fig. 8's per-minute
 /// IOPS dashboard).
 #[derive(Debug, Clone)]
@@ -421,7 +370,9 @@ mod tests {
         // 999) still lands on the small cluster; only p(>999/1000)
         // crosses into the outlier bucket.
         let mut h = Histogram::new();
-        h.record_n(16, 999); // < SUB_BUCKETS: stored exactly
+        for _ in 0..999 {
+            h.record(16); // < SUB_BUCKETS: stored exactly
+        }
         h.record(1_000_000);
         assert_eq!(h.p999(), 16);
         assert!(h.quantile(0.9995) >= 990_000);
@@ -430,14 +381,18 @@ mod tests {
         // (= 32) is the first non-exact bucket, whose midpoint is the
         // value itself (width 1) — no quantization error at the edge.
         let mut edge = Histogram::new();
-        edge.record_n(SUB_BUCKETS as u64, 1_000);
+        for _ in 0..1_000 {
+            edge.record(SUB_BUCKETS as u64);
+        }
         assert_eq!(edge.p999(), SUB_BUCKETS as u64);
 
         // Top of a level: 2^(m+1)-1 is the last sub-bucket of level m;
         // the midpoint is clamped into [min, max], so p999 never
         // escapes the observed range even at the ring edge.
         let mut top = Histogram::new();
-        top.record_n((1u64 << 20) - 1, 1_000);
+        for _ in 0..1_000 {
+            top.record((1u64 << 20) - 1);
+        }
         assert_eq!(top.p999(), (1u64 << 20) - 1);
 
         // Uniform data: p999 tracks the true 99.9th percentile within
@@ -451,19 +406,6 @@ mod tests {
         // And it sits between p99 and max, monotone.
         assert!(u.p999() >= u.p99());
         assert!(u.p999() <= u.max());
-    }
-
-    #[test]
-    fn record_n_equals_loop() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record_n(777, 50);
-        for _ in 0..50 {
-            b.record(777);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.quantile(0.9), b.quantile(0.9));
-        assert_eq!(a.mean(), b.mean());
     }
 
     #[test]
@@ -501,7 +443,9 @@ mod tests {
         h.record(10_000);
         let snap = h.clone();
         h.record(1_000_000);
-        h.record_n(500, 3);
+        for _ in 0..3 {
+            h.record(500);
+        }
         let d = h.diff(&snap);
         assert_eq!(d.count(), 4);
         assert!(d.min() >= 100, "window min {}", d.min());
@@ -520,22 +464,12 @@ mod tests {
     }
 
     #[test]
-    fn cpu_meter_cores() {
-        let mut m = CpuMeter::new();
-        m.add(Nanos::from_millis(500));
-        m.add(Nanos::from_millis(250));
-        assert!((m.cores_over(Nanos::from_secs(1)) - 0.75).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.busy(), Nanos::ZERO);
-    }
-
-    #[test]
     fn rate_series_windows() {
-        let mut s = RateSeries::new(Nanos::from_secs(1));
+        let mut s = RateSeries::new(Nanos::from_millis(1_000));
         s.record_at(Nanos::from_millis(100), 5);
         s.record_at(Nanos::from_millis(900), 5);
-        s.record_at(Nanos::from_millis(1100), 20);
-        s.roll_to(Nanos::from_secs(3));
+        s.record_at(Nanos::from_millis(1_100), 20);
+        s.roll_to(Nanos::from_millis(3_000));
         let rates = s.rates_per_sec();
         assert_eq!(rates.len(), 3);
         assert_eq!(rates[0].1, 10.0);

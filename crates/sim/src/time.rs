@@ -36,11 +36,6 @@ impl Nanos {
         Nanos(ms * 1_000_000)
     }
 
-    /// Creates a time value from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Nanos(s * 1_000_000_000)
-    }
-
     /// Creates a time value from fractional seconds, rounding down.
     pub fn from_secs_f64(s: f64) -> Self {
         Nanos((s * 1e9) as u64)
@@ -49,11 +44,6 @@ impl Nanos {
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the value in microseconds, rounding down.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Returns the value in milliseconds, rounding down.
@@ -192,19 +182,6 @@ pub fn transmit_time(bytes: u64, gbps: f64) -> Nanos {
     Nanos((bits / gbps).ceil() as u64)
 }
 
-/// Converts a rate in operations/second into a mean inter-arrival gap.
-///
-/// # Panics
-///
-/// Panics if `per_sec` is not a positive finite number.
-pub fn interval_of_rate(per_sec: f64) -> Nanos {
-    assert!(
-        per_sec.is_finite() && per_sec > 0.0,
-        "rate must be positive, got {per_sec}"
-    );
-    Nanos((1e9 / per_sec).round() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,8 +189,8 @@ mod tests {
     #[test]
     fn construction_and_conversion() {
         assert_eq!(Nanos::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(Nanos::from_millis(2).as_micros(), 2_000);
-        assert_eq!(Nanos::from_secs(1).as_millis(), 1_000);
+        assert_eq!(Nanos::from_millis(2).as_nanos(), 2_000_000);
+        assert_eq!(Nanos::from_millis(1_500).as_millis(), 1_500);
         assert_eq!(Nanos::from_secs_f64(0.5).as_millis(), 500);
         assert!((Nanos::from_millis(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }
@@ -245,18 +222,6 @@ mod tests {
         assert_eq!(transmit_time(1500, 100.0), Nanos(120));
         // 4096 bytes at 50 Gbps = 655.36 -> 656 ns.
         assert_eq!(transmit_time(4096, 50.0), Nanos(656));
-    }
-
-    #[test]
-    fn rate_to_interval() {
-        assert_eq!(interval_of_rate(1_000.0), Nanos::from_micros(1000));
-        assert_eq!(interval_of_rate(1e9), Nanos(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_panics() {
-        let _ = interval_of_rate(0.0);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use snap_nic::packet::{HostId, Packet, QosClass};
 use snap_sim::codec::{Reader, Writer};
 use snap_sim::hash::{IntMap, IntSet};
 use snap_sim::costs;
-use snap_sim::stats::CpuMeter;
 use snap_sim::{Nanos, Sim};
 
 use snap_sched::classes::SchedClass;
@@ -137,7 +136,8 @@ struct Inner {
     cfg: TcpConfig,
     conns: IntMap<ConnKey, Connection>,
     on_message: Option<OnMessage>,
-    cpu: CpuMeter,
+    /// CPU consumed: app syscalls and copies plus softirq.
+    cpu: Nanos,
     stats: TcpStats,
     /// What `TcpHost::stream_seg_sum` reports.
     stream_seg_sum: u64,
@@ -215,7 +215,7 @@ impl TcpHost {
                 cfg,
                 conns: IntMap::default(),
                 on_message: None,
-                cpu: CpuMeter::new(),
+                cpu: Nanos::ZERO,
                 stats: TcpStats::default(),
                 stream_seg_sum: 0,
                 next_conn: 1,
@@ -280,7 +280,7 @@ impl TcpHost {
             inner.stats.msgs_sent += 1;
             // Syscall entry cost (one per sendmsg; copies charged per
             // segment as they are cut).
-            inner.cpu.add(Nanos(costs::SYSCALL_NS));
+            inner.cpu += Nanos(costs::SYSCALL_NS);
             let c = inner
                 .conns
                 .get_mut(&conn)
@@ -293,7 +293,7 @@ impl TcpHost {
 
     /// CPU consumed by this stack (app syscalls/copies + softirq).
     pub fn cpu_busy(&self) -> Nanos {
-        self.inner.borrow().cpu.busy()
+        self.inner.borrow().cpu
     }
 
     /// Counters snapshot.
@@ -363,7 +363,7 @@ impl TcpHost {
             inner.stats.segs_sent += 1;
             inner.stream_seg_sum += streams as u64;
             // Charge the sender-side serial cost (stack + tx copy).
-            inner.cpu.add(Inner::side_cost(streams, seg_len));
+            inner.cpu += Inner::side_cost(streams, seg_len);
 
             let mut w = Writer::with_capacity(64);
             w.u8(KIND_DATA)
@@ -440,7 +440,7 @@ impl TcpHost {
                 let streams = inner.active_streams();
                 inner.stats.segs_sent += 1;
                 inner.stream_seg_sum += streams as u64;
-                inner.cpu.add(Inner::side_cost(streams, seg_len));
+                inner.cpu += Inner::side_cost(streams, seg_len);
                 let host = inner.host;
                 let Some(c) = inner.conns.get(&conn) else {
                     return;
@@ -476,7 +476,7 @@ impl TcpHost {
         if pkts.is_empty() {
             return;
         }
-        self.inner.borrow_mut().cpu.add(Nanos(costs::INTERRUPT_NS));
+        self.inner.borrow_mut().cpu += Nanos(costs::INTERRUPT_NS);
         for pkt in pkts {
             self.process_packet(sim, pkt);
         }
@@ -502,7 +502,7 @@ impl TcpHost {
             let mut inner = self.inner.borrow_mut();
             // Receiver-side serial cost: softirq protocol + rx copy.
             let cost = Inner::side_cost(inner.active_streams(), seg_len);
-            inner.cpu.add(cost);
+            inner.cpu += cost;
             let c = inner
                 .conns
                 .entry(conn)
@@ -567,7 +567,7 @@ impl TcpHost {
                         SchedClass::Cfs { nice: 0 },
                         Some(conn),
                     );
-                    inner.cpu.add(Nanos(costs::CONTEXT_SWITCH_NS));
+                    inner.cpu += Nanos(costs::CONTEXT_SWITCH_NS);
                     lat
                 };
                 (lat, conn_cb.or_else(|| inner.on_message.clone()))
@@ -681,7 +681,7 @@ mod tests {
         p.b.on_message(Rc::new(move |_s, _c, _m, len| d.set(len)));
         let conn = p.a.connect(1);
         p.a.send(&mut p.sim, conn, 1, 500_000);
-        p.sim.run_until(Nanos::from_secs(2));
+        p.sim.run_until(Nanos::from_millis(2_000));
         assert_eq!(
             delivered.get(),
             500_000,
@@ -769,7 +769,7 @@ mod tests {
         for m in 0..50 {
             p.a.send(&mut p.sim, conn, m, 100);
         }
-        p.sim.run_until(Nanos::from_secs(2));
+        p.sim.run_until(Nanos::from_millis(2_000));
         assert_eq!(delivered.get(), 50, "every 1-segment message must deliver");
         assert!(p.a.stats().retransmits > 0, "20% loss must retransmit");
     }

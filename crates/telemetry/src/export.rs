@@ -59,14 +59,6 @@ impl Snapshot {
         }
     }
 
-    /// Names with a given prefix (for rendering one subsystem).
-    pub fn names_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
-        self.metrics
-            .keys()
-            .map(|s| s.as_str())
-            .filter(move |n| n.starts_with(prefix))
-    }
-
     /// The window between `earlier` and this snapshot: counters
     /// subtract (saturating — a metric born after `earlier` reports its
     /// full value), gauges keep this snapshot's reading (a gauge has no

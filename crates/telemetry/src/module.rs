@@ -339,7 +339,7 @@ impl StatsModule {
     /// One poll pass over every source, in watch order. Driven by
     /// [`start`](Self::start) or a flight recorder, but callable
     /// directly for a final flush before reading a snapshot.
-    pub fn poll_once(&self, sim: &mut Sim) {
+    pub fn poll_once(&self, sim: &Sim) {
         let mut inner = self.inner.borrow_mut();
         let Inner {
             sources,
@@ -489,8 +489,8 @@ mod tests {
         let stats = StatsModule::new(StatsConfig::default());
         let slot = Rc::new(RefCell::new(None));
         stats.watch_upgrade(slot.clone());
-        let mut sim = Sim::new();
-        stats.poll_once(&mut sim);
+        let sim = Sim::new();
+        stats.poll_once(&sim);
         let snap = stats.snapshot(Nanos(1));
         assert_eq!(snap.counter("upgrade.engines"), None, "no report yet");
         let mut report = UpgradeReport::default();
@@ -502,8 +502,8 @@ mod tests {
             rolled_back: false,
         });
         *slot.borrow_mut() = Some(report);
-        stats.poll_once(&mut sim);
-        stats.poll_once(&mut sim);
+        stats.poll_once(&sim);
+        stats.poll_once(&sim);
         let snap = stats.snapshot(Nanos(1));
         let engines = snap.counter("upgrade.engines");
         assert_eq!(engines, Some(1), "folded exactly once");
@@ -549,22 +549,26 @@ mod tests {
 
         let stats = StatsModule::new(StatsConfig::default());
         stats.watch_group("h0", group.clone(), machine);
-        stats.poll_once(&mut sim);
+        stats.poll_once(&sim);
         // Polling twice must not double-count (counters are raised to
         // the ledger's totals).
-        stats.poll_once(&mut sim);
+        stats.poll_once(&sim);
 
         let total = group.cpu(now);
         let snap = stats.snapshot(now);
         let mut sum = 0u64;
         let mut engine_sum = 0u64;
-        for name in snap.names_under("cpu.h0.core") {
+        for name in snap.metrics.keys().filter(|n| n.starts_with("cpu.h0.core")) {
             if name.ends_with(".busy_ns") || name.ends_with(".spin_ns") || name.ends_with(".wake_ns")
             {
                 sum += snap.counter(name).unwrap_or(0);
             }
         }
-        for name in snap.names_under("cpu.h0.engine.") {
+        for name in snap
+            .metrics
+            .keys()
+            .filter(|n| n.starts_with("cpu.h0.engine."))
+        {
             engine_sum += snap.counter(name).unwrap_or(0);
         }
         assert_eq!(sum, total.total().as_nanos(), "core split sums to total");

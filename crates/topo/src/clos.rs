@@ -224,12 +224,6 @@ impl Topology {
         self.spec.capacity()
     }
 
-    /// True for the degenerate one-rack topology (no spine tier; every
-    /// packet crosses exactly one switch).
-    pub fn is_single_switch(&self) -> bool {
-        self.spec.racks == 1
-    }
-
     /// The rack a host slot lives in.
     pub fn rack_of(&self, host: u32) -> u32 {
         host / self.spec.hosts_per_rack
@@ -313,16 +307,6 @@ impl Topology {
         }
     }
 
-    /// Number of switch hops a `src -> dst` packet crosses (1 in-rack,
-    /// 3 cross-rack: leaf, spine, leaf).
-    pub fn hop_count(&self, src: u32, dst: u32) -> u32 {
-        if self.same_rack(src, dst) {
-            1
-        } else {
-            3
-        }
-    }
-
     /// The pseudo host id trace records stamped at `sw` carry, so
     /// cross-rack transport time is attributable per switch hop.
     /// Ordinal 0 (the first leaf) maps onto the legacy `FABRIC_HOST`
@@ -344,11 +328,10 @@ mod tests {
     #[test]
     fn single_rack_is_degenerate() {
         let topo = ClosSpec::single_rack().compile().unwrap();
-        assert!(topo.is_single_switch());
+        assert_eq!((topo.racks(), topo.spines()), (1, 0));
         assert_eq!(topo.rack_of(0), 0);
         assert_eq!(topo.rack_of(41), 0);
         assert!(topo.same_rack(3, 1_000_000));
-        assert_eq!(topo.hop_count(0, 5), 1);
         assert_eq!(topo.ecmp_spine(0, 5, 7, 0, |_, _| false), None);
         assert_eq!(
             topo.trace_host(SwitchId::Leaf(0)),
@@ -379,7 +362,7 @@ mod tests {
         assert_eq!(topo.rack_of(6), 1);
         assert_eq!(topo.rack_of(41), 6);
         assert!(!topo.same_rack(5, 6));
-        assert_eq!(topo.hop_count(0, 41), 3);
+        assert!(!topo.same_rack(0, 41));
     }
 
     #[test]

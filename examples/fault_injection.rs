@@ -211,7 +211,7 @@ fn main() {
     );
 
     rec.stop();
-    rec.sample_once(&mut tb.sim);
+    rec.sample_once(&tb.sim);
     println!(
         "delivered {}/40 messages, in order: {}",
         got.len(),

@@ -143,11 +143,11 @@ for golden in tests/golden/scenarios/*.txt tests/golden/experiments/*.txt; do
 done
 echo "pinned tables match"
 
-# The marker proof (RFC-0006): every `[[bench]]` but `micro` (Criterion,
-# host clock) has a golden, so a bench dropped from the loop above, or
-# added without a pin, is a red build, not a silently skipped table.
+# The marker proof (RFC-0006): every `[[bench]]` has a golden, so a
+# bench dropped from the loop above, or added without a pin, is a red
+# build, not a silently skipped table.
 echo "== tier-1: every sim-clock bench has a golden =="
-sed -n 's/^name = "\(.*\)"$/\1/p' crates/bench/Cargo.toml | grep -vx -e snap-bench -e micro \
+sed -n 's/^name = "\(.*\)"$/\1/p' crates/bench/Cargo.toml | grep -vx snap-bench \
     | while read -r bench; do
     if ! ls tests/golden/*/"$bench.txt" > /dev/null 2>&1; then
         echo "unpinned bench: [[bench]] $bench has no tests/golden/{scenarios,experiments}/$bench.txt"

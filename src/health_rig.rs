@@ -40,6 +40,7 @@ use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::HostId;
 use snap_pony::client::{OpStatus, PonyClient, PonyCommand, PonyCompletion};
 use snap_shm::region::AccessMode;
+use snap_sim::event::Ticker;
 use snap_sim::{Nanos, Sim};
 
 /// Rig tuning.
@@ -107,8 +108,6 @@ struct RigInner {
     engine_probes: Vec<EngineProbe>,
     quarantined_links: Vec<(HostId, HostId)>,
     quarantined_engines: Vec<(u32, u32)>,
-    started: bool,
-    stopped: bool,
 }
 
 /// Cloneable handle to the prober + detection + quarantine loop.
@@ -116,6 +115,8 @@ struct RigInner {
 pub struct HealthRig {
     monitor: Rc<RefCell<HealthMonitor>>,
     inner: Rc<RefCell<RigInner>>,
+    probe: Ticker,
+    sweep: Ticker,
 }
 
 impl HealthRig {
@@ -130,9 +131,9 @@ impl HealthRig {
                 engine_probes: Vec::new(),
                 quarantined_links: Vec::new(),
                 quarantined_engines: Vec::new(),
-                started: false,
-                stopped: false,
             })),
+            probe: Ticker::default(),
+            sweep: Ticker::default(),
         }
     }
 
@@ -180,37 +181,27 @@ impl HealthRig {
         });
     }
 
-    /// Starts the probe and sweep loops. Idempotent.
+    /// Starts the probe and sweep loops, a [`Ticker`] each: idempotent
+    /// while they are live, and a restart after [`stop`](Self::stop)
+    /// resumes them.
     pub fn start(&self, sim: &mut Sim) {
         let (probe_iv, sweep_iv) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.started {
-                return;
-            }
-            inner.started = true;
-            (inner.cfg.probe_interval, inner.cfg.sweep_interval)
+            let cfg = &self.inner.borrow().cfg;
+            (cfg.probe_interval, cfg.sweep_interval)
         };
         let rig = self.clone();
-        snap_sim::event::every(sim, sim.now() + probe_iv, probe_iv, move |sim| {
-            if rig.inner.borrow().stopped {
-                return false;
-            }
-            rig.probe_tick(sim);
-            true
-        });
+        self.probe
+            .start(sim, probe_iv, move |sim| rig.probe_tick(sim));
         let rig = self.clone();
-        snap_sim::event::every(sim, sim.now() + sweep_iv, sweep_iv, move |sim| {
-            if rig.inner.borrow().stopped {
-                return false;
-            }
-            rig.sweep_tick(sim);
-            true
-        });
+        self.sweep
+            .start(sim, sweep_iv, move |sim| rig.sweep_tick(sim));
     }
 
-    /// Stops both loops so a draining simulation can terminate.
+    /// Stops both loops (their pending ticks lapse) so a draining
+    /// simulation can terminate.
     pub fn stop(&self) {
-        self.inner.borrow_mut().stopped = true;
+        self.probe.stop();
+        self.sweep.stop();
     }
 
     /// The shared detector, to read scores from directly.

@@ -418,7 +418,7 @@ impl Testbed {
         self.sim.run_until(deadline);
     }
 
-    /// Drives blocking-style facade calls (`recv_deadline`, `drive`):
+    /// Drives blocking-style facade calls (`poll_until`, `drive`):
     /// every timeout they observe is virtual time on this testbed's
     /// simulator, never wall time.
     pub fn as_pump(&mut self) -> &mut dyn SimPump {
@@ -709,6 +709,7 @@ fn resolve_container(adm: &AdmissionController, name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_apps::workload::poll_until;
     use snap_pony::client::{PonyCommand, PonyCompletion};
 
     /// One message to each receiving app, however many engines its
@@ -805,13 +806,10 @@ mod tests {
         tx.send(&mut tb.sim, &vec![byte; 100_000]).expect("connected");
         let mut got = vec![0; 100_000];
         let mut received = 0;
-        while received < got.len() {
-            let timeout = Nanos::from_millis(20);
-            let Ok(n) = rx.recv_deadline(tb.as_pump(), &mut got[received..], timeout) else {
-                break;
-            };
-            received += n;
-        }
+        let _ = poll_until(tb.as_pump(), 5, Nanos::from_millis(20), |sim| {
+            received += rx.try_recv(sim, &mut got[received..])?;
+            Ok::<_, SocketError>((received == got.len()).then_some(()))
+        });
         assert!(got[..received].iter().all(|&b| b == byte));
         received
     }
@@ -827,9 +825,12 @@ mod tests {
         let stack = tb.tcp_host(1, TcpConfig::default());
         tcp.0.send(&mut tb.sim, &[7; 1000]).expect("connected");
         let mut got = [0; 1000];
-        tcp.1
-            .recv_exact_deadline(tb.as_pump(), &mut got, Nanos::from_millis(5))
-            .expect("delivered by the host's one stack");
+        let mut filled = 0;
+        let delivered = poll_until(tb.as_pump(), 5, Nanos::from_millis(5), |sim| {
+            filled += tcp.1.try_recv(sim, &mut got[filled..])?;
+            Ok::<_, SocketError>((filled == got.len()).then_some(()))
+        });
+        assert_eq!(delivered, Ok(Some(())), "delivered by the host's one stack");
         assert_eq!(got, [7; 1000]);
         assert_eq!(stack.stats().msgs_delivered, 1);
 

@@ -11,7 +11,7 @@ use snap_repro::apps::pool::{ClientPool, PoolSpec};
 use snap_repro::apps::socket::{wire, SnapSocket, SocketError};
 use snap_repro::apps::stream::{StreamSpec, StreamWorkload};
 use snap_repro::apps::transport::Backend;
-use snap_repro::apps::workload::{drive, Workload, WorkloadError};
+use snap_repro::apps::workload::{drive, poll_until, Workload, WorkloadError};
 use snap_repro::fleet::{run_mixed_fleet, FleetSpec};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan, JitterDist};
 use snap_repro::sim::Nanos;
@@ -67,8 +67,7 @@ fn play_script(backend: Backend, seed: u64, loss: f64, script: &[(bool, usize)])
         let mut got = vec![0u8; want];
         let mut filled = 0;
         while filled < want {
-            let n = sock
-                .recv_deadline(tb.as_pump(), &mut got[filled..], Nanos::from_millis(500))
+            let n = recv_some(&mut tb, sock, &mut got[filled..], Nanos::from_millis(500))
                 .expect("stream drains within budget");
             deliveries.push((side, tb.sim.now().as_nanos(), n));
             filled += n;
@@ -238,10 +237,41 @@ fn small_dag() -> DagSpec {
     }
 }
 
-/// A deadline receive with nothing inbound burns exactly its virtual
-/// timeout on the simulator clock — never wall time.
+/// Receives what has arrived into `buf`: `try_recv` every 5 µs of
+/// virtual time until some bytes have, or `TimedOut` once `budget` ran
+/// out.
+fn recv_some(
+    tb: &mut Testbed,
+    sock: &SnapSocket,
+    buf: &mut [u8],
+    budget: Nanos,
+) -> Result<usize, SocketError> {
+    poll_until(tb.as_pump(), 5, budget, |sim| {
+        let n = sock.try_recv(sim, buf)?;
+        Ok((n > 0).then_some(n))
+    })?
+    .ok_or(SocketError::TimedOut)
+}
+
+/// Fills `buf` the same way, or fails with `TimedOut`.
+fn recv_exact(
+    tb: &mut Testbed,
+    sock: &SnapSocket,
+    buf: &mut [u8],
+    budget: Nanos,
+) -> Result<(), SocketError> {
+    let mut filled = 0;
+    poll_until(tb.as_pump(), 5, budget, |sim| {
+        filled += sock.try_recv(sim, &mut buf[filled..])?;
+        Ok((filled == buf.len()).then_some(()))
+    })?
+    .ok_or(SocketError::TimedOut)
+}
+
+/// A receive that waits with nothing inbound burns exactly its virtual
+/// budget on the simulator clock — never wall time.
 #[test]
-fn recv_deadline_uses_sim_time() {
+fn socket_wait_uses_sim_time() {
     let mut tb = Testbed::pair();
     tb.app(0, "alpha", Backend::Pony);
     let b = tb.app(1, "beta", Backend::Pony);
@@ -250,8 +280,7 @@ fn recv_deadline_uses_sim_time() {
 
     let t0 = tb.sim.now();
     let mut buf = [0u8; 16];
-    let err = client
-        .recv_deadline(tb.as_pump(), &mut buf, Nanos::from_millis(2))
+    let err = recv_some(&mut tb, &client, &mut buf, Nanos::from_millis(2))
         .expect_err("no data is coming");
     assert_eq!(err, SocketError::TimedOut);
     let waited = tb.sim.now().saturating_sub(t0);
@@ -323,8 +352,7 @@ fn quota_backpressure_preserves_stream() {
     let payload = msg_bytes(9, 0, 200 * 1024);
     client.send(&mut tb.sim, &payload).expect("send queues");
     let mut got = vec![0u8; payload.len()];
-    server
-        .recv_exact_deadline(tb.as_pump(), &mut got, Nanos::from_millis(2_000))
+    recv_exact(&mut tb, &server, &mut got, Nanos::from_millis(2_000))
         .expect("stream drains despite Busy back-pressure");
     assert_eq!(got, payload);
     assert_eq!(a.stats().dup_chunks, 0);
@@ -386,13 +414,13 @@ fn mixed_fleet_coschedules_dag_kv_and_stream_under_quotas() {
     assert_eq!(report.kv.p50, again.kv.p50, "fleet must be deterministic");
 }
 
-/// Pins the virtual instants of the socket deadline poll loop on
-/// `Testbed::pair()` (seed 42): when a receive with nothing inbound
-/// gives up (the first 5 µs poll at or past the deadline), and when
-/// one with data inbound returns. No golden table runs through
-/// `recv_deadline` / `recv_exact_deadline`; this does.
+/// Pins the virtual instants of a socket receive's poll loop
+/// (`poll_until` over `try_recv`) on `Testbed::pair()` (seed 42): when
+/// a receive with nothing inbound gives up (the first 5 µs poll at or
+/// past the deadline), and when one with data inbound returns. No
+/// golden table runs through that loop; this does.
 #[test]
-fn recv_deadline_poll_instants_are_pinned() {
+fn socket_wait_poll_instants_are_pinned() {
     let mut tb = Testbed::pair();
     tb.app(0, "alpha", Backend::Pony);
     let b = tb.app(1, "beta", Backend::Pony);
@@ -401,7 +429,7 @@ fn recv_deadline_poll_instants_are_pinned() {
     let mut buf = vec![0u8; 64 * 1024];
 
     // Nothing inbound: 2.001234 ms of budget runs out at the 2.005 ms poll.
-    let err = client.recv_deadline(tb.as_pump(), &mut buf, Nanos(2_001_234));
+    let err = recv_some(&mut tb, &client, &mut buf, Nanos(2_001_234));
     assert_eq!(err, Err(SocketError::TimedOut));
     assert_eq!(tb.sim.now(), Nanos(2_005_000));
 
@@ -409,19 +437,15 @@ fn recv_deadline_poll_instants_are_pinned() {
     // has arrived by then; the exact receive polls on for the rest.
     let payload = msg_bytes(1, 0, 100_000);
     server.send(&mut tb.sim, &payload).expect("send queues");
-    let n = client
-        .recv_deadline(tb.as_pump(), &mut buf, Nanos::from_millis(2))
-        .expect("data is coming");
+    let n = recv_some(&mut tb, &client, &mut buf, Nanos::from_millis(2)).expect("data is coming");
     assert_eq!((n, tb.sim.now()), (24_576, Nanos(2_045_000)));
     let mut rest = vec![0u8; payload.len() - n];
-    client
-        .recv_exact_deadline(tb.as_pump(), &mut rest, Nanos::from_millis(2))
-        .expect("the rest follows");
+    recv_exact(&mut tb, &client, &mut rest, Nanos::from_millis(2)).expect("the rest follows");
     assert_eq!(tb.sim.now(), Nanos(2_070_000));
     assert_eq!([&buf[..n], &rest[..]].concat(), payload);
 
     // A short exact receive times out on the same grid.
-    let err = client.recv_exact_deadline(tb.as_pump(), &mut buf[..1], Nanos(7_001));
+    let err = recv_exact(&mut tb, &client, &mut buf[..1], Nanos(7_001));
     assert_eq!(err, Err(SocketError::TimedOut));
     assert_eq!(tb.sim.now(), Nanos(2_080_000));
 }

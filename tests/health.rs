@@ -127,21 +127,35 @@ fn slow_engine_is_quarantined_and_restart_heals_it() {
     // Sustained streaming load: light for a healthy engine (~9% of a
     // core), saturating at 20x — the slowdown becomes real queueing
     // delay the probe's dequeue latency senses.
-    for _ in 0..400 {
-        for _ in 0..4 {
-            a.submit(
-                &mut tb.sim,
-                PonyCommand::Send {
-                    conn,
-                    stream: 0,
-                    len: 2000,
-                },
-            );
+    let mut stream = |tb: &mut Testbed, rounds: u32| {
+        for _ in 0..rounds {
+            for _ in 0..4 {
+                a.submit(
+                    &mut tb.sim,
+                    PonyCommand::Send {
+                        conn,
+                        stream: 0,
+                        len: 2000,
+                    },
+                );
+            }
+            tb.run_us(50);
+            a.poll();
+            a.take_completions();
         }
-        tb.run_us(50);
-        a.poll();
-        a.take_completions();
-    }
+    };
+    // The engine's CPU over 40 rounds (2 ms) of that load.
+    let engine_cpu = |tb: &Testbed| {
+        let cpu = tb.hosts[0].group.engine_cpu();
+        cpu.into_iter()
+            .find(|&(id, _)| id == engine)
+            .map_or(Nanos::ZERO, |(_, ns)| ns)
+    };
+    stream(&mut tb, 100);
+    let before = engine_cpu(&tb);
+    stream(&mut tb, 40);
+    let healthy = engine_cpu(&tb) - before;
+    stream(&mut tb, 260);
     rig.stop();
     sup.stop();
     tb.run_ms(5);
@@ -153,8 +167,15 @@ fn slow_engine_is_quarantined_and_restart_heals_it() {
     );
     assert_eq!(sup.report().quarantine_restarts, 1);
     assert!(rig.quarantined_links().is_empty(), "no link false positives");
-    // The rebuild healed the slowdown (restart resets the factor).
-    assert_eq!(tb.hosts[0].group.slowdown_factor(engine), Some(1.0));
+    // The rebuild healed the slowdown: the same load costs the rebuilt
+    // engine what it cost before the fault, not 20 times that.
+    let before = engine_cpu(&tb);
+    stream(&mut tb, 40);
+    let rebuilt = engine_cpu(&tb) - before;
+    assert!(
+        rebuilt < healthy * 2,
+        "rebuilt engine {rebuilt} vs healthy {healthy} per 2 ms of load"
+    );
 }
 
 /// Negative control: a healthy rack under the same probing cadence and

@@ -251,9 +251,9 @@ fn transport_exactly_once_under_pressure_and_crash() {
     // Telemetry attribution: sheds and denials land under the host's
     // isolation scope, and the pressure transitions were logged.
     let final_poll = |stats: &StatsModule, tb: &mut Testbed| {
-        stats.poll_once(&mut tb.sim);
+        stats.poll_once(&tb.sim);
         tb.run_ms(1);
-        stats.poll_once(&mut tb.sim);
+        stats.poll_once(&tb.sim);
     };
     final_poll(&stats, &mut tb);
     let snap = stats.snapshot(tb.sim.now());

@@ -9,10 +9,12 @@ use proptest::prelude::*;
 use snap_repro::core::group::SchedulingMode;
 use snap_repro::core::supervisor::SupervisorConfig;
 use snap_repro::core::upgrade::UpgradeOrchestrator;
+use snap_repro::health::Target;
+use snap_repro::health_rig::HealthRigConfig;
 use snap_repro::obs::{FlightRecorder, PointValue, RecorderConfig, Timeline};
 use snap_repro::pony::client::{PonyCommand, PonyCompletion};
 use snap_repro::sim::fault::{FaultEvent, FaultPlan};
-use snap_repro::sim::Nanos;
+use snap_repro::sim::{Nanos, Sim};
 use snap_repro::telemetry::StatsConfig;
 use snap_repro::testbed::{Testbed, TestbedConfig};
 use snap_repro::topo::ClosSpec;
@@ -113,7 +115,7 @@ fn churn_run() -> (String, u64, u64) {
     drain(&mut b, &mut got);
     rec.stop();
     // One final sample so the last partial window is recorded too.
-    rec.sample_once(&mut tb.sim);
+    rec.sample_once(&tb.sim);
 
     assert!(report.borrow().is_some(), "upgrade completed");
     assert_eq!(sup.report().crash_restarts, 1, "the crash actually restarted");
@@ -172,7 +174,7 @@ fn attribution_run(mode: SchedulingMode, seed: u64, msgs: usize, len: u64) -> (T
     }
     tb.run_ms(2);
     rec.stop();
-    rec.sample_once(&mut tb.sim);
+    rec.sample_once(&tb.sim);
     (tb, rec)
 }
 
@@ -206,7 +208,8 @@ proptest! {
             let mut split_sum = 0u64;
             let mut elapsed_sum = 0u64;
             let mut cores = 0u64;
-            for name in snap.names_under(&format!("cpu.h{h}.core")) {
+            let per_core = format!("cpu.h{h}.core");
+            for name in snap.metrics.keys().filter(|n| n.starts_with(&per_core)) {
                 let v = snap.counter(name).unwrap_or(0);
                 if name.ends_with(".busy_ns")
                     || name.ends_with(".spin_ns")
@@ -232,7 +235,8 @@ proptest! {
                 h
             );
             let mut engine_sum = 0u64;
-            for name in snap.names_under(&format!("cpu.h{h}.engine.")) {
+            let per_engine = format!("cpu.h{h}.engine.");
+            for name in snap.metrics.keys().filter(|n| n.starts_with(&per_engine)) {
                 engine_sum += snap.counter(name).unwrap_or(0);
             }
             prop_assert_eq!(engine_sum, total.engine.as_nanos());
@@ -307,60 +311,126 @@ cpu.h1.engine.e0.busy_ns 250:8850 500:3093 750:4877 1000:3093
 cpu.h1.throttled_ns 250:0 500:0 750:0 1000:0
 ";
 
-/// `start` is idempotent while a loop is live, and a restart after
-/// `stop` leaves exactly one loop: a 1 ms loop run for 10 ms ticks 10
-/// times however it was started.
+/// Every periodic control module keeps one lifecycle: `start` is
+/// idempotent while a loop is live, and a restart after `stop` leaves
+/// exactly one loop, so a 1 ms loop run for 10 ms ticks 10 times
+/// however it was started. A `start` after a lapsed `stop` resumes.
 #[test]
 fn start_twice_or_restart_leaves_exactly_one_loop() {
     let period = Nanos::from_millis(1);
-    let stats_polls = |restart: bool| {
-        let mut tb = Testbed::pair();
+    let link = Target::Link { from: 0, to: 1 };
+    // Each closure attaches one module to a fresh pair and starts it.
+    let stats = |tb: &mut Testbed| {
         let stats = tb.stats_module(StatsConfig {
             poll_period: period,
         });
         stats.start(&mut tb.sim);
-        if restart {
-            stats.stop();
-        }
-        stats.start(&mut tb.sim);
-        tb.run_ms(10);
-        stats.snapshot(tb.sim.now()).counter("stats.polls")
+        let (start, stop) = (stats.clone(), stats.clone());
+        let ticks = move |tb: &Testbed| {
+            let polls = stats.snapshot(tb.sim.now()).counter("stats.polls");
+            polls.unwrap_or(0)
+        };
+        Loop::new(move |sim| start.start(sim), move || stop.stop(), ticks)
     };
-    let recorder_ticks = |restart: bool| {
-        let mut tb = Testbed::pair();
+    let recorder = |tb: &mut Testbed| {
         let rec = tb.flight_recorder(RecorderConfig {
             cadence: period,
             ..RecorderConfig::default()
         });
         rec.start(&mut tb.sim);
-        if restart {
-            rec.stop();
-        }
-        rec.start(&mut tb.sim);
-        tb.run_ms(10);
-        rec.ticks()
+        let (start, stop) = (rec.clone(), rec.clone());
+        Loop::new(
+            move |sim| start.start(sim),
+            move || stop.stop(),
+            move |_| rec.ticks(),
+        )
     };
-    assert_eq!(stats_polls(false), Some(10), "stats: start; start");
-    assert_eq!(stats_polls(true), Some(10), "stats: start; stop; start");
-    assert_eq!(recorder_ticks(false), 10, "recorder: start; start");
-    assert_eq!(recorder_ticks(true), 10, "recorder: start; stop; start");
+    // `supervise_app` is the supervisor's first `start`.
+    let supervisor = |tb: &mut Testbed| {
+        tb.pony_app(0, "app", |_| {});
+        let sup = tb.supervise_app(
+            0,
+            "app",
+            SupervisorConfig {
+                checkpoint_interval: period,
+                ..SupervisorConfig::default()
+            },
+        );
+        let (start, stop) = (sup.clone(), sup.clone());
+        let ticks = move |_: &Testbed| sup.report().checkpoints;
+        Loop::new(move |sim| start.start(sim), move || stop.stop(), ticks)
+    };
+    let rig = |tb: &mut Testbed| {
+        let rig = tb.health_rig(HealthRigConfig {
+            probe_interval: period,
+            sweep_interval: period,
+            ..HealthRigConfig::default()
+        });
+        rig.start(&mut tb.sim);
+        let (start, stop) = (rig.clone(), rig.clone());
+        let ticks = move |tb: &Testbed| rig.score(link, tb.sim.now()).map_or(0, |s| s.samples);
+        Loop::new(move |sim| start.start(sim), move || stop.stop(), ticks)
+    };
+    // The count after 10 ms of one loop, and after a stop at 3 ms and a
+    // restart at 9 ms, 4 ms later: ten polls and samples, the ten
+    // checkpoints after the one `watch` takes, and the link probes the
+    // probe ticks harvest (each one the previous tick's).
+    type Attach<'a> = &'a dyn Fn(&mut Testbed) -> Loop;
+    let modules: [(&str, Attach, u64, [u64; 2]); 4] = [
+        ("stats", &stats, 10, [3, 7]),
+        ("recorder", &recorder, 10, [3, 7]),
+        ("supervisor", &supervisor, 11, [4, 8]),
+        ("health rig", &rig, 9, [2, 6]),
+    ];
+    for (name, attach, ticks, [stopped, resumed]) in modules {
+        let run = |restart: bool| {
+            let mut tb = Testbed::pair();
+            let l = attach(&mut tb);
+            if restart {
+                (l.stop)();
+            }
+            (l.start)(&mut tb.sim);
+            tb.run_ms(10);
+            (l.ticks)(&tb)
+        };
+        assert_eq!(run(false), ticks, "{name}: start; start");
+        assert_eq!(run(true), ticks, "{name}: start; stop; start");
 
-    // A stop whose pending tick has lapsed ends the loop; the next
-    // start begins a new one, one period out.
-    let mut tb = Testbed::pair();
-    let rec = tb.flight_recorder(RecorderConfig {
-        cadence: period,
-        ..RecorderConfig::default()
-    });
-    rec.start(&mut tb.sim);
-    tb.run_ms(3);
-    rec.stop();
-    tb.run_ms(3);
-    assert_eq!(rec.ticks(), 3, "a stopped loop does not tick");
-    rec.start(&mut tb.sim);
-    rec.start(&mut tb.sim);
-    tb.run_ms(4);
-    assert_eq!(rec.ticks(), 7, "one loop again after the restart");
+        // A stop whose pending tick has lapsed ends the loop; the next
+        // start begins a new one, one period out.
+        let mut tb = Testbed::pair();
+        let l = attach(&mut tb);
+        tb.run_ms(3);
+        (l.stop)();
+        tb.run_ms(6);
+        assert_eq!((l.ticks)(&tb), stopped, "{name}: a stopped loop does not tick");
+        (l.start)(&mut tb.sim);
+        (l.start)(&mut tb.sim);
+        tb.run_ms(4);
+        assert_eq!((l.ticks)(&tb), resumed, "{name}: one new loop, a period out");
+    }
+}
+
+/// A started control loop, driven through its module's own `start`,
+/// `stop` and tick count.
+struct Loop {
+    start: Box<dyn Fn(&mut Sim)>,
+    stop: Box<dyn Fn()>,
+    ticks: Box<dyn Fn(&Testbed) -> u64>,
+}
+
+impl Loop {
+    fn new(
+        start: impl Fn(&mut Sim) + 'static,
+        stop: impl Fn() + 'static,
+        ticks: impl Fn(&Testbed) -> u64 + 'static,
+    ) -> Self {
+        Loop {
+            start: Box::new(start),
+            stop: Box::new(stop),
+            ticks: Box::new(ticks),
+        }
+    }
 }
 
 /// A 2-rack Clos runs a cross-rack closed loop while a lossy-link gray
@@ -432,7 +502,9 @@ fn gray_failure_spans_cpu_lanes_and_fault_instants_share_one_timeline() {
     );
 
     let mut tl = Timeline::new();
-    tl.add_traces(&tb.recorder.as_ref().expect("tracing enabled").completed());
+    for trace in tb.recorder.as_ref().expect("tracing enabled").completed() {
+        tl.add_trace(&trace);
+    }
     tl.add_series_under(&rec, "cpu.h0.core");
     tl.add_series_under(&rec, "cpu.h2.core");
     tl.add_series(&rec, "workload.latency_ns");

@@ -341,7 +341,6 @@ fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, S
             3 => {
                 let factor = f64::from(arg % 4) * 0.75 + 0.5;
                 g.slow_engine(id, factor);
-                prop_assert_eq!(g.slowdown_factor(id), known.then_some(factor.max(1.0)));
             }
             4 if known => {
                 g.suspend_engine(&mut sim, id);
@@ -355,7 +354,6 @@ fn lifecycle_case(mode: u8, ops: &[(u8, u8, u8)]) -> Result<Vec<LifecycleObs>, S
                 let m = &mut model[target as usize];
                 (m.suspended, m.crashed) = (false, false);
                 (m.stalled_until, m.injected) = (Nanos::ZERO, n);
-                prop_assert_eq!(g.slowdown_factor(id), Some(1.0), "a successor is healthy");
             }
             6 => {
                 let probed = g.try_with_engine(id, |e| counting(e).processed);

@@ -67,7 +67,7 @@ fn rack_snapshot_exposes_engine_queue_and_fabric_metrics() {
     assert!(snap.counter("engine.h1.server.rx_packets").unwrap_or(0) > 0);
     assert!(snap.counter("engine.h1.server.msgs_delivered").unwrap_or(0) > 0);
     assert!(
-        snap.names_under("shm.h0.client.").any(|n| n.ends_with(".cmd_depth")),
+        snap.metrics.keys().any(|n| n.starts_with("shm.h0.client.") && n.ends_with(".cmd_depth")),
         "per-session queue-depth gauge published"
     );
     assert!(snap.counter("fabric.delivered").unwrap_or(0) > 0);
@@ -275,7 +275,7 @@ fn churn_tour_snapshot_is_pinned() {
         recv_msgs(&mut b, &mut got);
     }
     stats.stop();
-    stats.poll_once(&mut tb.sim);
+    stats.poll_once(&tb.sim);
 
     let mut snap = stats.snapshot(tb.sim.now());
     assert_eq!(snap.counter("engine.h0.client.restarts.crash"), Some(1));
@@ -634,7 +634,7 @@ fn fabric_fault_tour(mut after: impl FnMut(&mut Testbed, &str)) -> Testbed {
 fn toured_and_polled() -> (Testbed, Snapshot) {
     let mut tb = fabric_fault_tour(|_, _| {});
     let stats = tb.stats_module(fast_stats());
-    stats.poll_once(&mut tb.sim);
+    stats.poll_once(&tb.sim);
     let snap = stats.snapshot(tb.sim.now());
     (tb, snap)
 }
@@ -716,7 +716,12 @@ fn fault_tour_puts_every_fabric_fault_counter_on_the_dashboard() {
     );
     assert_eq!(jittered, 5, "every packet of the jitter phase was delayed");
 
-    let healthy: Vec<&str> = snap.names_under("fabric.link.4->0.").collect();
+    let healthy: Vec<&str> = snap
+        .metrics
+        .keys()
+        .map(String::as_str)
+        .filter(|n| n.starts_with("fabric.link.4->0."))
+        .collect();
     assert!(
         healthy.contains(&"fabric.link.4->0.delivered"),
         "{healthy:?}"
