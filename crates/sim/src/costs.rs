@@ -76,9 +76,9 @@ pub const PONY_ONESIDED_READ_NS: u64 = 190;
 pub const PONY_INDIRECTION_NS: u64 = 110;
 
 /// Default packets processed per NIC rx polling batch (§3.1: "our
-/// current default is 16 packets per batch"). An engine's rx burst is
-/// at most one batch; its tx train is at most two (32 by default) and
-/// the tx slots free on its queue.
+/// current default is 16 packets per batch"). A Pony engine's rx burst
+/// is at most one batch; its tx train is at most two batches (32
+/// packets by default) and no more than the tx slots free on its queue.
 pub const DEFAULT_POLL_BATCH: usize = 16;
 
 /// Fixed engine CPU charged once per processed burst (descriptor ring
