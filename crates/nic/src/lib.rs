@@ -24,6 +24,10 @@
 //! Everything here is driven by the single-threaded [`snap_sim::Sim`]
 //! event loop; handles are `Rc`-based by design.
 
+// The crate's only `unsafe` is the CRC's call of the CPU's `crc32`
+// instruction (`crc::crc32c_append`), which states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod crc;
 pub mod fabric;
 pub mod nic;

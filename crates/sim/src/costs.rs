@@ -22,7 +22,7 @@
 //!   401 ns receive copy from 592 ns leaves 191 ns, so the observed
 //!   486 ns implies ~295 ns of I/OAT descriptor setup/completion work.
 
-use crate::time::Nanos;
+use crate::time::{ceil_u64, Nanos};
 
 // ---------------------------------------------------------------------------
 // Memory and copy costs
@@ -34,7 +34,7 @@ pub const COPY_BYTES_PER_NS: f64 = 12.5;
 
 /// CPU time to copy `bytes` once.
 pub fn copy_cost(bytes: u64) -> Nanos {
-    Nanos((bytes as f64 / COPY_BYTES_PER_NS).ceil() as u64)
+    Nanos(ceil_u64(bytes as f64 / COPY_BYTES_PER_NS))
 }
 
 /// Per-packet CPU cost of driving the I/OAT DMA engine (descriptor

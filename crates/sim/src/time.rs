@@ -179,12 +179,64 @@ pub fn transmit_time(bytes: u64, gbps: f64) -> Nanos {
     // bits / (gbits/s) = nanoseconds exactly when gbps is expressed in
     // bits-per-nanosecond.
     let bits = bytes as f64 * 8.0;
-    Nanos((bits / gbps).ceil() as u64)
+    Nanos(ceil_u64(bits / gbps))
+}
+
+/// `x.ceil() as u64` without a libm call, which `f64::ceil` is on
+/// baseline x86-64: truncate, then add 1 if that dropped a fraction.
+/// Saturates as the cast does: NaN and anything at or below 0 give 0,
+/// anything at or above 2^64 (∞ too) gives `u64::MAX`.
+pub(crate) fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rng;
+
+    #[test]
+    fn ceil_u64_is_the_ceil_cast() {
+        let two_53 = (1u64 << 53) as f64;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.0,
+            12.5,
+            -0.5,
+            -3.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            u64::MAX as f64,
+        ];
+        for d in -4..=4 {
+            inputs.push(two_53 + f64::from(d));
+            inputs.push(two_53 + f64::from(d) + 0.5);
+            inputs.push(two_53 / 2.0 + f64::from(d) + 0.5);
+        }
+        let mut rng = Rng::new(0xCE11);
+        for _ in 0..100_000 {
+            // Every bit pattern (subnormals, NaNs, huge values) and the
+            // magnitudes transmit and copy times actually take.
+            inputs.push(f64::from_bits(rng.next_u64()));
+            inputs.push(rng.f64() * 1e7);
+        }
+        for x in inputs {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e}");
+        }
+    }
 
     #[test]
     fn construction_and_conversion() {

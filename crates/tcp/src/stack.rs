@@ -145,6 +145,12 @@ struct Inner {
     /// The NIC queues the stack claimed: its RSS range, and where it
     /// transmits.
     queues: Range<u16>,
+    /// Segment headers are encoded here, then copied into their
+    /// payload: one allocation per packet once warm.
+    scratch: Writer,
+    /// The softirq's rx batch, kept between softirqs so draining the
+    /// ring does not allocate.
+    rx_batch: Vec<Packet>,
 }
 
 impl Inner {
@@ -152,6 +158,39 @@ impl Inner {
     /// stack's queues, by connection.
     fn tx_queue(&self, conn: ConnKey) -> u16 {
         self.queues.start + (conn % self.queues.len().min(4) as u64) as u16
+    }
+
+    /// A data segment's payload: `seg_len` bytes at `offset` of the
+    /// `msg_len`-byte message `msg_id`.
+    fn data_payload(
+        &mut self,
+        conn: ConnKey,
+        msg_id: u64,
+        offset: u64,
+        msg_len: u64,
+        seg_len: u32,
+    ) -> Bytes {
+        self.scratch.clear();
+        self.scratch
+            .u8(KIND_DATA)
+            .u64(conn)
+            .u64(msg_id)
+            .u64(offset)
+            .u64(msg_len)
+            .u32(seg_len);
+        Bytes::copy_from_slice(self.scratch.as_slice())
+    }
+
+    /// The payload of the ack of a data segment.
+    fn ack_payload(&mut self, conn: ConnKey, msg_id: u64, offset: u64, seg_len: u32) -> Bytes {
+        self.scratch.clear();
+        self.scratch
+            .u8(KIND_ACK)
+            .u64(conn)
+            .u64(msg_id)
+            .u64(offset)
+            .u32(seg_len);
+        Bytes::copy_from_slice(self.scratch.as_slice())
     }
 
     /// Number of connections with data moving, for the stream-scaling
@@ -220,6 +259,8 @@ impl TcpHost {
                 stream_seg_sum: 0,
                 next_conn: 1,
                 queues,
+                scratch: Writer::new(),
+                rx_batch: Vec::new(),
             })
         });
         TcpHost { inner }
@@ -365,14 +406,8 @@ impl TcpHost {
             // Charge the sender-side serial cost (stack + tx copy).
             inner.cpu += Inner::side_cost(streams, seg_len);
 
-            let mut w = Writer::with_capacity(64);
-            w.u8(KIND_DATA)
-                .u64(conn)
-                .u64(msg_id)
-                .u64(offset)
-                .u64(msg_len)
-                .u32(seg_len);
-            let mut pkt = Packet::new(host, peer, Bytes::from(w.finish()));
+            let payload = inner.data_payload(conn, msg_id, offset, msg_len, seg_len);
+            let mut pkt = Packet::new(host, peer, payload);
             pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
             pkt = pkt.with_rss_hash(conn).with_qos(QosClass::BestEffort);
             (pkt, inner.tx_queue(conn), Inner::pacing(streams, seg_len))
@@ -445,18 +480,13 @@ impl TcpHost {
                 let Some(c) = inner.conns.get(&conn) else {
                     return;
                 };
-                let mut w = Writer::with_capacity(64);
+                let peer = c.peer;
                 // Resends must carry the real message length: if every
                 // original segment of the message was lost, the resend
                 // is what creates the receiver's reassembly entry, and a
                 // zero length there would strand the message forever.
-                w.u8(KIND_DATA)
-                    .u64(conn)
-                    .u64(msg_id)
-                    .u64(offset)
-                    .u64(msg_len)
-                    .u32(seg_len);
-                let mut pkt = Packet::new(host, c.peer, Bytes::from(w.finish()));
+                let payload = inner.data_payload(conn, msg_id, offset, msg_len, seg_len);
+                let mut pkt = Packet::new(host, peer, payload);
                 pkt.wire_size = seg_len + Packet::HEADER_OVERHEAD;
                 (pkt.with_rss_hash(conn), inner.tx_queue(conn))
             };
@@ -468,18 +498,20 @@ impl TcpHost {
 
     /// Softirq: drain the rx ring, process data/acks, charge CPU.
     fn softirq(&self, sim: &mut Sim, queue: u16) {
-        let mut pkts = Vec::new();
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
+        let mut pkts = std::mem::take(&mut inner.rx_batch);
         // Kernel NAPI polls a budget of packets per softirq.
         inner.fabric.with_nic(inner.host, |nic| nic.poll_rx(queue, 64, &mut pkts));
-        drop(inner);
         if pkts.is_empty() {
+            inner.rx_batch = pkts;
             return;
         }
-        self.inner.borrow_mut().cpu += Nanos(costs::INTERRUPT_NS);
-        for pkt in pkts {
+        inner.cpu += Nanos(costs::INTERRUPT_NS);
+        drop(inner);
+        for pkt in pkts.drain(..) {
             self.process_packet(sim, pkt);
         }
+        self.inner.borrow_mut().rx_batch = pkts;
     }
 
     fn process_packet(&self, sim: &mut Sim, pkt: Packet) {
@@ -542,14 +574,9 @@ impl TcpHost {
         // Ack immediately (tiny packet, negligible CPU charged with the
         // segment cost above).
         let (ack, queue) = {
-            let inner = self.inner.borrow();
-            let mut w = Writer::with_capacity(32);
-            w.u8(KIND_ACK)
-                .u64(conn)
-                .u64(msg_id)
-                .u64(offset)
-                .u32(seg_len);
-            let pkt = Packet::new(inner.host, src, Bytes::from(w.finish()));
+            let mut inner = self.inner.borrow_mut();
+            let payload = inner.ack_payload(conn, msg_id, offset, seg_len);
+            let pkt = Packet::new(inner.host, src, payload);
             (pkt.with_rss_hash(conn), inner.queues.start)
         };
         let fabric = self.inner.borrow().fabric.clone();

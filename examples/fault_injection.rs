@@ -49,6 +49,7 @@ fn main() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
 
     // The stats module watches both engines and the fabric; the final
     // accounting below is its table, not hand-rolled println!s. A

@@ -9,7 +9,8 @@
 #
 #   ci.sh            — lock files current (root and benchmark)
 #                      + build + test + release budgets + clippy
-#                      + the no-panic header guard + rustdoc links
+#                      + the no-panic header guard + the unsafe inventory
+#                      + rustdoc links
 #                      + every example + timeline export + the example-name guard
 #                      + pinned sim-clock tables + the golden-per-bench and
 #                        bench-name guards + EXPERIMENTS.md against its goldens
@@ -38,8 +39,9 @@ echo "== tier-1: cargo test --workspace =="
 cargo test --workspace -q
 
 # The allocation budgets have a release figure and a looser debug one
-# (`cfg!(debug_assertions)`); the workspace run above is a debug build,
-# so only this run holds the code to the figures the benchmark sees. The
+# (`cfg!(debug_assertions)`; the kernel-TCP twin's two are equal); the
+# workspace run above is a debug build, so only this run holds the code
+# to the figures the benchmark sees. The
 # §5.1 pair's window-doubling test simulates 1.4 GB of transfer: minutes
 # in a debug build, where it is ignored, seconds here. The event budget
 # (simulator events per delivered packet) does not depend on the build;
@@ -48,7 +50,8 @@ cargo test --workspace -q
 # here too: optimized code races its threads through windows a debug
 # build is too slow to open.
 echo "== tier-1: release budgets =="
-cargo test --release -q --test datapath_budget --test sockets_budget --test event_budget --test pair
+cargo test --release -q --test datapath_budget --test tcp_budget --test sockets_budget \
+    --test event_budget --test pair
 cargo test --release -q -p snap-shm
 
 # `clippy.toml` rejects std's `RandomState` map constructors, whose
@@ -85,6 +88,39 @@ for file in \
     fi
 done
 echo "no-panic headers present"
+
+# Every `unsafe` of the shipped code is inventoried (ROADMAP item 1(f))
+# and each of its blocks states why it is sound, under the
+# `undocumented_unsafe_blocks` lint its crate denies. A non-test file
+# under crates/ or src/ that gains `unsafe` outside this list, or a
+# listed file that no longer has any, is a red build naming the file.
+# Comment lines are skipped; test directories and `tests.rs` files are
+# not shipped code.
+echo "== tier-1: unsafe only in the inventoried files =="
+unsafe_inventory='crates/nic/src/crc.rs
+crates/shm/src/mailbox.rs
+crates/shm/src/spsc.rs
+crates/sim/src/event.rs'
+unsafe_found="$(find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
+    -not -name tests.rs | sort | while read -r file; do
+    if grep -v '^[[:space:]]*//' "$file" | grep -qw unsafe; then
+        echo "$file"
+    fi
+done)"
+while read -r file; do
+    if ! grep -qxF "$file" <<< "$unsafe_inventory"; then
+        echo "unsafe outside the inventory: $file (add it to ci.sh's list and ROADMAP item 1(f)," \
+             "with a SAFETY comment on each block)"
+        exit 1
+    fi
+done <<< "$unsafe_found"
+while read -r file; do
+    if ! grep -qxF "$file" <<< "$unsafe_found"; then
+        echo "stale unsafe inventory: $file is gone or has no unsafe left (drop it from the list)"
+        exit 1
+    fi
+done <<< "$unsafe_inventory"
+echo "unsafe only in the inventoried files"
 
 # Docs name items by intra-doc link; a link to something renamed or
 # deleted is a rustdoc warning, denied here.

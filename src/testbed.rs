@@ -605,7 +605,8 @@ impl Testbed {
 
     /// Puts an app's engine on `host` under supervision: periodic
     /// checkpoints plus crash/wedge detection, restarting the engine
-    /// from its last checkpoint via the Pony restart factory.
+    /// from its last checkpoint via the Pony restart factory. The loop
+    /// is *not* started — call [`Supervisor::start`].
     pub fn supervise_app(&mut self, host: usize, app: &str, cfg: SupervisorConfig) -> Supervisor {
         let engine_id = self.hosts[host]
             .module
@@ -617,7 +618,6 @@ impl Testbed {
             .expect("app registered");
         let supervisor = Supervisor::new(cfg);
         supervisor.watch(self.hosts[host].group.clone(), engine_id, factory);
-        supervisor.start(&mut self.sim);
         supervisor
     }
 

@@ -10,67 +10,18 @@
 //!
 //! This file holds one test on purpose: the counter is switched on for
 //! the test's own thread only, and a second test here would share the
-//! process-wide allocator hook for nothing.
+//! process-wide allocator hook for nothing. `tests/tcp_budget.rs` is its
+//! twin on the kernel-TCP path.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
 use snap_repro::pony::client::{OpStatus, PonyCommand, PonyCompletion};
 use snap_repro::pony::timely::TimelyConfig;
 use snap_repro::sim::Nanos;
 use snap_repro::testbed::{Testbed, TestbedConfig};
 
-/// Calls that obtain memory (`alloc`, `alloc_zeroed`, `realloc`) made
-/// on a thread while its `COUNTING` flag is up.
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Const-initialised and without a destructor, so reading it from
-    // inside the allocator neither allocates nor registers a dtor.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn count() {
-        if COUNTING.with(Cell::get) {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter touches only
-// an atomic and a const-initialised thread-local `Cell`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract is passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 const MSG_BYTES: u64 = 500_000;
 const IN_FLIGHT: usize = 8;
@@ -136,10 +87,7 @@ fn warm_stream_allocations_per_delivered_packet() {
 
     let delivered_before = tb.fabric.stats().delivered;
     let until = tb.sim.now() + Nanos::from_millis(10);
-    COUNTING.with(|c| c.set(true));
-    let (ops, msgs) = pump(&mut tb, until);
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed);
+    let ((ops, msgs), allocs) = counting_alloc::count_calls(|| pump(&mut tb, until));
     let packets = tb.fabric.stats().delivered - delivered_before;
 
     assert!(
@@ -152,13 +100,15 @@ fn warm_stream_allocations_per_delivered_packet() {
         allocs as f64 / packets as f64
     );
     // Per hundred delivered packets. What is left, by call site: the
-    // payload `Bytes` (its `Vec` and its `Arc`: 2.0) and message-level
-    // growth of the offset lists (0.03). The simulator's events cost
-    // nothing: their closures lie in the event slab's slots and a timer
-    // is an entry of the generation table. Measured 2.04 (9.20 while
-    // every event was a boxed closure); debug builds add the two `Vec`s
-    // of the ready-set cross-check per pass (3.48, was 10.65).
-    const BUDGET_PER_100_PACKETS: u64 = if cfg!(debug_assertions) { 370 } else { 230 };
+    // payload `Bytes`, one `Arc<[u8]>` that holds the refcounts and the
+    // encoded header in one allocation (1.0), and message-level growth
+    // of the offset lists (0.04). The simulator's events cost nothing:
+    // their closures lie in the event slab's slots and a timer is an
+    // entry of the generation table. Measured 1.04 (2.04 while a
+    // payload was an `Arc` of a `Vec`, 9.20 while every event was a
+    // boxed closure); debug builds add the two `Vec`s of the ready-set
+    // cross-check per pass (2.48, was 3.48).
+    const BUDGET_PER_100_PACKETS: u64 = if cfg!(debug_assertions) { 260 } else { 110 };
     assert!(
         allocs * 100 <= packets * BUDGET_PER_100_PACKETS,
         "{allocs} allocator calls for {packets} packets exceeds {BUDGET_PER_100_PACKETS} per 100"

@@ -57,6 +57,7 @@ fn echo_survives_crash_partition_and_corruption() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
 
     let plan = FaultPlan::new()
         .at(Nanos(1), FaultEvent::CorruptRate { prob: 0.02 })
@@ -238,6 +239,7 @@ fn new_connection_after_supervisor_restart_reaches_its_peer() {
                 ..SupervisorConfig::default()
             },
         );
+        sup.start(&mut tb.sim);
         tb.run_ms(5);
         tb.hosts[1].group.kill_engine(id);
         tb.run_ms(60);
@@ -337,6 +339,7 @@ proptest! {
                 ..SupervisorConfig::default()
             },
         );
+        sup.start(&mut tb.sim);
         let engine = tb.hosts[0].module.engine_for("src").expect("app exists");
 
         let plan = FaultPlan::new()
@@ -627,6 +630,7 @@ fn healthy_run_produces_zero_quarantines() {
     let _b = tb.pony_app(1, "server", |_| {});
     let conn = tb.connect(0, "client", 1, "server");
     let sup = tb.supervise_app(0, "client", SupervisorConfig::default());
+    sup.start(&mut tb.sim);
     let rig = tb.health_rig(HealthRigConfig::default());
     tb.health_watch_app(&rig, 0, "client", &sup);
     rig.start(&mut tb.sim);
@@ -687,6 +691,7 @@ fn shared_engine_restart_restores_only_its_own_sessions() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
     tb.run_ms(5);
     tb.hosts[0].group.kill_engine(pool_id);
     tb.run_ms(60);

@@ -108,6 +108,7 @@ fn slow_engine_is_quarantined_and_restart_heals_it() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
     let rig = tb.health_rig(rig_cfg());
     tb.health_watch_app(&rig, 0, "client", &sup);
     rig.start(&mut tb.sim);
@@ -189,6 +190,7 @@ fn healthy_rack_shows_zero_false_positives_and_is_deterministic() {
         let _b = tb.pony_app(1, "server", |_| {});
         let conn = tb.connect(0, "client", 1, "server");
         let sup = tb.supervise_app(0, "client", SupervisorConfig::default());
+        sup.start(&mut tb.sim);
         let rig = tb.health_rig(rig_cfg());
         tb.health_watch_app(&rig, 0, "client", &sup);
         rig.start(&mut tb.sim);

@@ -106,6 +106,7 @@ fn transport_exactly_once_under_pressure_and_crash() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
 
     // Crash in a quiet window; soft squeeze at 90 ms (effective soft
     // 17.5 KB < one in-flight send -> Soft while sending), deep squeeze

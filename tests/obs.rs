@@ -61,6 +61,7 @@ fn churn_run() -> (String, u64, u64) {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
     let stats = tb.stats_module(StatsConfig::default());
     let rec = FlightRecorder::new(
         RecorderConfig {
@@ -345,7 +346,6 @@ fn start_twice_or_restart_leaves_exactly_one_loop() {
             move |_| rec.ticks(),
         )
     };
-    // `supervise_app` is the supervisor's first `start`.
     let supervisor = |tb: &mut Testbed| {
         tb.pony_app(0, "app", |_| {});
         let sup = tb.supervise_app(
@@ -356,6 +356,7 @@ fn start_twice_or_restart_leaves_exactly_one_loop() {
                 ..SupervisorConfig::default()
             },
         );
+        sup.start(&mut tb.sim);
         let (start, stop) = (sup.clone(), sup.clone());
         let ticks = move |_: &Testbed| sup.report().checkpoints;
         Loop::new(move |sim| start.start(sim), move || stop.stop(), ticks)

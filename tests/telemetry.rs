@@ -104,6 +104,7 @@ fn crash_restart_never_double_counts_and_records_blackout() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
     let stats = tb.stats_module(fast_stats());
     stats.watch_supervisor(sup.clone(), &[(engine_id, "h0.client".to_string())]);
     stats.start(&mut tb.sim);
@@ -245,6 +246,7 @@ fn churn_tour_snapshot_is_pinned() {
             ..SupervisorConfig::default()
         },
     );
+    sup.start(&mut tb.sim);
     let stats = tb.stats_module(fast_stats());
     stats.watch_supervisor(sup, &[(client, "h0.client".to_string())]);
     stats.start(&mut tb.sim);
@@ -474,7 +476,7 @@ fn lossy_fabric_retransmits_are_published_exactly_once_across_a_restart() {
     b.submit(&mut tb.sim, PonyCommand::PostRecvBuffers { conn, count: 32 });
     let client_id = tb.hosts[0].module.engine_for("client").expect("engine");
     let server_id = tb.hosts[1].module.engine_for("server").expect("engine");
-    let _supervisor = tb.supervise_app(
+    let supervisor = tb.supervise_app(
         0,
         "client",
         SupervisorConfig {
@@ -482,6 +484,7 @@ fn lossy_fabric_retransmits_are_published_exactly_once_across_a_restart() {
             ..SupervisorConfig::default()
         },
     );
+    supervisor.start(&mut tb.sim);
     let stats = tb.stats_module(fast_stats());
     stats.start(&mut tb.sim);
     // (retransmits, duplicates) straight from an engine's own books.
