@@ -31,9 +31,12 @@ pub struct RunReport {
     /// Immediately actionable items (packets, commands, sendable
     /// frames) still pending after the pass.
     pub pending: usize,
-    /// Earliest self-timer deadline (pacing, retransmission). Workers
-    /// poll-wait through near deadlines instead of paying a full
-    /// block/wake cycle for sub-microsecond pacing gaps.
+    /// Earliest instant at which the engine will have work that nothing
+    /// else announces (pacing, retransmission). The group keeps it: an
+    /// engine has no timer of its own. A worker poll-waits through a
+    /// near deadline instead of paying a full block/wake cycle for a
+    /// sub-microsecond pacing gap, and otherwise wakes the engine that
+    /// reported it at the deadline, on whichever worker holds it then.
     pub next_deadline: Option<Nanos>,
 }
 

@@ -413,9 +413,8 @@ impl WeakGroupHandle {
         self.inner.upgrade().map(|inner| GroupHandle { inner })
     }
 
-    /// [`GroupHandle::wake`], if anything still owns the group. Not to
-    /// be called from inside an engine pass: see
-    /// [`GroupHandle::wake_handle`].
+    /// [`GroupHandle::wake`], if anything still owns the group: what a
+    /// NIC queue's interrupt and an application's doorbell call.
     pub fn wake(&self, sim: &mut Sim, id: EngineId) {
         if let Some(group) = self.upgrade() {
             group.wake(sim, id);
@@ -590,32 +589,16 @@ impl GroupHandle {
         self.inner.borrow_mut().stopped = true;
     }
 
-    /// Returns a cloneable wake callback for an engine that defers
-    /// through the event queue: it schedules an event at `now` that calls
-    /// [`GroupHandle::wake`]. Anything that can be invoked from inside a
-    /// pass must wake this way — an application's doorbell, an interrupt
-    /// handler that an engine's own transmit can raise — because `wake`
-    /// run from inside a pass would re-enter the runtime. A caller that
-    /// is never inside a pass (a timer event, the fabric's delivery
-    /// event) may call `wake` itself and save the event; an engine's own
-    /// timers do, through the [`WeakGroupHandle`] they are given. The
-    /// deferral is modeled behaviour, not only a guard: the deferred wake
-    /// runs after every event already queued for `now`, and waking the
-    /// doorbells directly instead moves Fig 6(d)'s "snap spreading +
-    /// CFS −20" maximum from 8 030.9 to 6 904.2 µs (a tie with an
-    /// antagonist event falls the other way). The callback holds the
-    /// group weakly and does nothing once the group is gone.
-    pub fn wake_handle(&self, id: EngineId) -> Rc<dyn Fn(&mut Sim)> {
-        let group = self.downgrade();
-        Rc::new(move |sim: &mut Sim| {
-            let Some(handle) = group.upgrade() else { return };
-            sim.schedule_at(sim.now(), move |sim| handle.wake(sim, id));
-        })
-    }
-
     /// Signals that an engine has new work (packet arrival, command
-    /// submission, timer). Schedules its worker if necessary; a
-    /// suspended or crashed engine is not woken.
+    /// submission, a deadline it reported). Schedules the worker that
+    /// holds it now if that worker is idle; a suspended or crashed
+    /// engine is not woken. This is the one way an engine is woken, and
+    /// it may be called from anywhere, an engine pass of this group
+    /// included: the running worker is `Scheduled` for the whole pass,
+    /// so a wake addressed to it is a no-op and the pass's reports
+    /// decide whether it runs again. Work handed inside a pass to an
+    /// engine of the same worker that has already run in it therefore
+    /// waits until something else runs that worker.
     pub fn wake(&self, sim: &mut Sim, id: EngineId) {
         let now = sim.now();
         let (worker_idx, action) = {
@@ -663,11 +646,13 @@ impl GroupHandle {
     /// idle.
     fn run_worker(&self, sim: &mut Sim, worker_idx: usize) {
         // Engines run without the group borrowed: they may transmit
-        // packets, which schedules fabric events; those only fire
-        // later, but they may also call wake handles, which defer
-        // through the event queue. Nothing reachable from a pass edits
-        // the worker's engine list or moves it to another core, so the
-        // list is walked by index and the core read once.
+        // packets, which schedules fabric events that only fire later,
+        // and they may wake engines, this group's too. Such a wake finds
+        // this worker `Scheduled` and does nothing; one for another
+        // worker schedules that worker's pass as any wake does. Nothing
+        // reachable from a pass edits this worker's engine list or
+        // moves it to another core, so the list is walked by index and
+        // the core read once.
         let Some(core) = self.inner.borrow().workers.get(worker_idx).map(|w| w.core) else {
             return;
         };
@@ -707,22 +692,20 @@ impl GroupHandle {
         }
 
         // Charge the machine and decide what happens next.
-        let (next, next_deadline, awake) = {
+        let (next, deadline) = {
             let mut g = self.inner.borrow_mut();
-            // Earliest self-timer deadline across the engines this
-            // worker runs: near deadlines are poll-waited (burning spin
-            // CPU) instead of paying a block + interrupt-wake cycle per
-            // pacing gap. A suspended or crashed engine is not run, so
-            // the deadline it last reported is nobody's to wait for and
-            // a framework wake is addressed to a running neighbour.
-            let running = g.workers[worker_idx]
+            // Earliest deadline across the engines this worker runs, and
+            // the engine that reported it: near deadlines are
+            // poll-waited (burning spin CPU) instead of paying a block +
+            // interrupt-wake cycle per pacing gap. A suspended or
+            // crashed engine is not run, so the deadline it last
+            // reported is nobody's to wait for.
+            let deadline = g.workers[worker_idx]
                 .engines
                 .iter()
                 .map(|id| (*id, &g.slots[id.0 as usize]))
-                .filter(|(_, slot)| slot.state == Lifecycle::Running);
-            let awake = running.clone().next().map(|(id, _)| id);
-            let next_deadline = running
-                .filter_map(|(_, slot)| slot.last_report.next_deadline)
+                .filter(|(_, slot)| slot.state == Lifecycle::Running)
+                .filter_map(|(id, slot)| slot.last_report.next_deadline.map(|d| (d, id)))
                 .min();
             let w = &mut g.workers[worker_idx];
             let throttle_start = match w.budget.as_mut() {
@@ -735,9 +718,9 @@ impl GroupHandle {
             let next = if any_work || any_pending {
                 w.state = WorkerState::Scheduled;
                 Some(throttle_start + total_cpu)
-            } else if let Some(d) = next_deadline.filter(|&d| {
-                d.saturating_sub(now) <= Nanos(costs::ENGINE_SPIN_WAIT_NS)
-            }) {
+            } else if let Some((d, _)) = deadline
+                .filter(|&(d, _)| d.saturating_sub(now) <= Nanos(costs::ENGINE_SPIN_WAIT_NS))
+            {
                 // Poll-wait: stay runnable and burn the gap as spin.
                 let resume = d.max(now + Nanos(1));
                 w.state = WorkerState::Scheduled;
@@ -751,7 +734,7 @@ impl GroupHandle {
                 }
                 None
             };
-            (next, next_deadline, awake)
+            (next, deadline)
         };
 
         self.arm_rebalancer(sim);
@@ -761,10 +744,11 @@ impl GroupHandle {
                 sim.schedule_at(at.max(now), move |sim| handle.run_worker(sim, worker_idx));
             }
             None => {
-                // Far-future self-timer (pacing, shaper refill, RTO):
-                // arm a framework wake so a blocked worker resumes at
-                // the deadline (a wake of a running worker is a no-op).
-                if let (Some(d), Some(id)) = (next_deadline, awake) {
+                // Far-future deadline (pacing, shaper refill, RTO): wake
+                // the engine that reported it then, on whichever worker
+                // holds it by that time (a wake of a scheduled worker is
+                // a no-op).
+                if let Some((d, id)) = deadline {
                     let handle = self.clone();
                     sim.schedule_at(d.max(now), move |sim| handle.wake(sim, id));
                 }
@@ -1155,6 +1139,8 @@ impl GroupHandle {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::engine::CountingEngine;
 
@@ -1778,32 +1764,149 @@ mod tests {
     }
 
     #[test]
-    fn a_timer_event_wakes_directly() {
-        // What an engine's own timer does: an event at `t` that calls
-        // `WeakGroupHandle::wake`. The worker's pass is scheduled from
-        // that event, one event fewer than through `wake_handle`.
-        fn events(defer: bool) -> u64 {
-            let mut sim = Sim::new();
-            let (g, id) = counting_group(SchedulingMode::Spreading);
-            g.start(&mut sim);
-            inject(&g, id, sim.now(), 1);
-            let (weak, deferred) = (g.downgrade(), g.wake_handle(id));
-            sim.schedule_at(Nanos::from_micros(5), move |sim| {
-                if defer {
-                    deferred(sim);
-                } else {
-                    weak.wake(sim, id);
-                    assert_eq!(sim.pending(), 1, "the pass, scheduled from the timer event");
-                }
-            });
-            sim.run();
-            assert_eq!(processed(&g, id), 1);
-            sim.events_executed()
+    fn a_deadline_is_kept_when_the_workers_first_engine_is_moved() {
+        let mut sim = Sim::new();
+        let g = compacting_group(Nanos::from_micros(50), Nanos::from_micros(100));
+        let first = g.add_engine(Box::new(CountingEngine::new("wedged", Nanos(500))));
+        let deadline = Nanos::from_millis(1);
+        let passes = Rc::new(RefCell::new(Vec::new()));
+        let second = g.add_engine(Box::new(DeadlineEngine {
+            deadline,
+            passes: passes.clone(),
+        }));
+        g.start(&mut sim);
+        // Wedged with a backlog, the first engine is past the SLO at a
+        // rebalance and is scaled out to a worker of its own.
+        g.stall_engine(&mut sim, first, Nanos::from_millis(3));
+        inject(&g, first, sim.now(), 4);
+        g.wake(&mut sim, second);
+        sim.run_until(Nanos::from_micros(500));
+        assert_eq!(workers(&g), 2, "the wedged engine was scaled out");
+        assert_ne!(worker_of(&g, first), worker_of(&g, second));
+        // The deadline wake is addressed to the engine that reported the
+        // deadline, so it reaches the worker that still holds it.
+        sim.run_until(Nanos::from_millis(2));
+        {
+            let passes = passes.borrow();
+            assert_eq!(passes.len(), 2, "passes at {passes:?}");
+            assert!(
+                passes[1] >= deadline && passes[1] < deadline + Nanos::from_micros(100),
+                "second pass at {}, deadline {deadline}",
+                passes[1]
+            );
         }
-        assert_eq!(events(false) + 1, events(true));
+        g.stop();
+        sim.run();
+        assert_eq!(processed(&g, first), 4);
+    }
 
-        // A timer that fires on a worker already scheduled changes
-        // nothing, and one that outlives its group does nothing.
+    /// An engine fed through a shared inbox, as a queue pair feeds a
+    /// Pony engine: each pass takes the whole inbox. Its first pass
+    /// also rings `doorbells` from inside the pass: it queues one
+    /// command in each inbox and then wakes that inbox's engine.
+    struct InboxEngine {
+        inbox: Rc<Cell<usize>>,
+        passes: Rc<RefCell<Vec<(Nanos, usize)>>>,
+        doorbells: Vec<(WeakGroupHandle, EngineId, Rc<Cell<usize>>)>,
+    }
+
+    impl InboxEngine {
+        fn new() -> Self {
+            InboxEngine {
+                inbox: Rc::default(),
+                passes: Rc::default(),
+                doorbells: Vec::new(),
+            }
+        }
+    }
+
+    impl Engine for InboxEngine {
+        fn name(&self) -> &str {
+            "inbox"
+        }
+
+        fn run(&mut self, sim: &mut Sim) -> RunReport {
+            let taken = self.inbox.take();
+            self.passes.borrow_mut().push((sim.now(), taken));
+            for (group, id, inbox) in self.doorbells.drain(..) {
+                inbox.set(inbox.get() + 1);
+                group.wake(sim, id);
+            }
+            RunReport {
+                work_done: taken > 0,
+                pending: self.inbox.get(),
+                ..RunReport::idle(Nanos(costs::ENGINE_POLL_PASS_NS))
+            }
+        }
+
+        fn pending_work(&self) -> usize {
+            self.inbox.get()
+        }
+
+        fn oldest_pending_age(&self, _now: Nanos) -> Nanos {
+            Nanos::ZERO
+        }
+
+        fn serialize_state(&mut self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn detach(&mut self, _sim: &mut Sim) {}
+
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_wake_from_inside_a_pass_schedules_only_an_idle_worker() {
+        let mut sim = Sim::new();
+        let g = GroupHandle::new(
+            GroupConfig::new("doorbells", SchedulingMode::Spreading),
+            machine(),
+            CpuAccountant::new(),
+        );
+        // Spreading: one worker per engine, both blocked.
+        let mut ringer = InboxEngine::new();
+        let neighbour = InboxEngine::new();
+        let (mine, theirs) = (ringer.passes.clone(), neighbour.passes.clone());
+        let (own, next) = (EngineId(0), EngineId(1));
+        ringer.doorbells = vec![
+            (g.downgrade(), own, ringer.inbox.clone()),
+            (g.downgrade(), next, neighbour.inbox.clone()),
+        ];
+        assert_eq!(g.add_engine(Box::new(ringer)), own);
+        assert_eq!(g.add_engine(Box::new(neighbour)), next);
+        assert_ne!(worker_of(&g, own), worker_of(&g, next));
+        g.start(&mut sim);
+        g.wake(&mut sim, own);
+        sim.run();
+
+        // The ringer's own wake found its worker scheduled and did
+        // nothing. Each later pass is the one the previous report asked
+        // for, one pass's CPU later: the second for the command queued
+        // before the wake, which it picks up, the third because the
+        // second did work.
+        let pass = Nanos(costs::ENGINE_POLL_PASS_NS);
+        let t = mine.borrow()[0].0;
+        assert_eq!(
+            *mine.borrow(),
+            [(t, 0), (t + pass, 1), (t + pass + pass, 0)]
+        );
+        // The neighbour's worker was blocked: the wake scheduled it, and
+        // its first pass takes the command queued before the wake.
+        let u = theirs.borrow()[0].0;
+        assert!(u > t, "woken from the ringer's first pass");
+        assert_eq!(*theirs.borrow(), [(u, 1), (u + pass, 0)]);
+        // Two interrupt wake-ups, one per blocked worker; none for the
+        // ringer's wake of its own running worker. (A wake that
+        // re-entered the group would have panicked on its borrow.)
+        let one = Nanos(costs::INTERRUPT_NS + costs::CONTEXT_SWITCH_NS);
+        assert_eq!(g.cpu(sim.now()).wake_overhead, one + one);
+    }
+
+    #[test]
+    fn a_wake_of_a_scheduled_worker_or_a_dropped_group_does_nothing() {
         let mut sim = Sim::new();
         let (g, id) = counting_group(SchedulingMode::Spreading);
         g.start(&mut sim);
@@ -1817,18 +1920,6 @@ mod tests {
         sim.run();
         weak.wake(&mut sim, id);
         assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn wake_handle_defers_and_wakes() {
-        let mut sim = Sim::new();
-        let (g, id) = counting_group(SchedulingMode::Spreading);
-        g.start(&mut sim);
-        inject(&g, id, sim.now(), 1);
-        let wake = g.wake_handle(id);
-        wake(&mut sim);
-        sim.run();
-        assert_eq!(processed(&g, id), 1);
     }
 
     #[test]

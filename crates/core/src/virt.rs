@@ -27,6 +27,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -163,6 +164,10 @@ pub struct VirtEngine {
     batch: usize,
     buf: Vec<(Nanos, Packet)>,
     rx_buf: Vec<Packet>,
+    /// Reusable encapsulation scratch: the outer payload is written here
+    /// (capacity persists across packets) and copied once into the
+    /// packet's buffer.
+    tx_scratch: Writer,
 }
 
 impl VirtEngine {
@@ -189,6 +194,7 @@ impl VirtEngine {
             batch: costs::DEFAULT_POLL_BATCH,
             buf: Vec::new(),
             rx_buf: Vec::new(),
+            tx_scratch: Writer::new(),
         };
         engine.attach_nic();
         engine
@@ -240,14 +246,16 @@ impl VirtEngine {
     /// Encapsulates a guest packet: outer wire header names the source
     /// tenant + virtual endpoints so the remote engine can enforce
     /// isolation and route to the right guest.
-    fn encap(&self, src: VirtAddr, dst: VirtAddr, inner: &Packet, route: Route) -> Packet {
-        let mut w = Writer::with_capacity(32 + inner.payload.len());
+    fn encap(&mut self, src: VirtAddr, dst: VirtAddr, inner: &Packet, route: Route) -> Packet {
+        let w = &mut self.tx_scratch;
+        w.clear();
         w.u32(src.tenant)
             .u32(src.vip)
             .u32(dst.tenant)
             .u32(dst.vip)
             .bytes(&inner.payload);
-        let mut outer = Packet::new(self.host, route.host, Bytes::from(w.finish()));
+        let payload = Bytes::copy_from_slice(w.as_slice());
+        let mut outer = Packet::new(self.host, route.host, payload);
         outer.wire_size = inner.wire_size + ENCAP_OVERHEAD;
         outer
             .with_qos(QosClass::BestEffort)
@@ -255,8 +263,9 @@ impl VirtEngine {
             .with_rss_hash(((dst.tenant as u64) << 32) | dst.vip as u64)
     }
 
-    /// Decapsulates a fabric packet; `None` if malformed.
-    fn decap(payload: &[u8]) -> Option<(VirtAddr, VirtAddr, Vec<u8>)> {
+    /// Decapsulates a fabric packet: the virtual endpoints and where in
+    /// `payload` the inner packet lies; `None` if malformed.
+    fn decap(payload: &[u8]) -> Option<(VirtAddr, VirtAddr, Range<usize>)> {
         let mut r = Reader::new(payload);
         let src = VirtAddr {
             tenant: r.u32().ok()?,
@@ -266,8 +275,9 @@ impl VirtEngine {
             tenant: r.u32().ok()?,
             vip: r.u32().ok()?,
         };
-        let inner = r.bytes().ok()?.to_vec();
-        Some((src, dst, inner))
+        let len = r.bytes().ok()?.len();
+        let end = r.position();
+        Some((src, dst, end - len..end))
     }
 }
 
@@ -346,7 +356,7 @@ impl Engine for VirtEngine {
                 self.stats.delivery_drops += 1;
                 continue;
             };
-            let mut delivered = Packet::new(pkt.src, self.host, Bytes::from(inner));
+            let mut delivered = Packet::new(pkt.src, self.host, pkt.payload.slice(inner));
             delivered.rss_hash = ((src.tenant as u64) << 32) | src.vip as u64;
             if port.rx.inject(now, delivered) {
                 self.stats.decapped += 1;
@@ -648,7 +658,7 @@ mod tests {
     fn encap_decap_roundtrip_preserves_payload() {
         let fabric = FabricHandle::new(FabricConfig::default());
         fabric.add_host(NicConfig::default());
-        let engine = VirtEngine::new("v", 0, 1, 0, fabric);
+        let mut engine = VirtEngine::new("v", 0, 1, 0, fabric);
         let src = VirtAddr { tenant: 4, vip: 10 };
         let dst = VirtAddr { tenant: 4, vip: 20 };
         let inner = guest_packet(dst, 123);
@@ -657,7 +667,7 @@ mod tests {
         let (s, d, payload) = VirtEngine::decap(&outer.payload).expect("well-formed");
         assert_eq!(s, src);
         assert_eq!(d, dst);
-        assert_eq!(payload.len(), 123);
+        assert_eq!(outer.payload[payload], inner.payload[..]);
         // Garbage does not decap.
         assert!(VirtEngine::decap(b"junk").is_none());
     }

@@ -18,7 +18,7 @@
 //! file of the seam it belongs to:
 //!
 //! * this file — configuration, counters, the state records, the pass,
-//!   the ready sets with their full-scan invariant, the timer;
+//!   the ready sets with their full-scan invariant;
 //! * `command` — application commands: hedge dedup, the pressure gate,
 //!   send admission (memory quota, then flow control), one-sided
 //!   initiation, and the one routine that concludes an op;
@@ -47,8 +47,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use snap_core::engine::{Engine, EngineId, RunReport};
-use snap_core::group::WeakGroupHandle;
+use snap_core::engine::{Engine, RunReport};
 use snap_isolation::AdmissionController;
 use snap_nic::fabric::FabricHandle;
 use snap_nic::packet::{HostId, Packet};
@@ -322,10 +321,6 @@ pub struct PonyEngine {
     /// guarantee survives a restart with hedges still in flight.
     session_watermarks: IntMap<u64, u64>,
     stats: PonyStats,
-    /// Whom a self-armed timer (pacing/RTO) wakes: this engine's group
-    /// and its id there; set by the module after registration.
-    wake: Option<(WeakGroupHandle, EngineId)>,
-    timer: Option<(Nanos, snap_sim::EventHandle)>,
     /// Admission controller enforcing this container's memory quota on
     /// the datapath; `None` keeps the quota-free fast path.
     admission: Option<AdmissionController>,
@@ -380,8 +375,6 @@ impl PonyEngine {
             owned_sessions: Vec::new(),
             session_watermarks: IntMap::default(),
             stats: PonyStats::default(),
-            wake: None,
-            timer: None,
             admission: None,
             charged_bytes: 0,
             recorder: None,
@@ -392,15 +385,6 @@ impl PonyEngine {
             tx_scratch: Writer::new(),
             tx_batch: Vec::new(),
         }
-    }
-
-    /// Tells the engine whom its pacing/RTO timers wake: itself, as
-    /// engine `id` of `group`. A timer event is never inside a pass, so
-    /// it calls [`GroupHandle::wake`](snap_core::group::GroupHandle::wake)
-    /// itself instead of deferring through
-    /// [`GroupHandle::wake_handle`](snap_core::group::GroupHandle::wake_handle).
-    pub fn set_wake(&mut self, group: WeakGroupHandle, id: EngineId) {
-        self.wake = Some((group, id));
     }
 
     /// Installs the trace recorder this engine stamps stage records
@@ -598,25 +582,6 @@ impl PonyEngine {
             && retransmits == self.stats.retransmits
             && duplicates == self.stats.duplicates
     }
-
-    /// Arms a timer at `deadline`, the earliest pacing/RTO deadline
-    /// across flows, unless an earlier-or-equal one is already armed.
-    fn arm_timer(&mut self, sim: &mut Sim, deadline: Option<Nanos>) {
-        let now = sim.now();
-        let Some(deadline) = deadline else { return };
-        let deadline = deadline.max(now + Nanos(1));
-        if let Some((at, handle)) = &self.timer {
-            if *at <= deadline {
-                return; // an earlier-or-equal timer is already armed
-            }
-            handle.cancel();
-        }
-        let Some((group, id)) = self.wake.clone() else {
-            return;
-        };
-        let handle = sim.schedule_cancellable_at(deadline, move |sim| group.wake(sim, id));
-        self.timer = Some((deadline, handle));
-    }
 }
 
 impl Drop for PonyEngine {
@@ -638,9 +603,6 @@ impl Engine for PonyEngine {
 
     fn run(&mut self, sim: &mut Sim) -> RunReport {
         let now = sim.now();
-        if self.timer.as_ref().is_some_and(|(at, _)| *at <= now) {
-            self.timer = None;
-        }
 
         // 1. Poll NIC rx (bounded batch, §3.1).
         let (rx_cpu, received) = self.poll_rx(now);
@@ -663,14 +625,14 @@ impl Engine for PonyEngine {
         self.fill_flows(now);
         let (tx_cpu, sent) = self.generate_packets(sim);
 
-        // 5. Arm pacing/RTO timers for future work.
+        // 5. The earliest pacing/RTO deadline across the ready flows:
+        // the group wakes this engine then (`next_deadline`).
         let (next_deadline, sendable) = self.settle_ready(now);
-        self.arm_timer(sim, next_deadline);
 
         // Report only *actionable* work: frames held back by pacing or
-        // RTO wait on their timers and must not busy-loop the worker
-        // (the armed timer wakes us; rx/commands/sendable frames do
-        // warrant an immediate next pass).
+        // RTO wait for their deadline and must not busy-loop the worker
+        // (the group's deadline wake runs us then; rx/commands/sendable
+        // frames do warrant an immediate next pass).
         let rx = self
             .fabric
             .with_nic(self.cfg.host, |nic| nic.rx_pending(self.cfg.queue));
@@ -715,9 +677,6 @@ impl Engine for PonyEngine {
     }
 
     fn detach(&mut self, _sim: &mut Sim) {
-        if let Some((_, h)) = self.timer.take() {
-            h.cancel();
-        }
         self.fabric.with_nic(self.cfg.host, |nic| {
             nic.detach_filter(self.cfg.engine_key);
         });

@@ -140,17 +140,20 @@ struct EngineKit {
 }
 
 impl EngineKit {
-    /// A new, unattached engine.
+    /// A new engine, attached.
     fn fresh(&self, cfg: PonyEngineConfig) -> PonyEngine {
-        PonyEngine::new(cfg, self.fabric.clone(), self.regions.clone(), self.sessions.clone())
+        let mut engine =
+            PonyEngine::new(cfg, self.fabric.clone(), self.regions.clone(), self.sessions.clone());
+        self.wire(&mut engine);
+        engine
     }
 
-    /// Attaches `engine`, which is (or is about to be) engine `id` of
-    /// the group: whom its pacing/RTO timers wake, the admission
+    /// Attaches `engine` to what the host installed: the admission
     /// controller, the trace recorder. Every new or rebuilt engine
     /// passes through here, so the next attachment is added here only.
-    fn wire(&self, id: EngineId, engine: &mut PonyEngine) {
-        engine.set_wake(self.group.downgrade(), id);
+    /// Nothing here wakes the engine: its group keeps the deadlines it
+    /// reports.
+    fn wire(&self, engine: &mut PonyEngine) {
         if let Some(adm) = &self.admission {
             engine.set_admission(adm.clone());
         }
@@ -159,11 +162,10 @@ impl EngineKit {
         }
     }
 
-    /// Rebuilds engine `id` from serialized state plus re-injected
+    /// Rebuilds an engine from serialized state plus re-injected
     /// runtime handles (§4), attached.
     fn restore(
         &self,
-        id: EngineId,
         cfg: PonyEngineConfig,
         state: &[u8],
         now: Nanos,
@@ -171,7 +173,7 @@ impl EngineKit {
         let (fabric, regions, sessions) =
             (self.fabric.clone(), self.regions.clone(), self.sessions.clone());
         let mut engine = PonyEngine::restore(state, cfg, fabric, regions, sessions, now)?;
-        self.wire(id, &mut engine);
+        self.wire(&mut engine);
         Ok(engine)
     }
 }
@@ -264,8 +266,6 @@ impl PonyModule {
             configure(&mut cfg);
             Box::new(kit.fresh(cfg))
         });
-        // The engine was just added, so this cannot miss.
-        let _ = with_pony_engine(&self.kit.group, id, |e| self.kit.wire(id, e));
         self.engines.insert(app.to_string(), id);
         self.net.borrow_mut().entries.insert(
             (self.host, app.to_string()),
@@ -348,7 +348,8 @@ impl PonyModule {
         {
             entry.session = Some(sid);
         }
-        let wake = self.kit.group.wake_handle(engine_id);
+        let group = self.kit.group.downgrade();
+        let wake = Rc::new(move |sim: &mut Sim| group.wake(sim, engine_id));
         let mut client = PonyClient::new(app_ep, wake);
         if let Some(rec) = &self.kit.recorder {
             client.set_trace(rec.clone(), self.host);
@@ -415,11 +416,11 @@ impl PonyModule {
     /// [`UpgradeError::BadState`], which makes the orchestrator roll
     /// back to the still-live predecessor.
     pub fn upgrade_factory(&self, app: &str) -> Result<UpgradeFactory, PonyError> {
-        let (engine_id, cfg) = self.rebuild_parts(app)?;
+        let (_, cfg) = self.rebuild_parts(app)?;
         let kit = self.kit.clone();
         Ok(Box::new(move |state, sim| {
             let engine = kit
-                .restore(engine_id, cfg, &state, sim.now())
+                .restore(cfg, &state, sim.now())
                 .map_err(|e| UpgradeError::BadState(e.to_string()))?;
             Ok(Box::new(engine))
         }))
@@ -439,7 +440,7 @@ impl PonyModule {
         let kit = self.kit.clone();
         let owned = self.sessions_by_engine.clone();
         Ok(Rc::new(move |state: Vec<u8>, sim: &mut Sim| {
-            let restored = kit.restore(engine_id, cfg.clone(), &state, sim.now());
+            let restored = kit.restore(cfg.clone(), &state, sim.now());
             Box::new(restored.unwrap_or_else(|_| {
                 let mut fresh = kit.fresh(cfg.clone());
                 if let Some(sids) = owned.borrow().get(&engine_id) {
@@ -447,7 +448,6 @@ impl PonyModule {
                         fresh.add_session(*sid);
                     }
                 }
-                kit.wire(engine_id, &mut fresh);
                 fresh
             }))
         }))

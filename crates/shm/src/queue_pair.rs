@@ -11,7 +11,7 @@
 //! endpoint joined by two SPSC rings and nothing else. Both wake-ups are
 //! modeled where they cost time, not here: the engine learns of a
 //! command through `snap_pony::client::PonyClient`'s `wake_engine`
-//! hook (the group's `wake_handle`), and an application thread that
+//! hook (a call of the group's `wake`), and an application thread that
 //! asked to be notified pays `Machine::interrupt_wakeup` in the §5.1
 //! pair driver (`snap_repro::pair::Learn::Notified`).
 

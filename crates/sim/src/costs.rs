@@ -241,9 +241,10 @@ pub const SWITCH_LATENCY_NS: u64 = 300;
 /// Propagation delay host↔ToR (a few tens of meters of fiber).
 pub const LINK_PROP_NS: u64 = 150;
 
-/// An engine worker poll-waits (spins) through self-timer deadlines
-/// closer than this instead of blocking; pacing gaps between packets
-/// are sub-microsecond, far below any block/wake cycle's cost.
+/// An engine worker poll-waits (spins) through a deadline its engines
+/// report that is closer than this instead of blocking; pacing gaps
+/// between packets are sub-microsecond, far below any block/wake
+/// cycle's cost.
 pub const ENGINE_SPIN_WAIT_NS: u64 = 5_000;
 
 /// Cost for an application thread to discover a completion when

@@ -68,7 +68,9 @@ cargo clippy --workspace --tests -- -D warnings -A clippy::disallowed_methods
 # that moves, goes, or loses its header would drop out of that rule
 # silently; the marker guard makes it a red build. Comment lines are
 # skipped and whitespace ignored, so one-line and wrapped headers both
-# count.
+# count. Here and in the unsafe inventory below, the last `grep` of a
+# pipe reads all its input: a `grep -q` that quits at the first match
+# can kill the writer with SIGPIPE, which `pipefail` reads as no match.
 echo "== tier-1: control-plane files carry the no-panic header =="
 no_panic='#![cfg_attr(not(test),deny(clippy::unwrap_used,clippy::expect_used,clippy::panic))]'
 for file in \
@@ -81,7 +83,8 @@ for file in \
     crates/pony/src/module.rs \
     crates/telemetry/src/module.rs \
     crates/telemetry/src/trace.rs; do
-    if [ ! -f "$file" ] || ! grep -v '^[[:space:]]*//' "$file" | tr -d ' \t\n' | grep -qF "$no_panic"; then
+    if [ ! -f "$file" ] || ! grep -v '^[[:space:]]*//' "$file" | tr -d ' \t\n' \
+        | grep -F "$no_panic" > /dev/null; then
         echo "no-panic header missing: $file is gone or no longer carries" \
              "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]"
         exit 1
@@ -103,7 +106,7 @@ crates/shm/src/spsc.rs
 crates/sim/src/event.rs'
 unsafe_found="$(find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
     -not -name tests.rs | sort | while read -r file; do
-    if grep -v '^[[:space:]]*//' "$file" | grep -qw unsafe; then
+    if grep -v '^[[:space:]]*//' "$file" | grep -w unsafe > /dev/null; then
         echo "$file"
     fi
 done)"
@@ -166,18 +169,24 @@ echo "quoted example names exist"
 # Table 1, Fig 6(a) and the ablations' batch sweep the §5.1 pair driver
 # (`src/pair.rs`, 2 s); Fig 8 and §5.4 their own loops (7 s). Each
 # prints virtual-time tables that are pinned as golden text: a golden is
-# the list entry, so a bench is gated by having one.
+# the list entry, so a bench is gated by having one. Every bench runs
+# and every drifted table is printed, and the smoke digests below are
+# checked too, before a drift fails the build: a model change sees its
+# whole re-pin set in one run.
 echo "== tier-1: pinned sim-clock tables =="
+drifted=""
 for golden in tests/golden/scenarios/*.txt tests/golden/experiments/*.txt; do
     bench="$(basename "$golden" .txt)"
     cargo bench -q -p snap-bench --bench "$bench" > "$tmp/$bench.txt"
     if ! diff -u "$golden" "$tmp/$bench.txt"; then
         echo "model drift: bench $bench no longer prints its pinned table" \
              "(re-pin $golden only if you meant to change the model)"
-        exit 1
+        drifted="$drifted $golden"
     fi
 done
-echo "pinned tables match"
+if [ -z "$drifted" ]; then
+    echo "pinned tables match"
+fi
 
 # The marker proof (RFC-0006): every `[[bench]]` has a golden, so a
 # bench dropped from the loop above, or added without a pin, is a red
@@ -217,16 +226,22 @@ echo "quoted bench names exist"
 echo "== tier-1: benchmark smoke =="
 python3 benchmark/run.py --smoke --seed 42 --seed 7 --out "$tmp/bench-smoke"
 
-# Model drift is a red build: the smoke runs' digests are pinned.
+# Model drift is a red build: the smoke runs' digests are pinned. Every
+# line is checked and every drifted one printed; then a drift here or in
+# the pinned tables above fails the build.
 echo "== tier-1: smoke model digests =="
-grep -v '^#' scripts/smoke_digests.txt | while read -r workload seed want; do
+while read -r workload seed want; do
     got="$(awk '$1 == "model_digest" { print $2 }' "$tmp/bench-smoke/$workload.seed$seed.run1.txt")"
     if [ "$got" != "$want" ]; then
         echo "model drift: $workload seed $seed smoke digest $got, pinned $want" \
              "(re-pin scripts/smoke_digests.txt only if you meant to change the model)"
-        exit 1
+        drifted="$drifted scripts/smoke_digests.txt:$workload:$seed"
     fi
-done
+done < <(grep -v '^#' scripts/smoke_digests.txt)
+if [ -n "$drifted" ]; then
+    echo "model drift in:$drifted"
+    exit 1
+fi
 echo "smoke model digests match"
 
 # Size of what ships, for ROADMAP item 6; informational.

@@ -748,8 +748,9 @@ mod tests {
     }
 
     /// A testbed owns its hosts: nothing inside an engine group (the
-    /// engines' self-wake callbacks, the NIC interrupt handlers) may
-    /// hold the group strongly, or every dropped testbed leaks whole.
+    /// NIC interrupt handlers its engines' queues were claimed with)
+    /// may hold the group strongly, or every dropped testbed leaks
+    /// whole.
     #[test]
     fn dropping_a_testbed_frees_its_groups() {
         let mut tb = Testbed::pair();
@@ -765,7 +766,7 @@ mod tests {
                 len: 100_000,
             },
         );
-        // Stop mid-transfer: pacing/RTO timers armed, packets in flight,
+        // Stop mid-transfer: deadline wakes armed, packets in flight,
         // worker passes scheduled.
         tb.run_us(30);
         let groups: Vec<_> = tb.hosts.iter().map(|h| h.group.downgrade()).collect();

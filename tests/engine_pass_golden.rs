@@ -296,26 +296,26 @@ fn lossy_clos_all_to_all_is_pinned() {
         bulk_done: 48,
         msgs_delivered: 1008,
         failed: 0,
-        drained_at_ns: 28_225_000,
-        fabric_delivered: 15_210,
-        fabric_random_drops: 30,
-        nic_tx_packets: 15_240,
-        nic_tx_bytes: 14_000_660,
-        nic_rx_bytes: 13_973_530,
-        pony_tx_packets: 15_240,
-        pony_rx_packets: 15_210,
+        drained_at_ns: 150_741_000,
+        fabric_delivered: 15_481,
+        fabric_random_drops: 32,
+        nic_tx_packets: 15_513,
+        nic_tx_bytes: 14_280_471,
+        nic_rx_bytes: 14_248_731,
+        pony_tx_packets: 15_513,
+        pony_rx_packets: 15_481,
         pony_ops_completed: 1008,
-        probe_p50_ns: 11_876,
-        probe_p99_ns: 18_083,
+        probe_p50_ns: 11_852,
+        probe_p99_ns: 20_179,
         group_cpu: vec![
-            [1_369_610, 2_628_061, 137_600],
-            [1_263_523, 2_525_839, 25_600],
-            [1_421_956, 2_624_720, 128_000],
-            [1_084_336, 2_778_938, 44_800],
-            [1_465_033, 2_348_247, 54_400],
-            [1_648_710, 2_373_178, 195_200],
-            [1_214_263, 2_644_366, 32_000],
-            [1_283_814, 2_727_158, 134_400],
+            [1_315_730, 2_414_243, 67_200],
+            [1_226_156, 2_498_782, 80_000],
+            [1_436_921, 2_454_699, 60_800],
+            [1_127_425, 2_771_620, 28_800],
+            [1_613_634, 2_301_094, 544_000],
+            [1_632_205, 2_868_318, 860_800],
+            [1_211_982, 2_619_870, 22_400],
+            [1_395_331, 2_734_675, 617_600],
         ],
     };
     assert_eq!(got, want);
@@ -442,7 +442,7 @@ fn lossy_two_host_stream_is_pinned() {
         op_p50_ns: 404_398_000,
         op_p99_ns: 623_656_000,
         group_cpu: vec![
-            [2_709_298, 1_710_660_062, 0],
+            [2_709_178, 1_710_660_262, 0],
             [2_115_915, 1_711_149_205, 0],
         ],
     };
